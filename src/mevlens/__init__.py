@@ -6,9 +6,8 @@ from .amm import (PathHop, PoolInfo, PoolState, SwapQuote, cp_pool, cp_swap_out,
                   stable_swap_out, swap_out)
 from .bytecode import BytecodeRecord, Cluster, cluster, normalize, strip_metadata
 from .chain_model import (ARBITRUM, CHAINS, ETHEREUM, OPTIMISM, ZKSYNC, BlockRecord,
-                          ChainDataset, ChainId, EventLog, Layer, OrderingPolicy,
-                          TxRecord, TxStatus, dump_fixture, load_fixture,
-                          logs_in_range, to_hex)
+                          ChainDataset, ChainId, EventLog, Layer, TxRecord, TxStatus,
+                          dump_fixture, load_fixture, logs_in_range, to_hex)
 from .crosslayer import (AttackResult, AttackScenario, CostModel, CrossLayerLink,
                          DelayStats, VictimCandidate, VictimSwap, capital_sweep,
                          delay_stats, infer_victims, optimal_frontrun,

@@ -167,10 +167,6 @@ def swap_out(pool: PoolState, token_in, token_out, amount_in: int) -> SwapQuote:
     return stable_swap_out(pool, token_in, token_out, amount_in)
 
 
-def apply_swap(pool: PoolState, quote: SwapQuote) -> PoolState:
-    return quote.post_state
-
-
 @dataclass(frozen=True)
 class PathHop:
     pool_key: object     # key into the pools mapping

@@ -9,9 +9,12 @@ strings so values above 64 bits survive round-trips.
 from __future__ import annotations
 
 import json
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, Optional, Sequence
 
 from .errors import DuplicateKey, InvalidRange, MalformedRecord, OrderingViolation
 
@@ -19,11 +22,6 @@ from .errors import DuplicateKey, InvalidRange, MalformedRecord, OrderingViolati
 class Layer(Enum):
     L1 = "L1"
     L2 = "L2"
-
-
-class OrderingPolicy(Enum):
-    GAS_PRICE = "gas_price"
-    FCFS = "fcfs"
 
 
 class TxStatus(Enum):
@@ -35,21 +33,21 @@ class TxStatus(Enum):
 class ChainId:
     name: str
     layer: Layer
-    ordering_policy: OrderingPolicy
 
     def __post_init__(self):
-        if self.name == "ethereum":
-            assert self.layer is Layer.L1 and self.ordering_policy is OrderingPolicy.GAS_PRICE
-        else:
-            assert self.layer is Layer.L2
+        assert self.layer is (Layer.L1 if self.name == "ethereum" else Layer.L2)
 
 
-ETHEREUM = ChainId("ethereum", Layer.L1, OrderingPolicy.GAS_PRICE)
-ARBITRUM = ChainId("arbitrum", Layer.L2, OrderingPolicy.FCFS)
-OPTIMISM = ChainId("optimism", Layer.L2, OrderingPolicy.FCFS)
-ZKSYNC = ChainId("zksync", Layer.L2, OrderingPolicy.FCFS)
+ETHEREUM = ChainId("ethereum", Layer.L1)
+ARBITRUM = ChainId("arbitrum", Layer.L2)
+OPTIMISM = ChainId("optimism", Layer.L2)
+ZKSYNC = ChainId("zksync", Layer.L2)
 
 CHAINS = {c.name: c for c in (ETHEREUM, ARBITRUM, OPTIMISM, ZKSYNC)}
+
+
+_LOWER_HEX = re.compile(r"[0-9a-f]*")
+_DECIMAL = re.compile(r"[0-9]+")
 
 
 def _hexstr(value, length, line, what):
@@ -58,16 +56,15 @@ def _hexstr(value, length, line, what):
     body = value[2:]
     if length is not None and len(body) != 2 * length:
         raise MalformedRecord(line, f"{what} must be {length} bytes, got {value!r}")
-    if body != body.lower():
-        raise MalformedRecord(line, f"{what} must be lowercase hex: {value!r}")
-    try:
-        return bytes.fromhex(body)
-    except ValueError:
-        raise MalformedRecord(line, f"{what} is not valid hex: {value!r}")
+    # bytes.fromhex would skip whitespace and accept uppercase
+    if len(body) % 2 or not _LOWER_HEX.fullmatch(body):
+        raise MalformedRecord(line, f"{what} must be lowercase hex bytes: {value!r}")
+    return bytes.fromhex(body)
 
 
 def _amount(value, line, what):
-    if isinstance(value, str) and value.isdigit():
+    # str.isdigit() would accept non-ASCII digits such as "²", which int() rejects
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
         return int(value)
     raise MalformedRecord(line, f"{what} must be a decimal string, got {value!r}")
 
@@ -297,21 +294,25 @@ def dump_fixture(dataset: ChainDataset, path) -> None:
             }, separators=(",", ":")) + "\n")
 
 
+_block_number = attrgetter("block_number")
+
+
 def logs_in_range(dataset: ChainDataset, from_block: int, to_block: int,
                   topics: Optional[Iterable[bytes]] = None) -> list:
     """Logs with block_number in [from_block, to_block] matching any filter
-    topic (topic0), in (block, tx_index, log_index) order."""
+    topic (topic0), in (block, tx_index, log_index) order.
+
+    Bisects ``dataset.logs``, which must be in that order.
+    """
     if from_block > to_block:
         raise InvalidRange(f"from_block {from_block} > to_block {to_block}")
-    wanted = set(topics) if topics is not None else None
-    out = []
-    for log in dataset.logs:
-        if log.block_number < from_block or log.block_number > to_block:
-            continue
-        if wanted is not None and log.topics[0] not in wanted:
-            continue
-        out.append(log)
-    return out
+    logs = dataset.logs
+    hit = logs[bisect_left(logs, from_block, key=_block_number):
+               bisect_right(logs, to_block, key=_block_number)]
+    if topics is None:
+        return hit
+    wanted = set(topics)
+    return [log for log in hit if log.topics[0] in wanted]
 
 
 def group_logs_by_tx(logs: Sequence[EventLog]) -> "dict[bytes, list]":

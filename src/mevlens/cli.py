@@ -6,14 +6,15 @@ import glob
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import click
 
 from . import amm, bytecode, crosslayer, detectors, opportunity, reporting
-from .chain_model import CHAINS, ETHEREUM, load_fixture, logs_in_range
+from .chain_model import CHAINS, ETHEREUM, group_logs_by_tx, load_fixture, logs_in_range
+from .decoding import decode_logs
 from .errors import MevlensError
+from .registry import Category
 
 log = logging.getLogger("mevlens")
 
@@ -43,7 +44,9 @@ def common_options(fn):
                       type=click.Path(file_okay=False))(fn)
     fn = click.option("--window", type=int, default=100, show_default=True)(fn)
     fn = click.option("--horizon", type=int, default=100, show_default=True)(fn)
-    fn = click.option("--jobs", type=int, default=1, show_default=True)(fn)
+    fn = click.option("--jobs", type=int, default=1, show_default=True,
+                      help="Accepted for compatibility; every value runs the same "
+                           "single scan.")(fn)
     return fn
 
 
@@ -52,7 +55,6 @@ class Ctx:
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
-        self._dataset = None
         self._pools = None
         self._prices = None
 
@@ -95,47 +97,11 @@ def detect():
     """Run one MEV detector over a chain fixture."""
 
 
-def _block_shards(blocks, jobs):
-    numbers = sorted({b.number for b in blocks})
-    if not numbers or jobs <= 1:
-        return [(numbers[0], numbers[-1])] if numbers else []
-    chunk = max(1, (len(numbers) + jobs - 1) // jobs)
-    shards = []
-    for i in range(0, len(numbers), chunk):
-        part = numbers[i:i + chunk]
-        shards.append((part[0], part[-1]))
-    return shards
-
-
 def _detect_arb(ctx: Ctx):
     ds = ctx.dataset()
-    pools = ctx.pools()
-
-    def run_shard(bounds):
-        lo, hi = bounds
-        shard_logs = logs_in_range(ds, lo, hi)
-        swaps_by_tx = {}
-        for lg in shard_logs:
-            try:
-                swap = detectors.decode_swap(lg, pools)
-            except Exception:
-                continue
-            if swap is not None:
-                swaps_by_tx.setdefault(lg.tx_hash, []).append(swap)
-        return detectors.detect_arbitrages(swaps_by_tx)
-
-    shards = _block_shards(ds.blocks, ctx.jobs)
-    if ctx.jobs > 1 and len(shards) > 1:
-        with ThreadPoolExecutor(max_workers=ctx.jobs) as pool:
-            results = list(pool.map(run_shard, shards))
-        findings = [f for part in results for f in part]
-    else:
-        findings = run_shard(shards[0]) if shards else []
-
-    findings.sort(key=lambda f: (f.cycle[0].position, f.tx_hash))
-
+    findings = detectors.detect_arbitrages(detectors.extract_swaps(ds, ctx.pools()))
     prices = ctx.prices()
-    tx_logs = detectors.group_logs_by_tx(ds.logs)
+    tx_logs = group_logs_by_tx(ds.logs)
     out = []
     for f in findings:
         ts = ds.block_timestamp(f.cycle[0].position[0]) or 0
@@ -152,7 +118,7 @@ def _detect_arb(ctx: Ctx):
 def _detect_liq(ctx: Ctx):
     ds = ctx.dataset()
     prices = ctx.prices()
-    tx_logs = detectors.group_logs_by_tx(ds.logs)
+    tx_logs = group_logs_by_tx(ds.logs)
     out = []
     for f in detectors.detect_liquidations(ds.logs):
         ts = ds.block_timestamp(f.actions[0].position[0]) or 0
@@ -212,21 +178,13 @@ def detect_sandwich_cmd(**kw):
 def detect_flashloan_cmd(**kw):
     ctx = Ctx(**kw)
     ds = ctx.dataset()
-    rows = []
-    for lg in ds.logs:
-        try:
-            loan = detectors.decode_flashloan(lg)
-        except Exception:
-            continue
-        if loan is not None:
-            ts = ds.block_timestamp(lg.block_number) or 0
-            rows.append({
-                "type": "flash_loan", "chain": ds.chain.name if ds.chain else ctx.chain_name,
-                "tx_hash": reporting.to_hex(loan.tx_hash), "block": lg.block_number,
-                "timestamp": ts, "provider": loan.provider,
-                "token": reporting.to_hex(loan.token),
-                "amount": str(loan.amount), "fee": str(loan.fee),
-            })
+    rows = [{
+        "type": "flash_loan", "chain": ds.chain.name if ds.chain else ctx.chain_name,
+        "tx_hash": reporting.to_hex(loan.tx_hash), "block": lg.block_number,
+        "timestamp": ds.block_timestamp(lg.block_number) or 0, "provider": loan.provider,
+        "token": reporting.to_hex(loan.token),
+        "amount": str(loan.amount), "fee": str(loan.fee),
+    } for lg, loan in decode_logs(ds.logs, (Category.FLASH_LOAN,))]
     _write(ctx, "findings_flashloan.jsonl", rows)
 
 
@@ -448,12 +406,14 @@ def main(argv=None) -> int:
     except MevlensError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
-    except AssertionError as exc:
-        click.echo(f"internal invariant violation: {exc}", err=True)
-        return 2
     except SystemExit as exc:
         code = exc.code or 0
         return 1 if code == 2 else int(code)
+    except Exception as exc:
+        # anything else is a bug in the package, not bad input
+        log.debug("internal error", exc_info=True)
+        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,10 +17,11 @@ from typing import Optional, Sequence
 
 from .amm import PoolState, swap_out
 from .chain_model import ChainDataset, ChainId, ZKSYNC, group_logs_by_tx
-from .decoding import decode_bridge_message, decode_swap, decode_transfer
+from .decoding import TransferAction, decode_logs
 from .detectors import WEI
 from .errors import EmptyInput, Infeasible
 from .registry import DEFAULT_REGISTRY, Category, TopicRegistry
+from .reporting import summary_stats
 
 S1 = "S1"
 S2 = "S2"
@@ -122,16 +123,12 @@ def load_attack_config(path):
 # --- victim inference ---
 
 def _bridge_actions(dataset: ChainDataset, registry: TopicRegistry):
-    actions = []
-    for log in dataset.logs:
-        ts = dataset.block_timestamp(log.block_number) or 0
-        try:
-            action = decode_bridge_message(log, ts, registry)
-        except Exception:
-            continue
-        if action is not None:
-            actions.append(action)
-    return actions
+    """Bridge messages stamped with their block's timestamp (0 when the
+    block record is missing)."""
+    decoded = decode_logs(dataset.logs, (Category.L1_MESSAGE, Category.L2_MESSAGE),
+                          registry=registry)
+    return [replace(action, timestamp=dataset.block_timestamp(log.block_number) or 0)
+            for log, action in decoded]
 
 
 def _detect_l2_swap(tx_logs, pools_meta, registry) -> Optional[tuple]:
@@ -140,18 +137,12 @@ def _detect_l2_swap(tx_logs, pools_meta, registry) -> Optional[tuple]:
     same tx refines pool and amounts when present."""
     transfers = []
     dex_swap = None
-    for log in tx_logs:
-        entry = registry.lookup(log.topics[0])
-        if entry is None:
-            continue
-        if entry.has(Category.TRANSFER):
-            t = decode_transfer(log, registry)
-            if t is not None:
-                transfers.append(t)
-        elif entry.has(Category.VICTIM_SWAP):
-            s = decode_swap(log, pools_meta, registry)
-            if s is not None and dex_swap is None:
-                dex_swap = s
+    for _, action in decode_logs(tx_logs, (Category.TRANSFER, Category.VICTIM_SWAP),
+                                 pools_meta, registry):
+        if isinstance(action, TransferAction):
+            transfers.append(action)
+        elif dex_swap is None:
+            dex_swap = action
     pair = None
     for i, t1 in enumerate(transfers):
         for t2 in transfers[i + 1:]:
@@ -249,12 +240,9 @@ class DelayStats:
 
 
 def _stats(delays) -> DelayStats:
-    xs = sorted(delays)
-    n = len(xs)
-    mid = n // 2
-    median = Fraction(xs[mid]) if n % 2 else Fraction(xs[mid - 1] + xs[mid], 2)
-    return DelayStats(count=n, min=xs[0], mean=Fraction(sum(xs), n),
-                      median=median, max=xs[-1])
+    s = summary_stats(delays)
+    return DelayStats(count=len(delays), min=s["min"], mean=s["mean"],
+                      median=s["median"], max=s["max"])
 
 
 def delay_stats(links: Sequence[CrossLayerLink]):
@@ -456,17 +444,9 @@ def capital_sweep(victim_scenarios, costs: CostModel,
                 profit = gains[tier, i] - costs.total(strategy)
                 if profit > 0:
                     profits_usd.append(profit * vs["eth_usd"])
-            profits_usd.sort()
-            n = len(profits_usd)
-            if n:
-                mid = n // 2
-                median = profits_usd[mid] if n % 2 else \
-                    (profits_usd[mid - 1] + profits_usd[mid]) / 2
-                cell = {"count": n, "total": sum(profits_usd),
-                        "max": profits_usd[-1], "mean": sum(profits_usd) / n,
-                        "median": median, "min": profits_usd[0]}
-            else:
-                cell = {"count": 0, "total": Fraction(0), "max": None,
-                        "mean": None, "median": None, "min": None}
+            cell = summary_stats(profits_usd)
+            cell["count"] = len(profits_usd)
+            if not profits_usd:
+                cell["total"] = Fraction(0)
             table[strategy][tier] = cell
     return table

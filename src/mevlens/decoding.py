@@ -5,17 +5,24 @@ differences are declarative schemas selected via the topic registry.
 Decoders return None for logs that are well-formed but not decodable into
 the requested action (wrong category, zero amounts, missing pool
 metadata) and raise SchemaMismatch for structurally broken logs.
+
+``decode_logs`` is the one pass over a log sequence: it looks up each
+topic once, runs the schema's decoder, and skips (logging at DEBUG) the
+logs a decoder rejects.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 from .chain_model import ARBITRUM, OPTIMISM, ZKSYNC, ChainId, EventLog
-from .errors import SchemaMismatch, SlotOutOfRange
+from .errors import MevlensError, SchemaMismatch, SlotOutOfRange
 from .keccak import keccak256
-from .registry import DEFAULT_REGISTRY, Category, TopicRegistry
+from .registry import DEFAULT_REGISTRY, TopicRegistry
+
+_log = logging.getLogger("mevlens")
 
 WORD = 32
 UINT256_MAX = (1 << 256) - 1
@@ -115,8 +122,12 @@ class BridgeMessageAction:
     timestamp: int
 
 
-def _lookup(log: EventLog, registry: TopicRegistry):
-    return registry.lookup(log.topics[0])
+def _decode_one(log: EventLog, decoder, registry: TopicRegistry, *args):
+    """Run ``decoder`` on ``log`` if the log's topic maps to its schema."""
+    entry = registry.lookup(log.topics[0])
+    if entry is None or _DECODERS.get(entry.schema) is not decoder:
+        return None
+    return decoder(log, entry, *args)
 
 
 def decode_swap(log: EventLog, pools=None,
@@ -127,9 +138,10 @@ def decode_swap(log: EventLog, pools=None,
     required for protocols whose events carry token indexes or no token
     addresses at all (Uniswap V2/V3, Curve, Hop StableSwap).
     """
-    entry = _lookup(log, registry)
-    if entry is None or not (entry.has(Category.ARBITRAGE) or entry.has(Category.VICTIM_SWAP)):
-        return None
+    return _decode_one(log, _swap, registry, pools)
+
+
+def _swap(log: EventLog, entry, pools) -> Optional[SwapAction]:
     schema = entry.schema
 
     def pool_tokens():
@@ -187,7 +199,7 @@ def decode_swap(log: EventLog, pools=None,
         if tokens is None or not (0 <= sold_id < len(tokens) and 0 <= bought_id < len(tokens)):
             return None
         token_in, token_out = tokens[sold_id], tokens[bought_id]
-    elif schema == "stableswap_token_swap":
+    else:  # stableswap_token_swap
         if len(log.topics) != 2:
             raise SchemaMismatch("TokenSwap expects 2 topics")
         _require_slots(log, 4)
@@ -199,8 +211,6 @@ def decode_swap(log: EventLog, pools=None,
         if tokens is None or not (sold_id < len(tokens) and bought_id < len(tokens)):
             return None
         token_in, token_out = tokens[sold_id], tokens[bought_id]
-    else:
-        return None
 
     if amount_in <= 0 or amount_out <= 0 or token_in == token_out:
         return None
@@ -211,9 +221,10 @@ def decode_swap(log: EventLog, pools=None,
 
 def decode_transfer(log: EventLog,
                     registry: TopicRegistry = DEFAULT_REGISTRY) -> Optional[TransferAction]:
-    entry = _lookup(log, registry)
-    if entry is None or not entry.has(Category.TRANSFER):
-        return None
+    return _decode_one(log, _transfer, registry)
+
+
+def _transfer(log: EventLog, entry) -> TransferAction:
     if len(log.topics) != 3:
         raise SchemaMismatch("Transfer expects 3 topics")
     _require_slots(log, 1)
@@ -229,9 +240,10 @@ def decode_transfer(log: EventLog,
 
 def decode_liquidation(log: EventLog,
                        registry: TopicRegistry = DEFAULT_REGISTRY) -> Optional[LiquidationAction]:
-    entry = _lookup(log, registry)
-    if entry is None or not entry.has(Category.LIQUIDATION):
-        return None
+    return _decode_one(log, _liquidation, registry)
+
+
+def _liquidation(log: EventLog, entry) -> Optional[LiquidationAction]:
     schema = entry.schema
     if schema in ("aave_v1_liquidation", "aave_v2v3_liquidation"):
         if len(log.topics) != 4:
@@ -253,7 +265,7 @@ def decode_liquidation(log: EventLog,
             position=log.position,
             tx_hash=log.tx_hash,
         )
-    elif schema == "compound_liquidate":
+    else:  # compound_liquidate
         if len(log.topics) != 1:
             raise SchemaMismatch("LiquidateBorrow expects 1 topic")
         _require_slots(log, 5)
@@ -269,8 +281,6 @@ def decode_liquidation(log: EventLog,
             position=log.position,
             tx_hash=log.tx_hash,
         )
-    else:
-        return None
     if action.debt_amount <= 0:
         return None
     return action
@@ -278,9 +288,10 @@ def decode_liquidation(log: EventLog,
 
 def decode_redeem(log: EventLog, registry: TopicRegistry = DEFAULT_REGISTRY):
     """Compound Redeem -> (redeemer, collateral token, amount) or None."""
-    entry = _lookup(log, registry)
-    if entry is None or entry.schema != "compound_redeem":
-        return None
+    return _decode_one(log, _redeem, registry)
+
+
+def _redeem(log: EventLog, entry) -> tuple:
     if len(log.topics) != 1:
         raise SchemaMismatch("Redeem expects 1 topic")
     _require_slots(log, 2)
@@ -290,9 +301,10 @@ def decode_redeem(log: EventLog, registry: TopicRegistry = DEFAULT_REGISTRY):
 
 def decode_flashloan(log: EventLog,
                      registry: TopicRegistry = DEFAULT_REGISTRY) -> Optional[FlashLoanAction]:
-    entry = _lookup(log, registry)
-    if entry is None or not entry.has(Category.FLASH_LOAN):
-        return None
+    return _decode_one(log, _flashloan, registry)
+
+
+def _flashloan(log: EventLog, entry) -> Optional[FlashLoanAction]:
     schema = entry.schema
     if schema == "aave_v1_flashloan":
         if len(log.topics) != 3:
@@ -312,14 +324,12 @@ def decode_flashloan(log: EventLog,
         _require_slots(log, 4)
         provider, token = "aave_v3", _topic_word(log, 2, "address")
         amount, fee = decode_word(log.data, 1, "uint"), decode_word(log.data, 3, "uint")
-    elif schema == "balancer_flashloan":
+    else:  # balancer_flashloan
         if len(log.topics) != 3:
             raise SchemaMismatch("Balancer FlashLoan expects 3 topics")
         _require_slots(log, 2)
         provider, token = "balancer", _topic_word(log, 2, "address")
         amount, fee = decode_word(log.data, 0, "uint"), decode_word(log.data, 1, "uint")
-    else:
-        return None
     if amount <= 0:
         return None
     return FlashLoanAction(provider=provider, token=token, amount=amount, fee=fee,
@@ -328,9 +338,10 @@ def decode_flashloan(log: EventLog,
 
 def decode_oracle_update(log: EventLog,
                          registry: TopicRegistry = DEFAULT_REGISTRY) -> Optional[OracleUpdateAction]:
-    entry = _lookup(log, registry)
-    if entry is None or not entry.has(Category.ORACLE_UPDATE):
-        return None
+    return _decode_one(log, _oracle_update, registry)
+
+
+def _oracle_update(log: EventLog, entry) -> OracleUpdateAction:
     if len(log.topics) != 3:
         raise SchemaMismatch("AnswerUpdated expects 3 topics")
     return OracleUpdateAction(
@@ -343,9 +354,10 @@ def decode_oracle_update(log: EventLog,
 
 def decode_bridge_message(log: EventLog, timestamp: int,
                           registry: TopicRegistry = DEFAULT_REGISTRY) -> Optional[BridgeMessageAction]:
-    entry = _lookup(log, registry)
-    if entry is None or not (entry.has(Category.L1_MESSAGE) or entry.has(Category.L2_MESSAGE)):
-        return None
+    return _decode_one(log, _bridge_message, registry, timestamp)
+
+
+def _bridge_message(log: EventLog, entry, timestamp: int = 0) -> Optional[BridgeMessageAction]:
     schema = entry.schema
     if schema == "arbitrum_inbox_message":
         if len(log.topics) != 2:
@@ -360,14 +372,57 @@ def decode_bridge_message(log: EventLog, timestamp: int,
         if len(log.topics) != 2:
             raise SchemaMismatch("RedeemScheduled expects 2 topics")
         direction, rollup, link_key = "l2_execute", ARBITRUM, log.topics[1]
-    elif schema == "optimism_relayed_message":
+    else:  # optimism_relayed_message
         if len(log.topics) != 2:
             raise SchemaMismatch("RelayedMessage expects 2 topics")
         direction, rollup, link_key = "l2_execute", OPTIMISM, log.topics[1]
-    else:
-        return None
     if not link_key:
         return None
     return BridgeMessageAction(direction=direction, rollup=rollup, link_key=link_key,
                                position=log.position, tx_hash=log.tx_hash,
                                timestamp=timestamp)
+
+
+# registry schema key -> decoder(log, entry), plus pools for swaps
+_DECODERS = {schema: decoder for decoder, schemas in (
+    (_swap, ("uniswap_v2_swap", "uniswap_v3_swap", "balancer_v1_swap", "balancer_v2_swap",
+             "curve_exchange", "stableswap_token_swap")),
+    (_transfer, ("erc20_transfer",)),
+    (_liquidation, ("aave_v1_liquidation", "aave_v2v3_liquidation", "compound_liquidate")),
+    (_redeem, ("compound_redeem",)),
+    (_flashloan, ("aave_v1_flashloan", "aave_v2_flashloan", "aave_v3_flashloan",
+                  "balancer_flashloan")),
+    (_oracle_update, ("chainlink_answer_updated",)),
+    (_bridge_message, ("arbitrum_inbox_message", "optimism_l1_message",
+                       "zksync_priority_request", "arbitrum_redeem_scheduled",
+                       "optimism_relayed_message")),
+) for schema in schemas}
+
+
+def decode_logs(logs: Sequence[EventLog], categories, pools=None,
+                registry: TopicRegistry = DEFAULT_REGISTRY) -> list:
+    """Decode every log registered under one of ``categories``.
+
+    Returns ``(log, action)`` pairs in input order, dropping logs whose
+    decoder yields None. A log its decoder rejects with a MevlensError is
+    skipped and logged at DEBUG; any other exception propagates. Swap
+    decoders read ``pools``; bridge messages carry timestamp 0, since the
+    block timestamp belongs to the dataset, not the log.
+    """
+    wanted = frozenset(categories)
+    decoded = []
+    for log in logs:
+        entry = registry.lookup(log.topics[0])
+        if entry is None or wanted.isdisjoint(entry.categories):
+            continue
+        decoder = _DECODERS.get(entry.schema)
+        if decoder is None:
+            continue
+        try:
+            action = decoder(log, entry, pools) if decoder is _swap else decoder(log, entry)
+        except MevlensError as exc:
+            _log.debug("skipped %s log at %s: %s", entry.event, log.position, exc)
+            continue
+        if action is not None:
+            decoded.append((log, action))
+    return decoded

@@ -12,11 +12,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .chain_model import ChainDataset, ChainId, EventLog, Layer, TxRecord, group_logs_by_tx
-from .decoding import (FlashLoanAction, LiquidationAction, SwapAction, TransferAction,
-                       decode_flashloan, decode_liquidation, decode_redeem, decode_swap,
-                       decode_transfer)
-from .registry import DEFAULT_REGISTRY, TopicRegistry
+from .chain_model import ChainDataset, ChainId, EventLog, Layer, TxRecord
+from .decoding import LiquidationAction, SwapAction, TransferAction, decode_logs
+from .registry import DEFAULT_REGISTRY, Category, TopicRegistry
 
 WEI = 10 ** 18
 SECONDS_PER_DAY = 86400
@@ -221,21 +219,16 @@ def detect_liquidations(logs: Sequence[EventLog],
     Compound LiquidateBorrow actions are paired with Redeem events of the
     same tx in log order, first-unmatched-first.
     """
+    by_tx: dict = {}
+    for log, action in decode_logs(logs, (Category.LIQUIDATION,), registry=registry):
+        by_tx.setdefault(log.tx_hash, []).append(action)
     findings = []
-    for tx_hash, tx_logs in group_logs_by_tx(logs).items():
-        actions = []
-        redeems = []
-        for log in tx_logs:
-            action = decode_liquidation(log, registry)
-            if action is not None:
-                actions.append(action)
-                continue
-            redeem = decode_redeem(log, registry)
-            if redeem is not None:
-                redeems.append(redeem)
+    for tx_hash, decoded in by_tx.items():
+        actions = [a for a in decoded if isinstance(a, LiquidationAction)]
         if not actions:
             continue
-        unmatched = list(redeems)
+        # the rest are Compound Redeems: (redeemer, collateral token, amount)
+        unmatched = [r for r in decoded if not isinstance(r, LiquidationAction)]
         paired = []
         unredeemed = False
         for action in actions:
@@ -339,40 +332,27 @@ def detect_sandwiches(transfers: Sequence[TransferAction], chain: ChainId,
 
 def attribute_flash_loans(finding, tx_logs: Sequence[EventLog],
                           registry: TopicRegistry = DEFAULT_REGISTRY):
-    loans = []
-    for log in tx_logs:
-        if log.tx_hash != finding.tx_hash:
-            continue
-        loan = decode_flashloan(log, registry)
-        if loan is not None:
-            loans.append(loan)
-    return replace(finding, flash_loans=tuple(loans))
+    same_tx = [log for log in tx_logs if log.tx_hash == finding.tx_hash]
+    loans = decode_logs(same_tx, (Category.FLASH_LOAN,), registry=registry)
+    return replace(finding, flash_loans=tuple(loan for _, loan in loans))
 
 
 # --- dataset-level drivers ---
 
 def extract_swaps(dataset: ChainDataset, pools=None,
                   registry: TopicRegistry = DEFAULT_REGISTRY):
-    """Decode all swap events, grouped by tx in emission order."""
+    """Decode all swap events, grouped by tx in emission order.
+
+    Victim-swap events (StableSwap TokenSwap) count too: they can close a
+    cycle like any DEX swap.
+    """
     swaps_by_tx: dict = {}
-    for log in dataset.logs:
-        try:
-            swap = decode_swap(log, pools, registry)
-        except Exception:
-            continue
-        if swap is not None:
-            swaps_by_tx.setdefault(log.tx_hash, []).append(swap)
+    for log, swap in decode_logs(dataset.logs, (Category.ARBITRAGE, Category.VICTIM_SWAP),
+                                 pools, registry):
+        swaps_by_tx.setdefault(log.tx_hash, []).append(swap)
     return swaps_by_tx
 
 
 def extract_transfers(dataset: ChainDataset,
                       registry: TopicRegistry = DEFAULT_REGISTRY):
-    transfers = []
-    for log in dataset.logs:
-        try:
-            t = decode_transfer(log, registry)
-        except Exception:
-            continue
-        if t is not None:
-            transfers.append(t)
-    return transfers
+    return [t for _, t in decode_logs(dataset.logs, (Category.TRANSFER,), registry=registry)]

@@ -1,12 +1,10 @@
 """Event topic registry: topic hash -> (category, protocol, event, schema).
 
-The compiled-in table mirrors the event set the detectors rely on; it can
-be extended at runtime from a JSON file for new protocols.
+The compiled-in table mirrors the event set the detectors rely on.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -127,31 +125,5 @@ class TopicRegistry:
     def entries(self):
         return list(self._by_topic.values())
 
-    def extend_from_json(self, path) -> None:
-        """Merge extra entries from a JSON registry file.
-
-        Format: list of {"topic": "0x..", "categories": [..], "label": str,
-        "protocol": str, "event": str, "schema": str}; schema must name an
-        existing decoder schema.
-        """
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        for obj in raw:
-            entry = RegistryEntry(
-                topic=bytes.fromhex(obj["topic"].removeprefix("0x")),
-                categories=frozenset(Category(c) for c in obj["categories"]),
-                label=obj.get("label", obj["categories"][0]),
-                protocol=obj["protocol"],
-                event=obj["event"],
-                schema=obj["schema"],
-            )
-            if entry.topic in self._by_topic:
-                raise ValueError(f"duplicate topic 0x{entry.topic.hex()}")
-            self._by_topic[entry.topic] = entry
-
 
 DEFAULT_REGISTRY = TopicRegistry()
-
-
-def topic_lookup(topic: bytes, registry: TopicRegistry = DEFAULT_REGISTRY):
-    return registry.lookup(topic)

@@ -41,20 +41,24 @@ def p90(values: Sequence[Fraction]) -> Fraction:
     return xs[max(rank, 1) - 1]
 
 
-def profit_stats(values: Sequence[Fraction]) -> dict:
-    """The reported statistics set: Total, Max, P90, Mean, Median, Min."""
+def summary_stats(values: Sequence) -> dict:
+    """Exact Total, Max, P90, Mean, Median and Min of integers or
+    Fractions; each is None for an empty sample.
+
+    Total, Mean and Median are Fractions, so integer samples never turn
+    into floats; Max, P90 and Min are sample values.
+    """
     xs = sorted(values)
     n = len(xs)
     if n == 0:
-        return {k: None for k in ("total", "max", "p90", "mean", "median", "min")}
+        return dict.fromkeys(("total", "max", "p90", "mean", "median", "min"))
     mid = n // 2
-    median = xs[mid] if n % 2 else (xs[mid - 1] + xs[mid]) / 2
     return {
-        "total": sum(xs),
+        "total": Fraction(sum(xs)),
         "max": xs[-1],
         "p90": p90(xs),
-        "mean": sum(xs) / n,
-        "median": median,
+        "mean": Fraction(sum(xs), n),
+        "median": Fraction(xs[mid]) if n % 2 else Fraction(xs[mid - 1] + xs[mid], 2),
         "min": xs[0],
     }
 
@@ -192,7 +196,7 @@ def emit_report(findings: Sequence[dict], out_dir, eth_usd=None) -> dict:
         groups.setdefault((f["chain"], f["type"]), []).append(
             (Fraction(profit), f["timestamp"]))
     for (chain, typ), entries in sorted(groups.items()):
-        stats = profit_stats([e[0] for e in entries])
+        stats = summary_stats([e[0] for e in entries])
         row = [chain, typ, len(entries)]
         for key in ("total", "max", "p90", "mean", "median", "min"):
             row.append(fmt_fixed(stats[key]))
@@ -202,7 +206,7 @@ def emit_report(findings: Sequence[dict], out_dir, eth_usd=None) -> dict:
                 price = eth_usd(ts // 86400)
                 if price is not None:
                     usd.append(value * price)
-            row.append(fmt_fixed(profit_stats(usd)["total"] if usd else None, 2))
+            row.append(fmt_fixed(summary_stats(usd)["total"], 2))
         rows.append(row)
     header = ["chain", "type", "count", "total_eth", "max_eth", "p90_eth",
               "mean_eth", "median_eth", "min_eth"]

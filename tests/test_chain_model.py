@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from mevlens.chain_model import (ETHEREUM, dump_fixture, load_fixture,
+from mevlens.chain_model import (ETHEREUM, ChainDataset, dump_fixture, load_fixture,
                                  logs_in_range, to_hex)
+from mevlens.cli import main
 from mevlens.errors import (DuplicateKey, InvalidRange, MalformedRecord,
                             OrderingViolation)
 from mevlens.fixtures import FixtureBuilder, addr, enc_transfer
@@ -46,13 +47,33 @@ def test_duplicate_log_coordinates(tmp_path):
         load_fixture(p)
 
 
-def test_uppercase_hex_rejected(tmp_path):
-    p = tmp_path / "f.jsonl"
-    bad = _log(1, 0, 0)
-    bad["address"] = "0x" + "AB" * 20
-    _write_lines(p, [_block(1, 100), bad])
-    with pytest.raises(MalformedRecord):
-        load_fixture(p)
+def _tx(**fields):
+    tx = {"kind": "tx", "hash": to_hex(b"\x01" * 32), "block_number": 1, "tx_index": 0,
+          "from": to_hex(addr(2)), "fee_paid": "0"}
+    tx.update(fields)
+    return tx
+
+
+def test_uppercase_hex_rejected(tmp_path, capsys):
+    bad_log = _log(1, 0, 0)
+    bad_log["address"] = "0x" + "AB" * 20
+    bad_records = [
+        bad_log,
+        # right length only because bytes.fromhex would skip the spaces
+        _tx(hash="0x  " + "ab" * 30 + "  "),
+        # a digit to str.isdigit(), not to int()
+        _tx(fee_paid="\u00b2"),
+    ]
+    for i, bad in enumerate(bad_records):
+        fixtures = tmp_path / f"fixtures{i}"
+        fixtures.mkdir()
+        _write_lines(fixtures / "ethereum.jsonl", [_block(1, 100), bad])
+        with pytest.raises(MalformedRecord) as exc:
+            load_fixture(fixtures / "ethereum.jsonl")
+        assert exc.value.line == 2
+        assert main(["decode", "--fixtures", str(fixtures)]) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
 
 
 def test_round_trip_byte_identical(tmp_path):
@@ -90,6 +111,12 @@ def test_logs_in_range_matches_linear_scan(tmp_path):
     # full range visits every log exactly once in total order
     full = logs_in_range(ds, 0, 100)
     assert full == ds.logs
+
+    # before the first block, after the last, one block, no logs at all
+    for dataset, lo, hi in ((ds, 0, 0), (ds, 11, 20), (ds, 4, 4), (ChainDataset(), 0, 100)):
+        assert logs_in_range(dataset, lo, hi) == \
+            [l for l in dataset.logs if lo <= l.block_number <= hi]
+    assert len(logs_in_range(ds, 4, 4)) == 2
 
 
 def test_invalid_range():

@@ -19,7 +19,7 @@ from mevlens.fixtures import (addr, enc_aave_v1_liquidation,
                               enc_token_swap, enc_transaction_deposited,
                               enc_transfer, enc_uniswap_v2_swap,
                               enc_uniswap_v3_swap, optimism_message_hash, word)
-from mevlens.registry import DEFAULT_REGISTRY, topic_lookup
+from mevlens.registry import DEFAULT_REGISTRY
 from mevlens.amm import PoolInfo
 
 TX = b"\x77" * 32
@@ -53,19 +53,19 @@ def test_decode_word_basics():
 def test_topic_lookup_table_rows():
     v2 = bytes.fromhex(
         "d78ad95fa46c994b6551d0da85fc275fe613ce37657fb8d5e3d130840159d822")
-    entry = topic_lookup(v2)
+    entry = DEFAULT_REGISTRY.lookup(v2)
     assert (entry.label, entry.protocol, entry.event) == ("Arbitrage", "Uniswap V2", "Swap")
     transfer = bytes.fromhex(
         "ddf252ad1be2c89b69c2b068fc378daa952ba7f163c4a11628f55a4df523b3ef")
-    entry = topic_lookup(transfer)
+    entry = DEFAULT_REGISTRY.lookup(transfer)
     assert (entry.label, entry.protocol, entry.event) == \
         ("Sandwiches/Victim Inference", "ERC-20", "Transfer")
-    assert topic_lookup(b"\x00" * 32) is None
+    assert DEFAULT_REGISTRY.lookup(b"\x00" * 32) is None
 
 
 def test_registry_total_over_all_rows():
     for entry in DEFAULT_REGISTRY.entries():
-        assert topic_lookup(entry.topic) is entry
+        assert DEFAULT_REGISTRY.lookup(entry.topic) is entry
 
 
 # --- swaps ---

@@ -1,11 +1,17 @@
+import dataclasses
 import json
+import logging
 import os
 from fractions import Fraction
 
-from mevlens.chain_model import dump_fixture
+from mevlens import decoding
+from mevlens.chain_model import ARBITRUM, ETHEREUM, EventLog, dump_fixture
 from mevlens.cli import main
-from mevlens.reporting import (fmt_fixed, month_of, p90, profit_stats,
-                               read_findings, write_findings)
+from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
+                              enc_balancer_v1_swap, enc_flashloan, enc_inbox_message,
+                              enc_redeem_scheduled, enc_transfer, word)
+from mevlens.reporting import (fmt_fixed, month_of, p90, read_findings,
+                               summary_stats, write_findings)
 from conftest import build_planted_arb_dataset
 
 
@@ -17,13 +23,13 @@ def test_p90_nearest_rank():
 
 
 def test_profit_stats_basic():
-    stats = profit_stats([Fraction(i) for i in range(1, 11)])
+    stats = summary_stats([Fraction(i) for i in range(1, 11)])
     assert stats["total"] == 55
     assert stats["max"] == 10 and stats["min"] == 1
     assert stats["mean"] == Fraction(11, 2)
     assert stats["median"] == Fraction(11, 2)
     assert stats["p90"] == 9
-    empty = profit_stats([])
+    empty = summary_stats([])
     assert all(v is None for v in empty.values())
 
 
@@ -168,3 +174,117 @@ def test_make_demo_script(tmp_path):
                  "--prices", str(tmp_path / "demo" / "prices.csv"),
                  "--out", str(out)]) == 0
     assert len(read_findings(out / "findings_arb.jsonl")) == 25
+
+
+def test_cli_detect_arb_without_block_records(tmp_path):
+    """Arbitrage findings come from the logs alone: block records that stop
+    before the last planted cycle, or are missing, lose no finding."""
+    ds, expected = build_planted_arb_dataset()
+    want = sorted(("0x" + tx.hex(), n) for tx, n in expected)
+    for blocks in (ds.blocks[:22], []):
+        fixtures = tmp_path / f"fixtures{len(blocks)}"
+        fixtures.mkdir()
+        dump_fixture(dataclasses.replace(ds, blocks=blocks), fixtures / "ethereum.jsonl")
+        out = tmp_path / f"out{len(blocks)}"
+        assert main(["detect", "arb", "--fixtures", str(fixtures), "--out", str(out)]) == 0
+        findings = read_findings(out / "findings_arb.jsonl")
+        assert sorted((f["tx_hash"], len(f["cycle"])) for f in findings) == want
+
+
+def test_cli_internal_error_exit_2(tmp_path, monkeypatch, capsys):
+    fixtures, _, _ = _demo_dir(tmp_path)
+
+    def broken(log, entry):
+        raise ValueError("decoder bug")
+
+    monkeypatch.setitem(decoding._DECODERS, "balancer_v1_swap", broken)
+    assert main(["detect", "arb", "--fixtures", str(fixtures),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "internal error: ValueError: decoder bug" in err
+    assert "Traceback" not in err
+
+
+def _layout_fixtures(root, with_bad_logs):
+    """Ethereum and Arbitrum fixtures with two arbitrages, a liquidation, a
+    flash loan, an L2 sandwich and one bridged L2 victim swap. With
+    ``with_bad_logs``, one log per kind that does not match its event
+    layout is added at the end of its tx: an Aave V2 FlashLoan and a
+    LiquidationCall each missing a topic, and a 4-topic (ERC-721) Transfer."""
+    t_a, t_b = addr(0xA1), addr(0xB1)
+    l1 = FixtureBuilder(ETHEREUM)
+    for _ in range(2):
+        l1.block()
+        l1.tx()
+        l1.log(addr(0xD1), *enc_balancer_v1_swap(addr(0xEE), t_a, t_b, 100, 205))
+        l1.log(addr(0xD2), *enc_balancer_v1_swap(addr(0xEE), t_b, t_a, 205, 120))
+    l1.block()
+    l1.tx()
+    l1.log(addr(0xAA), *enc_flashloan("aave_v2", t_a, 10 ** 18, 9))
+    l1.tx()
+    l1.log(addr(0xAB), *enc_aave_v2v3_liquidation(t_a, t_b, addr(0xB0), 500, 600,
+                                                  addr(0xC0)))
+    l1.tx()
+    l1.tx()
+    l1.log(addr(0x1B), *enc_inbox_message(7))
+
+    token, pool, attacker, victim = addr(0x70), addr(0x71), addr(0x72), addr(0x74)
+    l2 = FixtureBuilder(ARBITRUM, start_timestamp=1_600_000_100)
+    l2.block()
+    for sender, receiver, amount in ((pool, attacker, 100), (pool, addr(0x73), 50),
+                                     (attacker, pool, 90)):
+        l2.tx()
+        l2.log(token, *enc_transfer(sender, receiver, amount))
+    l2.block()
+    l2.tx()
+    l2.log(addr(0x1C), *enc_redeem_scheduled(7))
+    l2.log(token, *enc_transfer(victim, pool, 10))
+    l2.log(token, *enc_transfer(pool, victim, 9))
+    l1_ds, l2_ds = l1.dataset(), l2.dataset()
+
+    if with_bad_logs:
+        def bad(ds, block, tx_index, topics, data):
+            tx = next(t for t in ds.txs if (t.block_number, t.tx_index) == (block, tx_index))
+            ds.logs.append(EventLog(ds.chain, addr(0xBAD), tuple(topics), data, block,
+                                    tx_index, 900 + len(ds.logs), tx.hash))
+
+        topics, data = enc_flashloan("aave_v2", t_a, 10 ** 18, 9)
+        bad(l1_ds, 1, 0, topics[:3], data)            # inside the first arbitrage
+        topics, data = enc_aave_v2v3_liquidation(t_a, t_b, addr(0xB0), 5, 6, addr(0xC0))
+        bad(l1_ds, 3, 2, topics[:3], data)
+        topics, _ = enc_transfer(pool, victim, 0)
+        bad(l2_ds, 2, 0, topics + [word(1)], b"")     # inside the linked L2 tx
+    root.mkdir()
+    dump_fixture(l1_ds, root / "ethereum.jsonl")
+    dump_fixture(l2_ds, root / "arbitrum.jsonl")
+
+
+def test_cli_skips_logs_that_break_their_layout(tmp_path, caplog):
+    """A log that does not match its event layout is skipped the same way
+    by every command: exit 0, the findings of the fixture without it, and
+    one DEBUG record naming its position and the reason."""
+    clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+    _layout_fixtures(clean, with_bad_logs=False)
+    _layout_fixtures(dirty, with_bad_logs=True)
+    caplog.set_level(logging.DEBUG, logger="mevlens")
+    commands = (
+        (["detect", "arb"], "findings_arb.jsonl", 2),
+        (["detect", "liq"], "findings_liq.jsonl", 1),
+        (["detect", "flashloan"], "findings_flashloan.jsonl", 1),
+        (["detect", "sandwich", "--chain", "arbitrum"], "findings_sandwich.jsonl", 1),
+        (["crosslayer", "infer", "--chain", "arbitrum"], "victims.jsonl", 1),
+    )
+    for argv, output, n_findings in commands:
+        blobs = []
+        for fixtures in (clean, dirty):
+            caplog.clear()
+            out = fixtures / "out"
+            assert main(argv + ["--fixtures", str(fixtures), "--out", str(out)]) == 0, argv
+            skipped = [r for r in caplog.records
+                       if r.name == "mevlens" and r.levelno == logging.DEBUG]
+            assert len(skipped) == (fixtures is dirty), argv
+            if skipped:
+                assert "expects" in skipped[0].getMessage(), argv
+            blobs.append((out / output).read_bytes())
+        assert blobs[0] == blobs[1], argv
+        assert len(blobs[0].splitlines()) == n_findings, argv
