@@ -67,6 +67,14 @@ class SwapQuote:
     post_state: PoolState
 
 
+def _cp_out(r_in: int, r_out: int, amount_in: int, fee_num: int, fee_den: int) -> int:
+    """x*y=k output for amount_in on reserves (r_in, r_out), fee taken from
+    the input, floor division throughout. Callers check r_in, r_out and
+    amount_in are positive."""
+    a = amount_in * (fee_den - fee_num) // fee_den
+    return r_out * a // (r_in + a)
+
+
 def cp_swap_out(pool: PoolState, token_in, amount_in: int) -> SwapQuote:
     """x*y=k swap with fee applied on input, floor division throughout."""
     assert pool.kind == CONSTANT_PRODUCT
@@ -76,8 +84,7 @@ def cp_swap_out(pool: PoolState, token_in, amount_in: int) -> SwapQuote:
     r_in, r_out = pool.reserves[i], pool.reserves[j]
     if r_in <= 0 or r_out <= 0:
         raise EmptyPool("pool has an empty reserve")
-    a = amount_in * (pool.fee_den - pool.fee_num) // pool.fee_den
-    amount_out = r_out * a // (r_in + a)
+    amount_out = _cp_out(r_in, r_out, amount_in, pool.fee_num, pool.fee_den)
     reserves = list(pool.reserves)
     reserves[i] += amount_in
     reserves[j] -= amount_out

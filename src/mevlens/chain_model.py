@@ -48,6 +48,10 @@ CHAINS = {c.name: c for c in (ETHEREUM, ARBITRUM, OPTIMISM, ZKSYNC)}
 
 _LOWER_HEX = re.compile(r"[0-9a-f]*")
 _DECIMAL = re.compile(r"[0-9]+")
+# sidecar files (prices, snapshots): hex bytes in either case, and
+# non-negative decimals such as "0.0005"
+_HEX_BYTES = re.compile(r"(?:[0-9a-fA-F]{2})+")
+_DECIMAL_FRACTION = re.compile(r"[0-9]*\.?[0-9]+")
 
 
 def _hexstr(value, length, line, what):

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .amm import PoolState, swap_out
+from .amm import CONSTANT_PRODUCT, PoolState, _cp_out, swap_out
 from .chain_model import ChainDataset, ChainId, ZKSYNC, group_logs_by_tx
 from .decoding import TransferAction, decode_logs
 from .detectors import WEI
@@ -272,6 +272,8 @@ def _sandwich_gross(pool: PoolState, victim: VictimSwap, x: int):
     Returns (profit, victim_realized_out); None when the sequence cannot
     execute.
     """
+    if pool.kind == CONSTANT_PRODUCT:
+        return _cp_sandwich_gross(pool, victim, x)
     if x == 0:
         try:
             quote_v = swap_out(pool, victim.token_in, victim.token_out, victim.amount_in)
@@ -289,6 +291,44 @@ def _sandwich_gross(pool: PoolState, victim: VictimSwap, x: int):
     except Exception:
         return None
     return back.amount_out - x, mid.amount_out
+
+
+def _cp_sandwich_gross(pool: PoolState, victim: VictimSwap, x: int):
+    """``_sandwich_gross`` of a constant-product pool, run on local reserve
+    integers. It returns what composing ``swap_out`` returns, None
+    included: None for a token pair the pool does not trade
+    (UnknownToken), an empty reserve (EmptyPool), a victim amount <= 0 or
+    x < 0 (swap_out's positive-input assert)."""
+    tokens = pool.tokens
+    if victim.token_in not in tokens:
+        return None
+    i = tokens.index(victim.token_in)
+    if tokens[1 - i] != victim.token_out:
+        return None
+    amount = victim.amount_in
+    r_in, r_out = pool.reserves[i], pool.reserves[1 - i]
+    if amount <= 0 or x < 0 or r_in <= 0 or r_out <= 0:
+        return None
+    fee_num, fee_den = pool.fee_num, pool.fee_den
+    if x == 0:
+        return 0, _cp_out(r_in, r_out, amount, fee_num, fee_den)
+    # a swap into a positive reserve pays out less than the other reserve,
+    # so both reserves stay positive for the victim swap and the backrun
+    front_out = _cp_out(r_in, r_out, x, fee_num, fee_den)
+    r_in += x
+    r_out -= front_out
+    mid_out = _cp_out(r_in, r_out, amount, fee_num, fee_den)
+    if front_out <= 0:
+        return -x, mid_out
+    r_in += amount
+    r_out -= mid_out
+    if victim.token_in == victim.token_out:
+        # a pool listing one token twice: the backrun resolves token_out
+        # to the first slot, so it swaps in the frontrun's direction again
+        back_out = _cp_out(r_in, r_out, front_out, fee_num, fee_den)
+    else:
+        back_out = _cp_out(r_out, r_in, front_out, fee_num, fee_den)
+    return back_out - x, mid_out
 
 
 def victim_realized_out(pool: PoolState, victim: VictimSwap, x: int) -> Optional[int]:

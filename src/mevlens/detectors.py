@@ -12,8 +12,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .chain_model import ChainDataset, ChainId, EventLog, Layer, TxRecord
+from .chain_model import (_DECIMAL, _DECIMAL_FRACTION, _HEX_BYTES, ChainDataset,
+                          ChainId, EventLog, Layer, TxRecord)
 from .decoding import LiquidationAction, SwapAction, TransferAction, decode_logs
+from .errors import MalformedRecord
 from .registry import DEFAULT_REGISTRY, Category, TopicRegistry
 
 WEI = 10 ** 18
@@ -35,14 +37,31 @@ class PriceProvider:
 
     @classmethod
     def from_csv(cls, path) -> "PriceProvider":
+        """Rows of token_address,day,price_eth. Raises MalformedRecord with
+        the file and line for a short row, a token that is neither hex nor
+        ETHUSD, a day that is not a non-negative integer, or a price that
+        is not a positive decimal."""
         rows = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or row[0] == "token_address":
                     continue
+                line = reader.line_num
+                if len(row) < 3:
+                    raise MalformedRecord(line, f"expected token,day,price, got {row!r}", path)
                 token_raw, day, price = row[0], row[1], row[2]
-                token = token_raw if token_raw == cls.ETHUSD else bytes.fromhex(
-                    token_raw.removeprefix("0x"))
+                body = token_raw.removeprefix("0x")
+                if token_raw != cls.ETHUSD and not _HEX_BYTES.fullmatch(body):
+                    raise MalformedRecord(
+                        line, f"token must be hex bytes or {cls.ETHUSD}, got {token_raw!r}", path)
+                if not _DECIMAL.fullmatch(day):
+                    raise MalformedRecord(
+                        line, f"day must be a non-negative integer, got {day!r}", path)
+                if not _DECIMAL_FRACTION.fullmatch(price) or Fraction(price) <= 0:
+                    raise MalformedRecord(
+                        line, f"price must be a positive decimal, got {price!r}", path)
+                token = token_raw if token_raw == cls.ETHUSD else bytes.fromhex(body)
                 rows.append((token, int(day), price))
         return cls(rows)
 

@@ -8,10 +8,12 @@ class MevlensError(Exception):
 # --- fixture ingestion ---
 
 class MalformedRecord(MevlensError):
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
+    def __init__(self, line: int, reason: str, path=None):
+        where = f"line {line}" if path is None else f"{path}: line {line}"
+        super().__init__(f"{where}: {reason}")
         self.line = line
         self.reason = reason
+        self.path = path
 
 
 class OrderingViolation(MevlensError):

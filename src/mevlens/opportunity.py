@@ -4,14 +4,17 @@ block-distance distributions, and competition measurement."""
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .amm import PathHop, PoolState, simulate_path
-from .chain_model import ChainDataset, logs_in_range
+from .chain_model import (_DECIMAL, _DECIMAL_FRACTION, _HEX_BYTES, ChainDataset,
+                          logs_in_range)
 from .decoding import decode_oracle_update, decode_swap
 from .detectors import ArbitrageFinding, LiquidationFinding
+from .errors import MalformedRecord
 from .registry import DEFAULT_REGISTRY, Category, TopicRegistry
 
 FOUND = "found"
@@ -39,39 +42,33 @@ class StateProvider:
     """
 
     def __init__(self):
-        self._pool: dict = {}       # key -> sorted [(block, PoolState)]
-        self._health: dict = {}     # borrower -> sorted [(block, Fraction)]
-        self._shortfall: dict = {}  # borrower -> sorted [(block, int)]
+        self._pool: dict = {}       # pool address -> ([block], [PoolState])
+        self._health: dict = {}     # borrower -> ([block], [Fraction])
+        self._shortfall: dict = {}  # borrower -> ([block], [int])
 
     def add_pool(self, address: bytes, block: int, state: PoolState):
-        self._pool.setdefault(address, []).append((block, state))
-        self._pool[address].sort(key=lambda e: e[0])
+        _insert(self._pool, address, block, state)
 
     def add_health(self, borrower: bytes, block: int, hf: Fraction):
-        self._health.setdefault(borrower, []).append((block, Fraction(hf)))
-        self._health[borrower].sort(key=lambda e: e[0])
+        _insert(self._health, borrower, block, Fraction(hf))
 
     def add_shortfall(self, borrower: bytes, block: int, sf: int):
-        self._shortfall.setdefault(borrower, []).append((block, int(sf)))
-        self._shortfall[borrower].sort(key=lambda e: e[0])
+        _insert(self._shortfall, borrower, block, int(sf))
 
     @staticmethod
     def _at(series, block):
-        result = None
-        for b, value in series:
-            if b > block:
-                break
-            result = value
-        return result
+        blocks, values = series
+        i = bisect_right(blocks, block)
+        return values[i - 1] if i else None
 
     def pool_state(self, address: bytes, block: int) -> Optional[PoolState]:
-        return self._at(self._pool.get(address, ()), block)
+        return self._at(self._pool.get(address, _NO_SNAPSHOTS), block)
 
     def health_factor(self, borrower: bytes, block: int) -> Optional[Fraction]:
-        return self._at(self._health.get(borrower, ()), block)
+        return self._at(self._health.get(borrower, _NO_SNAPSHOTS), block)
 
     def shortfall(self, borrower: bytes, block: int) -> Optional[int]:
-        return self._at(self._shortfall.get(borrower, ()), block)
+        return self._at(self._shortfall.get(borrower, _NO_SNAPSHOTS), block)
 
     @classmethod
     def from_jsonl(cls, path, pools_meta=None) -> "StateProvider":
@@ -79,30 +76,82 @@ class StateProvider:
 
         pool values are {reserves: [dec strings]} resolved against the pool
         metadata sidecar; health values are decimal strings; shortfall
-        values are decimal integers.
+        values are decimal integers. A row that does not fit raises
+        MalformedRecord with the file and line.
         """
         provider = cls()
+        adders = {"pool": provider.add_pool, "health": provider.add_health,
+                  "shortfall": provider.add_shortfall}
         with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
+            for line, raw in enumerate(fh, 1):
                 raw = raw.strip()
-                if not raw:
-                    continue
-                obj = json.loads(raw)
-                key = bytes.fromhex(obj["key"].removeprefix("0x"))
-                block = int(obj["block"])
-                if obj["kind"] == "pool":
-                    info = (pools_meta or {}).get(key)
-                    if info is None:
-                        raise KeyError(f"pool 0x{key.hex()} missing from metadata")
-                    reserves = [int(r) for r in obj["value"]["reserves"]]
-                    provider.add_pool(key, block, info.state(reserves))
-                elif obj["kind"] == "health":
-                    provider.add_health(key, block, Fraction(obj["value"]))
-                elif obj["kind"] == "shortfall":
-                    provider.add_shortfall(key, block, int(obj["value"]))
-                else:
-                    raise ValueError(f"unknown snapshot kind {obj['kind']!r}")
+                if raw:
+                    kind, key, block, value = _snapshot(raw, pools_meta or {}, path, line)
+                    adders[kind](key, block, value)
         return provider
+
+
+_NO_SNAPSHOTS = ((), ())
+
+
+def _insert(series_by_key, key, block, value):
+    """Insert after every snapshot at or before block, so that of
+    snapshots at the same block the last one added is the one found."""
+    blocks, values = series_by_key.setdefault(key, ([], []))
+    i = bisect_right(blocks, block)
+    blocks.insert(i, block)
+    values.insert(i, value)
+
+
+def _whole(value) -> Optional[int]:
+    """An int, or a decimal digit string as an int; None otherwise."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    return None
+
+
+def _snapshot(raw: str, pools_meta, path, line):
+    """One snapshot row as (kind, key, block, value)."""
+    def bad(reason):
+        return MalformedRecord(line, reason, path)
+
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise bad(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise bad("record must be a JSON object")
+    kind, key, value = obj.get("kind"), obj.get("key"), obj.get("value")
+    if not (isinstance(key, str) and _HEX_BYTES.fullmatch(key.removeprefix("0x"))):
+        raise bad(f"key must be hex bytes, got {key!r}")
+    key = bytes.fromhex(key.removeprefix("0x"))
+    block = _whole(obj.get("block"))
+    if block is None:
+        raise bad(f"block must be an integer, got {obj.get('block')!r}")
+    if kind == "pool":
+        info = pools_meta.get(key)
+        if info is None:
+            raise bad(f"pool 0x{key.hex()} missing from metadata")
+        reserves = value.get("reserves") if isinstance(value, dict) else None
+        if not isinstance(reserves, list) or len(reserves) != len(info.tokens):
+            raise bad(f"pool 0x{key.hex()} needs {len(info.tokens)} reserves, got {reserves!r}")
+        amounts = [_whole(r) for r in reserves]
+        if None in amounts:
+            raise bad(f"reserves must be decimal integers, got {reserves!r}")
+        return kind, key, block, info.state(amounts)
+    if kind == "health":
+        if not (type(value) is int
+                or isinstance(value, str) and _DECIMAL_FRACTION.fullmatch(value)):
+            raise bad(f"health factor must be a decimal, got {value!r}")
+        return kind, key, block, Fraction(value)
+    if kind == "shortfall":
+        shortfall = _whole(value)
+        if shortfall is None:
+            raise bad(f"shortfall must be an integer, got {value!r}")
+        return kind, key, block, shortfall
+    raise bad(f"unknown snapshot kind {kind!r}")
 
 
 def _cycle_path(finding: ArbitrageFinding):

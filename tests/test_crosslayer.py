@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mevlens.amm import cp_pool
-from mevlens.chain_model import ARBITRUM
+from mevlens.amm import cp_pool, dump_pool_metadata, stable_pool, swap_out
+from mevlens.chain_model import ARBITRUM, dump_fixture
+from mevlens.cli import main
 from mevlens.crosslayer import (AttackScenario, CostModel, CrossLayerLink,
                                 DEFAULT_CAPITAL_TIERS_USD, S1, S2, S3,
                                 STRATEGIES, VictimCandidate, VictimSwap, WEI,
@@ -13,9 +15,10 @@ from mevlens.crosslayer import (AttackScenario, CostModel, CrossLayerLink,
                                 load_attack_config, optimal_frontrun,
                                 simulate_strategy, victim_realized_out,
                                 _sandwich_gross)
-from mevlens.errors import EmptyInput, Infeasible
+from mevlens.errors import EmptyInput, Infeasible, MevlensError
 from conftest import (XL_DELAYS, XL_POOL, XL_TA, XL_TB, build_crosslayer_fixture,
                       build_victim_scenarios, xl_pools_meta)
+from test_opportunity import malformed_snapshots, pool_row
 
 COSTS = CostModel(l1_tx_cost=Fraction(2, 1000), l2_tx_cost=Fraction(1, 10000),
                   bribe=Fraction(1, 1000))
@@ -36,16 +39,43 @@ def _victim(amount_in=10 ** 4, min_out=None, delay=60):
     )
 
 
+def _swap_or_none(state, token_in, token_out, amount):
+    try:
+        return swap_out(state, token_in, token_out, amount)
+    except (MevlensError, AssertionError):
+        return None
+
+
+def oracle_sandwich(pool, victim_swap, x):
+    """Frontrun x, victim trade and backrun composed from amm.swap_out over
+    PoolStates: (attacker profit, victim output), or None when a swap
+    cannot execute. The reference the frontrun sizing is judged by."""
+    v = victim_swap
+    if x == 0:
+        mid = _swap_or_none(pool, v.token_in, v.token_out, v.amount_in)
+        return None if mid is None else (0, mid.amount_out)
+    front = _swap_or_none(pool, v.token_in, v.token_out, x)
+    if front is None:
+        return None
+    mid = _swap_or_none(front.post_state, v.token_in, v.token_out, v.amount_in)
+    if mid is None:
+        return None
+    if front.amount_out <= 0:
+        return -x, mid.amount_out
+    back = _swap_or_none(mid.post_state, v.token_out, v.token_in, front.amount_out)
+    return None if back is None else (back.amount_out - x, mid.amount_out)
+
+
 def grid_frontrun(pool, victim_swap, capital_units=None):
     """Exhaustive scan over every feasible integer frontrun size."""
     min_out = victim_swap.min_amount_out
-    best_x, best_g = 0, _sandwich_gross(pool, victim_swap, 0)[0]
+    best_x, best_g = 0, oracle_sandwich(pool, victim_swap, 0)[0]
     x = 1
     while capital_units is None or x <= capital_units:
-        out = victim_realized_out(pool, victim_swap, x)
-        if out is None or out < min_out:
+        result = oracle_sandwich(pool, victim_swap, x)
+        if result is None or result[1] < min_out:
             break
-        g = _sandwich_gross(pool, victim_swap, x)[0]
+        g = result[0]
         if g > best_g:
             best_x, best_g = x, g
         x += 1
@@ -197,6 +227,52 @@ def test_infeasible_when_min_out_unreachable():
         optimal_frontrun(_scenario(pool, victim))
 
 
+_TOKENS = (XL_TA, XL_TB, b"\x0c" * 20)
+
+
+@st.composite
+def _cp_sandwich_case(draw):
+    reserves = [draw(st.one_of(st.integers(0, 3), st.integers(1, 10 ** 12)))
+                for _ in range(2)]
+    fee_den = draw(st.sampled_from([1, 4, 1000, 10 ** 6]))
+    fee_num = draw(st.sampled_from(sorted({0, min(3, fee_den - 1), fee_den - 1})))
+    # drawing tokens from three addresses covers a token missing from the
+    # pool, the reversed direction and a pool listing one token twice
+    pool = cp_pool(*reserves, tokens=(draw(st.sampled_from(_TOKENS)),
+                                      draw(st.sampled_from(_TOKENS))),
+                   fee_num=fee_num, fee_den=fee_den)
+    victim = VictimSwap(draw(st.sampled_from(_TOKENS)), draw(st.sampled_from(_TOKENS)),
+                        draw(st.one_of(st.just(0), st.integers(1, 10 ** 12))))
+    x = draw(st.one_of(st.sampled_from([-1, 0, 1]), st.integers(0, 10 ** 12),
+                       st.integers(4 * sum(reserves), 4 * sum(reserves) + 10 ** 12)))
+    return pool, victim, x
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=_cp_sandwich_case())
+def test_cp_sandwich_kernel_matches_swap_composition(case):
+    pool, victim, x = case
+    assert _sandwich_gross(pool, victim, x) == oracle_sandwich(pool, victim, x)
+
+
+def test_sandwich_gross_none_cases_on_fixed_pools():
+    pool = cp_pool(10 ** 6, 2 * 10 ** 6, tokens=(XL_TA, XL_TB))
+    forward = VictimSwap(XL_TA, XL_TB, 10 ** 4)
+    reverse = VictimSwap(XL_TB, XL_TA, 10 ** 4)
+    missing = VictimSwap(b"\x0c" * 20, XL_TB, 10 ** 4)
+    empty = cp_pool(0, 10 ** 6, tokens=(XL_TA, XL_TB))
+    for p, v in ((pool, forward), (pool, reverse), (pool, missing), (empty, forward),
+                 (pool, VictimSwap(XL_TA, XL_TB, 0))):
+        for x in (0, 1, 999, 4 * 3 * 10 ** 6):
+            assert _sandwich_gross(p, v, x) == oracle_sandwich(p, v, x)
+    assert _sandwich_gross(pool, missing, 5) is None
+    assert _sandwich_gross(empty, forward, 0) is None
+    # the StableSwap path composes the same swaps
+    stable = stable_pool([10 ** 6, 10 ** 6], tokens=(XL_TA, XL_TB))
+    for x in (0, 1, 10 ** 3, 10 ** 5):
+        assert _sandwich_gross(stable, forward, x) == oracle_sandwich(stable, forward, x)
+
+
 # --- strategies ---
 
 def test_strategy_cost_ordering():
@@ -251,3 +327,47 @@ def test_load_attack_config(tmp_path):
     costs, reaction, tiers = load_attack_config(path)
     assert costs == COSTS
     assert reaction == 45 and tiers == (1000, 10000, None)
+
+
+# --- `crosslayer simulate` on malformed sidecars ---
+
+def _simulate(tmp_path, price="0.000001", snapshot=None):
+    """Run `crosslayer simulate` over the cross-layer fixture; `snapshot`
+    is an extra snapshot line after a valid one."""
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir(parents=True)
+    l1, l2s, _ = build_crosslayer_fixture()
+    dump_fixture(l1, fixtures / "ethereum.jsonl")
+    dump_fixture(l2s["arbitrum"], fixtures / "arbitrum.jsonl")
+    dump_pool_metadata(xl_pools_meta(), tmp_path / "pools.json")
+    snapshots = tmp_path / "snap.jsonl"
+    lines = [json.dumps(pool_row(XL_POOL, ["1000000", "1000000"]))]
+    if snapshot is not None:
+        lines.append(snapshot)
+    snapshots.write_text("\n".join(lines) + "\n")
+    prices = tmp_path / "prices.csv"
+    rows = ["token_address,day,price_eth"]
+    for day in sorted({b.timestamp // 86400 for b in l1.blocks}):
+        rows += [f"0x{XL_TA.hex()},{day},{price}", f"ETHUSD,{day},2000"]
+    prices.write_text("\n".join(rows) + "\n")
+    return main(["crosslayer", "simulate", "--chain", "arbitrum",
+                 "--fixtures", str(fixtures), "--pools", str(tmp_path / "pools.json"),
+                 "--snapshots", str(snapshots), "--prices", str(prices),
+                 "--out", str(tmp_path / "out")])
+
+
+def test_cli_simulate_zero_price_exit_1(tmp_path, capsys):
+    assert _simulate(tmp_path / "ok") == 0
+    assert _simulate(tmp_path / "zero", price="0") == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'zero' / 'prices.csv'}: line 2: price" in err
+    assert "internal error" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(malformed_snapshots(XL_POOL, XL_TA)))
+def test_cli_simulate_malformed_snapshot_exit_1(tmp_path, capsys, name):
+    snapshot = malformed_snapshots(XL_POOL, XL_TA)[name]
+    assert _simulate(tmp_path, snapshot=snapshot) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'snap.jsonl'}: line 2: " in err
+    assert "internal error" not in err and "Traceback" not in err

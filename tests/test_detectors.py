@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from mevlens.chain_model import ARBITRUM, ETHEREUM, TxRecord, TxStatus
 from mevlens.detectors import (ArbitrageFinding, PriceProvider, WEI,
                                arbitrage_profit, attribute_flash_loans,
@@ -9,6 +11,7 @@ from mevlens.detectors import (ArbitrageFinding, PriceProvider, WEI,
                                extract_swaps, liquidation_profit,
                                validate_arbitrage)
 from mevlens.decoding import LiquidationAction
+from mevlens.errors import MalformedRecord
 from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
                               enc_compound_liquidate, enc_compound_redeem,
                               enc_flashloan, enc_transfer)
@@ -74,6 +77,38 @@ def test_detect_and_validate(planted_arb_dataset):
 
 def _prices(rows):
     return PriceProvider(rows)
+
+
+def test_prices_from_csv(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_text(f"token_address,day,price_eth\n0x{A.hex()},7,0.0005\n"
+                    f"{B.hex().upper()},7,.25\nETHUSD,7,2000\n")
+    prices = PriceProvider.from_csv(path)
+    assert prices.lookup(A, 7) == Fraction(5, 10000)
+    assert prices.lookup(B, 7) == Fraction(1, 4)
+    assert prices.eth_usd(7) == 2000 and prices.eth_usd(8) is None
+
+
+@pytest.mark.parametrize("row", [
+    f"0x{A.hex()},7,0",              # non-positive price
+    f"0x{A.hex()},7,0.000",
+    f"0x{A.hex()},7,-1",
+    f"0x{A.hex()},7,1e-3",           # non-decimal price
+    f"0x{A.hex()},7,abc",
+    f"0x{A.hex()},7",                # short row
+    "0xzz11,7,0.5",                  # non-hex token
+    "0xabc,7,0.5",
+    f"0x{A.hex()},7.5,0.5",          # non-integer day
+    f"0x{A.hex()},\u00b2,0.5",
+])
+def test_prices_from_csv_rejects_malformed_row(tmp_path, row):
+    path = tmp_path / "prices.csv"
+    path.write_text(f"token_address,day,price_eth\nETHUSD,7,2000\n{row}\n",
+                    encoding="utf-8")
+    with pytest.raises(MalformedRecord) as exc:
+        PriceProvider.from_csv(path)
+    assert exc.value.line == 3
+    assert str(exc.value).startswith(f"{path}: line 3: ")
 
 
 def test_balanced_cycle_zero_profit():

@@ -1,10 +1,14 @@
 import json
+import random
 from fractions import Fraction
+
+import pytest
 
 from mevlens.amm import PoolInfo, cp_pool
 from mevlens.chain_model import ETHEREUM
 from mevlens.detectors import ArbitrageFinding, LiquidationFinding
 from mevlens.decoding import LiquidationAction
+from mevlens.errors import MalformedRecord
 from mevlens.fixtures import FixtureBuilder, addr, enc_answer_updated, enc_balancer_v1_swap
 from mevlens.opportunity import (FOUND, NOT_FOUND, UNSIMULATABLE,
                                  StateProvider, block_distance_cdf,
@@ -180,6 +184,65 @@ def test_state_provider_from_jsonl(tmp_path):
     assert sp.pool_state(P1, 9).reserves == (1000, 2000)
     assert sp.health_factor(addr(5), 5) == Fraction(97, 100)
     assert sp.shortfall(addr(5), 2) == 7
+
+
+def _linear_at(inserted, block):
+    """Latest snapshot at or before block; of snapshots at the same block,
+    the one added last."""
+    best = None
+    for b, value in inserted:
+        if b <= block and (best is None or b >= best[0]):
+            best = (b, value)
+    return None if best is None else best[1]
+
+
+def test_state_provider_lookups_match_linear_scan():
+    rng = random.Random(31)
+    for _ in range(50):
+        sp = StateProvider()
+        inserted = []
+        for n in range(rng.randint(0, 12)):
+            block = rng.randint(10, 20)   # few blocks, so duplicates are common
+            inserted.append((block, n))
+            sp.add_pool(P1, block, cp_pool(1000 + n, 1000, tokens=(A, B)))
+            sp.add_health(addr(5), block, Fraction(n, 7))
+            sp.add_shortfall(addr(5), block, n)
+        for block in range(7, 24):      # before the first and after the last
+            want = _linear_at(inserted, block)
+            pool = sp.pool_state(P1, block)
+            assert (None if pool is None else pool.reserves[0] - 1000) == want
+            assert sp.health_factor(addr(5), block) == (
+                None if want is None else Fraction(want, 7))
+            assert sp.shortfall(addr(5), block) == want
+
+
+def pool_row(pool, reserves=("1000", "2000")):
+    return {"kind": "pool", "key": "0x" + pool.hex(), "block": 3,
+            "value": {"reserves": list(reserves)}}
+
+
+def malformed_snapshots(pool, unknown_pool):
+    """Snapshot lines to reject, given pool metadata that lists the
+    two-token `pool` but not `unknown_pool`."""
+    return {
+        "pool_missing_from_metadata": json.dumps(pool_row(unknown_pool)),
+        "reserves_length": json.dumps(pool_row(pool, ["1", "2", "3"])),
+        "unknown_kind": json.dumps(dict(pool_row(pool), kind="pools")),
+        "invalid_json": '{"kind": "pool", "key": ',
+        "non_decimal_reserve": json.dumps(pool_row(pool, ["1e3", "2000"])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(malformed_snapshots(P1, P2)))
+def test_state_provider_from_jsonl_rejects_malformed_row(tmp_path, name):
+    pools_meta = {P1: PoolInfo(P1, "constant_product", (A, B), 0, 1)}
+    path = tmp_path / "snap.jsonl"
+    path.write_text(json.dumps(pool_row(P1)) + "\n"
+                    + malformed_snapshots(P1, P2)[name] + "\n")
+    with pytest.raises(MalformedRecord) as exc:
+        StateProvider.from_jsonl(path, pools_meta)
+    assert exc.value.line == 2
+    assert str(exc.value).startswith(f"{path}: line 2: ")
 
 
 # --- distributions / competition / reverted rate ---
