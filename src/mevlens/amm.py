@@ -10,7 +10,9 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .errors import BrokenPath, DrainedPool, EmptyPool, NoConvergence, UnknownToken
+from .chain_model import _HEX_BYTES, _json_object, _whole
+from .errors import (BrokenPath, DrainedPool, EmptyPool, MalformedRecord, NoConvergence,
+                     UnknownToken)
 
 CONSTANT_PRODUCT = "constant_product"
 STABLESWAP = "stableswap"
@@ -219,21 +221,46 @@ class PoolInfo:
 
 
 def load_pool_metadata(path) -> dict:
-    """JSON sidecar: {pool address: {kind, tokens, fee_num, fee_den, amp}}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """JSON sidecar: {pool address: {kind, tokens, fee_num, fee_den, amp}}.
+    An entry that does not fit raises MalformedRecord naming the file and
+    the pool."""
     pools = {}
-    for addr_hex, obj in raw.items():
-        addr = bytes.fromhex(addr_hex.removeprefix("0x"))
-        pools[addr] = PoolInfo(
-            address=addr,
-            kind=obj["kind"],
-            tokens=tuple(bytes.fromhex(t.removeprefix("0x")) for t in obj["tokens"]),
-            fee_num=int(obj.get("fee_num", 3 if obj["kind"] == CONSTANT_PRODUCT else 4)),
-            fee_den=int(obj.get("fee_den", 1000 if obj["kind"] == CONSTANT_PRODUCT else 10000)),
-            amp=int(obj.get("amp", DEFAULT_AMP)),
-        )
+    for key, obj in _json_object(path).items():
+        info = _pool_info(key, obj, path)
+        pools[info.address] = info
     return pools
+
+
+def _pool_info(key: str, obj, path) -> PoolInfo:
+    def bad(reason):
+        return MalformedRecord(None, f"pool {key!r}: {reason}", path)
+
+    if not _HEX_BYTES.fullmatch(key.removeprefix("0x")):
+        raise bad("address must be hex bytes")
+    if not isinstance(obj, dict):
+        raise bad("entry must be a JSON object")
+    kind = obj.get("kind")
+    if kind not in (CONSTANT_PRODUCT, STABLESWAP):
+        raise bad(f"unknown or missing kind {kind!r}")
+    cp = kind == CONSTANT_PRODUCT
+    tokens = obj.get("tokens")
+    if not (isinstance(tokens, list)
+            and all(isinstance(t, str) and _HEX_BYTES.fullmatch(t.removeprefix("0x"))
+                    for t in tokens)):
+        raise bad(f"tokens must be a list of hex addresses, got {tokens!r}")
+    if len(tokens) < 2 or cp and len(tokens) != 2:
+        raise bad(f"a {kind} pool cannot have {len(tokens)} tokens")
+    fee_num = _whole(obj.get("fee_num", 3 if cp else 4))
+    fee_den = _whole(obj.get("fee_den", 1000 if cp else 10000))
+    if fee_num is None or fee_den is None or not 0 <= fee_num < fee_den:
+        raise bad("fee_num and fee_den must be integers with 0 <= fee_num < fee_den, "
+                  f"got {obj.get('fee_num')!r} and {obj.get('fee_den')!r}")
+    amp = _whole(obj.get("amp", DEFAULT_AMP))
+    if amp is None or not (cp or amp > 0):
+        raise bad(f"amp must be a positive integer, got {obj.get('amp')!r}")
+    return PoolInfo(address=bytes.fromhex(key.removeprefix("0x")), kind=kind,
+                    tokens=tuple(bytes.fromhex(t.removeprefix("0x")) for t in tokens),
+                    fee_num=fee_num, fee_den=fee_den, amp=amp)
 
 
 def dump_pool_metadata(pools: dict, path) -> None:

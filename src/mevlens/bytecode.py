@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .chain_model import CHAINS, ChainId
+from .errors import MalformedRecord
 from .keccak import keccak256
 
 PUSH1 = 0x60
@@ -48,11 +49,11 @@ def strip_metadata(code: bytes) -> bytes:
     return code[:start]
 
 
-def normalize(code: bytes) -> NormalizedCode:
+def _skeleton(code: bytes) -> bytes:
     """Linear disassembly copying every non-PUSH byte; PUSH1..PUSH32 skip
     the opcode plus its operand bytes (truncated operands skip to end)."""
     body = strip_metadata(code)
-    skeleton = bytearray()
+    out = bytearray()
     i = 0
     n = len(body)
     while i < n:
@@ -60,10 +61,15 @@ def normalize(code: bytes) -> NormalizedCode:
         if PUSH1 <= op <= PUSH32:
             i += 1 + (op - PUSH1 + 1)
         else:
-            skeleton.append(op)
+            out.append(op)
             i += 1
-    skeleton = bytes(skeleton)
-    return NormalizedCode(skeleton=skeleton, digest=keccak256(skeleton))
+    return bytes(out)
+
+
+def normalize(code: bytes) -> NormalizedCode:
+    """The code's PUSH-free, metadata-free skeleton and its keccak digest."""
+    skel = _skeleton(code)
+    return NormalizedCode(skeleton=skel, digest=keccak256(skel))
 
 
 @dataclass(frozen=True)
@@ -87,16 +93,21 @@ def cluster(records) -> list:
     Excluded: records with verified=True and records whose skeleton
     contains DELEGATECALL (scanned post PUSH removal so operand bytes
     cannot cause false exclusion). Every retained record lands in exactly
-    one cluster.
+    one cluster. Both exclusions are checked before any hashing, and each
+    distinct retained skeleton is hashed once.
     """
+    digests: dict = {}      # skeleton -> digest, for this call only
     groups: dict = {}
     for rec in records:
         if rec.verified:
             continue
-        norm = normalize(rec.code)
-        if DELEGATECALL in norm.skeleton:
+        skel = _skeleton(rec.code)
+        if DELEGATECALL in skel:
             continue
-        groups.setdefault(norm.digest, []).append((rec.chain, rec.address))
+        digest = digests.get(skel)
+        if digest is None:
+            digest = digests[skel] = keccak256(skel)
+        groups.setdefault(digest, []).append((rec.chain, rec.address))
     clusters = []
     for digest, members in groups.items():
         members.sort(key=lambda m: (m[0].name, m[1]))
@@ -107,18 +118,47 @@ def cluster(records) -> list:
 
 
 def load_bytecode_fixture(path) -> list:
-    """JSONL rows: {chain, address, code_hex, verified}."""
+    """JSONL rows: {chain, address, code_hex, verified}. A row that does
+    not fit raises MalformedRecord with the file and line."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for line, raw in enumerate(fh, 1):
             raw = raw.strip()
-            if not raw:
-                continue
-            obj = json.loads(raw)
-            records.append(BytecodeRecord(
-                chain=CHAINS[obj["chain"]],
-                address=bytes.fromhex(obj["address"].removeprefix("0x")),
-                code=bytes.fromhex(obj["code_hex"].removeprefix("0x")),
-                verified=bool(obj.get("verified", False)),
-            ))
+            if raw:
+                records.append(_record(raw, path, line))
     return records
+
+
+def _record(raw: str, path, line) -> BytecodeRecord:
+    def bad(reason):
+        return MalformedRecord(line, reason, path)
+
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise bad(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise bad("record must be a JSON object")
+    chain = obj.get("chain")
+    if not (isinstance(chain, str) and chain in CHAINS):
+        raise bad(f"unknown or missing chain: {chain!r}")
+    address = _hex_bytes(obj.get("address"), "address", bad)
+    code = _hex_bytes(obj.get("code_hex"), "code_hex", bad)
+    verified = obj.get("verified", False)
+    if type(verified) is not bool:
+        raise bad(f"verified must be true or false, got {verified!r}")
+    return BytecodeRecord(chain=CHAINS[chain], address=address, code=code, verified=verified)
+
+
+def _hex_bytes(value, key, bad) -> bytes:
+    """Hex in either case with an optional 0x prefix. fromhex skips
+    whitespace, so a body with any is longer than two digits per byte."""
+    if isinstance(value, str):
+        body = value.removeprefix("0x")
+        try:
+            data = bytes.fromhex(body)
+        except ValueError:
+            data = None
+        if data is not None and 2 * len(data) == len(body):
+            return data
+    raise bad(f"{key} must be hex bytes, got {value!r}")

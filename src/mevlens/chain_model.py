@@ -46,10 +46,9 @@ ZKSYNC = ChainId("zksync", Layer.L2)
 CHAINS = {c.name: c for c in (ETHEREUM, ARBITRUM, OPTIMISM, ZKSYNC)}
 
 
-_LOWER_HEX = re.compile(r"[0-9a-f]*")
 _DECIMAL = re.compile(r"[0-9]+")
-# sidecar files (prices, snapshots): hex bytes in either case, and
-# non-negative decimals such as "0.0005"
+# sidecar files (prices, snapshots, pools, attack config): hex bytes in
+# either case, and non-negative decimals such as "0.0005"
 _HEX_BYTES = re.compile(r"(?:[0-9a-fA-F]{2})+")
 _DECIMAL_FRACTION = re.compile(r"[0-9]*\.?[0-9]+")
 
@@ -60,10 +59,15 @@ def _hexstr(value, length, line, what):
     body = value[2:]
     if length is not None and len(body) != 2 * length:
         raise MalformedRecord(line, f"{what} must be {length} bytes, got {value!r}")
-    # bytes.fromhex would skip whitespace and accept uppercase
-    if len(body) % 2 or not _LOWER_HEX.fullmatch(body):
+    # bytes.fromhex alone would skip whitespace and accept uppercase; the
+    # exact round trip rejects both, and fromhex rejects odd lengths
+    try:
+        raw = bytes.fromhex(body)
+    except ValueError:
+        raw = None
+    if raw is None or raw.hex() != body:
         raise MalformedRecord(line, f"{what} must be lowercase hex bytes: {value!r}")
-    return bytes.fromhex(body)
+    return raw
 
 
 def _amount(value, line, what):
@@ -71,6 +75,29 @@ def _amount(value, line, what):
     if isinstance(value, str) and _DECIMAL.fullmatch(value):
         return int(value)
     raise MalformedRecord(line, f"{what} must be a decimal string, got {value!r}")
+
+
+def _whole(value) -> Optional[int]:
+    """A non-negative int, or a decimal digit string as an int; None
+    otherwise."""
+    if type(value) is int and value >= 0:
+        return value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    return None
+
+
+def _json_object(path) -> dict:
+    """A sidecar holding one JSON object; MalformedRecord with the file
+    (and the line, for invalid JSON) otherwise."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(exc.lineno, f"invalid JSON: {exc.msg}", path) from None
+    if not isinstance(obj, dict):
+        raise MalformedRecord(None, "top level must be a JSON object", path)
+    return obj
 
 
 def to_hex(b: bytes) -> str:

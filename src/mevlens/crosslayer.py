@@ -9,17 +9,18 @@ Strategies:
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .amm import CONSTANT_PRODUCT, PoolState, _cp_out, swap_out
-from .chain_model import ChainDataset, ChainId, ZKSYNC, group_logs_by_tx
+from .chain_model import (_DECIMAL_FRACTION, ChainDataset, ChainId, ZKSYNC, _json_object,
+                          _whole, group_logs_by_tx)
 from .decoding import TransferAction, decode_logs
 from .detectors import WEI
-from .errors import EmptyInput, Infeasible
+from .errors import EmptyInput, Infeasible, MalformedRecord
 from .registry import DEFAULT_REGISTRY, Category, TopicRegistry
 from .reporting import summary_stats
 
@@ -106,17 +107,39 @@ class AttackResult:
 def load_attack_config(path):
     """JSON config: {l1_tx_cost_eth, l2_tx_cost_eth, bribe_eth,
     reaction_time_s, capital_tiers_usd[]} -> (CostModel, reaction_time,
-    tiers)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    costs = CostModel(
-        l1_tx_cost=Fraction(str(obj["l1_tx_cost_eth"])),
-        l2_tx_cost=Fraction(str(obj["l2_tx_cost_eth"])),
-        bribe=Fraction(str(obj.get("bribe_eth", 0))),
-    )
-    reaction = int(obj.get("reaction_time_s", DEFAULT_REACTION_TIME_S))
-    tiers = tuple(None if t in (None, "inf") else int(t)
-                  for t in obj.get("capital_tiers_usd", DEFAULT_CAPITAL_TIERS_USD))
+    tiers). A value that does not fit raises MalformedRecord naming the
+    file and the key."""
+    obj = _json_object(path)
+
+    def bad(key, reason):
+        return MalformedRecord(None, f"{key}: {reason}, got {obj.get(key)!r}", path)
+
+    def eth(key, default=None):
+        value = obj.get(key, default)
+        if isinstance(value, str) and _DECIMAL_FRACTION.fullmatch(value):
+            return Fraction(value)
+        if type(value) in (int, float) and 0 <= value < math.inf:
+            return Fraction(str(value))
+        raise bad(key, "must be a non-negative decimal")
+
+    costs = CostModel(l1_tx_cost=eth("l1_tx_cost_eth"), l2_tx_cost=eth("l2_tx_cost_eth"),
+                      bribe=eth("bribe_eth", 0))
+    reaction = _whole(obj.get("reaction_time_s", DEFAULT_REACTION_TIME_S))
+    if reaction is None:
+        raise bad("reaction_time_s", "must be a non-negative integer")
+
+    def tier(value):
+        if value is None or value == "inf":
+            return None
+        usd = _whole(value)
+        if usd is None:
+            raise bad("capital_tiers_usd", 'must list non-negative integers or "inf"')
+        return usd
+
+    raw_tiers = obj.get("capital_tiers_usd", DEFAULT_CAPITAL_TIERS_USD)
+    if not isinstance(raw_tiers, (list, tuple)):
+        raise bad("capital_tiers_usd", "must be a list")
+    tiers = tuple(tier(t) for t in raw_tiers)
     return costs, reaction, tiers
 
 

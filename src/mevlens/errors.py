@@ -8,9 +8,14 @@ class MevlensError(Exception):
 # --- fixture ingestion ---
 
 class MalformedRecord(MevlensError):
-    def __init__(self, line: int, reason: str, path=None):
-        where = f"line {line}" if path is None else f"{path}: line {line}"
-        super().__init__(f"{where}: {reason}")
+    """line is None for an entry of a whole-document (JSON) sidecar, whose
+    reason then names the entry."""
+
+    def __init__(self, line, reason: str, path=None):
+        where = [] if path is None else [str(path)]
+        if line is not None:
+            where.append(f"line {line}")
+        super().__init__(": ".join(where + [reason]))
         self.line = line
         self.reason = reason
         self.path = path

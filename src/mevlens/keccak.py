@@ -1,10 +1,20 @@
 """Self-contained Keccak-256 (original padding, not NIST SHA3).
 
 Only dependency-free primitive the package needs; used for bridge message
-link keys and bytecode skeleton digests.
+link keys and bytecode skeleton digests. ``hashlib.sha3_256`` pads with
+the NIST domain byte 0x06 instead of 0x01 and gives other digests, so it
+is no substitute.
+
+The state is one flat list of 25 lanes, lane (x, y) at index x + 5*y, so a
+136-byte block absorbs into lanes 0..16 in order and the digest is lanes
+0..3. The permutation keeps theta in straight-line code, runs rho and pi
+from a literal (source, destination, rotation) table and runs chi one row
+at a time with the row's lanes in locals.
 """
 
-_RC = [
+import struct
+
+_RC = (
     0x0000000000000001, 0x0000000000008082, 0x800000000000808A,
     0x8000000080008000, 0x000000000000808B, 0x0000000080000001,
     0x8000000080008081, 0x8000000000008009, 0x000000000000008A,
@@ -13,48 +23,54 @@ _RC = [
     0x8000000000008003, 0x8000000000008002, 0x8000000000000080,
     0x000000000000800A, 0x800000008000000A, 0x8000000080008081,
     0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
-]
+)
 
-# rotation offsets indexed [x][y]
-_ROT = [
-    [0, 36, 3, 41, 18],
-    [1, 44, 10, 45, 2],
-    [62, 6, 43, 15, 61],
-    [28, 55, 25, 21, 56],
-    [27, 20, 39, 8, 14],
-]
+# rho + pi: lane (x, y) rotated by its rho offset moves to lane
+# (y, 2x + 3y mod 5); entries are (x + 5y, destination index, offset)
+_RHO_PI = (
+    (0, 0, 0), (1, 10, 1), (2, 20, 62), (3, 5, 28), (4, 15, 27),
+    (5, 16, 36), (6, 1, 44), (7, 11, 6), (8, 21, 55), (9, 6, 20),
+    (10, 7, 3), (11, 17, 10), (12, 2, 43), (13, 12, 25), (14, 22, 39),
+    (15, 23, 41), (16, 8, 45), (17, 18, 15), (18, 3, 21), (19, 13, 8),
+    (20, 14, 18), (21, 24, 2), (22, 9, 61), (23, 19, 56), (24, 4, 14),
+)
 
 _MASK = (1 << 64) - 1
 _RATE = 136  # bytes, for 256-bit output
-
-
-def _rol(v, n):
-    return ((v << n) | (v >> (64 - n))) & _MASK
+_BLOCK = struct.Struct("<17Q")   # one block as its 17 rate lanes
+_DIGEST = struct.Struct("<4Q")   # 32 bytes = 4 lanes
 
 
 def _keccak_f(a):
+    """Keccak-f[1600] in place on the flat 25-lane state."""
+    b = [0] * 25
     for rc in _RC:
-        # theta
-        c = [a[x][0] ^ a[x][1] ^ a[x][2] ^ a[x][3] ^ a[x][4] for x in range(5)]
-        d = [c[(x - 1) % 5] ^ _rol(c[(x + 1) % 5], 1) for x in range(5)]
-        for x in range(5):
-            for y in range(5):
-                a[x][y] ^= d[x]
-        # rho + pi
-        b = [[0] * 5 for _ in range(5)]
-        for x in range(5):
-            for y in range(5):
-                b[y][(2 * x + 3 * y) % 5] = _rol(a[x][y], _ROT[x][y])
-        # chi
-        for x in range(5):
-            for y in range(5):
-                a[x][y] = b[x][y] ^ ((~b[(x + 1) % 5][y]) & b[(x + 2) % 5][y])
+        # theta: column parities c, then d[x] = c[x-1] ^ rol(c[x+1], 1)
+        c0 = a[0] ^ a[5] ^ a[10] ^ a[15] ^ a[20]
+        c1 = a[1] ^ a[6] ^ a[11] ^ a[16] ^ a[21]
+        c2 = a[2] ^ a[7] ^ a[12] ^ a[17] ^ a[22]
+        c3 = a[3] ^ a[8] ^ a[13] ^ a[18] ^ a[23]
+        c4 = a[4] ^ a[9] ^ a[14] ^ a[19] ^ a[24]
+        d = (c4 ^ (((c1 << 1) | (c1 >> 63)) & _MASK),
+             c0 ^ (((c2 << 1) | (c2 >> 63)) & _MASK),
+             c1 ^ (((c3 << 1) | (c3 >> 63)) & _MASK),
+             c2 ^ (((c4 << 1) | (c4 >> 63)) & _MASK),
+             c3 ^ (((c0 << 1) | (c0 >> 63)) & _MASK)) * 5
+        # theta applied on the way into rho + pi
+        for src, dst, rot in _RHO_PI:
+            v = a[src] ^ d[src]
+            b[dst] = ((v << rot) | (v >> (64 - rot))) & _MASK
+        # chi, one row of five lanes at a time
+        for y in (0, 5, 10, 15, 20):
+            b0, b1, b2, b3, b4 = b[y:y + 5]
+            a[y:y + 5] = (b0 ^ (~b1 & b2), b1 ^ (~b2 & b3), b2 ^ (~b3 & b4),
+                          b3 ^ (~b4 & b0), b4 ^ (~b0 & b1))
         # iota
-        a[0][0] ^= rc
+        a[0] ^= rc
 
 
 def keccak256(data: bytes) -> bytes:
-    state = [[0] * 5 for _ in range(5)]
+    state = [0] * 25
     # pad10*1 with 0x01 domain byte (legacy Keccak)
     padded = bytearray(data)
     pad_len = _RATE - (len(padded) % _RATE)
@@ -63,13 +79,8 @@ def keccak256(data: bytes) -> bytes:
     padded[-1] ^= 0x80
 
     for off in range(0, len(padded), _RATE):
-        block = padded[off:off + _RATE]
-        for i in range(_RATE // 8):
-            lane = int.from_bytes(block[i * 8:(i + 1) * 8], "little")
-            state[i % 5][i // 5] ^= lane
+        lanes = _BLOCK.unpack_from(padded, off)
+        state[:17] = [s ^ lane for s, lane in zip(state, lanes)]
         _keccak_f(state)
 
-    out = bytearray()
-    for i in range(4):  # 32 bytes = 4 lanes
-        out += state[i % 5][i // 5].to_bytes(8, "little")
-    return bytes(out)
+    return _DIGEST.pack(*state[:4])

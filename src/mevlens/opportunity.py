@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .amm import PathHop, PoolState, simulate_path
-from .chain_model import (_DECIMAL, _DECIMAL_FRACTION, _HEX_BYTES, ChainDataset,
+from .chain_model import (_DECIMAL_FRACTION, _HEX_BYTES, ChainDataset, _whole,
                           logs_in_range)
 from .decoding import decode_oracle_update, decode_swap
 from .detectors import ArbitrageFinding, LiquidationFinding
@@ -101,15 +101,6 @@ def _insert(series_by_key, key, block, value):
     i = bisect_right(blocks, block)
     blocks.insert(i, block)
     values.insert(i, value)
-
-
-def _whole(value) -> Optional[int]:
-    """An int, or a decimal digit string as an int; None otherwise."""
-    if type(value) is int:
-        return value
-    if isinstance(value, str) and _DECIMAL.fullmatch(value):
-        return int(value)
-    return None
 
 
 def _snapshot(raw: str, pools_meta, path, line):

@@ -4,10 +4,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from mevlens.bytecode import (BytecodeRecord, DELEGATECALL, cluster,
+import mevlens.bytecode
+from mevlens.bytecode import (BytecodeRecord, Cluster, DELEGATECALL, cluster,
                               load_bytecode_fixture, normalize, strip_metadata)
-from mevlens.chain_model import ARBITRUM, ETHEREUM, OPTIMISM
+from mevlens.chain_model import ARBITRUM, CHAINS, ETHEREUM, OPTIMISM
+from mevlens.cli import main
+from mevlens.errors import MalformedRecord
 from mevlens.fixtures import addr
+from test_keccak import reference_keccak256
 
 # a small plausible runtime body: dispatcher-ish prologue, no DELEGATECALL
 BODY = bytes.fromhex(
@@ -145,3 +149,100 @@ def test_load_bytecode_fixture(tmp_path):
     assert records[0].chain == ETHEREUM and not records[0].verified
     assert records[1].chain == ARBITRUM and records[1].verified
     assert records[0].code == BODY
+
+
+def oracle_clusters(records):
+    """Literal grouping: normalize and the reference keccak on every
+    retained record, members and clusters sorted as documented."""
+    groups = {}
+    for rec in records:
+        skeleton = normalize(rec.code).skeleton
+        if rec.verified or DELEGATECALL in skeleton:
+            continue
+        groups.setdefault(reference_keccak256(skeleton), []).append((rec.chain, rec.address))
+    clusters = [Cluster(digest=digest,
+                        members=tuple(sorted(members, key=lambda m: (m[0].name, m[1]))),
+                        chains=tuple(sorted({m[0].name for m in members})))
+                for digest, members in groups.items()]
+    return sorted(clusters, key=lambda c: (-c.size, c.digest))
+
+
+def corpus(rng):
+    """Deployments of a few bodies across chains: repeated skeletons with
+    fresh operands and metadata, verified-only bodies, proxies, a body
+    with DELEGATECALL inside an operand, and stray verified deployments."""
+    records = []
+    n = 0
+    for op in range(0x01, 0x0D):
+        body = BODY + bytes([op])
+        all_verified = op % 6 == 0
+        if op % 4 == 0:
+            body += bytes([DELEGATECALL])                       # proxy
+        if op == 0x03:
+            body += b"\x61" + bytes([DELEGATECALL, DELEGATECALL])  # operand only
+        for _ in range(rng.randint(1, 4)):
+            n += 1
+            code = mutate_push_operands(body, rng) + cbor_trailer(rng.randrange(256))
+            verified = all_verified or rng.random() < 0.2
+            records.append(BytecodeRecord(rng.choice(list(CHAINS.values())), addr(n), code,
+                                          verified))
+    rng.shuffle(records)
+    return records
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cluster_matches_oracle_hashing_each_retained_skeleton_once(monkeypatch, seed):
+    records = corpus(random.Random(seed))
+    expected = oracle_clusters(records)
+    retained = set()
+    for rec in records:
+        skeleton = normalize(rec.code).skeleton
+        if not rec.verified and DELEGATECALL not in skeleton:
+            retained.add(skeleton)
+    hashed = []
+    real = mevlens.bytecode.keccak256
+
+    def counting(data):
+        hashed.append(data)
+        return real(data)
+
+    monkeypatch.setattr(mevlens.bytecode, "keccak256", counting)
+    assert cluster(records) == expected
+    # once per distinct retained skeleton; never for verified-only bodies or proxies
+    assert sorted(hashed) == sorted(retained)
+
+
+def _bytecode_row(**fields):
+    row = {"chain": "ethereum", "address": "0x" + addr(1).hex(),
+           "code_hex": "0x" + BODY.hex(), "verified": False}
+    row.update(fields)
+    return json.dumps({k: v for k, v in row.items() if v is not None})
+
+
+MALFORMED_BYTECODE_ROWS = {
+    "invalid_json": "notjson",
+    "non_object": "[1, 2]",
+    "missing_chain": _bytecode_row(chain=None),
+    "unknown_chain": _bytecode_row(chain="nochain"),
+    "non_hex_code": _bytecode_row(code_hex="0xzz"),
+    "spaced_code": _bytecode_row(code_hex="0x6080 6040"),
+    "odd_length_code": _bytecode_row(code_hex="0x608"),
+    "non_hex_address": _bytecode_row(address="0xzz"),
+    "missing_address": _bytecode_row(address=None),
+    "string_verified": _bytecode_row(verified="false"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_BYTECODE_ROWS))
+def test_load_bytecode_fixture_rejects_malformed_row(tmp_path, capsys, name):
+    path = tmp_path / "code.jsonl"
+    path.write_text(_bytecode_row() + "\n" + MALFORMED_BYTECODE_ROWS[name] + "\n")
+    with pytest.raises(MalformedRecord) as exc:
+        load_bytecode_fixture(path)
+    assert exc.value.line == 2
+    assert str(exc.value).startswith(f"{path}: line 2: ")
+    assert main(["bytecode", "cluster", "--bytecode", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: line 2: " in err
+    assert "internal error" not in err and "Traceback" not in err

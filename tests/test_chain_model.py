@@ -57,12 +57,17 @@ def _tx(**fields):
 def test_uppercase_hex_rejected(tmp_path, capsys):
     bad_log = _log(1, 0, 0)
     bad_log["address"] = "0x" + "AB" * 20
+    # data has no fixed length, so only the hex check can reject these
+    odd_log = dict(_log(1, 0, 0), data="0x" + "0" * 63)
+    spaced_log = dict(_log(1, 0, 0), data="0xab cd")   # bytes.fromhex accepts it
     bad_records = [
         bad_log,
         # right length only because bytes.fromhex would skip the spaces
         _tx(hash="0x  " + "ab" * 30 + "  "),
         # a digit to str.isdigit(), not to int()
         _tx(fee_paid="\u00b2"),
+        odd_log,
+        spaced_log,
     ]
     for i, bad in enumerate(bad_records):
         fixtures = tmp_path / f"fixtures{i}"

@@ -15,7 +15,8 @@ from mevlens.crosslayer import (AttackScenario, CostModel, CrossLayerLink,
                                 load_attack_config, optimal_frontrun,
                                 simulate_strategy, victim_realized_out,
                                 _sandwich_gross)
-from mevlens.errors import EmptyInput, Infeasible, MevlensError
+from mevlens.amm import load_pool_metadata
+from mevlens.errors import EmptyInput, Infeasible, MalformedRecord, MevlensError
 from conftest import (XL_DELAYS, XL_POOL, XL_TA, XL_TB, build_crosslayer_fixture,
                       build_victim_scenarios, xl_pools_meta)
 from test_opportunity import malformed_snapshots, pool_row
@@ -331,15 +332,23 @@ def test_load_attack_config(tmp_path):
 
 # --- `crosslayer simulate` on malformed sidecars ---
 
-def _simulate(tmp_path, price="0.000001", snapshot=None):
+def _simulate(tmp_path, price="0.000001", snapshot=None, pools=None, config=None):
     """Run `crosslayer simulate` over the cross-layer fixture; `snapshot`
-    is an extra snapshot line after a valid one."""
+    is an extra snapshot line after a valid one, `pools` replaces the pool
+    metadata text and `config`, when given, is the attack config text."""
     fixtures = tmp_path / "fixtures"
     fixtures.mkdir(parents=True)
     l1, l2s, _ = build_crosslayer_fixture()
     dump_fixture(l1, fixtures / "ethereum.jsonl")
     dump_fixture(l2s["arbitrum"], fixtures / "arbitrum.jsonl")
-    dump_pool_metadata(xl_pools_meta(), tmp_path / "pools.json")
+    if pools is None:
+        dump_pool_metadata(xl_pools_meta(), tmp_path / "pools.json")
+    else:
+        (tmp_path / "pools.json").write_text(pools)
+    options = []
+    if config is not None:
+        (tmp_path / "attack.json").write_text(config)
+        options = ["--config", str(tmp_path / "attack.json")]
     snapshots = tmp_path / "snap.jsonl"
     lines = [json.dumps(pool_row(XL_POOL, ["1000000", "1000000"]))]
     if snapshot is not None:
@@ -353,7 +362,7 @@ def _simulate(tmp_path, price="0.000001", snapshot=None):
     return main(["crosslayer", "simulate", "--chain", "arbitrum",
                  "--fixtures", str(fixtures), "--pools", str(tmp_path / "pools.json"),
                  "--snapshots", str(snapshots), "--prices", str(prices),
-                 "--out", str(tmp_path / "out")])
+                 "--out", str(tmp_path / "out"), *options])
 
 
 def test_cli_simulate_zero_price_exit_1(tmp_path, capsys):
@@ -371,3 +380,71 @@ def test_cli_simulate_malformed_snapshot_exit_1(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert f"{tmp_path / 'snap.jsonl'}: line 2: " in err
     assert "internal error" not in err and "Traceback" not in err
+
+
+def _pools_text(key="0x" + XL_POOL.hex(), **fields):
+    entry = {"kind": "constant_product", "tokens": ["0x" + XL_TA.hex(), "0x" + XL_TB.hex()],
+             "fee_num": 3, "fee_den": 1000, "amp": 200}
+    entry.update(fields)
+    return json.dumps({key: {k: v for k, v in entry.items() if v is not None}})
+
+
+MALFORMED_POOLS = {
+    "invalid_json": '{"0x01": ',
+    "top_level_list": "[]",
+    "entry_not_object": json.dumps({"0x" + XL_POOL.hex(): "constant_product"}),
+    "missing_kind": _pools_text(kind=None),
+    "unknown_kind": _pools_text(kind="curve"),
+    "non_hex_address": _pools_text(key="0xzz"),
+    "non_hex_token": _pools_text(tokens=["0xzz", "0x" + XL_TB.hex()]),
+    "three_cp_tokens": _pools_text(tokens=["0x" + XL_TA.hex()] * 3),
+    "non_integer_fee_num": _pools_text(fee_num="abc"),
+    "non_integer_fee_den": _pools_text(fee_den=1000.5),
+    "fee_num_not_below_fee_den": _pools_text(fee_num=1000),
+    "non_integer_amp": _pools_text(amp="x"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_POOLS))
+def test_malformed_pool_metadata_exit_1(tmp_path, capsys, name):
+    assert _simulate(tmp_path, pools=MALFORMED_POOLS[name]) == 1
+    path = tmp_path / "pools.json"
+    err = capsys.readouterr().err
+    assert f"{path}: " in err
+    assert "internal error" not in err and "Traceback" not in err
+    with pytest.raises(MalformedRecord) as exc:
+        load_pool_metadata(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    if name not in ("invalid_json", "top_level_list"):
+        assert "pool '0x" in str(exc.value)
+
+
+_CONFIG = {"l1_tx_cost_eth": "0.002", "l2_tx_cost_eth": "0.0001", "bribe_eth": "0.001",
+           "reaction_time_s": 45, "capital_tiers_usd": [1000, 10000, "inf"]}
+
+MALFORMED_CONFIGS = {
+    "invalid_json": ("", '{"l1_tx_cost_eth": '),
+    "top_level_list": ("", "[]"),
+    "non_decimal_cost": ("l1_tx_cost_eth", json.dumps(dict(_CONFIG, l1_tx_cost_eth="abc"))),
+    "missing_cost": ("l2_tx_cost_eth",
+                     json.dumps({k: v for k, v in _CONFIG.items() if k != "l2_tx_cost_eth"})),
+    "negative_bribe": ("bribe_eth", json.dumps(dict(_CONFIG, bribe_eth=-1))),
+    "non_integer_reaction": ("reaction_time_s", json.dumps(dict(_CONFIG, reaction_time_s="fast"))),
+    "non_integer_tier": ("capital_tiers_usd",
+                         json.dumps(dict(_CONFIG, capital_tiers_usd=[1000, "lots"]))),
+    "tiers_not_list": ("capital_tiers_usd", json.dumps(dict(_CONFIG, capital_tiers_usd=1000))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CONFIGS))
+def test_malformed_attack_config_exit_1(tmp_path, capsys, name):
+    key, text = MALFORMED_CONFIGS[name]
+    assert _simulate(tmp_path / "ok", config=json.dumps(_CONFIG)) == 0
+    assert _simulate(tmp_path / "bad", config=text) == 1
+    path = tmp_path / "bad" / "attack.json"
+    err = capsys.readouterr().err
+    assert f"{path}: {key}" in err
+    assert "internal error" not in err and "Traceback" not in err
+    with pytest.raises(MalformedRecord) as exc:
+        load_attack_config(path)
+    assert str(exc.value).startswith(f"{path}: {key}")

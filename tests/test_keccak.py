@@ -3,6 +3,8 @@ independently written permutation."""
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from mevlens.keccak import keccak256
 
 # --- independent reference implementation (lane-matrix style) ---
@@ -88,4 +90,16 @@ def test_matches_reference_on_random_inputs():
 
 def test_multi_block_input():
     data = b"x" * 500  # spans 4 sponge blocks
+    assert keccak256(data) == reference_keccak256(data)
+
+
+# lengths that end just before, at and just after one or two 136-byte
+# blocks, where the padding byte moves into a block of its own
+_LENGTHS = st.one_of(st.integers(0, 2), st.integers(134, 138), st.integers(270, 274),
+                     st.integers(0, 4096))
+
+
+@settings(deadline=None)
+@given(_LENGTHS.flatmap(lambda n: st.binary(min_size=n, max_size=n)))
+def test_matches_reference_around_rate_boundaries(data):
     assert keccak256(data) == reference_keccak256(data)
