@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .chain_model import _HEX_BYTES, _json_object, _whole
+from .chain_model import _json_object, _sidecar_hex, _whole
 from .errors import (BrokenPath, DrainedPool, EmptyPool, MalformedRecord, NoConvergence,
                      UnknownToken)
 
@@ -235,7 +235,8 @@ def _pool_info(key: str, obj, path) -> PoolInfo:
     def bad(reason):
         return MalformedRecord(None, f"pool {key!r}: {reason}", path)
 
-    if not _HEX_BYTES.fullmatch(key.removeprefix("0x")):
+    address = _sidecar_hex(key)
+    if address is None:
         raise bad("address must be hex bytes")
     if not isinstance(obj, dict):
         raise bad("entry must be a JSON object")
@@ -244,9 +245,8 @@ def _pool_info(key: str, obj, path) -> PoolInfo:
         raise bad(f"unknown or missing kind {kind!r}")
     cp = kind == CONSTANT_PRODUCT
     tokens = obj.get("tokens")
-    if not (isinstance(tokens, list)
-            and all(isinstance(t, str) and _HEX_BYTES.fullmatch(t.removeprefix("0x"))
-                    for t in tokens)):
+    token_bytes = [_sidecar_hex(t) for t in tokens] if isinstance(tokens, list) else [None]
+    if None in token_bytes:
         raise bad(f"tokens must be a list of hex addresses, got {tokens!r}")
     if len(tokens) < 2 or cp and len(tokens) != 2:
         raise bad(f"a {kind} pool cannot have {len(tokens)} tokens")
@@ -258,8 +258,7 @@ def _pool_info(key: str, obj, path) -> PoolInfo:
     amp = _whole(obj.get("amp", DEFAULT_AMP))
     if amp is None or not (cp or amp > 0):
         raise bad(f"amp must be a positive integer, got {obj.get('amp')!r}")
-    return PoolInfo(address=bytes.fromhex(key.removeprefix("0x")), kind=kind,
-                    tokens=tuple(bytes.fromhex(t.removeprefix("0x")) for t in tokens),
+    return PoolInfo(address=address, kind=kind, tokens=tuple(token_bytes),
                     fee_num=fee_num, fee_den=fee_den, amp=amp)
 
 

@@ -7,10 +7,9 @@ in embedded constants collapse to one digest.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .chain_model import CHAINS, ChainId
+from .chain_model import ChainId, _chain, _sidecar_hex, read_jsonl
 from .errors import MalformedRecord
 from .keccak import keccak256
 
@@ -118,47 +117,21 @@ def cluster(records) -> list:
 
 
 def load_bytecode_fixture(path) -> list:
-    """JSONL rows: {chain, address, code_hex, verified}. A row that does
-    not fit raises MalformedRecord with the file and line."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line, raw in enumerate(fh, 1):
-            raw = raw.strip()
-            if raw:
-                records.append(_record(raw, path, line))
-    return records
+    """JSONL rows: {chain, address, code_hex, verified}, hex in either
+    case with an optional 0x prefix. A row that does not fit raises
+    MalformedRecord with the file and line."""
+    return list(read_jsonl(path, _record))
 
 
-def _record(raw: str, path, line) -> BytecodeRecord:
-    def bad(reason):
-        return MalformedRecord(line, reason, path)
-
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise bad(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise bad("record must be a JSON object")
-    chain = obj.get("chain")
-    if not (isinstance(chain, str) and chain in CHAINS):
-        raise bad(f"unknown or missing chain: {chain!r}")
-    address = _hex_bytes(obj.get("address"), "address", bad)
-    code = _hex_bytes(obj.get("code_hex"), "code_hex", bad)
+def _record(obj: dict) -> BytecodeRecord:
+    chain = _chain(obj)
+    address = _sidecar_hex(obj.get("address"))
+    if address is None:
+        raise MalformedRecord(None, f"address must be hex bytes, got {obj.get('address')!r}")
+    code = _sidecar_hex(obj.get("code_hex"), allow_empty=True)
+    if code is None:
+        raise MalformedRecord(None, f"code_hex must be hex bytes, got {obj.get('code_hex')!r}")
     verified = obj.get("verified", False)
     if type(verified) is not bool:
-        raise bad(f"verified must be true or false, got {verified!r}")
-    return BytecodeRecord(chain=CHAINS[chain], address=address, code=code, verified=verified)
-
-
-def _hex_bytes(value, key, bad) -> bytes:
-    """Hex in either case with an optional 0x prefix. fromhex skips
-    whitespace, so a body with any is longer than two digits per byte."""
-    if isinstance(value, str):
-        body = value.removeprefix("0x")
-        try:
-            data = bytes.fromhex(body)
-        except ValueError:
-            data = None
-        if data is not None and 2 * len(data) == len(body):
-            return data
-    raise bad(f"{key} must be hex bytes, got {value!r}")
+        raise MalformedRecord(None, f"verified must be true or false, got {verified!r}")
+    return BytecodeRecord(chain=chain, address=address, code=code, verified=verified)

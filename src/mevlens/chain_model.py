@@ -1,4 +1,5 @@
-"""Core chain data types and JSONL fixture ingestion.
+"""Core chain data types, JSONL fixture ingestion, and the JSONL reader
+and hex rules every input loader shares.
 
 A fixture file holds the blocks, transactions, and event logs of a single
 chain as line-delimited JSON with an explicit ``kind`` tag per record.
@@ -47,18 +48,19 @@ CHAINS = {c.name: c for c in (ETHEREUM, ARBITRUM, OPTIMISM, ZKSYNC)}
 
 
 _DECIMAL = re.compile(r"[0-9]+")
-# sidecar files (prices, snapshots, pools, attack config): hex bytes in
-# either case, and non-negative decimals such as "0.0005"
-_HEX_BYTES = re.compile(r"(?:[0-9a-fA-F]{2})+")
+# sidecar files (prices, snapshots, pools, attack config): non-negative
+# decimals such as "0.0005"
 _DECIMAL_FRACTION = re.compile(r"[0-9]*\.?[0-9]+")
+# the last second month_of can render: 9999-12-31T23:59:59Z
+_MAX_TIMESTAMP = 253402300799
 
 
-def _hexstr(value, length, line, what):
+def _hexstr(value, length, what):
     if not isinstance(value, str) or not value.startswith("0x"):
-        raise MalformedRecord(line, f"{what} must be 0x-hex, got {value!r}")
+        raise MalformedRecord(None, f"{what} must be 0x-hex, got {value!r}")
     body = value[2:]
     if length is not None and len(body) != 2 * length:
-        raise MalformedRecord(line, f"{what} must be {length} bytes, got {value!r}")
+        raise MalformedRecord(None, f"{what} must be {length} bytes, got {value!r}")
     # bytes.fromhex alone would skip whitespace and accept uppercase; the
     # exact round trip rejects both, and fromhex rejects odd lengths
     try:
@@ -66,15 +68,32 @@ def _hexstr(value, length, line, what):
     except ValueError:
         raw = None
     if raw is None or raw.hex() != body:
-        raise MalformedRecord(line, f"{what} must be lowercase hex bytes: {value!r}")
+        raise MalformedRecord(None, f"{what} must be lowercase hex bytes: {value!r}")
     return raw
 
 
-def _amount(value, line, what):
+def _sidecar_hex(value, allow_empty=False) -> Optional[bytes]:
+    """Sidecar hex: a string of hex bytes in either case with an optional
+    0x prefix, at least one byte unless ``allow_empty``; None otherwise.
+    fromhex skips whitespace, so a body with any is longer than two digits
+    per byte."""
+    if not isinstance(value, str):
+        return None
+    body = value.removeprefix("0x")
+    try:
+        data = bytes.fromhex(body)
+    except ValueError:
+        return None
+    if 2 * len(data) != len(body) or not (data or allow_empty):
+        return None
+    return data
+
+
+def _amount(value, what):
     # str.isdigit() would accept non-ASCII digits such as "²", which int() rejects
     if isinstance(value, str) and _DECIMAL.fullmatch(value):
         return int(value)
-    raise MalformedRecord(line, f"{what} must be a decimal string, got {value!r}")
+    raise MalformedRecord(None, f"{what} must be a decimal string, got {value!r}")
 
 
 def _whole(value) -> Optional[int]:
@@ -87,6 +106,33 @@ def _whole(value) -> Optional[int]:
     return None
 
 
+def read_jsonl(path, parse):
+    """Yield ``parse(obj)`` for each non-blank line of a JSONL file; every
+    line-based input (fixtures, snapshots, bytecode, findings) is read here.
+
+    A line that is not one JSON object, or whose ``parse`` raises
+    MalformedRecord, raises MalformedRecord with the file and the line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for line, raw in enumerate(fh, 1):
+            raw = raw.strip()
+            if not raw:
+                continue
+            # ValueError covers JSONDecodeError and integers past int's
+            # digit limit; RecursionError, arrays or objects nested too deep
+            try:
+                obj = json.loads(raw)
+            except (ValueError, RecursionError) as exc:
+                raise MalformedRecord(line, f"invalid JSON: {exc}", path) from None
+            if not isinstance(obj, dict):
+                raise MalformedRecord(line, "record must be a JSON object", path)
+            try:
+                record = parse(obj)
+            except MalformedRecord as exc:
+                raise MalformedRecord(line, exc.reason, path) from None
+            yield record
+
+
 def _json_object(path) -> dict:
     """A sidecar holding one JSON object; MalformedRecord with the file
     (and the line, for invalid JSON) otherwise."""
@@ -95,6 +141,8 @@ def _json_object(path) -> dict:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(exc.lineno, f"invalid JSON: {exc.msg}", path) from None
+        except (ValueError, RecursionError) as exc:
+            raise MalformedRecord(None, f"invalid JSON: {exc}", path) from None
     if not isinstance(obj, dict):
         raise MalformedRecord(None, "top level must be a JSON object", path)
     return obj
@@ -164,119 +212,128 @@ class ChainDataset:
         return b.timestamp if b else None
 
 
-def _parse_block(obj, line) -> BlockRecord:
-    try:
-        chain = CHAINS[obj["chain"]]
-    except KeyError:
-        raise MalformedRecord(line, f"unknown or missing chain: {obj.get('chain')!r}")
-    number = obj.get("number")
-    ts = obj.get("timestamp")
-    if not isinstance(number, int) or number < 0:
-        raise MalformedRecord(line, "block number must be a non-negative integer")
-    if not isinstance(ts, int):
-        raise MalformedRecord(line, "block timestamp must be an integer")
-    hashes = tuple(_hexstr(h, 32, line, "tx hash") for h in obj.get("tx_hashes", []))
-    return BlockRecord(chain, number, ts, hashes)
+def _chain(obj) -> ChainId:
+    name = obj.get("chain")
+    if isinstance(name, str) and name in CHAINS:
+        return CHAINS[name]
+    raise MalformedRecord(None, f"unknown or missing chain: {name!r}")
 
 
-def _parse_tx(obj, line) -> TxRecord:
+def _index(obj, key):
+    """A non-negative JSON integer field (true and false are not)."""
+    value = obj.get(key)
+    if type(value) is int and value >= 0:
+        return value
+    raise MalformedRecord(None, f"{key} must be a non-negative integer, got {value!r}")
+
+
+def _timestamp(obj, key):
+    """A unix timestamp month_of can render: 0 to the end of year 9999."""
+    value = obj.get(key)
+    if type(value) is int and 0 <= value <= _MAX_TIMESTAMP:
+        return value
+    raise MalformedRecord(
+        None, f"{key} must be an integer in [0, {_MAX_TIMESTAMP}], got {value!r}")
+
+
+def _hex_list(obj, key, what):
+    values = obj.get(key, [])
+    if not isinstance(values, list):
+        raise MalformedRecord(None, f"{key} must be a list, got {values!r}")
+    return tuple(_hexstr(v, 32, what) for v in values)
+
+
+def _parse_block(obj) -> BlockRecord:
+    chain = _chain(obj)
+    number = _index(obj, "number")
+    ts = _timestamp(obj, "timestamp")
+    return BlockRecord(chain, number, ts, _hex_list(obj, "tx_hashes", "tx hash"))
+
+
+def _parse_tx(obj) -> TxRecord:
     to_raw = obj.get("to")
     try:
         status = TxStatus(obj.get("status", "success"))
     except ValueError:
-        raise MalformedRecord(line, f"unknown tx status {obj.get('status')!r}")
-    tx = TxRecord(
-        hash=_hexstr(obj.get("hash"), 32, line, "tx hash"),
-        block_number=obj.get("block_number"),
-        tx_index=obj.get("tx_index"),
-        sender=_hexstr(obj.get("from"), 20, line, "from"),
-        to=None if to_raw is None else _hexstr(to_raw, 20, line, "to"),
-        fee_paid=_amount(obj.get("fee_paid", "0"), line, "fee_paid"),
-        builder_payment=_amount(obj.get("builder_payment", "0"), line, "builder_payment"),
+        raise MalformedRecord(None, f"unknown tx status {obj.get('status')!r}")
+    return TxRecord(
+        hash=_hexstr(obj.get("hash"), 32, "tx hash"),
+        block_number=_index(obj, "block_number"),
+        tx_index=_index(obj, "tx_index"),
+        sender=_hexstr(obj.get("from"), 20, "from"),
+        to=None if to_raw is None else _hexstr(to_raw, 20, "to"),
+        fee_paid=_amount(obj.get("fee_paid", "0"), "fee_paid"),
+        builder_payment=_amount(obj.get("builder_payment", "0"), "builder_payment"),
         status=status,
     )
-    if not isinstance(tx.block_number, int) or not isinstance(tx.tx_index, int) or tx.tx_index < 0:
-        raise MalformedRecord(line, "tx block_number/tx_index must be integers")
-    return tx
 
 
-def _parse_log(obj, line) -> EventLog:
-    try:
-        chain = CHAINS[obj["chain"]]
-    except KeyError:
-        raise MalformedRecord(line, f"unknown or missing chain: {obj.get('chain')!r}")
-    topics = tuple(_hexstr(t, 32, line, "topic") for t in obj.get("topics", []))
+def _parse_log(obj) -> EventLog:
+    chain = _chain(obj)
+    topics = _hex_list(obj, "topics", "topic")
     if not 1 <= len(topics) <= 4:
-        raise MalformedRecord(line, f"log must have 1-4 topics, got {len(topics)}")
-    data = _hexstr(obj.get("data", "0x"), None, line, "data")
+        raise MalformedRecord(None, f"log must have 1-4 topics, got {len(topics)}")
+    data = _hexstr(obj.get("data", "0x"), None, "data")
     if len(data) % 32 != 0:
-        raise MalformedRecord(line, "log data length must be a multiple of 32")
-    for k in ("block_number", "tx_index", "log_index"):
-        if not isinstance(obj.get(k), int):
-            raise MalformedRecord(line, f"log {k} must be an integer")
+        raise MalformedRecord(None, "log data length must be a multiple of 32")
     return EventLog(
         chain=chain,
-        address=_hexstr(obj.get("address"), 20, line, "address"),
+        address=_hexstr(obj.get("address"), 20, "address"),
         topics=topics,
         data=data,
-        block_number=obj["block_number"],
-        tx_index=obj["tx_index"],
-        log_index=obj["log_index"],
-        tx_hash=_hexstr(obj.get("tx_hash"), 32, line, "tx_hash"),
+        block_number=_index(obj, "block_number"),
+        tx_index=_index(obj, "tx_index"),
+        log_index=_index(obj, "log_index"),
+        tx_hash=_hexstr(obj.get("tx_hash"), 32, "tx_hash"),
     )
+
+
+_PARSERS = {"block": _parse_block, "tx": _parse_tx, "log": _parse_log}
+
+
+def _parse_record(obj):
+    kind = obj.get("kind")
+    parse = _PARSERS.get(kind) if isinstance(kind, str) else None
+    if parse is None:
+        raise MalformedRecord(None, f"unknown kind {kind!r}")
+    return kind, parse(obj)
 
 
 def load_fixture(path) -> ChainDataset:
     """Parse one chain's JSONL fixture, validating ordering invariants.
 
     Rejects the whole file on the first malformed record, ordering
-    violation, or duplicate coordinate.
+    violation, or duplicate coordinate; every error names the file.
     """
-    blocks, txs, logs = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(line_no, f"invalid JSON: {exc}")
-            if not isinstance(obj, dict):
-                raise MalformedRecord(line_no, "record must be a JSON object")
-            kind = obj.get("kind")
-            if kind == "block":
-                blocks.append(_parse_block(obj, line_no))
-            elif kind == "tx":
-                txs.append(_parse_tx(obj, line_no))
-            elif kind == "log":
-                logs.append(_parse_log(obj, line_no))
-            else:
-                raise MalformedRecord(line_no, f"unknown kind {kind!r}")
+    records = {kind: [] for kind in _PARSERS}
+    for kind, record in read_jsonl(path, _parse_record):
+        records[kind].append(record)
+    blocks, txs, logs = records["block"], records["tx"], records["log"]
 
     chains = {b.chain for b in blocks} | {l.chain for l in logs}
     if len(chains) > 1:
-        raise MalformedRecord(0, f"fixture mixes chains: {sorted(c.name for c in chains)}")
+        raise MalformedRecord(
+            None, f"fixture mixes chains: {sorted(c.name for c in chains)}", path)
     chain = next(iter(chains)) if chains else None
 
     for prev, cur in zip(blocks, blocks[1:]):
         if cur.number <= prev.number:
-            raise OrderingViolation(f"block {cur.number} after block {prev.number}")
+            raise OrderingViolation(f"{path}: block {cur.number} after block {prev.number}")
         if cur.timestamp < prev.timestamp:
-            raise OrderingViolation(
-                f"timestamp decreases at block {cur.number}: {prev.timestamp} -> {cur.timestamp}")
+            raise OrderingViolation(f"{path}: timestamp decreases at block {cur.number}: "
+                                    f"{prev.timestamp} -> {cur.timestamp}")
 
     seen_tx = set()
     for t in txs:
         key = (t.block_number, t.tx_index)
         if key in seen_tx:
-            raise DuplicateKey(f"tx coordinates {key}")
+            raise DuplicateKey(f"{path}: tx coordinates {key}")
         seen_tx.add(key)
 
     seen_log = set()
     for l in logs:
         if l.position in seen_log:
-            raise DuplicateKey(f"log coordinates {l.position}")
+            raise DuplicateKey(f"{path}: log coordinates {l.position}")
         seen_log.add(l.position)
     logs.sort(key=lambda l: l.position)
     txs.sort(key=lambda t: (t.block_number, t.tx_index))

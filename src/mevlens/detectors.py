@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .chain_model import (_DECIMAL, _DECIMAL_FRACTION, _HEX_BYTES, ChainDataset,
-                          ChainId, EventLog, Layer, TxRecord)
+from .chain_model import (_DECIMAL, _DECIMAL_FRACTION, ChainDataset, ChainId, EventLog,
+                          Layer, TxRecord, _sidecar_hex)
 from .decoding import LiquidationAction, SwapAction, TransferAction, decode_logs
 from .errors import MalformedRecord
 from .registry import DEFAULT_REGISTRY, Category, TopicRegistry
@@ -51,8 +51,8 @@ class PriceProvider:
                 if len(row) < 3:
                     raise MalformedRecord(line, f"expected token,day,price, got {row!r}", path)
                 token_raw, day, price = row[0], row[1], row[2]
-                body = token_raw.removeprefix("0x")
-                if token_raw != cls.ETHUSD and not _HEX_BYTES.fullmatch(body):
+                token = token_raw if token_raw == cls.ETHUSD else _sidecar_hex(token_raw)
+                if token is None:
                     raise MalformedRecord(
                         line, f"token must be hex bytes or {cls.ETHUSD}, got {token_raw!r}", path)
                 if not _DECIMAL.fullmatch(day):
@@ -61,7 +61,6 @@ class PriceProvider:
                 if not _DECIMAL_FRACTION.fullmatch(price) or Fraction(price) <= 0:
                     raise MalformedRecord(
                         line, f"price must be a positive decimal, got {price!r}", path)
-                token = token_raw if token_raw == cls.ETHUSD else bytes.fromhex(body)
                 rows.append((token, int(day), price))
         return cls(rows)
 

@@ -9,7 +9,8 @@ class MevlensError(Exception):
 
 class MalformedRecord(MevlensError):
     """line is None for an entry of a whole-document (JSON) sidecar, whose
-    reason then names the entry."""
+    reason then names the entry. Record parsers raise it with neither
+    line nor path; ``chain_model.read_jsonl`` re-raises it with both."""
 
     def __init__(self, line, reason: str, path=None):
         where = [] if path is None else [str(path)]

@@ -3,15 +3,14 @@ block-distance distributions, and competition measurement."""
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .amm import PathHop, PoolState, simulate_path
-from .chain_model import (_DECIMAL_FRACTION, _HEX_BYTES, ChainDataset, _whole,
-                          logs_in_range)
+from .chain_model import (_DECIMAL_FRACTION, ChainDataset, _sidecar_hex, _whole,
+                          logs_in_range, read_jsonl)
 from .decoding import decode_oracle_update, decode_swap
 from .detectors import ArbitrageFinding, LiquidationFinding
 from .errors import MalformedRecord
@@ -82,12 +81,9 @@ class StateProvider:
         provider = cls()
         adders = {"pool": provider.add_pool, "health": provider.add_health,
                   "shortfall": provider.add_shortfall}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line, raw in enumerate(fh, 1):
-                raw = raw.strip()
-                if raw:
-                    kind, key, block, value = _snapshot(raw, pools_meta or {}, path, line)
-                    adders[kind](key, block, value)
+        pools_meta = pools_meta or {}
+        for kind, key, block, value in read_jsonl(path, lambda obj: _snapshot(obj, pools_meta)):
+            adders[kind](key, block, value)
         return provider
 
 
@@ -103,46 +99,38 @@ def _insert(series_by_key, key, block, value):
     values.insert(i, value)
 
 
-def _snapshot(raw: str, pools_meta, path, line):
+def _snapshot(obj: dict, pools_meta):
     """One snapshot row as (kind, key, block, value)."""
-    def bad(reason):
-        return MalformedRecord(line, reason, path)
-
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise bad(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise bad("record must be a JSON object")
-    kind, key, value = obj.get("kind"), obj.get("key"), obj.get("value")
-    if not (isinstance(key, str) and _HEX_BYTES.fullmatch(key.removeprefix("0x"))):
-        raise bad(f"key must be hex bytes, got {key!r}")
-    key = bytes.fromhex(key.removeprefix("0x"))
+    kind, value = obj.get("kind"), obj.get("value")
+    key = _sidecar_hex(obj.get("key"))
+    if key is None:
+        raise MalformedRecord(None, f"key must be hex bytes, got {obj.get('key')!r}")
     block = _whole(obj.get("block"))
     if block is None:
-        raise bad(f"block must be an integer, got {obj.get('block')!r}")
+        raise MalformedRecord(None, f"block must be an integer, got {obj.get('block')!r}")
     if kind == "pool":
         info = pools_meta.get(key)
         if info is None:
-            raise bad(f"pool 0x{key.hex()} missing from metadata")
+            raise MalformedRecord(None, f"pool 0x{key.hex()} missing from metadata")
         reserves = value.get("reserves") if isinstance(value, dict) else None
         if not isinstance(reserves, list) or len(reserves) != len(info.tokens):
-            raise bad(f"pool 0x{key.hex()} needs {len(info.tokens)} reserves, got {reserves!r}")
+            raise MalformedRecord(
+                None, f"pool 0x{key.hex()} needs {len(info.tokens)} reserves, got {reserves!r}")
         amounts = [_whole(r) for r in reserves]
         if None in amounts:
-            raise bad(f"reserves must be decimal integers, got {reserves!r}")
+            raise MalformedRecord(None, f"reserves must be decimal integers, got {reserves!r}")
         return kind, key, block, info.state(amounts)
     if kind == "health":
         if not (type(value) is int
                 or isinstance(value, str) and _DECIMAL_FRACTION.fullmatch(value)):
-            raise bad(f"health factor must be a decimal, got {value!r}")
+            raise MalformedRecord(None, f"health factor must be a decimal, got {value!r}")
         return kind, key, block, Fraction(value)
     if kind == "shortfall":
         shortfall = _whole(value)
         if shortfall is None:
-            raise bad(f"shortfall must be an integer, got {value!r}")
+            raise MalformedRecord(None, f"shortfall must be an integer, got {value!r}")
         return kind, key, block, shortfall
-    raise bad(f"unknown snapshot kind {kind!r}")
+    raise MalformedRecord(None, f"unknown snapshot kind {kind!r}")
 
 
 def _cycle_path(finding: ArbitrageFinding):

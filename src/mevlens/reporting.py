@@ -13,7 +13,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .chain_model import to_hex
+from .chain_model import _DECIMAL_FRACTION, _timestamp, read_jsonl, to_hex
+from .errors import MalformedRecord
 
 FIXED_PLACES = 18
 
@@ -149,13 +150,29 @@ def write_findings(findings_json: Sequence[dict], path) -> None:
 
 
 def read_findings(path) -> list:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            raw = raw.strip()
-            if raw:
-                out.append(json.loads(raw))
-    return out
+    """Findings rows as dicts. A row whose fields emit_report cannot
+    summarize raises MalformedRecord with the file and line."""
+    return list(read_jsonl(path, _finding))
+
+
+def _finding(obj: dict) -> dict:
+    """Check the fields emit_report reads: type, chain, timestamp,
+    profit_eth and flash_loans[].provider."""
+    for key in ("type", "chain"):
+        if not isinstance(obj.get(key), str):
+            raise MalformedRecord(None, f"{key} must be a string, got {obj.get(key)!r}")
+    _timestamp(obj, "timestamp")
+    profit = obj.get("profit_eth")
+    if not (profit is None or isinstance(profit, str)
+            and _DECIMAL_FRACTION.fullmatch(profit.removeprefix("-"))):
+        raise MalformedRecord(None, f"profit_eth must be a decimal string, got {profit!r}")
+    loans = obj.get("flash_loans", [])
+    if not (isinstance(loans, list)
+            and all(isinstance(fl, dict) and isinstance(fl.get("provider"), str)
+                    for fl in loans)):
+        raise MalformedRecord(
+            None, f"flash_loans must be a list of objects with a provider, got {loans!r}")
+    return obj
 
 
 # --- summary CSV tables ---

@@ -142,10 +142,12 @@ def test_load_bytecode_fixture(tmp_path):
          "code_hex": "0x" + BODY.hex(), "verified": False},
         {"chain": "arbitrum", "address": "0x" + addr(2).hex(),
          "code_hex": BODY.hex(), "verified": True},
+        {"chain": "zksync", "address": addr(3).hex().upper(), "code_hex": "0x"},
     ]
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
     records = load_bytecode_fixture(path)
-    assert len(records) == 2
+    assert len(records) == 3
+    assert records[2].address == addr(3) and records[2].code == b""
     assert records[0].chain == ETHEREUM and not records[0].verified
     assert records[1].chain == ARBITRUM and records[1].verified
     assert records[0].code == BODY
@@ -229,6 +231,7 @@ MALFORMED_BYTECODE_ROWS = {
     "odd_length_code": _bytecode_row(code_hex="0x608"),
     "non_hex_address": _bytecode_row(address="0xzz"),
     "missing_address": _bytecode_row(address=None),
+    "empty_address": _bytecode_row(address="0x"),
     "string_verified": _bytecode_row(verified="false"),
 }
 

@@ -78,7 +78,65 @@ def test_uppercase_hex_rejected(tmp_path, capsys):
         assert exc.value.line == 2
         assert main(["decode", "--fixtures", str(fixtures)]) == 1
         err = capsys.readouterr().err
-        assert "line 2" in err and "Traceback" not in err
+        assert f"{fixtures / 'ethereum.jsonl'}: line 2: " in err
+        assert "Traceback" not in err
+
+
+MALFORMED_FIXTURE_LINES = {
+    "invalid_json": '{"kind": "log", ',
+    "non_object": "[1, 2]",
+    "topics_int": json.dumps(dict(_log(1, 0, 0), topics=5)),
+    "topics_null": json.dumps(dict(_log(1, 0, 0), topics=None)),
+    "topics_bool": json.dumps(dict(_log(1, 0, 0), topics=True)),
+    "tx_hashes_int": json.dumps(dict(_block(2, 100), tx_hashes=5)),
+    "tx_hashes_bool": json.dumps(dict(_block(2, 100), tx_hashes=True)),
+    "tx_hashes_float": json.dumps(dict(_block(2, 100), tx_hashes=1.5)),
+    "chain_list": json.dumps(dict(_log(1, 0, 0), chain=[])),
+    "chain_object": json.dumps(dict(_block(2, 100), chain={})),
+    "block_number_bool": json.dumps(dict(_log(1, 0, 0), block_number=True)),
+    "block_number_negative": json.dumps(_log(-1, 0, 0)),
+    "tx_block_number_bool": json.dumps(_tx(block_number=True)),
+    "block_bool_number": json.dumps(dict(_block(2, 100), number=True)),
+    # month_of cannot render years past 9999
+    "timestamp_past_year_9999": json.dumps(_block(2, 10 ** 30)),
+    "timestamp_bool": json.dumps(_block(2, True)),
+    # valid JSON that json.loads cannot read
+    "integer_past_digit_limit": json.dumps(_block(2, 100))[:-1] + ', "x": ' + "9" * 5000 + "}",
+    "nested_too_deep": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FIXTURE_LINES))
+def test_malformed_fixture_line_names_file_and_line(tmp_path, capsys, name):
+    path = tmp_path / "ethereum.jsonl"
+    path.write_text(json.dumps(_block(1, 100)) + "\n" + MALFORMED_FIXTURE_LINES[name] + "\n")
+    with pytest.raises(MalformedRecord) as exc:
+        load_fixture(path)
+    assert exc.value.line == 2
+    assert str(exc.value).startswith(f"{path}: line 2: ")
+    for argv in (["decode"], ["detect", "arb"]):
+        assert main(argv + ["--fixtures", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: line 2: " in err
+        assert "internal error" not in err and "Traceback" not in err
+
+
+def test_fixture_invariant_errors_name_file(tmp_path, capsys):
+    arbitrum_log = dict(_log(1, 0, 1), chain="arbitrum")
+    cases = {
+        "ordering": [_block(5, 100), _block(4, 112)],
+        "duplicate_tx": [_block(1, 100), _tx(), _tx(hash=to_hex(b"\x02" * 32))],
+        "duplicate_log": [_block(1, 100), _log(1, 0, 0), _log(1, 0, 0)],
+        "mixed_chains": [_block(1, 100), arbitrum_log],
+    }
+    for name, lines in cases.items():
+        fixtures = tmp_path / name
+        fixtures.mkdir()
+        path = fixtures / "ethereum.jsonl"
+        _write_lines(path, lines)
+        assert main(["decode", "--fixtures", str(fixtures)]) == 1, name
+        err = capsys.readouterr().err
+        assert f"error: {path}: " in err and "line 0" not in err, name
 
 
 def test_round_trip_byte_identical(tmp_path):

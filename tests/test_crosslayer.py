@@ -425,6 +425,7 @@ _CONFIG = {"l1_tx_cost_eth": "0.002", "l2_tx_cost_eth": "0.0001", "bribe_eth": "
 MALFORMED_CONFIGS = {
     "invalid_json": ("", '{"l1_tx_cost_eth": '),
     "top_level_list": ("", "[]"),
+    "nested_too_deep": ("", "[" * 100_000 + "]" * 100_000),
     "non_decimal_cost": ("l1_tx_cost_eth", json.dumps(dict(_CONFIG, l1_tx_cost_eth="abc"))),
     "missing_cost": ("l2_tx_cost_eth",
                      json.dumps({k: v for k, v in _CONFIG.items() if k != "l2_tx_cost_eth"})),

@@ -1,0 +1,224 @@
+"""Fuzz gate for every input file the CLI reads.
+
+A valid input set (fixtures, snapshots, bytecode, findings, prices, pools
+and attack config) is built once; each example sets one field of one file
+to a wrong-typed or out-of-range value and runs every command that reads
+that file. Malformed input must exit 1 and valid input 0; exit 2 means an
+internal error.
+"""
+
+import csv
+import functools
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mevlens.amm import PoolInfo, dump_pool_metadata
+from mevlens.chain_model import ARBITRUM, ETHEREUM, dump_fixture
+from mevlens.cli import main
+from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
+                              enc_answer_updated, enc_balancer_v1_swap, enc_flashloan,
+                              enc_inbox_message, enc_redeem_scheduled, enc_token_swap,
+                              enc_transfer)
+
+TA, TB = addr(0x7A1), addr(0x7B2)
+V1, V2, XL_POOL = addr(0xD1), addr(0xD2), addr(0x777)
+BORROWER, VICTIM, ATTACKER = addr(0xB0), addr(0x7E0), addr(0x72)
+
+VALUES = [7, -1, 10 ** 30, True, None, [1], {"a": 1}, "x", "0x", 1.5, "²"]
+
+# {root} is the directory the inputs are written to
+SIDECARS = ["--pools", "{root}/pools.json", "--snapshots", "{root}/snap.jsonl",
+            "--prices", "{root}/prices.csv", "--config", "{root}/attack.json",
+            "--fixtures", "{root}/fixtures"]
+OUT = ["--out", "{root}/out"]
+CHAIN_COMMANDS = [
+    ["decode"],
+    ["detect", "arb"],
+    ["detect", "liq"],
+    ["detect", "flashloan"],
+    ["detect", "sandwich", "--chain", "arbitrum"],
+    ["opportunity", "--type", "arb"],
+    ["opportunity", "--type", "liq"],
+    ["crosslayer", "simulate", "--chain", "arbitrum"],
+]
+# detect writes findings_*.jsonl into out/, which report then summarizes
+REPORT = ["report", *OUT, "--prices", "{root}/prices.csv"]
+REPORT_FINDINGS = ["report", "--out", "{root}/findings", "--prices", "{root}/prices.csv"]
+COMMANDS = {
+    "fixtures/ethereum.jsonl": [c + SIDECARS + OUT for c in CHAIN_COMMANDS] + [REPORT],
+    "fixtures/arbitrum.jsonl": [c + SIDECARS + OUT for c in CHAIN_COMMANDS[4:]] + [REPORT],
+    "snap.jsonl": [c + SIDECARS for c in CHAIN_COMMANDS[5:]],
+    "pools.json": [c + SIDECARS for c in (CHAIN_COMMANDS[1], *CHAIN_COMMANDS[5:])],
+    "attack.json": [CHAIN_COMMANDS[-1] + SIDECARS],
+    "prices.csv": [c + SIDECARS for c in (CHAIN_COMMANDS[1], CHAIN_COMMANDS[-1])]
+    + [REPORT_FINDINGS],
+    "findings/findings_arb.jsonl": [REPORT_FINDINGS],
+    "code.jsonl": [["bytecode", "cluster", "--bytecode", "{root}/code.jsonl", *OUT]],
+}
+
+
+def _datasets():
+    """Ethereum: a swap and an oracle update, then an arbitrage with a flash
+    loan, an Aave liquidation and an Arbitrum inbox message. Arbitrum: a
+    sandwich and the bridged execution carrying a victim swap."""
+    l1 = FixtureBuilder(ETHEREUM, start_timestamp=1_700_000_000)
+    l1.block()
+    l1.tx()
+    l1.log(V1, *enc_balancer_v1_swap(addr(0xEE), TA, TB, 100, 205))
+    l1.log(addr(0xCC), *enc_answer_updated(10 ** 8))
+    l1.block()
+    l1.tx()
+    l1.log(V1, *enc_balancer_v1_swap(addr(0xEE), TA, TB, 100, 205))
+    l1.log(V2, *enc_balancer_v1_swap(addr(0xEE), TB, TA, 205, 120))
+    l1.log(addr(0xAA), *enc_flashloan("aave_v2", TA, 10 ** 18, 9))
+    l1.tx()
+    l1.log(addr(0xAB), *enc_aave_v2v3_liquidation(TA, TB, BORROWER, 500, 600, addr(0xC0)))
+    l1.tx()
+    l1.log(addr(0x1001), *enc_inbox_message(7))
+
+    l2 = FixtureBuilder(ARBITRUM, start_timestamp=1_700_000_060)
+    l2.block()
+    for sender, receiver, amount in ((XL_POOL, ATTACKER, 100), (XL_POOL, addr(0x73), 50),
+                                     (ATTACKER, XL_POOL, 90)):
+        l2.tx()
+        l2.log(TA, *enc_transfer(sender, receiver, amount))
+    l2.block()
+    l2.tx()
+    l2.log(addr(0x1001), *enc_redeem_scheduled(7))
+    l2.log(TA, *enc_transfer(VICTIM, XL_POOL, 10 ** 4))
+    l2.log(XL_POOL, *enc_token_swap(VICTIM, 10 ** 4, 9900, 0, 1))
+    l2.log(TA, *enc_transfer(XL_POOL, VICTIM, 10 ** 4))
+    return l1.dataset(), l2.dataset()
+
+
+@functools.lru_cache(maxsize=None)
+def valid_inputs():
+    """{relative path: (format, content)}; format is jsonl (a list of
+    records), json (one object) or csv (a list of rows)."""
+    l1, l2 = _datasets()
+    day = l1.blocks[0].timestamp // 86400
+    pools = {p: PoolInfo(p, "constant_product", (TA, TB), 3, 1000) for p in (V1, V2, XL_POOL)}
+    with tempfile.TemporaryDirectory() as tmp:
+        for chain, ds in (("ethereum", l1), ("arbitrum", l2)):
+            dump_fixture(ds, os.path.join(tmp, f"{chain}.jsonl"))
+        dump_pool_metadata(pools, os.path.join(tmp, "pools.json"))
+        fixtures = {name: _read_jsonl(os.path.join(tmp, f"{name}.jsonl"))
+                    for name in ("ethereum", "arbitrum")}
+        with open(os.path.join(tmp, "pools.json"), encoding="utf-8") as fh:
+            pools_json = json.load(fh)
+    inputs = {
+        "fixtures/ethereum.jsonl": ("jsonl", fixtures["ethereum"]),
+        "fixtures/arbitrum.jsonl": ("jsonl", fixtures["arbitrum"]),
+        "pools.json": ("json", pools_json),
+        "snap.jsonl": ("jsonl", [
+            {"kind": "pool", "key": "0x" + p.hex(), "block": 0,
+             "value": {"reserves": ["1000000", "1000000"]}} for p in pools]
+            + [{"kind": "health", "key": "0x" + BORROWER.hex(), "block": 0, "value": "0.9"},
+               {"kind": "shortfall", "key": "0x" + BORROWER.hex(), "block": 0, "value": "5"}]),
+        "prices.csv": ("csv", [["token_address", "day", "price_eth"],
+                               ["0x" + TA.hex(), str(day), "0.000001"],
+                               ["0x" + TB.hex(), str(day), "0.000002"],
+                               ["ETHUSD", str(day), "2000"]]),
+        "attack.json": ("json", {"l1_tx_cost_eth": "0.002", "l2_tx_cost_eth": "0.0001",
+                                 "bribe_eth": "0.001", "reaction_time_s": 45,
+                                 "capital_tiers_usd": [1000, 10000, "inf"]}),
+        "code.jsonl": ("jsonl", [
+            {"chain": "ethereum", "address": "0x" + addr(1).hex(),
+             "code_hex": "0x6080604052600436106100", "verified": False},
+            {"chain": "arbitrum", "address": "0x" + addr(2).hex(),
+             "code_hex": "6080604052600536106100", "verified": False},
+            {"chain": "zksync", "address": "0x" + addr(3).hex(),
+             "code_hex": "0x60806040f4", "verified": False}]),
+    }
+    # the findings that report reads are the ones detect writes for the inputs above
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_inputs(tmp, inputs)
+        findings = []
+        for command in CHAIN_COMMANDS[1:5]:
+            assert _run(tmp, command + SIDECARS + OUT) == 0, command
+        for name in sorted(os.listdir(os.path.join(tmp, "out"))):
+            findings += _read_jsonl(os.path.join(tmp, "out", name))
+    assert {f["type"] for f in findings} == {"arbitrage", "liquidation", "flash_loan",
+                                             "sandwich"}
+    inputs["findings/findings_arb.jsonl"] = ("jsonl", findings)
+    return inputs
+
+
+def _read_jsonl(path):
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def _write_inputs(root, inputs):
+    for rel, (fmt, content) in inputs.items():
+        path = os.path.join(root, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            if fmt == "jsonl":
+                fh.writelines(json.dumps(record) + "\n" for record in content)
+            elif fmt == "json":
+                json.dump(content, fh)
+            else:
+                csv.writer(fh).writerows(content)
+
+
+def _run(root, argv):
+    return main([a.format(root=root) for a in argv])
+
+
+def _targets(node, path=()):
+    """Paths to every value inside a JSON document, the root excluded."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _targets(child, path + (key,))
+
+
+def _mutation_targets(rel):
+    fmt, content = valid_inputs()[rel]
+    if fmt == "jsonl":
+        # the whole line, or any value inside it
+        return [(i,) + p for i, record in enumerate(content)
+                for p in [(), *_targets(record)]]
+    if fmt == "csv":
+        return [(i, j) for i, row in enumerate(content) for j in range(len(row))]
+    # values only: JSON object keys are always strings
+    return list(_targets(content))
+
+
+def _mutate(rel, path, value):
+    fmt, content = valid_inputs()[rel]
+    if fmt == "csv":
+        value = value if isinstance(value, str) else json.dumps(value)
+    content = json.loads(json.dumps(content))
+    parent, key = content, path[-1]
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[key] = value
+    return dict(valid_inputs(), **{rel: (fmt, content)})
+
+
+@pytest.mark.parametrize("rel", sorted(COMMANDS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_one_bad_field_exits_0_or_1(rel, data):
+    path = data.draw(st.sampled_from(_mutation_targets(rel)), label="path")
+    value = data.draw(st.sampled_from(VALUES), label="value")
+    inputs = _mutate(rel, path, value)
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(root, inputs)
+        for argv in COMMANDS[rel]:
+            assert _run(root, argv) in (0, 1), argv
+
+
+def test_valid_inputs_exit_0():
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(root, valid_inputs())
+        for rel in sorted(COMMANDS):
+            for argv in COMMANDS[rel]:
+                assert _run(root, argv) == 0, argv

@@ -229,6 +229,7 @@ def malformed_snapshots(pool, unknown_pool):
         "reserves_length": json.dumps(pool_row(pool, ["1", "2", "3"])),
         "unknown_kind": json.dumps(dict(pool_row(pool), kind="pools")),
         "invalid_json": '{"kind": "pool", "key": ',
+        "non_object": json.dumps([pool_row(pool)]),
         "non_decimal_reserve": json.dumps(pool_row(pool, ["1e3", "2000"])),
     }
 

@@ -4,9 +4,12 @@ import logging
 import os
 from fractions import Fraction
 
+import pytest
+
 from mevlens import decoding
 from mevlens.chain_model import ARBITRUM, ETHEREUM, EventLog, dump_fixture
 from mevlens.cli import main
+from mevlens.errors import MalformedRecord
 from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
                               enc_balancer_v1_swap, enc_flashloan, enc_inbox_message,
                               enc_redeem_scheduled, enc_transfer, word)
@@ -50,9 +53,12 @@ def test_month_of_utc():
 
 def test_write_findings_deterministic(tmp_path):
     rows = [
-        {"type": "arbitrage", "block": 7, "tx_hash": "0xbb", "x": 1},
-        {"type": "arbitrage", "block": 3, "tx_hash": "0xaa", "x": 2},
-        {"type": "arbitrage", "block": 3, "tx_hash": "0x99", "x": 3},
+        {"type": "arbitrage", "chain": "ethereum", "block": 7, "timestamp": 0,
+         "tx_hash": "0xbb", "x": 1},
+        {"type": "arbitrage", "chain": "ethereum", "block": 3, "timestamp": 0,
+         "tx_hash": "0xaa", "x": 2},
+        {"type": "arbitrage", "chain": "ethereum", "block": 3, "timestamp": 0,
+         "tx_hash": "0x99", "x": 3},
     ]
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_findings(rows, p1)
@@ -140,6 +146,43 @@ def test_cli_report_from_findings(tmp_path):
     assert row[:3] == ["ethereum", "arbitrage", "25"]
     monthly = (out / "monthly_counts.csv").read_text().splitlines()
     assert monthly[1].split(",")[1:] == ["arbitrage", "ethereum", "25"]
+
+
+def _finding_row(**fields):
+    row = {"type": "arbitrage", "chain": "ethereum", "block": 1, "timestamp": 1_600_000_000,
+           "tx_hash": "0x01", "profit_eth": "-0.5", "flash_loans": [{"provider": "aave_v2"}]}
+    row.update(fields)
+    return json.dumps({k: v for k, v in row.items() if v is not None})
+
+
+MALFORMED_FINDINGS = {
+    "invalid_json": '{"type": "arbitrage", ',
+    "non_object": "[1, 2]",
+    "missing_type": _finding_row(type=None),
+    "non_string_chain": _finding_row(chain=1),
+    "missing_timestamp": _finding_row(timestamp=None),
+    "bool_timestamp": _finding_row(timestamp=True),
+    # month_of cannot render years past 9999
+    "timestamp_past_year_9999": _finding_row(timestamp=10 ** 30),
+    "non_decimal_profit": _finding_row(profit_eth="1e3"),
+    "flash_loans_not_list": _finding_row(flash_loans={"provider": "aave_v2"}),
+    "flash_loan_without_provider": _finding_row(flash_loans=[{}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FINDINGS))
+def test_cli_report_malformed_findings_exit_1(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "findings_arb.jsonl"
+    path.write_text(_finding_row() + "\n" + MALFORMED_FINDINGS[name] + "\n")
+    with pytest.raises(MalformedRecord) as exc:
+        read_findings(path)
+    assert exc.value.line == 2
+    assert main(["report", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: line 2: " in err
+    assert "internal error" not in err and "Traceback" not in err
 
 
 def test_cli_report_empty_out_dir(tmp_path):
