@@ -53,6 +53,11 @@ _DECIMAL = re.compile(r"[0-9]+")
 _DECIMAL_FRACTION = re.compile(r"[0-9]*\.?[0-9]+")
 # the last second month_of can render: 9999-12-31T23:59:59Z
 _MAX_TIMESTAMP = 253402300799
+# int() and Fraction() refuse a decimal past the interpreter's digit limit:
+# 4300 by default, and never below 640 (sys.int_info.
+# str_digits_check_threshold) whatever PYTHONINTMAXSTRDIGITS says. A
+# uint256 has at most 78 digits.
+_MAX_DECIMAL_CHARS = 640
 
 
 def _hexstr(value, length, what):
@@ -89,9 +94,16 @@ def _sidecar_hex(value, allow_empty=False) -> Optional[bytes]:
     return data
 
 
+def _decimal(value, pattern=_DECIMAL) -> bool:
+    """Whether ``value`` is a string that fully matches ``pattern`` and is
+    short enough for int() and Fraction(). A regex, not str.isdigit(),
+    which would accept non-ASCII digits such as "²" that int() rejects."""
+    return (isinstance(value, str) and len(value) <= _MAX_DECIMAL_CHARS
+            and pattern.fullmatch(value) is not None)
+
+
 def _amount(value, what):
-    # str.isdigit() would accept non-ASCII digits such as "²", which int() rejects
-    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+    if _decimal(value):
         return int(value)
     raise MalformedRecord(None, f"{what} must be a decimal string, got {value!r}")
 
@@ -101,36 +113,56 @@ def _whole(value) -> Optional[int]:
     otherwise."""
     if type(value) is int and value >= 0:
         return value
-    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+    if _decimal(value):
         return int(value)
     return None
+
+
+def _raise_not_utf8(path, exc: UnicodeDecodeError):
+    """Raise the error for a text read of ``path`` that failed with ``exc``:
+    MalformedRecord naming the first line that is not UTF-8, counting lines
+    as text mode does (LF, CRLF and a lone CR each end one). If every line
+    decodes, ``exc`` came from elsewhere and is re-raised. Runs only once a
+    read has failed, so valid input pays nothing for it."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for line, raw in enumerate(lines, 1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as bad:
+            raise MalformedRecord(line, f"not UTF-8: {bad}", path) from None
+    raise exc
 
 
 def read_jsonl(path, parse):
     """Yield ``parse(obj)`` for each non-blank line of a JSONL file; every
     line-based input (fixtures, snapshots, bytecode, findings) is read here.
 
-    A line that is not one JSON object, or whose ``parse`` raises
-    MalformedRecord, raises MalformedRecord with the file and the line.
+    A line that is not UTF-8 or not one JSON object, or whose ``parse``
+    raises MalformedRecord, raises MalformedRecord with the file and the
+    line.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        for line, raw in enumerate(fh, 1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            # ValueError covers JSONDecodeError and integers past int's
-            # digit limit; RecursionError, arrays or objects nested too deep
-            try:
-                obj = json.loads(raw)
-            except (ValueError, RecursionError) as exc:
-                raise MalformedRecord(line, f"invalid JSON: {exc}", path) from None
-            if not isinstance(obj, dict):
-                raise MalformedRecord(line, "record must be a JSON object", path)
-            try:
-                record = parse(obj)
-            except MalformedRecord as exc:
-                raise MalformedRecord(line, exc.reason, path) from None
-            yield record
+        try:
+            for line, raw in enumerate(fh, 1):
+                raw = raw.strip()
+                if not raw:
+                    continue
+                # ValueError covers JSONDecodeError and integers past int's
+                # digit limit; RecursionError, arrays or objects nested too deep
+                try:
+                    obj = json.loads(raw)
+                except (ValueError, RecursionError) as exc:
+                    raise MalformedRecord(line, f"invalid JSON: {exc}", path) from None
+                if not isinstance(obj, dict):
+                    raise MalformedRecord(line, "record must be a JSON object", path)
+                try:
+                    record = parse(obj)
+                except MalformedRecord as exc:
+                    raise MalformedRecord(line, exc.reason, path) from None
+                yield record
+        except UnicodeDecodeError as exc:
+            _raise_not_utf8(path, exc)
 
 
 def _json_object(path) -> dict:
@@ -139,6 +171,8 @@ def _json_object(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
+        except UnicodeDecodeError as exc:
+            _raise_not_utf8(path, exc)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(exc.lineno, f"invalid JSON: {exc.msg}", path) from None
         except (ValueError, RecursionError) as exc:
@@ -152,7 +186,7 @@ def to_hex(b: bytes) -> str:
     return "0x" + b.hex()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockRecord:
     chain: ChainId
     number: int
@@ -160,7 +194,7 @@ class BlockRecord:
     tx_hashes: tuple  # ordered 32-byte hashes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxRecord:
     hash: bytes
     block_number: int
@@ -172,7 +206,7 @@ class TxRecord:
     status: TxStatus = TxStatus.SUCCESS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventLog:
     chain: ChainId
     address: bytes
@@ -236,67 +270,84 @@ def _timestamp(obj, key):
         None, f"{key} must be an integer in [0, {_MAX_TIMESTAMP}], got {value!r}")
 
 
-def _hex_list(obj, key, what):
+def _hex_memo():
+    """A ``_hexstr`` for fixed-length values that checks each distinct
+    string once and then returns the same bytes object for it. The memo
+    keys on the string alone, so a hit must also have the asked length; a
+    string seen at one length and asked at another falls through to
+    ``_hexstr``, which raises."""
+    memo = {}
+
+    def hexstr(value, length, what):
+        raw = memo.get(value) if type(value) is str else None
+        if raw is None or len(raw) != length:
+            raw = memo[value] = _hexstr(value, length, what)
+        return raw
+
+    return hexstr
+
+
+def _hex_list(obj, key, what, hexstr):
     values = obj.get(key, [])
     if not isinstance(values, list):
         raise MalformedRecord(None, f"{key} must be a list, got {values!r}")
-    return tuple(_hexstr(v, 32, what) for v in values)
+    return tuple([hexstr(v, 32, what) for v in values])
 
 
-def _parse_block(obj) -> BlockRecord:
+def _parse_block(obj, hexstr) -> BlockRecord:
     chain = _chain(obj)
     number = _index(obj, "number")
     ts = _timestamp(obj, "timestamp")
-    return BlockRecord(chain, number, ts, _hex_list(obj, "tx_hashes", "tx hash"))
+    return BlockRecord(chain, number, ts, _hex_list(obj, "tx_hashes", "tx hash", hexstr))
 
 
-def _parse_tx(obj) -> TxRecord:
+def _parse_tx(obj, hexstr) -> TxRecord:
     to_raw = obj.get("to")
     try:
         status = TxStatus(obj.get("status", "success"))
     except ValueError:
         raise MalformedRecord(None, f"unknown tx status {obj.get('status')!r}")
     return TxRecord(
-        hash=_hexstr(obj.get("hash"), 32, "tx hash"),
-        block_number=_index(obj, "block_number"),
-        tx_index=_index(obj, "tx_index"),
-        sender=_hexstr(obj.get("from"), 20, "from"),
-        to=None if to_raw is None else _hexstr(to_raw, 20, "to"),
-        fee_paid=_amount(obj.get("fee_paid", "0"), "fee_paid"),
-        builder_payment=_amount(obj.get("builder_payment", "0"), "builder_payment"),
-        status=status,
+        hexstr(obj.get("hash"), 32, "tx hash"),
+        _index(obj, "block_number"),
+        _index(obj, "tx_index"),
+        hexstr(obj.get("from"), 20, "from"),
+        None if to_raw is None else hexstr(to_raw, 20, "to"),
+        _amount(obj.get("fee_paid", "0"), "fee_paid"),
+        _amount(obj.get("builder_payment", "0"), "builder_payment"),
+        status,
     )
 
 
-def _parse_log(obj) -> EventLog:
+def _parse_log(obj, hexstr) -> EventLog:
     chain = _chain(obj)
-    topics = _hex_list(obj, "topics", "topic")
+    topics = _hex_list(obj, "topics", "topic", hexstr)
     if not 1 <= len(topics) <= 4:
         raise MalformedRecord(None, f"log must have 1-4 topics, got {len(topics)}")
     data = _hexstr(obj.get("data", "0x"), None, "data")
     if len(data) % 32 != 0:
         raise MalformedRecord(None, "log data length must be a multiple of 32")
     return EventLog(
-        chain=chain,
-        address=_hexstr(obj.get("address"), 20, "address"),
-        topics=topics,
-        data=data,
-        block_number=_index(obj, "block_number"),
-        tx_index=_index(obj, "tx_index"),
-        log_index=_index(obj, "log_index"),
-        tx_hash=_hexstr(obj.get("tx_hash"), 32, "tx_hash"),
+        chain,
+        hexstr(obj.get("address"), 20, "address"),
+        topics,
+        data,
+        _index(obj, "block_number"),
+        _index(obj, "tx_index"),
+        _index(obj, "log_index"),
+        hexstr(obj.get("tx_hash"), 32, "tx_hash"),
     )
 
 
 _PARSERS = {"block": _parse_block, "tx": _parse_tx, "log": _parse_log}
 
 
-def _parse_record(obj):
+def _parse_record(obj, hexstr):
     kind = obj.get("kind")
     parse = _PARSERS.get(kind) if isinstance(kind, str) else None
     if parse is None:
         raise MalformedRecord(None, f"unknown kind {kind!r}")
-    return kind, parse(obj)
+    return kind, parse(obj, hexstr)
 
 
 def load_fixture(path) -> ChainDataset:
@@ -306,7 +357,8 @@ def load_fixture(path) -> ChainDataset:
     violation, or duplicate coordinate; every error names the file.
     """
     records = {kind: [] for kind in _PARSERS}
-    for kind, record in read_jsonl(path, _parse_record):
+    hexstr = _hex_memo()
+    for kind, record in read_jsonl(path, lambda obj: _parse_record(obj, hexstr)):
         records[kind].append(record)
     blocks, txs, logs = records["block"], records["tx"], records["log"]
 

@@ -6,15 +6,14 @@ import glob
 import logging
 import os
 import sys
-from fractions import Fraction
 
 import click
 
-from . import amm, bytecode, crosslayer, detectors, opportunity, reporting
-from .chain_model import CHAINS, ETHEREUM, group_logs_by_tx, load_fixture, logs_in_range
-from .decoding import decode_logs
+# Each command imports the modules it runs, so a process compiles and
+# loads only those: the chain model is all that every chain command shares.
+from .chain_model import (CHAINS, ETHEREUM, group_logs_by_tx, load_fixture, logs_in_range,
+                          to_hex)
 from .errors import MevlensError
-from .registry import Category
 
 log = logging.getLogger("mevlens")
 
@@ -42,8 +41,10 @@ def common_options(fn):
                       default=None)(fn)
     fn = click.option("--out", "out_dir", default="out",
                       type=click.Path(file_okay=False))(fn)
-    fn = click.option("--window", type=int, default=100, show_default=True)(fn)
-    fn = click.option("--horizon", type=int, default=100, show_default=True)(fn)
+    fn = click.option("--window", type=click.IntRange(min=1), default=100,
+                      show_default=True)(fn)
+    fn = click.option("--horizon", type=click.IntRange(min=1), default=100,
+                      show_default=True)(fn)
     fn = click.option("--jobs", type=int, default=1, show_default=True,
                       help="Accepted for compatibility; every value runs the same "
                            "single scan.")(fn)
@@ -72,12 +73,14 @@ class Ctx:
 
     def pools(self):
         if self._pools is None and self.pools_file:
-            self._pools = amm.load_pool_metadata(self.pools_file)
+            from .amm import load_pool_metadata
+            self._pools = load_pool_metadata(self.pools_file)
         return self._pools
 
     def prices(self):
         if self._prices is None and self.prices_file:
-            self._prices = detectors.PriceProvider.from_csv(self.prices_file)
+            from .detectors import PriceProvider
+            self._prices = PriceProvider.from_csv(self.prices_file)
         return self._prices
 
     def ensure_out(self):
@@ -98,6 +101,7 @@ def detect():
 
 
 def _detect_arb(ctx: Ctx):
+    from . import detectors, reporting
     ds = ctx.dataset()
     findings = detectors.detect_arbitrages(detectors.extract_swaps(ds, ctx.pools()))
     prices = ctx.prices()
@@ -116,6 +120,7 @@ def _detect_arb(ctx: Ctx):
 
 
 def _detect_liq(ctx: Ctx):
+    from . import detectors, reporting
     ds = ctx.dataset()
     prices = ctx.prices()
     tx_logs = group_logs_by_tx(ds.logs)
@@ -133,6 +138,7 @@ def _detect_liq(ctx: Ctx):
 
 
 def _detect_sandwich(ctx: Ctx):
+    from . import detectors, reporting
     ds = ctx.dataset()
     transfers = detectors.extract_transfers(ds)
     findings = detectors.detect_sandwiches(transfers, ds.chain or ETHEREUM,
@@ -146,9 +152,10 @@ def _detect_sandwich(ctx: Ctx):
 
 
 def _write(ctx: Ctx, name, rows):
+    from .reporting import write_findings
     ctx.ensure_out()
     path = os.path.join(ctx.out_dir, name)
-    reporting.write_findings(rows, path)
+    write_findings(rows, path)
     click.echo(f"{len(rows)} findings -> {path}")
 
 
@@ -176,13 +183,15 @@ def detect_sandwich_cmd(**kw):
 @detect.command("flashloan")
 @common_options
 def detect_flashloan_cmd(**kw):
+    from .decoding import decode_logs
+    from .registry import Category
     ctx = Ctx(**kw)
     ds = ctx.dataset()
     rows = [{
         "type": "flash_loan", "chain": ds.chain.name if ds.chain else ctx.chain_name,
-        "tx_hash": reporting.to_hex(loan.tx_hash), "block": lg.block_number,
+        "tx_hash": to_hex(loan.tx_hash), "block": lg.block_number,
         "timestamp": ds.block_timestamp(lg.block_number) or 0, "provider": loan.provider,
-        "token": reporting.to_hex(loan.token),
+        "token": to_hex(loan.token),
         "amount": str(loan.amount), "fee": str(loan.fee),
     } for lg, loan in decode_logs(ds.logs, (Category.FLASH_LOAN,))]
     _write(ctx, "findings_flashloan.jsonl", rows)
@@ -191,11 +200,12 @@ def detect_flashloan_cmd(**kw):
 @cli.command("decode")
 @common_options
 def decode_cmd(**kw):
+    from .registry import DEFAULT_REGISTRY
     ctx = Ctx(**kw)
     ds = ctx.dataset()
     counts = {}
     for lg in ds.logs:
-        entry = detectors.DEFAULT_REGISTRY.lookup(lg.topics[0])
+        entry = DEFAULT_REGISTRY.lookup(lg.topics[0])
         if entry is None:
             counts["unknown"] = counts.get("unknown", 0) + 1
             continue
@@ -205,6 +215,7 @@ def decode_cmd(**kw):
 
 
 def _opportunities(ctx: Ctx, mev_type):
+    from . import detectors, opportunity
     ds = ctx.dataset()
     pools = ctx.pools()
     if ctx.snapshots_file is None:
@@ -228,6 +239,7 @@ def _opportunities(ctx: Ctx, mev_type):
               default="arb", show_default=True)
 @common_options
 def opportunity_cmd(mev_type, **kw):
+    from . import opportunity, reporting
     ctx = Ctx(**kw)
     ds, results = _opportunities(ctx, mev_type)
     rows = []
@@ -236,11 +248,11 @@ def opportunity_cmd(mev_type, **kw):
                  else f.actions[0].position[0])
         rows.append({
             "type": f"opportunity_{mev_type}",
-            "tx_hash": reporting.to_hex(f.tx_hash),
+            "tx_hash": to_hex(f.tx_hash),
             "block": block,
             "timestamp": ds.block_timestamp(block) or 0,
             "status": r.status,
-            "opportunity_tx": reporting.to_hex(r.opportunity_tx) if r.opportunity_tx else None,
+            "opportunity_tx": to_hex(r.opportunity_tx) if r.opportunity_tx else None,
             "block_distance": r.block_distance,
             "approximate": r.approximate,
         })
@@ -255,6 +267,7 @@ def opportunity_cmd(mev_type, **kw):
               default="arb", show_default=True)
 @common_options
 def compete_cmd(mev_type, **kw):
+    from .opportunity import detect_competition
     ctx = Ctx(**kw)
     ds, results = _opportunities(ctx, mev_type)
     entries = []
@@ -262,15 +275,15 @@ def compete_cmd(mev_type, **kw):
         tx = ds.tx(f.tx_hash)
         extractor = tx.sender if tx else b""
         entries.append((mev_type, r.opportunity_tx, extractor,
-                        reporting.to_hex(f.tx_hash)))
-    groups = opportunity.detect_competition(entries)
+                        to_hex(f.tx_hash)))
+    groups = detect_competition(entries)
     rows = [{
         "type": "competition",
         "mev_type": g["type"],
-        "tx_hash": reporting.to_hex(g["opportunity_tx"]),
+        "tx_hash": to_hex(g["opportunity_tx"]),
         "block": 0,
         "timestamp": 0,
-        "extractors": [reporting.to_hex(e) for e in g["extractors"]],
+        "extractors": [to_hex(e) for e in g["extractors"]],
         "findings": g["findings"],
     } for g in groups]
     _write(ctx, f"competition_{mev_type}.jsonl", rows)
@@ -282,9 +295,10 @@ def crosslayer_group():
 
 
 def _infer(ctx: Ctx):
+    from .crosslayer import infer_victims
     l1 = ctx.dataset("ethereum")
     l2 = ctx.dataset(ctx.chain_name)
-    return crosslayer.infer_victims(l1, l2, ctx.pools())
+    return infer_victims(l1, l2, ctx.pools())
 
 
 @crosslayer_group.command("infer")
@@ -294,15 +308,15 @@ def crosslayer_infer_cmd(**kw):
     candidates, links, diagnostics = _infer(ctx)
     rows = [{
         "type": "victim_candidate",
-        "tx_hash": reporting.to_hex(c.link.l2_tx),
+        "tx_hash": to_hex(c.link.l2_tx),
         "block": 0,
         "timestamp": c.link.l1_timestamp,
-        "l1_tx": reporting.to_hex(c.link.l1_tx),
+        "l1_tx": to_hex(c.link.l1_tx),
         "link_key": "0x" + c.link.link_key.hex(),
         "delay_s": c.link.delay_s,
-        "pool": reporting.to_hex(c.pool),
-        "token_in": reporting.to_hex(c.swap.token_in),
-        "token_out": reporting.to_hex(c.swap.token_out),
+        "pool": to_hex(c.pool),
+        "token_in": to_hex(c.swap.token_in),
+        "token_out": to_hex(c.swap.token_out),
         "amount_in": str(c.swap.amount_in),
     } for c in candidates]
     _write(ctx, "victims.jsonl", rows)
@@ -313,6 +327,7 @@ def crosslayer_infer_cmd(**kw):
 @crosslayer_group.command("delay")
 @common_options
 def crosslayer_delay_cmd(**kw):
+    from . import crosslayer, reporting
     ctx = Ctx(**kw)
     _, links, _ = _infer(ctx)
     overall, monthly, anomalies = crosslayer.delay_stats(links)
@@ -325,6 +340,9 @@ def crosslayer_delay_cmd(**kw):
 @crosslayer_group.command("simulate")
 @common_options
 def crosslayer_simulate_cmd(**kw):
+    from fractions import Fraction
+
+    from . import crosslayer, opportunity, reporting
     ctx = Ctx(**kw)
     candidates, _, _ = _infer(ctx)
     pools = ctx.pools()
@@ -369,6 +387,7 @@ def bytecode_group():
               type=click.Path(exists=True))
 @click.option("--out", "out_dir", default="out", type=click.Path(file_okay=False))
 def bytecode_cluster_cmd(bytecode_file, out_dir):
+    from . import bytecode, reporting
     records = bytecode.load_bytecode_fixture(bytecode_file)
     clusters = bytecode.cluster(records)
     os.makedirs(out_dir, exist_ok=True)
@@ -382,12 +401,14 @@ def bytecode_cluster_cmd(bytecode_file, out_dir):
 @click.option("--prices", "prices_file", type=click.Path(exists=True), default=None)
 def report_cmd(out_dir, prices_file):
     """Summarize all findings_*.jsonl files in the output directory."""
+    from . import reporting
     findings = []
     for path in sorted(glob.glob(os.path.join(out_dir, "findings_*.jsonl"))):
         findings.extend(reporting.read_findings(path))
     eth_usd = None
     if prices_file:
-        provider = detectors.PriceProvider.from_csv(prices_file)
+        from .detectors import PriceProvider
+        provider = PriceProvider.from_csv(prices_file)
         eth_usd = provider.eth_usd
     paths = reporting.emit_report(findings, out_dir, eth_usd)
     for name in sorted(paths):

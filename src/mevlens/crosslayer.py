@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .amm import CONSTANT_PRODUCT, PoolState, _cp_out, swap_out
-from .chain_model import (_DECIMAL_FRACTION, ChainDataset, ChainId, ZKSYNC, _json_object,
-                          _whole, group_logs_by_tx)
+from .chain_model import (_DECIMAL_FRACTION, ChainDataset, ChainId, ZKSYNC, _decimal,
+                          _json_object, _whole, group_logs_by_tx)
 from .decoding import TransferAction, decode_logs
 from .detectors import WEI
 from .errors import EmptyInput, Infeasible, MalformedRecord
@@ -116,7 +116,7 @@ def load_attack_config(path):
 
     def eth(key, default=None):
         value = obj.get(key, default)
-        if isinstance(value, str) and _DECIMAL_FRACTION.fullmatch(value):
+        if _decimal(value, _DECIMAL_FRACTION):
             return Fraction(value)
         if type(value) in (int, float) and 0 <= value < math.inf:
             return Fraction(str(value))

@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from .chain_model import ARBITRUM, OPTIMISM, ZKSYNC, ChainId, EventLog
 from .errors import MevlensError, SchemaMismatch, SlotOutOfRange
-from .keccak import keccak256
 from .registry import DEFAULT_REGISTRY, TopicRegistry
 
 _log = logging.getLogger("mevlens")
@@ -364,7 +363,9 @@ def _bridge_message(log: EventLog, entry, timestamp: int = 0) -> Optional[Bridge
             raise SchemaMismatch("InboxMessageDelivered expects 2 topics")
         direction, rollup, link_key = "l1_emit", ARBITRUM, log.topics[1]
     elif schema == "optimism_l1_message":
-        # message payload carried verbatim in the data field
+        # message payload carried verbatim in the data field; only this
+        # event hashes, so only a run that meets one loads keccak
+        from .keccak import keccak256
         direction, rollup, link_key = "l1_emit", OPTIMISM, keccak256(log.data)
     elif schema == "zksync_priority_request":
         direction, rollup, link_key = "l1_emit", ZKSYNC, log.tx_hash

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .chain_model import (_DECIMAL, _DECIMAL_FRACTION, ChainDataset, ChainId, EventLog,
-                          Layer, TxRecord, _sidecar_hex)
+from .chain_model import (_DECIMAL_FRACTION, ChainDataset, ChainId, EventLog, Layer, TxRecord,
+                          _decimal, _raise_not_utf8, _sidecar_hex)
 from .decoding import LiquidationAction, SwapAction, TransferAction, decode_logs
 from .errors import MalformedRecord
 from .registry import DEFAULT_REGISTRY, Category, TopicRegistry
@@ -44,24 +44,29 @@ class PriceProvider:
         rows = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            for row in reader:
-                if not row or row[0] == "token_address":
-                    continue
-                line = reader.line_num
-                if len(row) < 3:
-                    raise MalformedRecord(line, f"expected token,day,price, got {row!r}", path)
-                token_raw, day, price = row[0], row[1], row[2]
-                token = token_raw if token_raw == cls.ETHUSD else _sidecar_hex(token_raw)
-                if token is None:
-                    raise MalformedRecord(
-                        line, f"token must be hex bytes or {cls.ETHUSD}, got {token_raw!r}", path)
-                if not _DECIMAL.fullmatch(day):
-                    raise MalformedRecord(
-                        line, f"day must be a non-negative integer, got {day!r}", path)
-                if not _DECIMAL_FRACTION.fullmatch(price) or Fraction(price) <= 0:
-                    raise MalformedRecord(
-                        line, f"price must be a positive decimal, got {price!r}", path)
-                rows.append((token, int(day), price))
+            try:
+                for row in reader:
+                    if not row or row[0] == "token_address":
+                        continue
+                    line = reader.line_num
+                    if len(row) < 3:
+                        raise MalformedRecord(
+                            line, f"expected token,day,price, got {row!r}", path)
+                    token_raw, day, price = row[0], row[1], row[2]
+                    token = token_raw if token_raw == cls.ETHUSD else _sidecar_hex(token_raw)
+                    if token is None:
+                        raise MalformedRecord(
+                            line, f"token must be hex bytes or {cls.ETHUSD}, got {token_raw!r}",
+                            path)
+                    if not _decimal(day):
+                        raise MalformedRecord(
+                            line, f"day must be a non-negative integer, got {day!r}", path)
+                    if not _decimal(price, _DECIMAL_FRACTION) or Fraction(price) <= 0:
+                        raise MalformedRecord(
+                            line, f"price must be a positive decimal, got {price!r}", path)
+                    rows.append((token, int(day), price))
+            except UnicodeDecodeError as exc:
+                _raise_not_utf8(path, exc)
         return cls(rows)
 
     def lookup(self, token: bytes, day: int) -> Optional[Fraction]:

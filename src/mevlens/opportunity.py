@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .amm import PathHop, PoolState, simulate_path
-from .chain_model import (_DECIMAL_FRACTION, ChainDataset, _sidecar_hex, _whole,
+from .chain_model import (_DECIMAL_FRACTION, ChainDataset, _decimal, _sidecar_hex, _whole,
                           logs_in_range, read_jsonl)
 from .decoding import decode_oracle_update, decode_swap
 from .detectors import ArbitrageFinding, LiquidationFinding
@@ -121,8 +121,7 @@ def _snapshot(obj: dict, pools_meta):
             raise MalformedRecord(None, f"reserves must be decimal integers, got {reserves!r}")
         return kind, key, block, info.state(amounts)
     if kind == "health":
-        if not (type(value) is int
-                or isinstance(value, str) and _DECIMAL_FRACTION.fullmatch(value)):
+        if not (type(value) is int or _decimal(value, _DECIMAL_FRACTION)):
             raise MalformedRecord(None, f"health factor must be a decimal, got {value!r}")
         return kind, key, block, Fraction(value)
     if kind == "shortfall":

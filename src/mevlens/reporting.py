@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .chain_model import _DECIMAL_FRACTION, _timestamp, read_jsonl, to_hex
+from .chain_model import _DECIMAL_FRACTION, _decimal, _timestamp, read_jsonl, to_hex
 from .errors import MalformedRecord
 
 FIXED_PLACES = 18
@@ -164,7 +164,7 @@ def _finding(obj: dict) -> dict:
     _timestamp(obj, "timestamp")
     profit = obj.get("profit_eth")
     if not (profit is None or isinstance(profit, str)
-            and _DECIMAL_FRACTION.fullmatch(profit.removeprefix("-"))):
+            and _decimal(profit.removeprefix("-"), _DECIMAL_FRACTION)):
         raise MalformedRecord(None, f"profit_eth must be a decimal string, got {profit!r}")
     loans = obj.get("flash_loans", [])
     if not (isinstance(loans, list)

@@ -4,13 +4,16 @@ A valid input set (fixtures, snapshots, bytecode, findings, prices, pools
 and attack config) is built once; each example sets one field of one file
 to a wrong-typed or out-of-range value and runs every command that reads
 that file. Malformed input must exit 1 and valid input 0; exit 2 means an
-internal error.
+internal error. Every leaf command runs on the valid set, in process and,
+for a few, in a fresh interpreter that shows which modules they load.
 """
 
 import csv
 import functools
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -28,34 +31,40 @@ TA, TB = addr(0x7A1), addr(0x7B2)
 V1, V2, XL_POOL = addr(0xD1), addr(0xD2), addr(0x777)
 BORROWER, VICTIM, ATTACKER = addr(0xB0), addr(0x7E0), addr(0x72)
 
-VALUES = [7, -1, 10 ** 30, True, None, [1], {"a": 1}, "x", "0x", 1.5, "²"]
+# "9" * 5000 is past the digit limit of int() and Fraction()
+VALUES = [7, -1, 10 ** 30, True, None, [1], {"a": 1}, "x", "0x", 1.5, "²", "9" * 5000]
 
 # {root} is the directory the inputs are written to
 SIDECARS = ["--pools", "{root}/pools.json", "--snapshots", "{root}/snap.jsonl",
             "--prices", "{root}/prices.csv", "--config", "{root}/attack.json",
             "--fixtures", "{root}/fixtures"]
 OUT = ["--out", "{root}/out"]
-CHAIN_COMMANDS = [
-    ["decode"],
-    ["detect", "arb"],
-    ["detect", "liq"],
-    ["detect", "flashloan"],
-    ["detect", "sandwich", "--chain", "arbitrum"],
-    ["opportunity", "--type", "arb"],
-    ["opportunity", "--type", "liq"],
-    ["crosslayer", "simulate", "--chain", "arbitrum"],
-]
+DETECT_ARB = ["detect", "arb"]
+DETECT = [DETECT_ARB, ["detect", "liq"], ["detect", "flashloan"],
+          ["detect", "sandwich", "--chain", "arbitrum"]]
+OPPORTUNITY = [[command, "--type", mev_type]
+               for command in ("opportunity", "compete") for mev_type in ("arb", "liq")]
+SIMULATE = ["crosslayer", "simulate", "--chain", "arbitrum"]
+CROSSLAYER = [["crosslayer", "infer", "--chain", "arbitrum"],
+              ["crosslayer", "delay", "--chain", "arbitrum"], SIMULATE]
 # detect writes findings_*.jsonl into out/, which report then summarizes
 REPORT = ["report", *OUT, "--prices", "{root}/prices.csv"]
 REPORT_FINDINGS = ["report", "--out", "{root}/findings", "--prices", "{root}/prices.csv"]
+
+
+def _with_inputs(commands):
+    return [c + SIDECARS + OUT for c in commands]
+
+
+# the commands that read each input file
 COMMANDS = {
-    "fixtures/ethereum.jsonl": [c + SIDECARS + OUT for c in CHAIN_COMMANDS] + [REPORT],
-    "fixtures/arbitrum.jsonl": [c + SIDECARS + OUT for c in CHAIN_COMMANDS[4:]] + [REPORT],
-    "snap.jsonl": [c + SIDECARS for c in CHAIN_COMMANDS[5:]],
-    "pools.json": [c + SIDECARS for c in (CHAIN_COMMANDS[1], *CHAIN_COMMANDS[5:])],
-    "attack.json": [CHAIN_COMMANDS[-1] + SIDECARS],
-    "prices.csv": [c + SIDECARS for c in (CHAIN_COMMANDS[1], CHAIN_COMMANDS[-1])]
-    + [REPORT_FINDINGS],
+    "fixtures/ethereum.jsonl": _with_inputs([["decode"], *DETECT[:3], *OPPORTUNITY,
+                                             *CROSSLAYER]) + [REPORT],
+    "fixtures/arbitrum.jsonl": _with_inputs([DETECT[3], *CROSSLAYER]) + [REPORT],
+    "snap.jsonl": _with_inputs([*OPPORTUNITY, SIMULATE]),
+    "pools.json": _with_inputs([DETECT_ARB, *OPPORTUNITY, *CROSSLAYER]),
+    "attack.json": _with_inputs([SIMULATE]),
+    "prices.csv": _with_inputs([DETECT_ARB, SIMULATE]) + [REPORT_FINDINGS],
     "findings/findings_arb.jsonl": [REPORT_FINDINGS],
     "code.jsonl": [["bytecode", "cluster", "--bytecode", "{root}/code.jsonl", *OUT]],
 }
@@ -138,8 +147,8 @@ def valid_inputs():
     with tempfile.TemporaryDirectory() as tmp:
         _write_inputs(tmp, inputs)
         findings = []
-        for command in CHAIN_COMMANDS[1:5]:
-            assert _run(tmp, command + SIDECARS + OUT) == 0, command
+        for command in _with_inputs(DETECT):
+            assert _run(tmp, command) == 0, command
         for name in sorted(os.listdir(os.path.join(tmp, "out"))):
             findings += _read_jsonl(os.path.join(tmp, "out", name))
     assert {f["type"] for f in findings} == {"arbitrage", "liquidation", "flash_loan",
@@ -222,3 +231,102 @@ def test_valid_inputs_exit_0():
         for rel in sorted(COMMANDS):
             for argv in COMMANDS[rel]:
                 assert _run(root, argv) == 0, argv
+
+
+def _assert_readers_exit_1(root, rel, message, capsys):
+    # REPORT reads the findings that detect would have written
+    for argv in (a for a in COMMANDS[rel] if a is not REPORT):
+        assert _run(root, argv) == 1, argv
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("rel", sorted(COMMANDS))
+def test_non_utf8_input_exits_1_naming_the_line(rel, capsys):
+    """Line 2 of a line-based input (line 1 of a one-line JSON document)
+    holds bytes that are not UTF-8."""
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(root, valid_inputs())
+        path = os.path.join(root, rel)
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        line = min(2, len(lines))
+        lines[line - 1] = b"\xff\xfe" + lines[line - 1]
+        with open(path, "wb") as fh:
+            fh.write(b"".join(lines))
+        _assert_readers_exit_1(root, rel, f"error: {path}: line {line}: not UTF-8: ", capsys)
+
+
+def _long_decimal_targets():
+    """(file, path to a decimal field) for every kind of decimal an input
+    holds: on-chain amounts, prices and days, snapshot values, costs,
+    profits and pool parameters."""
+    inputs = valid_inputs()
+    first_tx = next(i for i, r in enumerate(inputs["fixtures/ethereum.jsonl"][1])
+                    if r["kind"] == "tx")
+    snap = inputs["snap.jsonl"][1]
+    health, shortfall = (next(i for i, r in enumerate(snap) if r["kind"] == kind)
+                         for kind in ("health", "shortfall"))
+    pool = next(iter(inputs["pools.json"][1]))
+    prices = inputs["prices.csv"][1]
+    ethusd = next(i for i, row in enumerate(prices) if row[0] == "ETHUSD")
+    return [("fixtures/ethereum.jsonl", (first_tx, "fee_paid")),
+            ("fixtures/ethereum.jsonl", (first_tx, "builder_payment")),
+            ("prices.csv", (ethusd, 2)), ("prices.csv", (1, 1)),
+            ("snap.jsonl", (0, "value", "reserves", 0)), ("snap.jsonl", (0, "block")),
+            ("snap.jsonl", (health, "value")), ("snap.jsonl", (shortfall, "value")),
+            ("attack.json", ("l1_tx_cost_eth",)), ("attack.json", ("capital_tiers_usd", 0)),
+            ("pools.json", (pool, "fee_num")),
+            ("findings/findings_arb.jsonl", (0, "profit_eth"))]
+
+
+def test_decimal_past_digit_limit_exits_1(capsys):
+    """A decimal string int() and Fraction() cannot read, of 5000 digits
+    (past the default limit of 4300) and of 641 (past the lowest limit
+    an interpreter can be set to)."""
+    for rel, path in _long_decimal_targets():
+        for value in ("9" * 5000, "1" * 641):
+            with tempfile.TemporaryDirectory() as root:
+                _write_inputs(root, _mutate(rel, path, value))
+                _assert_readers_exit_1(root, rel, f"error: {os.path.join(root, rel)}: ",
+                                       capsys)
+
+
+@pytest.mark.parametrize("option", ["--window", "--horizon"])
+def test_window_and_horizon_below_1_exit_1(option, capsys):
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(root, valid_inputs())
+        for value in ("0", "-3"):
+            for argv in _with_inputs([DETECT[3], OPPORTUNITY[0]]):
+                assert _run(root, argv + [option, value]) == 1, argv
+                assert f"Invalid value for '{option}'" in capsys.readouterr().err
+
+
+# the mevlens modules a command must not load: those of the other commands
+NOT_LOADED = [
+    ([*DETECT_ARB, *SIDECARS, *OUT], {"crosslayer", "bytecode", "keccak", "opportunity"}),
+    (["decode", *SIDECARS, *OUT], {"amm", "opportunity", "crosslayer", "bytecode"}),
+    (["bytecode", "cluster", "--bytecode", "{root}/code.jsonl", *OUT],
+     {"decoding", "detectors", "amm", "opportunity", "crosslayer"}),
+]
+
+
+def test_commands_load_only_the_modules_they_run():
+    import mevlens
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mevlens.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys\n"
+            "from mevlens.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(rc, *sorted(m for m in sys.modules if m.startswith('mevlens.')))\n")
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(root, valid_inputs())
+        for argv, absent in NOT_LOADED:
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *(a.format(root=root) for a in argv)],
+                capture_output=True, text=True, env=env, timeout=120)
+            rc, *loaded = proc.stdout.splitlines()[-1].split()
+            assert rc == "0", (argv, proc.stderr)
+            assert "mevlens.chain_model" in loaded, argv
+            assert not absent & {m.removeprefix("mevlens.") for m in loaded}, argv
