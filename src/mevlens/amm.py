@@ -7,12 +7,12 @@ reproducible and match EVM semantics. No floating point in this module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .chain_model import _json_object, _sidecar_hex, _whole
-from .errors import (BrokenPath, DrainedPool, EmptyPool, MalformedRecord, NoConvergence,
-                     UnknownToken)
+from .errors import (BrokenPath, DrainedPool, EmptyPool, InvalidSwap, MalformedRecord,
+                     NoConvergence, UnknownToken)
 
 CONSTANT_PRODUCT = "constant_product"
 STABLESWAP = "stableswap"
@@ -80,7 +80,8 @@ def _cp_out(r_in: int, r_out: int, amount_in: int, fee_num: int, fee_den: int) -
 def cp_swap_out(pool: PoolState, token_in, amount_in: int) -> SwapQuote:
     """x*y=k swap with fee applied on input, floor division throughout."""
     assert pool.kind == CONSTANT_PRODUCT
-    assert amount_in > 0
+    if amount_in <= 0:
+        raise InvalidSwap(f"swap amount must be positive, got {amount_in}")
     i = pool.index_of(token_in)
     j = 1 - i
     r_in, r_out = pool.reserves[i], pool.reserves[j]
@@ -149,10 +150,12 @@ def _stable_y(xs: Sequence[int], amp: int, i: int, j: int, new_x_i: int, d: int)
 
 def stable_swap_out(pool: PoolState, token_in, token_out, amount_in: int) -> SwapQuote:
     assert pool.kind == STABLESWAP
-    assert amount_in > 0
+    if amount_in <= 0:
+        raise InvalidSwap(f"swap amount must be positive, got {amount_in}")
     i = pool.index_of(token_in)
     j = pool.index_of(token_out)
-    assert i != j
+    if i == j:
+        raise InvalidSwap("token_in and token_out are the same token")
     d = stable_D(pool)
     new_x = pool.reserves[i] + amount_in
     y = _stable_y(pool.reserves, pool.amp, i, j, new_x, d)

@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DuplicateKey, InvalidRange, MalformedRecord, OrderingViolation
 
@@ -238,9 +238,6 @@ class ChainDataset:
     def tx(self, tx_hash: bytes) -> Optional[TxRecord]:
         return self._tx_by_hash.get(tx_hash)
 
-    def block(self, number: int) -> Optional[BlockRecord]:
-        return self._block_by_number.get(number)
-
     def block_timestamp(self, number: int) -> Optional[int]:
         b = self._block_by_number.get(number)
         return b.timestamp if b else None
@@ -437,22 +434,17 @@ def dump_fixture(dataset: ChainDataset, path) -> None:
 _block_number = attrgetter("block_number")
 
 
-def logs_in_range(dataset: ChainDataset, from_block: int, to_block: int,
-                  topics: Optional[Iterable[bytes]] = None) -> list:
-    """Logs with block_number in [from_block, to_block] matching any filter
-    topic (topic0), in (block, tx_index, log_index) order.
+def logs_in_range(dataset: ChainDataset, from_block: int, to_block: int) -> list:
+    """Logs with block_number in [from_block, to_block], in (block,
+    tx_index, log_index) order.
 
     Bisects ``dataset.logs``, which must be in that order.
     """
     if from_block > to_block:
         raise InvalidRange(f"from_block {from_block} > to_block {to_block}")
     logs = dataset.logs
-    hit = logs[bisect_left(logs, from_block, key=_block_number):
-               bisect_right(logs, to_block, key=_block_number)]
-    if topics is None:
-        return hit
-    wanted = set(topics)
-    return [log for log in hit if log.topics[0] in wanted]
+    return logs[bisect_left(logs, from_block, key=_block_number):
+                bisect_right(logs, to_block, key=_block_number)]
 
 
 def group_logs_by_tx(logs: Sequence[EventLog]) -> "dict[bytes, list]":

@@ -24,31 +24,37 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def common_options(fn):
-    fn = click.option("--chain", "chain_name", default="ethereum",
-                      type=click.Choice(sorted(CHAINS)), show_default=True)(fn)
-    fn = click.option("--from-block", type=int, default=None)(fn)
-    fn = click.option("--to-block", type=int, default=None)(fn)
-    fn = click.option("--fixtures", "fixtures_dir", required=True,
-                      type=click.Path(exists=True, file_okay=False))(fn)
-    fn = click.option("--prices", "prices_file", type=click.Path(exists=True),
-                      default=None)(fn)
-    fn = click.option("--pools", "pools_file", type=click.Path(exists=True),
-                      default=None)(fn)
-    fn = click.option("--snapshots", "snapshots_file", type=click.Path(exists=True),
-                      default=None)(fn)
-    fn = click.option("--config", "config_file", type=click.Path(exists=True),
-                      default=None)(fn)
-    fn = click.option("--out", "out_dir", default="out",
-                      type=click.Path(file_okay=False))(fn)
-    fn = click.option("--window", type=click.IntRange(min=1), default=100,
-                      show_default=True)(fn)
-    fn = click.option("--horizon", type=click.IntRange(min=1), default=100,
-                      show_default=True)(fn)
-    fn = click.option("--jobs", type=int, default=1, show_default=True,
-                      help="Accepted for compatibility; every value runs the same "
-                           "single scan.")(fn)
-    return fn
+# every chain command reads one fixture directory, optionally cut to a block range
+_CHAIN_OPTIONS = (
+    click.option("--chain", "chain_name", default="ethereum",
+                 type=click.Choice(sorted(CHAINS)), show_default=True),
+    click.option("--from-block", type=int, default=None),
+    click.option("--to-block", type=int, default=None),
+    click.option("--fixtures", "fixtures_dir", required=True,
+                 type=click.Path(exists=True, file_okay=False)),
+)
+# the rest, each declared by the commands that read it
+TYPE = click.option("--type", "mev_type", type=click.Choice(["arb", "liq"]),
+                    default="arb", show_default=True)
+PRICES = click.option("--prices", "prices_file", type=click.Path(exists=True), default=None)
+POOLS = click.option("--pools", "pools_file", type=click.Path(exists=True), default=None)
+SNAPSHOTS = click.option("--snapshots", "snapshots_file", type=click.Path(exists=True),
+                         required=True)
+CONFIG = click.option("--config", "config_file", type=click.Path(exists=True), default=None)
+WINDOW = click.option("--window", type=click.IntRange(min=1), default=100, show_default=True)
+HORIZON = click.option("--horizon", type=click.IntRange(min=1), default=100,
+                       show_default=True)
+OUT = click.option("--out", "out_dir", default="out", type=click.Path(file_okay=False))
+
+
+def _chain_options(*options):
+    """The options every chain command takes, then ``options``, in the
+    order --help lists them."""
+    def decorate(fn):
+        for option in reversed(_CHAIN_OPTIONS + options):
+            fn = option(fn)
+        return fn
+    return decorate
 
 
 class Ctx:
@@ -79,7 +85,7 @@ class Ctx:
 
     def prices(self):
         if self._prices is None and self.prices_file:
-            from .detectors import PriceProvider
+            from .reporting import PriceProvider
             self._prices = PriceProvider.from_csv(self.prices_file)
         return self._prices
 
@@ -160,28 +166,28 @@ def _write(ctx: Ctx, name, rows):
 
 
 @detect.command("arb")
-@common_options
+@_chain_options(POOLS, PRICES, OUT)
 def detect_arb_cmd(**kw):
     ctx = Ctx(**kw)
     _write(ctx, "findings_arb.jsonl", _detect_arb(ctx))
 
 
 @detect.command("liq")
-@common_options
+@_chain_options(PRICES, OUT)
 def detect_liq_cmd(**kw):
     ctx = Ctx(**kw)
     _write(ctx, "findings_liq.jsonl", _detect_liq(ctx))
 
 
 @detect.command("sandwich")
-@common_options
+@_chain_options(WINDOW, OUT)
 def detect_sandwich_cmd(**kw):
     ctx = Ctx(**kw)
     _write(ctx, "findings_sandwich.jsonl", _detect_sandwich(ctx))
 
 
 @detect.command("flashloan")
-@common_options
+@_chain_options(OUT)
 def detect_flashloan_cmd(**kw):
     from .decoding import decode_logs
     from .registry import Category
@@ -198,7 +204,7 @@ def detect_flashloan_cmd(**kw):
 
 
 @cli.command("decode")
-@common_options
+@_chain_options()
 def decode_cmd(**kw):
     from .registry import DEFAULT_REGISTRY
     ctx = Ctx(**kw)
@@ -218,8 +224,6 @@ def _opportunities(ctx: Ctx, mev_type):
     from . import detectors, opportunity
     ds = ctx.dataset()
     pools = ctx.pools()
-    if ctx.snapshots_file is None:
-        raise click.UsageError("--snapshots is required for opportunity search")
     provider = opportunity.StateProvider.from_jsonl(ctx.snapshots_file, pools)
     results = []
     if mev_type == "arb":
@@ -235,9 +239,7 @@ def _opportunities(ctx: Ctx, mev_type):
 
 
 @cli.command("opportunity")
-@click.option("--type", "mev_type", type=click.Choice(["arb", "liq"]),
-              default="arb", show_default=True)
-@common_options
+@_chain_options(TYPE, POOLS, SNAPSHOTS, HORIZON, OUT)
 def opportunity_cmd(mev_type, **kw):
     from . import opportunity, reporting
     ctx = Ctx(**kw)
@@ -263,9 +265,7 @@ def opportunity_cmd(mev_type, **kw):
 
 
 @cli.command("compete")
-@click.option("--type", "mev_type", type=click.Choice(["arb", "liq"]),
-              default="arb", show_default=True)
-@common_options
+@_chain_options(TYPE, POOLS, SNAPSHOTS, HORIZON, OUT)
 def compete_cmd(mev_type, **kw):
     from .opportunity import detect_competition
     ctx = Ctx(**kw)
@@ -302,7 +302,7 @@ def _infer(ctx: Ctx):
 
 
 @crosslayer_group.command("infer")
-@common_options
+@_chain_options(POOLS, OUT)
 def crosslayer_infer_cmd(**kw):
     ctx = Ctx(**kw)
     candidates, links, diagnostics = _infer(ctx)
@@ -325,7 +325,7 @@ def crosslayer_infer_cmd(**kw):
 
 
 @crosslayer_group.command("delay")
-@common_options
+@_chain_options(POOLS, OUT)
 def crosslayer_delay_cmd(**kw):
     from . import crosslayer, reporting
     ctx = Ctx(**kw)
@@ -338,7 +338,7 @@ def crosslayer_delay_cmd(**kw):
 
 
 @crosslayer_group.command("simulate")
-@common_options
+@_chain_options(POOLS, PRICES, SNAPSHOTS, CONFIG, OUT)
 def crosslayer_simulate_cmd(**kw):
     from fractions import Fraction
 
@@ -347,8 +347,6 @@ def crosslayer_simulate_cmd(**kw):
     candidates, _, _ = _infer(ctx)
     pools = ctx.pools()
     prices = ctx.prices()
-    if ctx.snapshots_file is None:
-        raise click.UsageError("--snapshots is required for attack simulation")
     provider = opportunity.StateProvider.from_jsonl(ctx.snapshots_file, pools)
     if ctx.config_file:
         costs, reaction, tiers = crosslayer.load_attack_config(ctx.config_file)
@@ -385,7 +383,7 @@ def bytecode_group():
 @bytecode_group.command("cluster")
 @click.option("--bytecode", "bytecode_file", required=True,
               type=click.Path(exists=True))
-@click.option("--out", "out_dir", default="out", type=click.Path(file_okay=False))
+@OUT
 def bytecode_cluster_cmd(bytecode_file, out_dir):
     from . import bytecode, reporting
     records = bytecode.load_bytecode_fixture(bytecode_file)
@@ -397,8 +395,8 @@ def bytecode_cluster_cmd(bytecode_file, out_dir):
 
 
 @cli.command("report")
-@click.option("--out", "out_dir", default="out", type=click.Path(file_okay=False))
-@click.option("--prices", "prices_file", type=click.Path(exists=True), default=None)
+@OUT
+@PRICES
 def report_cmd(out_dir, prices_file):
     """Summarize all findings_*.jsonl files in the output directory."""
     from . import reporting
@@ -407,9 +405,7 @@ def report_cmd(out_dir, prices_file):
         findings.extend(reporting.read_findings(path))
     eth_usd = None
     if prices_file:
-        from .detectors import PriceProvider
-        provider = PriceProvider.from_csv(prices_file)
-        eth_usd = provider.eth_usd
+        eth_usd = reporting.PriceProvider.from_csv(prices_file).eth_usd
     paths = reporting.emit_report(findings, out_dir, eth_usd)
     for name in sorted(paths):
         click.echo(f"{name} -> {paths[name]}")

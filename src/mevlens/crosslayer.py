@@ -20,8 +20,8 @@ from .chain_model import (_DECIMAL_FRACTION, ChainDataset, ChainId, ZKSYNC, _dec
                           _json_object, _whole, group_logs_by_tx)
 from .decoding import TransferAction, decode_logs
 from .detectors import WEI
-from .errors import EmptyInput, Infeasible, MalformedRecord
-from .registry import DEFAULT_REGISTRY, Category, TopicRegistry
+from .errors import EmptyInput, Infeasible, MalformedRecord, MevlensError
+from .registry import Category
 from .reporting import summary_stats
 
 S1 = "S1"
@@ -145,23 +145,22 @@ def load_attack_config(path):
 
 # --- victim inference ---
 
-def _bridge_actions(dataset: ChainDataset, registry: TopicRegistry):
+def _bridge_actions(dataset: ChainDataset):
     """Bridge messages stamped with their block's timestamp (0 when the
     block record is missing)."""
-    decoded = decode_logs(dataset.logs, (Category.L1_MESSAGE, Category.L2_MESSAGE),
-                          registry=registry)
+    decoded = decode_logs(dataset.logs, (Category.L1_MESSAGE, Category.L2_MESSAGE))
     return [replace(action, timestamp=dataset.block_timestamp(log.block_number) or 0)
             for log, action in decoded]
 
 
-def _detect_l2_swap(tx_logs, pools_meta, registry) -> Optional[tuple]:
+def _detect_l2_swap(tx_logs, pools_meta) -> Optional[tuple]:
     """Swap pattern inside a linked L2 tx: two Transfer events from the same
     token with sender/receiver swapped; a TokenSwap/V3 Swap event in the
     same tx refines pool and amounts when present."""
     transfers = []
     dex_swap = None
     for _, action in decode_logs(tx_logs, (Category.TRANSFER, Category.VICTIM_SWAP),
-                                 pools_meta, registry):
+                                 pools_meta):
         if isinstance(action, TransferAction):
             transfers.append(action)
         elif dex_swap is None:
@@ -185,19 +184,17 @@ def _detect_l2_swap(tx_logs, pools_meta, registry) -> Optional[tuple]:
     return (t1.token, t1.token, t1.amount, t1.receiver)
 
 
-def infer_victims(l1_dataset: ChainDataset, l2_dataset: ChainDataset,
-                  pools_meta=None, victim_meta=None,
-                  registry: TopicRegistry = DEFAULT_REGISTRY):
+def infer_victims(l1_dataset: ChainDataset, l2_dataset: ChainDataset, pools_meta=None):
     """Join L1 bridge emissions with L2 executions, then scan linked L2 txs
     for the swapped-transfer pattern.
 
     Returns (candidates, links, diagnostics) where diagnostics lists
     unlinked message actions on both sides.
     """
-    l1_actions = [a for a in _bridge_actions(l1_dataset, registry)
+    l1_actions = [a for a in _bridge_actions(l1_dataset)
                   if a.direction == "l1_emit"
                   and (l2_dataset.chain is None or a.rollup == l2_dataset.chain)]
-    l2_actions = [a for a in _bridge_actions(l2_dataset, registry)
+    l2_actions = [a for a in _bridge_actions(l2_dataset)
                   if a.direction == "l2_execute"]
 
     # zkSync executes under the same tx hash; synthesize the L2 side
@@ -221,7 +218,6 @@ def infer_victims(l1_dataset: ChainDataset, l2_dataset: ChainDataset,
     matched_l2 = set()
     unlinked_l1 = []
     l2_logs_by_tx = group_logs_by_tx(l2_dataset.logs)
-    victim_meta = victim_meta or {}
 
     for a in l1_actions:
         partners = l2_by_key.get((a.rollup.name, a.link_key), [])
@@ -234,15 +230,13 @@ def infer_victims(l1_dataset: ChainDataset, l2_dataset: ChainDataset,
                               link_key=a.link_key, l1_timestamp=a.timestamp,
                               l2_timestamp=b.timestamp)
         links.append(link)
-        swap = _detect_l2_swap(l2_logs_by_tx.get(b.tx_hash, []), pools_meta, registry)
+        swap = _detect_l2_swap(l2_logs_by_tx.get(b.tx_hash, []), pools_meta)
         if swap is None:
             continue
         token_in, token_out, amount_in, pool = swap
-        min_out = victim_meta.get(b.tx_hash)
         candidates.append(VictimCandidate(
             link=link,
-            swap=VictimSwap(token_in=token_in, token_out=token_out,
-                            amount_in=amount_in, min_amount_out=min_out),
+            swap=VictimSwap(token_in=token_in, token_out=token_out, amount_in=amount_in),
             pool=pool,
         ))
 
@@ -300,7 +294,7 @@ def _sandwich_gross(pool: PoolState, victim: VictimSwap, x: int):
     if x == 0:
         try:
             quote_v = swap_out(pool, victim.token_in, victim.token_out, victim.amount_in)
-        except Exception:
+        except MevlensError:
             return None
         return 0, quote_v.amount_out
     try:
@@ -311,7 +305,7 @@ def _sandwich_gross(pool: PoolState, victim: VictimSwap, x: int):
             return 0 - x, mid.amount_out
         back = swap_out(mid.post_state, victim.token_out, victim.token_in,
                         front.amount_out)
-    except Exception:
+    except MevlensError:
         return None
     return back.amount_out - x, mid.amount_out
 
@@ -321,7 +315,7 @@ def _cp_sandwich_gross(pool: PoolState, victim: VictimSwap, x: int):
     integers. It returns what composing ``swap_out`` returns, None
     included: None for a token pair the pool does not trade
     (UnknownToken), an empty reserve (EmptyPool), a victim amount <= 0 or
-    x < 0 (swap_out's positive-input assert)."""
+    x < 0 (InvalidSwap)."""
     tokens = pool.tokens
     if victim.token_in not in tokens:
         return None

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .chain_model import ARBITRUM, OPTIMISM, ZKSYNC, ChainId, EventLog
 from .errors import MevlensError, SchemaMismatch, SlotOutOfRange
-from .registry import DEFAULT_REGISTRY, TopicRegistry
+from .registry import DEFAULT_REGISTRY
 
 _log = logging.getLogger("mevlens")
 
@@ -121,23 +121,22 @@ class BridgeMessageAction:
     timestamp: int
 
 
-def _decode_one(log: EventLog, decoder, registry: TopicRegistry, *args):
+def _decode_one(log: EventLog, decoder, *args):
     """Run ``decoder`` on ``log`` if the log's topic maps to its schema."""
-    entry = registry.lookup(log.topics[0])
+    entry = DEFAULT_REGISTRY.lookup(log.topics[0])
     if entry is None or _DECODERS.get(entry.schema) is not decoder:
         return None
     return decoder(log, entry, *args)
 
 
-def decode_swap(log: EventLog, pools=None,
-                registry: TopicRegistry = DEFAULT_REGISTRY) -> Optional[SwapAction]:
+def decode_swap(log: EventLog, pools=None) -> Optional[SwapAction]:
     """Decode a DEX swap event into a SwapAction.
 
     ``pools`` maps pool address -> object with a ``tokens`` sequence; it is
     required for protocols whose events carry token indexes or no token
     addresses at all (Uniswap V2/V3, Curve, Hop StableSwap).
     """
-    return _decode_one(log, _swap, registry, pools)
+    return _decode_one(log, _swap, pools)
 
 
 def _swap(log: EventLog, entry, pools) -> Optional[SwapAction]:
@@ -218,9 +217,8 @@ def _swap(log: EventLog, entry, pools) -> Optional[SwapAction]:
                       position=log.position, tx_hash=log.tx_hash)
 
 
-def decode_transfer(log: EventLog,
-                    registry: TopicRegistry = DEFAULT_REGISTRY) -> Optional[TransferAction]:
-    return _decode_one(log, _transfer, registry)
+def decode_transfer(log: EventLog) -> Optional[TransferAction]:
+    return _decode_one(log, _transfer)
 
 
 def _transfer(log: EventLog, entry) -> TransferAction:
@@ -237,9 +235,8 @@ def _transfer(log: EventLog, entry) -> TransferAction:
     )
 
 
-def decode_liquidation(log: EventLog,
-                       registry: TopicRegistry = DEFAULT_REGISTRY) -> Optional[LiquidationAction]:
-    return _decode_one(log, _liquidation, registry)
+def decode_liquidation(log: EventLog) -> Optional[LiquidationAction]:
+    return _decode_one(log, _liquidation)
 
 
 def _liquidation(log: EventLog, entry) -> Optional[LiquidationAction]:
@@ -285,9 +282,9 @@ def _liquidation(log: EventLog, entry) -> Optional[LiquidationAction]:
     return action
 
 
-def decode_redeem(log: EventLog, registry: TopicRegistry = DEFAULT_REGISTRY):
+def decode_redeem(log: EventLog):
     """Compound Redeem -> (redeemer, collateral token, amount) or None."""
-    return _decode_one(log, _redeem, registry)
+    return _decode_one(log, _redeem)
 
 
 def _redeem(log: EventLog, entry) -> tuple:
@@ -298,9 +295,8 @@ def _redeem(log: EventLog, entry) -> tuple:
             decode_word(log.data, 1, "uint"))
 
 
-def decode_flashloan(log: EventLog,
-                     registry: TopicRegistry = DEFAULT_REGISTRY) -> Optional[FlashLoanAction]:
-    return _decode_one(log, _flashloan, registry)
+def decode_flashloan(log: EventLog) -> Optional[FlashLoanAction]:
+    return _decode_one(log, _flashloan)
 
 
 def _flashloan(log: EventLog, entry) -> Optional[FlashLoanAction]:
@@ -335,9 +331,8 @@ def _flashloan(log: EventLog, entry) -> Optional[FlashLoanAction]:
                            tx_hash=log.tx_hash)
 
 
-def decode_oracle_update(log: EventLog,
-                         registry: TopicRegistry = DEFAULT_REGISTRY) -> Optional[OracleUpdateAction]:
-    return _decode_one(log, _oracle_update, registry)
+def decode_oracle_update(log: EventLog) -> Optional[OracleUpdateAction]:
+    return _decode_one(log, _oracle_update)
 
 
 def _oracle_update(log: EventLog, entry) -> OracleUpdateAction:
@@ -351,9 +346,8 @@ def _oracle_update(log: EventLog, entry) -> OracleUpdateAction:
     )
 
 
-def decode_bridge_message(log: EventLog, timestamp: int,
-                          registry: TopicRegistry = DEFAULT_REGISTRY) -> Optional[BridgeMessageAction]:
-    return _decode_one(log, _bridge_message, registry, timestamp)
+def decode_bridge_message(log: EventLog, timestamp: int) -> Optional[BridgeMessageAction]:
+    return _decode_one(log, _bridge_message, timestamp)
 
 
 def _bridge_message(log: EventLog, entry, timestamp: int = 0) -> Optional[BridgeMessageAction]:
@@ -400,8 +394,7 @@ _DECODERS = {schema: decoder for decoder, schemas in (
 ) for schema in schemas}
 
 
-def decode_logs(logs: Sequence[EventLog], categories, pools=None,
-                registry: TopicRegistry = DEFAULT_REGISTRY) -> list:
+def decode_logs(logs: Sequence[EventLog], categories, pools=None) -> list:
     """Decode every log registered under one of ``categories``.
 
     Returns ``(log, action)`` pairs in input order, dropping logs whose
@@ -413,7 +406,7 @@ def decode_logs(logs: Sequence[EventLog], categories, pools=None,
     wanted = frozenset(categories)
     decoded = []
     for log in logs:
-        entry = registry.lookup(log.topics[0])
+        entry = DEFAULT_REGISTRY.lookup(log.topics[0])
         if entry is None or wanted.isdisjoint(entry.categories):
             continue
         decoder = _DECODERS.get(entry.schema)

@@ -7,73 +7,17 @@ reporting concern.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .chain_model import (_DECIMAL_FRACTION, ChainDataset, ChainId, EventLog, Layer, TxRecord,
-                          _decimal, _raise_not_utf8, _sidecar_hex)
+from .chain_model import ChainDataset, ChainId, EventLog, Layer, TxRecord
 from .decoding import LiquidationAction, SwapAction, TransferAction, decode_logs
-from .errors import MalformedRecord
-from .registry import DEFAULT_REGISTRY, Category, TopicRegistry
+from .registry import Category
+from .reporting import PriceProvider  # lives there so that `report` loads no decoder
 
 WEI = 10 ** 18
 SECONDS_PER_DAY = 86400
-
-
-# --- price provider (daily CSV fixture, CoinGecko-style) ---
-
-class PriceProvider:
-    """token/day -> ETH price as exact rational; 'ETHUSD' row carries the
-    dollar series."""
-
-    ETHUSD = "ETHUSD"
-
-    def __init__(self, rows: Iterable[tuple] = ()):
-        self._prices = {}
-        for token, day, price in rows:
-            self._prices[(token, int(day))] = Fraction(price)
-
-    @classmethod
-    def from_csv(cls, path) -> "PriceProvider":
-        """Rows of token_address,day,price_eth. Raises MalformedRecord with
-        the file and line for a short row, a token that is neither hex nor
-        ETHUSD, a day that is not a non-negative integer, or a price that
-        is not a positive decimal."""
-        rows = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                for row in reader:
-                    if not row or row[0] == "token_address":
-                        continue
-                    line = reader.line_num
-                    if len(row) < 3:
-                        raise MalformedRecord(
-                            line, f"expected token,day,price, got {row!r}", path)
-                    token_raw, day, price = row[0], row[1], row[2]
-                    token = token_raw if token_raw == cls.ETHUSD else _sidecar_hex(token_raw)
-                    if token is None:
-                        raise MalformedRecord(
-                            line, f"token must be hex bytes or {cls.ETHUSD}, got {token_raw!r}",
-                            path)
-                    if not _decimal(day):
-                        raise MalformedRecord(
-                            line, f"day must be a non-negative integer, got {day!r}", path)
-                    if not _decimal(price, _DECIMAL_FRACTION) or Fraction(price) <= 0:
-                        raise MalformedRecord(
-                            line, f"price must be a positive decimal, got {price!r}", path)
-                    rows.append((token, int(day), price))
-            except UnicodeDecodeError as exc:
-                _raise_not_utf8(path, exc)
-        return cls(rows)
-
-    def lookup(self, token: bytes, day: int) -> Optional[Fraction]:
-        return self._prices.get((token, day))
-
-    def eth_usd(self, day: int) -> Optional[Fraction]:
-        return self._prices.get((self.ETHUSD, day))
 
 
 def day_of(timestamp: int) -> int:
@@ -235,15 +179,14 @@ def arbitrage_profit(finding: ArbitrageFinding, prices: PriceProvider,
 
 # --- liquidations ---
 
-def detect_liquidations(logs: Sequence[EventLog],
-                        registry: TopicRegistry = DEFAULT_REGISTRY):
+def detect_liquidations(logs: Sequence[EventLog]):
     """One structural finding per tx containing at least one liquidation.
 
     Compound LiquidateBorrow actions are paired with Redeem events of the
     same tx in log order, first-unmatched-first.
     """
     by_tx: dict = {}
-    for log, action in decode_logs(logs, (Category.LIQUIDATION,), registry=registry):
+    for log, action in decode_logs(logs, (Category.LIQUIDATION,)):
         by_tx.setdefault(log.tx_hash, []).append(action)
     findings = []
     for tx_hash, decoded in by_tx.items():
@@ -353,17 +296,15 @@ def detect_sandwiches(transfers: Sequence[TransferAction], chain: ChainId,
 
 # --- flash loans ---
 
-def attribute_flash_loans(finding, tx_logs: Sequence[EventLog],
-                          registry: TopicRegistry = DEFAULT_REGISTRY):
+def attribute_flash_loans(finding, tx_logs: Sequence[EventLog]):
     same_tx = [log for log in tx_logs if log.tx_hash == finding.tx_hash]
-    loans = decode_logs(same_tx, (Category.FLASH_LOAN,), registry=registry)
+    loans = decode_logs(same_tx, (Category.FLASH_LOAN,))
     return replace(finding, flash_loans=tuple(loan for _, loan in loans))
 
 
 # --- dataset-level drivers ---
 
-def extract_swaps(dataset: ChainDataset, pools=None,
-                  registry: TopicRegistry = DEFAULT_REGISTRY):
+def extract_swaps(dataset: ChainDataset, pools=None):
     """Decode all swap events, grouped by tx in emission order.
 
     Victim-swap events (StableSwap TokenSwap) count too: they can close a
@@ -371,11 +312,10 @@ def extract_swaps(dataset: ChainDataset, pools=None,
     """
     swaps_by_tx: dict = {}
     for log, swap in decode_logs(dataset.logs, (Category.ARBITRAGE, Category.VICTIM_SWAP),
-                                 pools, registry):
+                                 pools):
         swaps_by_tx.setdefault(log.tx_hash, []).append(swap)
     return swaps_by_tx
 
 
-def extract_transfers(dataset: ChainDataset,
-                      registry: TopicRegistry = DEFAULT_REGISTRY):
-    return [t for _, t in decode_logs(dataset.logs, (Category.TRANSFER,), registry=registry)]
+def extract_transfers(dataset: ChainDataset):
+    return [t for _, t in decode_logs(dataset.logs, (Category.TRANSFER,))]

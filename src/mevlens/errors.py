@@ -66,6 +66,10 @@ class BrokenPath(MevlensError):
     pass
 
 
+class InvalidSwap(MevlensError):
+    """A swap of a non-positive amount, or of a token for itself."""
+
+
 # --- cross-layer attack simulation ---
 
 class Infeasible(MevlensError):

@@ -235,10 +235,6 @@ class FixtureBuilder:
     def timestamp(self) -> int:
         return self._timestamp
 
-    @property
-    def current_block(self) -> int:
-        return self._block_number
-
     def dataset(self) -> ChainDataset:
         self._seal_block()
         return ChainDataset(chain=self.chain, blocks=list(self._blocks),

@@ -13,19 +13,24 @@ from .chain_model import (_DECIMAL_FRACTION, ChainDataset, _decimal, _sidecar_he
                           logs_in_range, read_jsonl)
 from .decoding import decode_oracle_update, decode_swap
 from .detectors import ArbitrageFinding, LiquidationFinding
-from .errors import MalformedRecord
-from .registry import DEFAULT_REGISTRY, Category, TopicRegistry
-
-FOUND = "found"
-NOT_FOUND = "not_found_within_100"
-UNSIMULATABLE = "unsimulatable"
+from .errors import MalformedRecord, MevlensError
+from .registry import DEFAULT_REGISTRY, Category
 
 DEFAULT_HORIZON = 100
+
+FOUND = "found"
+UNSIMULATABLE = "unsimulatable"
+
+
+def _not_found(horizon: int) -> str:
+    return f"not_found_within_{horizon}"
+
+
+NOT_FOUND = _not_found(DEFAULT_HORIZON)  # the status at the default horizon
 
 
 @dataclass(frozen=True)
 class OpportunityResult:
-    finding_id: object
     status: str
     opportunity_tx: Optional[bytes] = None
     block_distance: Optional[int] = None
@@ -150,12 +155,12 @@ def _simulated_profit(finding: ArbitrageFinding, provider: StateProvider,
     amount_in = finding.cycle[0].amount_in
     try:
         final, _ = simulate_path(pools, path, amount_in)
-    except Exception:
+    except MevlensError:
         return None
     return final - amount_in
 
 
-def _walk_backward(finding_id, finding_block, horizon, candidates, is_open):
+def _walk_backward(finding_block, horizon, candidates, is_open):
     """Shared backward walk: evaluate ``is_open`` on each block from the
     closest (finding_block - 1) down to one block past the horizon, stop at
     the first closed block; the opportunity is the candidate tx in the last
@@ -169,32 +174,27 @@ def _walk_backward(finding_id, finding_block, horizon, candidates, is_open):
     for block in range(finding_block - 1, max(finding_block - horizon - 2, -1), -1):
         open_ = is_open(block)
         if open_ is None:
-            return OpportunityResult(finding_id, UNSIMULATABLE)
+            return OpportunityResult(UNSIMULATABLE)
         if not open_:
             if last_open is None:
                 # crossing sits between the finding and its immediate
                 # predecessor block
-                return OpportunityResult(finding_id, FOUND, None, 0,
-                                         approximate=True)
+                return OpportunityResult(FOUND, None, 0, approximate=True)
             tx = candidates.get(last_open)
-            return OpportunityResult(finding_id, FOUND, tx,
-                                     finding_block - last_open,
+            return OpportunityResult(FOUND, tx, finding_block - last_open,
                                      approximate=tx is None)
         if block >= finding_block - horizon:
             last_open = block
-    return OpportunityResult(finding_id, NOT_FOUND)
+    return OpportunityResult(_not_found(horizon))
 
 
 def find_arbitrage_opportunity(finding: ArbitrageFinding, dataset: ChainDataset,
                                provider: StateProvider, pools_meta=None,
-                               horizon: int = DEFAULT_HORIZON,
-                               registry: TopicRegistry = DEFAULT_REGISTRY,
-                               finding_id=None) -> OpportunityResult:
+                               horizon: int = DEFAULT_HORIZON) -> OpportunityResult:
     """Walk blocks closest-to-farthest, re-simulating the cycle on each
     block's pool states, and stop at the first block where simulated profit
     is non-positive; the opportunity is the qualifying swap in the last
     profitable block."""
-    finding_id = finding_id if finding_id is not None else finding.tx_hash
     finding_block = finding.cycle[0].position[0]
     venues = {s.venue for s in finding.cycle}
     lo = max(0, finding_block - horizon)
@@ -202,33 +202,30 @@ def find_arbitrage_opportunity(finding: ArbitrageFinding, dataset: ChainDataset,
     candidates: dict = {}  # block -> first qualifying swap tx
     if hi >= lo:
         for log in logs_in_range(dataset, lo, hi):
-            entry = registry.lookup(log.topics[0])
+            entry = DEFAULT_REGISTRY.lookup(log.topics[0])
             if entry is None or not entry.has(Category.ARBITRAGE):
                 continue
             if log.address not in venues:
                 continue
-            swap = decode_swap(log, pools_meta, registry)
+            swap = decode_swap(log, pools_meta)
             if swap is None:
                 continue
             candidates.setdefault(log.block_number, log.tx_hash)
     if not candidates:
-        return OpportunityResult(finding_id, NOT_FOUND)
+        return OpportunityResult(_not_found(horizon))
 
     def is_open(block):
         profit = _simulated_profit(finding, provider, block)
         return None if profit is None else profit > 0
 
-    return _walk_backward(finding_id, finding_block, horizon, candidates, is_open)
+    return _walk_backward(finding_block, horizon, candidates, is_open)
 
 
 def find_liquidation_opportunity(finding: LiquidationFinding, dataset: ChainDataset,
                                  provider: StateProvider,
-                                 horizon: int = DEFAULT_HORIZON,
-                                 registry: TopicRegistry = DEFAULT_REGISTRY,
-                                 finding_id=None) -> OpportunityResult:
+                                 horizon: int = DEFAULT_HORIZON) -> OpportunityResult:
     """Same walk over Chainlink update blocks, stopping when the position is
     no longer liquidable (hf >= 1 for Aave, sf == 0 for Compound)."""
-    finding_id = finding_id if finding_id is not None else finding.tx_hash
     action = finding.actions[0]
     finding_block = action.position[0]
     use_shortfall = action.protocol == "compound_v2"
@@ -237,11 +234,11 @@ def find_liquidation_opportunity(finding: LiquidationFinding, dataset: ChainData
     candidates: dict = {}
     if hi >= lo:
         for log in logs_in_range(dataset, lo, hi):
-            update = decode_oracle_update(log, registry)
+            update = decode_oracle_update(log)
             if update is not None:
                 candidates.setdefault(log.block_number, log.tx_hash)
     if not candidates:
-        return OpportunityResult(finding_id, NOT_FOUND)
+        return OpportunityResult(_not_found(horizon))
 
     def is_open(block):
         if use_shortfall:
@@ -250,7 +247,7 @@ def find_liquidation_opportunity(finding: LiquidationFinding, dataset: ChainData
         hf = provider.health_factor(action.borrower, block)
         return None if hf is None else hf < 1
 
-    return _walk_backward(finding_id, finding_block, horizon, candidates, is_open)
+    return _walk_backward(finding_block, horizon, candidates, is_open)
 
 
 def block_distance_cdf(results: Sequence[OpportunityResult],
@@ -289,19 +286,3 @@ def detect_competition(entries):
     groups.sort(key=lambda g: (g["type"], g["opportunity_tx"]))
     return groups
 
-
-def reverted_rate(tx_status_lists: dict):
-    """Per-extractor and aggregate fraction of reverted transactions.
-
-    Values are exact rationals; empty lists report None.
-    """
-    per_extractor = {}
-    total = reverted = 0
-    for extractor, statuses in tx_status_lists.items():
-        n = len(statuses)
-        r = sum(1 for s in statuses if s == "reverted")
-        per_extractor[extractor] = Fraction(r, n) if n else None
-        total += n
-        reverted += r
-    aggregate = Fraction(reverted, total) if total else None
-    return per_extractor, aggregate

@@ -112,9 +112,9 @@ _ENTRIES = [
 
 
 class TopicRegistry:
-    def __init__(self, entries=None):
+    def __init__(self):
         self._by_topic = {}
-        for entry in (entries if entries is not None else _ENTRIES):
+        for entry in _ENTRIES:
             if entry.topic in self._by_topic:
                 raise ValueError(f"duplicate topic 0x{entry.topic.hex()}")
             self._by_topic[entry.topic] = entry

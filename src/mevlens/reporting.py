@@ -1,4 +1,5 @@
-"""Report emission: findings JSONL and the summary CSV tables.
+"""Report emission: findings JSONL and the summary CSV tables, and the
+daily price table that both profit accounting and the report read.
 
 All outputs are deterministic: stable ordering, fixed key order, no wall
 clock anywhere.
@@ -11,12 +12,67 @@ import json
 import math
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .chain_model import _DECIMAL_FRACTION, _decimal, _timestamp, read_jsonl, to_hex
+from .chain_model import (_DECIMAL_FRACTION, _decimal, _raise_not_utf8, _sidecar_hex, _timestamp,
+                          read_jsonl, to_hex)
 from .errors import MalformedRecord
 
 FIXED_PLACES = 18
+
+
+# --- price provider (daily CSV fixture, CoinGecko-style) ---
+
+class PriceProvider:
+    """token/day -> ETH price as exact rational; 'ETHUSD' row carries the
+    dollar series."""
+
+    ETHUSD = "ETHUSD"
+
+    def __init__(self, rows: Iterable[tuple] = ()):
+        self._prices = {}
+        for token, day, price in rows:
+            self._prices[(token, int(day))] = Fraction(price)
+
+    @classmethod
+    def from_csv(cls, path) -> "PriceProvider":
+        """Rows of token_address,day,price_eth. Raises MalformedRecord with
+        the file and line for a short row, a token that is neither hex nor
+        ETHUSD, a day that is not a non-negative integer, or a price that
+        is not a positive decimal."""
+        rows = []
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                for row in reader:
+                    if not row or row[0] == "token_address":
+                        continue
+                    line = reader.line_num
+                    if len(row) < 3:
+                        raise MalformedRecord(
+                            line, f"expected token,day,price, got {row!r}", path)
+                    token_raw, day, price = row[0], row[1], row[2]
+                    token = token_raw if token_raw == cls.ETHUSD else _sidecar_hex(token_raw)
+                    if token is None:
+                        raise MalformedRecord(
+                            line, f"token must be hex bytes or {cls.ETHUSD}, got {token_raw!r}",
+                            path)
+                    if not _decimal(day):
+                        raise MalformedRecord(
+                            line, f"day must be a non-negative integer, got {day!r}", path)
+                    if not _decimal(price, _DECIMAL_FRACTION) or Fraction(price) <= 0:
+                        raise MalformedRecord(
+                            line, f"price must be a positive decimal, got {price!r}", path)
+                    rows.append((token, int(day), price))
+            except UnicodeDecodeError as exc:
+                _raise_not_utf8(path, exc)
+        return cls(rows)
+
+    def lookup(self, token: bytes, day: int) -> Optional[Fraction]:
+        return self._prices.get((token, day))
+
+    def eth_usd(self, day: int) -> Optional[Fraction]:
+        return self._prices.get((self.ETHUSD, day))
 
 
 def fmt_fixed(value: Optional[Fraction], places: int = FIXED_PLACES) -> Optional[str]:

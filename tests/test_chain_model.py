@@ -119,8 +119,8 @@ def test_malformed_fixture_line_names_file_and_line(tmp_path, capsys, name):
         load_fixture(path)
     assert exc.value.line == 2
     assert str(exc.value).startswith(f"{path}: line 2: ")
-    for argv in (["decode"], ["detect", "arb"]):
-        assert main(argv + ["--fixtures", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    for argv in (["decode"], ["detect", "arb", "--out", str(tmp_path / "out")]):
+        assert main(argv + ["--fixtures", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert f"{path}: line 2: " in err
         assert "internal error" not in err and "Traceback" not in err
@@ -170,10 +170,8 @@ def test_logs_in_range_matches_linear_scan(tmp_path):
             fb.log(addr(3), [topic], b"")
     ds = fb.dataset()
 
-    got = logs_in_range(ds, 3, 7, topics=[topic_a])
-    expected = [l for l in ds.logs
-                if 3 <= l.block_number <= 7 and l.topics[0] == topic_a]
-    assert got == expected
+    got = logs_in_range(ds, 3, 7)
+    assert got == [l for l in ds.logs if 3 <= l.block_number <= 7]
     assert got == sorted(got, key=lambda l: l.position)
 
     # full range visits every log exactly once in total order

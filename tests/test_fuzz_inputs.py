@@ -4,8 +4,9 @@ A valid input set (fixtures, snapshots, bytecode, findings, prices, pools
 and attack config) is built once; each example sets one field of one file
 to a wrong-typed or out-of-range value and runs every command that reads
 that file. Malformed input must exit 1 and valid input 0; exit 2 means an
-internal error. Every leaf command runs on the valid set, in process and,
-for a few, in a fresh interpreter that shows which modules they load.
+internal error. Every leaf command runs on the valid set with exactly the
+options it takes, in process and, for a few, in a fresh interpreter that
+shows which modules they load. A bug planted in a simulation exits 2.
 """
 
 import csv
@@ -16,6 +17,7 @@ import subprocess
 import sys
 import tempfile
 
+import click
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,38 +37,51 @@ BORROWER, VICTIM, ATTACKER = addr(0xB0), addr(0x7E0), addr(0x72)
 VALUES = [7, -1, 10 ** 30, True, None, [1], {"a": 1}, "x", "0x", 1.5, "²", "9" * 5000]
 
 # {root} is the directory the inputs are written to
-SIDECARS = ["--pools", "{root}/pools.json", "--snapshots", "{root}/snap.jsonl",
-            "--prices", "{root}/prices.csv", "--config", "{root}/attack.json",
-            "--fixtures", "{root}/fixtures"]
+FIXTURES = ["--fixtures", "{root}/fixtures"]
+POOLS = ["--pools", "{root}/pools.json"]
+SNAPSHOTS = ["--snapshots", "{root}/snap.jsonl"]
+PRICES = ["--prices", "{root}/prices.csv"]
+CONFIG = ["--config", "{root}/attack.json"]
 OUT = ["--out", "{root}/out"]
-DETECT_ARB = ["detect", "arb"]
-DETECT = [DETECT_ARB, ["detect", "liq"], ["detect", "flashloan"],
-          ["detect", "sandwich", "--chain", "arbitrum"]]
-OPPORTUNITY = [[command, "--type", mev_type]
+L2 = ["--chain", "arbitrum"]
+
+# every leaf command with exactly the input options it takes
+ARGV = {
+    "decode": ["decode", *FIXTURES],
+    "detect arb": ["detect", "arb", *FIXTURES, *POOLS, *PRICES, *OUT],
+    "detect liq": ["detect", "liq", *FIXTURES, *PRICES, *OUT],
+    "detect flashloan": ["detect", "flashloan", *FIXTURES, *OUT],
+    "detect sandwich": ["detect", "sandwich", *L2, *FIXTURES, *OUT],
+    "opportunity": ["opportunity", *FIXTURES, *POOLS, *SNAPSHOTS, *OUT],
+    "compete": ["compete", *FIXTURES, *POOLS, *SNAPSHOTS, *OUT],
+    "crosslayer infer": ["crosslayer", "infer", *L2, *FIXTURES, *POOLS, *OUT],
+    "crosslayer delay": ["crosslayer", "delay", *L2, *FIXTURES, *POOLS, *OUT],
+    "crosslayer simulate": ["crosslayer", "simulate", *L2, *FIXTURES, *POOLS, *PRICES,
+                            *SNAPSHOTS, *CONFIG, *OUT],
+    # detect writes findings_*.jsonl into out/, which report then summarizes
+    "report": ["report", *OUT, *PRICES],
+    "bytecode cluster": ["bytecode", "cluster", "--bytecode", "{root}/code.jsonl", *OUT],
+}
+DETECT = [ARGV["detect arb"], ARGV["detect liq"], ARGV["detect flashloan"],
+          ARGV["detect sandwich"]]
+OPPORTUNITY = [ARGV[command] + ["--type", mev_type]
                for command in ("opportunity", "compete") for mev_type in ("arb", "liq")]
-SIMULATE = ["crosslayer", "simulate", "--chain", "arbitrum"]
-CROSSLAYER = [["crosslayer", "infer", "--chain", "arbitrum"],
-              ["crosslayer", "delay", "--chain", "arbitrum"], SIMULATE]
-# detect writes findings_*.jsonl into out/, which report then summarizes
-REPORT = ["report", *OUT, "--prices", "{root}/prices.csv"]
-REPORT_FINDINGS = ["report", "--out", "{root}/findings", "--prices", "{root}/prices.csv"]
-
-
-def _with_inputs(commands):
-    return [c + SIDECARS + OUT for c in commands]
-
+SIMULATE = ARGV["crosslayer simulate"]
+CROSSLAYER = [ARGV["crosslayer infer"], ARGV["crosslayer delay"], SIMULATE]
+REPORT = ARGV["report"]
+REPORT_FINDINGS = ["report", "--out", "{root}/findings", *PRICES]
 
 # the commands that read each input file
 COMMANDS = {
-    "fixtures/ethereum.jsonl": _with_inputs([["decode"], *DETECT[:3], *OPPORTUNITY,
-                                             *CROSSLAYER]) + [REPORT],
-    "fixtures/arbitrum.jsonl": _with_inputs([DETECT[3], *CROSSLAYER]) + [REPORT],
-    "snap.jsonl": _with_inputs([*OPPORTUNITY, SIMULATE]),
-    "pools.json": _with_inputs([DETECT_ARB, *OPPORTUNITY, *CROSSLAYER]),
-    "attack.json": _with_inputs([SIMULATE]),
-    "prices.csv": _with_inputs([DETECT_ARB, SIMULATE]) + [REPORT_FINDINGS],
+    "fixtures/ethereum.jsonl": [ARGV["decode"], *DETECT[:3], *OPPORTUNITY, *CROSSLAYER,
+                                REPORT],
+    "fixtures/arbitrum.jsonl": [DETECT[3], *CROSSLAYER, REPORT],
+    "snap.jsonl": [*OPPORTUNITY, SIMULATE],
+    "pools.json": [ARGV["detect arb"], *OPPORTUNITY, *CROSSLAYER],
+    "attack.json": [SIMULATE],
+    "prices.csv": [ARGV["detect arb"], ARGV["detect liq"], SIMULATE, REPORT_FINDINGS],
     "findings/findings_arb.jsonl": [REPORT_FINDINGS],
-    "code.jsonl": [["bytecode", "cluster", "--bytecode", "{root}/code.jsonl", *OUT]],
+    "code.jsonl": [ARGV["bytecode cluster"]],
 }
 
 
@@ -147,7 +162,7 @@ def valid_inputs():
     with tempfile.TemporaryDirectory() as tmp:
         _write_inputs(tmp, inputs)
         findings = []
-        for command in _with_inputs(DETECT):
+        for command in DETECT:
             assert _run(tmp, command) == 0, command
         for name in sorted(os.listdir(os.path.join(tmp, "out"))):
             findings += _read_jsonl(os.path.join(tmp, "out", name))
@@ -292,22 +307,25 @@ def test_decimal_past_digit_limit_exits_1(capsys):
                                        capsys)
 
 
-@pytest.mark.parametrize("option", ["--window", "--horizon"])
-def test_window_and_horizon_below_1_exit_1(option, capsys):
+@pytest.mark.parametrize("option, commands", [
+    ("--window", ["detect sandwich"]), ("--horizon", ["opportunity", "compete"])],
+    ids=["--window", "--horizon"])
+def test_window_and_horizon_below_1_exit_1(option, commands, capsys):
     with tempfile.TemporaryDirectory() as root:
         _write_inputs(root, valid_inputs())
         for value in ("0", "-3"):
-            for argv in _with_inputs([DETECT[3], OPPORTUNITY[0]]):
+            for argv in (ARGV[command] for command in commands):
                 assert _run(root, argv + [option, value]) == 1, argv
                 assert f"Invalid value for '{option}'" in capsys.readouterr().err
 
 
 # the mevlens modules a command must not load: those of the other commands
 NOT_LOADED = [
-    ([*DETECT_ARB, *SIDECARS, *OUT], {"crosslayer", "bytecode", "keccak", "opportunity"}),
-    (["decode", *SIDECARS, *OUT], {"amm", "opportunity", "crosslayer", "bytecode"}),
-    (["bytecode", "cluster", "--bytecode", "{root}/code.jsonl", *OUT],
-     {"decoding", "detectors", "amm", "opportunity", "crosslayer"}),
+    (ARGV["detect arb"], {"crosslayer", "bytecode", "keccak", "opportunity"}),
+    (ARGV["decode"], {"amm", "opportunity", "crosslayer", "bytecode"}),
+    (ARGV["bytecode cluster"], {"decoding", "detectors", "amm", "opportunity", "crosslayer"}),
+    (REPORT_FINDINGS, {"detectors", "decoding", "registry", "amm", "opportunity",
+                       "crosslayer", "bytecode"}),
 ]
 
 
@@ -330,3 +348,75 @@ def test_commands_load_only_the_modules_they_run():
             assert rc == "0", (argv, proc.stderr)
             assert "mevlens.chain_model" in loaded, argv
             assert not absent & {m.removeprefix("mevlens.") for m in loaded}, argv
+
+
+_CHAIN = {"--chain", "--from-block", "--to-block", "--fixtures"}
+# the options of each leaf command: only those it reads
+OPTION_NAMES = {
+    "decode": _CHAIN,
+    "detect arb": _CHAIN | {"--pools", "--prices", "--out"},
+    "detect liq": _CHAIN | {"--prices", "--out"},
+    "detect sandwich": _CHAIN | {"--window", "--out"},
+    "detect flashloan": _CHAIN | {"--out"},
+    "opportunity": _CHAIN | {"--type", "--pools", "--snapshots", "--horizon", "--out"},
+    "compete": _CHAIN | {"--type", "--pools", "--snapshots", "--horizon", "--out"},
+    "crosslayer infer": _CHAIN | {"--pools", "--out"},
+    "crosslayer delay": _CHAIN | {"--pools", "--out"},
+    "crosslayer simulate": _CHAIN | {"--pools", "--prices", "--snapshots", "--config", "--out"},
+    "report": {"--out", "--prices"},
+    "bytecode cluster": {"--bytecode", "--out"},
+}
+
+
+def _leaf_commands(group, path=()):
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _leaf_commands(command, path + (name,))
+        else:
+            yield " ".join(path + (name,)), command
+
+
+def test_each_command_takes_only_the_options_it_reads(capsys):
+    from mevlens.cli import cli
+    got = {name: {opt for param in command.params for opt in param.opts}
+           for name, command in _leaf_commands(cli)}
+    assert got == OPTION_NAMES
+    # ARGV hands every command each file option it takes
+    not_files = {"--chain", "--from-block", "--to-block", "--type", "--window", "--horizon"}
+    for name, argv in ARGV.items():
+        given = {a for a in argv if a.startswith("--")}
+        assert given - not_files == OPTION_NAMES[name] - not_files, name
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(root, valid_inputs())
+        for argv, message in (
+                (ARGV["detect arb"] + ["--jobs", "1"], "No such option '--jobs'"),
+                (ARGV["decode"] + ["--out", "x"], "No such option '--out'"),
+                (ARGV["detect flashloan"] + PRICES, "No such option '--prices'"),
+                (["opportunity", *FIXTURES, *POOLS], "Missing option '--snapshots'")):
+            assert _run(root, argv) == 1, argv
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err, (argv, err)
+
+
+def _bug(*args, **kwargs):
+    raise ValueError("planted bug")
+
+
+def test_bug_in_opportunity_simulation_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr("mevlens.opportunity.simulate_path", _bug)
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(root, valid_inputs())
+        assert _run(root, OPPORTUNITY[0]) == 2
+    assert "internal error: ValueError: planted bug" in capsys.readouterr().err
+
+
+def test_bug_in_attack_simulation_exits_2(monkeypatch, capsys):
+    # a StableSwap victim: constant-product victims never call swap_out
+    inputs = _mutate("pools.json", ("0x" + XL_POOL.hex(), "kind"), "stableswap")
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(root, inputs)
+        assert _run(root, SIMULATE) == 0
+        assert "1 scenarios" in capsys.readouterr().out
+        monkeypatch.setattr("mevlens.crosslayer.swap_out", _bug)
+        assert _run(root, SIMULATE) == 2
+    assert "internal error: ValueError: planted bug" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from mevlens.opportunity import (FOUND, NOT_FOUND, UNSIMULATABLE,
                                  StateProvider, block_distance_cdf,
                                  detect_competition,
                                  find_arbitrage_opportunity,
-                                 find_liquidation_opportunity, reverted_rate)
+                                 find_liquidation_opportunity)
 from conftest import make_swap
 
 A, B = addr(0xA1), addr(0xB1)
@@ -246,11 +246,11 @@ def test_state_provider_from_jsonl_rejects_malformed_row(tmp_path, name):
     assert str(exc.value).startswith(f"{path}: line 2: ")
 
 
-# --- distributions / competition / reverted rate ---
+# --- distributions / competition ---
 
 def _result(distance, status=FOUND):
     from mevlens.opportunity import OpportunityResult
-    return OpportunityResult(b"", status, b"\x01" * 32, distance)
+    return OpportunityResult(status, b"\x01" * 32, distance)
 
 
 def test_cdf_counting_oracle():
@@ -290,14 +290,19 @@ def test_competition_grouping():
     assert set(groups[0]["findings"]) == {"f1", "f2"}
 
 
-def test_reverted_rate():
-    per, agg = reverted_rate({
-        addr(1): ["success"] * 10,
-        addr(2): ["reverted"] * 39 + ["success"] * 61,
-        addr(3): [],
-    })
-    assert per[addr(1)] == 0
-    assert per[addr(2)] == Fraction(39, 100)
-    assert per[addr(3)] is None
-    assert agg == Fraction(39, 110)
-    assert reverted_rate({})[1] is None
+def test_not_found_status_names_the_horizon():
+    # no candidate swap within 5 blocks
+    ds, provider, _ = plant_arb_scenario(6)
+    r = find_arbitrage_opportunity(_finding(), ds, provider, horizon=5)
+    assert r.status == "not_found_within_5"
+    # a candidate, but the cycle stays profitable past the horizon
+    provider = StateProvider()
+    provider.add_pool(P1, 0, _balanced())
+    provider.add_pool(P2, 0, _imbalanced())
+    fb = FixtureBuilder(ETHEREUM, start_block=F - 2)
+    fb.block(number=F - 2)
+    fb.tx()
+    fb.log(P2, *enc_balancer_v1_swap(addr(0xEE), B, A, 10 ** 5, 1008 * 10 ** 2))
+    r = find_arbitrage_opportunity(_finding(), fb.dataset(), provider, horizon=5)
+    assert r.status == "not_found_within_5"
+    assert NOT_FOUND == "not_found_within_100"
