@@ -7,7 +7,7 @@ reproducible and match EVM semantics. No floating point in this module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .chain_model import _json_object, _sidecar_hex, _whole
@@ -46,7 +46,8 @@ class PoolState:
             raise UnknownToken(f"token 0x{token.hex() if isinstance(token, bytes) else token} not in pool")
 
     def with_reserves(self, reserves) -> "PoolState":
-        return replace(self, reserves=tuple(reserves))
+        return PoolState(self.kind, self.tokens, tuple(reserves), self.fee_num,
+                         self.fee_den, self.amp)
 
 
 def cp_pool(reserve0: int, reserve1: int, tokens=(b"\x00" * 20, b"\x01" * 20),

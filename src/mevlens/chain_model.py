@@ -134,35 +134,50 @@ def _raise_not_utf8(path, exc: UnicodeDecodeError):
     raise exc
 
 
+def _lines(path):
+    """Yield (line number, stripped text) for each non-blank line of a
+    text file, counting lines as text mode does (LF, CRLF and a lone CR
+    each end one). A line that is not UTF-8 raises MalformedRecord with
+    the file and the line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for line, raw in enumerate(fh, 1):
+                raw = raw.strip()
+                if raw:
+                    yield line, raw
+        except UnicodeDecodeError as exc:
+            _raise_not_utf8(path, exc)
+
+
+def _json_line(path, line, raw, parse):
+    """``parse(obj)`` for one line that must hold one JSON object; a line
+    that does not, or whose ``parse`` raises MalformedRecord, raises
+    MalformedRecord with the file and the line."""
+    # ValueError covers JSONDecodeError and integers past int's digit
+    # limit; RecursionError, arrays or objects nested too deep
+    try:
+        obj = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedRecord(line, f"invalid JSON: {exc}", path) from None
+    if not isinstance(obj, dict):
+        raise MalformedRecord(line, "record must be a JSON object", path)
+    try:
+        return parse(obj)
+    except MalformedRecord as exc:
+        raise MalformedRecord(line, exc.reason, path) from None
+
+
 def read_jsonl(path, parse):
     """Yield ``parse(obj)`` for each non-blank line of a JSONL file; every
-    line-based input (fixtures, snapshots, bytecode, findings) is read here.
+    line-based input (fixtures, snapshots, bytecode, findings) is framed
+    by ``_lines`` and parsed by ``_json_line``.
 
     A line that is not UTF-8 or not one JSON object, or whose ``parse``
     raises MalformedRecord, raises MalformedRecord with the file and the
     line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for line, raw in enumerate(fh, 1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                # ValueError covers JSONDecodeError and integers past int's
-                # digit limit; RecursionError, arrays or objects nested too deep
-                try:
-                    obj = json.loads(raw)
-                except (ValueError, RecursionError) as exc:
-                    raise MalformedRecord(line, f"invalid JSON: {exc}", path) from None
-                if not isinstance(obj, dict):
-                    raise MalformedRecord(line, "record must be a JSON object", path)
-                try:
-                    record = parse(obj)
-                except MalformedRecord as exc:
-                    raise MalformedRecord(line, exc.reason, path) from None
-                yield record
-        except UnicodeDecodeError as exc:
-            _raise_not_utf8(path, exc)
+    for line, raw in _lines(path):
+        yield _json_line(path, line, raw, parse)
 
 
 def _json_object(path) -> dict:
@@ -267,21 +282,26 @@ def _timestamp(obj, key):
         None, f"{key} must be an integer in [0, {_MAX_TIMESTAMP}], got {value!r}")
 
 
-def _hex_memo():
-    """A ``_hexstr`` for fixed-length values that checks each distinct
-    string once and then returns the same bytes object for it. The memo
-    keys on the string alone, so a hit must also have the asked length; a
-    string seen at one length and asked at another falls through to
-    ``_hexstr``, which raises."""
-    memo = {}
+class _HexMemo(dict):
+    """One load's fixed-length hex strings, each checked once and then
+    shared as one bytes object by both parsing paths.
 
-    def hexstr(value, length, what):
-        raw = memo.get(value) if type(value) is str else None
-        if raw is None or len(raw) != length:
-            raw = memo[value] = _hexstr(value, length, what)
+    ``check`` is a ``_hexstr`` for the json path. The memo keys on the
+    string alone, so a hit must also have the asked length; a string seen
+    at one length and asked at another falls through to ``_hexstr``,
+    which raises. ``memo[value]`` is for a string that a canonical
+    pattern matched, which is lowercase hex of the one length its field
+    takes."""
+
+    def __missing__(self, value):
+        raw = self[value] = bytes.fromhex(value[2:])
         return raw
 
-    return hexstr
+    def check(self, value, length, what):
+        raw = self.get(value) if type(value) is str else None
+        if raw is None or len(raw) != length:
+            raw = self[value] = _hexstr(value, length, what)
+        return raw
 
 
 def _hex_list(obj, key, what, hexstr):
@@ -347,23 +367,120 @@ def _parse_record(obj, hexstr):
     return kind, parse(obj, hexstr)
 
 
+# dump_fixture's exact layout, one pattern per kind. Every line a pattern
+# matches is one the json path accepts, and the record built from the
+# match is the one the json path builds; every other line, valid or not,
+# takes the json path, which alone rejects. Integers are bounded so int()
+# never meets its digit limit.
+_TX_STATUS = {s.value: s for s in TxStatus}
+_H20 = r'"(0x[0-9a-f]{40})"'
+_H32 = r'"(0x[0-9a-f]{64})"'
+_WORDS = r'(?:"0x[0-9a-f]{64}",)'
+_INT = r"(0|[1-9][0-9]{0,17})"
+_DEC = r'"(0|[1-9][0-9]{0,77})"'
+_CHAIN = '"(' + "|".join(CHAINS) + ')"'
+_CANONICAL_BLOCK = re.compile(
+    r'\{"kind":"block","chain":' + _CHAIN + ',"number":' + _INT + ',"timestamp":' + _INT
+    + r',"tx_hashes":\[(' + _WORDS + r'*"0x[0-9a-f]{64}")?\]\}')
+_CANONICAL_TX = re.compile(
+    r'\{"kind":"tx","hash":' + _H32 + ',"block_number":' + _INT + ',"tx_index":' + _INT
+    + ',"from":' + _H20 + '(?:,"to":' + _H20 + ')?,"fee_paid":' + _DEC
+    + ',"builder_payment":' + _DEC + ',"status":"(' + "|".join(_TX_STATUS) + r')"\}')
+_CANONICAL_LOG = re.compile(
+    r'\{"kind":"log","chain":' + _CHAIN + ',"address":' + _H20
+    + r',"topics":\[(' + _WORDS + r'{0,3}"0x[0-9a-f]{64}")\],"data":"0x((?:[0-9a-f]{64})*)"'
+    + ',"block_number":' + _INT + ',"tx_index":' + _INT + ',"log_index":' + _INT
+    + ',"tx_hash":' + _H32 + r'\}')
+
+
+def _matched_words(text, memo) -> tuple:
+    """The 32-byte words of a matched '"0x..","0x.."' list body."""
+    if text is None:
+        return ()
+    return tuple([memo[w] for w in text[1:-1].split('","')])
+
+
+def _canonical_block(groups, memo) -> Optional[BlockRecord]:
+    chain, number, timestamp, tx_hashes = groups
+    timestamp = int(timestamp)
+    if timestamp > _MAX_TIMESTAMP:
+        return None
+    return BlockRecord(CHAINS[chain], int(number), timestamp,
+                       _matched_words(tx_hashes, memo))
+
+
+def _canonical_tx(groups, memo) -> TxRecord:
+    tx_hash, block, index, sender, to, fee, payment, status = groups
+    return TxRecord(memo[tx_hash], int(block), int(index), memo[sender],
+                    None if to is None else memo[to],
+                    int(fee), int(payment), _TX_STATUS[status])
+
+
+def _canonical_log(groups, memo) -> EventLog:
+    chain, address, topics, data, block, tx_index, log_index, tx_hash = groups
+    return EventLog(CHAINS[chain], memo[address], _matched_words(topics, memo),
+                    bytes.fromhex(data), int(block), int(tx_index), int(log_index),
+                    memo[tx_hash])
+
+
+# most frequent kind first
+_CANONICAL = (("log", _CANONICAL_LOG.fullmatch, _canonical_log),
+              ("tx", _CANONICAL_TX.fullmatch, _canonical_tx),
+              ("block", _CANONICAL_BLOCK.fullmatch, _canonical_block))
+
+
+def _canonical_record(raw, memo):
+    """(kind, record) for a line in dump_fixture's exact layout; None for
+    any other line."""
+    for kind, fullmatch, build in _CANONICAL:
+        m = fullmatch(raw)
+        if m is not None:
+            record = build(m.groups(), memo)
+            return None if record is None else (kind, record)
+    return None
+
+
+def _in_key_order(records, keys, what, path) -> list:
+    """``records`` sorted by their ``keys``; DuplicateKey names the first
+    key that repeats, in file order."""
+    by_key = dict(zip(keys, records))
+    if len(by_key) < len(records):
+        seen = set()
+        for key in keys:
+            if key in seen:
+                raise DuplicateKey(f"{path}: {what} coordinates {key}")
+            seen.add(key)
+    return [by_key[key] for key in sorted(by_key)]
+
+
 def load_fixture(path) -> ChainDataset:
     """Parse one chain's JSONL fixture, validating ordering invariants.
 
-    Rejects the whole file on the first malformed record, ordering
-    violation, or duplicate coordinate; every error names the file.
+    A line in ``dump_fixture``'s layout is built straight from one
+    compiled match; any other line goes through ``json`` and the record
+    parsers, and loads to the same record. Rejects the whole file on the
+    first malformed record, ordering violation, or duplicate coordinate;
+    every error names the file.
     """
     records = {kind: [] for kind in _PARSERS}
-    hexstr = _hex_memo()
-    for kind, record in read_jsonl(path, lambda obj: _parse_record(obj, hexstr)):
+    memo = _HexMemo()
+
+    def parse(obj):
+        return _parse_record(obj, memo.check)
+
+    for line, raw in _lines(path):
+        parsed = _canonical_record(raw, memo)
+        if parsed is None:
+            parsed = _json_line(path, line, raw, parse)
+        kind, record = parsed
         records[kind].append(record)
     blocks, txs, logs = records["block"], records["tx"], records["log"]
 
-    chains = {b.chain for b in blocks} | {l.chain for l in logs}
-    if len(chains) > 1:
-        raise MalformedRecord(
-            None, f"fixture mixes chains: {sorted(c.name for c in chains)}", path)
-    chain = next(iter(chains)) if chains else None
+    names = {b.chain.name for b in blocks}
+    names.update([l.chain.name for l in logs])
+    if len(names) > 1:
+        raise MalformedRecord(None, f"fixture mixes chains: {sorted(names)}", path)
+    chain = CHAINS[names.pop()] if names else None
 
     for prev, cur in zip(blocks, blocks[1:]):
         if cur.number <= prev.number:
@@ -372,21 +489,9 @@ def load_fixture(path) -> ChainDataset:
             raise OrderingViolation(f"{path}: timestamp decreases at block {cur.number}: "
                                     f"{prev.timestamp} -> {cur.timestamp}")
 
-    seen_tx = set()
-    for t in txs:
-        key = (t.block_number, t.tx_index)
-        if key in seen_tx:
-            raise DuplicateKey(f"{path}: tx coordinates {key}")
-        seen_tx.add(key)
-
-    seen_log = set()
-    for l in logs:
-        if l.position in seen_log:
-            raise DuplicateKey(f"{path}: log coordinates {l.position}")
-        seen_log.add(l.position)
-    logs.sort(key=lambda l: l.position)
-    txs.sort(key=lambda t: (t.block_number, t.tx_index))
-
+    txs = _in_key_order(txs, [(t.block_number, t.tx_index) for t in txs], "tx", path)
+    logs = _in_key_order(
+        logs, [(l.block_number, l.tx_index, l.log_index) for l in logs], "log", path)
     return ChainDataset(chain=chain, blocks=blocks, txs=txs, logs=logs)
 
 

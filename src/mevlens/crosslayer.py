@@ -20,7 +20,7 @@ from .chain_model import (_DECIMAL_FRACTION, ChainDataset, ChainId, ZKSYNC, _dec
                           _json_object, _whole, group_logs_by_tx)
 from .decoding import TransferAction, decode_logs
 from .detectors import WEI
-from .errors import EmptyInput, Infeasible, MalformedRecord, MevlensError
+from .errors import EmptyInput, Infeasible, InvalidScenario, MalformedRecord, MevlensError
 from .registry import Category
 from .reporting import summary_stats
 
@@ -92,6 +92,11 @@ class AttackScenario:
     capital_eth: Optional[Fraction] = None          # None = unbounded
     token_in_price_eth: Fraction = Fraction(1)      # ETH per 10^18 base units
     reaction_time_s: int = DEFAULT_REACTION_TIME_S
+
+    def __post_init__(self):
+        if not self.token_in_price_eth > 0:
+            raise InvalidScenario(
+                f"token_in_price_eth must be positive, got {self.token_in_price_eth!r}")
 
 
 @dataclass(frozen=True)

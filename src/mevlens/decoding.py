@@ -57,7 +57,7 @@ def _require_slots(log: EventLog, n: int):
 
 # --- typed actions ---
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwapAction:
     venue: bytes
     token_in: bytes
@@ -68,7 +68,7 @@ class SwapAction:
     tx_hash: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferAction:
     token: bytes
     sender: bytes
@@ -78,7 +78,7 @@ class TransferAction:
     tx_hash: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiquidationAction:
     protocol: str  # aave_v1 | aave_v2v3 | compound_v2
     liquidator: bytes
@@ -94,7 +94,7 @@ class LiquidationAction:
         return replace(self, collateral_token=token, collateral_amount=amount)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlashLoanAction:
     provider: str  # aave_v1 | aave_v2 | aave_v3 | balancer
     token: bytes
@@ -103,7 +103,7 @@ class FlashLoanAction:
     tx_hash: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleUpdateAction:
     feed: bytes
     new_answer: int
@@ -111,7 +111,7 @@ class OracleUpdateAction:
     tx_hash: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BridgeMessageAction:
     direction: str  # l1_emit | l2_execute
     rollup: ChainId

@@ -76,6 +76,11 @@ class Infeasible(MevlensError):
     pass
 
 
+class InvalidScenario(MevlensError):
+    """An attack scenario that cannot be priced: a token price that is
+    not positive. Not an Infeasible, which capital_sweep skips."""
+
+
 # --- stats ---
 
 class EmptyInput(MevlensError):

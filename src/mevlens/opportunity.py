@@ -137,21 +137,11 @@ def _snapshot(obj: dict, pools_meta):
     raise MalformedRecord(None, f"unknown snapshot kind {kind!r}")
 
 
-def _cycle_path(finding: ArbitrageFinding):
-    return [PathHop(s.venue, s.token_in, s.token_out) for s in finding.cycle]
-
-
-def _simulated_profit(finding: ArbitrageFinding, provider: StateProvider,
-                      block: int) -> Optional[int]:
-    """Replay the cycle over pool states at `block`; profit in units of the
-    cycle's entry token. None when any pool state is missing."""
-    path = _cycle_path(finding)
-    pools = {}
-    for hop in path:
-        state = provider.pool_state(hop.pool_key, block)
-        if state is None:
-            return None
-        pools[hop.pool_key] = state
+def _simulated_profit(finding: ArbitrageFinding, path, states) -> Optional[int]:
+    """Replay the cycle over the pool state of each hop of ``path``;
+    profit in units of the cycle's entry token, None when the replay
+    fails."""
+    pools = {hop.pool_key: state for hop, state in zip(path, states)}
     amount_in = finding.cycle[0].amount_in
     try:
         final, _ = simulate_path(pools, path, amount_in)
@@ -214,9 +204,21 @@ def find_arbitrage_opportunity(finding: ArbitrageFinding, dataset: ChainDataset,
     if not candidates:
         return OpportunityResult(_not_found(horizon))
 
+    path = [PathHop(s.venue, s.token_in, s.token_out) for s in finding.cycle]
+    verdicts: dict = {}  # pool states along the path -> is_open verdict
+
     def is_open(block):
-        profit = _simulated_profit(finding, provider, block)
-        return None if profit is None else profit > 0
+        states = []
+        for hop in path:
+            state = provider.pool_state(hop.pool_key, block)
+            if state is None:
+                return None
+            states.append(state)
+        states = tuple(states)
+        if states not in verdicts:
+            profit = _simulated_profit(finding, path, states)
+            verdicts[states] = None if profit is None else profit > 0
+        return verdicts[states]
 
     return _walk_backward(finding_block, horizon, candidates, is_open)
 

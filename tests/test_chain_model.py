@@ -4,8 +4,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mevlens.chain_model import (ETHEREUM, ChainDataset, dump_fixture, load_fixture,
-                                 logs_in_range, to_hex)
+from mevlens.chain_model import (CHAINS, ETHEREUM, ChainDataset, _canonical_record,
+                                 _HexMemo, _MAX_TIMESTAMP, _parse_record, dump_fixture,
+                                 load_fixture, logs_in_range, read_jsonl, to_hex)
 from mevlens.cli import main
 from mevlens.errors import (DuplicateKey, InvalidRange, MalformedRecord,
                             OrderingViolation)
@@ -395,3 +396,130 @@ def test_non_utf8_line_names_file_and_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"error: {path}: line {line}: not UTF-8: " in err, name
         assert "internal error" not in err and "Traceback" not in err
+
+
+# --- the canonical-line recognizer against the json path ---
+
+@st.composite
+def fixture_datasets(draw):
+    """Random datasets over every field the canonical layout varies: 1-4
+    topics, empty and multi-word data, uint256 amounts, a set or unset
+    ``to``, both statuses and all four chains."""
+    fb = FixtureBuilder(draw(st.sampled_from(list(CHAINS.values()))),
+                        start_block=draw(st.integers(0, 10 ** 12)),
+                        start_timestamp=draw(st.integers(0, _MAX_TIMESTAMP - 100)))
+    amounts = st.integers(0, 2 ** 256 - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        fb.block()
+        for _ in range(draw(st.integers(1, 3))):
+            fb.tx(sender=addr(draw(st.integers(0, 2 ** 160 - 1))),
+                  to=draw(st.none() | st.integers(0, 2 ** 160 - 1).map(addr)),
+                  fee=draw(amounts), builder_payment=draw(amounts),
+                  status=draw(st.sampled_from(["success", "reverted"])),
+                  tx_hash=draw(st.binary(min_size=32, max_size=32)))
+            for _ in range(draw(st.integers(0, 3))):
+                topics = draw(st.lists(st.binary(min_size=32, max_size=32),
+                                       min_size=1, max_size=4))
+                words = draw(st.integers(0, 3))
+                fb.log(addr(draw(st.integers(0, 2 ** 160 - 1))), topics,
+                       draw(st.binary(min_size=32 * words, max_size=32 * words)))
+    return fb.dataset()
+
+
+@settings(max_examples=60, deadline=None)
+@given(dataset=fixture_datasets())
+def test_recognizer_takes_every_canonical_line(tmp_path_factory, dataset):
+    """Every line dump_fixture writes takes the compiled path, none of its
+    json.dumps(sort_keys=True) twin's lines does, and both files load to
+    the dataset."""
+    tmp = tmp_path_factory.mktemp("twin")
+    canonical, twin = tmp / "canonical.jsonl", tmp / "twin.jsonl"
+    dump_fixture(dataset, canonical)
+    lines = canonical.read_text().splitlines()
+    twin_lines = [json.dumps(json.loads(line), sort_keys=True) for line in lines]
+    twin.write_text("".join(line + "\n" for line in twin_lines))
+    memo = _HexMemo()
+    assert all(_canonical_record(line, memo) is not None for line in lines)
+    assert all(_canonical_record(line, memo) is None for line in twin_lines)
+    assert load_fixture(canonical) == load_fixture(twin) == dataset
+
+
+def _recognizer_fixture():
+    fb = FixtureBuilder(ETHEREUM)
+    fb.block()
+    fb.tx(to=addr(0x99), fee=7, tx_hash=bytes(range(32)))
+    fb.log(addr(0xAB), *enc_transfer(addr(1), addr(2), 5))
+    return fb.dataset()
+
+
+def _outcome(load, path):
+    """The records a loader returns, in file order, or the (line, reason)
+    it rejects the file with."""
+    try:
+        return load(path)
+    except MalformedRecord as exc:
+        return exc.line, exc.reason
+
+
+def _load_records(path):
+    ds = load_fixture(path)
+    return ds.blocks + ds.txs + ds.logs
+
+
+def _json_path_records(path):
+    memo = _HexMemo()
+    return [record for _, record in
+            read_jsonl(path, lambda obj: _parse_record(obj, memo.check))]
+
+
+def test_recognizer_mutations_match_json_path(tmp_path):
+    """One-line mutations of a canonical block, tx and log: load_fixture
+    gives the record or the (line, reason) that the json path alone
+    gives."""
+    ds = _recognizer_fixture()
+    path = tmp_path / "canonical.jsonl"
+    dump_fixture(ds, path)
+    block, tx, log = path.read_text().splitlines()
+    address, topic = to_hex(ds.logs[0].address), to_hex(ds.logs[0].topics[0])
+    data = to_hex(ds.logs[0].data)
+    assert tx.count('"hash":"0x00') == 1 and '"to":"0x' in tx
+    mutations = {
+        "uppercase_hex": (2, log.replace(address, "0x" + address[2:].upper())),
+        "address_19_bytes": (2, log.replace(address, address[:-2])),
+        "address_21_bytes": (2, log.replace(address, address + "00")),
+        "no_topics": (2, re.sub(r'"topics":\[[^]]*\]', '"topics":[]', log)),
+        "five_topics": (2, re.sub(r'"topics":\[[^]]*\]',
+                                  '"topics":[' + ",".join([f'"{topic}"'] * 5) + "]", log)),
+        "data_31_bytes": (2, log.replace(data, data[:-2])),
+        "block_number_leading_zero": (1, tx.replace('"block_number":1,',
+                                                    '"block_number":01,')),
+        "fee_leading_zeros": (1, tx.replace('"fee_paid":"7"', '"fee_paid":"007"')),
+        "fee_5000_digits": (1, tx.replace('"fee_paid":"7"', '"fee_paid":"' + "9" * 5000 + '"')),
+        "to_null": (1, re.sub(r'"to":"0x[0-9a-f]*"', '"to":null', tx)),
+        "no_status": (1, tx.replace(',"status":"success"', "")),
+        "chain_capitalized": (0, block.replace('"ethereum"', '"Ethereum"')),
+        "timestamp_past_max": (0, re.sub(r'"timestamp":[0-9]+',
+                                         f'"timestamp":{_MAX_TIMESTAMP + 1}', block)),
+        "escaped_digit_in_hash": (1, tx.replace('"hash":"0x00', '"hash":"0x\\u00300')),
+        "trailing_tab": (2, log + "\t"),
+        "nul_in_hex": (2, log.replace(address, address[:10] + "\0" + address[10:])),
+        "line_separator_in_hex": (2, log.replace(address,
+                                                 address[:10] + "\u2028" + address[10:])),
+    }
+    assert all(mutated != [block, tx, log][i] for i, mutated in mutations.values())
+    contents = {name: "".join(line + "\n" for line in
+                              [block, tx, log][:i] + [mutated] + [block, tx, log][i + 1:]
+                              ).encode()
+                for name, (i, mutated) in mutations.items()}
+    canonical = path.read_bytes()
+    contents["crlf"] = canonical.replace(b"\n", b"\r\n")
+    contents["bom"] = b"\xef\xbb\xbf" + canonical
+    rejected = 0
+    for name, content in contents.items():
+        mutated = tmp_path / f"{name}.jsonl"
+        mutated.write_bytes(content)
+        expected = _outcome(_json_path_records, mutated)
+        assert _outcome(_load_records, mutated) == expected, name
+        rejected += isinstance(expected, tuple)
+    assert 0 < rejected < len(contents)
+    assert _load_records(path) == _json_path_records(path) == ds.blocks + ds.txs + ds.logs

@@ -16,7 +16,8 @@ from mevlens.crosslayer import (AttackScenario, CostModel, CrossLayerLink,
                                 simulate_strategy, victim_realized_out,
                                 _sandwich_gross)
 from mevlens.amm import load_pool_metadata
-from mevlens.errors import EmptyInput, Infeasible, MalformedRecord, MevlensError
+from mevlens.errors import (EmptyInput, Infeasible, InvalidScenario, MalformedRecord,
+                            MevlensError)
 from conftest import (XL_DELAYS, XL_POOL, XL_TA, XL_TB, build_crosslayer_fixture,
                       build_victim_scenarios, xl_pools_meta)
 from test_opportunity import malformed_snapshots, pool_row
@@ -154,6 +155,21 @@ def _scenario(pool, victim, strategy=S2, capital=None, costs=COSTS):
     return AttackScenario(strategy=strategy, victim=victim, pool_state=pool,
                           costs=costs, capital_eth=capital,
                           token_in_price_eth=Fraction(10 ** 12))
+
+
+def test_scenario_rejects_non_positive_price():
+    """The frontrun size divides by the price, and capital_sweep skips an
+    Infeasible scenario, so a price that is not positive is rejected at
+    construction with another error, and the sweep does not drop it."""
+    pool = cp_pool(10 ** 6, 10 ** 6, tokens=(XL_TA, XL_TB))
+    for price in (Fraction(0), Fraction(-1)):
+        with pytest.raises(InvalidScenario):
+            AttackScenario(strategy=S1, victim=_victim(), pool_state=pool, costs=COSTS,
+                           capital_eth=Fraction(1), token_in_price_eth=price)
+        with pytest.raises(InvalidScenario):
+            capital_sweep([{"victim": _victim(), "pool_state": pool,
+                            "token_in_price_eth": price, "eth_usd": Fraction(2000)}], COSTS)
+    assert not issubclass(InvalidScenario, Infeasible)
 
 
 def test_zero_slippage_victim_unattackable():

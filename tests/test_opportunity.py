@@ -4,18 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from mevlens.amm import PoolInfo, cp_pool
+from mevlens import opportunity
+from mevlens.amm import PathHop, PoolInfo, cp_pool, simulate_path
 from mevlens.chain_model import ETHEREUM
-from mevlens.detectors import ArbitrageFinding, LiquidationFinding
-from mevlens.decoding import LiquidationAction
-from mevlens.errors import MalformedRecord
+from mevlens.detectors import (ArbitrageFinding, LiquidationFinding, detect_arbitrages,
+                               extract_swaps)
+from mevlens.decoding import LiquidationAction, decode_swap
+from mevlens.errors import MalformedRecord, MevlensError
 from mevlens.fixtures import FixtureBuilder, addr, enc_answer_updated, enc_balancer_v1_swap
-from mevlens.opportunity import (FOUND, NOT_FOUND, UNSIMULATABLE,
+from mevlens.opportunity import (DEFAULT_HORIZON, FOUND, NOT_FOUND, UNSIMULATABLE,
+                                 OpportunityResult,
                                  StateProvider, block_distance_cdf,
                                  detect_competition,
                                  find_arbitrage_opportunity,
                                  find_liquidation_opportunity)
-from conftest import make_swap
+from conftest import (TOKEN_A, TOKEN_B, TOKEN_C, VENUE_1, VENUE_2, VENUE_3, VENUE_4,
+                      build_planted_arb_dataset, make_swap)
 
 A, B = addr(0xA1), addr(0xB1)
 P1, P2 = addr(0xD1), addr(0xD2)
@@ -306,3 +310,78 @@ def test_not_found_status_names_the_horizon():
     r = find_arbitrage_opportunity(_finding(), fb.dataset(), provider, horizon=5)
     assert r.status == "not_found_within_5"
     assert NOT_FOUND == "not_found_within_100"
+
+
+# --- the walk's per-state-set memo against a fresh simulation per block ---
+
+def _literal_walk(finding, dataset, provider, horizon=DEFAULT_HORIZON):
+    """find_arbitrage_opportunity written out block by block, simulating
+    every block afresh; returns the result and the pool states of every
+    block it simulated."""
+    finding_block = finding.cycle[0].position[0]
+    venues = {s.venue for s in finding.cycle}
+    candidates = {}
+    for log in dataset.logs:
+        if (finding_block - horizon <= log.block_number < finding_block
+                and log.address in venues and decode_swap(log) is not None):
+            candidates.setdefault(log.block_number, log.tx_hash)
+    if not candidates:
+        return OpportunityResult(f"not_found_within_{horizon}"), []
+    path = [PathHop(s.venue, s.token_in, s.token_out) for s in finding.cycle]
+    amount_in = finding.cycle[0].amount_in
+    simulated = []
+    last_open = None
+    for block in range(finding_block - 1, max(finding_block - horizon - 2, -1), -1):
+        states = tuple(provider.pool_state(hop.pool_key, block) for hop in path)
+        if any(state is None for state in states):
+            return OpportunityResult(UNSIMULATABLE), simulated
+        simulated.append(states)
+        pools = {hop.pool_key: state for hop, state in zip(path, states)}
+        try:
+            final, _ = simulate_path(pools, path, amount_in)
+        except MevlensError:
+            return OpportunityResult(UNSIMULATABLE), simulated
+        if final <= amount_in:
+            if last_open is None:
+                return OpportunityResult(FOUND, None, 0, approximate=True), simulated
+            tx = candidates.get(last_open)
+            return (OpportunityResult(FOUND, tx, finding_block - last_open,
+                                      approximate=tx is None), simulated)
+        if block >= finding_block - horizon:
+            last_open = block
+    return OpportunityResult(f"not_found_within_{horizon}"), simulated
+
+
+def test_walk_simulates_each_distinct_state_set_once(monkeypatch):
+    """Snapshots at every block, equal but separate objects, alternate
+    between two profitable tilts from block 5 on: each finding's walk
+    agrees with the literal walk and simulates each distinct set once."""
+    ds, _ = build_planted_arb_dataset()
+    provider = StateProvider()
+    for b in range(30):
+        tilt = 10 ** 6 * (1 + b % 2) if b >= 5 else 0
+        for venue, tokens, reserves in (
+                (VENUE_1, (TOKEN_A, TOKEN_B), (10 ** 6, 10 ** 6)),
+                (VENUE_2, (TOKEN_A, TOKEN_B), (10 ** 6 + tilt, 10 ** 6)),
+                (VENUE_3, (TOKEN_B, TOKEN_C), (10 ** 6, 10 ** 6)),
+                (VENUE_4, (TOKEN_B, TOKEN_C), (10 ** 6 + tilt, 10 ** 6))):
+            provider.add_pool(venue, b, cp_pool(*reserves, tokens=tokens, fee_num=0,
+                                                fee_den=1))
+    calls = []
+
+    def counting(pools, path, amount_in):
+        calls.append(amount_in)
+        return simulate_path(pools, path, amount_in)
+
+    monkeypatch.setattr(opportunity, "simulate_path", counting)
+    results, repeats = [], 0
+    for finding in detect_arbitrages(extract_swaps(ds)):
+        expected, simulated = _literal_walk(finding, ds, provider)
+        calls.clear()
+        assert find_arbitrage_opportunity(finding, ds, provider) == expected
+        assert len(calls) == len(set(simulated))
+        repeats += len(simulated) - len(set(simulated))
+        results.append(expected)
+    assert repeats > 100
+    assert {r.status for r in results} == {FOUND, UNSIMULATABLE, NOT_FOUND}
+    assert any(r.block_distance for r in results) and any(r.approximate for r in results)
