@@ -9,6 +9,7 @@ strings so values above 64 bits survive round-trips.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from bisect import bisect_left, bisect_right
@@ -462,6 +463,20 @@ def load_fixture(path) -> ChainDataset:
     first malformed record, ordering violation, or duplicate coordinate;
     every error names the file.
     """
+    # The records and their key tuples form no reference cycles, yet each
+    # allocation counts toward the cyclic collector, which would rescan
+    # the growing heap again and again; pause it for the load, and restore
+    # the caller's setting however the load ends.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_fixture(path)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _load_fixture(path) -> ChainDataset:
     records = {kind: [] for kind in _PARSERS}
     memo = _HexMemo()
 

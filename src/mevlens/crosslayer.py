@@ -387,27 +387,44 @@ def _max_input_within_slippage(pool: PoolState, victim: VictimSwap) -> int:
     return lo
 
 
-def optimal_frontrun(scenario: AttackScenario):
+class _VictimSizing:
+    """What sizing one victim's frontrun needs that no capital bound
+    changes: the victim with its slippage floor, the largest frontrun
+    that keeps the victim within it (``x_slip``), and the x -> gross
+    profit cache. Raises Infeasible when the victim trade cannot execute
+    or its floor is violated with no frontrun."""
+
+    def __init__(self, pool: PoolState, victim: VictimSwap):
+        if victim.min_amount_out is None:
+            quote = victim_realized_out(pool, victim, 0)
+            if quote is None:
+                raise Infeasible("victim trade cannot execute on the given pool")
+            min_out = quote - quote * DEFAULT_SLIPPAGE.numerator // DEFAULT_SLIPPAGE.denominator
+            victim = replace(victim, min_amount_out=min_out, assumed_slippage=True)
+        self.victim = victim
+        self.x_slip = _max_input_within_slippage(pool, victim)
+        self.gross: dict = {}
+
+    def x_max(self, scenario: AttackScenario) -> int:
+        """The largest frontrun the scenario's capital and the slippage
+        floor allow."""
+        if scenario.capital_eth is None:
+            return self.x_slip
+        capital_units = int(scenario.capital_eth * WEI / scenario.token_in_price_eth)
+        return min(self.x_slip, capital_units)
+
+
+def optimal_frontrun(scenario: AttackScenario, sizing: Optional[_VictimSizing] = None):
     """Profit-maximizing integer frontrun size via ternary search with an
     exact scan of the final interval. Returns (x, gross profit in token_in
-    units)."""
-    victim = scenario.victim.swap
+    units). ``sizing`` is the victim's ``_VictimSizing`` when one victim
+    is sized under several capital bounds; it is built here otherwise."""
     pool = scenario.pool_state
-    if victim.min_amount_out is None:
-        quote = victim_realized_out(pool, victim, 0)
-        if quote is None:
-            raise Infeasible("victim trade cannot execute on the given pool")
-        min_out = quote - quote * DEFAULT_SLIPPAGE.numerator // DEFAULT_SLIPPAGE.denominator
-        victim = replace(victim, min_amount_out=min_out, assumed_slippage=True)
-
-    x_slip = _max_input_within_slippage(pool, victim)
-    if scenario.capital_eth is not None:
-        capital_units = int(scenario.capital_eth * WEI / scenario.token_in_price_eth)
-        x_max = min(x_slip, capital_units)
-    else:
-        x_max = x_slip
-
-    cache: dict = {}
+    if sizing is None:
+        sizing = _VictimSizing(pool, scenario.victim.swap)
+    victim = sizing.victim
+    x_max = sizing.x_max(scenario)
+    cache = sizing.gross
 
     def g(x):
         if x not in cache:
@@ -471,27 +488,34 @@ def capital_sweep(victim_scenarios, costs: CostModel,
     Returns {strategy: {tier: {count, total, max, mean, median, min}}} with
     profits in USD; statistics over profitable victims only.
     """
-    # the gross sandwich gain depends only on (victim, pool, capital), so
-    # size the frontrun once per tier and reuse it across strategies
+    # the gross sandwich gain depends only on (victim, pool, frontrun
+    # bound): resolve the slippage floor, x_slip and the x -> gross cache
+    # once per victim, search once per distinct bound min(x_slip, capital),
+    # and reuse the result across tiers and strategies
     gains = {}
-    for tier in tiers_usd:
-        for i, vs in enumerate(victim_scenarios):
-            eth_usd = vs["eth_usd"]
-            capital_eth = None if tier is None else Fraction(tier) / eth_usd
-            scenario = AttackScenario(
-                strategy=S1,
-                victim=vs["victim"],
-                pool_state=vs["pool_state"],
-                costs=costs,
-                capital_eth=capital_eth,
-                token_in_price_eth=vs["token_in_price_eth"],
-                reaction_time_s=reaction_time_s,
-            )
-            try:
-                _, gross_tokens = optimal_frontrun(scenario)
-            except Infeasible:
-                continue
-            gains[tier, i] = Fraction(gross_tokens, WEI) * vs["token_in_price_eth"]
+    for i, vs in enumerate(victim_scenarios):
+        eth_usd = vs["eth_usd"]
+        # built first: a price that is not positive is rejected even for a
+        # victim that turns out infeasible
+        scenarios = {tier: AttackScenario(
+            strategy=S1,
+            victim=vs["victim"],
+            pool_state=vs["pool_state"],
+            costs=costs,
+            capital_eth=None if tier is None else Fraction(tier) / eth_usd,
+            token_in_price_eth=vs["token_in_price_eth"],
+            reaction_time_s=reaction_time_s,
+        ) for tier in tiers_usd}
+        try:
+            sizing = _VictimSizing(vs["pool_state"], vs["victim"].swap)
+        except Infeasible:
+            continue
+        searched = {}   # x_max -> (x, gross tokens)
+        for tier, scenario in scenarios.items():
+            x_max = sizing.x_max(scenario)
+            if x_max not in searched:
+                searched[x_max] = optimal_frontrun(scenario, sizing)
+            gains[tier, i] = Fraction(searched[x_max][1], WEI) * vs["token_in_price_eth"]
     table = {}
     for strategy in STRATEGIES:
         table[strategy] = {}

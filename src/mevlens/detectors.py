@@ -7,6 +7,7 @@ reporting concern.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -233,6 +234,15 @@ def liquidation_profit(finding: LiquidationFinding, prices: PriceProvider,
 
 # --- sandwiches ---
 
+def _by_position(transfers, key):
+    """Position-sorted transfers grouped by ``key``: {key: (transfers,
+    their positions)}, the positions for bisecting."""
+    groups: dict = {}
+    for t in transfers:
+        groups.setdefault(key(t), []).append(t)
+    return {k: (ts, [t.position for t in ts]) for k, ts in groups.items()}
+
+
 def detect_sandwiches(transfers: Sequence[TransferAction], chain: ChainId,
                       window: int = 100):
     """Find (front, victim+, back) transfer patterns.
@@ -240,46 +250,50 @@ def detect_sandwiches(transfers: Sequence[TransferAction], chain: ChainId,
     L1 searches within single blocks; L2 uses sliding windows of ``window``
     consecutive blocks with stride one, deduplicated by (front, back) tx.
     Both paths reduce to: the pair must fit inside one window.
+
+    Per token, back-runs come from the reverse pair's position-sorted list,
+    bisected to just after the front and cut at the window's last block;
+    victims come from the front sender's list, bisected to the open
+    interval (front, back). The work is linear in the pairs inside the
+    window and the victims emitted, not in the token's transfers.
     """
     span = 1 if chain.layer == Layer.L1 else window
     transfers = sorted(transfers, key=lambda t: t.position)
 
     by_token: dict = {}
-    for idx, t in enumerate(transfers):
-        by_token.setdefault(t.token, []).append(idx)
+    for t in transfers:
+        by_token.setdefault(t.token, []).append(t)
 
     findings = []
     seen = set()
-    for token, idxs in by_token.items():
-        by_pair: dict = {}
-        for i in idxs:
-            t = transfers[i]
-            by_pair.setdefault((t.sender, t.receiver), []).append(i)
-        for i in idxs:
-            front = transfers[i]
-            for j in by_pair.get((front.receiver, front.sender), ()):
-                back = transfers[j]
-                if back.position <= front.position:
-                    continue
-                if back.position[0] - front.position[0] > span - 1:
-                    continue
+    for token, ts in by_token.items():
+        by_pair = _by_position(ts, lambda t: (t.sender, t.receiver))
+        by_sender = _by_position(ts, lambda t: t.sender)
+        for front in ts:
+            pair = by_pair.get((front.receiver, front.sender))
+            if pair is None:
+                continue
+            backs, back_positions = pair
+            mids, mid_positions = by_sender[front.sender]
+            last_block = front.position[0] + span - 1
+            first_mid = bisect_right(mid_positions, front.position)
+            for j in range(bisect_right(back_positions, front.position), len(backs)):
+                back = backs[j]
+                if back.position[0] > last_block:
+                    break
                 if back.tx_hash == front.tx_hash:
                     continue
                 if back.amount > front.amount:
                     continue
-                victims = []
-                for k in idxs:
-                    mid = transfers[k]
-                    if not front.position < mid.position < back.position:
-                        continue
-                    if mid.tx_hash in (front.tx_hash, back.tx_hash):
-                        continue
-                    if mid.sender == front.sender and mid.receiver != front.receiver:
-                        victims.append(mid.tx_hash)
-                if not victims:
-                    continue
                 key = (front.tx_hash, back.tx_hash)
                 if key in seen:
+                    # first wins: a seen pair is dropped whatever its victims
+                    continue
+                last_mid = bisect_left(mid_positions, back.position, first_mid)
+                victims = [mid.tx_hash for mid in mids[first_mid:last_mid]
+                           if mid.receiver != front.receiver
+                           and mid.tx_hash not in (front.tx_hash, back.tx_hash)]
+                if not victims:
                     continue
                 seen.add(key)
                 findings.append(SandwichFinding(

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from mevlens.chain_model import ETHEREUM, ChainId
+from mevlens.chain_model import ETHEREUM, ChainId, Layer
 from mevlens.decoding import SwapAction, TransferAction
+from mevlens.detectors import SandwichFinding
 from mevlens.fixtures import FixtureBuilder, addr, enc_balancer_v1_swap, enc_transfer
 
 
@@ -111,6 +112,64 @@ def oracle_sandwiches(transfers, span: int):
                 if victims:
                     found.add((front.tx_hash, back.tx_hash))
     return found
+
+
+def literal_sandwiches(transfers, chain: ChainId, window: int = 100):
+    """The whole ordered SandwichFinding list by a literal scan: every
+    reverse pair of a token's transfers is tried whatever its block, and
+    each pair rescans all of the token's transfers for victims. This is
+    ``detect_sandwiches`` before it became a windowed sweep."""
+    span = 1 if chain.layer == Layer.L1 else window
+    transfers = sorted(transfers, key=lambda t: t.position)
+
+    by_token: dict = {}
+    for idx, t in enumerate(transfers):
+        by_token.setdefault(t.token, []).append(idx)
+
+    findings = []
+    seen = set()
+    for token, idxs in by_token.items():
+        by_pair: dict = {}
+        for i in idxs:
+            t = transfers[i]
+            by_pair.setdefault((t.sender, t.receiver), []).append(i)
+        for i in idxs:
+            front = transfers[i]
+            for j in by_pair.get((front.receiver, front.sender), ()):
+                back = transfers[j]
+                if back.position <= front.position:
+                    continue
+                if back.position[0] - front.position[0] > span - 1:
+                    continue
+                if back.tx_hash == front.tx_hash:
+                    continue
+                if back.amount > front.amount:
+                    continue
+                victims = []
+                for k in idxs:
+                    mid = transfers[k]
+                    if not front.position < mid.position < back.position:
+                        continue
+                    if mid.tx_hash in (front.tx_hash, back.tx_hash):
+                        continue
+                    if mid.sender == front.sender and mid.receiver != front.receiver:
+                        victims.append(mid.tx_hash)
+                if not victims:
+                    continue
+                key = (front.tx_hash, back.tx_hash)
+                if key in seen:
+                    continue
+                seen.add(key)
+                findings.append(SandwichFinding(
+                    front_tx=front.tx_hash,
+                    back_tx=back.tx_hash,
+                    victim_txs=tuple(dict.fromkeys(victims)),
+                    token=token,
+                    attacker=front.receiver,
+                    window=(front.position[0], back.position[0]),
+                ))
+    findings.sort(key=lambda f: (f.window, f.front_tx, f.back_tx))
+    return findings
 
 
 def random_transfer_blocks(rng: random.Random, n_blocks: int = 4,

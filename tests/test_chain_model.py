@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 
@@ -372,6 +373,26 @@ def test_repeated_hex_strings_share_one_bytes_object(tmp_path):
     tx = ds.txs[0]
     assert tx.hash is ds.blocks[0].tx_hashes[0]
     assert all(l.tx_hash is tx.hash for l in ds.logs if l.tx_hash == tx.hash)
+
+
+def test_load_keeps_the_collector_setting(tmp_path):
+    """The load pauses the cyclic collector while it builds records; after
+    a good load and after a failing one the collector is on or off as it
+    was before."""
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    dump_fixture(_memo_fixture(), good)
+    bad.write_text(good.read_text() + '{"kind": "block", "number": true}\n')
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert load_fixture(good).logs
+            assert gc.isenabled() is enabled
+            with pytest.raises(MalformedRecord):
+                load_fixture(bad)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # --- bytes that are not UTF-8, in every line-based and whole-file input ---

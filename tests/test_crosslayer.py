@@ -9,13 +9,14 @@ from mevlens.amm import cp_pool, dump_pool_metadata, stable_pool, swap_out
 from mevlens.chain_model import ARBITRUM, dump_fixture
 from mevlens.cli import main
 from mevlens.crosslayer import (AttackScenario, CostModel, CrossLayerLink,
-                                DEFAULT_CAPITAL_TIERS_USD, S1, S2, S3,
-                                STRATEGIES, VictimCandidate, VictimSwap, WEI,
+                                DEFAULT_CAPITAL_TIERS_USD, DEFAULT_REACTION_TIME_S, S1,
+                                S2, S3, STRATEGIES, VictimCandidate, VictimSwap, WEI,
                                 capital_sweep, delay_stats, infer_victims,
                                 load_attack_config, optimal_frontrun,
                                 simulate_strategy, victim_realized_out,
-                                _sandwich_gross)
+                                _sandwich_gross, _VictimSizing)
 from mevlens.amm import load_pool_metadata
+from mevlens.reporting import summary_stats
 from mevlens.errors import (EmptyInput, Infeasible, InvalidScenario, MalformedRecord,
                             MevlensError)
 from conftest import (XL_DELAYS, XL_POOL, XL_TA, XL_TB, build_crosslayer_fixture,
@@ -325,6 +326,124 @@ def test_capital_sweep_monotone_on_fifty_victims():
     # delay-feasible scenarios than S2 restricted to the same set
     assert table[S3][None]["count"] >= 1
     assert table[S2][None]["count"] >= table[S1][None]["count"]
+
+
+def per_tier_sweep(victim_scenarios, costs, tiers_usd,
+                   reaction_time_s=DEFAULT_REACTION_TIME_S):
+    """``capital_sweep`` as a literal loop: one ``optimal_frontrun`` per
+    (tier, victim), each resolving the victim's slippage floor and probe
+    on its own, and no search reused."""
+    gains = {}
+    for tier in tiers_usd:
+        for i, vs in enumerate(victim_scenarios):
+            capital_eth = None if tier is None else Fraction(tier) / vs["eth_usd"]
+            scenario = AttackScenario(
+                strategy=S1, victim=vs["victim"], pool_state=vs["pool_state"], costs=costs,
+                capital_eth=capital_eth, token_in_price_eth=vs["token_in_price_eth"],
+                reaction_time_s=reaction_time_s)
+            try:
+                _, gross_tokens = optimal_frontrun(scenario)
+            except Infeasible:
+                continue
+            gains[tier, i] = Fraction(gross_tokens, WEI) * vs["token_in_price_eth"]
+    table = {}
+    for strategy in STRATEGIES:
+        table[strategy] = {}
+        for tier in tiers_usd:
+            profits_usd = []
+            for i, vs in enumerate(victim_scenarios):
+                if (tier, i) not in gains:
+                    continue
+                if strategy == S3 and vs["victim"].link.delay_s < reaction_time_s:
+                    continue
+                profit = gains[tier, i] - costs.total(strategy)
+                if profit > 0:
+                    profits_usd.append(profit * vs["eth_usd"])
+            cell = summary_stats(profits_usd)
+            cell["count"] = len(profits_usd)
+            if not profits_usd:
+                cell["total"] = Fraction(0)
+            table[strategy][tier] = cell
+    return table
+
+
+SWEEP_TIERS = [0, 1000, 10 ** 5, None]
+
+
+def _capital_units(vs, tier):
+    return int(Fraction(tier) / vs["eth_usd"] * WEI / vs["token_in_price_eth"])
+
+
+def _random_victim_scenarios(rng, n):
+    """Constant-product and StableSwap victims, with a stated or an assumed
+    slippage floor or an unreachable one. The token price spreads the
+    1000 USD tier from binding to loose; for the first victim it is set so
+    that the tier's bound equals the victim's x_slip exactly."""
+    scenarios = []
+    for i in range(n):
+        reserve = rng.randint(10 ** 5, 10 ** 6)
+        if rng.random() < 0.25:
+            pool = stable_pool([reserve, rng.randint(10 ** 5, 10 ** 6)], tokens=(XL_TA, XL_TB))
+        else:
+            pool = cp_pool(reserve, rng.randint(10 ** 5, 10 ** 6), tokens=(XL_TA, XL_TB),
+                           fee_num=rng.choice([0, 3]), fee_den=1000)
+        amount = rng.randint(reserve // 200, reserve // 10)
+        quote = victim_realized_out(pool, VictimSwap(XL_TA, XL_TB, amount), 0)
+        min_out = rng.choice([None, quote - quote * rng.choice([1, 2, 5]) // 100,
+                              quote + 1])
+        vs = {"victim": _victim(amount_in=amount, min_out=min_out,
+                                delay=rng.choice([0, 45, 600])),
+              "pool_state": pool,
+              "token_in_price_eth": Fraction(10 ** 12) * rng.choice([1, 100, 10 ** 4]),
+              "eth_usd": Fraction(rng.randint(1000, 4000))}
+        if i == 0:
+            vs["victim"] = _victim(amount_in=amount, min_out=quote - quote * 2 // 100)
+            x_slip = _VictimSizing(pool, vs["victim"].swap).x_slip
+            vs["token_in_price_eth"] = Fraction(1000 * WEI) / (vs["eth_usd"] * x_slip)
+            assert _capital_units(vs, 1000) == x_slip
+        scenarios.append(vs)
+    return scenarios
+
+
+def test_capital_sweep_matches_per_tier_loop():
+    assert (capital_sweep(build_victim_scenarios(50), COSTS)
+            == per_tier_sweep(build_victim_scenarios(50), COSTS, DEFAULT_CAPITAL_TIERS_USD))
+    rng = random.Random(0x5EE9)
+    for _ in range(6):
+        scenarios = _random_victim_scenarios(rng, 8)
+        assert (capital_sweep(scenarios, COSTS, SWEEP_TIERS, 45)
+                == per_tier_sweep(scenarios, COSTS, SWEEP_TIERS, 45))
+
+
+def test_capital_sweep_sizes_each_victim_once_per_distinct_bound(monkeypatch):
+    """The slippage probe runs once per victim whatever the tiers; the
+    search runs once per distinct frontrun bound min(x_slip, capital)."""
+    import mevlens.crosslayer as crosslayer
+    probes, x_slips, searches = [], [], []
+    probe, search = crosslayer._max_input_within_slippage, crosslayer.optimal_frontrun
+
+    def counted_probe(pool, victim):
+        probes.append(victim)
+        x_slips.append(probe(pool, victim))
+        return x_slips[-1]
+
+    def counted_search(scenario, *args):
+        searches.append(scenario)
+        return search(scenario, *args)
+
+    monkeypatch.setattr(crosslayer, "_max_input_within_slippage", counted_probe)
+    monkeypatch.setattr(crosslayer, "optimal_frontrun", counted_search)
+    scenarios = build_victim_scenarios(20)
+    # a victim whose floor its own trade already breaks: probed, never searched
+    scenarios.append(dict(scenarios[0], victim=_victim(min_out=10 ** 12)))
+    table = capital_sweep(scenarios, COSTS, SWEEP_TIERS)
+    assert len(probes) == len(scenarios) and len(x_slips) == len(scenarios) - 1
+    expected = sum(len({x_slip if tier is None else min(x_slip, _capital_units(vs, tier))
+                        for tier in SWEEP_TIERS})
+                   for vs, x_slip in zip(scenarios, x_slips))
+    assert len(searches) == expected < 20 * len(SWEEP_TIERS)
+    monkeypatch.undo()
+    assert table == per_tier_sweep(scenarios, COSTS, SWEEP_TIERS)
 
 
 def test_empty_sweep():

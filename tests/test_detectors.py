@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mevlens.chain_model import ARBITRUM, ETHEREUM, TxRecord, TxStatus
-from mevlens.detectors import (ArbitrageFinding, PriceProvider, WEI,
+from mevlens.detectors import (ArbitrageFinding, PriceProvider, SandwichFinding, WEI,
                                arbitrage_profit, attribute_flash_loans,
                                chain_cycles, detect_arbitrages,
                                detect_liquidations, detect_sandwiches,
@@ -15,8 +16,8 @@ from mevlens.errors import MalformedRecord
 from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
                               enc_compound_liquidate, enc_compound_redeem,
                               enc_flashloan, enc_transfer)
-from conftest import (build_planted_arb_dataset, make_swap, make_transfer,
-                      oracle_cycles, oracle_sandwiches, random_swap_tx,
+from conftest import (build_planted_arb_dataset, literal_sandwiches, make_swap,
+                      make_transfer, oracle_cycles, oracle_sandwiches, random_swap_tx,
                       random_transfer_blocks)
 
 A, B, C = addr(0xA1), addr(0xB1), addr(0xC1)
@@ -260,6 +261,63 @@ def test_sandwich_l1_equals_window_one(rng):
         l1 = detect_sandwiches(transfers, ETHEREUM)
         l2 = detect_sandwiches(transfers, ARBITRUM, window=1)
         assert l1 == l2
+
+
+def _one_key_two_pairs():
+    """Front tx F and back tx B each hold two transfers, so the key (F, B)
+    is reached by two transfer pairs with different victims; the first
+    pair in position order wins."""
+    token, d, e, x, p = addr(0x31), addr(0x41), addr(0x44), addr(0x42), addr(0x43)
+    f, v1, v2, b = (bytes([i]) * 32 for i in (1, 2, 3, 4))
+    transfers = [
+        make_transfer(token, d, x, 100, (1, 0, 0), f),
+        make_transfer(token, e, x, 100, (1, 0, 1), f),
+        make_transfer(token, d, p, 50, (1, 1, 0), v1),
+        make_transfer(token, e, p, 50, (1, 2, 0), v2),
+        make_transfer(token, x, d, 90, (2, 0, 0), b),
+        make_transfer(token, x, e, 90, (2, 0, 1), b),
+    ]
+    expected = [SandwichFinding(front_tx=f, back_tx=b, victim_txs=(v1,), token=token,
+                                attacker=x, window=(1, 2))]
+    return transfers, expected
+
+
+def test_sandwich_first_pair_of_a_key_wins():
+    transfers, expected = _one_key_two_pairs()
+    assert literal_sandwiches(transfers, ARBITRUM, window=2) == expected
+    assert detect_sandwiches(transfers, ARBITRUM, window=2) == expected
+    assert detect_sandwiches(transfers, ARBITRUM, window=1) == []
+
+
+_PARTIES = [addr(0x400 + i) for i in range(3)]
+_TRANSFER = st.tuples(
+    st.integers(1, 6), st.integers(0, 2), st.integers(0, 2),   # block, tx index, log index
+    st.sampled_from([None, None, None, 0, 1]),                 # tx: the slot's, or a shared one
+    st.sampled_from([addr(0x300), addr(0x300), addr(0x301)]),   # token
+    st.sampled_from(_PARTIES), st.sampled_from(_PARTIES),      # sender, receiver
+    st.integers(1, 4))                                         # amount
+
+
+def _transfers(rows):
+    """Transfers from ``_TRANSFER`` rows. Several transfers share a tx (one
+    per (block, tx index) slot), and some belong to one of two shared txs
+    instead: one tx then spans positions and blocks, and two txs can hold
+    the same position. Sender and receiver are drawn independently, so
+    self-transfers occur."""
+    return [make_transfer(token, sender, receiver, amount, (block, tx_index, log_index),
+                          bytes([block, tx_index] if shared is None else [0, shared]) * 16)
+            for block, tx_index, log_index, shared, token, sender, receiver, amount in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(transfers=st.lists(_TRANSFER, min_size=10, max_size=30).map(_transfers),
+       chain=st.sampled_from([ETHEREUM, ARBITRUM]), window=st.integers(1, 5))
+@example(transfers=_one_key_two_pairs()[0], chain=ARBITRUM, window=2)
+def test_sandwich_findings_match_literal_scan(transfers, chain, window):
+    """The whole ordered finding list (victims, window, attacker, order),
+    on L1 (one block) and on L2 windows of 1 to 5 blocks."""
+    assert (detect_sandwiches(transfers, chain, window=window)
+            == literal_sandwiches(transfers, chain, window=window))
 
 
 # --- flash loans ---

@@ -272,6 +272,70 @@ def test_non_utf8_input_exits_1_naming_the_line(rel, capsys):
         _assert_readers_exit_1(root, rel, f"error: {path}: line {line}: not UTF-8: ", capsys)
 
 
+# where a value the reader checks starts, in each sidecar: a reserve, a
+# day, a fee, a cost, bytecode hex and a timestamp
+VALUE_AT = {
+    "snap.jsonl": b'"reserves": ["',
+    "prices.csv": b"ETHUSD,",
+    "pools.json": b'"fee_num": ',
+    "attack.json": b'"l2_tx_cost_eth": "',
+    "code.jsonl": b'"code_hex": "',
+    "findings/findings_arb.jsonl": b'"timestamp": ',
+}
+
+
+def _one_line_spread(content):
+    # a JSON document on one line is spread over several, so that it has line ends
+    return content if b"\n" in content else content.replace(b", ", b",\n") + b"\n"
+
+
+def _trailing_tab(content, at):
+    body = content.rstrip(b"\r\n")
+    return body + b"\t" + content[len(body):]
+
+
+# byte-level mutations of a whole file (its encoding and line ends) or of
+# the first character of one value (at index ``at``)
+BYTE_MUTATIONS = {
+    "bom": lambda content, at: b"\xef\xbb\xbf" + content,
+    "nul": lambda content, at: content[:at] + b"\x00" + content[at:],
+    # CSV lines already end in CRLF, and end in CR CR LF after this
+    "crlf": lambda content, at: _one_line_spread(content).replace(b"\n", b"\r\n"),
+    "lone_cr": lambda content, at: (_one_line_spread(content).replace(b"\r\n", b"\n")
+                                    .replace(b"\n", b"\r")),
+    "trailing_tab": _trailing_tab,
+    "u2028": lambda content, at: content[:at] + "\u2028".encode() + content[at:],
+    "full_width_digit": lambda content, at: (
+        content[:at] + chr(0xFF10 + int(content[at:at + 1])).encode() + content[at + 1:]),
+}
+SIDECARS = sorted(VALUE_AT)
+
+
+@pytest.mark.parametrize("mutation", sorted(BYTE_MUTATIONS))
+@pytest.mark.parametrize("rel", SIDECARS)
+def test_sidecar_byte_mutation_exits_0_or_1_naming_the_file(rel, mutation, capsys):
+    """Every command that reads the mutated sidecar exits 0 or 1, never
+    with a traceback, and an exit 1 names the file."""
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(root, valid_inputs())
+        path = os.path.join(root, rel)
+        with open(path, "rb") as fh:
+            content = fh.read()
+        at = content.index(VALUE_AT[rel]) + len(VALUE_AT[rel])
+        assert content[at:at + 1].isdigit()
+        mutated = BYTE_MUTATIONS[mutation](content, at)
+        assert mutated != content
+        with open(path, "wb") as fh:
+            fh.write(mutated)
+        capsys.readouterr()
+        for argv in COMMANDS[rel]:
+            code = _run(root, argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1) and "Traceback" not in err, (argv, code, err)
+            if code == 1:
+                assert f"error: {path}: " in err, (argv, err)
+
+
 def _long_decimal_targets():
     """(file, path to a decimal field) for every kind of decimal an input
     holds: on-chain amounts, prices and days, snapshot values, costs,
