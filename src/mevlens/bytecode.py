@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain_model import ChainId, _chain, _sidecar_hex, read_jsonl
+from .chain_model import ChainId, _chain, _json_line, _lines, _sidecar_hex, to_hex
 from .errors import MalformedRecord
-from .keccak import keccak256
+from .keccak import keccak256, keccak256_many
 
 PUSH1 = 0x60
 PUSH32 = 0x7F
@@ -92,21 +92,20 @@ def cluster(records) -> list:
     Excluded: records with verified=True and records whose skeleton
     contains DELEGATECALL (scanned post PUSH removal so operand bytes
     cannot cause false exclusion). Every retained record lands in exactly
-    one cluster. Both exclusions are checked before any hashing, and each
-    distinct retained skeleton is hashed once.
+    one cluster. Both exclusions are checked before any hashing, and the
+    distinct retained skeletons are hashed together, each once.
     """
-    digests: dict = {}      # skeleton -> digest, for this call only
-    groups: dict = {}
+    by_skeleton: dict = {}  # skeleton -> members, in record order
     for rec in records:
         if rec.verified:
             continue
         skel = _skeleton(rec.code)
         if DELEGATECALL in skel:
             continue
-        digest = digests.get(skel)
-        if digest is None:
-            digest = digests[skel] = keccak256(skel)
-        groups.setdefault(digest, []).append((rec.chain, rec.address))
+        by_skeleton.setdefault(skel, []).append((rec.chain, rec.address))
+    groups: dict = {}
+    for members, digest in zip(by_skeleton.values(), keccak256_many(list(by_skeleton))):
+        groups.setdefault(digest, []).extend(members)
     clusters = []
     for digest, members in groups.items():
         members.sort(key=lambda m: (m[0].name, m[1]))
@@ -118,9 +117,20 @@ def cluster(records) -> list:
 
 def load_bytecode_fixture(path) -> list:
     """JSONL rows: {chain, address, code_hex, verified}, hex in either
-    case with an optional 0x prefix. A row that does not fit raises
-    MalformedRecord with the file and line."""
-    return list(read_jsonl(path, _record))
+    case with an optional 0x prefix. A row that does not fit, or that
+    repeats an earlier row's chain and address, raises MalformedRecord
+    with the file and line."""
+    records = []
+    seen = {}   # (chain, address bytes) -> line
+    for line, raw in _lines(path):
+        rec = _json_line(path, line, raw, _record)
+        key = (rec.chain, rec.address)
+        if key in seen:
+            raise MalformedRecord(line, f"{rec.chain.name} address {to_hex(rec.address)} "
+                                        f"already on line {seen[key]}", path)
+        seen[key] = line
+        records.append(rec)
+    return records
 
 
 def _record(obj: dict) -> BytecodeRecord:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import glob
 import logging
 import os
@@ -71,6 +72,9 @@ class Ctx:
         if not os.path.exists(path):
             raise click.UsageError(f"fixture not found: {path}")
         ds = load_fixture(path)
+        # the records live until the command ends: keep the collector's
+        # full passes from walking them again (``main`` thaws them)
+        gc.freeze()
         if self.from_block is not None or self.to_block is not None:
             lo = self.from_block if self.from_block is not None else 0
             hi = self.to_block if self.to_block is not None else (1 << 62)
@@ -431,6 +435,8 @@ def main(argv=None) -> int:
         log.debug("internal error", exc_info=True)
         click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
         return 2
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

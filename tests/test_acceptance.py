@@ -1,6 +1,7 @@
 """End-to-end acceptance gate: every numbered guarantee the package makes,
 checked against independent oracles and planted ground truth."""
 
+import gc
 import random
 import time
 from fractions import Fraction
@@ -289,6 +290,7 @@ def test_10_determinism_and_performance(tmp_path):
         assert main(["detect", "arb", "--fixtures", str(fixtures),
                      "--out", str(out)]) == 0
         assert time.monotonic() - start < 30
+        assert gc.get_freeze_count() == 0
         blobs.append((out / "findings_arb.jsonl").read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
     findings = read_findings(tmp_path / "out0" / "findings_arb.jsonl")

@@ -201,17 +201,19 @@ def test_cluster_matches_oracle_hashing_each_retained_skeleton_once(monkeypatch,
         skeleton = normalize(rec.code).skeleton
         if not rec.verified and DELEGATECALL not in skeleton:
             retained.add(skeleton)
-    hashed = []
-    real = mevlens.bytecode.keccak256
+    calls = []
+    real = mevlens.bytecode.keccak256_many
 
-    def counting(data):
-        hashed.append(data)
-        return real(data)
+    def counting(messages):
+        calls.append(list(messages))
+        return real(messages)
 
-    monkeypatch.setattr(mevlens.bytecode, "keccak256", counting)
+    monkeypatch.setattr(mevlens.bytecode, "keccak256_many", counting)
     assert cluster(records) == expected
-    # once per distinct retained skeleton; never for verified-only bodies or proxies
-    assert sorted(hashed) == sorted(retained)
+    # one batch holding each distinct retained skeleton exactly once;
+    # never verified-only bodies or proxies
+    assert len(calls) == 1
+    assert sorted(calls[0]) == sorted(retained)
 
 
 def _bytecode_row(**fields):
@@ -233,6 +235,7 @@ MALFORMED_BYTECODE_ROWS = {
     "missing_address": _bytecode_row(address=None),
     "empty_address": _bytecode_row(address="0x"),
     "string_verified": _bytecode_row(verified="false"),
+    "repeated_address": _bytecode_row(),
 }
 
 
@@ -249,3 +252,25 @@ def test_load_bytecode_fixture_rejects_malformed_row(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert f"{path}: line 2: " in err
     assert "internal error" not in err and "Traceback" not in err
+
+
+def test_repeated_chain_and_address_rejected_whatever_its_spelling(tmp_path, capsys):
+    """The same address on two chains is two deployments; the same address
+    twice on one chain, in any hex spelling, is a repeated row that would
+    otherwise form a clone cluster with itself."""
+    path = tmp_path / "code.jsonl"
+    rows = [_bytecode_row(), _bytecode_row(chain="arbitrum"),
+            _bytecode_row(address=addr(2).hex(), code_hex=BODY.hex().upper()),
+            _bytecode_row(address=addr(1).hex().upper())]
+    path.write_text("\n".join(rows[:3]) + "\n")
+    assert [(r.chain, r.address) for r in load_bytecode_fixture(path)] == \
+        [(ETHEREUM, addr(1)), (ARBITRUM, addr(1)), (ETHEREUM, addr(2))]
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(MalformedRecord) as exc:
+        load_bytecode_fixture(path)
+    assert exc.value.line == 4
+    assert main(["bytecode", "cluster", "--bytecode", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: line 4: ethereum address 0x{addr(1).hex()} already on line 1" in err
+    assert not (tmp_path / "out").exists()

@@ -1,11 +1,11 @@
-"""Known-answer tests for keccak-256 plus a cross-check against a second,
-independently written permutation."""
+"""Known-answer tests for keccak-256 plus a cross-check of the single and
+the batched sponge against a second, independently written permutation."""
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mevlens.keccak import keccak256
+from mevlens.keccak import keccak256, keccak256_many
 
 # --- independent reference implementation (lane-matrix style) ---
 
@@ -103,3 +103,23 @@ _LENGTHS = st.one_of(st.integers(0, 2), st.integers(134, 138), st.integers(270, 
 @given(_LENGTHS.flatmap(lambda n: st.binary(min_size=n, max_size=n)))
 def test_matches_reference_around_rate_boundaries(data):
     assert keccak256(data) == reference_keccak256(data)
+
+
+@st.composite
+def _batches(draw):
+    """Up to 40 messages of mixed block counts, some of them repeated, in
+    any order."""
+    distinct = draw(st.lists(_LENGTHS.flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+                             max_size=20))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=40 - len(distinct))) \
+        if distinct else []
+    return draw(st.permutations(distinct + repeats))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_batches())
+# wider than one sponge run, lengths 0..299 (one to three blocks)
+@example([bytes([k % 251]) * (k % 300) for k in range(1100)])
+def test_batched_sponge_matches_reference_in_input_order(messages):
+    expected = {m: reference_keccak256(m) for m in set(messages)}
+    assert keccak256_many(messages) == [expected[m] for m in messages]

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import logging
 import os
@@ -120,6 +121,29 @@ def test_cli_artifacts_byte_identical(tmp_path):
                      "--prices", str(prices), "--out", str(out)]) == 0
         blobs.append((out / "findings_arb.jsonl").read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_cli_freezes_the_dataset_and_thaws_it_on_exit(tmp_path, monkeypatch):
+    """The loaded records sit in the collector's permanent generation
+    while the command runs, and ``main`` hands the collector back whole
+    whether the command succeeds or fails after the load."""
+    from mevlens.reporting import PriceProvider
+    fixtures, prices, _ = _demo_dir(tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("token_address,day,price_eth\nETHUSD,0\n")
+    frozen = []
+    real = PriceProvider.from_csv.__func__
+
+    def recording(cls, path):
+        frozen.append(gc.get_freeze_count())
+        return real(cls, path)
+
+    monkeypatch.setattr(PriceProvider, "from_csv", classmethod(recording))
+    for price_file, code in ((prices, 0), (bad, 1)):
+        assert main(["detect", "arb", "--fixtures", str(fixtures),
+                     "--prices", str(price_file), "--out", str(tmp_path / "out")]) == code
+        assert gc.get_freeze_count() == 0
+    assert len(frozen) == 2 and min(frozen) > 0
 
 
 def test_cli_block_range_filter(tmp_path):
