@@ -2,75 +2,93 @@
 
 from __future__ import annotations
 
+import argparse
 import gc
 import glob
 import logging
 import os
 import sys
 
-import click
-
 # Each command imports the modules it runs, so a process compiles and
 # loads only those: the chain model is all that every chain command shares.
-from .chain_model import (CHAINS, ETHEREUM, group_logs_by_tx, load_fixture, logs_in_range,
-                          to_hex)
+from .chain_model import (CHAINS, ETHEREUM, Layer, group_logs_by_tx, load_fixture,
+                          logs_in_range, to_hex)
 from .errors import MevlensError
 
 log = logging.getLogger("mevlens")
+LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _setup_logging():
-    level = os.environ.get("MEVLENS_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("MEVLENS_LOG", "WARNING")
+    if level.upper() not in LEVELS:
+        raise MevlensError(f"MEVLENS_LOG: unknown level {level!r}, "
+                           f"expected one of {', '.join(LEVELS)}")
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
 
 
-# every chain command reads one fixture directory, optionally cut to a block range
+# the checks on an option's value; each failure is a usage error
+def _path(value):
+    if not os.path.exists(value):
+        raise argparse.ArgumentTypeError(f"path {value!r} does not exist")
+    return value
+
+
+def _directory(value):
+    if os.path.isfile(value):
+        raise argparse.ArgumentTypeError(f"{value!r} is a file, not a directory")
+    return value
+
+
+def _fixture_directory(value):
+    return _directory(_path(value))
+
+
+def _at_least_1(value):
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"{number} is not >= 1")
+    return number
+
+
+# each option: its flag and its add_argument keywords
+DEFAULT = "default: %(default)s"
 _CHAIN_OPTIONS = (
-    click.option("--chain", "chain_name", default="ethereum",
-                 type=click.Choice(sorted(CHAINS)), show_default=True),
-    click.option("--from-block", type=int, default=None),
-    click.option("--to-block", type=int, default=None),
-    click.option("--fixtures", "fixtures_dir", required=True,
-                 type=click.Path(exists=True, file_okay=False)),
+    ("--chain", dict(dest="chain_name", choices=sorted(CHAINS), default="ethereum", help=DEFAULT)),
+    ("--from-block", dict(type=int, metavar="N")),
+    ("--to-block", dict(type=int, metavar="N")),
+    ("--fixtures", dict(dest="fixtures_dir", required=True, type=_fixture_directory,
+                        metavar="DIR")),
 )
-# the rest, each declared by the commands that read it
-TYPE = click.option("--type", "mev_type", type=click.Choice(["arb", "liq"]),
-                    default="arb", show_default=True)
-PRICES = click.option("--prices", "prices_file", type=click.Path(exists=True), default=None)
-POOLS = click.option("--pools", "pools_file", type=click.Path(exists=True), default=None)
-SNAPSHOTS = click.option("--snapshots", "snapshots_file", type=click.Path(exists=True),
-                         required=True)
-CONFIG = click.option("--config", "config_file", type=click.Path(exists=True), default=None)
-WINDOW = click.option("--window", type=click.IntRange(min=1), default=100, show_default=True)
-HORIZON = click.option("--horizon", type=click.IntRange(min=1), default=100,
-                       show_default=True)
-OUT = click.option("--out", "out_dir", default="out", type=click.Path(file_okay=False))
+# a cross-layer command joins the ethereum fixture with one rollup's
+_L2_CHAIN_OPTIONS = (
+    ("--chain", dict(dest="chain_name", required=True, choices=sorted(
+        name for name, chain in CHAINS.items() if chain.layer is Layer.L2))),
+) + _CHAIN_OPTIONS[1:]
+TYPE = ("--type", dict(dest="mev_type", choices=["arb", "liq"], default="arb", help=DEFAULT))
+PRICES = ("--prices", dict(dest="prices_file", type=_path, metavar="FILE"))
+POOLS = ("--pools", dict(dest="pools_file", type=_path, metavar="FILE"))
+SNAPSHOTS = ("--snapshots", dict(dest="snapshots_file", type=_path, required=True, metavar="FILE"))
+CONFIG = ("--config", dict(dest="config_file", type=_path, metavar="FILE"))
+WINDOW = ("--window", dict(type=_at_least_1, default=100, metavar="BLOCKS", help=DEFAULT))
+HORIZON = ("--horizon", dict(type=_at_least_1, default=100, metavar="BLOCKS", help=DEFAULT))
+OUT = ("--out", dict(dest="out_dir", default="out", type=_directory, metavar="DIR", help=DEFAULT))
+BYTECODE = ("--bytecode", dict(dest="bytecode_file", required=True, type=_path, metavar="FILE"))
 
 
-def _chain_options(*options):
-    """The options every chain command takes, then ``options``, in the
-    order --help lists them."""
-    def decorate(fn):
-        for option in reversed(_CHAIN_OPTIONS + options):
-            fn = option(fn)
-        return fn
-    return decorate
+class Ctx(argparse.Namespace):
+    """The options of one command, with its inputs loaded on first use."""
 
-
-class Ctx:
-    """Lazy-loading bundle of the run inputs."""
-
-    def __init__(self, **kw):
-        self.__dict__.update(kw)
-        self._pools = None
-        self._prices = None
+    _pools = _prices = None
 
     def dataset(self, chain_name=None):
         name = chain_name or self.chain_name
         path = os.path.join(self.fixtures_dir, f"{name}.jsonl")
         if not os.path.exists(path):
-            raise click.UsageError(f"fixture not found: {path}")
+            raise MevlensError(f"fixture not found: {path}")
         ds = load_fixture(path)
         # the records live until the command ends: keep the collector's
         # full passes from walking them again (``main`` thaws them)
@@ -98,19 +116,15 @@ class Ctx:
         return self.out_dir
 
 
-@click.group()
-def cli():
-    """MEV detection and cross-layer sandwich simulation over recorded
-    event-log fixtures."""
-    _setup_logging()
+def _write(ctx: Ctx, name, rows):
+    from .reporting import write_findings
+    path = os.path.join(ctx.ensure_out(), name)
+    write_findings(rows, path)
+    print(f"{len(rows)} findings -> {path}")
 
 
-@cli.group()
-def detect():
-    """Run one MEV detector over a chain fixture."""
-
-
-def _detect_arb(ctx: Ctx):
+def detect_arb_cmd(ctx: Ctx):
+    """Cyclic arbitrages, priced, with their flash loans."""
     from . import detectors, reporting
     ds = ctx.dataset()
     findings = detectors.detect_arbitrages(detectors.extract_swaps(ds, ctx.pools()))
@@ -126,10 +140,11 @@ def _detect_arb(ctx: Ctx):
         out.append(reporting.arbitrage_to_json(
             f, ds.chain.name if ds.chain else ctx.chain_name, ts,
             tx.sender if tx else None))
-    return out
+    _write(ctx, "findings_arb.jsonl", out)
 
 
-def _detect_liq(ctx: Ctx):
+def detect_liq_cmd(ctx: Ctx):
+    """Liquidations, priced, with their flash loans."""
     from . import detectors, reporting
     ds = ctx.dataset()
     prices = ctx.prices()
@@ -144,10 +159,11 @@ def _detect_liq(ctx: Ctx):
         out.append(reporting.liquidation_to_json(
             f, ds.chain.name if ds.chain else ctx.chain_name, ts,
             tx.sender if tx else None))
-    return out
+    _write(ctx, "findings_liq.jsonl", out)
 
 
-def _detect_sandwich(ctx: Ctx):
+def detect_sandwich_cmd(ctx: Ctx):
+    """Sandwiches: in one block on L1, within --window blocks on L2."""
     from . import detectors, reporting
     ds = ctx.dataset()
     transfers = detectors.extract_transfers(ds)
@@ -158,44 +174,13 @@ def _detect_sandwich(ctx: Ctx):
         ts = ds.block_timestamp(f.window[0]) or 0
         out.append(reporting.sandwich_to_json(
             f, ds.chain.name if ds.chain else ctx.chain_name, ts))
-    return out
+    _write(ctx, "findings_sandwich.jsonl", out)
 
 
-def _write(ctx: Ctx, name, rows):
-    from .reporting import write_findings
-    ctx.ensure_out()
-    path = os.path.join(ctx.out_dir, name)
-    write_findings(rows, path)
-    click.echo(f"{len(rows)} findings -> {path}")
-
-
-@detect.command("arb")
-@_chain_options(POOLS, PRICES, OUT)
-def detect_arb_cmd(**kw):
-    ctx = Ctx(**kw)
-    _write(ctx, "findings_arb.jsonl", _detect_arb(ctx))
-
-
-@detect.command("liq")
-@_chain_options(PRICES, OUT)
-def detect_liq_cmd(**kw):
-    ctx = Ctx(**kw)
-    _write(ctx, "findings_liq.jsonl", _detect_liq(ctx))
-
-
-@detect.command("sandwich")
-@_chain_options(WINDOW, OUT)
-def detect_sandwich_cmd(**kw):
-    ctx = Ctx(**kw)
-    _write(ctx, "findings_sandwich.jsonl", _detect_sandwich(ctx))
-
-
-@detect.command("flashloan")
-@_chain_options(OUT)
-def detect_flashloan_cmd(**kw):
+def detect_flashloan_cmd(ctx: Ctx):
+    """Flash loans of the supported providers."""
     from .decoding import decode_logs
     from .registry import Category
-    ctx = Ctx(**kw)
     ds = ctx.dataset()
     rows = [{
         "type": "flash_loan", "chain": ds.chain.name if ds.chain else ctx.chain_name,
@@ -207,11 +192,9 @@ def detect_flashloan_cmd(**kw):
     _write(ctx, "findings_flashloan.jsonl", rows)
 
 
-@cli.command("decode")
-@_chain_options()
-def decode_cmd(**kw):
+def decode_cmd(ctx: Ctx):
+    """Count the fixture's logs per event schema."""
     from .registry import DEFAULT_REGISTRY
-    ctx = Ctx(**kw)
     ds = ctx.dataset()
     counts = {}
     for lg in ds.logs:
@@ -221,39 +204,38 @@ def decode_cmd(**kw):
             continue
         counts[entry.schema] = counts.get(entry.schema, 0) + 1
     for schema in sorted(counts):
-        click.echo(f"{schema}: {counts[schema]}")
+        print(f"{schema}: {counts[schema]}")
 
 
-def _opportunities(ctx: Ctx, mev_type):
+def _opportunities(ctx: Ctx):
+    """(finding, its block, its opportunity) for each finding of ``--type``."""
     from . import detectors, opportunity
     ds = ctx.dataset()
     pools = ctx.pools()
     provider = opportunity.StateProvider.from_jsonl(ctx.snapshots_file, pools)
     results = []
-    if mev_type == "arb":
+    if ctx.mev_type == "arb":
         swaps_by_tx = detectors.extract_swaps(ds, pools)
         for f in detectors.detect_arbitrages(swaps_by_tx):
-            results.append((f, opportunity.find_arbitrage_opportunity(
-                f, ds, provider, pools, horizon=ctx.horizon)))
+            results.append((f, f.cycle[0].position[0],
+                            opportunity.find_arbitrage_opportunity(
+                                f, ds, provider, pools, horizon=ctx.horizon)))
     else:
         for f in detectors.detect_liquidations(ds.logs):
-            results.append((f, opportunity.find_liquidation_opportunity(
-                f, ds, provider, horizon=ctx.horizon)))
+            results.append((f, f.actions[0].position[0],
+                            opportunity.find_liquidation_opportunity(
+                                f, ds, provider, horizon=ctx.horizon)))
     return ds, results
 
 
-@cli.command("opportunity")
-@_chain_options(TYPE, POOLS, SNAPSHOTS, HORIZON, OUT)
-def opportunity_cmd(mev_type, **kw):
+def opportunity_cmd(ctx: Ctx):
+    """The transaction that opened each finding's opportunity."""
     from . import opportunity, reporting
-    ctx = Ctx(**kw)
-    ds, results = _opportunities(ctx, mev_type)
+    ds, results = _opportunities(ctx)
     rows = []
-    for f, r in results:
-        block = (f.cycle[0].position[0] if mev_type == "arb"
-                 else f.actions[0].position[0])
+    for f, block, r in results:
         rows.append({
-            "type": f"opportunity_{mev_type}",
+            "type": f"opportunity_{ctx.mev_type}",
             "tx_hash": to_hex(f.tx_hash),
             "block": block,
             "timestamp": ds.block_timestamp(block) or 0,
@@ -262,40 +244,36 @@ def opportunity_cmd(mev_type, **kw):
             "block_distance": r.block_distance,
             "approximate": r.approximate,
         })
-    _write(ctx, f"opportunities_{mev_type}.jsonl", rows)
-    cdf = opportunity.block_distance_cdf([r for _, r in results], ctx.horizon)
-    ctx.ensure_out()
+    _write(ctx, f"opportunities_{ctx.mev_type}.jsonl", rows)
+    cdf = opportunity.block_distance_cdf([r for _, _, r in results], ctx.horizon)
     reporting.write_distance_cdf(cdf, os.path.join(ctx.out_dir, "distance_cdf.csv"))
 
 
-@cli.command("compete")
-@_chain_options(TYPE, POOLS, SNAPSHOTS, HORIZON, OUT)
-def compete_cmd(mev_type, **kw):
+def compete_cmd(ctx: Ctx):
+    """Opportunities that findings of two or more extractors share."""
     from .opportunity import detect_competition
-    ctx = Ctx(**kw)
-    ds, results = _opportunities(ctx, mev_type)
-    entries = []
-    for f, r in results:
+    ds, results = _opportunities(ctx)
+    entries, opportunity_block = [], {}
+    for f, block, r in results:
         tx = ds.tx(f.tx_hash)
         extractor = tx.sender if tx else b""
-        entries.append((mev_type, r.opportunity_tx, extractor,
-                        to_hex(f.tx_hash)))
-    groups = detect_competition(entries)
-    rows = [{
-        "type": "competition",
-        "mev_type": g["type"],
-        "tx_hash": to_hex(g["opportunity_tx"]),
-        "block": 0,
-        "timestamp": 0,
-        "extractors": [to_hex(e) for e in g["extractors"]],
-        "findings": g["findings"],
-    } for g in groups]
-    _write(ctx, f"competition_{mev_type}.jsonl", rows)
-
-
-@cli.group("crosslayer")
-def crosslayer_group():
-    """Cross-layer victim inference, delay stats, attack simulation."""
+        entries.append((ctx.mev_type, r.opportunity_tx, extractor, to_hex(f.tx_hash)))
+        if r.opportunity_tx is not None:
+            # the walk found the opportunity tx this many blocks back
+            opportunity_block[r.opportunity_tx] = block - r.block_distance
+    rows = []
+    for g in detect_competition(entries):
+        block = opportunity_block[g["opportunity_tx"]]
+        rows.append({
+            "type": "competition",
+            "mev_type": g["type"],
+            "tx_hash": to_hex(g["opportunity_tx"]),
+            "block": block,
+            "timestamp": ds.block_timestamp(block) or 0,
+            "extractors": [to_hex(e) for e in g["extractors"]],
+            "findings": g["findings"],
+        })
+    _write(ctx, f"competition_{ctx.mev_type}.jsonl", rows)
 
 
 def _infer(ctx: Ctx):
@@ -305,15 +283,13 @@ def _infer(ctx: Ctx):
     return infer_victims(l1, l2, ctx.pools())
 
 
-@crosslayer_group.command("infer")
-@_chain_options(POOLS, OUT)
-def crosslayer_infer_cmd(**kw):
-    ctx = Ctx(**kw)
+def crosslayer_infer_cmd(ctx: Ctx):
+    """Victim swaps in L2 executions of L1 bridge messages."""
     candidates, links, diagnostics = _infer(ctx)
     rows = [{
         "type": "victim_candidate",
         "tx_hash": to_hex(c.link.l2_tx),
-        "block": 0,
+        "block": c.link.l2_block,
         "timestamp": c.link.l1_timestamp,
         "l1_tx": to_hex(c.link.l1_tx),
         "link_key": "0x" + c.link.link_key.hex(),
@@ -324,30 +300,25 @@ def crosslayer_infer_cmd(**kw):
         "amount_in": str(c.swap.amount_in),
     } for c in candidates]
     _write(ctx, "victims.jsonl", rows)
-    click.echo(f"links: {len(links)}, unlinked L1: {len(diagnostics['unlinked_l1'])}, "
-               f"unlinked L2: {len(diagnostics['unlinked_l2'])}")
+    print(f"links: {len(links)}, unlinked L1: {len(diagnostics['unlinked_l1'])}, "
+          f"unlinked L2: {len(diagnostics['unlinked_l2'])}")
 
 
-@crosslayer_group.command("delay")
-@_chain_options(POOLS, OUT)
-def crosslayer_delay_cmd(**kw):
+def crosslayer_delay_cmd(ctx: Ctx):
+    """Inclusion delays from L1 bridge message to L2 execution."""
     from . import crosslayer, reporting
-    ctx = Ctx(**kw)
     _, links, _ = _infer(ctx)
     overall, monthly, anomalies = crosslayer.delay_stats(links)
-    ctx.ensure_out()
-    path = os.path.join(ctx.out_dir, "delay_stats.csv")
+    path = os.path.join(ctx.ensure_out(), "delay_stats.csv")
     reporting.write_delay_stats(overall, monthly, path)
-    click.echo(f"{overall.count} links, {len(anomalies)} anomalies -> {path}")
+    print(f"{overall.count} links, {len(anomalies)} anomalies -> {path}")
 
 
-@crosslayer_group.command("simulate")
-@_chain_options(POOLS, PRICES, SNAPSHOTS, CONFIG, OUT)
-def crosslayer_simulate_cmd(**kw):
+def crosslayer_simulate_cmd(ctx: Ctx):
+    """Sandwich attack tables per strategy and capital tier."""
     from fractions import Fraction
 
     from . import crosslayer, opportunity, reporting
-    ctx = Ctx(**kw)
     candidates, _, _ = _infer(ctx)
     pools = ctx.pools()
     prices = ctx.prices()
@@ -373,67 +344,94 @@ def crosslayer_simulate_cmd(**kw):
         scenarios.append({"victim": c, "pool_state": state,
                           "token_in_price_eth": token_price, "eth_usd": eth_usd})
     table = crosslayer.capital_sweep(scenarios, costs, tiers, reaction)
-    ctx.ensure_out()
-    path = os.path.join(ctx.out_dir, "attack_tables.csv")
+    path = os.path.join(ctx.ensure_out(), "attack_tables.csv")
     reporting.write_attack_table(table, tiers, path)
-    click.echo(f"{len(scenarios)} scenarios -> {path}")
+    print(f"{len(scenarios)} scenarios -> {path}")
 
 
-@cli.group("bytecode")
-def bytecode_group():
-    """Bytecode normalization and clustering."""
-
-
-@bytecode_group.command("cluster")
-@click.option("--bytecode", "bytecode_file", required=True,
-              type=click.Path(exists=True))
-@OUT
-def bytecode_cluster_cmd(bytecode_file, out_dir):
+def bytecode_cluster_cmd(ctx: Ctx):
+    """Cluster identical bytecode skeletons across chains."""
     from . import bytecode, reporting
-    records = bytecode.load_bytecode_fixture(bytecode_file)
+    records = bytecode.load_bytecode_fixture(ctx.bytecode_file)
     clusters = bytecode.cluster(records)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "bytecode_clusters.csv")
+    path = os.path.join(ctx.ensure_out(), "bytecode_clusters.csv")
     reporting.write_bytecode_clusters(clusters, path)
-    click.echo(f"{len(clusters)} clusters -> {path}")
+    print(f"{len(clusters)} clusters -> {path}")
 
 
-@cli.command("report")
-@OUT
-@PRICES
-def report_cmd(out_dir, prices_file):
+def report_cmd(ctx: Ctx):
     """Summarize all findings_*.jsonl files in the output directory."""
     from . import reporting
     findings = []
-    for path in sorted(glob.glob(os.path.join(out_dir, "findings_*.jsonl"))):
+    for path in sorted(glob.glob(os.path.join(ctx.out_dir, "findings_*.jsonl"))):
         findings.extend(reporting.read_findings(path))
-    eth_usd = None
-    if prices_file:
-        eth_usd = reporting.PriceProvider.from_csv(prices_file).eth_usd
-    paths = reporting.emit_report(findings, out_dir, eth_usd)
+    prices = ctx.prices()
+    paths = reporting.emit_report(findings, ctx.out_dir,
+                                  prices.eth_usd if prices is not None else None)
     for name in sorted(paths):
-        click.echo(f"{name} -> {paths[name]}")
+        print(f"{name} -> {paths[name]}")
+
+
+GROUPS = {
+    "detect": "Run one MEV detector over a chain fixture.",
+    "crosslayer": "Cross-layer victim inference, delay stats, attack simulation.",
+    "bytecode": "Bytecode normalization and clustering.",
+}
+# every command, "group leaf" or "leaf": the options it takes, in the order
+# --help lists them, and the function that runs it
+COMMANDS = {
+    "decode": (_CHAIN_OPTIONS, decode_cmd),
+    "detect arb": (_CHAIN_OPTIONS + (POOLS, PRICES, OUT), detect_arb_cmd),
+    "detect liq": (_CHAIN_OPTIONS + (PRICES, OUT), detect_liq_cmd),
+    "detect sandwich": (_CHAIN_OPTIONS + (WINDOW, OUT), detect_sandwich_cmd),
+    "detect flashloan": (_CHAIN_OPTIONS + (OUT,), detect_flashloan_cmd),
+    "opportunity": (_CHAIN_OPTIONS + (TYPE, POOLS, SNAPSHOTS, HORIZON, OUT), opportunity_cmd),
+    "compete": (_CHAIN_OPTIONS + (TYPE, POOLS, SNAPSHOTS, HORIZON, OUT), compete_cmd),
+    "crosslayer infer": (_L2_CHAIN_OPTIONS + (POOLS, OUT), crosslayer_infer_cmd),
+    "crosslayer delay": (_L2_CHAIN_OPTIONS + (POOLS, OUT), crosslayer_delay_cmd),
+    "crosslayer simulate": (_L2_CHAIN_OPTIONS + (POOLS, PRICES, SNAPSHOTS, CONFIG, OUT),
+                            crosslayer_simulate_cmd),
+    "bytecode cluster": ((BYTECODE, OUT), bytecode_cluster_cmd),
+    "report": ((OUT, PRICES), report_cmd),
+}
+
+
+def _parser():
+    root = argparse.ArgumentParser(
+        prog="mevlens", allow_abbrev=False, description=(
+            "MEV detection and cross-layer sandwich simulation over recorded "
+            "event-log fixtures."))
+    commands = {"": root.add_subparsers(metavar="COMMAND", required=True)}
+    for name, (options, run) in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in commands:
+            parser = commands[""].add_parser(group, help=GROUPS[group],
+                                             description=GROUPS[group], allow_abbrev=False)
+            commands[group] = parser.add_subparsers(metavar="COMMAND", required=True)
+        parser = commands[group].add_parser(leaf, help=run.__doc__, description=run.__doc__,
+                                            allow_abbrev=False)
+        for flag, keywords in options:
+            parser.add_argument(flag, **keywords)
+        parser.set_defaults(run=run)
+    return root
 
 
 def main(argv=None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
+        ctx = _parser().parse_args(argv, Ctx())
+        _setup_logging()
+        ctx.run(ctx)
         return 0
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except click.exceptions.Abort:
-        return 1
-    except MevlensError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
     except SystemExit as exc:
-        code = exc.code or 0
-        return 1 if code == 2 else int(code)
+        # argparse exits 0 after --help and 2 after printing a usage error
+        return 1 if exc.code else 0
+    except MevlensError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:
         # anything else is a bug in the package, not bad input
         log.debug("internal error", exc_info=True)
-        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     finally:
         gc.unfreeze()

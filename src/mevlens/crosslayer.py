@@ -42,6 +42,7 @@ class CrossLayerLink:
     link_key: bytes
     l1_timestamp: int
     l2_timestamp: int
+    l2_block: int           # the block of the L2 execution
 
     @property
     def delay_s(self) -> int:
@@ -233,7 +234,7 @@ def infer_victims(l1_dataset: ChainDataset, l2_dataset: ChainDataset, pools_meta
         matched_l2.add(id(b))
         link = CrossLayerLink(rollup=a.rollup, l1_tx=a.tx_hash, l2_tx=b.tx_hash,
                               link_key=a.link_key, l1_timestamp=a.timestamp,
-                              l2_timestamp=b.timestamp)
+                              l2_timestamp=b.timestamp, l2_block=b.position[0])
         links.append(link)
         swap = _detect_l2_swap(l2_logs_by_tx.get(b.tx_hash, []), pools_meta)
         if swap is None:

@@ -407,7 +407,7 @@ def build_victim_scenarios(n=50):
         link = CrossLayerLink(rollup=ARBITRUM, l1_tx=bytes([i]) * 32,
                               l2_tx=bytes([i, 1]) * 16, link_key=bytes([i]),
                               l1_timestamp=1_700_000_000 + i,
-                              l2_timestamp=1_700_000_000 + i + delay)
+                              l2_timestamp=1_700_000_000 + i + delay, l2_block=i)
         victim = VictimCandidate(
             link=link,
             swap=VictimSwap(token_in=XL_TA, token_out=XL_TB, amount_in=amount),

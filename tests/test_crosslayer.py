@@ -30,7 +30,7 @@ COSTS = CostModel(l1_tx_cost=Fraction(2, 1000), l2_tx_cost=Fraction(1, 10000),
 def _link(delay=60):
     return CrossLayerLink(rollup=ARBITRUM, l1_tx=b"\x01" * 32, l2_tx=b"\x02" * 32,
                           link_key=b"\x03", l1_timestamp=1_700_000_000,
-                          l2_timestamp=1_700_000_000 + delay)
+                          l2_timestamp=1_700_000_000 + delay, l2_block=1)
 
 
 def _victim(amount_in=10 ** 4, min_out=None, delay=60):
@@ -112,6 +112,24 @@ def test_join_link_keys_unique():
         _, links, _ = infer_victims(l1, l2s[name], xl_pools_meta())
         keys = [l.link_key for l in links]
         assert len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("rollup", ["arbitrum", "optimism", "zksync"])
+def test_cli_infer_rows_carry_the_l2_block(tmp_path, rollup):
+    """Each victim row names the block of its L2 execution: that of the L2
+    transaction record with the row's hash."""
+    l1, l2s, _ = build_crosslayer_fixture()
+    dump_fixture(l1, tmp_path / "ethereum.jsonl")
+    dump_fixture(l2s[rollup], tmp_path / f"{rollup}.jsonl")
+    dump_pool_metadata(xl_pools_meta(), tmp_path / "pools.json")
+    out = tmp_path / "out"
+    assert main(["crosslayer", "infer", "--chain", rollup, "--fixtures", str(tmp_path),
+                 "--pools", str(tmp_path / "pools.json"), "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in (out / "victims.jsonl").read_text().splitlines()]
+    assert len(rows) == {"arbitrum": 4, "optimism": 4, "zksync": 1}[rollup]
+    for row in rows:
+        tx = l2s[rollup].tx(bytes.fromhex(row["tx_hash"][2:]))
+        assert row["block"] == tx.block_number > 0
 
 
 # --- delay statistics ---

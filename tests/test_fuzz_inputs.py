@@ -2,22 +2,25 @@
 
 A valid input set (fixtures, snapshots, bytecode, findings, prices, pools
 and attack config) is built once; each example sets one field of one file
-to a wrong-typed or out-of-range value and runs every command that reads
-that file. Malformed input must exit 1 and valid input 0; exit 2 means an
-internal error. Every leaf command runs on the valid set with exactly the
-options it takes, in process and, for a few, in a fresh interpreter that
-shows which modules they load. A bug planted in a simulation exits 2.
+to a wrong-typed or out-of-range value, or edits the file's bytes, and runs
+every command that reads that file. Malformed input must exit 1 and valid
+input 0; exit 2 means an internal error. Every leaf command runs on the
+valid set with exactly the options it takes, in process and, for a few, in
+a fresh interpreter that shows which modules they load. Each usage error
+exits 1. A bug planted in a simulation exits 2.
 """
 
+import contextlib
 import csv
 import functools
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
-import click
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -336,6 +339,55 @@ def test_sidecar_byte_mutation_exits_0_or_1_naming_the_file(rel, mutation, capsy
                 assert f"error: {path}: " in err, (argv, err)
 
 
+# not UTF-8: a lone continuation byte, an invalid start byte, a truncated
+# sequence, a UTF-16 surrogate, an overlong encoding and a code point past
+# U+10FFFF
+NOT_UTF8 = [b"\x80", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf4\x90\x80\x80"]
+
+
+def _byte_edit(content, data):
+    """One byte-level edit of a file, drawn from ``data``: bytes that are
+    not UTF-8, a BOM or a NUL inserted at any offset (the start of the
+    file among them), or some of its line ends turned to CRLF or a lone CR."""
+    kind = data.draw(st.sampled_from(["not_utf8", "bom", "nul", "crlf", "lone_cr"]),
+                     label="edit")
+    if kind in ("crlf", "lone_cr"):
+        content = _one_line_spread(content)
+        ends = [m.span() for m in re.finditer(rb"\r?\n", content)]
+        chosen = sorted(data.draw(st.sets(st.sampled_from(ends), min_size=1), label="ends"))
+        new, pieces, last = b"\r\n" if kind == "crlf" else b"\r", [], 0
+        for start, end in chosen:
+            pieces += [content[last:start], new]
+            last = end
+        return b"".join(pieces) + content[last:]
+    insert = {"not_utf8": data.draw(st.sampled_from(NOT_UTF8), label="bytes"),
+              "bom": b"\xef\xbb\xbf", "nul": b"\x00"}[kind]
+    at = data.draw(st.one_of(st.just(0), st.integers(0, len(content))), label="offset")
+    return content[:at] + insert + content[at:]
+
+
+@pytest.mark.parametrize("rel", sorted(COMMANDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_byte_level_edit_exits_0_or_1_naming_the_file(rel, data):
+    """Every command that reads the edited file exits 0 or 1, never with a
+    traceback, and an exit 1 names the file."""
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(root, valid_inputs())
+        path = os.path.join(root, rel)
+        with open(path, "rb") as fh:
+            content = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(_byte_edit(content, data))
+        for argv in COMMANDS[rel]:
+            with contextlib.redirect_stderr(io.StringIO()) as stderr:
+                code = _run(root, argv)
+            err = stderr.getvalue()
+            assert code in (0, 1) and "Traceback" not in err, (argv, code, err)
+            if code == 1:
+                assert f"error: {path}: " in err, (argv, err)
+
+
 def _long_decimal_targets():
     """(file, path to a decimal field) for every kind of decimal an input
     holds: on-chain amounts, prices and days, snapshot values, costs,
@@ -380,10 +432,12 @@ def test_window_and_horizon_below_1_exit_1(option, commands, capsys):
         for value in ("0", "-3"):
             for argv in (ARGV[command] for command in commands):
                 assert _run(root, argv + [option, value]) == 1, argv
-                assert f"Invalid value for '{option}'" in capsys.readouterr().err
+                assert f"error: argument {option}: " in capsys.readouterr().err
 
 
-# the mevlens modules a command must not load: those of the other commands
+# the mevlens modules a command must not load: those of the other commands;
+# and, as mevlens has no runtime dependency, no module outside the standard
+# library
 NOT_LOADED = [
     (ARGV["detect arb"], {"crosslayer", "bytecode", "keccak", "opportunity"}),
     (ARGV["decode"], {"amm", "opportunity", "crosslayer", "bytecode"}),
@@ -399,19 +453,24 @@ def test_commands_load_only_the_modules_they_run():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     code = ("import sys\n"
+            "before = set(sys.modules)\n"
             "from mevlens.cli import main\n"
             "rc = main(sys.argv[1:])\n"
-            "print(rc, *sorted(m for m in sys.modules if m.startswith('mevlens.')))\n")
+            "print(rc, *sorted(m for m in sys.modules if m.startswith('mevlens.')))\n"
+            "print('outside:', *sorted({m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "                          - set(sys.stdlib_module_names) - {'mevlens'}))\n")
     with tempfile.TemporaryDirectory() as root:
         _write_inputs(root, valid_inputs())
         for argv, absent in NOT_LOADED:
             proc = subprocess.run(
                 [sys.executable, "-c", code, *(a.format(root=root) for a in argv)],
                 capture_output=True, text=True, env=env, timeout=120)
-            rc, *loaded = proc.stdout.splitlines()[-1].split()
+            modules, outside = proc.stdout.splitlines()[-2:]
+            rc, *loaded = modules.split()
             assert rc == "0", (argv, proc.stderr)
             assert "mevlens.chain_model" in loaded, argv
             assert not absent & {m.removeprefix("mevlens.") for m in loaded}, argv
+            assert outside == "outside:", (argv, outside)
 
 
 _CHAIN = {"--chain", "--from-block", "--to-block", "--fixtures"}
@@ -432,34 +491,74 @@ OPTION_NAMES = {
 }
 
 
-def _leaf_commands(group, path=()):
-    for name, command in group.commands.items():
-        if isinstance(command, click.Group):
-            yield from _leaf_commands(command, path + (name,))
-        else:
-            yield " ".join(path + (name,)), command
-
-
-def test_each_command_takes_only_the_options_it_reads(capsys):
-    from mevlens.cli import cli
-    got = {name: {opt for param in command.params for opt in param.opts}
-           for name, command in _leaf_commands(cli)}
+def test_each_command_takes_only_the_options_it_reads():
+    from mevlens.cli import COMMANDS
+    got = {name: {flag for flag, _ in options} for name, (options, _) in COMMANDS.items()}
     assert got == OPTION_NAMES
     # ARGV hands every command each file option it takes
     not_files = {"--chain", "--from-block", "--to-block", "--type", "--window", "--horizon"}
     for name, argv in ARGV.items():
         given = {a for a in argv if a.startswith("--")}
         assert given - not_files == OPTION_NAMES[name] - not_files, name
+
+
+# a command line that is wrong before any input is read, and the usage
+# error it must print
+USAGE_ERRORS = [
+    (ARGV["detect arb"] + ["--jobs", "1"], "unrecognized arguments: --jobs 1"),
+    (ARGV["decode"] + ["--out", "x"], "unrecognized arguments: --out x"),
+    (ARGV["detect flashloan"] + PRICES, "unrecognized arguments: --prices"),
+    # an abbreviation is not the option it abbreviates
+    (["detect", "arb", *FIXTURES, "--pool", "{root}/pools.json"],
+     "unrecognized arguments: --pool"),
+    (["decode", "--fix", "{root}/fixtures", *FIXTURES], "unrecognized arguments: --fix"),
+    (["opportunity", *FIXTURES, *POOLS], "the following arguments are required: --snapshots"),
+    (["decode"], "the following arguments are required: --fixtures"),
+    (["bytecode", "cluster"], "the following arguments are required: --bytecode"),
+    ([], "the following arguments are required: COMMAND"),
+    (["detect"], "the following arguments are required: COMMAND"),
+    (["nope"], "argument COMMAND: invalid choice: 'nope'"),
+    (ARGV["detect arb"] + ["--prices", "{root}/missing.csv"], "argument --prices: path "),
+    (["decode", "--fixtures", "{root}/missing"], "argument --fixtures: path "),
+    (["decode", "--fixtures", "{root}/pools.json"], "argument --fixtures: "),
+    (ARGV["detect flashloan"] + ["--out", "{root}/pools.json"], "argument --out: "),
+    (ARGV["opportunity"] + ["--type", "sandwich"], "argument --type: invalid choice: "),
+    (ARGV["decode"] + ["--chain", "solana"], "argument --chain: invalid choice: "),
+    (ARGV["decode"] + ["--from-block", "x"], "argument --from-block: invalid int value"),
+    (ARGV["opportunity"] + ["--horizon", "many"], "argument --horizon: "),
+    # a cross-layer command needs the rollup whose executions it joins
+    *[([*argv[:2], *argv[4:]], "the following arguments are required: --chain")
+      for argv in CROSSLAYER],
+    *[(argv + ["--chain", "ethereum"], "argument --chain: invalid choice: 'ethereum'")
+      for argv in CROSSLAYER],
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(argv[:2]) + ": " + m for argv, m in USAGE_ERRORS])
+def test_usage_error_exits_1(argv, message, capsys):
     with tempfile.TemporaryDirectory() as root:
         _write_inputs(root, valid_inputs())
-        for argv, message in (
-                (ARGV["detect arb"] + ["--jobs", "1"], "No such option '--jobs'"),
-                (ARGV["decode"] + ["--out", "x"], "No such option '--out'"),
-                (ARGV["detect flashloan"] + PRICES, "No such option '--prices'"),
-                (["opportunity", *FIXTURES, *POOLS], "Missing option '--snapshots'")):
-            assert _run(root, argv) == 1, argv
-            err = capsys.readouterr().err
-            assert message in err and "Traceback" not in err, (argv, err)
+        assert _run(root, argv) == 1, argv
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, (argv, err)
+    assert err.startswith("usage: mevlens"), err
+
+
+@pytest.mark.parametrize("level", ["BASIC_FORMAT", "bogus", "", "5"])
+def test_unknown_log_level_exits_1(level, monkeypatch, capsys):
+    """Only a level name is a level: not another attribute of ``logging``
+    and not a number."""
+    monkeypatch.setenv("MEVLENS_LOG", level)
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(root, valid_inputs())
+        assert _run(root, ARGV["decode"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: MEVLENS_LOG: unknown level {level!r}" in err, err
+        assert "Traceback" not in err
+        for name in ("debug", "Info", "WARNING", "error", "critical"):
+            monkeypatch.setenv("MEVLENS_LOG", name)
+            assert _run(root, ARGV["decode"]) == 0, name
 
 
 def _bug(*args, **kwargs):

@@ -6,12 +6,14 @@ import pytest
 
 from mevlens import opportunity
 from mevlens.amm import PathHop, PoolInfo, cp_pool, simulate_path
-from mevlens.chain_model import ETHEREUM
+from mevlens.chain_model import ETHEREUM, dump_fixture
+from mevlens.cli import main
 from mevlens.detectors import (ArbitrageFinding, LiquidationFinding, detect_arbitrages,
                                extract_swaps)
 from mevlens.decoding import LiquidationAction, decode_swap
 from mevlens.errors import MalformedRecord, MevlensError
-from mevlens.fixtures import FixtureBuilder, addr, enc_answer_updated, enc_balancer_v1_swap
+from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
+                              enc_answer_updated, enc_balancer_v1_swap)
 from mevlens.opportunity import (DEFAULT_HORIZON, FOUND, NOT_FOUND, UNSIMULATABLE,
                                  OpportunityResult,
                                  StateProvider, block_distance_cdf,
@@ -292,6 +294,35 @@ def test_competition_grouping():
     assert groups[0]["opportunity_tx"] == opp
     assert groups[0]["extractors"] == sorted([addr(1), addr(2)])
     assert set(groups[0]["findings"]) == {"f1", "f2"}
+
+
+def test_cli_compete_row_carries_the_opportunity_block(tmp_path):
+    """Two liquidators of one borrower compete for the oracle update that
+    made the position liquidable; the row names that update's block and
+    its timestamp, not those of the liquidations."""
+    fb = FixtureBuilder(ETHEREUM, start_block=F - 7)
+    fb.block(number=F - 7)
+    opened = fb.tx()
+    fb.log(addr(0xFE), *enc_answer_updated(10 ** 8))
+    fb.block(number=F)
+    for liquidator in (addr(6), addr(7)):
+        fb.tx(sender=liquidator)
+        fb.log(addr(0xAB), *enc_aave_v2v3_liquidation(A, B, addr(5), 100, 150, liquidator))
+    ds = fb.dataset()
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    dump_fixture(ds, fixtures / "ethereum.jsonl")
+    snapshots = tmp_path / "snap.jsonl"
+    snapshots.write_text("".join(
+        json.dumps({"kind": "health", "key": "0x" + addr(5).hex(), "block": block,
+                    "value": value}) + "\n" for block, value in ((0, "1.02"), (F - 7, "0.98"))))
+    out = tmp_path / "out"
+    assert main(["compete", "--type", "liq", "--fixtures", str(fixtures),
+                 "--snapshots", str(snapshots), "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in (out / "competition_liq.jsonl").read_text().splitlines()]
+    assert [(r["tx_hash"], r["block"], r["timestamp"], len(r["extractors"])) for r in rows] == [
+        ("0x" + opened.hex(), F - 7, ds.block_timestamp(F - 7), 2)]
+    assert ds.block_timestamp(F - 7) != ds.block_timestamp(F)
 
 
 def test_not_found_status_names_the_horizon():
