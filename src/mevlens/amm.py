@@ -7,8 +7,7 @@ reproducible and match EVM semantics. No floating point in this module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .chain_model import _json_object, _sidecar_hex, _whole
 from .errors import (BrokenPath, DrainedPool, EmptyPool, InvalidSwap, MalformedRecord,
@@ -21,23 +20,29 @@ DEFAULT_AMP = 200
 MAX_ITERATIONS = 255
 
 
-@dataclass(frozen=True)
-class PoolState:
+class _PoolFields(NamedTuple):
     kind: str
     tokens: tuple            # ordered token addresses
     reserves: tuple          # unsigned big integers, same length
-    fee_num: int = 0
-    fee_den: int = 1
-    amp: int = DEFAULT_AMP   # stableswap only
+    fee_num: int
+    fee_den: int
+    amp: int                 # stableswap only
 
-    def __post_init__(self):
-        assert self.kind in (CONSTANT_PRODUCT, STABLESWAP)
-        assert len(self.tokens) == len(self.reserves)
-        if self.kind == CONSTANT_PRODUCT:
-            assert len(self.tokens) == 2
+
+class PoolState(_PoolFields):
+    """Checked on every construction; ``_replace`` and ``_make`` skip the checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, tokens, reserves, fee_num=0, fee_den=1, amp=DEFAULT_AMP):
+        assert kind in (CONSTANT_PRODUCT, STABLESWAP)
+        assert len(tokens) == len(reserves)
+        if kind == CONSTANT_PRODUCT:
+            assert len(tokens) == 2
         else:
-            assert len(self.tokens) >= 2 and self.amp > 0
-        assert 0 <= self.fee_num < self.fee_den
+            assert len(tokens) >= 2 and amp > 0
+        assert 0 <= fee_num < fee_den
+        return tuple.__new__(cls, (kind, tokens, reserves, fee_num, fee_den, amp))
 
     def index_of(self, token) -> int:
         try:
@@ -63,8 +68,7 @@ def stable_pool(reserves, tokens=None, amp: int = DEFAULT_AMP,
     return PoolState(STABLESWAP, tuple(tokens), tuple(reserves), fee_num, fee_den, amp)
 
 
-@dataclass(frozen=True)
-class SwapQuote:
+class SwapQuote(NamedTuple):
     amount_in: int
     amount_out: int
     post_state: PoolState
@@ -180,8 +184,7 @@ def swap_out(pool: PoolState, token_in, token_out, amount_in: int) -> SwapQuote:
     return stable_swap_out(pool, token_in, token_out, amount_in)
 
 
-@dataclass(frozen=True)
-class PathHop:
+class PathHop(NamedTuple):
     pool_key: object     # key into the pools mapping
     token_in: bytes
     token_out: bytes
@@ -210,8 +213,7 @@ def simulate_path(pools: dict, path: Sequence[PathHop], amount_in: int):
 
 # --- pool metadata sidecar ---
 
-@dataclass(frozen=True)
-class PoolInfo:
+class PoolInfo(NamedTuple):
     address: bytes
     kind: str
     tokens: tuple

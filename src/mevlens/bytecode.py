@@ -7,7 +7,7 @@ in embedded constants collapse to one digest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chain_model import ChainId, _chain, _json_line, _lines, _sidecar_hex, to_hex
 from .errors import MalformedRecord
@@ -18,16 +18,14 @@ PUSH32 = 0x7F
 DELEGATECALL = 0xF4
 
 
-@dataclass(frozen=True)
-class BytecodeRecord:
+class BytecodeRecord(NamedTuple):
     chain: ChainId
     address: bytes
     code: bytes
     verified: bool = False
 
 
-@dataclass(frozen=True)
-class NormalizedCode:
+class NormalizedCode(NamedTuple):
     skeleton: bytes
     digest: bytes
 
@@ -71,8 +69,7 @@ def normalize(code: bytes) -> NormalizedCode:
     return NormalizedCode(skeleton=skel, digest=keccak256(skel))
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     digest: bytes
     members: tuple          # (chain, address) pairs
     chains: tuple           # distinct chain names, sorted

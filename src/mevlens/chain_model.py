@@ -13,10 +13,9 @@ import gc
 import json
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DuplicateKey, InvalidRange, MalformedRecord, OrderingViolation
 
@@ -31,13 +30,9 @@ class TxStatus(Enum):
     REVERTED = "reverted"
 
 
-@dataclass(frozen=True)
-class ChainId:
+class ChainId(NamedTuple):
     name: str
     layer: Layer
-
-    def __post_init__(self):
-        assert self.layer is (Layer.L1 if self.name == "ethereum" else Layer.L2)
 
 
 ETHEREUM = ChainId("ethereum", Layer.L1)
@@ -202,16 +197,14 @@ def to_hex(b: bytes) -> str:
     return "0x" + b.hex()
 
 
-@dataclass(frozen=True, slots=True)
-class BlockRecord:
+class BlockRecord(NamedTuple):
     chain: ChainId
     number: int
     timestamp: int
     tx_hashes: tuple  # ordered 32-byte hashes
 
 
-@dataclass(frozen=True, slots=True)
-class TxRecord:
+class TxRecord(NamedTuple):
     hash: bytes
     block_number: int
     tx_index: int
@@ -222,8 +215,7 @@ class TxRecord:
     status: TxStatus = TxStatus.SUCCESS
 
 
-@dataclass(frozen=True, slots=True)
-class EventLog:
+class EventLog(NamedTuple):
     chain: ChainId
     address: bytes
     topics: tuple  # 1-4 32-byte words
@@ -238,18 +230,20 @@ class EventLog:
         return (self.block_number, self.tx_index, self.log_index)
 
 
-@dataclass
 class ChainDataset:
-    """Immutable after load; safe for concurrent readers."""
+    """One chain's records; a command may narrow ``logs`` to a block range."""
 
-    chain: Optional[ChainId] = None
-    blocks: list = field(default_factory=list)        # BlockRecord, ascending number
-    txs: list = field(default_factory=list)           # TxRecord
-    logs: list = field(default_factory=list)          # EventLog, total order
-
-    def __post_init__(self):
+    def __init__(self, chain: Optional[ChainId] = None, blocks=None, txs=None, logs=None):
+        self.chain = chain
+        self.blocks = [] if blocks is None else blocks    # BlockRecord, ascending number
+        self.txs = [] if txs is None else txs             # TxRecord
+        self.logs = [] if logs is None else logs          # EventLog, total order
         self._tx_by_hash = {t.hash: t for t in self.txs}
         self._block_by_number = {b.number: b for b in self.blocks}
+
+    def __eq__(self, other):
+        fields = attrgetter("chain", "blocks", "txs", "logs")
+        return type(other) is ChainDataset and fields(self) == fields(other)
 
     def tx(self, tx_hash: bytes) -> Optional[TxRecord]:
         return self._tx_by_hash.get(tx_hash)

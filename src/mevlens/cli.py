@@ -67,7 +67,8 @@ _CHAIN_OPTIONS = (
 _L2_CHAIN_OPTIONS = (
     ("--chain", dict(dest="chain_name", required=True, choices=sorted(
         name for name, chain in CHAINS.items() if chain.layer is Layer.L2))),
-) + _CHAIN_OPTIONS[1:]
+    _CHAIN_OPTIONS[-1],
+)
 TYPE = ("--type", dict(dest="mev_type", choices=["arb", "liq"], default="arb", help=DEFAULT))
 PRICES = ("--prices", dict(dest="prices_file", type=_path, metavar="FILE"))
 POOLS = ("--pools", dict(dest="pools_file", type=_path, metavar="FILE"))
@@ -83,6 +84,7 @@ class Ctx(argparse.Namespace):
     """The options of one command, with its inputs loaded on first use."""
 
     _pools = _prices = None
+    from_block = to_block = None  # a cross-layer command has none: L1 and L2 number blocks apart
 
     def dataset(self, chain_name=None):
         name = chain_name or self.chain_name
@@ -396,22 +398,34 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Adds its ``options`` only when it parses: argparse hands argv to the
+    one command it selects, so a process builds only that command's options."""
+
+    def __init__(self, options=(), **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._options = options
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flag, keywords in self._options:
+            self.add_argument(flag, **keywords)
+        self._options = ()
+        return super().parse_known_args(args, namespace)
+
+
 def _parser():
-    root = argparse.ArgumentParser(
-        prog="mevlens", allow_abbrev=False, description=(
-            "MEV detection and cross-layer sandwich simulation over recorded "
-            "event-log fixtures."))
+    root = _Parser(prog="mevlens", description=(
+        "MEV detection and cross-layer sandwich simulation over recorded "
+        "event-log fixtures."))
     commands = {"": root.add_subparsers(metavar="COMMAND", required=True)}
     for name, (options, run) in COMMANDS.items():
         group, _, leaf = name.rpartition(" ")
         if group not in commands:
             parser = commands[""].add_parser(group, help=GROUPS[group],
-                                             description=GROUPS[group], allow_abbrev=False)
+                                             description=GROUPS[group])
             commands[group] = parser.add_subparsers(metavar="COMMAND", required=True)
-        parser = commands[group].add_parser(leaf, help=run.__doc__, description=run.__doc__,
-                                            allow_abbrev=False)
-        for flag, keywords in options:
-            parser.add_argument(flag, **keywords)
+        parser = commands[group].add_parser(leaf, options=options, help=run.__doc__,
+                                            description=run.__doc__)
         parser.set_defaults(run=run)
     return root
 

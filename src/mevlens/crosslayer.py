@@ -10,10 +10,9 @@ Strategies:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .amm import CONSTANT_PRODUCT, PoolState, _cp_out, swap_out
 from .chain_model import (_DECIMAL_FRACTION, ChainDataset, ChainId, ZKSYNC, _decimal,
@@ -34,8 +33,7 @@ DEFAULT_SLIPPAGE = Fraction(2, 100)
 DEFAULT_CAPITAL_TIERS_USD = (1_000, 10_000, 100_000, 1_000_000, None)  # None = unbounded
 
 
-@dataclass(frozen=True)
-class CrossLayerLink:
+class CrossLayerLink(NamedTuple):
     rollup: ChainId
     l1_tx: bytes
     l2_tx: bytes
@@ -49,8 +47,7 @@ class CrossLayerLink:
         return self.l2_timestamp - self.l1_timestamp
 
 
-@dataclass(frozen=True)
-class VictimSwap:
+class VictimSwap(NamedTuple):
     token_in: bytes
     token_out: bytes
     amount_in: int
@@ -58,21 +55,26 @@ class VictimSwap:
     assumed_slippage: bool = False
 
 
-@dataclass(frozen=True)
-class VictimCandidate:
+class VictimCandidate(NamedTuple):
     link: CrossLayerLink
     swap: VictimSwap
     pool: bytes
 
 
-@dataclass(frozen=True)
-class CostModel:
+class _CostFields(NamedTuple):
     l1_tx_cost: Fraction  # ETH
     l2_tx_cost: Fraction
     bribe: Fraction       # S1 frontrun priority payment
 
-    def __post_init__(self):
-        assert self.l1_tx_cost >= 0 and self.l2_tx_cost >= 0 and self.bribe >= 0
+
+class CostModel(_CostFields):
+    """Checked on every construction; ``_replace`` and ``_make`` skip the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, l1_tx_cost, l2_tx_cost, bribe):
+        assert l1_tx_cost >= 0 and l2_tx_cost >= 0 and bribe >= 0
+        return tuple.__new__(cls, (l1_tx_cost, l2_tx_cost, bribe))
 
     def total(self, strategy: str) -> Fraction:
         if strategy == S1:
@@ -84,24 +86,31 @@ class CostModel:
         raise ValueError(f"unknown strategy {strategy!r}")
 
 
-@dataclass(frozen=True)
-class AttackScenario:
+class _ScenarioFields(NamedTuple):
     strategy: str
     victim: VictimCandidate
     pool_state: PoolState
     costs: CostModel
-    capital_eth: Optional[Fraction] = None          # None = unbounded
-    token_in_price_eth: Fraction = Fraction(1)      # ETH per 10^18 base units
-    reaction_time_s: int = DEFAULT_REACTION_TIME_S
+    capital_eth: Optional[Fraction]      # None = unbounded
+    token_in_price_eth: Fraction         # ETH per 10^18 base units
+    reaction_time_s: int
 
-    def __post_init__(self):
-        if not self.token_in_price_eth > 0:
+
+class AttackScenario(_ScenarioFields):
+    """Checked on every construction; ``_replace`` and ``_make`` skip the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, strategy, victim, pool_state, costs, capital_eth=None,
+                token_in_price_eth=Fraction(1), reaction_time_s=DEFAULT_REACTION_TIME_S):
+        if not token_in_price_eth > 0:
             raise InvalidScenario(
-                f"token_in_price_eth must be positive, got {self.token_in_price_eth!r}")
+                f"token_in_price_eth must be positive, got {token_in_price_eth!r}")
+        return tuple.__new__(cls, (strategy, victim, pool_state, costs, capital_eth,
+                                   token_in_price_eth, reaction_time_s))
 
 
-@dataclass(frozen=True)
-class AttackResult:
+class AttackResult(NamedTuple):
     strategy: str
     optimal_input: int
     gross_gain: Fraction   # ETH
@@ -155,7 +164,7 @@ def _bridge_actions(dataset: ChainDataset):
     """Bridge messages stamped with their block's timestamp (0 when the
     block record is missing)."""
     decoded = decode_logs(dataset.logs, (Category.L1_MESSAGE, Category.L2_MESSAGE))
-    return [replace(action, timestamp=dataset.block_timestamp(log.block_number) or 0)
+    return [action._replace(timestamp=dataset.block_timestamp(log.block_number) or 0)
             for log, action in decoded]
 
 
@@ -211,8 +220,8 @@ def infer_victims(l1_dataset: ChainDataset, l2_dataset: ChainDataset, pools_meta
             tx = l2_dataset.tx(a.link_key)
             if tx is not None:
                 ts = l2_dataset.block_timestamp(tx.block_number) or 0
-                l2_actions.append(replace(
-                    a, direction="l2_execute",
+                l2_actions.append(a._replace(
+                    direction="l2_execute",
                     position=(tx.block_number, tx.tx_index, -1),
                     tx_hash=tx.hash, timestamp=ts))
 
@@ -253,8 +262,7 @@ def infer_victims(l1_dataset: ChainDataset, l2_dataset: ChainDataset, pools_meta
 
 # --- inclusion-delay statistics ---
 
-@dataclass(frozen=True)
-class DelayStats:
+class DelayStats(NamedTuple):
     count: int
     min: int
     mean: Fraction
@@ -401,7 +409,7 @@ class _VictimSizing:
             if quote is None:
                 raise Infeasible("victim trade cannot execute on the given pool")
             min_out = quote - quote * DEFAULT_SLIPPAGE.numerator // DEFAULT_SLIPPAGE.denominator
-            victim = replace(victim, min_amount_out=min_out, assumed_slippage=True)
+            victim = victim._replace(min_amount_out=min_out, assumed_slippage=True)
         self.victim = victim
         self.x_slip = _max_input_within_slippage(pool, victim)
         self.gross: dict = {}

@@ -14,8 +14,7 @@ logs a decoder rejects.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .chain_model import ARBITRUM, OPTIMISM, ZKSYNC, ChainId, EventLog
 from .errors import MevlensError, SchemaMismatch, SlotOutOfRange
@@ -24,7 +23,6 @@ from .registry import DEFAULT_REGISTRY
 _log = logging.getLogger("mevlens")
 
 WORD = 32
-UINT256_MAX = (1 << 256) - 1
 
 
 def decode_word(data: bytes, slot: int, typ: str):
@@ -57,8 +55,7 @@ def _require_slots(log: EventLog, n: int):
 
 # --- typed actions ---
 
-@dataclass(frozen=True, slots=True)
-class SwapAction:
+class SwapAction(NamedTuple):
     venue: bytes
     token_in: bytes
     token_out: bytes
@@ -68,8 +65,7 @@ class SwapAction:
     tx_hash: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class TransferAction:
+class TransferAction(NamedTuple):
     token: bytes
     sender: bytes
     receiver: bytes
@@ -78,8 +74,7 @@ class TransferAction:
     tx_hash: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class LiquidationAction:
+class LiquidationAction(NamedTuple):
     protocol: str  # aave_v1 | aave_v2v3 | compound_v2
     liquidator: bytes
     borrower: bytes
@@ -91,11 +86,10 @@ class LiquidationAction:
     tx_hash: bytes
 
     def with_collateral(self, token: bytes, amount: int) -> "LiquidationAction":
-        return replace(self, collateral_token=token, collateral_amount=amount)
+        return self._replace(collateral_token=token, collateral_amount=amount)
 
 
-@dataclass(frozen=True, slots=True)
-class FlashLoanAction:
+class FlashLoanAction(NamedTuple):
     provider: str  # aave_v1 | aave_v2 | aave_v3 | balancer
     token: bytes
     amount: int
@@ -103,16 +97,14 @@ class FlashLoanAction:
     tx_hash: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class OracleUpdateAction:
+class OracleUpdateAction(NamedTuple):
     feed: bytes
     new_answer: int
     position: tuple
     tx_hash: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class BridgeMessageAction:
+class BridgeMessageAction(NamedTuple):
     direction: str  # l1_emit | l2_execute
     rollup: ChainId
     link_key: bytes

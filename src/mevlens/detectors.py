@@ -8,9 +8,8 @@ reporting concern.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .chain_model import ChainDataset, ChainId, EventLog, Layer, TxRecord
 from .decoding import LiquidationAction, SwapAction, TransferAction, decode_logs
@@ -27,8 +26,7 @@ def day_of(timestamp: int) -> int:
 
 # --- findings ---
 
-@dataclass(frozen=True)
-class ArbitrageFinding:
+class ArbitrageFinding(NamedTuple):
     tx_hash: bytes
     cycle: tuple                 # ordered SwapActions forming the cycle
     token_balances: Mapping      # token -> signed big integer
@@ -39,8 +37,7 @@ class ArbitrageFinding:
     flash_loans: tuple = ()
 
 
-@dataclass(frozen=True)
-class LiquidationFinding:
+class LiquidationFinding(NamedTuple):
     tx_hash: bytes
     actions: tuple               # LiquidationActions
     profit_eth: Optional[Fraction] = None
@@ -49,8 +46,7 @@ class LiquidationFinding:
     flash_loans: tuple = ()
 
 
-@dataclass(frozen=True)
-class SandwichFinding:
+class SandwichFinding(NamedTuple):
     front_tx: bytes
     back_tx: bytes
     victim_txs: tuple
@@ -174,8 +170,8 @@ def arbitrage_profit(finding: ArbitrageFinding, prices: PriceProvider,
     gains, costs, unpriced = _price_balances(finding.token_balances, prices,
                                              day_of(timestamp))
     fees = Fraction(tx.fee_paid + tx.builder_payment, WEI)
-    return replace(finding, gain_eth=gains, cost_eth=costs,
-                   profit_eth=gains - costs - fees, unpriced=unpriced)
+    return finding._replace(gain_eth=gains, cost_eth=costs,
+                            profit_eth=gains - costs - fees, unpriced=unpriced)
 
 
 # --- liquidations ---
@@ -229,7 +225,7 @@ def liquidation_profit(finding: LiquidationFinding, prices: PriceProvider,
             else:
                 total += Fraction(action.collateral_amount, WEI) * col_price
     total -= Fraction(tx.fee_paid + tx.builder_payment, WEI)
-    return replace(finding, profit_eth=total, unpriced=unpriced)
+    return finding._replace(profit_eth=total, unpriced=unpriced)
 
 
 # --- sandwiches ---
@@ -313,7 +309,7 @@ def detect_sandwiches(transfers: Sequence[TransferAction], chain: ChainId,
 def attribute_flash_loans(finding, tx_logs: Sequence[EventLog]):
     same_tx = [log for log in tx_logs if log.tx_hash == finding.tx_hash]
     loans = decode_logs(same_tx, (Category.FLASH_LOAN,))
-    return replace(finding, flash_loans=tuple(loan for _, loan in loans))
+    return finding._replace(flash_loans=tuple(loan for _, loan in loans))
 
 
 # --- dataset-level drivers ---

@@ -4,9 +4,8 @@ block-distance distributions, and competition measurement."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .amm import PathHop, PoolState, simulate_path
 from .chain_model import (_DECIMAL_FRACTION, ChainDataset, _decimal, _sidecar_hex, _whole,
@@ -29,8 +28,7 @@ def _not_found(horizon: int) -> str:
 NOT_FOUND = _not_found(DEFAULT_HORIZON)  # the status at the default horizon
 
 
-@dataclass(frozen=True)
-class OpportunityResult:
+class OpportunityResult(NamedTuple):
     status: str
     opportunity_tx: Optional[bytes] = None
     block_distance: Optional[int] = None

@@ -5,9 +5,8 @@ The compiled-in table mirrors the event set the detectors rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class Category(Enum):
@@ -21,8 +20,7 @@ class Category(Enum):
     VICTIM_SWAP = "victim_swap"
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     topic: bytes
     categories: frozenset  # of Category
     label: str             # display category

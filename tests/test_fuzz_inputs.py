@@ -437,7 +437,9 @@ def test_window_and_horizon_below_1_exit_1(option, commands, capsys):
 
 # the mevlens modules a command must not load: those of the other commands;
 # and, as mevlens has no runtime dependency, no module outside the standard
-# library
+# library. No command loads the dataclass machinery or the introspection
+# it imports: the records are NamedTuples.
+NEVER_LOADED = ["dataclasses", "inspect"]
 NOT_LOADED = [
     (ARGV["detect arb"], {"crosslayer", "bytecode", "keccak", "opportunity"}),
     (ARGV["decode"], {"amm", "opportunity", "crosslayer", "bytecode"}),
@@ -458,19 +460,24 @@ def test_commands_load_only_the_modules_they_run():
             "rc = main(sys.argv[1:])\n"
             "print(rc, *sorted(m for m in sys.modules if m.startswith('mevlens.')))\n"
             "print('outside:', *sorted({m.partition('.')[0] for m in set(sys.modules) - before}\n"
-            "                          - set(sys.stdlib_module_names) - {'mevlens'}))\n")
+            "                          - set(sys.stdlib_module_names) - {'mevlens'}))\n"
+            f"print('never:', *[m for m in {NEVER_LOADED!r} if m in sys.modules])\n")
+    # every command, in ARGV's order, so that report reads what detect wrote
+    runs = {tuple(argv): set() for argv in ARGV.values()}
+    runs.update((tuple(argv), absent) for argv, absent in NOT_LOADED)
     with tempfile.TemporaryDirectory() as root:
         _write_inputs(root, valid_inputs())
-        for argv, absent in NOT_LOADED:
+        for argv, absent in runs.items():
             proc = subprocess.run(
                 [sys.executable, "-c", code, *(a.format(root=root) for a in argv)],
                 capture_output=True, text=True, env=env, timeout=120)
-            modules, outside = proc.stdout.splitlines()[-2:]
+            modules, outside, never = proc.stdout.splitlines()[-3:]
             rc, *loaded = modules.split()
             assert rc == "0", (argv, proc.stderr)
             assert "mevlens.chain_model" in loaded, argv
             assert not absent & {m.removeprefix("mevlens.") for m in loaded}, argv
             assert outside == "outside:", (argv, outside)
+            assert never == "never:", (argv, never)
 
 
 _CHAIN = {"--chain", "--from-block", "--to-block", "--fixtures"}
@@ -483,9 +490,11 @@ OPTION_NAMES = {
     "detect flashloan": _CHAIN | {"--out"},
     "opportunity": _CHAIN | {"--type", "--pools", "--snapshots", "--horizon", "--out"},
     "compete": _CHAIN | {"--type", "--pools", "--snapshots", "--horizon", "--out"},
-    "crosslayer infer": _CHAIN | {"--pools", "--out"},
-    "crosslayer delay": _CHAIN | {"--pools", "--out"},
-    "crosslayer simulate": _CHAIN | {"--pools", "--prices", "--snapshots", "--config", "--out"},
+    # the two chains of a cross-layer command number their blocks apart
+    "crosslayer infer": {"--chain", "--fixtures", "--pools", "--out"},
+    "crosslayer delay": {"--chain", "--fixtures", "--pools", "--out"},
+    "crosslayer simulate": {"--chain", "--fixtures", "--pools", "--prices", "--snapshots",
+                            "--config", "--out"},
     "report": {"--out", "--prices"},
     "bytecode cluster": {"--bytecode", "--out"},
 }
@@ -531,6 +540,13 @@ USAGE_ERRORS = [
       for argv in CROSSLAYER],
     *[(argv + ["--chain", "ethereum"], "argument --chain: invalid choice: 'ethereum'")
       for argv in CROSSLAYER],
+    # L1 and the rollup number their blocks apart: one range cannot cut both
+    (ARGV["crosslayer infer"] + ["--from-block", "5000"],
+     "unrecognized arguments: --from-block 5000"),
+    (ARGV["crosslayer delay"] + ["--to-block", "1005"],
+     "unrecognized arguments: --to-block 1005"),
+    (SIMULATE + ["--from-block", "0", "--to-block", "9"],
+     "unrecognized arguments: --from-block 0 --to-block 9"),
 ]
 
 

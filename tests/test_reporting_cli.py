@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import logging
@@ -8,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mevlens import decoding
-from mevlens.chain_model import ARBITRUM, ETHEREUM, EventLog, dump_fixture
+from mevlens.chain_model import ARBITRUM, ETHEREUM, ChainDataset, EventLog, dump_fixture
 from mevlens.cli import main
 from mevlens.errors import MalformedRecord
 from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
@@ -250,7 +249,7 @@ def test_cli_detect_arb_without_block_records(tmp_path):
     for blocks in (ds.blocks[:22], []):
         fixtures = tmp_path / f"fixtures{len(blocks)}"
         fixtures.mkdir()
-        dump_fixture(dataclasses.replace(ds, blocks=blocks), fixtures / "ethereum.jsonl")
+        dump_fixture(ChainDataset(ds.chain, blocks, ds.txs, ds.logs), fixtures / "ethereum.jsonl")
         out = tmp_path / f"out{len(blocks)}"
         assert main(["detect", "arb", "--fixtures", str(fixtures), "--out", str(out)]) == 0
         findings = read_findings(out / "findings_arb.jsonl")
