@@ -5,9 +5,8 @@ and attack config) is built once; each example sets one field of one file
 to a wrong-typed or out-of-range value, or edits the file's bytes, and runs
 every command that reads that file. Malformed input must exit 1 and valid
 input 0; exit 2 means an internal error. Every leaf command runs on the
-valid set with exactly the options it takes, in process and, for a few, in
-a fresh interpreter that shows which modules they load. Each usage error
-exits 1. A bug planted in a simulation exits 2.
+valid set with exactly the options it takes, in process and in a fresh
+interpreter that shows which modules it loads. Each usage error exits 1. A bug planted in a simulation exits 2.
 """
 
 import contextlib
