@@ -35,13 +35,13 @@ class PoolState(_PoolFields):
     __slots__ = ()
 
     def __new__(cls, kind, tokens, reserves, fee_num=0, fee_den=1, amp=DEFAULT_AMP):
-        assert kind in (CONSTANT_PRODUCT, STABLESWAP)
-        assert len(tokens) == len(reserves)
-        if kind == CONSTANT_PRODUCT:
-            assert len(tokens) == 2
-        else:
-            assert len(tokens) >= 2 and amp > 0
-        assert 0 <= fee_num < fee_den
+        # raised, not asserted, so that python -O keeps the checks
+        if not (kind in (CONSTANT_PRODUCT, STABLESWAP) and len(tokens) == len(reserves)
+                and (len(tokens) == 2 if kind == CONSTANT_PRODUCT
+                     else len(tokens) >= 2 and amp > 0)
+                and 0 <= fee_num < fee_den):
+            raise AssertionError(f"invalid pool state: {kind!r}, {len(tokens)} tokens, "
+                                 f"{len(reserves)} reserves, fee {fee_num}/{fee_den}, amp {amp}")
         return tuple.__new__(cls, (kind, tokens, reserves, fee_num, fee_den, amp))
 
     def index_of(self, token) -> int:

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import gc
 import json
+import logging
 import re
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DuplicateKey, InvalidRange, MalformedRecord, OrderingViolation
+
+_log = logging.getLogger("mevlens")
 
 
 class Layer(Enum):
@@ -56,21 +59,27 @@ _MAX_TIMESTAMP = 253402300799
 _MAX_DECIMAL_CHARS = 640
 
 
+def _fromhex(body) -> bytes:
+    """The bytes of a body of lowercase hex digit pairs; ValueError for any
+    other string. bytes.fromhex alone would skip whitespace and accept
+    uppercase; the exact round trip rejects both, and fromhex rejects odd
+    lengths and anything but ASCII hex digits."""
+    raw = bytes.fromhex(body)
+    if raw.hex() != body:
+        raise ValueError(f"not lowercase hex: {body!r}")
+    return raw
+
+
 def _hexstr(value, length, what):
     if not isinstance(value, str) or not value.startswith("0x"):
         raise MalformedRecord(None, f"{what} must be 0x-hex, got {value!r}")
     body = value[2:]
     if length is not None and len(body) != 2 * length:
         raise MalformedRecord(None, f"{what} must be {length} bytes, got {value!r}")
-    # bytes.fromhex alone would skip whitespace and accept uppercase; the
-    # exact round trip rejects both, and fromhex rejects odd lengths
     try:
-        raw = bytes.fromhex(body)
+        return _fromhex(body)
     except ValueError:
-        raw = None
-    if raw is None or raw.hex() != body:
-        raise MalformedRecord(None, f"{what} must be lowercase hex bytes: {value!r}")
-    return raw
+        raise MalformedRecord(None, f"{what} must be lowercase hex bytes: {value!r}") from None
 
 
 def _sidecar_hex(value, allow_empty=False) -> Optional[bytes]:
@@ -130,19 +139,23 @@ def _raise_not_utf8(path, exc: UnicodeDecodeError):
     raise exc
 
 
-def _lines(path):
-    """Yield (line number, stripped text) for each non-blank line of a
-    text file, counting lines as text mode does (LF, CRLF and a lone CR
-    each end one). A line that is not UTF-8 raises MalformedRecord with
-    the file and the line."""
+def _text_lines(path):
+    """Yield (line number, text with its line end) for each line of a text
+    file, ended as text mode ends them (LF, CRLF or a lone CR). A line that
+    is not UTF-8 raises MalformedRecord with the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            for line, raw in enumerate(fh, 1):
-                raw = raw.strip()
-                if raw:
-                    yield line, raw
+            yield from enumerate(fh, 1)
         except UnicodeDecodeError as exc:
             _raise_not_utf8(path, exc)
+
+
+def _lines(path):
+    """(line number, stripped text) for each non-blank ``_text_lines``."""
+    for line, raw in _text_lines(path):
+        raw = raw.strip()
+        if raw:
+            yield line, raw
 
 
 def _json_line(path, line, raw, parse):
@@ -278,18 +291,18 @@ def _timestamp(obj, key):
 
 
 class _HexMemo(dict):
-    """One load's fixed-length hex strings, each checked once and then
-    shared as one bytes object by both parsing paths.
+    """One load's 0x-hex strings, each checked once and then shared as one
+    bytes object by both parsing paths.
 
-    ``check`` is a ``_hexstr`` for the json path. The memo keys on the
-    string alone, so a hit must also have the asked length; a string seen
-    at one length and asked at another falls through to ``_hexstr``,
-    which raises. ``memo[value]`` is for a string that a canonical
-    pattern matched, which is lowercase hex of the one length its field
-    takes."""
+    ``memo[value]`` is for a string a canonical pattern captured as '0x'
+    and a body of its field's length: the body's bytes, or ValueError (and
+    nothing kept), which sends the line to the json path. ``check`` is a
+    ``_hexstr`` for the json path. The memo keys on the string alone, so a
+    hit must also have the asked length; a string seen at one length and
+    asked at another falls through to ``_hexstr``, which raises."""
 
     def __missing__(self, value):
-        raw = self[value] = bytes.fromhex(value[2:])
+        raw = self[value] = _fromhex(value[2:])
         return raw
 
     def check(self, value, length, what):
@@ -362,82 +375,43 @@ def _parse_record(obj, hexstr):
     return kind, parse(obj, hexstr)
 
 
-# dump_fixture's exact layout, one pattern per kind. Every line a pattern
-# matches is one the json path accepts, and the record built from the
-# match is the one the json path builds; every other line, valid or not,
-# takes the json path, which alone rejects. Integers are bounded so int()
-# never meets its digit limit.
+# dump_fixture's exact layout with its line end, one pattern per kind,
+# picked by the character after '{"kind":"'. A hex field matches as its
+# length in characters but a quote; ``_fromhex`` checks ``data`` and, once
+# per distinct string (``_HexMemo``), every other hex field. A line that
+# matches and passes is one the json path accepts, built to the record it
+# builds; any other line takes the json path, which alone rejects.
+# Integers are bounded so int() never meets its digit limit.
 _TX_STATUS = {s.value: s for s in TxStatus}
-_H20 = r'"(0x[0-9a-f]{40})"'
-_H32 = r'"(0x[0-9a-f]{64})"'
-_WORDS = r'(?:"0x[0-9a-f]{64}",)'
+_H20 = r'"(0x[^"]{40})"'
+_H32 = r'"(0x[^"]{64})"'
+_WORDS = r'(?:"0x[^"]{64}",)'
 _INT = r"(0|[1-9][0-9]{0,17})"
 _DEC = r'"(0|[1-9][0-9]{0,77})"'
 _CHAIN = '"(' + "|".join(CHAINS) + ')"'
-_CANONICAL_BLOCK = re.compile(
-    r'\{"kind":"block","chain":' + _CHAIN + ',"number":' + _INT + ',"timestamp":' + _INT
-    + r',"tx_hashes":\[(' + _WORDS + r'*"0x[0-9a-f]{64}")?\]\}')
-_CANONICAL_TX = re.compile(
-    r'\{"kind":"tx","hash":' + _H32 + ',"block_number":' + _INT + ',"tx_index":' + _INT
-    + ',"from":' + _H20 + '(?:,"to":' + _H20 + ')?,"fee_paid":' + _DEC
-    + ',"builder_payment":' + _DEC + ',"status":"(' + "|".join(_TX_STATUS) + r')"\}')
-_CANONICAL_LOG = re.compile(
-    r'\{"kind":"log","chain":' + _CHAIN + ',"address":' + _H20
-    + r',"topics":\[(' + _WORDS + r'{0,3}"0x[0-9a-f]{64}")\],"data":"0x((?:[0-9a-f]{64})*)"'
-    + ',"block_number":' + _INT + ',"tx_index":' + _INT + ',"log_index":' + _INT
-    + ',"tx_hash":' + _H32 + r'\}')
+_CANONICAL = {
+    "b": re.compile(
+        r'\{"kind":"block","chain":' + _CHAIN + ',"number":' + _INT + ',"timestamp":' + _INT
+        + r',"tx_hashes":\[(' + _WORDS + r'*"0x[^"]{64}")?\]\}\n?').fullmatch,
+    "t": re.compile(
+        r'\{"kind":"tx","hash":' + _H32 + ',"block_number":' + _INT + ',"tx_index":' + _INT
+        + ',"from":' + _H20 + '(?:,"to":' + _H20 + ')?,"fee_paid":' + _DEC
+        + ',"builder_payment":' + _DEC + ',"status":"(' + "|".join(_TX_STATUS) + r')"\}\n?'
+        ).fullmatch,
+    "l": re.compile(
+        r'\{"kind":"log","chain":' + _CHAIN + ',"address":' + _H20
+        + r',"topics":\[(' + _WORDS + r'{0,3}"0x[^"]{64}")\],"data":"0x((?:[^"]{64})*)"'
+        + ',"block_number":' + _INT + ',"tx_index":' + _INT + ',"log_index":' + _INT
+        + ',"tx_hash":' + _H32 + r'\}\n?').fullmatch,
+}
 
 
-def _matched_words(text, memo) -> tuple:
-    """The 32-byte words of a matched '"0x..","0x.."' list body."""
-    if text is None:
-        return ()
-    return tuple([memo[w] for w in text[1:-1].split('","')])
-
-
-def _canonical_block(groups, memo) -> Optional[BlockRecord]:
-    chain, number, timestamp, tx_hashes = groups
-    timestamp = int(timestamp)
-    if timestamp > _MAX_TIMESTAMP:
-        return None
-    return BlockRecord(CHAINS[chain], int(number), timestamp,
-                       _matched_words(tx_hashes, memo))
-
-
-def _canonical_tx(groups, memo) -> TxRecord:
-    tx_hash, block, index, sender, to, fee, payment, status = groups
-    return TxRecord(memo[tx_hash], int(block), int(index), memo[sender],
-                    None if to is None else memo[to],
-                    int(fee), int(payment), _TX_STATUS[status])
-
-
-def _canonical_log(groups, memo) -> EventLog:
-    chain, address, topics, data, block, tx_index, log_index, tx_hash = groups
-    return EventLog(CHAINS[chain], memo[address], _matched_words(topics, memo),
-                    bytes.fromhex(data), int(block), int(tx_index), int(log_index),
-                    memo[tx_hash])
-
-
-# most frequent kind first
-_CANONICAL = (("log", _CANONICAL_LOG.fullmatch, _canonical_log),
-              ("tx", _CANONICAL_TX.fullmatch, _canonical_tx),
-              ("block", _CANONICAL_BLOCK.fullmatch, _canonical_block))
-
-
-def _canonical_record(raw, memo):
-    """(kind, record) for a line in dump_fixture's exact layout; None for
-    any other line."""
-    for kind, fullmatch, build in _CANONICAL:
-        m = fullmatch(raw)
-        if m is not None:
-            record = build(m.groups(), memo)
-            return None if record is None else (kind, record)
-    return None
-
-
-def _in_key_order(records, keys, what, path) -> list:
-    """``records`` sorted by their ``keys``; DuplicateKey names the first
-    key that repeats, in file order."""
+def _in_key_order(records, coordinates, what, path) -> list:
+    """``records`` sorted by their ``coordinates``; DuplicateKey names the
+    first key that repeats, in file order."""
+    keys = list(map(attrgetter(*coordinates), records))
+    if all(map(lt, keys, keys[1:])):  # strictly ascending, as dump_fixture writes
+        return records
     by_key = dict(zip(keys, records))
     if len(by_key) < len(records):
         seen = set()
@@ -455,7 +429,7 @@ def load_fixture(path) -> ChainDataset:
     compiled match; any other line goes through ``json`` and the record
     parsers, and loads to the same record. Rejects the whole file on the
     first malformed record, ordering violation, or duplicate coordinate;
-    every error names the file.
+    every error names the file. Logs at INFO what it read.
     """
     # The records and their key tuples form no reference cycles, yet each
     # allocation counts toward the cyclic collector, which would rescan
@@ -464,26 +438,50 @@ def load_fixture(path) -> ChainDataset:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _load_fixture(path)
+        dataset, by_json = _load_fixture(path)
     finally:
         if collecting:
             gc.enable()
+    _log.info("loaded %s: %d blocks, %d txs, %d logs; json-path lines: %d", path,
+              len(dataset.blocks), len(dataset.txs), len(dataset.logs), by_json)
+    return dataset
 
 
-def _load_fixture(path) -> ChainDataset:
-    records = {kind: [] for kind in _PARSERS}
-    memo = _HexMemo()
-
-    def parse(obj):
-        return _parse_record(obj, memo.check)
-
-    for line, raw in _lines(path):
-        parsed = _canonical_record(raw, memo)
-        if parsed is None:
-            parsed = _json_line(path, line, raw, parse)
-        kind, record = parsed
-        records[kind].append(record)
-    blocks, txs, logs = records["block"], records["tx"], records["log"]
+def _load_fixture(path):
+    """The dataset and the number of lines that took the json path."""
+    blocks, txs, logs = [], [], []
+    records = {"block": blocks, "tx": txs, "log": logs}
+    memo, by_json = _HexMemo(), 0
+    new, hexes = tuple.__new__, memo.__getitem__
+    for line, raw in _text_lines(path):
+        kind = raw[9:10]
+        match = kind in _CANONICAL and _CANONICAL[kind](raw)
+        try:
+            if match and kind == "l":
+                chain, address, topics, data, block, tx_index, log_index, tx_hash = match.groups()
+                logs.append(new(EventLog, (
+                    CHAINS[chain], memo[address], tuple(map(hexes, topics[1:-1].split('","'))),
+                    _fromhex(data), int(block), int(tx_index), int(log_index), memo[tx_hash])))
+                continue
+            if match and kind == "t":
+                tx_hash, block, index, sender, to, fee, payment, status = match.groups()
+                txs.append(new(TxRecord, (
+                    memo[tx_hash], int(block), int(index), memo[sender], to and memo[to],
+                    int(fee), int(payment), _TX_STATUS[status])))
+                continue
+            if match and int(match[3]) <= _MAX_TIMESTAMP:
+                chain, number, timestamp, tx_hashes = match.groups()
+                blocks.append(new(BlockRecord, (
+                    CHAINS[chain], int(number), int(timestamp),
+                    tuple(map(hexes, tx_hashes[1:-1].split('","'))) if tx_hashes else ())))
+                continue
+        except ValueError:
+            pass
+        raw = raw.strip()
+        if raw:
+            by_json += 1
+            kind, record = _json_line(path, line, raw, lambda obj: _parse_record(obj, memo.check))
+            records[kind].append(record)
 
     names = {b.chain.name for b in blocks}
     names.update([l.chain.name for l in logs])
@@ -498,10 +496,9 @@ def _load_fixture(path) -> ChainDataset:
             raise OrderingViolation(f"{path}: timestamp decreases at block {cur.number}: "
                                     f"{prev.timestamp} -> {cur.timestamp}")
 
-    txs = _in_key_order(txs, [(t.block_number, t.tx_index) for t in txs], "tx", path)
-    logs = _in_key_order(
-        logs, [(l.block_number, l.tx_index, l.log_index) for l in logs], "log", path)
-    return ChainDataset(chain=chain, blocks=blocks, txs=txs, logs=logs)
+    txs = _in_key_order(txs, ("block_number", "tx_index"), "tx", path)
+    logs = _in_key_order(logs, ("block_number", "tx_index", "log_index"), "log", path)
+    return ChainDataset(chain=chain, blocks=blocks, txs=txs, logs=logs), by_json
 
 
 def dump_fixture(dataset: ChainDataset, path) -> None:

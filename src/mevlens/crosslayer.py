@@ -73,7 +73,8 @@ class CostModel(_CostFields):
     __slots__ = ()
 
     def __new__(cls, l1_tx_cost, l2_tx_cost, bribe):
-        assert l1_tx_cost >= 0 and l2_tx_cost >= 0 and bribe >= 0
+        if not (l1_tx_cost >= 0 and l2_tx_cost >= 0 and bribe >= 0):  # kept under python -O
+            raise AssertionError(f"negative cost: {l1_tx_cost}, {l2_tx_cost}, {bribe}")
         return tuple.__new__(cls, (l1_tx_cost, l2_tx_cost, bribe))
 
     def total(self, strategy: str) -> Fraction:
@@ -463,9 +464,10 @@ def optimal_frontrun(scenario: AttackScenario, sizing: Optional[_VictimSizing] =
         b = max(list(range(lo, hi + 1, step)) + [hi], key=g)
         lo, hi = max(lo, b - 2 * step), min(hi, b + 2 * step)
     best = max(range(lo, hi + 1), key=g)
-    # hard slippage assert on the returned size
+    # hard slippage check on the returned size, kept under python -O
     realized = victim_realized_out(pool, victim, best)
-    assert realized is not None and realized >= victim.min_amount_out
+    if realized is None or realized < victim.min_amount_out:
+        raise AssertionError(f"frontrun {best} breaks the victim's slippage bound")
     return best, g(best)
 
 

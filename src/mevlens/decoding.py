@@ -13,14 +13,11 @@ logs a decoder rejects.
 
 from __future__ import annotations
 
-import logging
 from typing import NamedTuple, Optional, Sequence
 
-from .chain_model import ARBITRUM, OPTIMISM, ZKSYNC, ChainId, EventLog
+from .chain_model import ARBITRUM, OPTIMISM, ZKSYNC, ChainId, EventLog, _log
 from .errors import MevlensError, SchemaMismatch, SlotOutOfRange
 from .registry import DEFAULT_REGISTRY
-
-_log = logging.getLogger("mevlens")
 
 WORD = 32
 

@@ -5,8 +5,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mevlens.chain_model import (CHAINS, ETHEREUM, ChainDataset, _canonical_record,
-                                 _HexMemo, _MAX_TIMESTAMP, _parse_record, dump_fixture,
+from mevlens.chain_model import (CHAINS, ETHEREUM, ChainDataset, _CANONICAL, _HexMemo,
+                                 _load_fixture, _MAX_TIMESTAMP, _parse_record, dump_fixture,
                                  load_fixture, logs_in_range, read_jsonl, to_hex)
 from mevlens.cli import main
 from mevlens.errors import (DuplicateKey, InvalidRange, MalformedRecord,
@@ -450,18 +450,17 @@ def fixture_datasets(draw):
 @settings(max_examples=60, deadline=None)
 @given(dataset=fixture_datasets())
 def test_recognizer_takes_every_canonical_line(tmp_path_factory, dataset):
-    """Every line dump_fixture writes takes the compiled path, none of its
-    json.dumps(sort_keys=True) twin's lines does, and both files load to
-    the dataset."""
+    """Every line dump_fixture writes takes the compiled path, every line
+    of its json.dumps(sort_keys=True) twin takes the json path, and both
+    files load to the dataset."""
     tmp = tmp_path_factory.mktemp("twin")
     canonical, twin = tmp / "canonical.jsonl", tmp / "twin.jsonl"
     dump_fixture(dataset, canonical)
     lines = canonical.read_text().splitlines()
     twin_lines = [json.dumps(json.loads(line), sort_keys=True) for line in lines]
     twin.write_text("".join(line + "\n" for line in twin_lines))
-    memo = _HexMemo()
-    assert all(_canonical_record(line, memo) is not None for line in lines)
-    assert all(_canonical_record(line, memo) is None for line in twin_lines)
+    assert _load_fixture(canonical) == (dataset, 0)
+    assert _load_fixture(twin) == (dataset, len(twin_lines))
     assert load_fixture(canonical) == load_fixture(twin) == dataset
 
 
@@ -469,7 +468,7 @@ def _recognizer_fixture():
     fb = FixtureBuilder(ETHEREUM)
     fb.block()
     fb.tx(to=addr(0x99), fee=7, tx_hash=bytes(range(32)))
-    fb.log(addr(0xAB), *enc_transfer(addr(1), addr(2), 5))
+    fb.log(addr(0xAB), *enc_transfer(addr(1), addr(2), 0xBEEF))
     return fb.dataset()
 
 
@@ -502,8 +501,8 @@ def test_recognizer_mutations_match_json_path(tmp_path):
     dump_fixture(ds, path)
     block, tx, log = path.read_text().splitlines()
     address, topic = to_hex(ds.logs[0].address), to_hex(ds.logs[0].topics[0])
-    data = to_hex(ds.logs[0].data)
-    assert tx.count('"hash":"0x00') == 1 and '"to":"0x' in tx
+    data, sender = to_hex(ds.logs[0].data), to_hex(ds.txs[0].sender)
+    assert tx.count('"hash":"0x00') == 1 and '"to":"0x' in tx and data.endswith("beef")
     mutations = {
         "uppercase_hex": (2, log.replace(address, "0x" + address[2:].upper())),
         "address_19_bytes": (2, log.replace(address, address[:-2])),
@@ -527,6 +526,18 @@ def test_recognizer_mutations_match_json_path(tmp_path):
         "line_separator_in_hex": (2, log.replace(address,
                                                  address[:10] + "\u2028" + address[10:])),
     }
+    # at each field's length, so that the structural pattern matches and
+    # only the hex round trip sends the line to the json path
+    structural = {
+        "g_in_address": (2, log.replace(address, address[:-1] + "g")),
+        "space_in_data": (2, log.replace(data, data[:-3] + " " + data[-2:])),
+        "uppercase_data": (2, log.replace(data, "0x" + data[2:].upper())),
+        "escaped_digit_in_data": (2, log.replace(data, data[:-6] + "\\u0030")),
+        "arabic_indic_digit_in_tx_hash": (1, tx.replace('"hash":"0x00', '"hash":"0x0\u0663')),
+        "backslash_before_from_quote": (1, tx.replace(sender, sender[:-1] + "\\")),
+    }
+    assert all(_CANONICAL[mutated[9]](mutated) for _, mutated in structural.values())
+    mutations.update(structural)
     assert all(mutated != [block, tx, log][i] for i, mutated in mutations.values())
     contents = {name: "".join(line + "\n" for line in
                               [block, tx, log][:i] + [mutated] + [block, tx, log][i + 1:]
@@ -544,3 +555,27 @@ def test_recognizer_mutations_match_json_path(tmp_path):
         rejected += isinstance(expected, tuple)
     assert 0 < rejected < len(contents)
     assert _load_records(path) == _json_path_records(path) == ds.blocks + ds.txs + ds.logs
+
+
+# characters that break a field's syntax or its hex, and any other
+EDIT_CHARACTERS = (st.sampled_from(list('09afAFgx"\\ ,:[]{}\t\0\u0663\u2028\xe9'))
+                   | st.characters(blacklist_categories=("Cs",)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.integers(0, 2), offset=st.integers(0, 10 ** 4),
+       edit=st.sampled_from(["replace", "insert", "delete"]), character=EDIT_CHARACTERS)
+def test_single_character_edits_match_json_path(tmp_path_factory, which, offset, edit,
+                                                character):
+    """One character replaced, inserted or deleted anywhere in a canonical
+    block, tx or log line: load_fixture gives the records or the (line,
+    reason) that the json path alone gives."""
+    path = tmp_path_factory.mktemp("edit") / "edited.jsonl"
+    dump_fixture(_recognizer_fixture(), path)
+    lines = path.read_text().splitlines()
+    line = lines[which]
+    at = offset % (len(line) + 1)
+    lines[which] = line[:at] + {"replace": character, "insert": character + line[at:at + 1],
+                                "delete": ""}[edit] + line[at + 1:]
+    path.write_text("".join(text + "\n" for text in lines), encoding="utf-8")
+    assert _outcome(_load_records, path) == _outcome(_json_path_records, path)

@@ -2,6 +2,9 @@
 it replaced did, so no message that prints a record changes, and no set or
 dict order moves; the validated records check every construction."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -178,3 +181,23 @@ def test_cost_model_rejects_a_negative_cost(field):
     CostModel(**costs)
     with pytest.raises(AssertionError):
         CostModel(**dict(costs, **{field: Fraction(-1, 10 ** 18)}))
+
+
+def test_checks_hold_under_python_O():
+    """The checks raise AssertionError themselves, so python -O, which
+    strips assert statements, keeps them."""
+    import mevlens
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mevlens.__file__)))
+    code = ("from fractions import Fraction\n"
+            "from mevlens.amm import PoolState\n"
+            "from mevlens.crosslayer import CostModel\n"
+            "print('debug', __debug__)\n"
+            "for build in (lambda: PoolState('curve', (b'a',), (1, 2), 5, 1),\n"
+            "              lambda: CostModel(Fraction(-1), 0, 0)):\n"
+            "    try:\n"
+            "        build()\n"
+            "    except AssertionError:\n"
+            "        print('raised')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.stdout.splitlines() == ["debug False", "raised", "raised"], proc.stderr

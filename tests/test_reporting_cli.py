@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from mevlens import decoding
-from mevlens.chain_model import ARBITRUM, ETHEREUM, ChainDataset, EventLog, dump_fixture
+from mevlens.chain_model import (ARBITRUM, ETHEREUM, ChainDataset, EventLog, dump_fixture,
+                                 load_fixture)
 from mevlens.cli import main
 from mevlens.errors import MalformedRecord
 from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
@@ -353,3 +354,36 @@ def test_cli_skips_logs_that_break_their_layout(tmp_path, caplog):
             blobs.append((out / output).read_bytes())
         assert blobs[0] == blobs[1], argv
         assert len(blobs[0].splitlines()) == n_findings, argv
+
+
+def test_info_log_says_what_the_loader_read(tmp_path):
+    """MEVLENS_LOG=INFO logs one line per loaded fixture, with its counts
+    and the lines that took the json path; the default level logs nothing,
+    and the findings are byte-identical either way."""
+    import subprocess
+    import sys
+    import mevlens
+    fixtures, prices, _ = _demo_dir(tmp_path)
+    path = fixtures / "ethereum.jsonl"
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps(json.loads(lines[0]), sort_keys=True)  # one line off the layout
+    path.write_text("".join(line + "\n" for line in lines))
+    ds = load_fixture(path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mevlens.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "MEVLENS_LOG"}
+    env["PYTHONPATH"] = src
+    runs = []
+    for level in (None, "INFO"):
+        out = tmp_path / f"out_{level}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mevlens.cli", "detect", "arb", "--fixtures", str(fixtures),
+             "--prices", str(prices), "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env=env if level is None else dict(env, MEVLENS_LOG=level))
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stderr, (out / "findings_arb.jsonl").read_bytes()))
+    (quiet, findings), (info, info_findings) = runs
+    assert quiet == ""
+    assert info == (f"INFO mevlens: loaded {path}: {len(ds.blocks)} blocks, {len(ds.txs)} txs, "
+                    f"{len(ds.logs)} logs; json-path lines: 1\n")
+    assert findings == info_findings and findings
