@@ -84,7 +84,8 @@ def _cp_out(r_in: int, r_out: int, amount_in: int, fee_num: int, fee_den: int) -
 
 def cp_swap_out(pool: PoolState, token_in, amount_in: int) -> SwapQuote:
     """x*y=k swap with fee applied on input, floor division throughout."""
-    assert pool.kind == CONSTANT_PRODUCT
+    if pool.kind != CONSTANT_PRODUCT:
+        raise AssertionError(f"cp_swap_out on a {pool.kind} pool")
     if amount_in <= 0:
         raise InvalidSwap(f"swap amount must be positive, got {amount_in}")
     i = pool.index_of(token_in)
@@ -104,7 +105,8 @@ def stable_D(pool: PoolState) -> int:
 
     A*n^n*sum(x) + D = A*D*n^n + D^(n+1) / (n^n * prod(x))
     """
-    assert pool.kind == STABLESWAP
+    if pool.kind != STABLESWAP:
+        raise AssertionError(f"stable_D on a {pool.kind} pool")
     xs = pool.reserves
     if any(x <= 0 for x in xs):
         raise EmptyPool("stableswap pool has an empty reserve")
@@ -154,7 +156,8 @@ def _stable_y(xs: Sequence[int], amp: int, i: int, j: int, new_x_i: int, d: int)
 
 
 def stable_swap_out(pool: PoolState, token_in, token_out, amount_in: int) -> SwapQuote:
-    assert pool.kind == STABLESWAP
+    if pool.kind != STABLESWAP:
+        raise AssertionError(f"stable_swap_out on a {pool.kind} pool")
     if amount_in <= 0:
         raise InvalidSwap(f"swap amount must be positive, got {amount_in}")
     i = pool.index_of(token_in)

@@ -372,7 +372,8 @@ def _max_input_within_slippage(pool: PoolState, victim: VictimSwap) -> int:
     """Largest frontrun size keeping the victim's realized output at or
     above min_amount_out (monotone in x -> exponential probe + bisect)."""
     min_out = victim.min_amount_out
-    assert min_out is not None
+    if min_out is None:
+        raise AssertionError("slippage search on a victim without min_amount_out")
 
     def ok(x):
         out = victim_realized_out(pool, victim, x)

@@ -1,53 +1,28 @@
 """Word-slot ABI decoding of raw event logs into typed protocol actions.
 
-Every supported event decodes from fixed 32-byte slots; per-protocol
-differences are declarative schemas selected via the topic registry.
-Decoders return None for logs that are well-formed but not decodable into
-the requested action (wrong category, zero amounts, missing pool
-metadata) and raise SchemaMismatch for structurally broken logs.
-
-``decode_logs`` is the one pass over a log sequence: it looks up each
-topic once, runs the schema's decoder, and skips (logging at DEBUG) the
-logs a decoder rejects.
+``_LAYOUTS`` has one row per registry schema: the event name for error
+messages, the exact topic count (None: unchecked), the minimum data slots,
+each field's source and type (``"t2:address"``: the address in topic 2,
+``"d0:uint"``: the unsigned integer in data slot 0; offsets are computed at
+import) and a build rule. ``_decode``, the one decoder, raises
+SchemaMismatch on a count its row rejects, reads the fields and calls the
+rule, which returns the action, or None for a well-formed log that is no
+usable action (a zero amount, an unknown pool). ``decode_logs`` looks up
+each topic once and skips, logging at DEBUG, the logs the decoder rejects.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .chain_model import ARBITRUM, OPTIMISM, ZKSYNC, ChainId, EventLog, _log
-from .errors import MevlensError, SchemaMismatch, SlotOutOfRange
-from .registry import DEFAULT_REGISTRY
+from .errors import MevlensError, SchemaMismatch
+from .registry import DEFAULT_REGISTRY, Category
 
 WORD = 32
-
-
-def decode_word(data: bytes, slot: int, typ: str):
-    """Decode one 32-byte slot: address | uint | int | bytes32."""
-    if (slot + 1) * WORD > len(data):
-        raise SlotOutOfRange(f"slot {slot} beyond data of {len(data)} bytes")
-    word = data[slot * WORD:(slot + 1) * WORD]
-    if typ == "address":
-        return word[12:]
-    if typ == "uint":
-        return int.from_bytes(word, "big")
-    if typ == "int":
-        value = int.from_bytes(word, "big")
-        return value - (1 << 256) if value >= (1 << 255) else value
-    if typ == "bytes32":
-        return word
-    raise ValueError(f"unknown slot type {typ!r}")
-
-
-def _topic_word(log: EventLog, index: int, typ: str):
-    if index >= len(log.topics):
-        raise SchemaMismatch(f"expected topic {index}, log has {len(log.topics)}")
-    return decode_word(log.topics[index], 0, typ)
-
-
-def _require_slots(log: EventLog, n: int):
-    if len(log.data) < n * WORD:
-        raise SchemaMismatch(f"need {n} data slots, have {len(log.data) // WORD}")
+_SWAPS = frozenset((Category.ARBITRAGE, Category.VICTIM_SWAP))  # what decode_swap decodes
+_ORACLE_UPDATES = frozenset((Category.ORACLE_UPDATE,))
 
 
 # --- typed actions ---
@@ -110,299 +85,212 @@ class BridgeMessageAction(NamedTuple):
     timestamp: int
 
 
-def _decode_one(log: EventLog, decoder, *args):
-    """Run ``decoder`` on ``log`` if the log's topic maps to its schema."""
-    entry = DEFAULT_REGISTRY.lookup(log.topics[0])
-    if entry is None or _DECODERS.get(entry.schema) is not decoder:
+# --- build rules: rule(log, pools, *field values) -> action or None ---
+
+def _pool_tokens(log: EventLog, pools) -> Optional[list]:
+    """The log's pool's tokens; None if it is unknown or has fewer than two."""
+    info = (pools or {}).get(log.address)
+    return None if info is None or len(info.tokens) < 2 else list(info.tokens)
+
+
+def _swap(log, pools, token_in, token_out, amount_in, amount_out) -> Optional[SwapAction]:
+    """Balancer's rule as is: its events name both tokens."""
+    if amount_in <= 0 or amount_out <= 0 or token_in == token_out:
         return None
-    return decoder(log, entry, *args)
+    return SwapAction(log.address, token_in, token_out, amount_in, amount_out,
+                      log.position, log.tx_hash)
+
+
+def _uniswap_v2(log, pools, a0_in, a1_in, a0_out, a1_out):
+    tokens = _pool_tokens(log, pools)
+    if tokens is None:
+        return None
+    i = 0 if a0_in >= a1_in else 1
+    o = 0 if a0_out >= a1_out else 1
+    return _swap(log, pools, tokens[i], tokens[o], (a0_in, a1_in)[i], (a0_out, a1_out)[o])
+
+
+def _uniswap_v3(log, pools, a0, a1):
+    tokens = _pool_tokens(log, pools)
+    if tokens is None:
+        return None
+    # positive delta flows into the pool, negative out
+    if a0 > 0 and a1 < 0:
+        return _swap(log, pools, tokens[0], tokens[1], a0, -a1)
+    if a1 > 0 and a0 < 0:
+        return _swap(log, pools, tokens[1], tokens[0], a1, -a0)
+    return None
+
+
+def _by_index(log, pools, sold, amount_in, bought, amount_out):
+    """Curve and StableSwap name the tokens by their index in the pool."""
+    tokens = _pool_tokens(log, pools)
+    if tokens is None or not (0 <= sold < len(tokens) and 0 <= bought < len(tokens)):
+        return None
+    return _swap(log, pools, tokens[sold], tokens[bought], amount_in, amount_out)
+
+
+def _transfer(log, pools, sender, receiver, amount) -> TransferAction:
+    return TransferAction(log.address, sender, receiver, amount, log.position, log.tx_hash)
+
+
+def _liquidation(protocol, log, pools, liquidator, borrower, debt_token, debt_amount,
+                 collateral_token, collateral_amount) -> Optional[LiquidationAction]:
+    if debt_amount <= 0:
+        return None
+    return LiquidationAction(protocol, liquidator, borrower, debt_token, debt_amount,
+                             collateral_token, collateral_amount, log.position, log.tx_hash)
+
+
+def _compound_liquidation(log, pools, liquidator, borrower, debt_amount):
+    # collateral stays absent until paired with a Redeem in the same tx
+    return _liquidation("compound_v2", log, pools, liquidator, borrower, log.address,
+                        debt_amount, None, None)
+
+
+def _redeem(log, pools, redeemer, amount) -> tuple:
+    return redeemer, log.address, amount  # Compound: the collateral token is the log's
+
+
+def _flashloan(provider, log, pools, token, amount, fee) -> Optional[FlashLoanAction]:
+    if amount <= 0:
+        return None
+    return FlashLoanAction(provider, token, amount, fee, log.tx_hash)
+
+
+def _oracle_update(log, pools, new_answer) -> OracleUpdateAction:
+    return OracleUpdateAction(log.address, new_answer, log.position, log.tx_hash)
+
+
+def _message(direction, rollup, log, pools, link_key) -> Optional[BridgeMessageAction]:
+    if not link_key:
+        return None
+    # timestamp 0: the block timestamp belongs to the dataset, not the log
+    return BridgeMessageAction(direction, rollup, link_key, log.position, log.tx_hash, 0)
+
+
+def _optimism_l1_message(log, pools):
+    # only this event hashes its data, so only a run that meets one loads keccak
+    from .keccak import keccak256
+    return _message("l1_emit", OPTIMISM, log, pools, keccak256(log.data))
+
+
+def _zksync_priority_request(log, pools):
+    return _message("l1_emit", ZKSYNC, log, pools, log.tx_hash)
+
+
+# --- the layout table ---
+
+class _Layout(NamedTuple):
+    name: str              # event name in SchemaMismatch messages
+    topics: Optional[int]  # exact topic count; None: not checked
+    slots: int             # minimum number of data slots
+    fields: tuple          # per rule argument: (topic index or -1 for data, start, stop, convert)
+    rule: Callable
+
+
+_CONVERT = {"address": bytes, "bytes32": bytes,
+            "uint": partial(int.from_bytes, byteorder="big"),
+            "int": partial(int.from_bytes, byteorder="big", signed=True)}
+
+
+def _row(name, topics, slots, rule, specs="") -> _Layout:
+    """``specs``: the rule's fields as t<i>:type (topic i) or d<j>:type (slot j)."""
+    fields = []
+    for spec in specs.split():
+        source, typ = spec.split(":")
+        n = int(source[1:])
+        index, word = (n, 0) if source[0] == "t" else (-1, n * WORD)
+        start = word + 12 if typ == "address" else word
+        fields.append((index, start, word + WORD, _CONVERT[typ]))
+    return _Layout(name, topics, slots, tuple(fields), rule)
+
+
+_BALANCER_SWAP = "t2:address t3:address d0:uint d1:uint"
+_AAVE_LIQUIDATION = "t3:address t2:address d0:uint t1:address d1:uint"  # after the liquidator
+
+_LAYOUTS = {
+    "uniswap_v2_swap": _row("Uniswap V2 Swap", 3, 4, _uniswap_v2,
+                            "d0:uint d1:uint d2:uint d3:uint"),
+    "uniswap_v3_swap": _row("Uniswap V3 Swap", 3, 2, _uniswap_v3, "d0:int d1:int"),
+    "balancer_v1_swap": _row("LOG_SWAP", 4, 2, _swap, _BALANCER_SWAP),
+    "balancer_v2_swap": _row("Swap", 4, 2, _swap, _BALANCER_SWAP),
+    "curve_exchange": _row("Curve TokenExchange", 2, 4, _by_index,
+                           "d0:int d1:uint d2:int d3:uint"),
+    "stableswap_token_swap": _row("TokenSwap", 2, 4, _by_index, "d2:uint d0:uint d3:uint d1:uint"),
+    "erc20_transfer": _row("Transfer", 3, 1, _transfer, "t1:address t2:address d0:uint"),
+    "aave_v1_liquidation": _row("Aave LiquidationCall", 4, 4, partial(_liquidation, "aave_v1"),
+                                "d3:address " + _AAVE_LIQUIDATION),
+    "aave_v2v3_liquidation": _row("Aave LiquidationCall", 4, 4, partial(_liquidation, "aave_v2v3"),
+                                  "d2:address " + _AAVE_LIQUIDATION),
+    "compound_liquidate": _row("LiquidateBorrow", 1, 5, _compound_liquidation,
+                               "d0:address d1:address d2:uint"),
+    "compound_redeem": _row("Redeem", 1, 2, _redeem, "d0:address d1:uint"),
+    "aave_v1_flashloan": _row("Aave V1 FlashLoan", 3, 2, partial(_flashloan, "aave_v1"),
+                              "t2:address d0:uint d1:uint"),
+    "aave_v2_flashloan": _row("Aave V2 FlashLoan", 4, 2, partial(_flashloan, "aave_v2"),
+                              "t3:address d0:uint d1:uint"),
+    "aave_v3_flashloan": _row("Aave V3 FlashLoan", 4, 4, partial(_flashloan, "aave_v3"),
+                              "t2:address d1:uint d3:uint"),
+    "balancer_flashloan": _row("Balancer FlashLoan", 3, 2, partial(_flashloan, "balancer"),
+                               "t2:address d0:uint d1:uint"),
+    "chainlink_answer_updated": _row("AnswerUpdated", 3, 0, _oracle_update, "t1:int"),
+    "arbitrum_inbox_message": _row("InboxMessageDelivered", 2, 0,
+                                   partial(_message, "l1_emit", ARBITRUM), "t1:bytes32"),
+    "optimism_l1_message": _row("TransactionEnqueued", None, 0, _optimism_l1_message),
+    "zksync_priority_request": _row("NewPriorityRequest", None, 0, _zksync_priority_request),
+    "arbitrum_redeem_scheduled": _row("RedeemScheduled", 2, 0,
+                                      partial(_message, "l2_execute", ARBITRUM), "t1:bytes32"),
+    "optimism_relayed_message": _row("RelayedMessage", 2, 0,
+                                     partial(_message, "l2_execute", OPTIMISM), "t1:bytes32"),
+}
+
+
+def _decode(log: EventLog, entry, pools):
+    """Decode ``log`` by its registry entry's layout row."""
+    layout = _LAYOUTS[entry.schema]
+    topics, data = log.topics, log.data
+    n = layout.topics
+    if n is not None and len(topics) != n:
+        raise SchemaMismatch(f"{layout.name} expects {n} topic{'s' if n != 1 else ''}")
+    if len(data) < layout.slots * WORD:
+        raise SchemaMismatch(f"need {layout.slots} data slots, have {len(data) // WORD}")
+    return layout.rule(log, pools, *[convert((data if i < 0 else topics[i])[start:stop])
+                                     for i, start, stop, convert in layout.fields])
+
+
+def _decode_in(log: EventLog, categories: frozenset, pools=None):
+    entry = DEFAULT_REGISTRY.lookup(log.topics[0])
+    if entry is None or entry.categories.isdisjoint(categories):
+        return None
+    return _decode(log, entry, pools)
 
 
 def decode_swap(log: EventLog, pools=None) -> Optional[SwapAction]:
-    """Decode a DEX swap event into a SwapAction.
-
-    ``pools`` maps pool address -> object with a ``tokens`` sequence; it is
-    required for protocols whose events carry token indexes or no token
-    addresses at all (Uniswap V2/V3, Curve, Hop StableSwap).
-    """
-    return _decode_one(log, _swap, pools)
-
-
-def _swap(log: EventLog, entry, pools) -> Optional[SwapAction]:
-    schema = entry.schema
-
-    def pool_tokens():
-        info = (pools or {}).get(log.address)
-        return None if info is None else list(info.tokens)
-
-    token_in = token_out = None
-    amount_in = amount_out = 0
-
-    if schema == "uniswap_v2_swap":
-        if len(log.topics) != 3:
-            raise SchemaMismatch("Uniswap V2 Swap expects 3 topics")
-        _require_slots(log, 4)
-        a0_in, a1_in, a0_out, a1_out = (decode_word(log.data, i, "uint") for i in range(4))
-        tokens = pool_tokens()
-        if tokens is None or len(tokens) < 2:
-            return None
-        in_idx = 0 if a0_in >= a1_in else 1
-        out_idx = 0 if a0_out >= a1_out else 1
-        token_in, amount_in = tokens[in_idx], (a0_in, a1_in)[in_idx]
-        token_out, amount_out = tokens[out_idx], (a0_out, a1_out)[out_idx]
-    elif schema == "uniswap_v3_swap":
-        if len(log.topics) != 3:
-            raise SchemaMismatch("Uniswap V3 Swap expects 3 topics")
-        _require_slots(log, 2)
-        a0 = decode_word(log.data, 0, "int")
-        a1 = decode_word(log.data, 1, "int")
-        tokens = pool_tokens()
-        if tokens is None or len(tokens) < 2:
-            return None
-        # positive delta flows into the pool, negative out
-        if a0 > 0 and a1 < 0:
-            token_in, amount_in, token_out, amount_out = tokens[0], a0, tokens[1], -a1
-        elif a1 > 0 and a0 < 0:
-            token_in, amount_in, token_out, amount_out = tokens[1], a1, tokens[0], -a0
-        else:
-            return None
-    elif schema in ("balancer_v1_swap", "balancer_v2_swap"):
-        if len(log.topics) != 4:
-            raise SchemaMismatch(f"{entry.event} expects 4 topics")
-        _require_slots(log, 2)
-        token_in = _topic_word(log, 2, "address")
-        token_out = _topic_word(log, 3, "address")
-        amount_in = decode_word(log.data, 0, "uint")
-        amount_out = decode_word(log.data, 1, "uint")
-    elif schema == "curve_exchange":
-        if len(log.topics) != 2:
-            raise SchemaMismatch("Curve TokenExchange expects 2 topics")
-        _require_slots(log, 4)
-        sold_id = decode_word(log.data, 0, "int")
-        amount_in = decode_word(log.data, 1, "uint")
-        bought_id = decode_word(log.data, 2, "int")
-        amount_out = decode_word(log.data, 3, "uint")
-        tokens = pool_tokens()
-        if tokens is None or not (0 <= sold_id < len(tokens) and 0 <= bought_id < len(tokens)):
-            return None
-        token_in, token_out = tokens[sold_id], tokens[bought_id]
-    else:  # stableswap_token_swap
-        if len(log.topics) != 2:
-            raise SchemaMismatch("TokenSwap expects 2 topics")
-        _require_slots(log, 4)
-        amount_in = decode_word(log.data, 0, "uint")
-        amount_out = decode_word(log.data, 1, "uint")
-        sold_id = decode_word(log.data, 2, "uint")
-        bought_id = decode_word(log.data, 3, "uint")
-        tokens = pool_tokens()
-        if tokens is None or not (sold_id < len(tokens) and bought_id < len(tokens)):
-            return None
-        token_in, token_out = tokens[sold_id], tokens[bought_id]
-
-    if amount_in <= 0 or amount_out <= 0 or token_in == token_out:
-        return None
-    return SwapAction(venue=log.address, token_in=token_in, token_out=token_out,
-                      amount_in=amount_in, amount_out=amount_out,
-                      position=log.position, tx_hash=log.tx_hash)
-
-
-def decode_transfer(log: EventLog) -> Optional[TransferAction]:
-    return _decode_one(log, _transfer)
-
-
-def _transfer(log: EventLog, entry) -> TransferAction:
-    if len(log.topics) != 3:
-        raise SchemaMismatch("Transfer expects 3 topics")
-    _require_slots(log, 1)
-    return TransferAction(
-        token=log.address,
-        sender=_topic_word(log, 1, "address"),
-        receiver=_topic_word(log, 2, "address"),
-        amount=decode_word(log.data, 0, "uint"),
-        position=log.position,
-        tx_hash=log.tx_hash,
-    )
-
-
-def decode_liquidation(log: EventLog) -> Optional[LiquidationAction]:
-    return _decode_one(log, _liquidation)
-
-
-def _liquidation(log: EventLog, entry) -> Optional[LiquidationAction]:
-    schema = entry.schema
-    if schema in ("aave_v1_liquidation", "aave_v2v3_liquidation"):
-        if len(log.topics) != 4:
-            raise SchemaMismatch("Aave LiquidationCall expects 4 topics")
-        _require_slots(log, 4)
-        # topics: collateral asset, debt asset, borrower
-        if schema == "aave_v1_liquidation":
-            liquidator = decode_word(log.data, 3, "address")
-        else:
-            liquidator = decode_word(log.data, 2, "address")
-        action = LiquidationAction(
-            protocol="aave_v1" if schema == "aave_v1_liquidation" else "aave_v2v3",
-            liquidator=liquidator,
-            borrower=_topic_word(log, 3, "address"),
-            debt_token=_topic_word(log, 2, "address"),
-            debt_amount=decode_word(log.data, 0, "uint"),
-            collateral_token=_topic_word(log, 1, "address"),
-            collateral_amount=decode_word(log.data, 1, "uint"),
-            position=log.position,
-            tx_hash=log.tx_hash,
-        )
-    else:  # compound_liquidate
-        if len(log.topics) != 1:
-            raise SchemaMismatch("LiquidateBorrow expects 1 topic")
-        _require_slots(log, 5)
-        # collateral stays absent until paired with a Redeem in the same tx
-        action = LiquidationAction(
-            protocol="compound_v2",
-            liquidator=decode_word(log.data, 0, "address"),
-            borrower=decode_word(log.data, 1, "address"),
-            debt_token=log.address,
-            debt_amount=decode_word(log.data, 2, "uint"),
-            collateral_token=None,
-            collateral_amount=None,
-            position=log.position,
-            tx_hash=log.tx_hash,
-        )
-    if action.debt_amount <= 0:
-        return None
-    return action
-
-
-def decode_redeem(log: EventLog):
-    """Compound Redeem -> (redeemer, collateral token, amount) or None."""
-    return _decode_one(log, _redeem)
-
-
-def _redeem(log: EventLog, entry) -> tuple:
-    if len(log.topics) != 1:
-        raise SchemaMismatch("Redeem expects 1 topic")
-    _require_slots(log, 2)
-    return (decode_word(log.data, 0, "address"), log.address,
-            decode_word(log.data, 1, "uint"))
-
-
-def decode_flashloan(log: EventLog) -> Optional[FlashLoanAction]:
-    return _decode_one(log, _flashloan)
-
-
-def _flashloan(log: EventLog, entry) -> Optional[FlashLoanAction]:
-    schema = entry.schema
-    if schema == "aave_v1_flashloan":
-        if len(log.topics) != 3:
-            raise SchemaMismatch("Aave V1 FlashLoan expects 3 topics")
-        _require_slots(log, 2)
-        provider, token = "aave_v1", _topic_word(log, 2, "address")
-        amount, fee = decode_word(log.data, 0, "uint"), decode_word(log.data, 1, "uint")
-    elif schema == "aave_v2_flashloan":
-        if len(log.topics) != 4:
-            raise SchemaMismatch("Aave V2 FlashLoan expects 4 topics")
-        _require_slots(log, 2)
-        provider, token = "aave_v2", _topic_word(log, 3, "address")
-        amount, fee = decode_word(log.data, 0, "uint"), decode_word(log.data, 1, "uint")
-    elif schema == "aave_v3_flashloan":
-        if len(log.topics) != 4:
-            raise SchemaMismatch("Aave V3 FlashLoan expects 4 topics")
-        _require_slots(log, 4)
-        provider, token = "aave_v3", _topic_word(log, 2, "address")
-        amount, fee = decode_word(log.data, 1, "uint"), decode_word(log.data, 3, "uint")
-    else:  # balancer_flashloan
-        if len(log.topics) != 3:
-            raise SchemaMismatch("Balancer FlashLoan expects 3 topics")
-        _require_slots(log, 2)
-        provider, token = "balancer", _topic_word(log, 2, "address")
-        amount, fee = decode_word(log.data, 0, "uint"), decode_word(log.data, 1, "uint")
-    if amount <= 0:
-        return None
-    return FlashLoanAction(provider=provider, token=token, amount=amount, fee=fee,
-                           tx_hash=log.tx_hash)
+    """Decode a DEX swap event into a SwapAction; None for any other log.
+    ``pools`` maps pool address -> object with a ``tokens`` sequence, which
+    Uniswap V2/V3, Curve and StableSwap events need to name their tokens."""
+    return _decode_in(log, _SWAPS, pools)
 
 
 def decode_oracle_update(log: EventLog) -> Optional[OracleUpdateAction]:
-    return _decode_one(log, _oracle_update)
-
-
-def _oracle_update(log: EventLog, entry) -> OracleUpdateAction:
-    if len(log.topics) != 3:
-        raise SchemaMismatch("AnswerUpdated expects 3 topics")
-    return OracleUpdateAction(
-        feed=log.address,
-        new_answer=_topic_word(log, 1, "int"),
-        position=log.position,
-        tx_hash=log.tx_hash,
-    )
-
-
-def decode_bridge_message(log: EventLog, timestamp: int) -> Optional[BridgeMessageAction]:
-    return _decode_one(log, _bridge_message, timestamp)
-
-
-def _bridge_message(log: EventLog, entry, timestamp: int = 0) -> Optional[BridgeMessageAction]:
-    schema = entry.schema
-    if schema == "arbitrum_inbox_message":
-        if len(log.topics) != 2:
-            raise SchemaMismatch("InboxMessageDelivered expects 2 topics")
-        direction, rollup, link_key = "l1_emit", ARBITRUM, log.topics[1]
-    elif schema == "optimism_l1_message":
-        # message payload carried verbatim in the data field; only this
-        # event hashes, so only a run that meets one loads keccak
-        from .keccak import keccak256
-        direction, rollup, link_key = "l1_emit", OPTIMISM, keccak256(log.data)
-    elif schema == "zksync_priority_request":
-        direction, rollup, link_key = "l1_emit", ZKSYNC, log.tx_hash
-    elif schema == "arbitrum_redeem_scheduled":
-        if len(log.topics) != 2:
-            raise SchemaMismatch("RedeemScheduled expects 2 topics")
-        direction, rollup, link_key = "l2_execute", ARBITRUM, log.topics[1]
-    else:  # optimism_relayed_message
-        if len(log.topics) != 2:
-            raise SchemaMismatch("RelayedMessage expects 2 topics")
-        direction, rollup, link_key = "l2_execute", OPTIMISM, log.topics[1]
-    if not link_key:
-        return None
-    return BridgeMessageAction(direction=direction, rollup=rollup, link_key=link_key,
-                               position=log.position, tx_hash=log.tx_hash,
-                               timestamp=timestamp)
-
-
-# registry schema key -> decoder(log, entry), plus pools for swaps
-_DECODERS = {schema: decoder for decoder, schemas in (
-    (_swap, ("uniswap_v2_swap", "uniswap_v3_swap", "balancer_v1_swap", "balancer_v2_swap",
-             "curve_exchange", "stableswap_token_swap")),
-    (_transfer, ("erc20_transfer",)),
-    (_liquidation, ("aave_v1_liquidation", "aave_v2v3_liquidation", "compound_liquidate")),
-    (_redeem, ("compound_redeem",)),
-    (_flashloan, ("aave_v1_flashloan", "aave_v2_flashloan", "aave_v3_flashloan",
-                  "balancer_flashloan")),
-    (_oracle_update, ("chainlink_answer_updated",)),
-    (_bridge_message, ("arbitrum_inbox_message", "optimism_l1_message",
-                       "zksync_priority_request", "arbitrum_redeem_scheduled",
-                       "optimism_relayed_message")),
-) for schema in schemas}
+    """Decode a Chainlink AnswerUpdated event; None for any other log."""
+    return _decode_in(log, _ORACLE_UPDATES)
 
 
 def decode_logs(logs: Sequence[EventLog], categories, pools=None) -> list:
-    """Decode every log registered under one of ``categories``.
-
-    Returns ``(log, action)`` pairs in input order, dropping logs whose
-    decoder yields None. A log its decoder rejects with a MevlensError is
-    skipped and logged at DEBUG; any other exception propagates. Swap
-    decoders read ``pools``; bridge messages carry timestamp 0, since the
-    block timestamp belongs to the dataset, not the log.
-    """
+    """Decode every log registered under one of ``categories`` into
+    ``(log, action)`` pairs in input order, dropping logs whose rule yields
+    None. A log the decoder rejects with a MevlensError is skipped and
+    logged at DEBUG; any other exception propagates."""
     wanted = frozenset(categories)
     decoded = []
     for log in logs:
         entry = DEFAULT_REGISTRY.lookup(log.topics[0])
         if entry is None or wanted.isdisjoint(entry.categories):
             continue
-        decoder = _DECODERS.get(entry.schema)
-        if decoder is None:
-            continue
         try:
-            action = decoder(log, entry, pools) if decoder is _swap else decoder(log, entry)
+            action = _decode(log, entry, pools)
         except MevlensError as exc:
             _log.debug("skipped %s log at %s: %s", entry.event, log.position, exc)
             continue

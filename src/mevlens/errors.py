@@ -36,10 +36,6 @@ class InvalidRange(MevlensError):
 
 # --- decoding ---
 
-class SlotOutOfRange(MevlensError):
-    pass
-
-
 class SchemaMismatch(MevlensError):
     pass
 

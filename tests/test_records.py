@@ -189,15 +189,21 @@ def test_checks_hold_under_python_O():
     import mevlens
     src = os.path.dirname(os.path.dirname(os.path.abspath(mevlens.__file__)))
     code = ("from fractions import Fraction\n"
-            "from mevlens.amm import PoolState\n"
-            "from mevlens.crosslayer import CostModel\n"
+            "from mevlens.amm import PoolState, cp_pool, cp_swap_out, stable_pool, "
+            "stable_swap_out\n"
+            "from mevlens.crosslayer import CostModel, VictimSwap, _max_input_within_slippage\n"
+            "stable, cp = stable_pool((10 ** 6,) * 3), cp_pool(10 ** 6, 10 ** 6)\n"
             "print('debug', __debug__)\n"
             "for build in (lambda: PoolState('curve', (b'a',), (1, 2), 5, 1),\n"
-            "              lambda: CostModel(Fraction(-1), 0, 0)):\n"
+            "              lambda: CostModel(Fraction(-1), 0, 0),\n"
+            "              lambda: cp_swap_out(stable, stable.tokens[0], 1000),\n"
+            "              lambda: stable_swap_out(cp, cp.tokens[0], cp.tokens[1], 1000),\n"
+            "              lambda: _max_input_within_slippage(\n"
+            "                  cp, VictimSwap(cp.tokens[0], cp.tokens[1], 1000))):\n"
             "    try:\n"
-            "        build()\n"
+            "        print('returned', build())\n"
             "    except AssertionError:\n"
             "        print('raised')\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
-    assert proc.stdout.splitlines() == ["debug False", "raised", "raised"], proc.stderr
+    assert proc.stdout.splitlines() == ["debug False"] + ["raised"] * 5, proc.stderr

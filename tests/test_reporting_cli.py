@@ -260,10 +260,11 @@ def test_cli_detect_arb_without_block_records(tmp_path):
 def test_cli_internal_error_exit_2(tmp_path, monkeypatch, capsys):
     fixtures, _, _ = _demo_dir(tmp_path)
 
-    def broken(log, entry):
+    def broken(log, pools, *fields):
         raise ValueError("decoder bug")
 
-    monkeypatch.setitem(decoding._DECODERS, "balancer_v1_swap", broken)
+    layout = decoding._LAYOUTS["balancer_v1_swap"]
+    monkeypatch.setitem(decoding._LAYOUTS, "balancer_v1_swap", layout._replace(rule=broken))
     assert main(["detect", "arb", "--fixtures", str(fixtures),
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
