@@ -328,23 +328,27 @@ def crosslayer_simulate_cmd(ctx: Ctx):
     if ctx.config_file:
         costs, reaction, tiers = crosslayer.load_attack_config(ctx.config_file)
     else:
-        costs = crosslayer.CostModel(Fraction(2, 1000), Fraction(1, 10000),
-                                     Fraction(1, 1000))
+        costs = crosslayer.DEFAULT_COSTS
         reaction = crosslayer.DEFAULT_REACTION_TIME_S
         tiers = crosslayer.DEFAULT_CAPITAL_TIERS_USD
 
     scenarios = []
+    no_state = no_price = 0
     for c in candidates:
         state = provider.pool_state(c.pool, 1 << 62)
         if state is None:
+            no_state += 1
             continue
         day = c.link.l1_timestamp // 86400
         token_price = prices.lookup(c.swap.token_in, day) if prices else Fraction(1)
         eth_usd = prices.eth_usd(day) if prices else Fraction(2000)
         if token_price is None or eth_usd is None:
+            no_price += 1
             continue
         scenarios.append({"victim": c, "pool_state": state,
                           "token_in_price_eth": token_price, "eth_usd": eth_usd})
+    log.info("victims: %d read, %d skipped for no pool snapshot, %d skipped for no price",
+             len(candidates), no_state, no_price)
     table = crosslayer.capital_sweep(scenarios, costs, tiers, reaction)
     path = os.path.join(ctx.ensure_out(), "attack_tables.csv")
     reporting.write_attack_table(table, tiers, path)

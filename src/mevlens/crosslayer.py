@@ -10,7 +10,6 @@ Strategies:
 from __future__ import annotations
 
 import math
-from datetime import datetime, timezone
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -21,16 +20,12 @@ from .decoding import TransferAction, decode_logs
 from .detectors import WEI
 from .errors import EmptyInput, Infeasible, InvalidScenario, MalformedRecord, MevlensError
 from .registry import Category
-from .reporting import summary_stats
+from .reporting import month_of, summary_stats
 
 S1 = "S1"
 S2 = "S2"
 S3 = "S3"
 STRATEGIES = (S1, S2, S3)
-
-DEFAULT_REACTION_TIME_S = 30
-DEFAULT_SLIPPAGE = Fraction(2, 100)
-DEFAULT_CAPITAL_TIERS_USD = (1_000, 10_000, 100_000, 1_000_000, None)  # None = unbounded
 
 
 class CrossLayerLink(NamedTuple):
@@ -87,37 +82,12 @@ class CostModel(_CostFields):
         raise ValueError(f"unknown strategy {strategy!r}")
 
 
-class _ScenarioFields(NamedTuple):
-    strategy: str
-    victim: VictimCandidate
-    pool_state: PoolState
-    costs: CostModel
-    capital_eth: Optional[Fraction]      # None = unbounded
-    token_in_price_eth: Fraction         # ETH per 10^18 base units
-    reaction_time_s: int
-
-
-class AttackScenario(_ScenarioFields):
-    """Checked on every construction; ``_replace`` and ``_make`` skip the check."""
-
-    __slots__ = ()
-
-    def __new__(cls, strategy, victim, pool_state, costs, capital_eth=None,
-                token_in_price_eth=Fraction(1), reaction_time_s=DEFAULT_REACTION_TIME_S):
-        if not token_in_price_eth > 0:
-            raise InvalidScenario(
-                f"token_in_price_eth must be positive, got {token_in_price_eth!r}")
-        return tuple.__new__(cls, (strategy, victim, pool_state, costs, capital_eth,
-                                   token_in_price_eth, reaction_time_s))
-
-
-class AttackResult(NamedTuple):
-    strategy: str
-    optimal_input: int
-    gross_gain: Fraction   # ETH
-    total_cost: Fraction   # ETH
-    profit: Fraction       # ETH
-    profitable: bool
+# the cost model of a run without an attack config
+DEFAULT_COSTS = CostModel(l1_tx_cost=Fraction(2, 1000), l2_tx_cost=Fraction(1, 10000),
+                          bribe=Fraction(1, 1000))
+DEFAULT_REACTION_TIME_S = 30
+DEFAULT_SLIPPAGE = Fraction(2, 100)
+DEFAULT_CAPITAL_TIERS_USD = (1_000, 10_000, 100_000, 1_000_000, None)  # None = unbounded
 
 
 def load_attack_config(path):
@@ -290,8 +260,7 @@ def delay_stats(links: Sequence[CrossLayerLink]):
     overall = _stats([l.delay_s for l in valid])
     monthly = {}
     for l in valid:
-        month = datetime.fromtimestamp(l.l1_timestamp, tz=timezone.utc).strftime("%Y-%m")
-        monthly.setdefault(month, []).append(l.delay_s)
+        monthly.setdefault(month_of(l.l1_timestamp), []).append(l.delay_s)
     monthly_stats = {m: _stats(ds) for m, ds in sorted(monthly.items())}
     return overall, monthly_stats, anomalies
 
@@ -416,25 +385,19 @@ class _VictimSizing:
         self.x_slip = _max_input_within_slippage(pool, victim)
         self.gross: dict = {}
 
-    def x_max(self, scenario: AttackScenario) -> int:
-        """The largest frontrun the scenario's capital and the slippage
-        floor allow."""
-        if scenario.capital_eth is None:
-            return self.x_slip
-        capital_units = int(scenario.capital_eth * WEI / scenario.token_in_price_eth)
-        return min(self.x_slip, capital_units)
 
-
-def optimal_frontrun(scenario: AttackScenario, sizing: Optional[_VictimSizing] = None):
-    """Profit-maximizing integer frontrun size via ternary search with an
-    exact scan of the final interval. Returns (x, gross profit in token_in
-    units). ``sizing`` is the victim's ``_VictimSizing`` when one victim
-    is sized under several capital bounds; it is built here otherwise."""
-    pool = scenario.pool_state
+def optimal_frontrun(pool: PoolState, victim_swap: VictimSwap,
+                     capital_units: Optional[int] = None,
+                     sizing: Optional[_VictimSizing] = None):
+    """Profit-maximizing integer frontrun size, at most ``capital_units``
+    (None: unbounded) and within the victim's slippage floor, via ternary
+    search with an exact scan of the final interval. Returns (x, gross
+    profit in token_in units). ``sizing``: the victim's ``_VictimSizing``
+    when one victim is sized under several bounds, built here otherwise."""
     if sizing is None:
-        sizing = _VictimSizing(pool, scenario.victim.swap)
+        sizing = _VictimSizing(pool, victim_swap)
     victim = sizing.victim
-    x_max = sizing.x_max(scenario)
+    x_max = sizing.x_slip if capital_units is None else min(sizing.x_slip, capital_units)
     cache = sizing.gross
 
     def g(x):
@@ -472,20 +435,6 @@ def optimal_frontrun(scenario: AttackScenario, sizing: Optional[_VictimSizing] =
     return best, g(best)
 
 
-def simulate_strategy(scenario: AttackScenario) -> AttackResult:
-    if scenario.strategy == S3 and scenario.victim.link.delay_s < scenario.reaction_time_s:
-        raise Infeasible(
-            f"inclusion delay {scenario.victim.link.delay_s}s below reaction "
-            f"time {scenario.reaction_time_s}s")
-    x, gross_tokens = optimal_frontrun(scenario)
-    gross_gain = Fraction(gross_tokens, WEI) * scenario.token_in_price_eth
-    total_cost = scenario.costs.total(scenario.strategy)
-    profit = gross_gain - total_cost
-    return AttackResult(strategy=scenario.strategy, optimal_input=x,
-                        gross_gain=gross_gain, total_cost=total_cost,
-                        profit=profit, profitable=profit > 0)
-
-
 # --- capital sweep (per strategy x capital tier report) ---
 
 def capital_sweep(victim_scenarios, costs: CostModel,
@@ -494,9 +443,12 @@ def capital_sweep(victim_scenarios, costs: CostModel,
     """Aggregate attack profitability per (strategy, capital tier).
 
     ``victim_scenarios`` is a sequence of dicts with keys: victim
-    (VictimCandidate), pool_state, token_in_price_eth, eth_usd (Fraction,
-    dollar price of ETH on the victim's L1 emission day).
+    (VictimCandidate), pool_state, token_in_price_eth (ETH per 10^18
+    token_in units, positive), eth_usd (Fraction, dollar price of ETH on
+    the victim's L1 emission day).
 
+    A strategy's profit is the victim's gross gain minus the strategy's
+    cost; S3 needs an inclusion delay of at least ``reaction_time_s``.
     Returns {strategy: {tier: {count, total, max, mean, median, min}}} with
     profits in USD; statistics over profitable victims only.
     """
@@ -506,42 +458,37 @@ def capital_sweep(victim_scenarios, costs: CostModel,
     # and reuse the result across tiers and strategies
     gains = {}
     for i, vs in enumerate(victim_scenarios):
-        eth_usd = vs["eth_usd"]
-        # built first: a price that is not positive is rejected even for a
-        # victim that turns out infeasible
-        scenarios = {tier: AttackScenario(
-            strategy=S1,
-            victim=vs["victim"],
-            pool_state=vs["pool_state"],
-            costs=costs,
-            capital_eth=None if tier is None else Fraction(tier) / eth_usd,
-            token_in_price_eth=vs["token_in_price_eth"],
-            reaction_time_s=reaction_time_s,
-        ) for tier in tiers_usd}
+        price, eth_usd = vs["token_in_price_eth"], vs["eth_usd"]
+        # checked first: a price that is not positive is rejected even for
+        # a victim that turns out infeasible
+        if not price > 0:
+            raise InvalidScenario(f"token_in_price_eth must be positive, got {price!r}")
+        pool, swap = vs["pool_state"], vs["victim"].swap
         try:
-            sizing = _VictimSizing(vs["pool_state"], vs["victim"].swap)
+            sizing = _VictimSizing(pool, swap)
         except Infeasible:
             continue
-        searched = {}   # x_max -> (x, gross tokens)
-        for tier, scenario in scenarios.items():
-            x_max = sizing.x_max(scenario)
-            if x_max not in searched:
-                searched[x_max] = optimal_frontrun(scenario, sizing)
-            gains[tier, i] = Fraction(searched[x_max][1], WEI) * vs["token_in_price_eth"]
+        searched = {}   # frontrun bound -> (x, gross tokens)
+        for tier in tiers_usd:
+            bound = sizing.x_slip
+            if tier is not None:
+                bound = min(bound, int(Fraction(tier) / eth_usd * WEI / price))
+            if bound not in searched:
+                searched[bound] = optimal_frontrun(pool, swap, bound, sizing)
+            gains[tier, i] = Fraction(searched[bound][1], WEI) * price
     table = {}
     for strategy in STRATEGIES:
         table[strategy] = {}
+        cost = costs.total(strategy)
         for tier in tiers_usd:
             profits_usd = []
             for i, vs in enumerate(victim_scenarios):
-                if (tier, i) not in gains:
+                gain = gains.get((tier, i))
+                if gain is None or gain <= cost:
                     continue
-                if (strategy == S3
-                        and vs["victim"].link.delay_s < reaction_time_s):
+                if strategy == S3 and vs["victim"].link.delay_s < reaction_time_s:
                     continue
-                profit = gains[tier, i] - costs.total(strategy)
-                if profit > 0:
-                    profits_usd.append(profit * vs["eth_usd"])
+                profits_usd.append((gain - cost) * vs["eth_usd"])
             cell = summary_stats(profits_usd)
             cell["count"] = len(profits_usd)
             if not profits_usd:

@@ -8,7 +8,8 @@ import) and a build rule. ``_decode``, the one decoder, raises
 SchemaMismatch on a count its row rejects, reads the fields and calls the
 rule, which returns the action, or None for a well-formed log that is no
 usable action (a zero amount, an unknown pool). ``decode_logs`` looks up
-each topic once and skips, logging at DEBUG, the logs the decoder rejects.
+each topic once; it, ``decode_swap`` and ``decode_oracle_update`` skip,
+logging at DEBUG, the logs the decoder rejects.
 """
 
 from __future__ import annotations
@@ -259,22 +260,34 @@ def _decode(log: EventLog, entry, pools):
                                      for i, start, stop, convert in layout.fields])
 
 
+def _decode_or_skip(log: EventLog, entry, pools):
+    """``_decode``, except that a log the decoder rejects with a
+    MevlensError is skipped: None, and a DEBUG line naming it."""
+    try:
+        return _decode(log, entry, pools)
+    except MevlensError as exc:
+        _log.debug("skipped %s log at %s: %s", entry.event, log.position, exc)
+        return None
+
+
 def _decode_in(log: EventLog, categories: frozenset, pools=None):
     entry = DEFAULT_REGISTRY.lookup(log.topics[0])
     if entry is None or entry.categories.isdisjoint(categories):
         return None
-    return _decode(log, entry, pools)
+    return _decode_or_skip(log, entry, pools)
 
 
 def decode_swap(log: EventLog, pools=None) -> Optional[SwapAction]:
-    """Decode a DEX swap event into a SwapAction; None for any other log.
+    """Decode a DEX swap event into a SwapAction; None for any other log,
+    and for a swap log the decoder rejects (skipped as in ``decode_logs``).
     ``pools`` maps pool address -> object with a ``tokens`` sequence, which
     Uniswap V2/V3, Curve and StableSwap events need to name their tokens."""
     return _decode_in(log, _SWAPS, pools)
 
 
 def decode_oracle_update(log: EventLog) -> Optional[OracleUpdateAction]:
-    """Decode a Chainlink AnswerUpdated event; None for any other log."""
+    """Decode a Chainlink AnswerUpdated event; None for any other log, and
+    for an update log the decoder rejects (skipped as in ``decode_logs``)."""
     return _decode_in(log, _ORACLE_UPDATES)
 
 
@@ -289,11 +302,7 @@ def decode_logs(logs: Sequence[EventLog], categories, pools=None) -> list:
         entry = DEFAULT_REGISTRY.lookup(log.topics[0])
         if entry is None or wanted.isdisjoint(entry.categories):
             continue
-        try:
-            action = _decode(log, entry, pools)
-        except MevlensError as exc:
-            _log.debug("skipped %s log at %s: %s", entry.event, log.position, exc)
-            continue
+        action = _decode_or_skip(log, entry, pools)
         if action is not None:
             decoded.append((log, action))
     return decoded

@@ -10,14 +10,12 @@ from mevlens.amm import cp_pool, cp_swap_out, stable_D, stable_pool
 from mevlens.bytecode import BytecodeRecord, cluster, normalize
 from mevlens.chain_model import ARBITRUM, ETHEREUM, dump_fixture
 from mevlens.cli import main
-from mevlens.crosslayer import (AttackScenario, CostModel,
-                                DEFAULT_CAPITAL_TIERS_USD, S1, S2, S3,
-                                STRATEGIES, VictimSwap, capital_sweep,
-                                delay_stats, infer_victims, optimal_frontrun,
-                                simulate_strategy, victim_realized_out)
+from mevlens.crosslayer import (CostModel, DEFAULT_CAPITAL_TIERS_USD,
+                                DEFAULT_REACTION_TIME_S, S1, S2, S3, STRATEGIES,
+                                VictimSwap, capital_sweep, delay_stats, infer_victims,
+                                optimal_frontrun, victim_realized_out)
 from mevlens.detectors import (detect_arbitrages, detect_sandwiches,
                                extract_swaps)
-from mevlens.errors import Infeasible
 from mevlens.fixtures import FixtureBuilder, addr, enc_balancer_v1_swap
 from mevlens.opportunity import (FOUND, NOT_FOUND, StateProvider,
                                  find_arbitrage_opportunity,
@@ -30,7 +28,7 @@ from conftest import (XL_DELAYS, build_crosslayer_fixture,
                       random_swap_tx, random_transfer_blocks, xl_pools_meta)
 from test_amm import cp_formula, stable_residual
 from test_bytecode import BODY, cbor_trailer, mutate_push_operands
-from test_crosslayer import COSTS, _scenario, _victim, grid_frontrun
+from test_crosslayer import COSTS, _sweep_one, _victim, grid_frontrun
 from test_opportunity import (A, B, F, _balanced, _finding, _liq_finding,
                               _oracle_fixture, plant_arb_scenario)
 
@@ -134,7 +132,7 @@ def test_5_optimal_frontrun_correctness():
         slip = rng.choice([1, 2])
         min_out = quote - quote * slip // 100
         victim = _victim(amount_in=amount, min_out=min_out)
-        x, gross = optimal_frontrun(_scenario(pool, victim))
+        x, gross = optimal_frontrun(pool, victim.swap)
         realized = victim_realized_out(pool, victim.swap, x)
         assert realized is not None and realized >= min_out
         gx, gg = grid_frontrun(pool, victim.swap)
@@ -143,27 +141,27 @@ def test_5_optimal_frontrun_correctness():
     pool = cp_pool(10 ** 6, 10 ** 6, tokens=(ta, tb))
     quote = victim_realized_out(pool, VictimSwap(ta, tb, 10 ** 4), 0)
     victim = _victim(min_out=quote)
-    result = simulate_strategy(_scenario(pool, victim))
-    assert result.profit <= 0 and not result.profitable
+    assert optimal_frontrun(pool, victim.swap) == (0, 0)
+    table = _sweep_one(pool, victim, price=Fraction(10 ** 18))
+    assert all(table[s][t]["count"] == 0 for s in STRATEGIES for t in DEFAULT_CAPITAL_TIERS_USD)
 
 
 # 6. strategy cost ordering and capital-tier monotonicity on 50 victims
 def test_6_strategy_ordering_and_capital_monotonicity():
     scenarios = build_victim_scenarios(50)
+    all_profit = 0
     for vs in scenarios:
-        profits = {}
-        for strategy in STRATEGIES:
-            scenario = AttackScenario(
-                strategy=strategy, victim=vs["victim"],
-                pool_state=vs["pool_state"], costs=COSTS,
-                token_in_price_eth=vs["token_in_price_eth"])
-            try:
-                profits[strategy] = simulate_strategy(scenario).profit
-            except Infeasible:
-                assert strategy == S3
-        assert profits[S2] >= profits[S1]
-        if S3 in profits:
-            assert profits[S3] >= profits[S2]
+        # the victim alone, unbounded: each strategy's total is its profit
+        # in USD when positive, and the cell is empty otherwise
+        one = capital_sweep([vs], COSTS, (None,))
+        totals = {s: one[s][None]["total"] for s in STRATEGIES}
+        assert totals[S2] >= totals[S1]
+        if vs["victim"].link.delay_s < DEFAULT_REACTION_TIME_S:
+            assert one[S3][None]["count"] == 0
+        else:
+            assert totals[S3] >= totals[S2]
+            all_profit += all(one[s][None]["count"] == 1 for s in STRATEGIES)
+    assert all_profit > 0
     table = capital_sweep(scenarios, COSTS)
     for strategy in STRATEGIES:
         counts = [table[strategy][t]["count"] for t in DEFAULT_CAPITAL_TIERS_USD]

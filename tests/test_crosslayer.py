@@ -1,4 +1,5 @@
 import json
+import logging
 import random
 from fractions import Fraction
 
@@ -8,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 from mevlens.amm import cp_pool, dump_pool_metadata, stable_pool, swap_out
 from mevlens.chain_model import ARBITRUM, dump_fixture
 from mevlens.cli import main
-from mevlens.crosslayer import (AttackScenario, CostModel, CrossLayerLink,
-                                DEFAULT_CAPITAL_TIERS_USD, DEFAULT_REACTION_TIME_S, S1,
-                                S2, S3, STRATEGIES, VictimCandidate, VictimSwap, WEI,
+from mevlens.crosslayer import (CostModel, CrossLayerLink, DEFAULT_CAPITAL_TIERS_USD,
+                                DEFAULT_COSTS, DEFAULT_REACTION_TIME_S, S1, S2, S3,
+                                STRATEGIES, VictimCandidate, VictimSwap, WEI,
                                 capital_sweep, delay_stats, infer_victims,
                                 load_attack_config, optimal_frontrun,
-                                simulate_strategy, victim_realized_out,
-                                _sandwich_gross, _VictimSizing)
+                                victim_realized_out, _sandwich_gross, _VictimSizing)
 from mevlens.amm import load_pool_metadata
 from mevlens.reporting import summary_stats
 from mevlens.errors import (EmptyInput, Infeasible, InvalidScenario, MalformedRecord,
@@ -170,24 +170,23 @@ def test_negative_delay_is_anomaly():
 
 # --- optimal frontrun ---
 
-def _scenario(pool, victim, strategy=S2, capital=None, costs=COSTS):
-    return AttackScenario(strategy=strategy, victim=victim, pool_state=pool,
-                          costs=costs, capital_eth=capital,
-                          token_in_price_eth=Fraction(10 ** 12))
+def _sweep_one(pool, victim, price=Fraction(10 ** 12), tiers=DEFAULT_CAPITAL_TIERS_USD,
+               reaction_time_s=DEFAULT_REACTION_TIME_S):
+    """``capital_sweep`` over the one victim ``victim`` on ``pool``."""
+    return capital_sweep([{"victim": victim, "pool_state": pool, "token_in_price_eth": price,
+                           "eth_usd": Fraction(2000)}], COSTS, tiers, reaction_time_s)
 
 
-def test_scenario_rejects_non_positive_price():
-    """The frontrun size divides by the price, and capital_sweep skips an
-    Infeasible scenario, so a price that is not positive is rejected at
-    construction with another error, and the sweep does not drop it."""
+def test_sweep_rejects_non_positive_price():
+    """The frontrun bound divides by the price, and capital_sweep skips an
+    Infeasible victim, so a price that is not positive is rejected with
+    another error before the victim is sized: also for a victim whose own
+    trade breaks its slippage floor."""
     pool = cp_pool(10 ** 6, 10 ** 6, tokens=(XL_TA, XL_TB))
-    for price in (Fraction(0), Fraction(-1)):
-        with pytest.raises(InvalidScenario):
-            AttackScenario(strategy=S1, victim=_victim(), pool_state=pool, costs=COSTS,
-                           capital_eth=Fraction(1), token_in_price_eth=price)
-        with pytest.raises(InvalidScenario):
-            capital_sweep([{"victim": _victim(), "pool_state": pool,
-                            "token_in_price_eth": price, "eth_usd": Fraction(2000)}], COSTS)
+    for victim in (_victim(), _victim(min_out=10 ** 7)):
+        for price in (Fraction(0), Fraction(-1)):
+            with pytest.raises(InvalidScenario, match="token_in_price_eth must be positive"):
+                _sweep_one(pool, victim, price=price)
     assert not issubclass(InvalidScenario, Infeasible)
 
 
@@ -195,10 +194,13 @@ def test_zero_slippage_victim_unattackable():
     pool = cp_pool(10 ** 6, 10 ** 6, tokens=(XL_TA, XL_TB))
     quote = victim_realized_out(pool, _victim().swap, 0)
     victim = _victim(min_out=quote)
-    x, gross = optimal_frontrun(_scenario(pool, victim))
+    x, gross = optimal_frontrun(pool, victim.swap)
     assert x == 0 and gross == 0
-    result = simulate_strategy(_scenario(pool, victim))
-    assert result.profit <= 0 and not result.profitable
+    # a zero gain minus a positive cost: no strategy profits at any tier
+    table = _sweep_one(pool, victim, price=Fraction(10 ** 18))
+    assert all(table[s][t]["count"] == 0 and table[s][t]["total"] == 0
+               for s in STRATEGIES for t in DEFAULT_CAPITAL_TIERS_USD)
+    assert min(COSTS.total(s) for s in STRATEGIES) > 0
 
 
 def test_frontrun_worked_example_matches_grid():
@@ -206,7 +208,7 @@ def test_frontrun_worked_example_matches_grid():
     quote = victim_realized_out(pool, _victim().swap, 0)
     min_out = quote - quote * 2 // 100
     victim = _victim(min_out=min_out)
-    x, gross = optimal_frontrun(_scenario(pool, victim))
+    x, gross = optimal_frontrun(pool, victim.swap)
     gx, gg = grid_frontrun(pool, victim.swap)
     assert gross == gg
     assert abs(x - gx) <= 1 or gross == gg
@@ -225,7 +227,7 @@ def test_frontrun_randomized_against_grid():
         slip = rng.choice([1, 2, 5])
         min_out = quote - quote * slip // 100
         victim = _victim(amount_in=amount, min_out=min_out)
-        x, gross = optimal_frontrun(_scenario(pool, victim))
+        x, gross = optimal_frontrun(pool, victim.swap)
         gx, gg = grid_frontrun(pool, victim.swap)
         assert abs(x - gx) <= 1 or gross == gg
         assert gross >= gg - 1
@@ -236,10 +238,9 @@ def test_frontrun_capital_cap():
     pool = cp_pool(10 ** 6, 10 ** 6, tokens=(XL_TA, XL_TB))
     quote = victim_realized_out(pool, _victim().swap, 0)
     victim = _victim(min_out=quote - quote * 5 // 100)
-    unc_x, _ = optimal_frontrun(_scenario(pool, victim))
+    unc_x, _ = optimal_frontrun(pool, victim.swap)
     cap_units = unc_x // 2
-    capital = Fraction(cap_units) * Fraction(10 ** 12) / WEI
-    x, gross = optimal_frontrun(_scenario(pool, victim, capital=capital))
+    x, gross = optimal_frontrun(pool, victim.swap, cap_units)
     gx, gg = grid_frontrun(pool, victim.swap, capital_units=cap_units)
     assert x <= cap_units
     assert gross == gg
@@ -248,7 +249,7 @@ def test_frontrun_capital_cap():
 def test_assumed_slippage_fallback():
     pool = cp_pool(10 ** 6, 10 ** 6, tokens=(XL_TA, XL_TB))
     victim = _victim(min_out=None)
-    x, gross = optimal_frontrun(_scenario(pool, victim))
+    x, gross = optimal_frontrun(pool, victim.swap)
     quote = victim_realized_out(pool, victim.swap, 0)
     expected_min = quote - quote * 2 // 100
     gx, gg = grid_frontrun(
@@ -260,7 +261,7 @@ def test_infeasible_when_min_out_unreachable():
     pool = cp_pool(10 ** 6, 10 ** 6, tokens=(XL_TA, XL_TB))
     victim = _victim(min_out=10 ** 7)
     with pytest.raises(Infeasible):
-        optimal_frontrun(_scenario(pool, victim))
+        optimal_frontrun(pool, victim.swap)
 
 
 _TOKENS = (XL_TA, XL_TB, b"\x0c" * 20)
@@ -312,23 +313,33 @@ def test_sandwich_gross_none_cases_on_fixed_pools():
 # --- strategies ---
 
 def test_strategy_cost_ordering():
+    """S3 pays two L2 fees, S2 one L1 and one L2 fee, S1 two L1 fees and a
+    bribe: on one victim's gain the profits order S3 >= S2 >= S1."""
+    assert DEFAULT_COSTS == COSTS   # a run without --config prices as these tests do
+    assert COSTS.total(S1) == Fraction(5, 1000) and COSTS.total(S2) == Fraction(21, 10000)
+    assert COSTS.total(S3) == Fraction(2, 10000)
+    with pytest.raises(ValueError):
+        COSTS.total("S4")
     pool = cp_pool(10 ** 6, 10 ** 6, tokens=(XL_TA, XL_TB))
     victim = _victim(delay=600)
-    profits = {}
-    for strategy in STRATEGIES:
-        profits[strategy] = simulate_strategy(
-            _scenario(pool, victim, strategy=strategy)).profit
-    assert profits[S3] >= profits[S2] >= profits[S1]
+    _, gross = optimal_frontrun(pool, victim.swap)
+    price = Fraction(WEI, 100)   # 0.01 ETH a unit: every strategy profits
+    table = _sweep_one(pool, victim, price=price, tiers=(None,))
+    totals = [table[s][None]["total"] for s in (S3, S2, S1)]
+    assert totals == [(gross * Fraction(1, 100) - COSTS.total(s)) * 2000 for s in (S3, S2, S1)]
+    assert totals == sorted(totals, reverse=True) and totals[-1] > 0
 
 
 def test_s3_delay_gate():
+    """S3 counts a victim only when its inclusion delay is at least the
+    reaction time; S1 and S2 count it whatever the delay."""
     pool = cp_pool(10 ** 6, 10 ** 6, tokens=(XL_TA, XL_TB))
-    victim = _victim(delay=0)
-    with pytest.raises(Infeasible):
-        simulate_strategy(_scenario(pool, victim, strategy=S3))
-    # S1/S2 unaffected
-    for strategy in (S1, S2):
-        simulate_strategy(_scenario(pool, victim, strategy=strategy))
+    price = Fraction(WEI, 100)
+    for delay, s3_count in ((0, 0), (44, 0), (45, 1), (600, 1)):
+        table = _sweep_one(pool, _victim(delay=delay), price=price, tiers=(None,),
+                           reaction_time_s=45)
+        assert table[S3][None]["count"] == s3_count
+        assert table[S1][None]["count"] == table[S2][None]["count"] == 1
 
 
 def test_capital_sweep_monotone_on_fifty_victims():
@@ -348,19 +359,17 @@ def test_capital_sweep_monotone_on_fifty_victims():
 
 def per_tier_sweep(victim_scenarios, costs, tiers_usd,
                    reaction_time_s=DEFAULT_REACTION_TIME_S):
-    """``capital_sweep`` as a literal loop: one ``optimal_frontrun`` per
-    (tier, victim), each resolving the victim's slippage floor and probe
-    on its own, and no search reused."""
+    """``capital_sweep`` as a literal loop: one fresh
+    ``optimal_frontrun(pool, swap, capital_units)`` per (tier, victim),
+    each resolving the victim's slippage floor and probe on its own, and
+    no search reused."""
     gains = {}
     for tier in tiers_usd:
         for i, vs in enumerate(victim_scenarios):
-            capital_eth = None if tier is None else Fraction(tier) / vs["eth_usd"]
-            scenario = AttackScenario(
-                strategy=S1, victim=vs["victim"], pool_state=vs["pool_state"], costs=costs,
-                capital_eth=capital_eth, token_in_price_eth=vs["token_in_price_eth"],
-                reaction_time_s=reaction_time_s)
+            capital_units = None if tier is None else _capital_units(vs, tier)
             try:
-                _, gross_tokens = optimal_frontrun(scenario)
+                _, gross_tokens = optimal_frontrun(vs["pool_state"], vs["victim"].swap,
+                                                   capital_units)
             except Infeasible:
                 continue
             gains[tier, i] = Fraction(gross_tokens, WEI) * vs["token_in_price_eth"]
@@ -445,9 +454,9 @@ def test_capital_sweep_sizes_each_victim_once_per_distinct_bound(monkeypatch):
         x_slips.append(probe(pool, victim))
         return x_slips[-1]
 
-    def counted_search(scenario, *args):
-        searches.append(scenario)
-        return search(scenario, *args)
+    def counted_search(*args):
+        searches.append(args)
+        return search(*args)
 
     monkeypatch.setattr(crosslayer, "_max_input_within_slippage", counted_probe)
     monkeypatch.setattr(crosslayer, "optimal_frontrun", counted_search)
@@ -485,10 +494,13 @@ def test_load_attack_config(tmp_path):
 
 # --- `crosslayer simulate` on malformed sidecars ---
 
-def _simulate(tmp_path, price="0.000001", snapshot=None, pools=None, config=None):
+def _simulate(tmp_path, price="0.000001", snapshot=None, pools=None, config=None,
+              pool_snapshot=True, priced_token=XL_TA):
     """Run `crosslayer simulate` over the cross-layer fixture; `snapshot`
     is an extra snapshot line after a valid one, `pools` replaces the pool
-    metadata text and `config`, when given, is the attack config text."""
+    metadata text and `config`, when given, is the attack config text.
+    Without `pool_snapshot` the victims' pool has none; the prices name
+    `priced_token` and ETHUSD."""
     fixtures = tmp_path / "fixtures"
     fixtures.mkdir(parents=True)
     l1, l2s, _ = build_crosslayer_fixture()
@@ -503,14 +515,14 @@ def _simulate(tmp_path, price="0.000001", snapshot=None, pools=None, config=None
         (tmp_path / "attack.json").write_text(config)
         options = ["--config", str(tmp_path / "attack.json")]
     snapshots = tmp_path / "snap.jsonl"
-    lines = [json.dumps(pool_row(XL_POOL, ["1000000", "1000000"]))]
+    lines = [json.dumps(pool_row(XL_POOL, ["1000000", "1000000"]))] if pool_snapshot else []
     if snapshot is not None:
         lines.append(snapshot)
-    snapshots.write_text("\n".join(lines) + "\n")
+    snapshots.write_text("".join(line + "\n" for line in lines))
     prices = tmp_path / "prices.csv"
     rows = ["token_address,day,price_eth"]
     for day in sorted({b.timestamp // 86400 for b in l1.blocks}):
-        rows += [f"0x{XL_TA.hex()},{day},{price}", f"ETHUSD,{day},2000"]
+        rows += [f"0x{priced_token.hex()},{day},{price}", f"ETHUSD,{day},2000"]
     prices.write_text("\n".join(rows) + "\n")
     return main(["crosslayer", "simulate", "--chain", "arbitrum",
                  "--fixtures", str(fixtures), "--pools", str(tmp_path / "pools.json"),
@@ -524,6 +536,20 @@ def test_cli_simulate_zero_price_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{tmp_path / 'zero' / 'prices.csv'}: line 2: price" in err
     assert "internal error" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("missing, counts", [(None, (0, 0)), ("snapshot", (4, 0)),
+                                             ("price", (0, 4))])
+def test_cli_simulate_logs_the_victims_it_skips(tmp_path, caplog, capsys, missing, counts):
+    """One INFO line says how many victims the run read and how many it
+    skipped for want of a pool snapshot or a price; stdout stays as it was."""
+    with caplog.at_level(logging.INFO, logger="mevlens"):
+        assert _simulate(tmp_path, pool_snapshot=missing != "snapshot",
+                         priced_token=XL_TB if missing == "price" else XL_TA) == 0
+    assert ("victims: 4 read, %d skipped for no pool snapshot, %d skipped for no price"
+            % counts) in [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+    out = capsys.readouterr().out
+    assert out == f"{4 - sum(counts)} scenarios -> {tmp_path / 'out' / 'attack_tables.csv'}\n"
 
 
 @pytest.mark.parametrize("name", sorted(malformed_snapshots(XL_POOL, XL_TA)))

@@ -10,7 +10,7 @@ from conftest import (literal_decode, literal_decode_logs, literal_decode_oracle
 from mevlens.chain_model import ARBITRUM, ETHEREUM, EventLog, OPTIMISM, ZKSYNC
 from mevlens.decoding import (WORD, _LAYOUTS, _decode, decode_logs, decode_oracle_update,
                               decode_swap)
-from mevlens.errors import SchemaMismatch
+from mevlens.errors import MevlensError
 from mevlens.fixtures import (addr, enc_aave_v1_liquidation,
                               enc_aave_v2v3_liquidation, enc_answer_updated,
                               enc_balancer_v1_swap, enc_balancer_v2_swap,
@@ -142,10 +142,18 @@ def test_transfer_log_is_not_a_swap():
     assert decode_swap(make_log(topics, data)) is None
 
 
-def test_swap_wrong_topic_count_raises():
+def test_swap_wrong_topic_count_is_skipped(caplog):
+    """The single-log decoders skip a log that breaks its layout, as
+    decode_logs does: None, and the DEBUG line naming it."""
     topics, data = enc_uniswap_v2_swap(addr(9), addr(9), 100, 0, 0, 90)
-    with pytest.raises(SchemaMismatch):
-        decode_swap(make_log(topics[:2], data), pool_meta(addr(0xF0), [addr(1), addr(2)]))
+    log = make_log(topics[:2], data)
+    assert debug_outcome(caplog, decode_swap, log, pool_meta(addr(0xF0), [addr(1), addr(2)])) \
+        == (("return", type(None), None),
+            ["skipped Swap log at (5, 1, 2): Uniswap V2 Swap expects 3 topics"])
+    topics, data = enc_answer_updated(10 ** 8)
+    assert debug_outcome(caplog, decode_oracle_update, make_log(topics[:2], data)) == \
+        (("return", type(None), None),
+         ["skipped AnswerUpdated log at (5, 1, 2): AnswerUpdated expects 3 topics"])
 
 
 # --- transfers ---
@@ -252,11 +260,8 @@ def test_decoders_never_panic_on_random_logs():
         log = make_log(topics, data)
         for category in Category:
             decode_logs([log], (category,), pools)
-        for decode in (lambda lg: decode_swap(lg, pools), decode_oracle_update):
-            try:
-                decode(log)
-            except SchemaMismatch:
-                pass
+        decode_swap(log, pools)
+        decode_oracle_update(log)
 
 
 @settings(max_examples=60, deadline=None)
@@ -336,17 +341,39 @@ def outcome(fn, *args):
     return "return", type(result), result
 
 
+def debug_outcome(caplog, fn, log, *args):
+    """``outcome`` of ``fn(log, *args)`` with the DEBUG lines it writes."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="mevlens"):
+        result = outcome(fn, log, *args)
+    return result, [r.getMessage() for r in caplog.records if r.name == "mevlens"]
+
+
+def skipped_outcome(oracle, log, *args):
+    """``debug_outcome`` of a decoder that skips what ``oracle`` rejects
+    with a MevlensError: None, and the DEBUG line decode_logs writes."""
+    result = outcome(oracle, log, *args)
+    if result[0] == "raise" and issubclass(result[1], MevlensError):
+        event = DEFAULT_REGISTRY.lookup(log.topics[0]).event
+        return ("return", type(None), None), [f"skipped {event} log at {log.position}: {result[2]}"]
+    return result, []
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cases=st.lists(registered_logs(), min_size=1, max_size=12), pools=POOLS)
 def test_layout_table_matches_literal_decoders(cases, pools, caplog):
     """The one table-driven decoder gives the same action, the same None or
     the same exception class and message as the per-category decoders it
-    replaced, and decode_logs the same pairs and DEBUG skip lines."""
+    replaced, and decode_logs the same pairs and DEBUG skip lines.
+    decode_swap and decode_oracle_update skip, as decode_logs does, the
+    logs the old decoders rejected."""
     for entry, log in cases:
         assert outcome(_decode, log, entry, pools) == outcome(literal_decode, log, entry, pools)
-        assert outcome(decode_swap, log, pools) == outcome(literal_decode_swap, log, pools)
-        assert outcome(decode_oracle_update, log) == outcome(literal_decode_oracle_update, log)
+        assert debug_outcome(caplog, decode_swap, log, pools) == \
+            skipped_outcome(literal_decode_swap, log, pools)
+        assert debug_outcome(caplog, decode_oracle_update, log) == \
+            skipped_outcome(literal_decode_oracle_update, log)
     logs = [log for _, log in cases]
     for categories in [[c] for c in Category] + [list(Category)]:
         runs = []

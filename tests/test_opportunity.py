@@ -1,4 +1,5 @@
 import json
+import logging
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from mevlens.detectors import (ArbitrageFinding, LiquidationFinding, detect_arbi
 from mevlens.decoding import LiquidationAction, decode_swap
 from mevlens.errors import MalformedRecord, MevlensError
 from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
-                              enc_answer_updated, enc_balancer_v1_swap)
+                              enc_answer_updated, enc_balancer_v1_swap, enc_uniswap_v2_swap)
 from mevlens.opportunity import (DEFAULT_HORIZON, FOUND, NOT_FOUND, UNSIMULATABLE,
                                  OpportunityResult,
                                  StateProvider, block_distance_cdf,
@@ -323,6 +324,42 @@ def test_cli_compete_row_carries_the_opportunity_block(tmp_path):
     assert [(r["tx_hash"], r["block"], r["timestamp"], len(r["extractors"])) for r in rows] == [
         ("0x" + opened.hex(), F - 7, ds.block_timestamp(F - 7), 2)]
     assert ds.block_timestamp(F - 7) != ds.block_timestamp(F)
+
+
+@pytest.mark.parametrize("mev_type, line", [
+    ("arb", f"skipped Swap log at ({F - 3}, 0, 0): Uniswap V2 Swap expects 3 topics"),
+    ("liq", f"skipped AnswerUpdated log at ({F - 2}, 0, 1): AnswerUpdated expects 3 topics"),
+])
+def test_cli_opportunity_skips_a_log_that_breaks_its_layout(tmp_path, caplog, mev_type, line):
+    """A Uniswap V2 swap at a venue of the arbitrage and a Chainlink update
+    inside the findings' window, each short of one topic: the walk skips
+    them as the detectors do, logs why at DEBUG and writes every row."""
+    fb = FixtureBuilder(ETHEREUM, start_block=F - 3)
+    fb.block(number=F - 3)
+    fb.tx()
+    topics, data = enc_uniswap_v2_swap(addr(9), addr(9), 100, 0, 0, 90)
+    fb.log(P1, topics[:2], data)
+    fb.block(number=F - 2)
+    fb.tx()
+    topics, data = enc_answer_updated(10 ** 8)
+    fb.log(addr(0xFE), topics[:2], data)
+    fb.block(number=F)
+    fb.tx()
+    fb.log(P1, *enc_balancer_v1_swap(addr(0xEE), A, B, 1000, 999))
+    fb.log(P2, *enc_balancer_v1_swap(addr(0xEE), B, A, 999, 1008))
+    fb.tx(sender=addr(6))
+    fb.log(addr(0xAB), *enc_aave_v2v3_liquidation(A, B, addr(5), 100, 150, addr(6)))
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    dump_fixture(fb.dataset(), fixtures / "ethereum.jsonl")
+    (tmp_path / "snap.jsonl").write_text("")
+    out = tmp_path / "out"
+    with caplog.at_level(logging.DEBUG, logger="mevlens"):
+        assert main(["opportunity", "--type", mev_type, "--fixtures", str(fixtures),
+                     "--snapshots", str(tmp_path / "snap.jsonl"), "--out", str(out)]) == 0
+    rows = (out / f"opportunities_{mev_type}.jsonl").read_text().splitlines()
+    assert len(rows) == 1
+    assert line in [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
 
 
 def test_not_found_status_names_the_horizon():

@@ -14,8 +14,7 @@ from mevlens.bytecode import BytecodeRecord, Cluster, NormalizedCode
 from mevlens.amm import CONSTANT_PRODUCT, STABLESWAP, PoolState
 from mevlens.chain_model import (ARBITRUM, CHAINS, ETHEREUM, BlockRecord, ChainId, EventLog,
                                  Layer, TxRecord)
-from mevlens.crosslayer import (AttackResult, AttackScenario, CostModel, CrossLayerLink,
-                                DelayStats, VictimCandidate, VictimSwap)
+from mevlens.crosslayer import CostModel, CrossLayerLink, DelayStats, VictimCandidate, VictimSwap
 from mevlens.decoding import (BridgeMessageAction, FlashLoanAction, LiquidationAction,
                               OracleUpdateAction, SwapAction, TransferAction)
 from mevlens.detectors import ArbitrageFinding, LiquidationFinding, SandwichFinding
@@ -115,20 +114,6 @@ RECORDS = [
      "pool=b'\\xbb')"),
     (COSTS,
      "CostModel(l1_tx_cost=Fraction(1, 2), l2_tx_cost=Fraction(0, 1), bribe=Fraction(1, 4))"),
-    (AttackScenario("S2", VICTIM, POOL, COSTS, token_in_price_eth=Fraction(2)),
-     "AttackScenario(strategy='S2', "
-     "victim=VictimCandidate(link=CrossLayerLink(rollup=ChainId(name='arbitrum', "
-     "layer=<Layer.L2: 'L2'>), l1_tx=b'\\x01', l2_tx=b'\\x02', link_key=b'\\x03', "
-     "l1_timestamp=10, l2_timestamp=12, l2_block=4), swap=VictimSwap(token_in=b'\\xaa', "
-     "token_out=b'\\xbb', amount_in=3, min_amount_out=None, assumed_slippage=False), "
-     "pool=b'\\xbb'), pool_state=PoolState(kind='constant_product', tokens=(b'\\xaa', "
-     "b'\\xbb'), reserves=(5, 7), fee_num=3, fee_den=1000, amp=200), "
-     "costs=CostModel(l1_tx_cost=Fraction(1, 2), l2_tx_cost=Fraction(0, 1), "
-     "bribe=Fraction(1, 4)), capital_eth=None, token_in_price_eth=Fraction(2, 1), "
-     "reaction_time_s=30)"),
-    (AttackResult("S1", 2, Fraction(1), Fraction(1, 2), Fraction(1, 2), True),
-     "AttackResult(strategy='S1', optimal_input=2, gross_gain=Fraction(1, 1), "
-     "total_cost=Fraction(1, 2), profit=Fraction(1, 2), profitable=True)"),
     (DelayStats(3, 1, Fraction(5, 2), Fraction(2), 5),
      "DelayStats(count=3, min=1, mean=Fraction(5, 2), median=Fraction(2, 1), max=5)"),
 ]
