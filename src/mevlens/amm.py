@@ -82,42 +82,13 @@ def _cp_out(r_in: int, r_out: int, amount_in: int, fee_num: int, fee_den: int) -
     return r_out * a // (r_in + a)
 
 
-def cp_swap_out(pool: PoolState, token_in, amount_in: int) -> SwapQuote:
-    """x*y=k swap with fee applied on input, floor division throughout."""
-    if pool.kind != CONSTANT_PRODUCT:
-        raise AssertionError(f"cp_swap_out on a {pool.kind} pool")
-    if amount_in <= 0:
-        raise InvalidSwap(f"swap amount must be positive, got {amount_in}")
-    i = pool.index_of(token_in)
-    j = 1 - i
-    r_in, r_out = pool.reserves[i], pool.reserves[j]
-    if r_in <= 0 or r_out <= 0:
-        raise EmptyPool("pool has an empty reserve")
-    amount_out = _cp_out(r_in, r_out, amount_in, pool.fee_num, pool.fee_den)
-    reserves = list(pool.reserves)
-    reserves[i] += amount_in
-    reserves[j] -= amount_out
-    return SwapQuote(amount_in, amount_out, pool.with_reserves(reserves))
-
-
-def stable_D(pool: PoolState) -> int:
+def _stable_D(xs: Sequence[int], amp: int) -> int:
     """Solve the StableSwap invariant for D by Newton iteration.
 
     A*n^n*sum(x) + D = A*D*n^n + D^(n+1) / (n^n * prod(x))
     """
-    if pool.kind != STABLESWAP:
-        raise AssertionError(f"stable_D on a {pool.kind} pool")
-    xs = pool.reserves
-    if any(x <= 0 for x in xs):
-        raise EmptyPool("stableswap pool has an empty reserve")
-    return _stable_D(xs, pool.amp)
-
-
-def _stable_D(xs: Sequence[int], amp: int) -> int:
     n = len(xs)
     s = sum(xs)
-    if s == 0:
-        return 0
     d = s
     ann = amp * n ** n
     for _ in range(MAX_ITERATIONS):
@@ -155,36 +126,54 @@ def _stable_y(xs: Sequence[int], amp: int, i: int, j: int, new_x_i: int, d: int)
     raise NoConvergence("y solver did not converge in 255 iterations")
 
 
-def stable_swap_out(pool: PoolState, token_in, token_out, amount_in: int) -> SwapQuote:
-    if pool.kind != STABLESWAP:
-        raise AssertionError(f"stable_swap_out on a {pool.kind} pool")
-    if amount_in <= 0:
-        raise InvalidSwap(f"swap amount must be positive, got {amount_in}")
+def _indices(pool: PoolState, token_in, token_out) -> tuple:
+    """Reserve slots (i, j) of a swap of token_in for token_out. A
+    constant-product pool pays out its other slot, so one listing a token
+    twice resolves that token to slots (0, 1) in both directions."""
     i = pool.index_of(token_in)
+    if pool.kind == CONSTANT_PRODUCT:
+        if pool.tokens[1 - i] != token_out:
+            raise UnknownToken("token_out not in pool")
+        return i, 1 - i
     j = pool.index_of(token_out)
     if i == j:
         raise InvalidSwap("token_in and token_out are the same token")
-    d = stable_D(pool)
-    new_x = pool.reserves[i] + amount_in
-    y = _stable_y(pool.reserves, pool.amp, i, j, new_x, d)
-    gross_out = pool.reserves[j] - y - 1  # conservative rounding
-    amount_out = gross_out - gross_out * pool.fee_num // pool.fee_den
+    return i, j
+
+
+def _out(pool: PoolState, reserves: Sequence[int], i: int, j: int, amount_in: int) -> int:
+    """Output in slot j of swapping amount_in into slot i of ``reserves``
+    under the pool's invariant and fee; ``pool`` gives only its kind and
+    parameters. A constant-product swap may pay 0; a StableSwap swap that
+    pays nothing raises DrainedPool."""
+    if amount_in <= 0:
+        raise InvalidSwap(f"swap amount must be positive, got {amount_in}")
+    kind, _, _, fee_num, fee_den, amp = pool
+    if kind == CONSTANT_PRODUCT:
+        r_in, r_out = reserves[i], reserves[j]
+        if r_in <= 0 or r_out <= 0:
+            raise EmptyPool("pool has an empty reserve")
+        return _cp_out(r_in, r_out, amount_in, fee_num, fee_den)
+    if any(x <= 0 for x in reserves):
+        raise EmptyPool("stableswap pool has an empty reserve")
+    d = _stable_D(reserves, amp)
+    y = _stable_y(reserves, amp, i, j, reserves[i] + amount_in, d)
+    gross_out = reserves[j] - y - 1  # conservative rounding
+    amount_out = gross_out - gross_out * fee_num // fee_den
     if amount_out <= 0:
         raise DrainedPool("swap produces no output")
-    reserves = list(pool.reserves)
-    reserves[i] = new_x
-    reserves[j] -= amount_out
-    return SwapQuote(amount_in, amount_out, pool.with_reserves(reserves))
+    return amount_out
 
 
 def swap_out(pool: PoolState, token_in, token_out, amount_in: int) -> SwapQuote:
-    """Kind-dispatching swap."""
-    if pool.kind == CONSTANT_PRODUCT:
-        i = pool.index_of(token_in)
-        if pool.tokens[1 - i] != token_out:
-            raise UnknownToken("token_out not in pool")
-        return cp_swap_out(pool, token_in, amount_in)
-    return stable_swap_out(pool, token_in, token_out, amount_in)
+    """Swap amount_in of token_in for token_out on either pool kind: the
+    output and the pool state after the swap."""
+    i, j = _indices(pool, token_in, token_out)
+    amount_out = _out(pool, pool.reserves, i, j, amount_in)
+    reserves = list(pool.reserves)
+    reserves[i] += amount_in
+    reserves[j] -= amount_out
+    return SwapQuote(amount_in, amount_out, pool.with_reserves(reserves))
 
 
 class PathHop(NamedTuple):

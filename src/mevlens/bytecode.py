@@ -11,7 +11,9 @@ from typing import NamedTuple
 
 from .chain_model import ChainId, _chain, _json_line, _lines, _sidecar_hex, to_hex
 from .errors import MalformedRecord
-from .keccak import keccak256, keccak256_many
+# keccak256 stays bound here, unused: perfbench/selftest.py checks that the
+# tracer wraps mevlens.bytecode.keccak256 together with mevlens.keccak's
+from .keccak import keccak256, keccak256_many  # noqa: F401
 
 PUSH1 = 0x60
 PUSH32 = 0x7F
@@ -23,11 +25,6 @@ class BytecodeRecord(NamedTuple):
     address: bytes
     code: bytes
     verified: bool = False
-
-
-class NormalizedCode(NamedTuple):
-    skeleton: bytes
-    digest: bytes
 
 
 def strip_metadata(code: bytes) -> bytes:
@@ -63,12 +60,6 @@ def _skeleton(code: bytes) -> bytes:
     return bytes(out)
 
 
-def normalize(code: bytes) -> NormalizedCode:
-    """The code's PUSH-free, metadata-free skeleton and its keccak digest."""
-    skel = _skeleton(code)
-    return NormalizedCode(skeleton=skel, digest=keccak256(skel))
-
-
 class Cluster(NamedTuple):
     digest: bytes
     members: tuple          # (chain, address) pairs
@@ -77,10 +68,6 @@ class Cluster(NamedTuple):
     @property
     def size(self) -> int:
         return len(self.members)
-
-    @property
-    def cross_chain(self) -> bool:
-        return len(self.chains) > 1
 
 
 def cluster(records) -> list:

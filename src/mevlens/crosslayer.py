@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .amm import CONSTANT_PRODUCT, PoolState, _cp_out, swap_out
+from .amm import PoolState, _indices, _out, swap_out
 from .chain_model import (_DECIMAL_FRACTION, ChainDataset, ChainId, ZKSYNC, _decimal,
                           _json_object, _whole, group_logs_by_tx)
 from .decoding import TransferAction, decode_logs
@@ -268,68 +268,30 @@ def delay_stats(links: Sequence[CrossLayerLink]):
 # --- optimal frontrun sizing ---
 
 def _sandwich_gross(pool: PoolState, victim: VictimSwap, x: int):
-    """Attacker token_in profit of frontrun x + victim trade + backrun.
+    """Attacker token_in profit of frontrun x + victim trade + backrun,
+    swapped through ``amm._out`` on one local copy of the reserves.
 
     Returns (profit, victim_realized_out); None when the sequence cannot
     execute.
     """
-    if pool.kind == CONSTANT_PRODUCT:
-        return _cp_sandwich_gross(pool, victim, x)
-    if x == 0:
-        try:
-            quote_v = swap_out(pool, victim.token_in, victim.token_out, victim.amount_in)
-        except MevlensError:
-            return None
-        return 0, quote_v.amount_out
     try:
-        front = swap_out(pool, victim.token_in, victim.token_out, x)
-        mid = swap_out(front.post_state, victim.token_in, victim.token_out,
-                       victim.amount_in)
-        if front.amount_out <= 0:
-            return 0 - x, mid.amount_out
-        back = swap_out(mid.post_state, victim.token_out, victim.token_in,
-                        front.amount_out)
+        if x == 0:
+            return 0, swap_out(pool, victim.token_in, victim.token_out,
+                               victim.amount_in).amount_out
+        i, j = _indices(pool, victim.token_in, victim.token_out)
+        reserves = list(pool.reserves)
+        front_out = _out(pool, reserves, i, j, x)
+        reserves[i] += x
+        reserves[j] -= front_out
+        mid_out = _out(pool, reserves, i, j, victim.amount_in)
+        if front_out <= 0:
+            return -x, mid_out
+        reserves[i] += victim.amount_in
+        reserves[j] -= mid_out
+        i, j = _indices(pool, victim.token_out, victim.token_in)
+        return _out(pool, reserves, i, j, front_out) - x, mid_out
     except MevlensError:
         return None
-    return back.amount_out - x, mid.amount_out
-
-
-def _cp_sandwich_gross(pool: PoolState, victim: VictimSwap, x: int):
-    """``_sandwich_gross`` of a constant-product pool, run on local reserve
-    integers. It returns what composing ``swap_out`` returns, None
-    included: None for a token pair the pool does not trade
-    (UnknownToken), an empty reserve (EmptyPool), a victim amount <= 0 or
-    x < 0 (InvalidSwap)."""
-    tokens = pool.tokens
-    if victim.token_in not in tokens:
-        return None
-    i = tokens.index(victim.token_in)
-    if tokens[1 - i] != victim.token_out:
-        return None
-    amount = victim.amount_in
-    r_in, r_out = pool.reserves[i], pool.reserves[1 - i]
-    if amount <= 0 or x < 0 or r_in <= 0 or r_out <= 0:
-        return None
-    fee_num, fee_den = pool.fee_num, pool.fee_den
-    if x == 0:
-        return 0, _cp_out(r_in, r_out, amount, fee_num, fee_den)
-    # a swap into a positive reserve pays out less than the other reserve,
-    # so both reserves stay positive for the victim swap and the backrun
-    front_out = _cp_out(r_in, r_out, x, fee_num, fee_den)
-    r_in += x
-    r_out -= front_out
-    mid_out = _cp_out(r_in, r_out, amount, fee_num, fee_den)
-    if front_out <= 0:
-        return -x, mid_out
-    r_in += amount
-    r_out -= mid_out
-    if victim.token_in == victim.token_out:
-        # a pool listing one token twice: the backrun resolves token_out
-        # to the first slot, so it swaps in the frontrun's direction again
-        back_out = _cp_out(r_in, r_out, front_out, fee_num, fee_den)
-    else:
-        back_out = _cp_out(r_out, r_in, front_out, fee_num, fee_den)
-    return back_out - x, mid_out
 
 
 def victim_realized_out(pool: PoolState, victim: VictimSwap, x: int) -> Optional[int]:
@@ -370,9 +332,9 @@ def _max_input_within_slippage(pool: PoolState, victim: VictimSwap) -> int:
 class _VictimSizing:
     """What sizing one victim's frontrun needs that no capital bound
     changes: the victim with its slippage floor, the largest frontrun
-    that keeps the victim within it (``x_slip``), and the x -> gross
-    profit cache. Raises Infeasible when the victim trade cannot execute
-    or its floor is violated with no frontrun."""
+    that keeps the victim within it (``x_slip``), and the x ->
+    ``_sandwich_gross`` cache. Raises Infeasible when the victim trade
+    cannot execute or its floor is violated with no frontrun."""
 
     def __init__(self, pool: PoolState, victim: VictimSwap):
         if victim.min_amount_out is None:
@@ -383,7 +345,7 @@ class _VictimSizing:
             victim = victim._replace(min_amount_out=min_out, assumed_slippage=True)
         self.victim = victim
         self.x_slip = _max_input_within_slippage(pool, victim)
-        self.gross: dict = {}
+        self.sandwiches: dict = {}
 
 
 def optimal_frontrun(pool: PoolState, victim_swap: VictimSwap,
@@ -393,18 +355,31 @@ def optimal_frontrun(pool: PoolState, victim_swap: VictimSwap,
     (None: unbounded) and within the victim's slippage floor, via ternary
     search with an exact scan of the final interval. Returns (x, gross
     profit in token_in units). ``sizing``: the victim's ``_VictimSizing``
-    when one victim is sized under several bounds, built here otherwise."""
+    when one victim is sized under several bounds, built here otherwise.
+
+    A size is feasible when the victim's realized output holds its floor
+    at that size. The bisected ``x_slip`` only bounds the search: on a
+    StableSwap pool the output can jitter across the floor below it. So
+    the coarse grid ranks feasible sizes only, and the final scan stops at
+    the first size that breaks the floor."""
     if sizing is None:
         sizing = _VictimSizing(pool, victim_swap)
     victim = sizing.victim
+    floor = victim.min_amount_out
     x_max = sizing.x_slip if capital_units is None else min(sizing.x_slip, capital_units)
-    cache = sizing.gross
+    cache = sizing.sandwiches
+
+    def sandwich(x):
+        if x not in cache:
+            cache[x] = _sandwich_gross(pool, victim, x) or (-x, None)
+        return cache[x]
 
     def g(x):
-        if x not in cache:
-            result = _sandwich_gross(pool, victim, x)
-            cache[x] = -x if result is None else result[0]
-        return cache[x]
+        return sandwich(x)[0]
+
+    def holds(x):
+        out = sandwich(x)[1]
+        return out is not None and out >= floor
 
     # Integer floors put small jags on an otherwise unimodal curve, so a
     # plain ternary comparison can latch onto the wrong side of a tie. Cut
@@ -425,14 +400,19 @@ def optimal_frontrun(pool: PoolState, victim_swap: VictimSwap,
         # curve too flat for confident cuts on a huge domain: coarse-grid
         # refinement, accepting possible unit-level suboptimality
         step = (hi - lo) // 1024
-        b = max(list(range(lo, hi + 1, step)) + [hi], key=g)
+        b = max(filter(holds, [*range(lo, hi + 1, step), hi]), key=g, default=lo)
         lo, hi = max(lo, b - 2 * step), min(hi, b + 2 * step)
-    best = max(range(lo, hi + 1), key=g)
+    best, best_g = lo, g(lo)
+    for x in range(lo, hi + 1):
+        gain, out = sandwich(x)
+        if out is None or out < floor:
+            break
+        if gain > best_g:
+            best, best_g = x, gain
     # hard slippage check on the returned size, kept under python -O
-    realized = victim_realized_out(pool, victim, best)
-    if realized is None or realized < victim.min_amount_out:
+    if not holds(best):
         raise AssertionError(f"frontrun {best} breaks the victim's slippage bound")
-    return best, g(best)
+    return best, best_g
 
 
 # --- capital sweep (per strategy x capital tier report) ---

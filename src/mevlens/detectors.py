@@ -133,19 +133,6 @@ def detect_arbitrages(swaps_by_tx: Mapping[bytes, Sequence[SwapAction]]):
     return findings
 
 
-def validate_arbitrage(finding: ArbitrageFinding) -> bool:
-    """Independent re-check of the cycle predicates on an emitted finding."""
-    cycle = finding.cycle
-    if len(cycle) < 2:
-        return False
-    if cycle[-1].token_out != cycle[0].token_in:
-        return False
-    for a, b in zip(cycle, cycle[1:]):
-        if not _links(a, b):
-            return False
-    return True
-
-
 def _price_balances(balances: Mapping, prices: PriceProvider, day: int):
     gains = Fraction(0)
     costs = Fraction(0)

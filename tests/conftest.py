@@ -73,6 +73,15 @@ def oracle_cycles(swaps):
     return cycles
 
 
+def validate_arbitrage(finding) -> bool:
+    """Independent re-check of the cycle predicates on an emitted finding:
+    at least two swaps, each linking to the next, the last closing on the
+    first swap's input token."""
+    cycle = finding.cycle
+    return (len(cycle) >= 2 and cycle[-1].token_out == cycle[0].token_in
+            and all(_oracle_links(a, b) for a, b in zip(cycle, cycle[1:])))
+
+
 def random_swap_tx(rng: random.Random, max_swaps: int = 8):
     """A synthetic transaction's swap list biased toward chainable amounts."""
     tokens = [addr(0x100 + i) for i in range(4)]

@@ -6,8 +6,8 @@ import random
 import time
 from fractions import Fraction
 
-from mevlens.amm import cp_pool, cp_swap_out, stable_D, stable_pool
-from mevlens.bytecode import BytecodeRecord, cluster, normalize
+from mevlens.amm import _stable_D, cp_pool, swap_out
+from mevlens.bytecode import BytecodeRecord, _skeleton, cluster
 from mevlens.chain_model import ARBITRUM, ETHEREUM, dump_fixture
 from mevlens.cli import main
 from mevlens.crosslayer import (CostModel, DEFAULT_CAPITAL_TIERS_USD,
@@ -27,7 +27,7 @@ from conftest import (XL_DELAYS, build_crosslayer_fixture,
                       make_transfer, oracle_cycles, oracle_sandwiches,
                       random_swap_tx, random_transfer_blocks, xl_pools_meta)
 from test_amm import cp_formula, stable_residual
-from test_bytecode import BODY, cbor_trailer, mutate_push_operands
+from test_bytecode import BODY, cbor_trailer, digest, mutate_push_operands
 from test_crosslayer import COSTS, _sweep_one, _victim, grid_frontrun
 from test_opportunity import (A, B, F, _balanced, _finding, _liq_finding,
                               _oracle_fixture, plant_arb_scenario)
@@ -105,17 +105,17 @@ def test_4_amm_exactness():
         fee_num = rng.randint(0, min(fee_den - 1, 30))
         x = rng.randint(1, 10 ** 12)
         pool = cp_pool(r0, r1, fee_num=fee_num, fee_den=fee_den)
-        assert cp_swap_out(pool, t0, x).amount_out == \
+        assert swap_out(pool, t0, pool.tokens[1], x).amount_out == \
             cp_formula(r0, r1, x, fee_num, fee_den)
     for _ in range(10 ** 3):
         n = rng.choice([2, 3])
         amp = rng.choice([10, 100, 200, 1000])
         xs = [rng.randint(10 ** 5, 10 ** 12) for _ in range(n)]
-        d = stable_D(stable_pool(xs, amp=amp))
+        d = _stable_D(xs, amp)
         # the integer root lies within one unit of the exact crossing
         assert stable_residual(xs, amp, d - 2) >= 0 >= stable_residual(xs, amp, d + 2)
     for n, x in ((2, 10 ** 6), (3, 10 ** 9)):
-        assert stable_D(stable_pool([x] * n, amp=200)) == n * x
+        assert _stable_D([x] * n, 200) == n * x
 
 
 # 5. frontrun sizing matches the brute-force grid on 200 random scenarios
@@ -212,11 +212,11 @@ def test_7_opportunity_search_exactness():
 # 8. bytecode clustering survives 10^4 operand mutations; exclusions exact
 def test_8_bytecode_clustering():
     rng = random.Random(0xACCE08)
-    base = normalize(BODY + cbor_trailer())
+    base = digest(BODY + cbor_trailer())
     for _ in range(10 ** 4):
         mutated = mutate_push_operands(BODY, rng) + \
             cbor_trailer(rng.randrange(256))
-        assert normalize(mutated).digest == base.digest
+        assert digest(mutated) == base
     records = [
         BytecodeRecord(ETHEREUM, addr(1), BODY + cbor_trailer(1)),
         BytecodeRecord(ARBITRUM, addr(2), mutate_push_operands(BODY, rng)),
@@ -227,8 +227,8 @@ def test_8_bytecode_clustering():
     assert len(clusters) == 1 and clusters[0].size == 2
     assert {m[1] for m in clusters[0].members} == {addr(1), addr(2)}
     for rec in records:
-        norm = normalize(rec.code)
-        assert normalize(norm.skeleton).digest == norm.digest
+        skeleton = _skeleton(rec.code)
+        assert digest(skeleton) == digest(rec.code)
 
 
 # 9. cross-layer join recovers the planted candidates and orphans exactly

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mevlens.amm import (PathHop, cp_pool, cp_swap_out, dump_pool_metadata,
-                         load_pool_metadata, PoolInfo, simulate_path, stable_D,
-                         stable_pool, stable_swap_out, swap_out)
-from mevlens.errors import BrokenPath, EmptyPool
+from mevlens.amm import (PathHop, _stable_D, cp_pool, dump_pool_metadata,
+                         load_pool_metadata, PoolInfo, simulate_path, stable_pool, swap_out)
+from mevlens.errors import (BrokenPath, DrainedPool, EmptyPool, InvalidSwap,
+                            UnknownToken)
 from mevlens.fixtures import addr
 
 T0, T1 = b"\x00" * 20, b"\x01" * 20
@@ -34,12 +34,12 @@ def stable_residual(xs, amp, d):
 
 def test_cp_tiny_input_floors_to_zero():
     pool = cp_pool(1000, 1000, fee_num=0, fee_den=1)
-    assert cp_swap_out(pool, T0, 1).amount_out == 0
+    assert swap_out(pool, T0, T1, 1).amount_out == 0
 
 
 def test_cp_worked_example():
     pool = cp_pool(10 ** 6, 10 ** 6, fee_num=3, fee_den=1000)
-    q = cp_swap_out(pool, T0, 10 ** 5)
+    q = swap_out(pool, T0, T1, 10 ** 5)
     assert q.amount_out == 90661
     assert q.post_state.reserves == (10 ** 6 + 10 ** 5, 10 ** 6 - 90661)
 
@@ -53,13 +53,13 @@ def test_cp_matches_formula_randomized():
         fee_num = rng.randint(0, min(fee_den - 1, 30))
         x = rng.randint(1, 10 ** 12)
         pool = cp_pool(r0, r1, fee_num=fee_num, fee_den=fee_den)
-        assert cp_swap_out(pool, T0, x).amount_out == \
+        assert swap_out(pool, T0, T1, x).amount_out == \
             cp_formula(r0, r1, x, fee_num, fee_den)
 
 
 def test_cp_empty_pool():
     with pytest.raises(EmptyPool):
-        cp_swap_out(cp_pool(0, 1000), T0, 10)
+        swap_out(cp_pool(0, 1000), T0, T1, 10)
 
 
 def test_cp_product_never_decreases_at_fee_zero():
@@ -67,7 +67,7 @@ def test_cp_product_never_decreases_at_fee_zero():
     for _ in range(300):
         r0, r1 = rng.randint(100, 10 ** 9), rng.randint(100, 10 ** 9)
         pool = cp_pool(r0, r1, fee_num=0, fee_den=1)
-        q = cp_swap_out(pool, T0, rng.randint(1, 10 ** 9))
+        q = swap_out(pool, T0, T1, rng.randint(1, 10 ** 9))
         nr = q.post_state.reserves
         assert nr[0] * nr[1] >= r0 * r1
 
@@ -75,8 +75,8 @@ def test_cp_product_never_decreases_at_fee_zero():
 def test_cp_round_trip_never_gains():
     pool = cp_pool(10 ** 6, 10 ** 6, fee_num=0, fee_den=1)
     x = 12345
-    q1 = cp_swap_out(pool, T0, x)
-    q2 = cp_swap_out(q1.post_state, T1, q1.amount_out)
+    q1 = swap_out(pool, T0, T1, x)
+    q2 = swap_out(q1.post_state, T1, T0, q1.amount_out)
     assert q2.amount_out <= x
 
 
@@ -85,12 +85,12 @@ def test_cp_round_trip_never_gains():
        x=st.integers(1, 10 ** 15))
 def test_cp_formula_property(r0, r1, x):
     pool = cp_pool(r0, r1, fee_num=3, fee_den=1000)
-    assert cp_swap_out(pool, T0, x).amount_out == cp_formula(r0, r1, x, 3, 1000)
+    assert swap_out(pool, T0, T1, x).amount_out == cp_formula(r0, r1, x, 3, 1000)
 
 
 def test_cp_monotone_in_input():
     pool = cp_pool(10 ** 6, 10 ** 6)
-    outs = [cp_swap_out(pool, T0, x).amount_out for x in range(1, 2000, 13)]
+    outs = [swap_out(pool, T0, T1, x).amount_out for x in range(1, 2000, 13)]
     assert outs == sorted(outs)
 
 
@@ -99,7 +99,7 @@ def test_cp_monotone_in_input():
 def test_balanced_pool_D_identity():
     for n, x in ((2, 10 ** 6), (3, 10 ** 9)):
         pool = stable_pool([x] * n, amp=200)
-        assert stable_D(pool) == n * x
+        assert _stable_D(pool.reserves, pool.amp) == n * x
 
 
 def test_stable_D_residual_bracket():
@@ -108,35 +108,35 @@ def test_stable_D_residual_bracket():
         n = rng.choice([2, 3])
         amp = rng.choice([10, 100, 200, 1000])
         xs = [rng.randint(10 ** 5, 10 ** 12) for _ in range(n)]
-        d = stable_D(stable_pool(xs, amp=amp))
+        d = _stable_D(xs, amp)
         assert stable_residual(xs, amp, d - 2) >= 0 >= stable_residual(xs, amp, d + 2)
 
 
 def test_stable_swap_brute_force_y_example():
     pool = stable_pool([10 ** 6, 10 ** 6], amp=200, fee_num=0, fee_den=1)
-    q = stable_swap_out(pool, pool.tokens[0], pool.tokens[1], 1000)
+    q = swap_out(pool, pool.tokens[0], pool.tokens[1], 1000)
     assert 997 <= q.amount_out <= 1000
 
 
 def test_stable_fee_is_exact_output_deduction():
     free = stable_pool([10 ** 6, 10 ** 6], amp=200, fee_num=0, fee_den=1)
     fee = stable_pool([10 ** 6, 10 ** 6], amp=200, fee_num=4, fee_den=10000)
-    out0 = stable_swap_out(free, free.tokens[0], free.tokens[1], 5000).amount_out
-    out1 = stable_swap_out(fee, fee.tokens[0], fee.tokens[1], 5000).amount_out
+    out0 = swap_out(free, free.tokens[0], free.tokens[1], 5000).amount_out
+    out1 = swap_out(fee, fee.tokens[0], fee.tokens[1], 5000).amount_out
     assert out1 == out0 - out0 * 4 // 10000
 
 
 def test_stable_round_trip_never_gains():
     pool = stable_pool([10 ** 6, 10 ** 6], amp=200, fee_num=0, fee_den=1)
     x = 40000
-    q1 = stable_swap_out(pool, pool.tokens[0], pool.tokens[1], x)
-    q2 = stable_swap_out(q1.post_state, pool.tokens[1], pool.tokens[0], q1.amount_out)
+    q1 = swap_out(pool, pool.tokens[0], pool.tokens[1], x)
+    q2 = swap_out(q1.post_state, pool.tokens[1], pool.tokens[0], q1.amount_out)
     assert q2.amount_out <= x
 
 
 def test_stable_monotone_in_input():
     pool = stable_pool([10 ** 8, 10 ** 8], amp=200, fee_num=0, fee_den=1)
-    outs = [stable_swap_out(pool, pool.tokens[0], pool.tokens[1], x).amount_out
+    outs = [swap_out(pool, pool.tokens[0], pool.tokens[1], x).amount_out
             for x in range(1000, 100000, 3777)]
     assert outs == sorted(outs)
 
@@ -144,13 +144,15 @@ def test_stable_monotone_in_input():
 def test_stable_high_amp_near_parity():
     pool = stable_pool([10 ** 18, 10 ** 18], amp=10 ** 6, fee_num=0, fee_den=1)
     x = 10 ** 14  # 1e-4 of reserves
-    q = stable_swap_out(pool, pool.tokens[0], pool.tokens[1], x)
+    q = swap_out(pool, pool.tokens[0], pool.tokens[1], x)
     assert Fraction(q.amount_out, x) >= Fraction(999, 1000)
 
 
 def test_stable_empty_reserve_errors():
-    with pytest.raises(EmptyPool):
-        stable_D(stable_pool([10 ** 6, 10 ** 6]).with_reserves((10 ** 6, 0)))
+    pool = stable_pool([10 ** 6, 10 ** 6]).with_reserves((10 ** 6, 0))
+    for token_in, token_out in (pool.tokens, pool.tokens[::-1]):
+        with pytest.raises(EmptyPool):
+            swap_out(pool, token_in, token_out, 1000)
 
 
 # --- path simulation ---
@@ -166,8 +168,8 @@ def test_two_hop_composition():
     pools = {b"P1": p1, b"P2": p2}
     path = [PathHop(b"P1", T0, T1), PathHop(b"P2", T1, t2)]
     final, states = simulate_path(pools, path, 10 ** 4)
-    q1 = cp_swap_out(p1, T0, 10 ** 4)
-    q2 = cp_swap_out(p2, T1, q1.amount_out)
+    q1 = swap_out(p1, T0, T1, 10 ** 4)
+    q2 = swap_out(p2, T1, t2, q1.amount_out)
     assert final == q2.amount_out
     assert states[b"P1"] == q1.post_state and states[b"P2"] == q2.post_state
 
@@ -206,3 +208,31 @@ def test_swap_out_dispatch():
     ss = stable_pool([10 ** 6, 10 ** 6])
     assert swap_out(cp, cp.tokens[0], cp.tokens[1], 100).amount_out > 0
     assert swap_out(ss, ss.tokens[0], ss.tokens[1], 100).amount_out > 0
+
+
+def test_swap_out_errors_for_both_kinds():
+    """One swap rule: each kind rejects a token the pool does not list and
+    an amount that is not positive; a StableSwap pool also rejects a swap
+    of a token for itself and a swap that pays nothing, where a
+    constant-product swap may pay 0."""
+    t2 = b"\x02" * 20
+    cp = cp_pool(10 ** 6, 10 ** 6, fee_num=0, fee_den=1)
+    ss = stable_pool([10 ** 6, 10 ** 6, 10 ** 6])
+    for pool in (cp, ss):
+        a, b = pool.tokens[:2]
+        with pytest.raises(UnknownToken):
+            swap_out(pool, b"\x09" * 20, b, 1000)
+        with pytest.raises(UnknownToken):
+            swap_out(pool, a, b"\x09" * 20, 1000)
+        for amount in (0, -1):
+            with pytest.raises(InvalidSwap):
+                swap_out(pool, a, b, amount)
+    with pytest.raises(UnknownToken):
+        swap_out(cp, T0, T0, 1000)
+    with pytest.raises(InvalidSwap):
+        swap_out(ss, t2, t2, 1000)
+    assert swap_out(cp, T0, T1, 1).amount_out == 0
+    with pytest.raises(DrainedPool):
+        swap_out(ss, T0, T1, 1)
+    q = swap_out(ss, t2, T0, 1000)
+    assert q.post_state.reserves == (10 ** 6 - q.amount_out, 10 ** 6, 10 ** 6 + 1000)

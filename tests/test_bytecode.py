@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mevlens.bytecode
-from mevlens.bytecode import (BytecodeRecord, Cluster, DELEGATECALL, cluster,
-                              load_bytecode_fixture, normalize, strip_metadata)
+from mevlens.bytecode import (BytecodeRecord, Cluster, DELEGATECALL, _skeleton, cluster,
+                              load_bytecode_fixture, strip_metadata)
 from mevlens.chain_model import ARBITRUM, CHAINS, ETHEREUM, OPTIMISM
 from mevlens.cli import main
 from mevlens.errors import MalformedRecord
 from mevlens.fixtures import addr
+from mevlens.keccak import keccak256
 from test_keccak import reference_keccak256
 
 # a small plausible runtime body: dispatcher-ish prologue, no DELEGATECALL
@@ -44,28 +45,33 @@ def mutate_push_operands(code, rng):
     return bytes(out)
 
 
+def digest(code: bytes) -> bytes:
+    """keccak-256 of the code's PUSH-free, metadata-free skeleton: the key
+    ``cluster`` groups by."""
+    return keccak256(_skeleton(code))
+
+
 def test_normalization_idempotent():
-    norm = normalize(BODY + cbor_trailer())
-    again = normalize(norm.skeleton)
-    assert again.skeleton == norm.skeleton
-    assert again.digest == norm.digest
+    skeleton = _skeleton(BODY + cbor_trailer())
+    assert _skeleton(skeleton) == skeleton
+    assert digest(skeleton) == digest(BODY + cbor_trailer())
 
 
 def test_push_operand_mutations_keep_digest():
     rng = random.Random(7)
-    base = normalize(BODY + cbor_trailer())
+    base = digest(BODY + cbor_trailer())
     for _ in range(500):
         mutated = mutate_push_operands(BODY, rng) + cbor_trailer(rng.randrange(256))
-        assert normalize(mutated).digest == base.digest
+        assert digest(mutated) == base
 
 
 def test_non_push_mutation_changes_digest():
-    base = normalize(BODY)
+    base = digest(BODY)
     # flip a non-PUSH opcode that survives into the skeleton
     body = bytearray(BODY)
     idx = BODY.index(0x52)  # MSTORE in the prologue
     body[idx] = 0x53        # MSTORE8
-    assert normalize(bytes(body)).digest != base.digest
+    assert digest(bytes(body)) != base
 
 
 def test_metadata_stripping_edges():
@@ -84,14 +90,14 @@ def test_metadata_stripping_edges():
 
 @given(st.binary(max_size=200))
 def test_normalize_never_panics_and_skeleton_push_free(code):
-    norm = normalize(code)
-    assert all(not 0x60 <= b <= 0x7F for b in norm.skeleton)
-    assert normalize(norm.skeleton).digest == norm.digest
+    skeleton = _skeleton(code)
+    assert all(not 0x60 <= b <= 0x7F for b in skeleton)
+    assert digest(skeleton) == digest(code)
 
 
 def test_truncated_push_operand():
     # PUSH32 with only 3 operand bytes left: swallowed to end of code
-    assert normalize(b"\x01\x7f\xaa\xbb").skeleton == b"\x01"
+    assert _skeleton(b"\x01\x7f\xaa\xbb") == b"\x01"
 
 
 def test_exclusions_remove_exactly_planted_records():
@@ -131,7 +137,7 @@ def test_cross_chain_cluster_of_three():
     ]
     clusters = cluster(records)
     assert len(clusters) == 1
-    assert clusters[0].size == 3 and clusters[0].cross_chain
+    assert clusters[0].size == 3 and len(clusters[0].chains) > 1
     assert clusters[0].chains == ("arbitrum", "ethereum", "optimism")
 
 
@@ -154,11 +160,11 @@ def test_load_bytecode_fixture(tmp_path):
 
 
 def oracle_clusters(records):
-    """Literal grouping: normalize and the reference keccak on every
+    """Literal grouping: the skeleton and the reference keccak on every
     retained record, members and clusters sorted as documented."""
     groups = {}
     for rec in records:
-        skeleton = normalize(rec.code).skeleton
+        skeleton = _skeleton(rec.code)
         if rec.verified or DELEGATECALL in skeleton:
             continue
         groups.setdefault(reference_keccak256(skeleton), []).append((rec.chain, rec.address))
@@ -198,7 +204,7 @@ def test_cluster_matches_oracle_hashing_each_retained_skeleton_once(monkeypatch,
     expected = oracle_clusters(records)
     retained = set()
     for rec in records:
-        skeleton = normalize(rec.code).skeleton
+        skeleton = _skeleton(rec.code)
         if not rec.verified and DELEGATECALL not in skeleton:
             retained.add(skeleton)
     calls = []

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mevlens.amm import cp_pool, dump_pool_metadata, stable_pool, swap_out
 from mevlens.chain_model import ARBITRUM, dump_fixture
@@ -257,6 +257,44 @@ def test_assumed_slippage_fallback():
     assert gross == gg
 
 
+def test_stable_frontrun_holds_the_floor_under_output_jitter():
+    """Integer Newton steps make this victim's output jitter across its
+    floor below the bisected x_slip (586,825): 586,791 is the first size
+    that breaks it, and 21 sizes up to x_slip do."""
+    pool = stable_pool([931532, 835827])
+    victim = VictimSwap(pool.tokens[0], pool.tokens[1], 71687, 70192)
+    assert _VictimSizing(pool, victim).x_slip == 586825
+    assert victim_realized_out(pool, victim, 586791) == 70191
+    x, gross = optimal_frontrun(pool, victim)
+    assert x <= 586790
+    assert victim_realized_out(pool, victim, x) >= 70192
+    assert gross == _sandwich_gross(pool, victim, x)[0] > 0
+
+
+@st.composite
+def _stable_victim_near_floor(draw):
+    """A StableSwap pool scarce in the victim's input token, so that a
+    1-unit frontrun pays out, and a floor a few units under the quote."""
+    r_in = draw(st.integers(10 ** 4, 10 ** 6))
+    pool = stable_pool([r_in, r_in * draw(st.integers(2, 20))],
+                       amp=draw(st.sampled_from([1, 10, 200])), tokens=(XL_TA, XL_TB))
+    amount = draw(st.integers(r_in // 100, r_in // 5))
+    quote = victim_realized_out(pool, VictimSwap(XL_TA, XL_TB, amount), 0)
+    assume(quote is not None)
+    return pool, VictimSwap(XL_TA, XL_TB, amount, quote - draw(st.integers(0, 200)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_stable_victim_near_floor())
+def test_stable_frontrun_matches_grid_near_floor(case):
+    """With x_slip at most 1024 the final scan covers all of [0, x_slip],
+    so the search returns what the grid returns: the best size before the
+    first one that breaks the floor."""
+    pool, victim = case
+    assume(1 <= _VictimSizing(pool, victim).x_slip <= 1024)
+    assert optimal_frontrun(pool, victim) == grid_frontrun(pool, victim)
+
+
 def test_infeasible_when_min_out_unreachable():
     pool = cp_pool(10 ** 6, 10 ** 6, tokens=(XL_TA, XL_TB))
     victim = _victim(min_out=10 ** 7)
@@ -268,16 +306,20 @@ _TOKENS = (XL_TA, XL_TB, b"\x0c" * 20)
 
 
 @st.composite
-def _cp_sandwich_case(draw):
+def _sandwich_case(draw, stable=False):
+    n = draw(st.integers(2, 3)) if stable else 2
     reserves = [draw(st.one_of(st.integers(0, 3), st.integers(1, 10 ** 12)))
-                for _ in range(2)]
+                for _ in range(n)]
     fee_den = draw(st.sampled_from([1, 4, 1000, 10 ** 6]))
     fee_num = draw(st.sampled_from(sorted({0, min(3, fee_den - 1), fee_den - 1})))
     # drawing tokens from three addresses covers a token missing from the
     # pool, the reversed direction and a pool listing one token twice
-    pool = cp_pool(*reserves, tokens=(draw(st.sampled_from(_TOKENS)),
-                                      draw(st.sampled_from(_TOKENS))),
-                   fee_num=fee_num, fee_den=fee_den)
+    tokens = tuple(draw(st.sampled_from(_TOKENS)) for _ in range(n))
+    if stable:
+        pool = stable_pool(reserves, tokens=tokens, amp=draw(st.sampled_from([1, 200, 10 ** 4])),
+                           fee_num=fee_num, fee_den=fee_den)
+    else:
+        pool = cp_pool(*reserves, tokens=tokens, fee_num=fee_num, fee_den=fee_den)
     victim = VictimSwap(draw(st.sampled_from(_TOKENS)), draw(st.sampled_from(_TOKENS)),
                         draw(st.one_of(st.just(0), st.integers(1, 10 ** 12))))
     x = draw(st.one_of(st.sampled_from([-1, 0, 1]), st.integers(0, 10 ** 12),
@@ -285,9 +327,9 @@ def _cp_sandwich_case(draw):
     return pool, victim, x
 
 
-@settings(max_examples=1000, deadline=None)
-@given(case=_cp_sandwich_case())
-def test_cp_sandwich_kernel_matches_swap_composition(case):
+@settings(max_examples=1300, deadline=None)
+@given(case=st.one_of(_sandwich_case(), _sandwich_case(stable=True)))
+def test_sandwich_kernel_matches_swap_composition(case):
     pool, victim, x = case
     assert _sandwich_gross(pool, victim, x) == oracle_sandwich(pool, victim, x)
 
@@ -304,10 +346,14 @@ def test_sandwich_gross_none_cases_on_fixed_pools():
             assert _sandwich_gross(p, v, x) == oracle_sandwich(p, v, x)
     assert _sandwich_gross(pool, missing, 5) is None
     assert _sandwich_gross(empty, forward, 0) is None
-    # the StableSwap path composes the same swaps
+    # one kernel for both kinds: a 1-unit StableSwap frontrun pays nothing
+    # and raises DrainedPool, where a constant-product one may pay 0
     stable = stable_pool([10 ** 6, 10 ** 6], tokens=(XL_TA, XL_TB))
     for x in (0, 1, 10 ** 3, 10 ** 5):
         assert _sandwich_gross(stable, forward, x) == oracle_sandwich(stable, forward, x)
+    assert _sandwich_gross(stable, forward, 1) is None
+    tiny = cp_pool(10 ** 6, 10 ** 6, tokens=(XL_TA, XL_TB), fee_num=0, fee_den=1)
+    assert _sandwich_gross(tiny, forward, 1) == (-1, victim_realized_out(tiny, forward, 0))
 
 
 # --- strategies ---
@@ -404,9 +450,11 @@ def _capital_units(vs, tier):
 def _random_victim_scenarios(rng, n):
     """Constant-product and StableSwap victims, with a stated or an assumed
     slippage floor or an unreachable one. The token price spreads the
-    1000 USD tier from binding to loose; for the first victim it is set so
-    that the tier's bound equals the victim's x_slip exactly."""
+    1000 USD tier from binding to loose. The first victim gets a 2% floor;
+    for the first victim with a positive x_slip the price is set so that
+    the tier's bound equals that x_slip exactly."""
     scenarios = []
+    bound_set = False
     for i in range(n):
         reserve = rng.randint(10 ** 5, 10 ** 6)
         if rng.random() < 0.25:
@@ -425,9 +473,15 @@ def _random_victim_scenarios(rng, n):
               "eth_usd": Fraction(rng.randint(1000, 4000))}
         if i == 0:
             vs["victim"] = _victim(amount_in=amount, min_out=quote - quote * 2 // 100)
-            x_slip = _VictimSizing(pool, vs["victim"].swap).x_slip
-            vs["token_in_price_eth"] = Fraction(1000 * WEI) / (vs["eth_usd"] * x_slip)
-            assert _capital_units(vs, 1000) == x_slip
+        if not bound_set:
+            try:
+                x_slip = _VictimSizing(pool, vs["victim"].swap).x_slip
+            except Infeasible:
+                x_slip = 0
+            if x_slip > 0:
+                vs["token_in_price_eth"] = Fraction(1000 * WEI) / (vs["eth_usd"] * x_slip)
+                assert _capital_units(vs, 1000) == x_slip
+                bound_set = True
         scenarios.append(vs)
     return scenarios
 
@@ -435,11 +489,12 @@ def _random_victim_scenarios(rng, n):
 def test_capital_sweep_matches_per_tier_loop():
     assert (capital_sweep(build_victim_scenarios(50), COSTS)
             == per_tier_sweep(build_victim_scenarios(50), COSTS, DEFAULT_CAPITAL_TIERS_USD))
-    rng = random.Random(0x5EE9)
-    for _ in range(6):
-        scenarios = _random_victim_scenarios(rng, 8)
-        assert (capital_sweep(scenarios, COSTS, SWEEP_TIERS, 45)
-                == per_tier_sweep(scenarios, COSTS, SWEEP_TIERS, 45))
+    for seed in (0x5EE9, 99, 7):
+        rng = random.Random(seed)
+        for _ in range(6):
+            scenarios = _random_victim_scenarios(rng, 8)
+            assert (capital_sweep(scenarios, COSTS, SWEEP_TIERS, 45)
+                    == per_tier_sweep(scenarios, COSTS, SWEEP_TIERS, 45))
 
 
 def test_capital_sweep_sizes_each_victim_once_per_distinct_bound(monkeypatch):

@@ -9,8 +9,7 @@ from mevlens.detectors import (ArbitrageFinding, PriceProvider, SandwichFinding,
                                arbitrage_profit, attribute_flash_loans,
                                chain_cycles, detect_arbitrages,
                                detect_liquidations, detect_sandwiches,
-                               extract_swaps, liquidation_profit,
-                               validate_arbitrage)
+                               extract_swaps, liquidation_profit)
 from mevlens.decoding import LiquidationAction
 from mevlens.errors import MalformedRecord
 from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
@@ -18,7 +17,7 @@ from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
                               enc_flashloan, enc_transfer)
 from conftest import (build_planted_arb_dataset, literal_sandwiches, make_swap,
                       make_transfer, oracle_cycles, oracle_sandwiches, random_swap_tx,
-                      random_transfer_blocks)
+                      random_transfer_blocks, validate_arbitrage)
 
 A, B, C = addr(0xA1), addr(0xB1), addr(0xC1)
 V1, V2, V3 = addr(0xD1), addr(0xD2), addr(0xD3)

@@ -589,12 +589,14 @@ def test_bug_in_opportunity_simulation_exits_2(monkeypatch, capsys):
 
 
 def test_bug_in_attack_simulation_exits_2(monkeypatch, capsys):
-    # a StableSwap victim: constant-product victims never call swap_out
-    inputs = _mutate("pools.json", ("0x" + XL_POOL.hex(), "kind"), "stableswap")
-    with tempfile.TemporaryDirectory() as root:
-        _write_inputs(root, inputs)
-        assert _run(root, SIMULATE) == 0
-        assert "1 scenarios" in capsys.readouterr().out
-        monkeypatch.setattr("mevlens.crosslayer.swap_out", _bug)
-        assert _run(root, SIMULATE) == 2
-    assert "internal error: ValueError: planted bug" in capsys.readouterr().err
+    # sizing quotes every victim's trade through swap_out, whatever the pool kind
+    for kind in ("constant_product", "stableswap"):
+        inputs = _mutate("pools.json", ("0x" + XL_POOL.hex(), "kind"), kind)
+        with tempfile.TemporaryDirectory() as root:
+            _write_inputs(root, inputs)
+            assert _run(root, SIMULATE) == 0
+            assert "1 scenarios" in capsys.readouterr().out
+            with monkeypatch.context() as patch:
+                patch.setattr("mevlens.crosslayer.swap_out", _bug)
+                assert _run(root, SIMULATE) == 2
+        assert "internal error: ValueError: planted bug" in capsys.readouterr().err
