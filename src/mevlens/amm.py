@@ -74,14 +74,6 @@ class SwapQuote(NamedTuple):
     post_state: PoolState
 
 
-def _cp_out(r_in: int, r_out: int, amount_in: int, fee_num: int, fee_den: int) -> int:
-    """x*y=k output for amount_in on reserves (r_in, r_out), fee taken from
-    the input, floor division throughout. Callers check r_in, r_out and
-    amount_in are positive."""
-    a = amount_in * (fee_den - fee_num) // fee_den
-    return r_out * a // (r_in + a)
-
-
 def _stable_D(xs: Sequence[int], amp: int) -> int:
     """Solve the StableSwap invariant for D by Newton iteration.
 
@@ -141,35 +133,46 @@ def _indices(pool: PoolState, token_in, token_out) -> tuple:
     return i, j
 
 
-def _out(pool: PoolState, reserves: Sequence[int], i: int, j: int, amount_in: int) -> int:
-    """Output in slot j of swapping amount_in into slot i of ``reserves``
-    under the pool's invariant and fee; ``pool`` gives only its kind and
-    parameters. A constant-product swap may pay 0; a StableSwap swap that
-    pays nothing raises DrainedPool."""
-    if amount_in <= 0:
-        raise InvalidSwap(f"swap amount must be positive, got {amount_in}")
+def _swap_rule(pool: PoolState):
+    """The pool's reserve-level swap rule with its kind, fee and amp bound
+    once: ``rule(reserves, i, j, amount_in)`` is the output in slot j of
+    swapping amount_in into slot i of ``reserves``. A constant-product swap
+    may pay 0; a StableSwap swap that pays nothing raises DrainedPool."""
     kind, _, _, fee_num, fee_den, amp = pool
     if kind == CONSTANT_PRODUCT:
-        r_in, r_out = reserves[i], reserves[j]
-        if r_in <= 0 or r_out <= 0:
-            raise EmptyPool("pool has an empty reserve")
-        return _cp_out(r_in, r_out, amount_in, fee_num, fee_den)
-    if any(x <= 0 for x in reserves):
-        raise EmptyPool("stableswap pool has an empty reserve")
-    d = _stable_D(reserves, amp)
-    y = _stable_y(reserves, amp, i, j, reserves[i] + amount_in, d)
-    gross_out = reserves[j] - y - 1  # conservative rounding
-    amount_out = gross_out - gross_out * fee_num // fee_den
-    if amount_out <= 0:
-        raise DrainedPool("swap produces no output")
-    return amount_out
+        keep = fee_den - fee_num
+
+        def rule(reserves, i, j, amount_in):
+            if amount_in <= 0:
+                raise InvalidSwap(f"swap amount must be positive, got {amount_in}")
+            r_in, r_out = reserves[i], reserves[j]
+            if r_in <= 0 or r_out <= 0:
+                raise EmptyPool("pool has an empty reserve")
+            # x*y=k, fee taken from the input, floor division throughout
+            a = amount_in * keep // fee_den
+            return r_out * a // (r_in + a)
+        return rule
+
+    def rule(reserves, i, j, amount_in):
+        if amount_in <= 0:
+            raise InvalidSwap(f"swap amount must be positive, got {amount_in}")
+        if any(x <= 0 for x in reserves):
+            raise EmptyPool("stableswap pool has an empty reserve")
+        d = _stable_D(reserves, amp)
+        y = _stable_y(reserves, amp, i, j, reserves[i] + amount_in, d)
+        gross_out = reserves[j] - y - 1  # conservative rounding
+        amount_out = gross_out - gross_out * fee_num // fee_den
+        if amount_out <= 0:
+            raise DrainedPool("swap produces no output")
+        return amount_out
+    return rule
 
 
 def swap_out(pool: PoolState, token_in, token_out, amount_in: int) -> SwapQuote:
     """Swap amount_in of token_in for token_out on either pool kind: the
     output and the pool state after the swap."""
     i, j = _indices(pool, token_in, token_out)
-    amount_out = _out(pool, pool.reserves, i, j, amount_in)
+    amount_out = _swap_rule(pool)(pool.reserves, i, j, amount_in)
     reserves = list(pool.reserves)
     reserves[i] += amount_in
     reserves[j] -= amount_out

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .amm import PoolState, _indices, _out, swap_out
+from .amm import PoolState, _indices, _swap_rule, swap_out
 from .chain_model import (_DECIMAL_FRACTION, ChainDataset, ChainId, ZKSYNC, _decimal,
                           _json_object, _whole, group_logs_by_tx)
 from .decoding import TransferAction, decode_logs
@@ -267,48 +267,59 @@ def delay_stats(links: Sequence[CrossLayerLink]):
 
 # --- optimal frontrun sizing ---
 
-def _sandwich_gross(pool: PoolState, victim: VictimSwap, x: int):
-    """Attacker token_in profit of frontrun x + victim trade + backrun,
-    swapped through ``amm._out`` on one local copy of the reserves.
-
-    Returns (profit, victim_realized_out); None when the sequence cannot
-    execute.
-    """
+def _sandwich_plan(pool: PoolState, victim: VictimSwap):
+    """The victim's sandwich as a function of the frontrun size: ``plan(x)``
+    is the attacker's token_in profit of frontrun x + victim trade +
+    backrun and the victim's realized output, or None when the sequence
+    cannot execute. The slots of both directions, the pool's swap rule and
+    the x = 0 quote (a plain ``swap_out``) are resolved here once; each
+    call runs the three swaps on a local copy of the reserves."""
+    amount = victim.amount_in
     try:
-        if x == 0:
-            return 0, swap_out(pool, victim.token_in, victim.token_out,
-                               victim.amount_in).amount_out
-        i, j = _indices(pool, victim.token_in, victim.token_out)
-        reserves = list(pool.reserves)
-        front_out = _out(pool, reserves, i, j, x)
-        reserves[i] += x
-        reserves[j] -= front_out
-        mid_out = _out(pool, reserves, i, j, victim.amount_in)
-        if front_out <= 0:
-            return -x, mid_out
-        reserves[i] += victim.amount_in
-        reserves[j] -= mid_out
-        i, j = _indices(pool, victim.token_out, victim.token_in)
-        return _out(pool, reserves, i, j, front_out) - x, mid_out
+        zero = 0, swap_out(pool, victim.token_in, victim.token_out, amount).amount_out
     except MevlensError:
-        return None
+        zero = None
+    try:
+        i, j = _indices(pool, victim.token_in, victim.token_out)
+        back_i, back_j = _indices(pool, victim.token_out, victim.token_in)
+    except MevlensError:
+        # slots that do not resolve failed the x = 0 quote too
+        return lambda x: None
+    rule = _swap_rule(pool)
+    reserves = pool.reserves
+
+    def plan(x):
+        if x == 0:
+            return zero
+        try:
+            r = list(reserves)
+            front_out = rule(r, i, j, x)
+            r[i] += x
+            r[j] -= front_out
+            mid_out = rule(r, i, j, amount)
+            if front_out <= 0:
+                return -x, mid_out
+            r[i] += amount
+            r[j] -= mid_out
+            return rule(r, back_i, back_j, front_out) - x, mid_out
+        except MevlensError:
+            return None
+    return plan
 
 
-def victim_realized_out(pool: PoolState, victim: VictimSwap, x: int) -> Optional[int]:
-    result = _sandwich_gross(pool, victim, x)
-    return None if result is None else result[1]
-
-
-def _max_input_within_slippage(pool: PoolState, victim: VictimSwap) -> int:
+def _max_input_within_slippage(pool: PoolState, victim: VictimSwap, plan=None) -> int:
     """Largest frontrun size keeping the victim's realized output at or
-    above min_amount_out (monotone in x -> exponential probe + bisect)."""
+    above min_amount_out (monotone in x -> exponential probe + bisect).
+    ``plan``: the victim's ``_sandwich_plan``, built here when None."""
     min_out = victim.min_amount_out
     if min_out is None:
         raise AssertionError("slippage search on a victim without min_amount_out")
+    if plan is None:
+        plan = _sandwich_plan(pool, victim)
 
     def ok(x):
-        out = victim_realized_out(pool, victim, x)
-        return out is not None and out >= min_out
+        result = plan(x)
+        return result is not None and result[1] >= min_out
 
     if not ok(0):
         raise Infeasible("victim slippage bound violated with no frontrun")
@@ -331,20 +342,23 @@ def _max_input_within_slippage(pool: PoolState, victim: VictimSwap) -> int:
 
 class _VictimSizing:
     """What sizing one victim's frontrun needs that no capital bound
-    changes: the victim with its slippage floor, the largest frontrun
-    that keeps the victim within it (``x_slip``), and the x ->
-    ``_sandwich_gross`` cache. Raises Infeasible when the victim trade
-    cannot execute or its floor is violated with no frontrun."""
+    changes: the victim with its slippage floor, its ``_sandwich_plan``,
+    the largest frontrun that keeps the victim within the floor
+    (``x_slip``), and the x -> plan(x) cache. Raises Infeasible when the
+    victim trade cannot execute or its floor is violated with no
+    frontrun."""
 
     def __init__(self, pool: PoolState, victim: VictimSwap):
+        self.plan = _sandwich_plan(pool, victim)
         if victim.min_amount_out is None:
-            quote = victim_realized_out(pool, victim, 0)
-            if quote is None:
+            zero = self.plan(0)
+            if zero is None:
                 raise Infeasible("victim trade cannot execute on the given pool")
+            quote = zero[1]
             min_out = quote - quote * DEFAULT_SLIPPAGE.numerator // DEFAULT_SLIPPAGE.denominator
             victim = victim._replace(min_amount_out=min_out, assumed_slippage=True)
         self.victim = victim
-        self.x_slip = _max_input_within_slippage(pool, victim)
+        self.x_slip = _max_input_within_slippage(pool, victim, self.plan)
         self.sandwiches: dict = {}
 
 
@@ -368,10 +382,11 @@ def optimal_frontrun(pool: PoolState, victim_swap: VictimSwap,
     floor = victim.min_amount_out
     x_max = sizing.x_slip if capital_units is None else min(sizing.x_slip, capital_units)
     cache = sizing.sandwiches
+    plan = sizing.plan
 
     def sandwich(x):
         if x not in cache:
-            cache[x] = _sandwich_gross(pool, victim, x) or (-x, None)
+            cache[x] = plan(x) or (-x, None)
         return cache[x]
 
     def g(x):
@@ -433,9 +448,9 @@ def capital_sweep(victim_scenarios, costs: CostModel,
     profits in USD; statistics over profitable victims only.
     """
     # the gross sandwich gain depends only on (victim, pool, frontrun
-    # bound): resolve the slippage floor, x_slip and the x -> gross cache
-    # once per victim, search once per distinct bound min(x_slip, capital),
-    # and reuse the result across tiers and strategies
+    # bound): resolve the slippage floor, the sandwich plan, x_slip and the
+    # x -> gross cache once per victim, search once per distinct bound
+    # min(x_slip, capital), and reuse the result across tiers and strategies
     gains = {}
     for i, vs in enumerate(victim_scenarios):
         price, eth_usd = vs["token_in_price_eth"], vs["eth_usd"]

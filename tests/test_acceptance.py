@@ -13,7 +13,7 @@ from mevlens.cli import main
 from mevlens.crosslayer import (CostModel, DEFAULT_CAPITAL_TIERS_USD,
                                 DEFAULT_REACTION_TIME_S, S1, S2, S3, STRATEGIES,
                                 VictimSwap, capital_sweep, delay_stats, infer_victims,
-                                optimal_frontrun, victim_realized_out)
+                                optimal_frontrun)
 from mevlens.detectors import (detect_arbitrages, detect_sandwiches,
                                extract_swaps)
 from mevlens.fixtures import FixtureBuilder, addr, enc_balancer_v1_swap
@@ -28,7 +28,7 @@ from conftest import (XL_DELAYS, build_crosslayer_fixture,
                       random_swap_tx, random_transfer_blocks, xl_pools_meta)
 from test_amm import cp_formula, stable_residual
 from test_bytecode import BODY, cbor_trailer, digest, mutate_push_operands
-from test_crosslayer import COSTS, _sweep_one, _victim, grid_frontrun
+from test_crosslayer import COSTS, _sweep_one, _victim, grid_frontrun, realized_out
 from test_opportunity import (A, B, F, _balanced, _finding, _liq_finding,
                               _oracle_fixture, plant_arb_scenario)
 
@@ -128,18 +128,18 @@ def test_5_optimal_frontrun_correctness():
                        tokens=(ta, tb), fee_num=rng.choice([0, 3]),
                        fee_den=1000)
         amount = rng.randint(max(1, reserve // 100), reserve // 10)
-        quote = victim_realized_out(pool, VictimSwap(ta, tb, amount), 0)
+        quote = realized_out(pool, VictimSwap(ta, tb, amount), 0)
         slip = rng.choice([1, 2])
         min_out = quote - quote * slip // 100
         victim = _victim(amount_in=amount, min_out=min_out)
         x, gross = optimal_frontrun(pool, victim.swap)
-        realized = victim_realized_out(pool, victim.swap, x)
+        realized = realized_out(pool, victim.swap, x)
         assert realized is not None and realized >= min_out
         gx, gg = grid_frontrun(pool, victim.swap)
         assert abs(x - gx) <= 1 or gross == gg
     # zero-slippage victims are unattackable
     pool = cp_pool(10 ** 6, 10 ** 6, tokens=(ta, tb))
-    quote = victim_realized_out(pool, VictimSwap(ta, tb, 10 ** 4), 0)
+    quote = realized_out(pool, VictimSwap(ta, tb, 10 ** 4), 0)
     victim = _victim(min_out=quote)
     assert optimal_frontrun(pool, victim.swap) == (0, 0)
     table = _sweep_one(pool, victim, price=Fraction(10 ** 18))

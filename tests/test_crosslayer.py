@@ -13,8 +13,8 @@ from mevlens.crosslayer import (CostModel, CrossLayerLink, DEFAULT_CAPITAL_TIERS
                                 DEFAULT_COSTS, DEFAULT_REACTION_TIME_S, S1, S2, S3,
                                 STRATEGIES, VictimCandidate, VictimSwap, WEI,
                                 capital_sweep, delay_stats, infer_victims,
-                                load_attack_config, optimal_frontrun,
-                                victim_realized_out, _sandwich_gross, _VictimSizing)
+                                load_attack_config, optimal_frontrun, _sandwich_plan,
+                                _VictimSizing)
 from mevlens.amm import load_pool_metadata
 from mevlens.reporting import summary_stats
 from mevlens.errors import (EmptyInput, Infeasible, InvalidScenario, MalformedRecord,
@@ -49,6 +49,12 @@ def _swap_or_none(state, token_in, token_out, amount):
         return None
 
 
+def realized_out(pool, victim_swap, x):
+    """The victim's output after a frontrun of x, through its sandwich plan."""
+    result = _sandwich_plan(pool, victim_swap)(x)
+    return None if result is None else result[1]
+
+
 def oracle_sandwich(pool, victim_swap, x):
     """Frontrun x, victim trade and backrun composed from amm.swap_out over
     PoolStates: (attacker profit, victim output), or None when a swap
@@ -67,6 +73,48 @@ def oracle_sandwich(pool, victim_swap, x):
         return -x, mid.amount_out
     back = _swap_or_none(mid.post_state, v.token_out, v.token_in, front.amount_out)
     return None if back is None else (back.amount_out - x, mid.amount_out)
+
+
+def literal_cp_sandwich(pool, victim_swap, x):
+    """``oracle_sandwich`` on a constant-product pool restated on plain
+    integers, sharing no code with ``mevlens.amm``: a swap floors the fee
+    off its input and pays the most that keeps the product of the two
+    reserves at least what it was. The pool pays out the slot other than
+    the first one holding token_in."""
+    reserves, tokens = list(pool.reserves), pool.tokens
+    keep_num, den = pool.fee_den - pool.fee_num, pool.fee_den
+
+    def slots(token_in, token_out):
+        if token_in not in tokens:
+            return None
+        i = tokens.index(token_in)
+        return (i, 1 - i) if tokens[1 - i] == token_out else None
+
+    def swap(where, amount):
+        if where is None or amount <= 0:
+            return None
+        i, j = where
+        if reserves[i] <= 0 or reserves[j] <= 0:
+            return None
+        k = reserves[i] * reserves[j]
+        out = reserves[j] - -(-k // (reserves[i] + amount * keep_num // den))
+        reserves[i] += amount
+        reserves[j] -= out
+        return out
+
+    v = victim_swap
+    forward = slots(v.token_in, v.token_out)
+    if x == 0:
+        mid = swap(forward, v.amount_in)
+        return None if mid is None else (0, mid)
+    front = swap(forward, x)
+    mid = None if front is None else swap(forward, v.amount_in)
+    if mid is None:
+        return None
+    if front == 0:
+        return -x, mid
+    back = swap(slots(v.token_out, v.token_in), front)
+    return None if back is None else (back - x, mid)
 
 
 def grid_frontrun(pool, victim_swap, capital_units=None):
@@ -192,7 +240,7 @@ def test_sweep_rejects_non_positive_price():
 
 def test_zero_slippage_victim_unattackable():
     pool = cp_pool(10 ** 6, 10 ** 6, tokens=(XL_TA, XL_TB))
-    quote = victim_realized_out(pool, _victim().swap, 0)
+    quote = realized_out(pool, _victim().swap, 0)
     victim = _victim(min_out=quote)
     x, gross = optimal_frontrun(pool, victim.swap)
     assert x == 0 and gross == 0
@@ -205,14 +253,14 @@ def test_zero_slippage_victim_unattackable():
 
 def test_frontrun_worked_example_matches_grid():
     pool = cp_pool(10 ** 6, 10 ** 6, tokens=(XL_TA, XL_TB))
-    quote = victim_realized_out(pool, _victim().swap, 0)
+    quote = realized_out(pool, _victim().swap, 0)
     min_out = quote - quote * 2 // 100
     victim = _victim(min_out=min_out)
     x, gross = optimal_frontrun(pool, victim.swap)
     gx, gg = grid_frontrun(pool, victim.swap)
     assert gross == gg
     assert abs(x - gx) <= 1 or gross == gg
-    assert victim_realized_out(pool, victim.swap, x) >= min_out
+    assert realized_out(pool, victim.swap, x) >= min_out
 
 
 def test_frontrun_randomized_against_grid():
@@ -223,7 +271,7 @@ def test_frontrun_randomized_against_grid():
                        tokens=(XL_TA, XL_TB), fee_num=rng.choice([0, 3]),
                        fee_den=1000)
         amount = rng.randint(reserve // 100, reserve // 10)
-        quote = victim_realized_out(pool, VictimSwap(XL_TA, XL_TB, amount), 0)
+        quote = realized_out(pool, VictimSwap(XL_TA, XL_TB, amount), 0)
         slip = rng.choice([1, 2, 5])
         min_out = quote - quote * slip // 100
         victim = _victim(amount_in=amount, min_out=min_out)
@@ -231,12 +279,12 @@ def test_frontrun_randomized_against_grid():
         gx, gg = grid_frontrun(pool, victim.swap)
         assert abs(x - gx) <= 1 or gross == gg
         assert gross >= gg - 1
-        assert victim_realized_out(pool, victim.swap, x) >= min_out
+        assert realized_out(pool, victim.swap, x) >= min_out
 
 
 def test_frontrun_capital_cap():
     pool = cp_pool(10 ** 6, 10 ** 6, tokens=(XL_TA, XL_TB))
-    quote = victim_realized_out(pool, _victim().swap, 0)
+    quote = realized_out(pool, _victim().swap, 0)
     victim = _victim(min_out=quote - quote * 5 // 100)
     unc_x, _ = optimal_frontrun(pool, victim.swap)
     cap_units = unc_x // 2
@@ -250,7 +298,7 @@ def test_assumed_slippage_fallback():
     pool = cp_pool(10 ** 6, 10 ** 6, tokens=(XL_TA, XL_TB))
     victim = _victim(min_out=None)
     x, gross = optimal_frontrun(pool, victim.swap)
-    quote = victim_realized_out(pool, victim.swap, 0)
+    quote = realized_out(pool, victim.swap, 0)
     expected_min = quote - quote * 2 // 100
     gx, gg = grid_frontrun(
         pool, VictimSwap(XL_TA, XL_TB, victim.swap.amount_in, expected_min))
@@ -264,11 +312,11 @@ def test_stable_frontrun_holds_the_floor_under_output_jitter():
     pool = stable_pool([931532, 835827])
     victim = VictimSwap(pool.tokens[0], pool.tokens[1], 71687, 70192)
     assert _VictimSizing(pool, victim).x_slip == 586825
-    assert victim_realized_out(pool, victim, 586791) == 70191
+    assert realized_out(pool, victim, 586791) == 70191
     x, gross = optimal_frontrun(pool, victim)
     assert x <= 586790
-    assert victim_realized_out(pool, victim, x) >= 70192
-    assert gross == _sandwich_gross(pool, victim, x)[0] > 0
+    assert realized_out(pool, victim, x) >= 70192
+    assert gross == _sandwich_plan(pool, victim)(x)[0] > 0
 
 
 @st.composite
@@ -279,7 +327,7 @@ def _stable_victim_near_floor(draw):
     pool = stable_pool([r_in, r_in * draw(st.integers(2, 20))],
                        amp=draw(st.sampled_from([1, 10, 200])), tokens=(XL_TA, XL_TB))
     amount = draw(st.integers(r_in // 100, r_in // 5))
-    quote = victim_realized_out(pool, VictimSwap(XL_TA, XL_TB, amount), 0)
+    quote = realized_out(pool, VictimSwap(XL_TA, XL_TB, amount), 0)
     assume(quote is not None)
     return pool, VictimSwap(XL_TA, XL_TB, amount, quote - draw(st.integers(0, 200)))
 
@@ -331,7 +379,16 @@ def _sandwich_case(draw, stable=False):
 @given(case=st.one_of(_sandwich_case(), _sandwich_case(stable=True)))
 def test_sandwich_kernel_matches_swap_composition(case):
     pool, victim, x = case
-    assert _sandwich_gross(pool, victim, x) == oracle_sandwich(pool, victim, x)
+    assert _sandwich_plan(pool, victim)(x) == oracle_sandwich(pool, victim, x)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=_sandwich_case())
+def test_sandwich_plan_matches_literal_constant_product_rule(case):
+    """Against an oracle that shares no code with the plan: the property
+    test above composes ``swap_out``, whose rule the plan also runs."""
+    pool, victim, x = case
+    assert _sandwich_plan(pool, victim)(x) == literal_cp_sandwich(pool, victim, x)
 
 
 def test_sandwich_gross_none_cases_on_fixed_pools():
@@ -343,17 +400,17 @@ def test_sandwich_gross_none_cases_on_fixed_pools():
     for p, v in ((pool, forward), (pool, reverse), (pool, missing), (empty, forward),
                  (pool, VictimSwap(XL_TA, XL_TB, 0))):
         for x in (0, 1, 999, 4 * 3 * 10 ** 6):
-            assert _sandwich_gross(p, v, x) == oracle_sandwich(p, v, x)
-    assert _sandwich_gross(pool, missing, 5) is None
-    assert _sandwich_gross(empty, forward, 0) is None
+            assert _sandwich_plan(p, v)(x) == oracle_sandwich(p, v, x)
+    assert _sandwich_plan(pool, missing)(5) is None
+    assert _sandwich_plan(empty, forward)(0) is None
     # one kernel for both kinds: a 1-unit StableSwap frontrun pays nothing
     # and raises DrainedPool, where a constant-product one may pay 0
     stable = stable_pool([10 ** 6, 10 ** 6], tokens=(XL_TA, XL_TB))
     for x in (0, 1, 10 ** 3, 10 ** 5):
-        assert _sandwich_gross(stable, forward, x) == oracle_sandwich(stable, forward, x)
-    assert _sandwich_gross(stable, forward, 1) is None
+        assert _sandwich_plan(stable, forward)(x) == oracle_sandwich(stable, forward, x)
+    assert _sandwich_plan(stable, forward)(1) is None
     tiny = cp_pool(10 ** 6, 10 ** 6, tokens=(XL_TA, XL_TB), fee_num=0, fee_den=1)
-    assert _sandwich_gross(tiny, forward, 1) == (-1, victim_realized_out(tiny, forward, 0))
+    assert _sandwich_plan(tiny, forward)(1) == (-1, realized_out(tiny, forward, 0))
 
 
 # --- strategies ---
@@ -463,7 +520,7 @@ def _random_victim_scenarios(rng, n):
             pool = cp_pool(reserve, rng.randint(10 ** 5, 10 ** 6), tokens=(XL_TA, XL_TB),
                            fee_num=rng.choice([0, 3]), fee_den=1000)
         amount = rng.randint(reserve // 200, reserve // 10)
-        quote = victim_realized_out(pool, VictimSwap(XL_TA, XL_TB, amount), 0)
+        quote = realized_out(pool, VictimSwap(XL_TA, XL_TB, amount), 0)
         min_out = rng.choice([None, quote - quote * rng.choice([1, 2, 5]) // 100,
                               quote + 1])
         vs = {"victim": _victim(amount_in=amount, min_out=min_out,
@@ -504,9 +561,9 @@ def test_capital_sweep_sizes_each_victim_once_per_distinct_bound(monkeypatch):
     probes, x_slips, searches = [], [], []
     probe, search = crosslayer._max_input_within_slippage, crosslayer.optimal_frontrun
 
-    def counted_probe(pool, victim):
+    def counted_probe(pool, victim, plan):
         probes.append(victim)
-        x_slips.append(probe(pool, victim))
+        x_slips.append(probe(pool, victim, plan))
         return x_slips[-1]
 
     def counted_search(*args):
@@ -526,6 +583,37 @@ def test_capital_sweep_sizes_each_victim_once_per_distinct_bound(monkeypatch):
     assert len(searches) == expected < 20 * len(SWEEP_TIERS)
     monkeypatch.undo()
     assert table == per_tier_sweep(scenarios, COSTS, SWEEP_TIERS)
+
+
+def test_capital_sweep_resolves_slots_once_per_victim(monkeypatch):
+    """Each victim's slots are resolved a fixed number of times (both
+    directions for its plan, and once in the x = 0 quote's ``swap_out``),
+    not once per evaluation; the search makes as many sandwich evaluations
+    as it made when every evaluation resolved them again."""
+    import mevlens.amm as amm
+    import mevlens.crosslayer as crosslayer
+    resolved, evaluations = [], []
+    indices, make_plan = amm._indices, crosslayer._sandwich_plan
+
+    def counted_indices(*args):
+        resolved.append(args)
+        return indices(*args)
+
+    def counted_plan(pool, victim):
+        plan = make_plan(pool, victim)
+
+        def counted(x):
+            evaluations.append(x)
+            return plan(x)
+        return counted
+
+    monkeypatch.setattr(amm, "_indices", counted_indices)
+    monkeypatch.setattr(crosslayer, "_indices", counted_indices)
+    monkeypatch.setattr(crosslayer, "_sandwich_plan", counted_plan)
+    scenarios = build_victim_scenarios(20)
+    capital_sweep(scenarios, COSTS)
+    assert len(resolved) == 3 * len(scenarios)
+    assert len(evaluations) == 17383
 
 
 def test_empty_sweep():
@@ -583,6 +671,35 @@ def _simulate(tmp_path, price="0.000001", snapshot=None, pools=None, config=None
                  "--fixtures", str(fixtures), "--pools", str(tmp_path / "pools.json"),
                  "--snapshots", str(snapshots), "--prices", str(prices),
                  "--out", str(tmp_path / "out"), *options])
+
+
+# `crosslayer simulate`'s attack_tables.csv for the cross-layer fixture at
+# 10^14 ETH per 10^18 token units, byte for byte: the 1000 USD tier binds
+# the frontrun, and S3's delay gate drops two of the four victims
+ATTACK_TABLES = """\
+strategy,capital_usd,profitable_count,total_usd,max_usd,mean_usd,median_usd,min_usd
+S1,1000,4,14.40,3.60,3.60,3.60,3.60
+S1,10000,4,71.20,17.80,17.80,17.80,17.80
+S1,100000,4,71.20,17.80,17.80,17.80,17.80
+S1,1000000,4,71.20,17.80,17.80,17.80,17.80
+S1,inf,4,71.20,17.80,17.80,17.80,17.80
+S2,1000,4,37.60,9.40,9.40,9.40,9.40
+S2,10000,4,94.40,23.60,23.60,23.60,23.60
+S2,100000,4,94.40,23.60,23.60,23.60,23.60
+S2,1000000,4,94.40,23.60,23.60,23.60,23.60
+S2,inf,4,94.40,23.60,23.60,23.60,23.60
+S3,1000,2,26.40,13.20,13.20,13.20,13.20
+S3,10000,2,54.80,27.40,27.40,27.40,27.40
+S3,100000,2,54.80,27.40,27.40,27.40,27.40
+S3,1000000,2,54.80,27.40,27.40,27.40,27.40
+S3,inf,2,54.80,27.40,27.40,27.40,27.40
+"""
+
+
+def test_cli_simulate_attack_tables_are_pinned(tmp_path):
+    assert _simulate(tmp_path, price="100000000000000") == 0
+    written = (tmp_path / "out" / "attack_tables.csv").read_bytes()
+    assert written == ATTACK_TABLES.replace("\n", "\r\n").encode()   # csv rows end in CRLF
 
 
 def test_cli_simulate_zero_price_exit_1(tmp_path, capsys):
