@@ -11,8 +11,7 @@ import sys
 
 # Each command imports the modules it runs, so a process compiles and
 # loads only those: the chain model is all that every chain command shares.
-from .chain_model import (CHAINS, ETHEREUM, Layer, group_logs_by_tx, load_fixture,
-                          logs_in_range, to_hex)
+from .chain_model import CHAINS, ETHEREUM, Layer, load_fixture, logs_in_range, to_hex
 from .errors import MevlensError
 
 log = logging.getLogger("mevlens")
@@ -101,6 +100,10 @@ class Ctx(argparse.Namespace):
             ds.logs = logs_in_range(ds, lo, hi)
         return ds
 
+    def chain_of(self, ds):
+        """The chain a row names: the fixture's, or --chain for an empty one."""
+        return ds.chain.name if ds.chain else self.chain_name
+
     def pools(self):
         if self._pools is None and self.pools_file:
             from .amm import load_pool_metadata
@@ -125,43 +128,38 @@ def _write(ctx: Ctx, name, rows):
     print(f"{len(rows)} findings -> {path}")
 
 
+def _write_priced(ctx: Ctx, ds, findings, block_of, profit, to_json, name):
+    """Attach each finding's flash loans, price it at its block's day (when
+    --prices is given and its tx is known) and write its row."""
+    from .detectors import attribute_flash_loans
+    prices = ctx.prices()
+    chain = ctx.chain_of(ds)
+    out = []
+    for f in attribute_flash_loans(findings, ds.logs):
+        ts = ds.block_timestamp(block_of(f)) or 0
+        tx = ds.tx(f.tx_hash)
+        if prices is not None and tx is not None:
+            f = profit(f, prices, tx, ts)
+        out.append(to_json(f, chain, ts, tx.sender if tx else None))
+    _write(ctx, name, out)
+
+
 def detect_arb_cmd(ctx: Ctx):
     """Cyclic arbitrages, priced, with their flash loans."""
     from . import detectors, reporting
     ds = ctx.dataset()
     findings = detectors.detect_arbitrages(detectors.extract_swaps(ds, ctx.pools()))
-    prices = ctx.prices()
-    tx_logs = group_logs_by_tx(ds.logs)
-    out = []
-    for f in findings:
-        ts = ds.block_timestamp(f.cycle[0].position[0]) or 0
-        tx = ds.tx(f.tx_hash)
-        if prices is not None and tx is not None:
-            f = detectors.arbitrage_profit(f, prices, tx, ts)
-        f = detectors.attribute_flash_loans(f, tx_logs.get(f.tx_hash, []))
-        out.append(reporting.arbitrage_to_json(
-            f, ds.chain.name if ds.chain else ctx.chain_name, ts,
-            tx.sender if tx else None))
-    _write(ctx, "findings_arb.jsonl", out)
+    _write_priced(ctx, ds, findings, lambda f: f.cycle[0].position[0],
+                  detectors.arbitrage_profit, reporting.arbitrage_to_json, "findings_arb.jsonl")
 
 
 def detect_liq_cmd(ctx: Ctx):
     """Liquidations, priced, with their flash loans."""
     from . import detectors, reporting
     ds = ctx.dataset()
-    prices = ctx.prices()
-    tx_logs = group_logs_by_tx(ds.logs)
-    out = []
-    for f in detectors.detect_liquidations(ds.logs):
-        ts = ds.block_timestamp(f.actions[0].position[0]) or 0
-        tx = ds.tx(f.tx_hash)
-        if prices is not None and tx is not None:
-            f = detectors.liquidation_profit(f, prices, tx, ts)
-        f = detectors.attribute_flash_loans(f, tx_logs.get(f.tx_hash, []))
-        out.append(reporting.liquidation_to_json(
-            f, ds.chain.name if ds.chain else ctx.chain_name, ts,
-            tx.sender if tx else None))
-    _write(ctx, "findings_liq.jsonl", out)
+    _write_priced(ctx, ds, detectors.detect_liquidations(ds.logs),
+                  lambda f: f.actions[0].position[0], detectors.liquidation_profit,
+                  reporting.liquidation_to_json, "findings_liq.jsonl")
 
 
 def detect_sandwich_cmd(ctx: Ctx):
@@ -174,8 +172,7 @@ def detect_sandwich_cmd(ctx: Ctx):
     out = []
     for f in findings:
         ts = ds.block_timestamp(f.window[0]) or 0
-        out.append(reporting.sandwich_to_json(
-            f, ds.chain.name if ds.chain else ctx.chain_name, ts))
+        out.append(reporting.sandwich_to_json(f, ctx.chain_of(ds), ts))
     _write(ctx, "findings_sandwich.jsonl", out)
 
 
@@ -185,7 +182,7 @@ def detect_flashloan_cmd(ctx: Ctx):
     from .registry import Category
     ds = ctx.dataset()
     rows = [{
-        "type": "flash_loan", "chain": ds.chain.name if ds.chain else ctx.chain_name,
+        "type": "flash_loan", "chain": ctx.chain_of(ds),
         "tx_hash": to_hex(loan.tx_hash), "block": lg.block_number,
         "timestamp": ds.block_timestamp(lg.block_number) or 0, "provider": loan.provider,
         "token": to_hex(loan.token),
@@ -210,7 +207,8 @@ def decode_cmd(ctx: Ctx):
 
 
 def _opportunities(ctx: Ctx):
-    """(finding, its block, its opportunity) for each finding of ``--type``."""
+    """(finding, its block, its opportunity) for each finding of ``--type``.
+    Each walk bisects the swaps or oracle updates decoded once for all."""
     from . import detectors, opportunity
     ds = ctx.dataset()
     pools = ctx.pools()
@@ -218,15 +216,20 @@ def _opportunities(ctx: Ctx):
     results = []
     if ctx.mev_type == "arb":
         swaps_by_tx = detectors.extract_swaps(ds, pools)
+        # a tx hash may recur at two positions, so its swaps are re-sorted
+        swaps = sorted((s for tx_swaps in swaps_by_tx.values() for s in tx_swaps),
+                       key=lambda s: s.position)
         for f in detectors.detect_arbitrages(swaps_by_tx):
-            results.append((f, f.cycle[0].position[0],
-                            opportunity.find_arbitrage_opportunity(
-                                f, ds, provider, pools, horizon=ctx.horizon)))
+            results.append((f, f.cycle[0].position[0], opportunity.find_arbitrage_opportunity(
+                f, swaps, provider, ctx.horizon)))
     else:
-        for f in detectors.detect_liquidations(ds.logs):
-            results.append((f, f.actions[0].position[0],
-                            opportunity.find_liquidation_opportunity(
-                                f, ds, provider, horizon=ctx.horizon)))
+        from .decoding import decode_logs
+        from .registry import Category
+        findings = detectors.detect_liquidations(ds.logs)
+        updates = [u for _, u in decode_logs(ds.logs, (Category.ORACLE_UPDATE,))]
+        for f in findings:
+            results.append((f, f.actions[0].position[0], opportunity.find_liquidation_opportunity(
+                f, updates, provider, ctx.horizon)))
     return ds, results
 
 

@@ -7,9 +7,9 @@ each field's source and type (``"t2:address"``: the address in topic 2,
 import) and a build rule. ``_decode``, the one decoder, raises
 SchemaMismatch on a count its row rejects, reads the fields and calls the
 rule, which returns the action, or None for a well-formed log that is no
-usable action (a zero amount, an unknown pool). ``decode_logs`` looks up
-each topic once; it, ``decode_swap`` and ``decode_oracle_update`` skip,
-logging at DEBUG, the logs the decoder rejects.
+usable action (a zero amount, an unknown pool). ``decode_logs`` and
+``decode_swap`` look up each topic once and skip, logging at DEBUG, the
+logs the decoder rejects.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .registry import DEFAULT_REGISTRY, Category
 
 WORD = 32
 _SWAPS = frozenset((Category.ARBITRAGE, Category.VICTIM_SWAP))  # what decode_swap decodes
-_ORACLE_UPDATES = frozenset((Category.ORACLE_UPDATE,))
 
 
 # --- typed actions ---
@@ -270,25 +269,15 @@ def _decode_or_skip(log: EventLog, entry, pools):
         return None
 
 
-def _decode_in(log: EventLog, categories: frozenset, pools=None):
-    entry = DEFAULT_REGISTRY.lookup(log.topics[0])
-    if entry is None or entry.categories.isdisjoint(categories):
-        return None
-    return _decode_or_skip(log, entry, pools)
-
-
 def decode_swap(log: EventLog, pools=None) -> Optional[SwapAction]:
     """Decode a DEX swap event into a SwapAction; None for any other log,
     and for a swap log the decoder rejects (skipped as in ``decode_logs``).
     ``pools`` maps pool address -> object with a ``tokens`` sequence, which
     Uniswap V2/V3, Curve and StableSwap events need to name their tokens."""
-    return _decode_in(log, _SWAPS, pools)
-
-
-def decode_oracle_update(log: EventLog) -> Optional[OracleUpdateAction]:
-    """Decode a Chainlink AnswerUpdated event; None for any other log, and
-    for an update log the decoder rejects (skipped as in ``decode_logs``)."""
-    return _decode_in(log, _ORACLE_UPDATES)
+    entry = DEFAULT_REGISTRY.lookup(log.topics[0])
+    if entry is None or entry.categories.isdisjoint(_SWAPS):
+        return None
+    return _decode_or_skip(log, entry, pools)
 
 
 def decode_logs(logs: Sequence[EventLog], categories, pools=None) -> list:

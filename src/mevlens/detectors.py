@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .chain_model import ChainDataset, ChainId, EventLog, Layer, TxRecord
-from .decoding import LiquidationAction, SwapAction, TransferAction, decode_logs
+from .decoding import LiquidationAction, SwapAction, TransferAction, decode_logs, decode_swap
 from .registry import Category
 from .reporting import PriceProvider  # lives there so that `report` loads no decoder
 
@@ -293,10 +293,15 @@ def detect_sandwiches(transfers: Sequence[TransferAction], chain: ChainId,
 
 # --- flash loans ---
 
-def attribute_flash_loans(finding, tx_logs: Sequence[EventLog]):
-    same_tx = [log for log in tx_logs if log.tx_hash == finding.tx_hash]
-    loans = decode_logs(same_tx, (Category.FLASH_LOAN,))
-    return finding._replace(flash_loans=tuple(loan for _, loan in loans))
+def attribute_flash_loans(findings: Sequence, logs: Sequence[EventLog]) -> list:
+    """Each finding with the flash loans of its tx, in log order. The logs
+    of the findings' txs are decoded once for all findings."""
+    txs = {f.tx_hash for f in findings}
+    loans: dict = {}
+    for log, loan in decode_logs([log for log in logs if log.tx_hash in txs],
+                                 (Category.FLASH_LOAN,)):
+        loans.setdefault(log.tx_hash, []).append(loan)
+    return [f._replace(flash_loans=tuple(loans.get(f.tx_hash, ()))) for f in findings]
 
 
 # --- dataset-level drivers ---
@@ -308,9 +313,10 @@ def extract_swaps(dataset: ChainDataset, pools=None):
     cycle like any DEX swap.
     """
     swaps_by_tx: dict = {}
-    for log, swap in decode_logs(dataset.logs, (Category.ARBITRAGE, Category.VICTIM_SWAP),
-                                 pools):
-        swaps_by_tx.setdefault(log.tx_hash, []).append(swap)
+    for log in dataset.logs:
+        swap = decode_swap(log, pools)
+        if swap is not None:
+            swaps_by_tx.setdefault(log.tx_hash, []).append(swap)
     return swaps_by_tx
 
 

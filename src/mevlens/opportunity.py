@@ -3,17 +3,18 @@ block-distance distributions, and competition measurement."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .amm import PathHop, PoolState, simulate_path
-from .chain_model import (_DECIMAL_FRACTION, ChainDataset, _decimal, _sidecar_hex, _whole,
-                          logs_in_range, read_jsonl)
-from .decoding import decode_oracle_update, decode_swap
+from .chain_model import _DECIMAL_FRACTION, _decimal, _sidecar_hex, _whole, read_jsonl
+# decode_swap stays bound here, unused: perfbench/selftest.py checks that the
+# tracer wraps mevlens.opportunity.decode_swap together with mevlens.decoding's
+from .decoding import OracleUpdateAction, SwapAction, decode_swap  # noqa: F401
 from .detectors import ArbitrageFinding, LiquidationFinding
 from .errors import MalformedRecord, MevlensError
-from .registry import DEFAULT_REGISTRY, Category
 
 DEFAULT_HORIZON = 100
 
@@ -148,16 +149,34 @@ def _simulated_profit(finding: ArbitrageFinding, path, states) -> Optional[int]:
     return final - amount_in
 
 
+_position = attrgetter("position")
+
+
+def _first_tx_per_block(actions, finding_block, horizon, venues=None) -> dict:
+    """Block -> tx of the first of the position-sorted ``actions`` in that
+    block, over blocks [finding_block - horizon, finding_block - 1]; with
+    ``venues``, only the swaps at one of them count."""
+    lo = bisect_left(actions, (finding_block - horizon,), key=_position)
+    hi = bisect_left(actions, (finding_block,), lo, key=_position)
+    candidates: dict = {}
+    for action in actions[lo:hi]:
+        if venues is None or action.venue in venues:
+            candidates.setdefault(action.position[0], action.tx_hash)
+    return candidates
+
+
 def _walk_backward(finding_block, horizon, candidates, is_open):
     """Shared backward walk: evaluate ``is_open`` on each block from the
     closest (finding_block - 1) down to one block past the horizon, stop at
     the first closed block; the opportunity is the candidate tx in the last
-    open block.
+    open block. Without a candidate in the horizon there is none.
 
     Probing one block beyond the horizon lets a transition exactly at
     distance ``horizon`` still be confirmed, while a transition farther out
     reports not-found.
     """
+    if not candidates:
+        return OpportunityResult(_not_found(horizon))
     last_open = None
     for block in range(finding_block - 1, max(finding_block - horizon - 2, -1), -1):
         open_ = is_open(block)
@@ -176,32 +195,17 @@ def _walk_backward(finding_block, horizon, candidates, is_open):
     return OpportunityResult(_not_found(horizon))
 
 
-def find_arbitrage_opportunity(finding: ArbitrageFinding, dataset: ChainDataset,
-                               provider: StateProvider, pools_meta=None,
+def find_arbitrage_opportunity(finding: ArbitrageFinding, swaps: Sequence[SwapAction],
+                               provider: StateProvider,
                                horizon: int = DEFAULT_HORIZON) -> OpportunityResult:
     """Walk blocks closest-to-farthest, re-simulating the cycle on each
     block's pool states, and stop at the first block where simulated profit
-    is non-positive; the opportunity is the qualifying swap in the last
-    profitable block."""
+    is non-positive; the opportunity is the first swap at a venue of the
+    cycle in the last profitable block. ``swaps`` are the dataset's decoded
+    swaps in position order."""
     finding_block = finding.cycle[0].position[0]
-    venues = {s.venue for s in finding.cycle}
-    lo = max(0, finding_block - horizon)
-    hi = finding_block - 1
-    candidates: dict = {}  # block -> first qualifying swap tx
-    if hi >= lo:
-        for log in logs_in_range(dataset, lo, hi):
-            entry = DEFAULT_REGISTRY.lookup(log.topics[0])
-            if entry is None or not entry.has(Category.ARBITRAGE):
-                continue
-            if log.address not in venues:
-                continue
-            swap = decode_swap(log, pools_meta)
-            if swap is None:
-                continue
-            candidates.setdefault(log.block_number, log.tx_hash)
-    if not candidates:
-        return OpportunityResult(_not_found(horizon))
-
+    candidates = _first_tx_per_block(swaps, finding_block, horizon,
+                                     {s.venue for s in finding.cycle})
     path = [PathHop(s.venue, s.token_in, s.token_out) for s in finding.cycle]
     verdicts: dict = {}  # pool states along the path -> is_open verdict
 
@@ -221,24 +225,17 @@ def find_arbitrage_opportunity(finding: ArbitrageFinding, dataset: ChainDataset,
     return _walk_backward(finding_block, horizon, candidates, is_open)
 
 
-def find_liquidation_opportunity(finding: LiquidationFinding, dataset: ChainDataset,
+def find_liquidation_opportunity(finding: LiquidationFinding,
+                                 updates: Sequence[OracleUpdateAction],
                                  provider: StateProvider,
                                  horizon: int = DEFAULT_HORIZON) -> OpportunityResult:
-    """Same walk over Chainlink update blocks, stopping when the position is
-    no longer liquidable (hf >= 1 for Aave, sf == 0 for Compound)."""
+    """Same walk over the blocks of the dataset's Chainlink ``updates`` (in
+    position order), stopping when the position is no longer liquidable
+    (hf >= 1 for Aave, sf == 0 for Compound)."""
     action = finding.actions[0]
     finding_block = action.position[0]
     use_shortfall = action.protocol == "compound_v2"
-    lo = max(0, finding_block - horizon)
-    hi = finding_block - 1
-    candidates: dict = {}
-    if hi >= lo:
-        for log in logs_in_range(dataset, lo, hi):
-            update = decode_oracle_update(log)
-            if update is not None:
-                candidates.setdefault(log.block_number, log.tx_hash)
-    if not candidates:
-        return OpportunityResult(_not_found(horizon))
+    candidates = _first_tx_per_block(updates, finding_block, horizon)
 
     def is_open(block):
         if use_shortfall:

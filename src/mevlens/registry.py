@@ -28,9 +28,6 @@ class RegistryEntry(NamedTuple):
     event: str
     schema: str            # decoder schema key, see decoding module
 
-    def has(self, category: Category) -> bool:
-        return category in self.categories
-
 
 def _e(topic_hex, categories, label, protocol, event, schema):
     return RegistryEntry(bytes.fromhex(topic_hex), frozenset(categories),

@@ -13,14 +13,16 @@ from typing import Optional, Sequence
 
 import pytest
 
+from mevlens.amm import PathHop, simulate_path
 from mevlens.chain_model import (ARBITRUM, ETHEREUM, OPTIMISM, ZKSYNC, ChainId, EventLog,
                                  Layer, _log)
 from mevlens.decoding import (BridgeMessageAction, FlashLoanAction, LiquidationAction,
-                              OracleUpdateAction, SwapAction, TransferAction)
-from mevlens.detectors import SandwichFinding
+                              OracleUpdateAction, SwapAction, TransferAction, decode_logs)
+from mevlens.detectors import SandwichFinding, extract_swaps
 from mevlens.errors import MevlensError, SchemaMismatch
 from mevlens.fixtures import FixtureBuilder, addr, enc_balancer_v1_swap, enc_transfer
-from mevlens.registry import DEFAULT_REGISTRY
+from mevlens.opportunity import FOUND, UNSIMULATABLE, OpportunityResult
+from mevlens.registry import DEFAULT_REGISTRY, Category
 
 
 def make_swap(token_in, token_out, amount_in, amount_out, venue,
@@ -758,3 +760,91 @@ def literal_decode_swap(log: EventLog, pools=None):
 
 def literal_decode_oracle_update(log: EventLog):
     return _decode_one(log, _oracle_update)
+
+
+# --- opportunity oracle: each finding's window rescanned log by log ---
+
+def position_sorted_swaps(dataset, pools=None) -> list:
+    """The dataset's swaps as ``extract_swaps`` decodes them, in position
+    order: what ``find_arbitrage_opportunity`` bisects."""
+    return sorted((s for swaps in extract_swaps(dataset, pools).values() for s in swaps),
+                  key=lambda s: s.position)
+
+
+def oracle_updates(dataset) -> list:
+    """The dataset's Chainlink updates in position order: what
+    ``find_liquidation_opportunity`` bisects."""
+    return [u for _, u in decode_logs(dataset.logs, (Category.ORACLE_UPDATE,))]
+
+
+def _rescan_window(dataset, finding_block, horizon, opens) -> dict:
+    """Block -> tx of the first log in the block for which ``opens`` holds,
+    over every log of [finding_block - horizon, finding_block - 1]; a log
+    that breaks its layout is skipped."""
+    candidates = {}
+    for log in dataset.logs:
+        if not finding_block - horizon <= log.block_number < finding_block:
+            continue
+        try:
+            if opens(log):
+                candidates.setdefault(log.block_number, log.tx_hash)
+        except MevlensError:
+            continue
+    return candidates
+
+
+def literal_opportunity(finding, dataset, provider, pools=None, horizon=100):
+    """``find_arbitrage_opportunity`` or ``find_liquidation_opportunity``
+    written out: the window rescanned through the literal decoders (any
+    swap at a venue of the cycle; any Chainlink update), then every block
+    from the closest back probed afresh. Returns the result and the pool
+    states of every block an arbitrage walk simulated."""
+    arbitrage = hasattr(finding, "cycle")
+    first = finding.cycle[0] if arbitrage else finding.actions[0]
+    finding_block = first.position[0]
+    if arbitrage:
+        venues = {s.venue for s in finding.cycle}
+        path = [PathHop(s.venue, s.token_in, s.token_out) for s in finding.cycle]
+
+        def opens(log):
+            swap = literal_decode_swap(log, pools)
+            return swap is not None and swap.venue in venues
+    else:
+        def opens(log):
+            return literal_decode_oracle_update(log) is not None
+    candidates = _rescan_window(dataset, finding_block, horizon, opens)
+    if not candidates:
+        return OpportunityResult(f"not_found_within_{horizon}"), []
+    simulated = []
+    last_open = None
+    for block in range(finding_block - 1, max(finding_block - horizon - 2, -1), -1):
+        if arbitrage:
+            states = tuple(provider.pool_state(hop.pool_key, block) for hop in path)
+            if any(state is None for state in states):
+                return OpportunityResult(UNSIMULATABLE), simulated
+            simulated.append(states)
+            try:
+                final, _ = simulate_path({hop.pool_key: state for hop, state
+                                          in zip(path, states)}, path, first.amount_in)
+            except MevlensError:
+                return OpportunityResult(UNSIMULATABLE), simulated
+            open_ = final > first.amount_in
+        elif first.protocol == "compound_v2":
+            shortfall = provider.shortfall(first.borrower, block)
+            if shortfall is None:
+                return OpportunityResult(UNSIMULATABLE), simulated
+            open_ = shortfall > 0
+        else:
+            health = provider.health_factor(first.borrower, block)
+            if health is None:
+                return OpportunityResult(UNSIMULATABLE), simulated
+            open_ = health < 1
+        if not open_:
+            if last_open is None:
+                return OpportunityResult(FOUND, None, 0, approximate=True), simulated
+            tx = candidates.get(last_open)
+            return (OpportunityResult(FOUND, tx, finding_block - last_open,
+                                      approximate=tx is None), simulated)
+        if block >= finding_block - horizon:
+            last_open = block
+    return OpportunityResult(f"not_found_within_{horizon}"), simulated

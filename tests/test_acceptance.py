@@ -24,8 +24,9 @@ from mevlens.reporting import read_findings
 
 from conftest import (XL_DELAYS, build_crosslayer_fixture,
                       build_planted_arb_dataset, build_victim_scenarios,
-                      make_transfer, oracle_cycles, oracle_sandwiches,
-                      random_swap_tx, random_transfer_blocks, xl_pools_meta)
+                      make_transfer, oracle_cycles, oracle_sandwiches, oracle_updates,
+                      position_sorted_swaps, random_swap_tx, random_transfer_blocks,
+                      xl_pools_meta)
 from test_amm import cp_formula, stable_residual
 from test_bytecode import BODY, cbor_trailer, digest, mutate_push_operands
 from test_crosslayer import COSTS, _sweep_one, _victim, grid_frontrun, realized_out
@@ -174,7 +175,7 @@ def test_6_strategy_ordering_and_capital_monotonicity():
 def test_7_opportunity_search_exactness():
     for d in (1, 5, 37, 99, 100):
         ds, provider, tx = plant_arb_scenario(d)
-        r = find_arbitrage_opportunity(_finding(), ds, provider)
+        r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(ds), provider)
         assert r.status == FOUND and r.block_distance == d
         assert r.opportunity_tx == tx
     # d = 0: crossing between the finding and its immediate predecessor
@@ -186,12 +187,12 @@ def test_7_opportunity_search_exactness():
     fb.tx()
     topics, data = enc_balancer_v1_swap(addr(0xEE), B, A, 10, 9)
     fb.log(addr(0xD2), topics, data)
-    r = find_arbitrage_opportunity(_finding(), fb.dataset(), provider)
+    r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(fb.dataset()), provider)
     assert r.status == FOUND and r.block_distance == 0 and r.approximate
 
     ds, provider, _ = plant_arb_scenario(101)
-    assert find_arbitrage_opportunity(_finding(), ds, provider).status == \
-        NOT_FOUND
+    assert find_arbitrage_opportunity(_finding(), position_sorted_swaps(ds),
+                                      provider).status == NOT_FOUND
 
     # liquidation stop rules: hf < 1 (Aave), sf > 0 (Compound)
     ds, txs = _oracle_fixture([F - 2, F - 7, F - 11])
@@ -199,13 +200,13 @@ def test_7_opportunity_search_exactness():
     provider.add_health(addr(5), F - 11, Fraction(102, 100))
     provider.add_health(addr(5), F - 7, Fraction(98, 100))
     provider.add_health(addr(5), F - 2, Fraction(97, 100))
-    r = find_liquidation_opportunity(_liq_finding(), ds, provider)
+    r = find_liquidation_opportunity(_liq_finding(), oracle_updates(ds), provider)
     assert r.status == FOUND and r.block_distance == 7
     ds, txs = _oracle_fixture([F - 4, F - 9])
     provider = StateProvider()
     provider.add_shortfall(addr(5), 0, 0)
     provider.add_shortfall(addr(5), F - 9, 17)
-    r = find_liquidation_opportunity(_liq_finding("compound_v2"), ds, provider)
+    r = find_liquidation_opportunity(_liq_finding("compound_v2"), oracle_updates(ds), provider)
     assert r.status == FOUND and r.block_distance == 9
 
 

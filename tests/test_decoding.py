@@ -5,11 +5,9 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import (literal_decode, literal_decode_logs, literal_decode_oracle_update,
-                      literal_decode_swap)
+from conftest import literal_decode, literal_decode_logs, literal_decode_swap
 from mevlens.chain_model import ARBITRUM, ETHEREUM, EventLog, OPTIMISM, ZKSYNC
-from mevlens.decoding import (WORD, _LAYOUTS, _decode, decode_logs, decode_oracle_update,
-                              decode_swap)
+from mevlens.decoding import WORD, _LAYOUTS, _decode, decode_logs, decode_swap
 from mevlens.errors import MevlensError
 from mevlens.fixtures import (addr, enc_aave_v1_liquidation,
                               enc_aave_v2v3_liquidation, enc_answer_updated,
@@ -64,7 +62,7 @@ def test_word_types(caplog):
         assert (t.sender, t.receiver, t.amount) == (addr(7), addr(8), amount)
     topics, data = enc_answer_updated(-1)
     assert topics[1] == b"\xff" * 32
-    assert decode_oracle_update(make_log(topics, data)).new_answer == -1
+    assert decoded(make_log(topics, data), Category.ORACLE_UPDATE).new_answer == -1
     # a word past the end of the data is never read: the slot check rejects the log
     topics, _ = enc_transfer(addr(7), addr(8), 1)
     assert skip_reasons(caplog, make_log(topics, b""), Category.TRANSFER) == \
@@ -143,17 +141,16 @@ def test_transfer_log_is_not_a_swap():
 
 
 def test_swap_wrong_topic_count_is_skipped(caplog):
-    """The single-log decoders skip a log that breaks its layout, as
-    decode_logs does: None, and the DEBUG line naming it."""
+    """decode_swap skips a log that breaks its layout, as decode_logs does
+    for an oracle update: None, and the DEBUG line naming it."""
     topics, data = enc_uniswap_v2_swap(addr(9), addr(9), 100, 0, 0, 90)
     log = make_log(topics[:2], data)
     assert debug_outcome(caplog, decode_swap, log, pool_meta(addr(0xF0), [addr(1), addr(2)])) \
         == (("return", type(None), None),
             ["skipped Swap log at (5, 1, 2): Uniswap V2 Swap expects 3 topics"])
     topics, data = enc_answer_updated(10 ** 8)
-    assert debug_outcome(caplog, decode_oracle_update, make_log(topics[:2], data)) == \
-        (("return", type(None), None),
-         ["skipped AnswerUpdated log at (5, 1, 2): AnswerUpdated expects 3 topics"])
+    assert skip_reasons(caplog, make_log(topics[:2], data), Category.ORACLE_UPDATE) == \
+        ["skipped AnswerUpdated log at (5, 1, 2): AnswerUpdated expects 3 topics"]
 
 
 # --- transfers ---
@@ -213,7 +210,7 @@ def test_flashloan_roundtrip(provider):
 
 def test_oracle_update_signed_answer():
     topics, data = enc_answer_updated(-5)
-    u = decode_oracle_update(make_log(topics, data, address=addr(0xFE)))
+    u = decoded(make_log(topics, data, address=addr(0xFE)), Category.ORACLE_UPDATE)
     assert u.new_answer == -5 and u.feed == addr(0xFE)
 
 
@@ -261,7 +258,6 @@ def test_decoders_never_panic_on_random_logs():
         for category in Category:
             decode_logs([log], (category,), pools)
         decode_swap(log, pools)
-        decode_oracle_update(log)
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,14 +362,12 @@ def test_layout_table_matches_literal_decoders(cases, pools, caplog):
     """The one table-driven decoder gives the same action, the same None or
     the same exception class and message as the per-category decoders it
     replaced, and decode_logs the same pairs and DEBUG skip lines.
-    decode_swap and decode_oracle_update skip, as decode_logs does, the
-    logs the old decoders rejected."""
+    decode_swap skips, as decode_logs does, the logs the old decoders
+    rejected."""
     for entry, log in cases:
         assert outcome(_decode, log, entry, pools) == outcome(literal_decode, log, entry, pools)
         assert debug_outcome(caplog, decode_swap, log, pools) == \
             skipped_outcome(literal_decode_swap, log, pools)
-        assert debug_outcome(caplog, decode_oracle_update, log) == \
-            skipped_outcome(literal_decode_oracle_update, log)
     logs = [log for _, log in cases]
     for categories in [[c] for c in Category] + [list(Category)]:
         runs = []

@@ -1,3 +1,4 @@
+import logging
 import random
 from fractions import Fraction
 
@@ -330,10 +331,37 @@ def test_flash_loan_attribution():
         fb.log(addr(0xFA), topics, data)
     ds = fb.dataset()
     f = ArbitrageFinding(tx, (), {})
-    annotated = attribute_flash_loans(f, ds.logs)
+    [annotated] = attribute_flash_loans([f], ds.logs)
     assert [fl.provider for fl in annotated.flash_loans] == ["aave_v2", "balancer"]
 
 
 def test_flash_loan_no_events_empty():
     f = ArbitrageFinding(b"\x11" * 32, (), {})
-    assert attribute_flash_loans(f, []).flash_loans == ()
+    assert attribute_flash_loans([f], []) == [f]
+
+
+def test_flash_loans_are_decoded_once_for_all_findings(caplog):
+    """Two findings of one tx and one of another each carry their own tx's
+    loans in log order, a loan of a tx with no finding goes to none, and a
+    broken loan log in the shared tx is skipped with one DEBUG line."""
+    fb = FixtureBuilder(ETHEREUM)
+    fb.block()
+    shared = fb.tx()
+    fb.log(addr(0xFA), *enc_flashloan("aave_v2", A, 10 ** 20, 10 ** 17))
+    topics, data = enc_flashloan("balancer", B, 10 ** 19, 0)
+    fb.log(addr(0xFA), topics[:2], data)
+    fb.log(addr(0xFA), *enc_flashloan("balancer", B, 10 ** 18, 0))
+    other = fb.tx()
+    fb.log(addr(0xFA), *enc_flashloan("aave_v3", C, 10 ** 18, 10 ** 15))
+    fb.tx()
+    fb.log(addr(0xFA), *enc_flashloan("aave_v1", C, 10 ** 18, 10 ** 15))
+    findings = [ArbitrageFinding(shared, (), {}), ArbitrageFinding(other, (), {}),
+                ArbitrageFinding(shared, (), {A: 1})]
+    with caplog.at_level(logging.DEBUG, logger="mevlens"):
+        annotated = attribute_flash_loans(findings, fb.dataset().logs)
+    assert [[(fl.provider, fl.amount) for fl in f.flash_loans] for f in annotated] == [
+        [("aave_v2", 10 ** 20), ("balancer", 10 ** 18)], [("aave_v3", 10 ** 18)],
+        [("aave_v2", 10 ** 20), ("balancer", 10 ** 18)]]
+    assert [f._replace(flash_loans=()) for f in annotated] == findings
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipped FlashLoan log at (1, 0, 1): Balancer FlashLoan expects 3 topics"]

@@ -4,34 +4,35 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mevlens import opportunity
-from mevlens.amm import PathHop, PoolInfo, cp_pool, simulate_path
-from mevlens.chain_model import ETHEREUM, dump_fixture
+from mevlens.amm import PoolInfo, cp_pool, dump_pool_metadata, simulate_path
+from mevlens.chain_model import ETHEREUM, ChainDataset, EventLog, dump_fixture
 from mevlens.cli import main
 from mevlens.detectors import (ArbitrageFinding, LiquidationFinding, detect_arbitrages,
                                extract_swaps)
-from mevlens.decoding import LiquidationAction, decode_swap
-from mevlens.errors import MalformedRecord, MevlensError
+from mevlens.decoding import LiquidationAction
+from mevlens.errors import MalformedRecord
 from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
-                              enc_answer_updated, enc_balancer_v1_swap, enc_uniswap_v2_swap)
-from mevlens.opportunity import (DEFAULT_HORIZON, FOUND, NOT_FOUND, UNSIMULATABLE,
-                                 OpportunityResult,
-                                 StateProvider, block_distance_cdf,
-                                 detect_competition,
+                              enc_answer_updated, enc_balancer_v1_swap, enc_token_swap,
+                              enc_transfer, enc_uniswap_v2_swap)
+from mevlens.opportunity import (FOUND, NOT_FOUND, UNSIMULATABLE, StateProvider,
+                                 block_distance_cdf, detect_competition,
                                  find_arbitrage_opportunity,
                                  find_liquidation_opportunity)
 from conftest import (TOKEN_A, TOKEN_B, TOKEN_C, VENUE_1, VENUE_2, VENUE_3, VENUE_4,
-                      build_planted_arb_dataset, make_swap)
+                      build_planted_arb_dataset, literal_opportunity, make_swap,
+                      oracle_updates, position_sorted_swaps)
 
 A, B = addr(0xA1), addr(0xB1)
 P1, P2 = addr(0xD1), addr(0xD2)
 F = 200  # finding block
 
 
-def _finding(tx=b"\x10" * 32):
-    cycle = (make_swap(A, B, 1000, 999, P1, position=(F, 0, 0), tx_hash=tx),
-             make_swap(B, A, 999, 1008, P2, position=(F, 0, 1), tx_hash=tx))
+def _finding(tx=b"\x10" * 32, block=F):
+    cycle = (make_swap(A, B, 1000, 999, P1, position=(block, 0, 0), tx_hash=tx),
+             make_swap(B, A, 999, 1008, P2, position=(block, 0, 1), tx_hash=tx))
     return ArbitrageFinding(tx, cycle, {A: 8, B: 0})
 
 
@@ -65,7 +66,7 @@ def plant_arb_scenario(distance):
 def test_planted_distances_exact():
     for d in (1, 5, 37, 99, 100):
         ds, provider, tx = plant_arb_scenario(d)
-        r = find_arbitrage_opportunity(_finding(), ds, provider)
+        r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(ds), provider)
         assert r.status == FOUND
         assert r.block_distance == d
         assert r.opportunity_tx == tx
@@ -84,14 +85,14 @@ def test_planted_distance_zero_is_approximate_boundary():
     topics, data = enc_balancer_v1_swap(addr(0xEE), B, A, 10, 9)
     fb.log(P2, topics, data)
     ds = fb.dataset()
-    r = find_arbitrage_opportunity(_finding(), ds, provider)
+    r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(ds), provider)
     assert r.status == FOUND and r.block_distance == 0
     assert r.opportunity_tx is None and r.approximate
 
 
 def test_planted_distance_101_not_found():
     ds, provider, _ = plant_arb_scenario(101)
-    r = find_arbitrage_opportunity(_finding(), ds, provider)
+    r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(ds), provider)
     assert r.status == NOT_FOUND
 
 
@@ -102,24 +103,24 @@ def test_no_candidate_swaps_not_found():
     fb = FixtureBuilder(ETHEREUM, start_block=F)
     fb.block(number=F)
     fb.tx()
-    r = find_arbitrage_opportunity(_finding(), fb.dataset(), provider)
+    r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(fb.dataset()), provider)
     assert r.status == NOT_FOUND
 
 
 def test_missing_pool_state_unsimulatable():
     ds, provider, _ = plant_arb_scenario(5)
     bare = StateProvider()  # no pool snapshots at all
-    r = find_arbitrage_opportunity(_finding(), ds, bare)
+    r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(ds), bare)
     assert r.status == UNSIMULATABLE
 
 
 # --- liquidations ---
 
-def _liq_finding(protocol="aave_v2v3", tx=b"\x20" * 32):
+def _liq_finding(protocol="aave_v2v3", tx=b"\x20" * 32, block=F):
     action = LiquidationAction(protocol=protocol, liquidator=addr(6),
                                borrower=addr(5), debt_token=B, debt_amount=100,
                                collateral_token=A, collateral_amount=150,
-                               position=(F, 0, 0), tx_hash=tx)
+                               position=(block, 0, 0), tx_hash=tx)
     return LiquidationFinding(tx, (action,))
 
 
@@ -143,7 +144,7 @@ def test_hf_series_stop_rule():
     provider.add_health(addr(5), F - 11, Fraction(102, 100))
     provider.add_health(addr(5), F - 7, Fraction(98, 100))
     provider.add_health(addr(5), F - 2, Fraction(97, 100))
-    r = find_liquidation_opportunity(_liq_finding(), ds, provider)
+    r = find_liquidation_opportunity(_liq_finding(), oracle_updates(ds), provider)
     assert r.status == FOUND and r.block_distance == 7
     assert r.opportunity_tx == txs[F - 7]
 
@@ -152,7 +153,7 @@ def test_hf_closed_at_closest_is_boundary():
     ds, txs = _oracle_fixture([F - 3])
     provider = StateProvider()
     provider.add_health(addr(5), 0, Fraction(101, 100))
-    r = find_liquidation_opportunity(_liq_finding(), ds, provider)
+    r = find_liquidation_opportunity(_liq_finding(), oracle_updates(ds), provider)
     assert r.status == FOUND and r.block_distance == 0 and r.approximate
 
 
@@ -160,7 +161,7 @@ def test_shortfall_never_zero_not_found():
     ds, _ = _oracle_fixture([F - 3, F - 50])
     provider = StateProvider()
     provider.add_shortfall(addr(5), 0, 42)
-    r = find_liquidation_opportunity(_liq_finding("compound_v2"), ds, provider)
+    r = find_liquidation_opportunity(_liq_finding("compound_v2"), oracle_updates(ds), provider)
     assert r.status == NOT_FOUND
 
 
@@ -169,7 +170,7 @@ def test_shortfall_stop_rule():
     provider = StateProvider()
     provider.add_shortfall(addr(5), 0, 0)
     provider.add_shortfall(addr(5), F - 9, 17)
-    r = find_liquidation_opportunity(_liq_finding("compound_v2"), ds, provider)
+    r = find_liquidation_opportunity(_liq_finding("compound_v2"), oracle_updates(ds), provider)
     assert r.status == FOUND and r.block_distance == 9
     assert r.opportunity_tx == txs[F - 9]
 
@@ -223,9 +224,9 @@ def test_state_provider_lookups_match_linear_scan():
             assert sp.shortfall(addr(5), block) == want
 
 
-def pool_row(pool, reserves=("1000", "2000")):
-    return {"kind": "pool", "key": "0x" + pool.hex(), "block": 3,
-            "value": {"reserves": list(reserves)}}
+def pool_row(pool, reserves=("1000", "2000"), block=3):
+    return {"kind": "pool", "key": "0x" + pool.hex(), "block": block,
+            "value": {"reserves": [str(r) for r in reserves]}}
 
 
 def malformed_snapshots(pool, unknown_pool):
@@ -326,14 +327,29 @@ def test_cli_compete_row_carries_the_opportunity_block(tmp_path):
     assert ds.block_timestamp(F - 7) != ds.block_timestamp(F)
 
 
+def _write_inputs(tmp_path, ds, snapshots=(), pools=None):
+    """The fixture directory, snapshot file and pool sidecar of one run."""
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    dump_fixture(ds, fixtures / "ethereum.jsonl")
+    (tmp_path / "snap.jsonl").write_text("".join(json.dumps(row) + "\n" for row in snapshots))
+    args = ["--fixtures", str(fixtures), "--snapshots", str(tmp_path / "snap.jsonl"),
+            "--out", str(tmp_path / "out")]
+    if pools is not None:
+        dump_pool_metadata(pools, tmp_path / "pools.json")
+        args += ["--pools", str(tmp_path / "pools.json")]
+    return args
+
+
 @pytest.mark.parametrize("mev_type, line", [
     ("arb", f"skipped Swap log at ({F - 3}, 0, 0): Uniswap V2 Swap expects 3 topics"),
     ("liq", f"skipped AnswerUpdated log at ({F - 2}, 0, 1): AnswerUpdated expects 3 topics"),
 ])
 def test_cli_opportunity_skips_a_log_that_breaks_its_layout(tmp_path, caplog, mev_type, line):
-    """A Uniswap V2 swap at a venue of the arbitrage and a Chainlink update
-    inside the findings' window, each short of one topic: the walk skips
-    them as the detectors do, logs why at DEBUG and writes every row."""
+    """A Uniswap V2 swap at a venue of the arbitrages and a Chainlink update
+    inside both findings' windows, each short of one topic: the command
+    skips them as the detectors do, logs each once at DEBUG, however many
+    windows hold it, and writes every row."""
     fb = FixtureBuilder(ETHEREUM, start_block=F - 3)
     fb.block(number=F - 3)
     fb.tx()
@@ -343,29 +359,49 @@ def test_cli_opportunity_skips_a_log_that_breaks_its_layout(tmp_path, caplog, me
     fb.tx()
     topics, data = enc_answer_updated(10 ** 8)
     fb.log(addr(0xFE), topics[:2], data)
+    for block in (F, F + 1):
+        fb.block(number=block)
+        fb.tx()
+        fb.log(P1, *enc_balancer_v1_swap(addr(0xEE), A, B, 1000, 999))
+        fb.log(P2, *enc_balancer_v1_swap(addr(0xEE), B, A, 999, 1008))
+        fb.tx(sender=addr(6))
+        fb.log(addr(0xAB), *enc_aave_v2v3_liquidation(A, B, addr(5), 100, 150, addr(6)))
+    args = _write_inputs(tmp_path, fb.dataset())
+    with caplog.at_level(logging.DEBUG, logger="mevlens"):
+        assert main(["opportunity", "--type", mev_type] + args) == 0
+    rows = (tmp_path / "out" / f"opportunities_{mev_type}.jsonl").read_text().splitlines()
+    assert len(rows) == 2
+    assert [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()] == [line]
+
+
+def test_cli_stableswap_token_swap_opens_an_arbitrage(tmp_path):
+    """A StableSwap TokenSwap closes a cycle like any DEX swap, so at a
+    venue of the cycle it opens the opportunity like one too."""
+    d = 4
+    pools = {p: PoolInfo(p, "constant_product", (A, B), 0, 1) for p in (P1, P2)}
+    fb = FixtureBuilder(ETHEREUM, start_block=F - d)
+    fb.block(number=F - d)
+    opened = fb.tx()
+    fb.log(P2, *enc_token_swap(addr(9), 10 ** 5, 10 ** 5, 1, 0))   # sells B for A
     fb.block(number=F)
     fb.tx()
     fb.log(P1, *enc_balancer_v1_swap(addr(0xEE), A, B, 1000, 999))
     fb.log(P2, *enc_balancer_v1_swap(addr(0xEE), B, A, 999, 1008))
-    fb.tx(sender=addr(6))
-    fb.log(addr(0xAB), *enc_aave_v2v3_liquidation(A, B, addr(5), 100, 150, addr(6)))
-    fixtures = tmp_path / "fixtures"
-    fixtures.mkdir()
-    dump_fixture(fb.dataset(), fixtures / "ethereum.jsonl")
-    (tmp_path / "snap.jsonl").write_text("")
-    out = tmp_path / "out"
-    with caplog.at_level(logging.DEBUG, logger="mevlens"):
-        assert main(["opportunity", "--type", mev_type, "--fixtures", str(fixtures),
-                     "--snapshots", str(tmp_path / "snap.jsonl"), "--out", str(out)]) == 0
-    rows = (out / f"opportunities_{mev_type}.jsonl").read_text().splitlines()
-    assert len(rows) == 1
-    assert line in [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+
+    snapshots = [pool_row(P1, _balanced().reserves, 0), pool_row(P2, _balanced().reserves, 0),
+                 pool_row(P2, _imbalanced().reserves, F - d)]
+    args = _write_inputs(tmp_path, fb.dataset(), snapshots, pools)
+    assert main(["opportunity", "--type", "arb"] + args) == 0
+    rows = [json.loads(line) for line in
+            (tmp_path / "out" / "opportunities_arb.jsonl").read_text().splitlines()]
+    assert [(r["status"], r["opportunity_tx"], r["block_distance"]) for r in rows] == [
+        (FOUND, "0x" + opened.hex(), d)]
 
 
 def test_not_found_status_names_the_horizon():
     # no candidate swap within 5 blocks
     ds, provider, _ = plant_arb_scenario(6)
-    r = find_arbitrage_opportunity(_finding(), ds, provider, horizon=5)
+    r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(ds), provider, horizon=5)
     assert r.status == "not_found_within_5"
     # a candidate, but the cycle stays profitable past the horizon
     provider = StateProvider()
@@ -375,50 +411,40 @@ def test_not_found_status_names_the_horizon():
     fb.block(number=F - 2)
     fb.tx()
     fb.log(P2, *enc_balancer_v1_swap(addr(0xEE), B, A, 10 ** 5, 1008 * 10 ** 2))
-    r = find_arbitrage_opportunity(_finding(), fb.dataset(), provider, horizon=5)
+    r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(fb.dataset()), provider,
+                                   horizon=5)
     assert r.status == "not_found_within_5"
     assert NOT_FOUND == "not_found_within_100"
 
 
+def test_cli_walk_bisects_swaps_of_a_tx_hash_that_recurs(tmp_path):
+    """The swaps of a tx hash that recurs two blocks apart are grouped
+    together by tx, and the walk still finds the later one, the only swap
+    in a 1-block window."""
+    recurring = b"\x41" * 32
+    pools = {p: PoolInfo(p, "constant_product", (A, B), 0, 1) for p in (P1, P2)}
+    fb = FixtureBuilder(ETHEREUM, start_block=F - 5)
+    for block, venue, tx in ((F - 5, P2, recurring), (F - 3, P2, None), (F - 1, P1, recurring)):
+        fb.block(number=block)
+        fb.tx(tx_hash=tx)
+        fb.log(venue, *enc_balancer_v1_swap(addr(0xEE), B, A, 10 ** 5, 10 ** 5))
+    fb.block(number=F)
+    fb.tx()
+    fb.log(P1, *enc_balancer_v1_swap(addr(0xEE), A, B, 1000, 999))
+    fb.log(P2, *enc_balancer_v1_swap(addr(0xEE), B, A, 999, 1008))
+    ds = fb.dataset()
+
+    snapshots = [pool_row(P1, _balanced().reserves, 0), pool_row(P2, _balanced().reserves, 0),
+                 pool_row(P2, _imbalanced().reserves, F - 1)]
+    args = _write_inputs(tmp_path, ds, snapshots, pools)
+    assert main(["opportunity", "--type", "arb", "--horizon", "1"] + args) == 0
+    [row] = [json.loads(line) for line in
+             (tmp_path / "out" / "opportunities_arb.jsonl").read_text().splitlines()]
+    assert (row["status"], row["opportunity_tx"], row["block_distance"]) == (
+        FOUND, "0x" + recurring.hex(), 1)
+
+
 # --- the walk's per-state-set memo against a fresh simulation per block ---
-
-def _literal_walk(finding, dataset, provider, horizon=DEFAULT_HORIZON):
-    """find_arbitrage_opportunity written out block by block, simulating
-    every block afresh; returns the result and the pool states of every
-    block it simulated."""
-    finding_block = finding.cycle[0].position[0]
-    venues = {s.venue for s in finding.cycle}
-    candidates = {}
-    for log in dataset.logs:
-        if (finding_block - horizon <= log.block_number < finding_block
-                and log.address in venues and decode_swap(log) is not None):
-            candidates.setdefault(log.block_number, log.tx_hash)
-    if not candidates:
-        return OpportunityResult(f"not_found_within_{horizon}"), []
-    path = [PathHop(s.venue, s.token_in, s.token_out) for s in finding.cycle]
-    amount_in = finding.cycle[0].amount_in
-    simulated = []
-    last_open = None
-    for block in range(finding_block - 1, max(finding_block - horizon - 2, -1), -1):
-        states = tuple(provider.pool_state(hop.pool_key, block) for hop in path)
-        if any(state is None for state in states):
-            return OpportunityResult(UNSIMULATABLE), simulated
-        simulated.append(states)
-        pools = {hop.pool_key: state for hop, state in zip(path, states)}
-        try:
-            final, _ = simulate_path(pools, path, amount_in)
-        except MevlensError:
-            return OpportunityResult(UNSIMULATABLE), simulated
-        if final <= amount_in:
-            if last_open is None:
-                return OpportunityResult(FOUND, None, 0, approximate=True), simulated
-            tx = candidates.get(last_open)
-            return (OpportunityResult(FOUND, tx, finding_block - last_open,
-                                      approximate=tx is None), simulated)
-        if block >= finding_block - horizon:
-            last_open = block
-    return OpportunityResult(f"not_found_within_{horizon}"), simulated
-
 
 def test_walk_simulates_each_distinct_state_set_once(monkeypatch):
     """Snapshots at every block, equal but separate objects, alternate
@@ -442,14 +468,120 @@ def test_walk_simulates_each_distinct_state_set_once(monkeypatch):
         return simulate_path(pools, path, amount_in)
 
     monkeypatch.setattr(opportunity, "simulate_path", counting)
+    swaps = position_sorted_swaps(ds)
     results, repeats = [], 0
     for finding in detect_arbitrages(extract_swaps(ds)):
-        expected, simulated = _literal_walk(finding, ds, provider)
+        expected, simulated = literal_opportunity(finding, ds, provider)
         calls.clear()
-        assert find_arbitrage_opportunity(finding, ds, provider) == expected
+        assert find_arbitrage_opportunity(finding, swaps, provider) == expected
         assert len(calls) == len(set(simulated))
         repeats += len(simulated) - len(set(simulated))
         results.append(expected)
     assert repeats > 100
     assert {r.status for r in results} == {FOUND, UNSIMULATABLE, NOT_FOUND}
     assert any(r.block_distance for r in results) and any(r.approximate for r in results)
+
+
+# --- both walks against the literal window rescan ---
+
+P3 = addr(0xD3)   # a venue outside the cycle
+REPEATED_TX = b"\x31" * 32
+_TXS = (REPEATED_TX, b"\x32" * 32, b"\x33" * 32)   # few hashes: one recurs at two positions
+_EVENTS = {
+    "balancer_swap": enc_balancer_v1_swap(addr(0xEE), B, A, 10 ** 5, 10 ** 5),
+    "uniswap_v2_swap": enc_uniswap_v2_swap(addr(9), addr(9), 0, 100, 90, 0),
+    "token_swap": enc_token_swap(addr(9), 100, 90, 1, 0),
+    "update": enc_answer_updated(10 ** 8),
+    "transfer": enc_transfer(addr(1), addr(2), 5),
+}
+_BROKEN = {"broken_swap": "uniswap_v2_swap", "broken_update": "update"}  # short of one topic
+_WALK_POOLS = {p: PoolInfo(p, "constant_product", (A, B), 0, 1) for p in (P1, P2, P3)}
+
+
+def _walk_dataset(events) -> ChainDataset:
+    """One log per event (block, kind, address, tx hash), at position
+    (block, i, 0) for the event's index i in block order."""
+    logs = []
+    for i, (block, kind, address, tx) in enumerate(sorted(events, key=lambda e: e[0])):
+        topics, data = _EVENTS[_BROKEN.get(kind, kind)]
+        if kind in _BROKEN:
+            topics = topics[:2]
+        logs.append(EventLog(ETHEREUM, address, tuple(topics), data, block, i, 0, tx))
+    return ChainDataset(ETHEREUM, logs=logs)
+
+
+def _walk_provider(pool_snapshots, health, shortfall) -> StateProvider:
+    provider = StateProvider()
+    for venue, block, tilted in pool_snapshots:
+        provider.add_pool(venue, block, _imbalanced() if tilted else _balanced())
+    for block, hf in health:
+        provider.add_health(addr(5), block, hf)
+    for block, sf in shortfall:
+        provider.add_shortfall(addr(5), block, sf)
+    return provider
+
+
+_BLOCKS = st.integers(0, 7)
+_EVENT = st.tuples(_BLOCKS, st.sampled_from(sorted(_EVENTS) + sorted(_BROKEN)),
+                   st.sampled_from([P1, P2, P3, addr(0xFE)]), st.sampled_from(_TXS))
+_SNAPSHOT = st.tuples(st.sampled_from([P1, P2]), _BLOCKS, st.booleans())
+_HEALTH = st.tuples(_BLOCKS, st.sampled_from([Fraction(97, 100), Fraction(1), Fraction(102, 100)]))
+_SHORTFALL = st.tuples(_BLOCKS, st.sampled_from([0, 17]))
+_PLANTED = [(1, "broken_swap", P1, REPEATED_TX), (2, "broken_update", addr(0xFE), _TXS[1]),
+            (2, "balancer_swap", P2, REPEATED_TX), (2, "uniswap_v2_swap", P1, _TXS[2]),
+            (3, "update", addr(0xFE), REPEATED_TX), (3, "update", addr(0xFE), _TXS[1]),
+            (4, "token_swap", P2, _TXS[2]), (5, "uniswap_v2_swap", P1, REPEATED_TX)]
+_TILTED = [(P1, 0, False), (P2, 0, False), (P2, 2, True)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(finding_block=_BLOCKS, horizon=st.one_of(st.integers(1, 8), st.just(100)),
+       events=st.lists(_EVENT, max_size=14), pool_snapshots=st.lists(_SNAPSHOT, max_size=5),
+       health=st.lists(_HEALTH, max_size=4), shortfall=st.lists(_SHORTFALL, max_size=4),
+       protocol=st.sampled_from(["aave_v2v3", "compound_v2"]))
+@example(finding_block=0, horizon=1, events=_PLANTED, pool_snapshots=_TILTED,
+         health=[(0, Fraction(97, 100))], shortfall=[(0, 17)], protocol="aave_v2v3")
+@example(finding_block=1, horizon=1, events=_PLANTED, pool_snapshots=_TILTED,
+         health=[(0, Fraction(97, 100))], shortfall=[(0, 17)], protocol="compound_v2")
+@example(finding_block=1, horizon=100, events=_PLANTED, pool_snapshots=_TILTED,
+         health=[(0, Fraction(102, 100))], shortfall=[(0, 0)], protocol="aave_v2v3")
+@example(finding_block=7, horizon=100, events=_PLANTED, pool_snapshots=_TILTED,
+         health=[(0, Fraction(102, 100)), (3, Fraction(97, 100))], shortfall=[(0, 0), (2, 17)],
+         protocol="compound_v2")
+@example(finding_block=6, horizon=3, events=_PLANTED, pool_snapshots=_TILTED,
+         health=[(0, Fraction(97, 100))], shortfall=[(0, 17)], protocol="aave_v2v3")
+def test_walks_match_literal_window_rescan(finding_block, horizon, events, pool_snapshots,
+                                           health, shortfall, protocol):
+    """Both walks, bisecting the swaps and updates decoded once, return what
+    the literal walk returns after rescanning every log of the finding's
+    window: findings at block 0 and up, horizons from 1 block, logs that
+    break their layout, swaps at venues outside the cycle, StableSwap and
+    Uniswap swaps that need the pool sidecar, and a tx hash at several
+    positions."""
+    ds = _walk_dataset(events)
+    provider = _walk_provider(pool_snapshots, health, shortfall)
+    arb = _finding(block=finding_block)
+    assert (find_arbitrage_opportunity(arb, position_sorted_swaps(ds, _WALK_POOLS), provider,
+                                       horizon)
+            == literal_opportunity(arb, ds, provider, _WALK_POOLS, horizon)[0])
+    liq = _liq_finding(protocol, block=finding_block)
+    assert (find_liquidation_opportunity(liq, oracle_updates(ds), provider, horizon)
+            == literal_opportunity(liq, ds, provider, _WALK_POOLS, horizon)[0])
+
+
+def test_planted_walk_case_opens_on_the_repeated_tx_and_the_stableswap_swap():
+    """The planted events of the examples above, with the cycle opened at
+    block 2 and then at block 4: the opportunity is the first swap of block
+    2, whose tx hash recurs, then the StableSwap swap. The first Chainlink
+    update of block 3, of that tx hash too, opens the liquidation."""
+    ds = _walk_dataset(_PLANTED)
+    swaps = position_sorted_swaps(ds, _WALK_POOLS)
+    health = [(0, Fraction(102, 100)), (3, Fraction(97, 100))]
+    provider = _walk_provider(_TILTED, health, [])
+    assert find_arbitrage_opportunity(_finding(block=4), swaps, provider) == \
+        opportunity.OpportunityResult(FOUND, REPEATED_TX, 2)
+    assert find_liquidation_opportunity(_liq_finding(block=7), oracle_updates(ds), provider) == \
+        opportunity.OpportunityResult(FOUND, REPEATED_TX, 4)
+    provider = _walk_provider([(P1, 0, False), (P2, 0, False), (P2, 4, True)], health, [])
+    assert find_arbitrage_opportunity(_finding(block=7), swaps, provider) == \
+        opportunity.OpportunityResult(FOUND, _TXS[2], 3)
