@@ -10,8 +10,8 @@ import json
 from typing import NamedTuple, Sequence
 
 from .chain_model import _json_object, _sidecar_hex, _whole
-from .errors import (BrokenPath, DrainedPool, EmptyPool, InvalidSwap, MalformedRecord,
-                     NoConvergence, UnknownToken)
+from .errors import (DrainedPool, EmptyPool, InvalidSwap, MalformedRecord, NoConvergence,
+                     UnknownToken)
 
 CONSTANT_PRODUCT = "constant_product"
 STABLESWAP = "stableswap"
@@ -177,33 +177,6 @@ def swap_out(pool: PoolState, token_in, token_out, amount_in: int) -> SwapQuote:
     reserves[i] += amount_in
     reserves[j] -= amount_out
     return SwapQuote(amount_in, amount_out, pool.with_reserves(reserves))
-
-
-class PathHop(NamedTuple):
-    pool_key: object     # key into the pools mapping
-    token_in: bytes
-    token_out: bytes
-
-
-def simulate_path(pools: dict, path: Sequence[PathHop], amount_in: int):
-    """Sequentially replay a swap path over a mutable copy of pool states.
-
-    Returns (final_amount, updated pools dict). Hops must chain: the
-    token_out of hop i is the token_in of hop i+1.
-    """
-    states = dict(pools)
-    amount = amount_in
-    prev_out = None
-    for hop in path:
-        if prev_out is not None and hop.token_in != prev_out:
-            raise BrokenPath("hop token_in does not match previous token_out")
-        if hop.pool_key not in states:
-            raise BrokenPath(f"unknown pool {hop.pool_key!r}")
-        quote = swap_out(states[hop.pool_key], hop.token_in, hop.token_out, amount)
-        states[hop.pool_key] = quote.post_state
-        amount = quote.amount_out
-        prev_out = hop.token_out
-    return amount, states
 
 
 # --- pool metadata sidecar ---

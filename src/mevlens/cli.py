@@ -128,7 +128,7 @@ def _write(ctx: Ctx, name, rows):
     print(f"{len(rows)} findings -> {path}")
 
 
-def _write_priced(ctx: Ctx, ds, findings, block_of, profit, to_json, name):
+def _write_priced(ctx: Ctx, ds, findings, profit, to_json, name):
     """Attach each finding's flash loans, price it at its block's day (when
     --prices is given and its tx is known) and write its row."""
     from .detectors import attribute_flash_loans
@@ -136,7 +136,7 @@ def _write_priced(ctx: Ctx, ds, findings, block_of, profit, to_json, name):
     chain = ctx.chain_of(ds)
     out = []
     for f in attribute_flash_loans(findings, ds.logs):
-        ts = ds.block_timestamp(block_of(f)) or 0
+        ts = ds.block_timestamp(f.block) or 0
         tx = ds.tx(f.tx_hash)
         if prices is not None and tx is not None:
             f = profit(f, prices, tx, ts)
@@ -149,16 +149,15 @@ def detect_arb_cmd(ctx: Ctx):
     from . import detectors, reporting
     ds = ctx.dataset()
     findings = detectors.detect_arbitrages(detectors.extract_swaps(ds, ctx.pools()))
-    _write_priced(ctx, ds, findings, lambda f: f.cycle[0].position[0],
-                  detectors.arbitrage_profit, reporting.arbitrage_to_json, "findings_arb.jsonl")
+    _write_priced(ctx, ds, findings, detectors.arbitrage_profit, reporting.arbitrage_to_json,
+                  "findings_arb.jsonl")
 
 
 def detect_liq_cmd(ctx: Ctx):
     """Liquidations, priced, with their flash loans."""
     from . import detectors, reporting
     ds = ctx.dataset()
-    _write_priced(ctx, ds, detectors.detect_liquidations(ds.logs),
-                  lambda f: f.actions[0].position[0], detectors.liquidation_profit,
+    _write_priced(ctx, ds, detectors.detect_liquidations(ds.logs), detectors.liquidation_profit,
                   reporting.liquidation_to_json, "findings_liq.jsonl")
 
 
@@ -207,7 +206,7 @@ def decode_cmd(ctx: Ctx):
 
 
 def _opportunities(ctx: Ctx):
-    """(finding, its block, its opportunity) for each finding of ``--type``.
+    """(finding, its opportunity) for each finding of ``--type``.
     Each walk bisects the swaps or oracle updates decoded once for all."""
     from . import detectors, opportunity
     ds = ctx.dataset()
@@ -215,12 +214,9 @@ def _opportunities(ctx: Ctx):
     provider = opportunity.StateProvider.from_jsonl(ctx.snapshots_file, pools)
     results = []
     if ctx.mev_type == "arb":
-        swaps_by_tx = detectors.extract_swaps(ds, pools)
-        # a tx hash may recur at two positions, so its swaps are re-sorted
-        swaps = sorted((s for tx_swaps in swaps_by_tx.values() for s in tx_swaps),
-                       key=lambda s: s.position)
-        for f in detectors.detect_arbitrages(swaps_by_tx):
-            results.append((f, f.cycle[0].position[0], opportunity.find_arbitrage_opportunity(
+        swaps = detectors.extract_swaps(ds, pools)
+        for f in detectors.detect_arbitrages(swaps):
+            results.append((f, opportunity.find_arbitrage_opportunity(
                 f, swaps, provider, ctx.horizon)))
     else:
         from .decoding import decode_logs
@@ -228,7 +224,7 @@ def _opportunities(ctx: Ctx):
         findings = detectors.detect_liquidations(ds.logs)
         updates = [u for _, u in decode_logs(ds.logs, (Category.ORACLE_UPDATE,))]
         for f in findings:
-            results.append((f, f.actions[0].position[0], opportunity.find_liquidation_opportunity(
+            results.append((f, opportunity.find_liquidation_opportunity(
                 f, updates, provider, ctx.horizon)))
     return ds, results
 
@@ -238,19 +234,19 @@ def opportunity_cmd(ctx: Ctx):
     from . import opportunity, reporting
     ds, results = _opportunities(ctx)
     rows = []
-    for f, block, r in results:
+    for f, r in results:
         rows.append({
             "type": f"opportunity_{ctx.mev_type}",
             "tx_hash": to_hex(f.tx_hash),
-            "block": block,
-            "timestamp": ds.block_timestamp(block) or 0,
+            "block": f.block,
+            "timestamp": ds.block_timestamp(f.block) or 0,
             "status": r.status,
             "opportunity_tx": to_hex(r.opportunity_tx) if r.opportunity_tx else None,
             "block_distance": r.block_distance,
             "approximate": r.approximate,
         })
     _write(ctx, f"opportunities_{ctx.mev_type}.jsonl", rows)
-    cdf = opportunity.block_distance_cdf([r for _, _, r in results], ctx.horizon)
+    cdf = opportunity.block_distance_cdf([r for _, r in results], ctx.horizon)
     reporting.write_distance_cdf(cdf, os.path.join(ctx.out_dir, "distance_cdf.csv"))
 
 
@@ -259,13 +255,13 @@ def compete_cmd(ctx: Ctx):
     from .opportunity import detect_competition
     ds, results = _opportunities(ctx)
     entries, opportunity_block = [], {}
-    for f, block, r in results:
+    for f, r in results:
         tx = ds.tx(f.tx_hash)
         extractor = tx.sender if tx else b""
         entries.append((ctx.mev_type, r.opportunity_tx, extractor, to_hex(f.tx_hash)))
         if r.opportunity_tx is not None:
             # the walk found the opportunity tx this many blocks back
-            opportunity_block[r.opportunity_tx] = block - r.block_distance
+            opportunity_block[r.opportunity_tx] = f.block - r.block_distance
     rows = []
     for g in detect_competition(entries):
         block = opportunity_block[g["opportunity_tx"]]
@@ -342,7 +338,7 @@ def crosslayer_simulate_cmd(ctx: Ctx):
         if state is None:
             no_state += 1
             continue
-        day = c.link.l1_timestamp // 86400
+        day = reporting.day_of(c.link.l1_timestamp)
         token_price = prices.lookup(c.swap.token_in, day) if prices else Fraction(1)
         eth_usd = prices.eth_usd(day) if prices else Fraction(2000)
         if token_price is None or eth_usd is None:

@@ -17,10 +17,9 @@ from .amm import PoolState, _indices, _swap_rule, swap_out
 from .chain_model import (_DECIMAL_FRACTION, ChainDataset, ChainId, ZKSYNC, _decimal,
                           _json_object, _whole, group_logs_by_tx)
 from .decoding import TransferAction, decode_logs
-from .detectors import WEI
 from .errors import EmptyInput, Infeasible, InvalidScenario, MalformedRecord, MevlensError
 from .registry import Category
-from .reporting import month_of, summary_stats
+from .reporting import WEI, month_of, summary_stats
 
 S1 = "S1"
 S2 = "S2"

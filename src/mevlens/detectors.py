@@ -14,14 +14,8 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from .chain_model import ChainDataset, ChainId, EventLog, Layer, TxRecord
 from .decoding import LiquidationAction, SwapAction, TransferAction, decode_logs, decode_swap
 from .registry import Category
-from .reporting import PriceProvider  # lives there so that `report` loads no decoder
-
-WEI = 10 ** 18
-SECONDS_PER_DAY = 86400
-
-
-def day_of(timestamp: int) -> int:
-    return timestamp // SECONDS_PER_DAY
+# the price table and its units live there so that `report` loads no decoder
+from .reporting import WEI, PriceProvider, day_of
 
 
 # --- findings ---
@@ -36,6 +30,10 @@ class ArbitrageFinding(NamedTuple):
     unpriced: bool = False
     flash_loans: tuple = ()
 
+    @property
+    def block(self) -> int:
+        return self.cycle[0].position[0]
+
 
 class LiquidationFinding(NamedTuple):
     tx_hash: bytes
@@ -44,6 +42,10 @@ class LiquidationFinding(NamedTuple):
     unpriced: bool = False
     unredeemed: bool = False
     flash_loans: tuple = ()
+
+    @property
+    def block(self) -> int:
+        return self.actions[0].position[0]
 
 
 class SandwichFinding(NamedTuple):
@@ -119,12 +121,16 @@ def chain_cycles(swaps: Sequence[SwapAction]):
     return cycles
 
 
-def detect_arbitrages(swaps_by_tx: Mapping[bytes, Sequence[SwapAction]]):
-    """Cyclic-arbitrage findings per transaction; one tx may yield several."""
+def detect_arbitrages(swaps: Sequence[SwapAction]):
+    """Cyclic-arbitrage findings per transaction, over the swaps grouped by
+    tx in first-seen order; one tx may yield several."""
+    swaps_by_tx: dict = {}
+    for swap in swaps:
+        swaps_by_tx.setdefault(swap.tx_hash, []).append(swap)
     findings = []
-    for tx_hash, swaps in swaps_by_tx.items():
-        for cycle_idx in chain_cycles(list(swaps)):
-            cycle = tuple(swaps[i] for i in cycle_idx)
+    for tx_hash, tx_swaps in swaps_by_tx.items():
+        for cycle_idx in chain_cycles(tx_swaps):
+            cycle = tuple(tx_swaps[i] for i in cycle_idx)
             findings.append(ArbitrageFinding(
                 tx_hash=tx_hash,
                 cycle=cycle,
@@ -307,17 +313,17 @@ def attribute_flash_loans(findings: Sequence, logs: Sequence[EventLog]) -> list:
 # --- dataset-level drivers ---
 
 def extract_swaps(dataset: ChainDataset, pools=None):
-    """Decode all swap events, grouped by tx in emission order.
+    """Decode all swap events, in position order.
 
     Victim-swap events (StableSwap TokenSwap) count too: they can close a
     cycle like any DEX swap.
     """
-    swaps_by_tx: dict = {}
+    swaps = []
     for log in dataset.logs:
         swap = decode_swap(log, pools)
         if swap is not None:
-            swaps_by_tx.setdefault(log.tx_hash, []).append(swap)
-    return swaps_by_tx
+            swaps.append(swap)
+    return swaps
 
 
 def extract_transfers(dataset: ChainDataset):

@@ -58,10 +58,6 @@ class DrainedPool(MevlensError):
     pass
 
 
-class BrokenPath(MevlensError):
-    pass
-
-
 class InvalidSwap(MevlensError):
     """A swap of a non-positive amount, or of a token for itself."""
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .amm import PathHop, PoolState, simulate_path
+from .amm import PoolState, _indices, _swap_rule
 from .chain_model import _DECIMAL_FRACTION, _decimal, _sidecar_hex, _whole, read_jsonl
 # decode_swap stays bound here, unused: perfbench/selftest.py checks that the
 # tracer wraps mevlens.opportunity.decode_swap together with mevlens.decoding's
@@ -136,17 +136,25 @@ def _snapshot(obj: dict, pools_meta):
     raise MalformedRecord(None, f"unknown snapshot kind {kind!r}")
 
 
-def _simulated_profit(finding: ArbitrageFinding, path, states) -> Optional[int]:
-    """Replay the cycle over the pool state of each hop of ``path``;
-    profit in units of the cycle's entry token, None when the replay
-    fails."""
-    pools = {hop.pool_key: state for hop, state in zip(path, states)}
-    amount_in = finding.cycle[0].amount_in
+def _simulated_profit(finding: ArbitrageFinding, states) -> Optional[int]:
+    """Replay the cycle through the swap rule of each hop's state in
+    ``states``, on reserves copied at a venue's first hop and carried to its
+    later hops; profit in the cycle's entry token, None when a hop fails."""
+    reserves: dict = {}  # venue -> its reserves, updated in place
+    amount_in = amount = finding.cycle[0].amount_in
     try:
-        final, _ = simulate_path(pools, path, amount_in)
+        for swap, state in zip(finding.cycle, states):
+            r = reserves.get(swap.venue)
+            if r is None:
+                r = reserves[swap.venue] = list(state.reserves)
+            i, j = _indices(state, swap.token_in, swap.token_out)
+            out = _swap_rule(state)(r, i, j, amount)
+            r[i] += amount
+            r[j] -= out
+            amount = out
     except MevlensError:
         return None
-    return final - amount_in
+    return amount - amount_in
 
 
 _position = attrgetter("position")
@@ -203,22 +211,21 @@ def find_arbitrage_opportunity(finding: ArbitrageFinding, swaps: Sequence[SwapAc
     is non-positive; the opportunity is the first swap at a venue of the
     cycle in the last profitable block. ``swaps`` are the dataset's decoded
     swaps in position order."""
-    finding_block = finding.cycle[0].position[0]
+    finding_block = finding.block
     candidates = _first_tx_per_block(swaps, finding_block, horizon,
                                      {s.venue for s in finding.cycle})
-    path = [PathHop(s.venue, s.token_in, s.token_out) for s in finding.cycle]
-    verdicts: dict = {}  # pool states along the path -> is_open verdict
+    verdicts: dict = {}  # pool states along the cycle -> is_open verdict
 
     def is_open(block):
         states = []
-        for hop in path:
-            state = provider.pool_state(hop.pool_key, block)
+        for swap in finding.cycle:
+            state = provider.pool_state(swap.venue, block)
             if state is None:
                 return None
             states.append(state)
         states = tuple(states)
         if states not in verdicts:
-            profit = _simulated_profit(finding, path, states)
+            profit = _simulated_profit(finding, states)
             verdicts[states] = None if profit is None else profit > 0
         return verdicts[states]
 
@@ -233,7 +240,7 @@ def find_liquidation_opportunity(finding: LiquidationFinding,
     position order), stopping when the position is no longer liquidable
     (hf >= 1 for Aave, sf == 0 for Compound)."""
     action = finding.actions[0]
-    finding_block = action.position[0]
+    finding_block = finding.block
     use_shortfall = action.protocol == "compound_v2"
     candidates = _first_tx_per_block(updates, finding_block, horizon)
 

@@ -23,6 +23,15 @@ FIXED_PLACES = 18
 
 # --- price provider (daily CSV fixture, CoinGecko-style) ---
 
+WEI = 10 ** 18
+SECONDS_PER_DAY = 86400
+
+
+def day_of(timestamp: int) -> int:
+    """The day a timestamp falls in: the price table's day key."""
+    return timestamp // SECONDS_PER_DAY
+
+
 class PriceProvider:
     """token/day -> ETH price as exact rational; 'ETHUSD' row carries the
     dollar series."""
@@ -143,7 +152,7 @@ def arbitrage_to_json(finding, chain: str, timestamp: int, extractor=None) -> di
         "type": "arbitrage",
         "chain": chain,
         "tx_hash": to_hex(finding.tx_hash),
-        "block": finding.cycle[0].position[0],
+        "block": finding.block,
         "timestamp": timestamp,
         "extractor": to_hex(extractor) if extractor else None,
         "cycle": [_swap_json(s) for s in finding.cycle],
@@ -161,7 +170,7 @@ def liquidation_to_json(finding, chain: str, timestamp: int, extractor=None) -> 
         "type": "liquidation",
         "chain": chain,
         "tx_hash": to_hex(finding.tx_hash),
-        "block": finding.actions[0].position[0],
+        "block": finding.block,
         "timestamp": timestamp,
         "extractor": to_hex(extractor) if extractor else None,
         "actions": [{
@@ -276,7 +285,7 @@ def emit_report(findings: Sequence[dict], out_dir, eth_usd=None) -> dict:
         if eth_usd is not None:
             usd = []
             for value, ts in entries:
-                price = eth_usd(ts // 86400)
+                price = eth_usd(day_of(ts))
                 if price is not None:
                     usd.append(value * price)
             row.append(fmt_fixed(summary_stats(usd)["total"], 2))

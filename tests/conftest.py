@@ -13,12 +13,12 @@ from typing import Optional, Sequence
 
 import pytest
 
-from mevlens.amm import PathHop, simulate_path
+from mevlens.amm import swap_out
 from mevlens.chain_model import (ARBITRUM, ETHEREUM, OPTIMISM, ZKSYNC, ChainId, EventLog,
                                  Layer, _log)
 from mevlens.decoding import (BridgeMessageAction, FlashLoanAction, LiquidationAction,
                               OracleUpdateAction, SwapAction, TransferAction, decode_logs)
-from mevlens.detectors import SandwichFinding, extract_swaps
+from mevlens.detectors import SandwichFinding
 from mevlens.errors import MevlensError, SchemaMismatch
 from mevlens.fixtures import FixtureBuilder, addr, enc_balancer_v1_swap, enc_transfer
 from mevlens.opportunity import FOUND, UNSIMULATABLE, OpportunityResult
@@ -764,13 +764,6 @@ def literal_decode_oracle_update(log: EventLog):
 
 # --- opportunity oracle: each finding's window rescanned log by log ---
 
-def position_sorted_swaps(dataset, pools=None) -> list:
-    """The dataset's swaps as ``extract_swaps`` decodes them, in position
-    order: what ``find_arbitrage_opportunity`` bisects."""
-    return sorted((s for swaps in extract_swaps(dataset, pools).values() for s in swaps),
-                  key=lambda s: s.position)
-
-
 def oracle_updates(dataset) -> list:
     """The dataset's Chainlink updates in position order: what
     ``find_liquidation_opportunity`` bisects."""
@@ -793,18 +786,37 @@ def _rescan_window(dataset, finding_block, horizon, opens) -> dict:
     return candidates
 
 
+def replay_cycle(cycle, states, amount_in) -> Optional[int]:
+    """The cycle's final output as composed ``swap_out`` quotes: each hop
+    quotes on its venue's state after the venue's previous hop, or on the
+    hop's own state in ``states`` at the venue's first hop. None when a
+    quote fails."""
+    current = {}
+    amount = amount_in
+    for swap, state in zip(cycle, states):
+        try:
+            quote = swap_out(current.get(swap.venue, state), swap.token_in, swap.token_out,
+                             amount)
+        except MevlensError:
+            return None
+        current[swap.venue] = quote.post_state
+        amount = quote.amount_out
+    return amount
+
+
 def literal_opportunity(finding, dataset, provider, pools=None, horizon=100):
     """``find_arbitrage_opportunity`` or ``find_liquidation_opportunity``
     written out: the window rescanned through the literal decoders (any
     swap at a venue of the cycle; any Chainlink update), then every block
-    from the closest back probed afresh. Returns the result and the pool
-    states of every block an arbitrage walk simulated."""
+    from the closest back probed afresh, an arbitrage cycle replayed as
+    ``swap_out`` quotes that carry each venue's post-swap state to its next
+    hop. Returns the result and the pool states of every block an arbitrage
+    walk simulated."""
     arbitrage = hasattr(finding, "cycle")
     first = finding.cycle[0] if arbitrage else finding.actions[0]
     finding_block = first.position[0]
     if arbitrage:
         venues = {s.venue for s in finding.cycle}
-        path = [PathHop(s.venue, s.token_in, s.token_out) for s in finding.cycle]
 
         def opens(log):
             swap = literal_decode_swap(log, pools)
@@ -819,14 +831,12 @@ def literal_opportunity(finding, dataset, provider, pools=None, horizon=100):
     last_open = None
     for block in range(finding_block - 1, max(finding_block - horizon - 2, -1), -1):
         if arbitrage:
-            states = tuple(provider.pool_state(hop.pool_key, block) for hop in path)
+            states = tuple(provider.pool_state(s.venue, block) for s in finding.cycle)
             if any(state is None for state in states):
                 return OpportunityResult(UNSIMULATABLE), simulated
             simulated.append(states)
-            try:
-                final, _ = simulate_path({hop.pool_key: state for hop, state
-                                          in zip(path, states)}, path, first.amount_in)
-            except MevlensError:
+            final = replay_cycle(finding.cycle, states, first.amount_in)
+            if final is None:
                 return OpportunityResult(UNSIMULATABLE), simulated
             open_ = final > first.amount_in
         elif first.protocol == "compound_v2":

@@ -25,7 +25,7 @@ from mevlens.reporting import read_findings
 from conftest import (XL_DELAYS, build_crosslayer_fixture,
                       build_planted_arb_dataset, build_victim_scenarios,
                       make_transfer, oracle_cycles, oracle_sandwiches, oracle_updates,
-                      position_sorted_swaps, random_swap_tx, random_transfer_blocks,
+                      random_swap_tx, random_transfer_blocks,
                       xl_pools_meta)
 from test_amm import cp_formula, stable_residual
 from test_bytecode import BODY, cbor_trailer, digest, mutate_push_operands
@@ -40,8 +40,9 @@ def test_1_arbitrage_oracle_equivalence():
     start = time.monotonic()
     for i in range(500):
         tx_hash = i.to_bytes(32, "big")
-        swaps = random_swap_tx(rng)
-        found = detect_arbitrages({tx_hash: swaps})
+        swaps = [s._replace(tx_hash=tx_hash) for s in random_swap_tx(rng)]
+        found = detect_arbitrages(swaps)
+        assert all(f.tx_hash == tx_hash for f in found)
         got = sorted(tuple(s.position for s in f.cycle) for f in found)
         want = sorted(tuple(swaps[j].position for j in cyc)
                       for cyc in oracle_cycles(swaps))
@@ -175,7 +176,7 @@ def test_6_strategy_ordering_and_capital_monotonicity():
 def test_7_opportunity_search_exactness():
     for d in (1, 5, 37, 99, 100):
         ds, provider, tx = plant_arb_scenario(d)
-        r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(ds), provider)
+        r = find_arbitrage_opportunity(_finding(), extract_swaps(ds), provider)
         assert r.status == FOUND and r.block_distance == d
         assert r.opportunity_tx == tx
     # d = 0: crossing between the finding and its immediate predecessor
@@ -187,11 +188,11 @@ def test_7_opportunity_search_exactness():
     fb.tx()
     topics, data = enc_balancer_v1_swap(addr(0xEE), B, A, 10, 9)
     fb.log(addr(0xD2), topics, data)
-    r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(fb.dataset()), provider)
+    r = find_arbitrage_opportunity(_finding(), extract_swaps(fb.dataset()), provider)
     assert r.status == FOUND and r.block_distance == 0 and r.approximate
 
     ds, provider, _ = plant_arb_scenario(101)
-    assert find_arbitrage_opportunity(_finding(), position_sorted_swaps(ds),
+    assert find_arbitrage_opportunity(_finding(), extract_swaps(ds),
                                       provider).status == NOT_FOUND
 
     # liquidation stop rules: hf < 1 (Aave), sf > 0 (Compound)

@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mevlens.amm import (PathHop, _stable_D, cp_pool, dump_pool_metadata,
-                         load_pool_metadata, PoolInfo, simulate_path, stable_pool, swap_out)
-from mevlens.errors import (BrokenPath, DrainedPool, EmptyPool, InvalidSwap,
-                            UnknownToken)
+from mevlens.amm import (_stable_D, cp_pool, dump_pool_metadata, load_pool_metadata,
+                         PoolInfo, stable_pool, swap_out)
+from mevlens.detectors import ArbitrageFinding
+from mevlens.errors import DrainedPool, EmptyPool, InvalidSwap, UnknownToken
 from mevlens.fixtures import addr
+from mevlens.opportunity import _simulated_profit
+
+from conftest import make_swap
 
 T0, T1 = b"\x00" * 20, b"\x01" * 20
 
@@ -155,40 +158,33 @@ def test_stable_empty_reserve_errors():
             swap_out(pool, token_in, token_out, 1000)
 
 
-# --- path simulation ---
+# --- cycle replay on raw reserves ---
 
-def test_empty_path_identity():
-    assert simulate_path({}, [], 1234)[0] == 1234
+def _cycle(amount_in, *hops):
+    """An arbitrage finding whose cycle swaps amount_in along ``hops`` of
+    (venue, token_in, token_out); only the first amount and the hops count
+    for a replay."""
+    cycle = tuple(make_swap(t_in, t_out, amount_in, 0, venue, position=(1, 0, k))
+                  for k, (venue, t_in, t_out) in enumerate(hops))
+    return ArbitrageFinding(b"\x11" * 32, cycle, {})
 
 
 def test_two_hop_composition():
     p1 = cp_pool(10 ** 6, 10 ** 6, tokens=(T0, T1))
-    t2 = b"\x02" * 20
-    p2 = cp_pool(2 * 10 ** 6, 10 ** 6, tokens=(T1, t2))
-    pools = {b"P1": p1, b"P2": p2}
-    path = [PathHop(b"P1", T0, T1), PathHop(b"P2", T1, t2)]
-    final, states = simulate_path(pools, path, 10 ** 4)
+    p2 = cp_pool(2 * 10 ** 6, 10 ** 6, tokens=(T0, T1))
+    finding = _cycle(10 ** 4, (b"P1", T0, T1), (b"P2", T1, T0))
     q1 = swap_out(p1, T0, T1, 10 ** 4)
-    q2 = swap_out(p2, T1, t2, q1.amount_out)
-    assert final == q2.amount_out
-    assert states[b"P1"] == q1.post_state and states[b"P2"] == q2.post_state
-
-
-def test_broken_path():
-    p1 = cp_pool(10 ** 6, 10 ** 6, tokens=(T0, T1))
-    with pytest.raises(BrokenPath):
-        simulate_path({b"P1": p1}, [PathHop(b"P1", T0, T1),
-                                    PathHop(b"P1", T0, T1)], 100)
+    q2 = swap_out(p2, T1, T0, q1.amount_out)
+    assert _simulated_profit(finding, (p1, p2)) == q2.amount_out - 10 ** 4
 
 
 def test_diverged_prices_make_profitable_cycle():
     # pool A prices T1 at parity, pool B prices T1 5% higher in T0 terms
     pa = cp_pool(10 ** 9, 10 ** 9, tokens=(T0, T1), fee_num=0, fee_den=1)
     pb = cp_pool(105 * 10 ** 7, 10 ** 9, tokens=(T0, T1), fee_num=0, fee_den=1)
-    pools = {b"A": pa, b"B": pb}
-    path = [PathHop(b"A", T0, T1), PathHop(b"B", T1, T0)]
-    final, _ = simulate_path(pools, path, 10 ** 6)
-    assert final > 10 ** 6
+    finding = _cycle(10 ** 6, (b"A", T0, T1), (b"B", T1, T0))
+    assert _simulated_profit(finding, (pa, pb)) > 0
+    assert _simulated_profit(finding, (pa, pa)) < 0
 
 
 # --- metadata sidecar ---

@@ -74,6 +74,30 @@ def test_detect_and_validate(planted_arb_dataset):
         assert validate_arbitrage(f)
 
 
+def test_extract_swaps_is_a_position_ordered_list(planted_arb_dataset):
+    ds, _ = planted_arb_dataset
+    swaps = extract_swaps(ds)
+    assert isinstance(swaps, list) and swaps
+    positions = [s.position for s in swaps]
+    assert positions == sorted(positions)
+
+
+def test_detect_arbitrages_groups_interleaved_txs_in_first_seen_order():
+    t1, t2 = b"\x01" * 32, b"\x02" * 32
+    # t2's first swap comes first; t1's cycle is split by one of t2's swaps
+    swaps = [make_swap(B, C, 50, 60, V1, position=(1, 0, 0), tx_hash=t2),
+             make_swap(A, B, 100, 200, V1, position=(1, 1, 1), tx_hash=t1),
+             make_swap(C, B, 60, 55, V2, position=(1, 2, 2), tx_hash=t2),
+             make_swap(B, A, 200, 110, V2, position=(1, 3, 3), tx_hash=t1)]
+    found = detect_arbitrages(swaps)
+    assert [f.tx_hash for f in found] == [t2, t1]
+    assert [tuple(s.position for s in f.cycle) for f in found] == \
+        [((1, 0, 0), (1, 2, 2)), ((1, 1, 1), (1, 3, 3))]
+    for f in found:
+        alone = [s for s in swaps if s.tx_hash == f.tx_hash]
+        assert detect_arbitrages(alone) == [f]
+
+
 # --- profit accounting ---
 
 def _prices(rows):
@@ -207,6 +231,20 @@ def test_two_liquidations_one_finding():
         fb.log(addr(0xAA), topics, data)
     findings = detect_liquidations(fb.dataset().logs)
     assert len(findings) == 1 and len(findings[0].actions) == 2
+
+
+def test_finding_block_is_its_first_actions_block():
+    fb = FixtureBuilder(ETHEREUM, start_block=41)
+    fb.block()
+    fb.block()
+    fb.tx()
+    topics, data = enc_aave_v2v3_liquidation(A, B, addr(5), 2 * WEI, 3 * WEI, addr(6))
+    fb.log(addr(0xAA), topics, data)
+    (liquidation,) = detect_liquidations(fb.dataset().logs)
+    assert liquidation.block == liquidation.actions[0].position[0] == 42
+    (arbitrage,) = detect_arbitrages([make_swap(A, B, 100, 200, V1, position=(7, 0, 3)),
+                                      make_swap(B, A, 200, 110, V2, position=(8, 0, 0))])
+    assert arbitrage.block == 7
 
 
 # --- sandwiches ---

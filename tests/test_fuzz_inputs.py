@@ -445,6 +445,8 @@ NOT_LOADED = [
     (ARGV["bytecode cluster"], {"decoding", "detectors", "amm", "opportunity", "crosslayer"}),
     (REPORT_FINDINGS, {"detectors", "decoding", "registry", "amm", "opportunity",
                        "crosslayer", "bytecode"}),
+    (ARGV["crosslayer infer"], {"detectors", "opportunity", "bytecode"}),
+    (ARGV["crosslayer delay"], {"detectors", "opportunity", "bytecode"}),
 ]
 
 
@@ -581,7 +583,7 @@ def _bug(*args, **kwargs):
 
 
 def test_bug_in_opportunity_simulation_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr("mevlens.opportunity.simulate_path", _bug)
+    monkeypatch.setattr("mevlens.opportunity._swap_rule", _bug)
     with tempfile.TemporaryDirectory() as root:
         _write_inputs(root, valid_inputs())
         assert _run(root, OPPORTUNITY[0]) == 2

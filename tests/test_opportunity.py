@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mevlens import opportunity
-from mevlens.amm import PoolInfo, cp_pool, dump_pool_metadata, simulate_path
+from mevlens.amm import PoolInfo, cp_pool, dump_pool_metadata, stable_pool, swap_out
 from mevlens.chain_model import ETHEREUM, ChainDataset, EventLog, dump_fixture
 from mevlens.cli import main
 from mevlens.detectors import (ArbitrageFinding, LiquidationFinding, detect_arbitrages,
@@ -23,7 +23,7 @@ from mevlens.opportunity import (FOUND, NOT_FOUND, UNSIMULATABLE, StateProvider,
                                  find_liquidation_opportunity)
 from conftest import (TOKEN_A, TOKEN_B, TOKEN_C, VENUE_1, VENUE_2, VENUE_3, VENUE_4,
                       build_planted_arb_dataset, literal_opportunity, make_swap,
-                      oracle_updates, position_sorted_swaps)
+                      oracle_updates, replay_cycle)
 
 A, B = addr(0xA1), addr(0xB1)
 P1, P2 = addr(0xD1), addr(0xD2)
@@ -66,7 +66,7 @@ def plant_arb_scenario(distance):
 def test_planted_distances_exact():
     for d in (1, 5, 37, 99, 100):
         ds, provider, tx = plant_arb_scenario(d)
-        r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(ds), provider)
+        r = find_arbitrage_opportunity(_finding(), extract_swaps(ds), provider)
         assert r.status == FOUND
         assert r.block_distance == d
         assert r.opportunity_tx == tx
@@ -85,14 +85,14 @@ def test_planted_distance_zero_is_approximate_boundary():
     topics, data = enc_balancer_v1_swap(addr(0xEE), B, A, 10, 9)
     fb.log(P2, topics, data)
     ds = fb.dataset()
-    r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(ds), provider)
+    r = find_arbitrage_opportunity(_finding(), extract_swaps(ds), provider)
     assert r.status == FOUND and r.block_distance == 0
     assert r.opportunity_tx is None and r.approximate
 
 
 def test_planted_distance_101_not_found():
     ds, provider, _ = plant_arb_scenario(101)
-    r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(ds), provider)
+    r = find_arbitrage_opportunity(_finding(), extract_swaps(ds), provider)
     assert r.status == NOT_FOUND
 
 
@@ -103,14 +103,14 @@ def test_no_candidate_swaps_not_found():
     fb = FixtureBuilder(ETHEREUM, start_block=F)
     fb.block(number=F)
     fb.tx()
-    r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(fb.dataset()), provider)
+    r = find_arbitrage_opportunity(_finding(), extract_swaps(fb.dataset()), provider)
     assert r.status == NOT_FOUND
 
 
 def test_missing_pool_state_unsimulatable():
     ds, provider, _ = plant_arb_scenario(5)
     bare = StateProvider()  # no pool snapshots at all
-    r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(ds), bare)
+    r = find_arbitrage_opportunity(_finding(), extract_swaps(ds), bare)
     assert r.status == UNSIMULATABLE
 
 
@@ -401,7 +401,7 @@ def test_cli_stableswap_token_swap_opens_an_arbitrage(tmp_path):
 def test_not_found_status_names_the_horizon():
     # no candidate swap within 5 blocks
     ds, provider, _ = plant_arb_scenario(6)
-    r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(ds), provider, horizon=5)
+    r = find_arbitrage_opportunity(_finding(), extract_swaps(ds), provider, horizon=5)
     assert r.status == "not_found_within_5"
     # a candidate, but the cycle stays profitable past the horizon
     provider = StateProvider()
@@ -411,7 +411,7 @@ def test_not_found_status_names_the_horizon():
     fb.block(number=F - 2)
     fb.tx()
     fb.log(P2, *enc_balancer_v1_swap(addr(0xEE), B, A, 10 ** 5, 1008 * 10 ** 2))
-    r = find_arbitrage_opportunity(_finding(), position_sorted_swaps(fb.dataset()), provider,
+    r = find_arbitrage_opportunity(_finding(), extract_swaps(fb.dataset()), provider,
                                    horizon=5)
     assert r.status == "not_found_within_5"
     assert NOT_FOUND == "not_found_within_100"
@@ -463,14 +463,16 @@ def test_walk_simulates_each_distinct_state_set_once(monkeypatch):
                                                 fee_den=1))
     calls = []
 
-    def counting(pools, path, amount_in):
-        calls.append(amount_in)
-        return simulate_path(pools, path, amount_in)
+    simulated_profit = opportunity._simulated_profit
 
-    monkeypatch.setattr(opportunity, "simulate_path", counting)
-    swaps = position_sorted_swaps(ds)
+    def counting(finding, states):
+        calls.append(states)
+        return simulated_profit(finding, states)
+
+    monkeypatch.setattr(opportunity, "_simulated_profit", counting)
+    swaps = extract_swaps(ds)
     results, repeats = [], 0
-    for finding in detect_arbitrages(extract_swaps(ds)):
+    for finding in detect_arbitrages(swaps):
         expected, simulated = literal_opportunity(finding, ds, provider)
         calls.clear()
         assert find_arbitrage_opportunity(finding, swaps, provider) == expected
@@ -480,6 +482,27 @@ def test_walk_simulates_each_distinct_state_set_once(monkeypatch):
     assert repeats > 100
     assert {r.status for r in results} == {FOUND, UNSIMULATABLE, NOT_FOUND}
     assert any(r.block_distance for r in results) and any(r.approximate for r in results)
+
+
+def test_replay_carries_a_venue_to_its_second_hop():
+    """A cycle V1 -> V2 -> V1: its second V1 hop swaps on the reserves the
+    first left behind, as composed ``swap_out`` quotes do, not on the
+    snapshot's."""
+    c = addr(0xC1)
+    v1 = stable_pool([10 ** 9, 10 ** 9, 10 ** 9], tokens=(A, B, c))
+    v2 = cp_pool(10 ** 9, 11 * 10 ** 8, tokens=(B, c), fee_num=0, fee_den=1)
+    amount = 10 ** 8
+    q1 = swap_out(v1, A, B, amount)
+    q2 = swap_out(v2, B, c, q1.amount_out)
+    q3 = swap_out(q1.post_state, c, A, q2.amount_out)
+    cycle = (make_swap(A, B, amount, q1.amount_out, P1, position=(F, 0, 0)),
+             make_swap(B, c, q1.amount_out, q2.amount_out, P2, position=(F, 0, 1)),
+             make_swap(c, A, q2.amount_out, q3.amount_out, P1, position=(F, 0, 2)))
+    states = (v1, v2, v1)
+    assert replay_cycle(cycle, states, amount) == q3.amount_out
+    assert q3.amount_out != swap_out(v1, c, A, q2.amount_out).amount_out
+    finding = ArbitrageFinding(b"\x10" * 32, cycle, {})
+    assert opportunity._simulated_profit(finding, states) == q3.amount_out - amount
 
 
 # --- both walks against the literal window rescan ---
@@ -561,7 +584,7 @@ def test_walks_match_literal_window_rescan(finding_block, horizon, events, pool_
     ds = _walk_dataset(events)
     provider = _walk_provider(pool_snapshots, health, shortfall)
     arb = _finding(block=finding_block)
-    assert (find_arbitrage_opportunity(arb, position_sorted_swaps(ds, _WALK_POOLS), provider,
+    assert (find_arbitrage_opportunity(arb, extract_swaps(ds, _WALK_POOLS), provider,
                                        horizon)
             == literal_opportunity(arb, ds, provider, _WALK_POOLS, horizon)[0])
     liq = _liq_finding(protocol, block=finding_block)
@@ -575,7 +598,7 @@ def test_planted_walk_case_opens_on_the_repeated_tx_and_the_stableswap_swap():
     2, whose tx hash recurs, then the StableSwap swap. The first Chainlink
     update of block 3, of that tx hash too, opens the liquidation."""
     ds = _walk_dataset(_PLANTED)
-    swaps = position_sorted_swaps(ds, _WALK_POOLS)
+    swaps = extract_swaps(ds, _WALK_POOLS)
     health = [(0, Fraction(102, 100)), (3, Fraction(97, 100))]
     provider = _walk_provider(_TILTED, health, [])
     assert find_arbitrage_opportunity(_finding(block=4), swaps, provider) == \

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from mevlens.amm import PathHop, PoolInfo, SwapQuote, cp_pool
+from mevlens.amm import PoolInfo, SwapQuote, cp_pool
 from mevlens.bytecode import BytecodeRecord, Cluster
 from mevlens.amm import CONSTANT_PRODUCT, STABLESWAP, PoolState
 from mevlens.chain_model import (ARBITRUM, CHAINS, ETHEREUM, BlockRecord, ChainId, EventLog,
@@ -92,8 +92,6 @@ RECORDS = [
     (SwapQuote(3, 2, POOL),
      "SwapQuote(amount_in=3, amount_out=2, post_state=PoolState(kind='constant_product', "
      "tokens=(b'\\xaa', b'\\xbb'), reserves=(5, 7), fee_num=3, fee_den=1000, amp=200))"),
-    (PathHop(B, A, B),
-     "PathHop(pool_key=b'\\xbb', token_in=b'\\xaa', token_out=b'\\xbb')"),
     (PoolInfo(B, "constant_product", (A, B), 3, 1000),
      "PoolInfo(address=b'\\xbb', kind='constant_product', tokens=(b'\\xaa', b'\\xbb'), "
      "fee_num=3, fee_den=1000, amp=200)"),
