@@ -7,6 +7,8 @@ in embedded constants collapse to one digest.
 
 from __future__ import annotations
 
+import csv
+import re
 from typing import NamedTuple
 
 from .chain_model import ChainId, _chain, _json_line, _lines, _sidecar_hex, to_hex
@@ -16,8 +18,12 @@ from .errors import MalformedRecord
 from .keccak import keccak256, keccak256_many  # noqa: F401
 
 PUSH1 = 0x60
-PUSH32 = 0x7F
 DELEGATECALL = 0xF4
+# PUSH1..PUSH32, each with up to its operand width of following bytes: a
+# scan from the left matches exactly where a linear disassembly finds a
+# PUSH, and a truncated operand runs to the end; re.S lets "." take 0x0a
+_PUSH = re.compile(b"|".join(re.escape(bytes([PUSH1 + k])) + b".{0,%d}" % (k + 1)
+                             for k in range(32)), re.S)
 
 
 class BytecodeRecord(NamedTuple):
@@ -44,20 +50,8 @@ def strip_metadata(code: bytes) -> bytes:
 
 
 def _skeleton(code: bytes) -> bytes:
-    """Linear disassembly copying every non-PUSH byte; PUSH1..PUSH32 skip
-    the opcode plus its operand bytes (truncated operands skip to end)."""
-    body = strip_metadata(code)
-    out = bytearray()
-    i = 0
-    n = len(body)
-    while i < n:
-        op = body[i]
-        if PUSH1 <= op <= PUSH32:
-            i += 1 + (op - PUSH1 + 1)
-        else:
-            out.append(op)
-            i += 1
-    return bytes(out)
+    """The metadata-free code without its PUSH1..PUSH32 and their operands."""
+    return _PUSH.sub(b"", strip_metadata(code))
 
 
 class Cluster(NamedTuple):
@@ -97,6 +91,16 @@ def cluster(records) -> list:
         clusters.append(Cluster(digest=digest, members=tuple(members), chains=chains))
     clusters.sort(key=lambda c: (-c.size, c.digest))
     return clusters
+
+
+def write_clusters(clusters, path) -> None:
+    """One CSV row per cluster: digest, size, chains and members."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["digest", "size", "chains", "members"])
+        for c in clusters:
+            members = ";".join(f"{chain.name}:0x{address.hex()}" for chain, address in c.members)
+            writer.writerow(["0x" + c.digest.hex(), c.size, ";".join(c.chains), members])
 
 
 def load_bytecode_fixture(path) -> list:

@@ -39,6 +39,12 @@ def _directory(value):
     return value
 
 
+def _file(value):
+    if os.path.isdir(_path(value)):
+        raise argparse.ArgumentTypeError(f"{value!r} is a directory, not a file")
+    return value
+
+
 def _fixture_directory(value):
     return _directory(_path(value))
 
@@ -69,14 +75,14 @@ _L2_CHAIN_OPTIONS = (
     _CHAIN_OPTIONS[-1],
 )
 TYPE = ("--type", dict(dest="mev_type", choices=["arb", "liq"], default="arb", help=DEFAULT))
-PRICES = ("--prices", dict(dest="prices_file", type=_path, metavar="FILE"))
-POOLS = ("--pools", dict(dest="pools_file", type=_path, metavar="FILE"))
-SNAPSHOTS = ("--snapshots", dict(dest="snapshots_file", type=_path, required=True, metavar="FILE"))
-CONFIG = ("--config", dict(dest="config_file", type=_path, metavar="FILE"))
+PRICES = ("--prices", dict(dest="prices_file", type=_file, metavar="FILE"))
+POOLS = ("--pools", dict(dest="pools_file", type=_file, metavar="FILE"))
+SNAPSHOTS = ("--snapshots", dict(dest="snapshots_file", type=_file, required=True, metavar="FILE"))
+CONFIG = ("--config", dict(dest="config_file", type=_file, metavar="FILE"))
 WINDOW = ("--window", dict(type=_at_least_1, default=100, metavar="BLOCKS", help=DEFAULT))
 HORIZON = ("--horizon", dict(type=_at_least_1, default=100, metavar="BLOCKS", help=DEFAULT))
 OUT = ("--out", dict(dest="out_dir", default="out", type=_directory, metavar="DIR", help=DEFAULT))
-BYTECODE = ("--bytecode", dict(dest="bytecode_file", required=True, type=_path, metavar="FILE"))
+BYTECODE = ("--bytecode", dict(dest="bytecode_file", required=True, type=_file, metavar="FILE"))
 
 
 class Ctx(argparse.Namespace):
@@ -88,7 +94,7 @@ class Ctx(argparse.Namespace):
     def dataset(self, chain_name=None):
         name = chain_name or self.chain_name
         path = os.path.join(self.fixtures_dir, f"{name}.jsonl")
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise MevlensError(f"fixture not found: {path}")
         ds = load_fixture(path)
         # the records live until the command ends: keep the collector's
@@ -356,11 +362,11 @@ def crosslayer_simulate_cmd(ctx: Ctx):
 
 def bytecode_cluster_cmd(ctx: Ctx):
     """Cluster identical bytecode skeletons across chains."""
-    from . import bytecode, reporting
+    from . import bytecode
     records = bytecode.load_bytecode_fixture(ctx.bytecode_file)
     clusters = bytecode.cluster(records)
     path = os.path.join(ctx.ensure_out(), "bytecode_clusters.csv")
-    reporting.write_bytecode_clusters(clusters, path)
+    bytecode.write_clusters(clusters, path)
     print(f"{len(clusters)} clusters -> {path}")
 
 
@@ -369,6 +375,8 @@ def report_cmd(ctx: Ctx):
     from . import reporting
     findings = []
     for path in sorted(glob.glob(os.path.join(ctx.out_dir, "findings_*.jsonl"))):
+        if not os.path.isfile(path):
+            raise MevlensError(f"findings path is not a file: {path}")
         findings.extend(reporting.read_findings(path))
     prices = ctx.prices()
     paths = reporting.emit_report(findings, ctx.out_dir,

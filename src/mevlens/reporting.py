@@ -342,15 +342,3 @@ def write_attack_table(table, tiers, path) -> None:
             ])
     _write_csv(path, ["strategy", "capital_usd", "profitable_count", "total_usd",
                       "max_usd", "mean_usd", "median_usd", "min_usd"], rows)
-
-
-def write_bytecode_clusters(clusters, path) -> None:
-    rows = []
-    for c in clusters:
-        rows.append([
-            "0x" + c.digest.hex(),
-            c.size,
-            ";".join(c.chains),
-            ";".join(f"{chain.name}:0x{address.hex()}" for chain, address in c.members),
-        ])
-    _write_csv(path, ["digest", "size", "chains", "members"], rows)

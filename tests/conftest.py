@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 import pytest
 
 from mevlens.amm import swap_out
+from mevlens.bytecode import strip_metadata
 from mevlens.chain_model import (ARBITRUM, ETHEREUM, OPTIMISM, ZKSYNC, ChainId, EventLog,
                                  Layer, _log)
 from mevlens.decoding import (BridgeMessageAction, FlashLoanAction, LiquidationAction,
@@ -858,3 +859,21 @@ def literal_opportunity(finding, dataset, provider, pools=None, horizon=100):
         if block >= finding_block - horizon:
             last_open = block
     return OpportunityResult(f"not_found_within_{horizon}"), simulated
+
+
+# --- bytecode oracle: a byte-at-a-time linear disassembly ---
+
+def literal_skeleton(code: bytes) -> bytes:
+    """Copy every non-PUSH byte of the metadata-free code; PUSH1..PUSH32
+    skip the opcode plus its operand bytes (truncated operands skip to end)."""
+    body = strip_metadata(code)
+    out = bytearray()
+    i = 0
+    while i < len(body):
+        op = body[i]
+        if 0x60 <= op <= 0x7F:
+            i += 1 + (op - 0x5F)
+        else:
+            out.append(op)
+            i += 1
+    return bytes(out)

@@ -1,8 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import mevlens.bytecode
 from mevlens.bytecode import (BytecodeRecord, Cluster, DELEGATECALL, _skeleton, cluster,
@@ -12,7 +15,10 @@ from mevlens.cli import main
 from mevlens.errors import MalformedRecord
 from mevlens.fixtures import addr
 from mevlens.keccak import keccak256
+from conftest import literal_skeleton
 from test_keccak import reference_keccak256
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 # a small plausible runtime body: dispatcher-ish prologue, no DELEGATECALL
 BODY = bytes.fromhex(
@@ -98,6 +104,36 @@ def test_normalize_never_panics_and_skeleton_push_free(code):
 def test_truncated_push_operand():
     # PUSH32 with only 3 operand bytes left: swallowed to end of code
     assert _skeleton(b"\x01\x7f\xaa\xbb") == b"\x01"
+
+
+# the bytes where a skeleton can go wrong: a newline operand, PUSH0 (which
+# has no operand), every PUSH1..PUSH32 and DELEGATECALL
+EDGE_BYTE = st.one_of(st.sampled_from([0x0A, 0x5F, *range(0x60, 0x80), DELEGATECALL]),
+                      st.integers(0, 255))
+
+
+@st.composite
+def push_near_the_end(draw):
+    """Mostly edge bytes, with a PUSH whose operand may run past the end."""
+    head = draw(st.lists(EDGE_BYTE, max_size=64))
+    push = draw(st.integers(0x60, 0x7F))
+    tail = draw(st.lists(EDGE_BYTE, max_size=31))
+    return bytes(head + [push] + tail)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.binary(max_size=300), push_near_the_end()))
+def test_skeleton_matches_literal_disassembly(code):
+    assert _skeleton(code) == literal_skeleton(code)
+
+
+@pytest.mark.parametrize("code, skeleton", [
+    (b"\x60\x0a\x01", b"\x01"),         # a newline operand is an operand
+    (b"\x5f\x01", b"\x5f\x01"),         # PUSH0 is kept
+    (b"\x7f" + b"\x0a" * 31, b""),       # a truncated PUSH32 of newlines
+], ids=["newline_operand", "push0", "truncated_push32"])
+def test_skeleton_edge_cases(code, skeleton):
+    assert _skeleton(code) == literal_skeleton(code) == skeleton
 
 
 def test_exclusions_remove_exactly_planted_records():
@@ -280,3 +316,26 @@ def test_repeated_chain_and_address_rejected_whatever_its_spelling(tmp_path, cap
     err = capsys.readouterr().err
     assert f"{path}: line 4: ethereum address 0x{addr(1).hex()} already on line 1" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cluster_command_imports_no_reporting_and_writes_the_golden_csv(tmp_path):
+    """In a fresh interpreter, ``bytecode cluster`` loads neither the
+    reporting module nor what only it needs, and writes the same bytes as
+    the reporting writer it replaced (tests/data/bytecode_clusters.csv).
+    The corpus holds clones with fresh operands and metadata, newline
+    operands, PUSH0, a verified body, a proxy, DELEGATECALL inside an
+    operand, truncated PUSH32s and empty code."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mevlens.__file__)))
+    code = ("import sys\n"
+            "from mevlens.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(rc, *[m for m in ('mevlens.reporting', 'fractions', 'decimal', 'datetime')\n"
+            "            if m in sys.modules])\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "bytecode", "cluster",
+         "--bytecode", os.path.join(DATA, "bytecode_corpus.jsonl"), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0", (proc.stdout, proc.stderr)
+    with open(os.path.join(DATA, "bytecode_clusters.csv"), "rb") as fh:
+        golden = fh.read()
+    assert (tmp_path / "bytecode_clusters.csv").read_bytes() == golden

@@ -562,6 +562,35 @@ def test_usage_error_exits_1(argv, message, capsys):
     assert err.startswith("usage: mevlens"), err
 
 
+# each file option of each command, each fixture a --fixtures directory
+# holds and each findings file report reads from --out: given a directory
+# there, the command exits 1 naming it
+FILE_OPTIONS = {"--pools", "--prices", "--snapshots", "--config", "--bytecode"}
+DIRECTORY_AS_FILE = [(name, flag) for name, argv in ARGV.items()
+                     for flag in argv if flag in FILE_OPTIONS] + [
+    ("decode", "fixtures/ethereum.jsonl"), ("detect sandwich", "fixtures/arbitrum.jsonl"),
+    ("report", "out/findings_x.jsonl")]
+
+
+@pytest.mark.parametrize("command, target", DIRECTORY_AS_FILE,
+                         ids=[f"{c}: {t}" for c, t in DIRECTORY_AS_FILE])
+def test_directory_given_for_a_file_exits_1_naming_it(command, target, capsys):
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(root, valid_inputs())
+        argv = [a.format(root=root) for a in ARGV[command]]
+        if target in FILE_OPTIONS:
+            path = os.path.join(root, "a_directory")
+            argv[argv.index(target) + 1] = path
+        else:
+            path = os.path.join(root, target)
+            if os.path.exists(path):
+                os.remove(path)
+        os.makedirs(path)
+        assert main(argv) == 1, argv
+    err = capsys.readouterr().err
+    assert path in err and "internal error" not in err and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize("level", ["BASIC_FORMAT", "bogus", "", "5"])
 def test_unknown_log_level_exits_1(level, monkeypatch, capsys):
     """Only a level name is a level: not another attribute of ``logging``
