@@ -16,7 +16,7 @@ import re
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from operator import attrgetter, lt
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import DuplicateKey, InvalidRange, MalformedRecord, OrderingViolation
 
@@ -557,11 +557,3 @@ def logs_in_range(dataset: ChainDataset, from_block: int, to_block: int) -> list
     return logs[bisect_left(logs, from_block, key=_block_number):
                 bisect_right(logs, to_block, key=_block_number)]
 
-
-def group_logs_by_tx(logs: Sequence[EventLog]) -> "dict[bytes, list]":
-    """Group logs by tx hash preserving log order; dict preserves first-seen
-    tx order."""
-    grouped: dict = {}
-    for log in logs:
-        grouped.setdefault(log.tx_hash, []).append(log)
-    return grouped

@@ -93,10 +93,7 @@ class Ctx(argparse.Namespace):
 
     def dataset(self, chain_name=None):
         name = chain_name or self.chain_name
-        path = os.path.join(self.fixtures_dir, f"{name}.jsonl")
-        if not os.path.isfile(path):
-            raise MevlensError(f"fixture not found: {path}")
-        ds = load_fixture(path)
+        ds = load_fixture(os.path.join(self.fixtures_dir, f"{name}.jsonl"))
         # the records live until the command ends: keep the collector's
         # full passes from walking them again (``main`` thaws them)
         gc.freeze()
@@ -375,8 +372,6 @@ def report_cmd(ctx: Ctx):
     from . import reporting
     findings = []
     for path in sorted(glob.glob(os.path.join(ctx.out_dir, "findings_*.jsonl"))):
-        if not os.path.isfile(path):
-            raise MevlensError(f"findings path is not a file: {path}")
         findings.extend(reporting.read_findings(path))
     prices = ctx.prices()
     paths = reporting.emit_report(findings, ctx.out_dir,
@@ -450,7 +445,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 after printing a usage error
         return 1 if exc.code else 0
-    except MevlensError as exc:
+    except (MevlensError, OSError) as exc:
+        # every path the package opens comes from the command line
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

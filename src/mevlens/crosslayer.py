@@ -15,8 +15,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .amm import PoolState, _indices, _swap_rule, swap_out
 from .chain_model import (_DECIMAL_FRACTION, ChainDataset, ChainId, ZKSYNC, _decimal,
-                          _json_object, _whole, group_logs_by_tx)
-from .decoding import TransferAction, decode_logs
+                          _json_object, _log, _whole, to_hex)
+from .decoding import decode_logs
 from .errors import EmptyInput, Infeasible, InvalidScenario, MalformedRecord, MevlensError
 from .registry import Category
 from .reporting import WEI, month_of, summary_stats
@@ -130,57 +130,25 @@ def load_attack_config(path):
 
 # --- victim inference ---
 
-def _bridge_actions(dataset: ChainDataset):
-    """Bridge messages stamped with their block's timestamp (0 when the
-    block record is missing)."""
-    decoded = decode_logs(dataset.logs, (Category.L1_MESSAGE, Category.L2_MESSAGE))
+def _bridge_actions(dataset: ChainDataset, category: Category):
+    """The dataset's bridge messages of ``category`` (L1_MESSAGE: emissions,
+    L2_MESSAGE: executions), stamped with their block's timestamp (0 when
+    the block record is missing)."""
     return [action._replace(timestamp=dataset.block_timestamp(log.block_number) or 0)
-            for log, action in decoded]
-
-
-def _detect_l2_swap(tx_logs, pools_meta) -> Optional[tuple]:
-    """Swap pattern inside a linked L2 tx: two Transfer events from the same
-    token with sender/receiver swapped; a TokenSwap/V3 Swap event in the
-    same tx refines pool and amounts when present."""
-    transfers = []
-    dex_swap = None
-    for _, action in decode_logs(tx_logs, (Category.TRANSFER, Category.VICTIM_SWAP),
-                                 pools_meta):
-        if isinstance(action, TransferAction):
-            transfers.append(action)
-        elif dex_swap is None:
-            dex_swap = action
-    pair = None
-    for i, t1 in enumerate(transfers):
-        for t2 in transfers[i + 1:]:
-            if (t2.token == t1.token and t2.sender == t1.receiver
-                    and t2.receiver == t1.sender):
-                pair = (t1, t2)
-                break
-        if pair:
-            break
-    if pair is None:
-        return None
-    if dex_swap is not None:
-        return (dex_swap.token_in, dex_swap.token_out, dex_swap.amount_in,
-                dex_swap.venue)
-    t1, t2 = pair
-    # same-token roundtrip heuristic: pool is the first transfer's receiver
-    return (t1.token, t1.token, t1.amount, t1.receiver)
+            for log, action in decode_logs(dataset.logs, (category,))]
 
 
 def infer_victims(l1_dataset: ChainDataset, l2_dataset: ChainDataset, pools_meta=None):
-    """Join L1 bridge emissions with L2 executions, then scan linked L2 txs
-    for the swapped-transfer pattern.
+    """Join L1 bridge emissions with L2 executions; a linked L2 tx holding a
+    decoded victim swap (Uniswap V3 Swap, StableSwap TokenSwap) at a pool
+    in ``pools_meta`` is a candidate, taken from the tx's first such swap.
 
     Returns (candidates, links, diagnostics) where diagnostics lists
     unlinked message actions on both sides.
     """
-    l1_actions = [a for a in _bridge_actions(l1_dataset)
-                  if a.direction == "l1_emit"
-                  and (l2_dataset.chain is None or a.rollup == l2_dataset.chain)]
-    l2_actions = [a for a in _bridge_actions(l2_dataset)
-                  if a.direction == "l2_execute"]
+    l1_actions = [a for a in _bridge_actions(l1_dataset, Category.L1_MESSAGE)
+                  if l2_dataset.chain is None or a.rollup == l2_dataset.chain]
+    l2_actions = _bridge_actions(l2_dataset, Category.L2_MESSAGE)
 
     # zkSync executes under the same tx hash; synthesize the L2 side
     if l2_dataset.chain == ZKSYNC:
@@ -202,7 +170,9 @@ def infer_victims(l1_dataset: ChainDataset, l2_dataset: ChainDataset, pools_meta
     links, candidates = [], []
     matched_l2 = set()
     unlinked_l1 = []
-    l2_logs_by_tx = group_logs_by_tx(l2_dataset.logs)
+    swaps = {}
+    for _, swap in decode_logs(l2_dataset.logs, (Category.VICTIM_SWAP,), pools_meta):
+        swaps.setdefault(swap.tx_hash, swap)
 
     for a in l1_actions:
         partners = l2_by_key.get((a.rollup.name, a.link_key), [])
@@ -215,15 +185,11 @@ def infer_victims(l1_dataset: ChainDataset, l2_dataset: ChainDataset, pools_meta
                               link_key=a.link_key, l1_timestamp=a.timestamp,
                               l2_timestamp=b.timestamp, l2_block=b.position[0])
         links.append(link)
-        swap = _detect_l2_swap(l2_logs_by_tx.get(b.tx_hash, []), pools_meta)
-        if swap is None:
-            continue
-        token_in, token_out, amount_in, pool = swap
-        candidates.append(VictimCandidate(
-            link=link,
-            swap=VictimSwap(token_in=token_in, token_out=token_out, amount_in=amount_in),
-            pool=pool,
-        ))
+        swap = swaps.get(b.tx_hash)
+        if swap is not None:
+            candidates.append(VictimCandidate(
+                link=link, swap=VictimSwap(swap.token_in, swap.token_out, swap.amount_in),
+                pool=swap.venue))
 
     unlinked_l2 = [a for a in l2_actions if id(a) not in matched_l2]
     diagnostics = {"unlinked_l1": unlinked_l1, "unlinked_l2": unlinked_l2}
@@ -460,7 +426,8 @@ def capital_sweep(victim_scenarios, costs: CostModel,
         pool, swap = vs["pool_state"], vs["victim"].swap
         try:
             sizing = _VictimSizing(pool, swap)
-        except Infeasible:
+        except Infeasible as exc:
+            _log.debug("skipped victim at L2 tx %s: %s", to_hex(vs["victim"].link.l2_tx), exc)
             continue
         searched = {}   # frontrun bound -> (x, gross tokens)
         for tier in tiers_usd:

@@ -63,7 +63,8 @@ _ENTRIES = [
        _LIQ, "Liquidations", "Compound", "Redeem", "compound_redeem"),
     _e("e02f6383e19e87c24e0c03e2cd5dbd05156cb29a1b0f3dbca1fa3430e444f63d",
        _LIQ, "Liquidations", "Compound", "Redeem", "compound_redeem"),
-    # ERC-20 transfer (sandwich detection + victim inference)
+    # ERC-20 transfer: sandwich detection (the label is the paper's; victim
+    # inference reads the swap event alone)
     _e("ddf252ad1be2c89b69c2b068fc378daa952ba7f163c4a11628f55a4df523b3ef",
        [Category.TRANSFER], "Sandwiches/Victim Inference", "ERC-20", "Transfer",
        "erc20_transfer"),

@@ -309,8 +309,8 @@ def build_crosslayer_fixture():
 
     30 bridge interactions: 10 per rollup, of which 3 L1 emissions have no
     L2 execution and 2 L2 executions have no L1 emission; 9 of the 25
-    matched links carry the swapped-transfer victim pattern (4 Arbitrum,
-    4 Optimism, 1 zkSync).
+    matched links carry a victim swap of XL_TA for XL_TB at XL_POOL (4
+    Arbitrum, 4 Optimism, 1 zkSync).
     """
     from mevlens.chain_model import ARBITRUM, ETHEREUM, OPTIMISM, ZKSYNC
     from mevlens.fixtures import (FixtureBuilder, enc_inbox_message,
@@ -339,8 +339,8 @@ def build_crosslayer_fixture():
             fb.log(XL_TA, t, d)
             t, d = enc_token_swap(XL_VICTIM, 10 ** 4, 9900, 0, 1)
             fb.log(XL_POOL, t, d)
-            t, d = enc_transfer(XL_POOL, XL_VICTIM, 10 ** 4)
-            fb.log(XL_TA, t, d)
+            t, d = enc_transfer(XL_POOL, XL_VICTIM, 9900)
+            fb.log(XL_TB, t, d)
             swap_txs.append(tx)
         return tx
 
@@ -396,8 +396,8 @@ def build_crosslayer_fixture():
             fb.log(XL_TA, t, d)
             t, d = enc_token_swap(XL_VICTIM, 10 ** 4, 9900, 0, 1)
             fb.log(XL_POOL, t, d)
-            t, d = enc_transfer(XL_POOL, XL_VICTIM, 10 ** 4)
-            fb.log(XL_TA, t, d)
+            t, d = enc_transfer(XL_POOL, XL_VICTIM, 9900)
+            fb.log(XL_TB, t, d)
             swap_txs.append(l1_tx)
     l1.block()
     l1.tx()  # priority request whose hash has no L2 transaction
@@ -747,6 +747,22 @@ def literal_decode_logs(logs: Sequence[EventLog], categories, pools=None) -> lis
         if action is not None:
             decoded.append((log, action))
     return decoded
+
+
+def literal_victims(links, l2_logs: Sequence[EventLog], pools=None) -> list:
+    """The victim candidate of each link whose L2 tx holds a victim swap:
+    a linear rescan of ``l2_logs`` for that tx, whose first decoded
+    VICTIM_SWAP action names the tokens, the amount and the pool."""
+    from mevlens.crosslayer import VictimCandidate, VictimSwap
+    victims = []
+    for link in links:
+        tx_logs = [log for log in l2_logs if log.tx_hash == link.l2_tx]
+        decoded = literal_decode_logs(tx_logs, (Category.VICTIM_SWAP,), pools)
+        if decoded:
+            swap = decoded[0][1]
+            victims.append(VictimCandidate(
+                link, VictimSwap(swap.token_in, swap.token_out, swap.amount_in), swap.venue))
+    return victims
 
 
 def literal_decode(log: EventLog, entry, pools=None):

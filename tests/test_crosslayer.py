@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mevlens.amm import cp_pool, dump_pool_metadata, stable_pool, swap_out
-from mevlens.chain_model import ARBITRUM, dump_fixture
+from mevlens.amm import (STABLESWAP, PoolInfo, cp_pool, dump_pool_metadata, stable_pool,
+                         swap_out)
+from mevlens.chain_model import ARBITRUM, ETHEREUM, dump_fixture
 from mevlens.cli import main
 from mevlens.crosslayer import (CostModel, CrossLayerLink, DEFAULT_CAPITAL_TIERS_USD,
                                 DEFAULT_COSTS, DEFAULT_REACTION_TIME_S, S1, S2, S3,
@@ -19,8 +20,10 @@ from mevlens.amm import load_pool_metadata
 from mevlens.reporting import summary_stats
 from mevlens.errors import (EmptyInput, Infeasible, InvalidScenario, MalformedRecord,
                             MevlensError)
+from mevlens.fixtures import (FixtureBuilder, addr, enc_inbox_message, enc_redeem_scheduled,
+                              enc_token_swap, enc_transfer, enc_uniswap_v3_swap)
 from conftest import (XL_DELAYS, XL_POOL, XL_TA, XL_TB, build_crosslayer_fixture,
-                      build_victim_scenarios, xl_pools_meta)
+                      build_victim_scenarios, literal_victims, xl_pools_meta)
 from test_opportunity import malformed_snapshots, pool_row
 
 COSTS = CostModel(l1_tx_cost=Fraction(2, 1000), l2_tx_cost=Fraction(1, 10000),
@@ -178,6 +181,93 @@ def test_cli_infer_rows_carry_the_l2_block(tmp_path, rollup):
     for row in rows:
         tx = l2s[rollup].tx(bytes.fromhex(row["tx_hash"][2:]))
         assert row["block"] == tx.block_number > 0
+
+
+# --- victim inference: the decoded swap of each linked L2 tx ---
+
+XL_USER = addr(0x7E1)
+XL_TC = addr(0x7C3)
+XL_STABLE = addr(0x778)
+XL_UNLISTED = addr(0x779)   # a pool missing from --pools
+
+
+def _inference_pools():
+    return {**xl_pools_meta(),
+            XL_STABLE: PoolInfo(XL_STABLE, STABLESWAP, (XL_TA, XL_TB, XL_TC), 4, 10000, 200)}
+
+
+def _tx_logs(kind, *args):
+    """(address, topics, data) of one piece of a linked L2 tx."""
+    if kind == "v3":             # token A user -> pool, Swap, token B pool -> user
+        a0, a1 = args
+        return [(XL_TA, *enc_transfer(XL_USER, XL_POOL, abs(a0))),
+                (XL_POOL, *enc_uniswap_v3_swap(XL_USER, XL_USER, a0, a1)),
+                (XL_TB, *enc_transfer(XL_POOL, XL_USER, abs(a1)))]
+    if kind == "stable":
+        sold, bought, amount = args
+        return [(XL_STABLE, *enc_token_swap(XL_USER, amount, amount * 99 // 100, sold, bought))]
+    if kind == "unlisted":       # a V3 Swap at a pool without metadata
+        a0, a1 = args
+        return [(XL_UNLISTED, *enc_uniswap_v3_swap(XL_USER, XL_USER, a0, a1))]
+    if kind == "round_trip":     # one token out and back, no swap event
+        return [(XL_TA, *enc_transfer(XL_USER, XL_POOL, 10 ** 4)),
+                (XL_TA, *enc_transfer(XL_POOL, XL_USER, 10 ** 4))]
+    raise AssertionError(kind)
+
+
+def _linked_txs(txs):
+    """An L1 and an Arbitrum dataset with one bridge link per entry of
+    ``txs``, each L2 execution holding the logs of its pieces in order."""
+    l1 = FixtureBuilder(ETHEREUM, start_block=1000, start_timestamp=1_700_000_000)
+    l2 = FixtureBuilder(ARBITRUM, start_block=5000)
+    for msg, pieces in enumerate(txs, 1):
+        l1.block()
+        l1.tx()
+        l1.log(addr(0x1001), *enc_inbox_message(msg))
+        l2.block(timestamp=l1.timestamp + 60)
+        l2.tx()
+        l2.log(addr(0x1001), *enc_redeem_scheduled(msg))
+        for piece in pieces:
+            for address, topics, data in _tx_logs(*piece):
+                l2.log(address, topics, data)
+    return l1.dataset(), l2.dataset()
+
+
+_DELTA = st.integers(-10 ** 6, 10 ** 6)
+_PIECE = st.one_of(
+    st.tuples(st.just("v3"), _DELTA, _DELTA),
+    st.tuples(st.just("stable"), st.integers(0, 3), st.integers(0, 3), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("unlisted"), _DELTA, _DELTA),
+    st.just(("round_trip",)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(txs=st.lists(st.lists(_PIECE, max_size=3), min_size=1, max_size=6))
+def test_infer_victims_matches_literal_rescan(txs):
+    """Two-token V3 and StableSwap swaps, same-token round trips, swaps at
+    unlisted pools and several swaps per tx: each link's candidate is the
+    first victim swap a literal rescan of its tx decodes."""
+    l1, l2 = _linked_txs(txs)
+    pools = _inference_pools()
+    candidates, links, _ = infer_victims(l1, l2, pools)
+    assert len(links) == len(txs)
+    assert candidates == literal_victims(links, l2.logs, pools)
+    for c in candidates:
+        assert c.swap.token_in != c.swap.token_out
+
+
+def test_two_token_v3_swap_is_a_victim():
+    l1, l2 = _linked_txs([[("v3", 10 ** 4, -9900)]])
+    (victim,), _, _ = infer_victims(l1, l2, _inference_pools())
+    assert victim.pool == XL_POOL
+    assert victim.swap == VictimSwap(XL_TA, XL_TB, 10 ** 4)
+
+
+def test_same_token_round_trip_is_no_victim():
+    l1, l2 = _linked_txs([[("round_trip",)]])
+    candidates, links, _ = infer_victims(l1, l2, _inference_pools())
+    assert len(links) == 1 and candidates == []
 
 
 # --- delay statistics ---
@@ -621,6 +711,20 @@ def test_empty_sweep():
     for strategy in STRATEGIES:
         for tier in DEFAULT_CAPITAL_TIERS_USD:
             assert table[strategy][tier]["count"] == 0
+
+
+def test_capital_sweep_logs_the_victim_it_cannot_size(caplog):
+    """A victim whose floor is above its x = 0 quote counts in no cell, and
+    one DEBUG line names its L2 tx and the reason."""
+    victim = _victim(min_out=10 ** 7)
+    scenario = {"victim": victim, "pool_state": cp_pool(10 ** 6, 10 ** 6, tokens=(XL_TA, XL_TB)),
+                "token_in_price_eth": Fraction(10 ** 12), "eth_usd": Fraction(2000)}
+    with caplog.at_level(logging.DEBUG, logger="mevlens"):
+        table = capital_sweep([scenario], COSTS)
+    assert table == capital_sweep([], COSTS)
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [
+        f"skipped victim at L2 tx 0x{victim.link.l2_tx.hex()}: "
+        "victim slippage bound violated with no frontrun"]
 
 
 def test_load_attack_config(tmp_path):

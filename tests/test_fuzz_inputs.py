@@ -16,6 +16,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -586,6 +587,38 @@ def test_directory_given_for_a_file_exits_1_naming_it(command, target, capsys):
             if os.path.exists(path):
                 os.remove(path)
         os.makedirs(path)
+        assert main(argv) == 1, argv
+    err = capsys.readouterr().err
+    assert path in err and "internal error" not in err and "Traceback" not in err, err
+
+
+# each command that writes, and each --out it cannot write under: a path
+# below a regular file, a directory where an output file goes, and a
+# dangling symlink; the command exits 1 naming the path
+WRITERS = [name for name, argv in ARGV.items() if "--out" in argv]
+OUT_SHAPES = ("below_a_file", "output_name_is_a_directory", "dangling_symlink")
+
+
+@pytest.mark.parametrize("shape", OUT_SHAPES)
+@pytest.mark.parametrize("command", WRITERS)
+def test_out_it_cannot_write_exits_1_naming_it(command, shape, capsys):
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(root, valid_inputs())
+        argv = [a.format(root=root) for a in ARGV[command]]
+        at = argv.index("--out") + 1
+        if shape == "below_a_file":
+            path = os.path.join(root, "pools.json")
+            argv[at] = os.path.join(path, "out")
+        elif shape == "output_name_is_a_directory":
+            assert main(argv) == 0, argv
+            written = sorted(os.listdir(argv[at]))
+            shutil.rmtree(argv[at])
+            path = os.path.join(argv[at], written[0])
+            os.makedirs(path)
+        else:
+            path = argv[at] = os.path.join(root, "dangling")
+            os.symlink(os.path.join(root, "missing"), path)
+        capsys.readouterr()
         assert main(argv) == 1, argv
     err = capsys.readouterr().err
     assert path in err and "internal error" not in err and "Traceback" not in err, err

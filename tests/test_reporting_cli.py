@@ -7,13 +7,15 @@ from fractions import Fraction
 import pytest
 
 from mevlens import decoding
+from mevlens.amm import PoolInfo, dump_pool_metadata
 from mevlens.chain_model import (ARBITRUM, ETHEREUM, ChainDataset, EventLog, dump_fixture,
                                  load_fixture)
 from mevlens.cli import main
 from mevlens.errors import MalformedRecord
 from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
                               enc_balancer_v1_swap, enc_flashloan, enc_inbox_message,
-                              enc_redeem_scheduled, enc_transfer, word)
+                              enc_redeem_scheduled, enc_transfer, enc_uniswap_v3_swap,
+                              word)
 from mevlens.reporting import (fmt_fixed, month_of, p90, read_findings,
                                summary_stats, write_findings)
 from conftest import build_planted_arb_dataset
@@ -272,12 +274,20 @@ def test_cli_internal_error_exit_2(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+# the pool of the bridged L2 victim swap in ``_layout_fixtures``
+LAYOUT_POOL = addr(0x71)
+LAYOUT_POOLS = {LAYOUT_POOL: PoolInfo(LAYOUT_POOL, "constant_product", (addr(0x70), addr(0x75)),
+                                      3, 1000)}
+
+
 def _layout_fixtures(root, with_bad_logs):
     """Ethereum and Arbitrum fixtures with two arbitrages, a liquidation, a
-    flash loan, an L2 sandwich and one bridged L2 victim swap. With
+    flash loan, an L2 sandwich and one bridged L2 victim swap (token 0x70
+    in, a Uniswap V3 Swap at ``LAYOUT_POOL``, token 0x75 out). With
     ``with_bad_logs``, one log per kind that does not match its event
-    layout is added at the end of its tx: an Aave V2 FlashLoan and a
-    LiquidationCall each missing a topic, and a 4-topic (ERC-721) Transfer."""
+    layout is added at the end of its tx: an Aave V2 FlashLoan, a
+    LiquidationCall and a Uniswap V3 Swap each missing a topic, and a
+    4-topic (ERC-721) Transfer."""
     t_a, t_b = addr(0xA1), addr(0xB1)
     l1 = FixtureBuilder(ETHEREUM)
     for _ in range(2):
@@ -295,7 +305,7 @@ def _layout_fixtures(root, with_bad_logs):
     l1.tx()
     l1.log(addr(0x1B), *enc_inbox_message(7))
 
-    token, pool, attacker, victim = addr(0x70), addr(0x71), addr(0x72), addr(0x74)
+    token, pool, attacker, victim = addr(0x70), LAYOUT_POOL, addr(0x72), addr(0x74)
     l2 = FixtureBuilder(ARBITRUM, start_timestamp=1_600_000_100)
     l2.block()
     for sender, receiver, amount in ((pool, attacker, 100), (pool, addr(0x73), 50),
@@ -306,7 +316,8 @@ def _layout_fixtures(root, with_bad_logs):
     l2.tx()
     l2.log(addr(0x1C), *enc_redeem_scheduled(7))
     l2.log(token, *enc_transfer(victim, pool, 10))
-    l2.log(token, *enc_transfer(pool, victim, 9))
+    l2.log(pool, *enc_uniswap_v3_swap(victim, victim, 10, -9))
+    l2.log(addr(0x75), *enc_transfer(pool, victim, 9))
     l1_ds, l2_ds = l1.dataset(), l2.dataset()
 
     if with_bad_logs:
@@ -319,8 +330,12 @@ def _layout_fixtures(root, with_bad_logs):
         bad(l1_ds, 1, 0, topics[:3], data)            # inside the first arbitrage
         topics, data = enc_aave_v2v3_liquidation(t_a, t_b, addr(0xB0), 5, 6, addr(0xC0))
         bad(l1_ds, 3, 2, topics[:3], data)
+        # both inside the linked L2 tx: detect sandwich reads the Transfer,
+        # crosslayer infer the Swap
         topics, _ = enc_transfer(pool, victim, 0)
-        bad(l2_ds, 2, 0, topics + [word(1)], b"")     # inside the linked L2 tx
+        bad(l2_ds, 2, 0, topics + [word(1)], b"")
+        topics, data = enc_uniswap_v3_swap(victim, victim, 10, -9)
+        bad(l2_ds, 2, 0, topics[:2], data)
     root.mkdir()
     dump_fixture(l1_ds, root / "ethereum.jsonl")
     dump_fixture(l2_ds, root / "arbitrum.jsonl")
@@ -333,13 +348,16 @@ def test_cli_skips_logs_that_break_their_layout(tmp_path, caplog):
     clean, dirty = tmp_path / "clean", tmp_path / "dirty"
     _layout_fixtures(clean, with_bad_logs=False)
     _layout_fixtures(dirty, with_bad_logs=True)
+    pools = tmp_path / "pools.json"
+    dump_pool_metadata(LAYOUT_POOLS, pools)
     caplog.set_level(logging.DEBUG, logger="mevlens")
     commands = (
         (["detect", "arb"], "findings_arb.jsonl", 2),
         (["detect", "liq"], "findings_liq.jsonl", 1),
         (["detect", "flashloan"], "findings_flashloan.jsonl", 1),
         (["detect", "sandwich", "--chain", "arbitrum"], "findings_sandwich.jsonl", 1),
-        (["crosslayer", "infer", "--chain", "arbitrum"], "victims.jsonl", 1),
+        (["crosslayer", "infer", "--chain", "arbitrum", "--pools", str(pools)],
+         "victims.jsonl", 1),
     )
     for argv, output, n_findings in commands:
         blobs = []
@@ -355,6 +373,10 @@ def test_cli_skips_logs_that_break_their_layout(tmp_path, caplog):
             blobs.append((out / output).read_bytes())
         assert blobs[0] == blobs[1], argv
         assert len(blobs[0].splitlines()) == n_findings, argv
+    # the victim is the decoded two-token swap
+    victim = json.loads((clean / "out" / "victims.jsonl").read_text())
+    assert (victim["pool"], victim["token_in"], victim["token_out"], victim["amount_in"]) == (
+        f"0x{LAYOUT_POOL.hex()}", f"0x{addr(0x70).hex()}", f"0x{addr(0x75).hex()}", "10")
 
 
 def test_info_log_says_what_the_loader_read(tmp_path):
