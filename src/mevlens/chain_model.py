@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import gc
 import json
-import logging
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from operator import attrgetter, lt
@@ -20,7 +20,23 @@ from typing import NamedTuple, Optional
 
 from .errors import DuplicateKey, InvalidRange, MalformedRecord, OrderingViolation
 
-_log = logging.getLogger("mevlens")
+
+class _Log:
+    """The ``mevlens`` logger's ``debug`` and ``info``, the levels mevlens
+    logs at, without importing ``logging``: until something imports it
+    (``cli`` when MEVLENS_LOG is set, or a host program) no handler
+    exists to take a record. A record names the caller's line."""
+
+    def debug(self, *args, **kwargs):
+        if "logging" in sys.modules:
+            sys.modules["logging"].getLogger("mevlens").debug(*args, stacklevel=2, **kwargs)
+
+    def info(self, *args, **kwargs):
+        if "logging" in sys.modules:
+            sys.modules["logging"].getLogger("mevlens").info(*args, stacklevel=2, **kwargs)
+
+
+_log = _Log()
 
 
 class Layer(Enum):

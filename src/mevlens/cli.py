@@ -4,25 +4,28 @@ from __future__ import annotations
 
 import argparse
 import gc
-import glob
-import logging
 import os
 import sys
 
 # Each command imports the modules it runs, so a process compiles and
 # loads only those: the chain model is all that every chain command shares.
-from .chain_model import CHAINS, ETHEREUM, Layer, load_fixture, logs_in_range, to_hex
+from .chain_model import (CHAINS, ETHEREUM, Layer, _log as log, load_fixture, logs_in_range,
+                          to_hex)
 from .errors import MevlensError
 
-log = logging.getLogger("mevlens")
 LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _setup_logging():
-    level = os.environ.get("MEVLENS_LOG", "WARNING")
+    """Configure logging when MEVLENS_LOG names a level. Unset, it is not
+    imported: mevlens logs nothing above INFO, so no record would print."""
+    level = os.environ.get("MEVLENS_LOG")
+    if level is None:
+        return
     if level.upper() not in LEVELS:
         raise MevlensError(f"MEVLENS_LOG: unknown level {level!r}, "
                            f"expected one of {', '.join(LEVELS)}")
+    import logging
     logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -369,6 +372,8 @@ def bytecode_cluster_cmd(ctx: Ctx):
 
 def report_cmd(ctx: Ctx):
     """Summarize all findings_*.jsonl files in the output directory."""
+    import glob
+
     from . import reporting
     findings = []
     for path in sorted(glob.glob(os.path.join(ctx.out_dir, "findings_*.jsonl"))):

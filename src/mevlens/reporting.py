@@ -7,10 +7,10 @@ clock anywhere.
 
 from __future__ import annotations
 
-import csv
+# csv and datetime are imported where they are used: the detectors import
+# this module for its prices, and most commands write no CSV or month
 import json
 import math
-from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -49,6 +49,7 @@ class PriceProvider:
         the file and line for a short row, a token that is neither hex nor
         ETHUSD, a day that is not a non-negative integer, or a price that
         is not a positive decimal."""
+        import csv
         rows = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -97,6 +98,7 @@ def fmt_fixed(value: Optional[Fraction], places: int = FIXED_PLACES) -> Optional
 
 
 def month_of(timestamp: int) -> str:
+    from datetime import datetime, timezone
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime("%Y-%m")
 
 
@@ -243,6 +245,7 @@ def _finding(obj: dict) -> dict:
 # --- summary CSV tables ---
 
 def _write_csv(path, header, rows):
+    import csv
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -438,8 +438,9 @@ def test_window_and_horizon_below_1_exit_1(option, commands, capsys):
 # the mevlens modules a command must not load: those of the other commands;
 # and, as mevlens has no runtime dependency, no module outside the standard
 # library. No command loads the dataclass machinery or the introspection
-# it imports: the records are NamedTuples.
-NEVER_LOADED = ["dataclasses", "inspect"]
+# it imports: the records are NamedTuples. Nor does one load logging unless
+# MEVLENS_LOG is set: until then no handler exists to print a record.
+NEVER_LOADED = ["dataclasses", "inspect", "logging"]
 NOT_LOADED = [
     (ARGV["detect arb"], {"crosslayer", "bytecode", "keccak", "opportunity"}),
     (ARGV["decode"], {"amm", "opportunity", "crosslayer", "bytecode"}),
@@ -449,6 +450,15 @@ NOT_LOADED = [
     (ARGV["crosslayer infer"], {"detectors", "opportunity", "bytecode"}),
     (ARGV["crosslayer delay"], {"detectors", "opportunity", "bytecode"}),
 ]
+# the standard-library modules only some commands use, and those commands:
+# report globs the findings, and report and crosslayer delay render months
+LOADED_ONLY_UNDER = {"glob": {"report"}, "datetime": {"report", "crosslayer delay"}}
+# the commands that neither read prices nor write a CSV
+NO_CSV = {"decode", "detect flashloan", "detect sandwich", "crosslayer infer", "compete"}
+
+
+def _command(argv):
+    return " ".join(a for a in argv[:2] if not a.startswith("-"))
 
 
 def test_commands_load_only_the_modules_they_run():
@@ -456,6 +466,8 @@ def test_commands_load_only_the_modules_they_run():
     src = os.path.dirname(os.path.dirname(os.path.abspath(mevlens.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env.pop("MEVLENS_LOG", None)
+    watched = sorted(LOADED_ONLY_UNDER) + ["csv"]
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "from mevlens.cli import main\n"
@@ -463,23 +475,37 @@ def test_commands_load_only_the_modules_they_run():
             "print(rc, *sorted(m for m in sys.modules if m.startswith('mevlens.')))\n"
             "print('outside:', *sorted({m.partition('.')[0] for m in set(sys.modules) - before}\n"
             "                          - set(sys.stdlib_module_names) - {'mevlens'}))\n"
-            f"print('never:', *[m for m in {NEVER_LOADED!r} if m in sys.modules])\n")
+            f"print('never:', *[m for m in {NEVER_LOADED!r} if m in sys.modules])\n"
+            f"print(*[m for m in {watched!r} if m in set(sys.modules) - before])\n")
+
+    def run(argv, env):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *(a.format(root=root) for a in argv)],
+            capture_output=True, text=True, env=env, timeout=120)
+        modules, outside, never, stdlib = proc.stdout.splitlines()[-4:]
+        rc, *loaded = modules.split()
+        assert rc == "0", (argv, proc.stderr)
+        assert outside == "outside:", (argv, outside)
+        return {m.removeprefix("mevlens.") for m in loaded}, never, set(stdlib.split())
+
     # every command, in ARGV's order, so that report reads what detect wrote
     runs = {tuple(argv): set() for argv in ARGV.values()}
     runs.update((tuple(argv), absent) for argv, absent in NOT_LOADED)
     with tempfile.TemporaryDirectory() as root:
         _write_inputs(root, valid_inputs())
         for argv, absent in runs.items():
-            proc = subprocess.run(
-                [sys.executable, "-c", code, *(a.format(root=root) for a in argv)],
-                capture_output=True, text=True, env=env, timeout=120)
-            modules, outside, never = proc.stdout.splitlines()[-3:]
-            rc, *loaded = modules.split()
-            assert rc == "0", (argv, proc.stderr)
-            assert "mevlens.chain_model" in loaded, argv
-            assert not absent & {m.removeprefix("mevlens.") for m in loaded}, argv
-            assert outside == "outside:", (argv, outside)
+            loaded, never, stdlib = run(argv, env)
+            command = _command(argv)
+            assert "chain_model" in loaded, argv
+            assert not absent & loaded, argv
             assert never == "never:", (argv, never)
+            for module, commands in LOADED_ONLY_UNDER.items():
+                assert (module in stdlib) == (command in commands), (argv, module)
+            assert command not in NO_CSV or "csv" not in stdlib, argv
+        # a set level loads logging, and with it only what the command runs
+        loaded, never, _ = run(ARGV["decode"], dict(env, MEVLENS_LOG="INFO"))
+        assert never == "never: logging", never
+        assert loaded == run(ARGV["decode"], env)[0]
 
 
 _CHAIN = {"--chain", "--from-block", "--to-block", "--fixtures"}
@@ -587,6 +613,53 @@ def test_directory_given_for_a_file_exits_1_naming_it(command, target, capsys):
             if os.path.exists(path):
                 os.remove(path)
         os.makedirs(path)
+        assert main(argv) == 1, argv
+    err = capsys.readouterr().err
+    assert path in err and "internal error" not in err and "Traceback" not in err, err
+
+
+# every input path of every command, in each shape it can take but the
+# directory for a file above: missing, a regular file where --fixtures
+# wants a directory, below a regular file, a dangling symlink and a symlink
+# to itself; the command exits 1 naming the path. The fixture files a
+# --fixtures directory holds and the findings report globs from --out are
+# named by the directory, so below_a_file and a file for --fixtures do not
+# apply to them; report skips a missing findings file, as no name matches.
+FILE_SHAPES = ("missing", "below_a_file", "dangling_symlink", "symlink_loop")
+PATH_SHAPES = (
+    [(name, "--fixtures", shape) for name, argv in ARGV.items() if "--fixtures" in argv
+     for shape in FILE_SHAPES + ("file_for_directory",)]
+    + [(name, flag, shape) for name, flag in DIRECTORY_AS_FILE if flag in FILE_OPTIONS
+       for shape in FILE_SHAPES]
+    + [(name, target, shape) for name, target in (
+        ("decode", "fixtures/ethereum.jsonl"), ("detect sandwich", "fixtures/arbitrum.jsonl"),
+        ("crosslayer infer", "fixtures/ethereum.jsonl"),
+        ("crosslayer infer", "fixtures/arbitrum.jsonl"))
+       for shape in ("missing", "dangling_symlink", "symlink_loop")]
+    + [("report", "out/findings_x.jsonl", shape)
+       for shape in ("dangling_symlink", "symlink_loop")])
+
+
+@pytest.mark.parametrize("command, target, shape", PATH_SHAPES,
+                         ids=[f"{c}: {t}: {s}" for c, t, s in PATH_SHAPES])
+def test_input_path_shapes_exit_1_naming_the_path(command, target, shape, capsys):
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(root, valid_inputs())
+        argv = [a.format(root=root) for a in ARGV[command]]
+        if target.startswith("--"):
+            path = {"below_a_file": os.path.join(root, "pools.json", "x"),
+                    "file_for_directory": os.path.join(root, "pools.json")}.get(
+                shape, os.path.join(root, "shaped"))
+            argv[argv.index(target) + 1] = path
+        else:
+            path = os.path.join(root, target)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            if os.path.exists(path):
+                os.remove(path)
+        if shape == "dangling_symlink":
+            os.symlink(os.path.join(root, "missing"), path)
+        elif shape == "symlink_loop":
+            os.symlink(path, path)
         assert main(argv) == 1, argv
     err = capsys.readouterr().err
     assert path in err and "internal error" not in err and "Traceback" not in err, err

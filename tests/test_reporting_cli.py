@@ -379,30 +379,36 @@ def test_cli_skips_logs_that_break_their_layout(tmp_path, caplog):
         f"0x{LAYOUT_POOL.hex()}", f"0x{addr(0x70).hex()}", f"0x{addr(0x75).hex()}", "10")
 
 
+def _fresh_process(argv, level, code=None):
+    """``python -m mevlens.cli`` (or ``-c code``) run with ``argv`` in a
+    fresh interpreter, with MEVLENS_LOG set to ``level`` (None: unset)."""
+    import subprocess
+    import sys
+    import mevlens
+    env = {k: v for k, v in os.environ.items() if k != "MEVLENS_LOG"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(mevlens.__file__)))
+    if level is not None:
+        env["MEVLENS_LOG"] = level
+    run = ["-m", "mevlens.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *run, *argv], capture_output=True, text=True,
+                          timeout=120, env=env)
+
+
 def test_info_log_says_what_the_loader_read(tmp_path):
     """MEVLENS_LOG=INFO logs one line per loaded fixture, with its counts
     and the lines that took the json path; the default level logs nothing,
     and the findings are byte-identical either way."""
-    import subprocess
-    import sys
-    import mevlens
     fixtures, prices, _ = _demo_dir(tmp_path)
     path = fixtures / "ethereum.jsonl"
     lines = path.read_text().splitlines()
     lines[0] = json.dumps(json.loads(lines[0]), sort_keys=True)  # one line off the layout
     path.write_text("".join(line + "\n" for line in lines))
     ds = load_fixture(path)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mevlens.__file__)))
-    env = {k: v for k, v in os.environ.items() if k != "MEVLENS_LOG"}
-    env["PYTHONPATH"] = src
     runs = []
     for level in (None, "INFO"):
         out = tmp_path / f"out_{level}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "mevlens.cli", "detect", "arb", "--fixtures", str(fixtures),
-             "--prices", str(prices), "--out", str(out)],
-            capture_output=True, text=True, timeout=120,
-            env=env if level is None else dict(env, MEVLENS_LOG=level))
+        proc = _fresh_process(["detect", "arb", "--fixtures", str(fixtures),
+                               "--prices", str(prices), "--out", str(out)], level)
         assert proc.returncode == 0, proc.stderr
         runs.append((proc.stderr, (out / "findings_arb.jsonl").read_bytes()))
     (quiet, findings), (info, info_findings) = runs
@@ -410,3 +416,87 @@ def test_info_log_says_what_the_loader_read(tmp_path):
     assert info == (f"INFO mevlens: loaded {path}: {len(ds.blocks)} blocks, {len(ds.txs)} txs, "
                     f"{len(ds.logs)} logs; json-path lines: 1\n")
     assert findings == info_findings and findings
+
+
+def _one_broken_log(tmp_path):
+    """detect arb's arguments on the planted arbitrages, whose first swap
+    log is short of a topic, and the fixture's path."""
+    fixtures, prices, _ = _demo_dir(tmp_path)
+    path = fixtures / "ethereum.jsonl"
+    lines = path.read_text().splitlines()
+    n = next(i for i, text in enumerate(lines) if json.loads(text)["kind"] == "log")
+    record = json.loads(lines[n])
+    record["topics"].pop()
+    lines[n] = json.dumps(record, separators=(",", ":"))
+    path.write_text("".join(line + "\n" for line in lines))
+    return ["detect", "arb", "--fixtures", str(fixtures), "--prices", str(prices),
+            "--out", str(tmp_path / "out")], path
+
+
+def test_debug_lines_of_a_fresh_process(tmp_path):
+    """A command that imports logging only when MEVLENS_LOG is set prints,
+    at DEBUG, the loader's INFO line and the skip line it printed when
+    every process imported logging, byte for byte; unset, nothing."""
+    argv, path = _one_broken_log(tmp_path)
+    debug = _fresh_process(argv, "DEBUG")
+    assert debug.returncode == 0, debug.stderr
+    assert debug.stderr == (
+        f"INFO mevlens: loaded {path}: 29 blocks, 29 txs, 67 logs; json-path lines: 0\n"
+        "DEBUG mevlens: skipped LOG_SWAP log at (1, 0, 0): LOG_SWAP expects 4 topics\n")
+    quiet = _fresh_process(argv, None)
+    assert (quiet.returncode, quiet.stderr, quiet.stdout) == (0, "", debug.stdout)
+
+
+def test_bug_prints_its_traceback_only_at_debug(tmp_path):
+    """A bug planted in a fresh process exits 2; MEVLENS_LOG=DEBUG adds its
+    traceback before the one line printed at every level."""
+    argv, _ = _one_broken_log(tmp_path)
+    code = ("import sys\nimport mevlens.detectors\n"
+            "def planted(*args):\n    raise ValueError('planted bug')\n"
+            "mevlens.detectors.detect_arbitrages = planted\n"
+            "from mevlens.cli import main\nsys.exit(main(sys.argv[1:]))\n")
+    quiet = _fresh_process(argv, None, code)
+    assert (quiet.returncode, quiet.stderr) == (2, "internal error: ValueError: planted bug\n")
+    debug = _fresh_process(argv, "DEBUG", code)
+    assert debug.returncode == 2
+    head, _, trace = debug.stderr.partition(
+        "DEBUG mevlens: internal error\nTraceback (most recent call last):\n")
+    assert head.startswith("INFO mevlens: loaded ") and "skipped LOG_SWAP" in head, head
+    assert 'line 4, in planted\n' in trace, trace
+    assert trace.endswith("ValueError: planted bug\ninternal error: ValueError: planted bug\n")
+
+
+def test_records_reach_a_handler_on_the_mevlens_logger(tmp_path):
+    """A host that configures logging gets mevlens's records as the
+    ``mevlens`` logger made them: level, name, message, arguments,
+    exception and the line that logged. mevlens logs only at DEBUG and
+    INFO, so a higher level is no method."""
+    from mevlens.chain_model import _log
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("mevlens")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        _log.info("loaded %s: %d blocks", "x.jsonl", 3)
+        try:
+            raise ValueError("boom")
+        except ValueError:
+            _log.debug("internal error", exc_info=True)
+        argv, _ = _one_broken_log(tmp_path)
+        assert main(argv) == 0
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert [(r.levelname, r.name, r.msg, r.args) for r in records[:2]] == [
+        ("INFO", "mevlens", "loaded %s: %d blocks", ("x.jsonl", 3)),
+        ("DEBUG", "mevlens", "internal error", ())]
+    assert records[1].exc_info[0] is ValueError
+    assert {(r.module, r.funcName) for r in records} == {
+        ("test_reporting_cli", "test_records_reach_a_handler_on_the_mevlens_logger"),
+        ("chain_model", "load_fixture"), ("decoding", "_decode_or_skip")}
+    assert [r.levelname for r in records[2:]] == ["INFO", "DEBUG"]
+    with pytest.raises(AttributeError):
+        _log.warning("no such level")
