@@ -32,7 +32,9 @@ def _setup_logging():
 # the checks on an option's value; each failure is a usage error
 def _path(value):
     if not os.path.exists(value):
-        raise argparse.ArgumentTypeError(f"path {value!r} does not exist")
+        # a link whose target is missing or leads back to itself: the name exists
+        what = "is a broken or looping symlink" if os.path.lexists(value) else "does not exist"
+        raise argparse.ArgumentTypeError(f"path {value!r} {what}")
     return value
 
 

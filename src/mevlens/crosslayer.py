@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .amm import PoolState, _indices, _swap_rule, swap_out
+from .amm import CONSTANT_PRODUCT, PoolState, _indices, _swap_rule, swap_out
 from .chain_model import (_DECIMAL_FRACTION, ChainDataset, ChainId, ZKSYNC, _decimal,
                           _json_object, _log, _whole, to_hex)
 from .decoding import decode_logs
@@ -305,11 +305,95 @@ def _max_input_within_slippage(pool: PoolState, victim: VictimSwap, plan=None) -
     return lo
 
 
+def _floor_free_gain(pool: PoolState, victim: VictimSwap):
+    """G(x), the sandwich gain of frontrun x on a constant-product pool in
+    exact rationals with no floor division, as ``gain(x) -> (num, den)``
+    with den > 0; None on a StableSwap pool, or on one listing its token
+    twice, whose backrun does not reverse the frontrun.
+
+    With a the victim's input reserve, v its amount, g = k/d the share of
+    an input kept after the fee and s = a + x, the output reserve cancels:
+    G(x) = (s + v) g^2 x (s + g v) / (a s + g^2 x (s + g v)) - x.
+
+    G caps the integer gain, ``plan(x)[0] <= G(x)``: each floor lowers
+    an output or an input kept, and the backrun pays less when the
+    frontrun bought less or the victim's output left more in the pool.
+
+    G is unimodal: G'(x) has the sign of q0 + q1 x + q2 x^2, where q2 > 0
+    (g^2 v > a (1 + g)) forces q1 > 0 (g^2 (a + v) > a), which forces
+    q0 > 0. The coefficients change sign at most once, from + to -, so
+    by Descartes' rule G rises, then falls."""
+    if pool.kind != CONSTANT_PRODUCT or pool.tokens[0] == pool.tokens[1]:
+        return None
+    a, v = pool.reserves[pool.index_of(victim.token_in)], victim.amount_in
+    d = pool.fee_den
+    k = d - pool.fee_num
+    kk, ad3 = k * k, a * d ** 3
+
+    def gain(x):
+        # the fraction above with numerator and denominator times d^3
+        s = a + x
+        q = kk * x * (d * s + k * v)
+        den = ad3 * s + q
+        return (s + v) * q - x * den, den
+    return gain
+
+
+def _first(pred, lo: int, hi: int) -> int:
+    """The least x in (lo, hi] where ``pred`` holds, given that it is
+    false, then true, on that range; hi when none before it does. Neither
+    end is tested. Gallops down from hi, then bisects, so an answer near
+    hi costs few calls."""
+    step = 1
+    while hi - step > lo and pred(hi - step):
+        hi -= step
+        step *= 2
+    lo = max(lo, hi - step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _window(gain, x_max: int, g):
+    """The sizes in [1, x_max] that the integer optimum can take, as
+    (lo, hi), given G = ``gain`` and the integer gain ``g``; lo > hi when
+    no size beats x = 0.
+
+    G is unimodal, so p, its first integer maximum on [0, x_max], is the
+    first x where G(x + 1) < G(x), or x_max. A size beats x = 0 only with
+    g >= 1, and the first maximum only with g >= g(p); since g <= G, every
+    candidate lies where G >= t = max(g(p), 1), an interval around p.
+    Its ends are found on G alone, galloping down from p to the left end
+    and from x_max to the right one (none to search when p = x_max)."""
+    def falls(x):
+        n0, d0 = gain(x)
+        n1, d1 = gain(x + 1)
+        return n1 * d0 < n0 * d1
+
+    if falls(0):
+        return 1, 0     # p = 0, and no size reaches G(0) + 1 = 1
+    p = _first(falls, 0, x_max)
+    t = max(g(p), 1)
+
+    def holds(x):
+        num, den = gain(x)
+        return num >= t * den
+
+    if not holds(p):
+        return 1, 0
+    return _first(holds, 0, p), _first(lambda x: not holds(x), p, x_max + 1) - 1
+
+
 class _VictimSizing:
     """What sizing one victim's frontrun needs that no capital bound
     changes: the victim with its slippage floor, its ``_sandwich_plan``,
     the largest frontrun that keeps the victim within the floor
-    (``x_slip``), and the x -> plan(x) cache. Raises Infeasible when the
+    (``x_slip``), the floor-free gain G on a constant-product pool (None
+    otherwise) and the x -> plan(x) cache. Raises Infeasible when the
     victim trade cannot execute or its floor is violated with no
     frontrun."""
 
@@ -324,6 +408,7 @@ class _VictimSizing:
             victim = victim._replace(min_amount_out=min_out, assumed_slippage=True)
         self.victim = victim
         self.x_slip = _max_input_within_slippage(pool, victim, self.plan)
+        self.gain = _floor_free_gain(pool, victim)
         self.sandwiches: dict = {}
 
 
@@ -331,16 +416,25 @@ def optimal_frontrun(pool: PoolState, victim_swap: VictimSwap,
                      capital_units: Optional[int] = None,
                      sizing: Optional[_VictimSizing] = None):
     """Profit-maximizing integer frontrun size, at most ``capital_units``
-    (None: unbounded) and within the victim's slippage floor, via ternary
-    search with an exact scan of the final interval. Returns (x, gross
-    profit in token_in units). ``sizing``: the victim's ``_VictimSizing``
-    when one victim is sized under several bounds, built here otherwise.
+    (None: unbounded) and within the victim's slippage floor, the first
+    such size on a tie. Returns (x, gross profit in token_in units).
+    ``sizing``: the victim's ``_VictimSizing`` when one victim is sized
+    under several bounds, built here otherwise.
+
+    On a constant-product pool the result is exact: the floor-free gain
+    G caps the integer gain, so the sizes where G reaches the best
+    integer gain found (``_window``, tens of sizes) are all that is
+    scanned, and a victim whose G falls from 0 costs no scan at all. A
+    StableSwap pool has no such bound: it gets a ternary search and a
+    coarse grid, accepting possible unit-level suboptimality, then an
+    exact scan of the final interval.
 
     A size is feasible when the victim's realized output holds its floor
     at that size. The bisected ``x_slip`` only bounds the search: on a
     StableSwap pool the output can jitter across the floor below it. So
     the coarse grid ranks feasible sizes only, and the final scan stops at
-    the first size that breaks the floor."""
+    the first size that breaks the floor. On a constant-product pool the
+    output falls with x, so no size below ``x_slip`` breaks it."""
     if sizing is None:
         sizing = _VictimSizing(pool, victim_swap)
     victim = sizing.victim
@@ -361,28 +455,34 @@ def optimal_frontrun(pool: PoolState, victim_swap: VictimSwap,
         out = sandwich(x)[1]
         return out is not None and out >= floor
 
-    # Integer floors put small jags on an otherwise unimodal curve, so a
-    # plain ternary comparison can latch onto the wrong side of a tie. Cut
-    # only when the gap exceeds the jitter bound (then the discarded side
-    # provably holds no maximum), and scan the rest exactly.
-    margin = 8
-    lo, hi = 0, x_max
-    while hi - lo > 1024:
-        m1 = lo + (hi - lo) // 3
-        m2 = hi - (hi - lo) // 3
-        if g(m1) + margin < g(m2):
-            lo = m1
-        elif g(m2) + margin < g(m1):
-            hi = m2
-        else:
-            break
-    while hi - lo > 65536:
-        # curve too flat for confident cuts on a huge domain: coarse-grid
-        # refinement, accepting possible unit-level suboptimality
-        step = (hi - lo) // 1024
-        b = max(filter(holds, [*range(lo, hi + 1, step), hi]), key=g, default=lo)
-        lo, hi = max(lo, b - 2 * step), min(hi, b + 2 * step)
-    best, best_g = lo, g(lo)
+    if sizing.gain is not None:
+        best = 0
+        lo, hi = _window(sizing.gain, x_max, g)
+    else:
+        # Integer floors put small jags on an otherwise unimodal curve, so
+        # a plain ternary comparison can latch onto the wrong side of a
+        # tie. Cut only when the gap exceeds the jitter bound (then the
+        # discarded side provably holds no maximum), and scan the rest
+        # exactly.
+        margin = 8
+        lo, hi = 0, x_max
+        while hi - lo > 1024:
+            m1 = lo + (hi - lo) // 3
+            m2 = hi - (hi - lo) // 3
+            if g(m1) + margin < g(m2):
+                lo = m1
+            elif g(m2) + margin < g(m1):
+                hi = m2
+            else:
+                break
+        while hi - lo > 65536:
+            # curve too flat for confident cuts on a huge domain: coarse-grid
+            # refinement, accepting possible unit-level suboptimality
+            step = (hi - lo) // 1024
+            b = max(filter(holds, [*range(lo, hi + 1, step), hi]), key=g, default=lo)
+            lo, hi = max(lo, b - 2 * step), min(hi, b + 2 * step)
+        best = lo
+    best_g = g(best)
     for x in range(lo, hi + 1):
         gain, out = sandwich(x)
         if out is None or out < floor:

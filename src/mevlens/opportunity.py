@@ -6,15 +6,17 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import attrgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .amm import PoolState, _indices, _swap_rule
 from .chain_model import _DECIMAL_FRACTION, _decimal, _sidecar_hex, _whole, read_jsonl
 # decode_swap stays bound here, unused: perfbench/selftest.py checks that the
 # tracer wraps mevlens.opportunity.decode_swap together with mevlens.decoding's
 from .decoding import OracleUpdateAction, SwapAction, decode_swap  # noqa: F401
-from .detectors import ArbitrageFinding, LiquidationFinding
 from .errors import MalformedRecord, MevlensError
+
+if TYPE_CHECKING:  # annotations only: crosslayer simulate runs no detector
+    from .detectors import ArbitrageFinding, LiquidationFinding
 
 DEFAULT_HORIZON = 100
 

@@ -449,6 +449,7 @@ NOT_LOADED = [
                        "crosslayer", "bytecode"}),
     (ARGV["crosslayer infer"], {"detectors", "opportunity", "bytecode"}),
     (ARGV["crosslayer delay"], {"detectors", "opportunity", "bytecode"}),
+    (ARGV["crosslayer simulate"], {"detectors", "bytecode"}),
 ]
 # the standard-library modules only some commands use, and those commands:
 # report globs the findings, and report and crosslayer delay render months
@@ -663,6 +664,10 @@ def test_input_path_shapes_exit_1_naming_the_path(command, target, shape, capsys
         assert main(argv) == 1, argv
     err = capsys.readouterr().err
     assert path in err and "internal error" not in err and "Traceback" not in err, err
+    if target.startswith("--") and shape in FILE_SHAPES:
+        what = ("is a broken or looping symlink" if shape in ("dangling_symlink", "symlink_loop")
+                else "does not exist")
+        assert f"path {path!r} {what}" in err, err
 
 
 # each command that writes, and each --out it cannot write under: a path
