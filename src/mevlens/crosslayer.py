@@ -274,8 +274,18 @@ def _sandwich_plan(pool: PoolState, victim: VictimSwap):
 
 def _max_input_within_slippage(pool: PoolState, victim: VictimSwap, plan=None) -> int:
     """Largest frontrun size keeping the victim's realized output at or
-    above min_amount_out (monotone in x -> exponential probe + bisect).
-    ``plan``: the victim's ``_sandwich_plan``, built here when None."""
+    above min_amount_out (monotone in x -> exponential probe + bisect),
+    up to a limit past which no size can pay: (b - 1)(a + v) on a
+    constant-product pool with input reserve a, output reserve b and
+    victim amount v, the least power of two above 4 x the reserves sum
+    otherwise. ``plan``: the victim's ``_sandwich_plan``, built here when
+    None.
+
+    The constant-product limit: the backrun sells f = the frontrun's
+    output into a pool left with B >= 1 of it (no swap drains a reserve)
+    and B + f <= b, so it returns at most a fraction f / (B + f) <= 1 - 1/b
+    of the a + x + v the pool then holds, and the gain, that minus x, is
+    below 0 once x > (b - 1)(a + v)."""
     min_out = victim.min_amount_out
     if min_out is None:
         raise AssertionError("slippage search on a victim without min_amount_out")
@@ -288,21 +298,12 @@ def _max_input_within_slippage(pool: PoolState, victim: VictimSwap, plan=None) -
 
     if not ok(0):
         raise Infeasible("victim slippage bound violated with no frontrun")
-    hi = 1
-    while ok(hi):
-        hi *= 2
-        if hi > sum(pool.reserves) * 4:
-            break
-    lo = hi // 2 if hi > 1 else 0
-    if ok(hi):
-        return hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if pool.kind == CONSTANT_PRODUCT and pool.tokens[0] != pool.tokens[1]:
+        i = pool.index_of(victim.token_in)
+        limit = (pool.reserves[1 - i] - 1) * (pool.reserves[i] + victim.amount_in)
+    else:
+        limit = 1 << (4 * sum(pool.reserves)).bit_length()
+    return _reach(ok, 0, limit)
 
 
 def _floor_free_gain(pool: PoolState, victim: VictimSwap):
@@ -339,23 +340,25 @@ def _floor_free_gain(pool: PoolState, victim: VictimSwap):
     return gain
 
 
-def _first(pred, lo: int, hi: int) -> int:
-    """The least x in (lo, hi] where ``pred`` holds, given that it is
-    false, then true, on that range; hi when none before it does. Neither
-    end is tested. Gallops down from hi, then bisects, so an answer near
-    hi costs few calls."""
-    step = 1
-    while hi - step > lo and pred(hi - step):
-        hi -= step
-        step *= 2
-    lo = max(lo, hi - step)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
+def _reach(pred, x: int, limit: int) -> int:
+    """The farthest size from x toward ``limit`` (either side of x) where
+    ``pred`` holds, given that it holds at x and, once it fails on the
+    way, fails on to ``limit``; ``limit`` when it never fails. Probes at
+    distances 1, 2, 4, ... from x, then bisects, so an edge near x costs
+    few calls. x itself is not tested."""
+    sign = 1 if limit >= x else -1
+    n = (limit - x) * sign
+    good, bad = 0, 1
+    while bad <= n and pred(x + sign * bad):
+        good, bad = bad, 2 * bad
+    bad = min(bad, n + 1)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if pred(x + sign * mid):
+            good = mid
         else:
-            lo = mid
-    return hi
+            bad = mid
+    return x + sign * good
 
 
 def _window(gain, x_max: int, g):
@@ -367,16 +370,16 @@ def _window(gain, x_max: int, g):
     first x where G(x + 1) < G(x), or x_max. A size beats x = 0 only with
     g >= 1, and the first maximum only with g >= g(p); since g <= G, every
     candidate lies where G >= t = max(g(p), 1), an interval around p.
-    Its ends are found on G alone, galloping down from p to the left end
-    and from x_max to the right one (none to search when p = x_max)."""
+    Its ends are found on G alone, probing outward from p (none to
+    search above p when p = x_max)."""
     def falls(x):
         n0, d0 = gain(x)
         n1, d1 = gain(x + 1)
         return n1 * d0 < n0 * d1
 
-    if falls(0):
+    if x_max < 1 or falls(0):
         return 1, 0     # p = 0, and no size reaches G(0) + 1 = 1
-    p = _first(falls, 0, x_max)
+    p = _reach(falls, x_max, 1)
     t = max(g(p), 1)
 
     def holds(x):
@@ -385,7 +388,7 @@ def _window(gain, x_max: int, g):
 
     if not holds(p):
         return 1, 0
-    return _first(holds, 0, p), _first(lambda x: not holds(x), p, x_max + 1) - 1
+    return _reach(holds, p, 1), _reach(holds, p, x_max)
 
 
 class _VictimSizing:
@@ -421,13 +424,15 @@ def optimal_frontrun(pool: PoolState, victim_swap: VictimSwap,
     ``sizing``: the victim's ``_VictimSizing`` when one victim is sized
     under several bounds, built here otherwise.
 
-    On a constant-product pool the result is exact: the floor-free gain
-    G caps the integer gain, so the sizes where G reaches the best
-    integer gain found (``_window``, tens of sizes) are all that is
-    scanned, and a victim whose G falls from 0 costs no scan at all. A
-    StableSwap pool has no such bound: it gets a ternary search and a
-    coarse grid, accepting possible unit-level suboptimality, then an
-    exact scan of the final interval.
+    On a constant-product pool the floor-free gain G caps the integer
+    gain, so the optimum lies where G reaches the best integer gain found
+    (``_window``), and a victim whose G falls from 0 costs no search at
+    all. Where x_max sits on G's rising side the window is tens of sizes
+    wide. Near G's flat peak on a pool with large reserves it can span
+    about the square root of a reserve, so it takes the ternary search and
+    coarse grid that a StableSwap pool, which has no such bound, takes on
+    [0, x_max]. The coarse grid, run only on more than 65,536 sizes,
+    accepts possible unit-level suboptimality; the final scan is exact.
 
     A size is feasible when the victim's realized output holds its floor
     at that size. The bisected ``x_slip`` only bounds the search: on a
@@ -455,33 +460,31 @@ def optimal_frontrun(pool: PoolState, victim_swap: VictimSwap,
         out = sandwich(x)[1]
         return out is not None and out >= floor
 
-    if sizing.gain is not None:
-        best = 0
-        lo, hi = _window(sizing.gain, x_max, g)
-    else:
-        # Integer floors put small jags on an otherwise unimodal curve, so
-        # a plain ternary comparison can latch onto the wrong side of a
-        # tie. Cut only when the gap exceeds the jitter bound (then the
-        # discarded side provably holds no maximum), and scan the rest
-        # exactly.
-        margin = 8
+    if sizing.gain is None:
         lo, hi = 0, x_max
-        while hi - lo > 1024:
-            m1 = lo + (hi - lo) // 3
-            m2 = hi - (hi - lo) // 3
-            if g(m1) + margin < g(m2):
-                lo = m1
-            elif g(m2) + margin < g(m1):
-                hi = m2
-            else:
-                break
-        while hi - lo > 65536:
-            # curve too flat for confident cuts on a huge domain: coarse-grid
-            # refinement, accepting possible unit-level suboptimality
-            step = (hi - lo) // 1024
-            b = max(filter(holds, [*range(lo, hi + 1, step), hi]), key=g, default=lo)
-            lo, hi = max(lo, b - 2 * step), min(hi, b + 2 * step)
-        best = lo
+    else:
+        lo, hi = _window(sizing.gain, x_max, g)
+    # Integer floors put small jags on an otherwise unimodal curve, so a
+    # plain ternary comparison can latch onto the wrong side of a tie. Cut
+    # only when the gap exceeds the jitter bound (then the discarded side
+    # provably holds no maximum), and scan the rest exactly.
+    margin = 8
+    while hi - lo > 1024:
+        m1 = lo + (hi - lo) // 3
+        m2 = hi - (hi - lo) // 3
+        if g(m1) + margin < g(m2):
+            lo = m1
+        elif g(m2) + margin < g(m1):
+            hi = m2
+        else:
+            break
+    while hi - lo > 65536:
+        # curve too flat for confident cuts on a huge domain: coarse-grid
+        # refinement, accepting possible unit-level suboptimality
+        step = (hi - lo) // 1024
+        b = max(filter(holds, [*range(lo, hi + 1, step), hi]), key=g, default=lo)
+        lo, hi = max(lo, b - 2 * step), min(hi, b + 2 * step)
+    best = lo if sizing.gain is None else 0
     best_g = g(best)
     for x in range(lo, hi + 1):
         gain, out = sandwich(x)

@@ -1,6 +1,5 @@
 import json
 import logging
-import os
 import random
 from fractions import Fraction
 
@@ -16,7 +15,7 @@ from mevlens.crosslayer import (CostModel, CrossLayerLink, DEFAULT_CAPITAL_TIERS
                                 STRATEGIES, VictimCandidate, VictimSwap, WEI,
                                 capital_sweep, delay_stats, infer_victims,
                                 load_attack_config, optimal_frontrun, _floor_free_gain,
-                                _sandwich_plan, _VictimSizing)
+                                _sandwich_plan, _VictimSizing, _window)
 from mevlens.amm import load_pool_metadata
 from mevlens.reporting import summary_stats
 from mevlens.errors import (EmptyInput, Infeasible, InvalidScenario, MalformedRecord,
@@ -439,15 +438,17 @@ def _cp_victim_past_the_peak(draw):
 @given(case=_cp_victim_past_the_peak(), cap=st.none() | st.integers(0, 2000))
 @example(case=(cp_pool(328, 325, tokens=(XL_TA, XL_TB), fee_num=4, fee_den=100),
                VictimSwap(XL_TA, XL_TB, 20, 4)), cap=None)
+@example(case=(cp_pool(244, 151, tokens=(XL_TA, XL_TB), fee_num=2, fee_den=100),
+               VictimSwap(XL_TA, XL_TB, 303, 1)), cap=None)
 def test_cp_frontrun_matches_grid_past_the_peak(case, cap):
     """Where the bound lies past G's peak the search locates the peak
-    before it takes the window; it returns what the grid returns up to
-    the same bound. In the example G is 0.76 at x_slip (384), and only
-    sizes near the peak pay: 1 unit from x = 150."""
+    before it takes the window; it returns what the grid, which walks to
+    the first size that breaks the floor, returns. In the first example G
+    is 0.76 at x_slip (384), and only sizes near the peak pay: 1 unit from
+    x = 150. In the second the floor holds past 4 x the reserves sum, and
+    the best size, 2,885, lies there."""
     pool, victim = case
-    x_slip = _VictimSizing(pool, victim).x_slip
-    bound = x_slip if cap is None else min(cap, x_slip)
-    assert optimal_frontrun(pool, victim, cap) == grid_frontrun(pool, victim, bound)
+    assert optimal_frontrun(pool, victim, cap) == grid_frontrun(pool, victim, cap)
 
 
 def test_frontrun_on_a_pool_listing_its_token_twice_matches_grid():
@@ -475,28 +476,22 @@ def test_flat_victim_is_sized_without_search():
     assert calls == [0]
 
 
-def test_capital_sweep_sizes_the_benchmark_victims_in_few_evaluations(tmp_path, monkeypatch):
-    """``crosslayer simulate`` on the benchmark's seed-7 l2_crosslayer
-    workload: four constant-product victims, one of which no sandwich
-    pays, and four StableSwap ones. Bound and scan sizes them in at most
-    1,500 sandwich evaluations, the x_slip probes included (the ternary
-    search made 19,308)."""
-    import mevlens.crosslayer as crosslayer
-    monkeypatch.syspath_prepend(os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
-    from workloads import gen_l2_crosslayer
-    workload = gen_l2_crosslayer(7, str(tmp_path))
-    evaluations = []
-    make_plan = crosslayer._sandwich_plan
-
-    def counted_plan(pool, victim):
-        plan = make_plan(pool, victim)
-        return lambda x: evaluations.append(x) or plan(x)
-
-    monkeypatch.setattr(crosslayer, "_sandwich_plan", counted_plan)
-    argv = next(c.argv for c in workload.commands if c.name == "crosslayer_simulate")
-    assert main(argv) == 0
-    assert 0 < len(evaluations) <= 1500
+def test_wide_window_near_a_flat_peak_is_searched_within_a_bound():
+    """A victim just above the fee's breakeven on 10^24 reserves: G peaks
+    below x_slip, so flat that the sizes where G reaches the best integer
+    gain span about 5 * 10^13. The window goes through the ternary search
+    and coarse grid, so sizing costs a few thousand plan calls for the
+    grids and at most 65,537 for the final scan."""
+    pool = cp_pool(10 ** 24, 10 ** 24, tokens=(XL_TA, XL_TB))
+    victim = VictimSwap(XL_TA, XL_TB, 302 * 10 ** 19)
+    sizing = _VictimSizing(pool, victim)
+    lo, hi = _window(sizing.gain, sizing.x_slip, lambda x: sizing.plan(x)[0])
+    assert hi < sizing.x_slip and hi - lo > 10 ** 13
+    calls, plan = [], sizing.plan
+    sizing.plan = lambda x: calls.append(x) or plan(x)
+    x, gross = optimal_frontrun(pool, victim, None, sizing)
+    assert lo <= x <= hi and gross == plan(x)[0] > 10 ** 16
+    assert len(calls) <= 6 * 1026 + 65537
 
 
 def test_frontrun_capital_cap():
@@ -802,11 +797,37 @@ def test_capital_sweep_sizes_each_victim_once_per_distinct_bound(monkeypatch):
     assert table == per_tier_sweep(scenarios, COSTS, SWEEP_TIERS)
 
 
+def _benchmark_victims():
+    """The victims of the l2_crosslayer benchmark workload on seed 7, as
+    ``crosslayer simulate`` sizes them: four constant-product ones, the
+    first of which no sandwich pays, and four StableSwap ones, each with
+    the assumed 2% floor, priced at 1/2000 ETH per 10^18 units."""
+    e24 = 10 ** 24
+    cases = [
+        (cp_pool(e24, e24), 2 * 10 ** 21),
+        (cp_pool(1171583830389324695769406, 1096602465244407915240164),
+         28370672242096245382056),
+        (cp_pool(883827460825402466878400, 816656573802671879395641),
+         39295381712785979379297),
+        (cp_pool(1124385925803036809763645, 1158117503577127914056554),
+         25033750737638438602589),
+        (stable_pool([12 * e24 // 10, e24, 8 * e24 // 10]), 35544900468125105759432),
+        (stable_pool([e24, 11 * e24 // 10, 9 * e24 // 10]), 43533428683756307051923),
+        (stable_pool([e24, e24, e24]), 58832552447295163733621),
+        (stable_pool([9 * e24 // 10, e24, 11 * e24 // 10]), 24963488194289375904290),
+    ]
+    return [{"victim": VictimCandidate(_link(), VictimSwap(pool.tokens[0], pool.tokens[1], amount),
+                                       XL_POOL),
+             "pool_state": pool, "token_in_price_eth": Fraction(1, 2000), "eth_usd": Fraction(2000)}
+            for pool, amount in cases]
+
+
 def test_capital_sweep_resolves_slots_once_per_victim(monkeypatch):
     """Each victim's slots are resolved a fixed number of times (both
     directions for its plan, and once in the x = 0 quote's ``swap_out``),
     not once per evaluation; the number of sandwich evaluations is pinned,
-    so that a search that makes more shows here."""
+    so that a search that makes more shows here. On the benchmark's
+    victims the ternary search made 19,308, 12,844 on the first alone."""
     import mevlens.amm as amm
     import mevlens.crosslayer as crosslayer
     resolved, evaluations = [], []
@@ -827,10 +848,14 @@ def test_capital_sweep_resolves_slots_once_per_victim(monkeypatch):
     monkeypatch.setattr(amm, "_indices", counted_indices)
     monkeypatch.setattr(crosslayer, "_indices", counted_indices)
     monkeypatch.setattr(crosslayer, "_sandwich_plan", counted_plan)
-    scenarios = build_victim_scenarios(20)
-    capital_sweep(scenarios, COSTS)
-    assert len(resolved) == 3 * len(scenarios)
-    assert len(evaluations) == 1190
+    for scenarios, tiers, evaluations_made in (
+            (build_victim_scenarios(20), DEFAULT_CAPITAL_TIERS_USD, 1170),
+            (_benchmark_victims(), (1000, 100_000, None), 824)):
+        resolved.clear()
+        evaluations.clear()
+        capital_sweep(scenarios, COSTS, tiers)
+        assert len(resolved) == 3 * len(scenarios)
+        assert len(evaluations) == evaluations_made
 
 
 def test_empty_sweep():
