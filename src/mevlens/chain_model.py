@@ -15,6 +15,7 @@ import re
 import sys
 from bisect import bisect_left, bisect_right
 from enum import Enum
+from itertools import pairwise, starmap
 from operator import attrgetter, lt
 from typing import NamedTuple, Optional
 
@@ -424,10 +425,13 @@ _CANONICAL = {
 
 def _in_key_order(records, coordinates, what, path) -> list:
     """``records`` sorted by their ``coordinates``; DuplicateKey names the
-    first key that repeats, in file order."""
-    keys = list(map(attrgetter(*coordinates), records))
-    if all(map(lt, keys, keys[1:])):  # strictly ascending, as dump_fixture writes
+    first key that repeats, in file order. Records already strictly
+    ascending, as dump_fixture writes them, are checked pair by pair and
+    come back as loaded: only a file out of order builds the key list."""
+    key = attrgetter(*coordinates)
+    if all(starmap(lt, pairwise(map(key, records)))):
         return records
+    keys = list(map(key, records))
     by_key = dict(zip(keys, records))
     if len(by_key) < len(records):
         seen = set()
@@ -498,6 +502,9 @@ def _load_fixture(path):
             by_json += 1
             kind, record = _json_line(path, line, raw, lambda obj: _parse_record(obj, memo.check))
             records[kind].append(record)
+    # the records keep the memo's bytes; its strings and table go before
+    # the ordering checks allocate
+    del memo, hexes
 
     names = {b.chain.name for b in blocks}
     names.update([l.chain.name for l in logs])

@@ -130,10 +130,11 @@ class Ctx(argparse.Namespace):
 
 
 def _write(ctx: Ctx, name, rows):
+    """Write the rows an iterator yields; --out is made only once the last
+    one is in, so a row that raises leaves no output."""
     from .reporting import write_findings
-    path = os.path.join(ctx.ensure_out(), name)
-    write_findings(rows, path)
-    print(f"{len(rows)} findings -> {path}")
+    path = os.path.join(ctx.out_dir, name)
+    print(f"{write_findings(rows, path)} findings -> {path}")
 
 
 def _write_priced(ctx: Ctx, ds, findings, profit, to_json, name):
@@ -142,14 +143,15 @@ def _write_priced(ctx: Ctx, ds, findings, profit, to_json, name):
     from .detectors import attribute_flash_loans
     prices = ctx.prices()
     chain = ctx.chain_of(ds)
-    out = []
-    for f in attribute_flash_loans(findings, ds.logs):
+
+    def row(f):
         ts = ds.block_timestamp(f.block) or 0
         tx = ds.tx(f.tx_hash)
         if prices is not None and tx is not None:
             f = profit(f, prices, tx, ts)
-        out.append(to_json(f, chain, ts, tx.sender if tx else None))
-    _write(ctx, name, out)
+        return to_json(f, chain, ts, tx.sender if tx else None)
+
+    _write(ctx, name, map(row, attribute_flash_loans(findings, ds.logs)))
 
 
 def detect_arb_cmd(ctx: Ctx):
@@ -176,11 +178,10 @@ def detect_sandwich_cmd(ctx: Ctx):
     transfers = detectors.extract_transfers(ds)
     findings = detectors.detect_sandwiches(transfers, ds.chain or ETHEREUM,
                                            window=ctx.window)
-    out = []
-    for f in findings:
-        ts = ds.block_timestamp(f.window[0]) or 0
-        out.append(reporting.sandwich_to_json(f, ctx.chain_of(ds), ts))
-    _write(ctx, "findings_sandwich.jsonl", out)
+    chain = ctx.chain_of(ds)
+    _write(ctx, "findings_sandwich.jsonl", (
+        reporting.sandwich_to_json(f, chain, ds.block_timestamp(f.window[0]) or 0)
+        for f in findings))
 
 
 def detect_flashloan_cmd(ctx: Ctx):
@@ -188,14 +189,14 @@ def detect_flashloan_cmd(ctx: Ctx):
     from .decoding import decode_logs
     from .registry import Category
     ds = ctx.dataset()
-    rows = [{
-        "type": "flash_loan", "chain": ctx.chain_of(ds),
+    chain = ctx.chain_of(ds)
+    _write(ctx, "findings_flashloan.jsonl", ({
+        "type": "flash_loan", "chain": chain,
         "tx_hash": to_hex(loan.tx_hash), "block": lg.block_number,
         "timestamp": ds.block_timestamp(lg.block_number) or 0, "provider": loan.provider,
         "token": to_hex(loan.token),
         "amount": str(loan.amount), "fee": str(loan.fee),
-    } for lg, loan in decode_logs(ds.logs, (Category.FLASH_LOAN,))]
-    _write(ctx, "findings_flashloan.jsonl", rows)
+    } for lg, loan in decode_logs(ds.logs, (Category.FLASH_LOAN,))))
 
 
 def decode_cmd(ctx: Ctx):
@@ -241,19 +242,16 @@ def opportunity_cmd(ctx: Ctx):
     """The transaction that opened each finding's opportunity."""
     from . import opportunity, reporting
     ds, results = _opportunities(ctx)
-    rows = []
-    for f, r in results:
-        rows.append({
-            "type": f"opportunity_{ctx.mev_type}",
-            "tx_hash": to_hex(f.tx_hash),
-            "block": f.block,
-            "timestamp": ds.block_timestamp(f.block) or 0,
-            "status": r.status,
-            "opportunity_tx": to_hex(r.opportunity_tx) if r.opportunity_tx else None,
-            "block_distance": r.block_distance,
-            "approximate": r.approximate,
-        })
-    _write(ctx, f"opportunities_{ctx.mev_type}.jsonl", rows)
+    _write(ctx, f"opportunities_{ctx.mev_type}.jsonl", ({
+        "type": f"opportunity_{ctx.mev_type}",
+        "tx_hash": to_hex(f.tx_hash),
+        "block": f.block,
+        "timestamp": ds.block_timestamp(f.block) or 0,
+        "status": r.status,
+        "opportunity_tx": to_hex(r.opportunity_tx) if r.opportunity_tx else None,
+        "block_distance": r.block_distance,
+        "approximate": r.approximate,
+    } for f, r in results))
     cdf = opportunity.block_distance_cdf([r for _, r in results], ctx.horizon)
     reporting.write_distance_cdf(cdf, os.path.join(ctx.out_dir, "distance_cdf.csv"))
 
@@ -270,10 +268,10 @@ def compete_cmd(ctx: Ctx):
         if r.opportunity_tx is not None:
             # the walk found the opportunity tx this many blocks back
             opportunity_block[r.opportunity_tx] = f.block - r.block_distance
-    rows = []
-    for g in detect_competition(entries):
+
+    def row(g):
         block = opportunity_block[g["opportunity_tx"]]
-        rows.append({
+        return {
             "type": "competition",
             "mev_type": g["type"],
             "tx_hash": to_hex(g["opportunity_tx"]),
@@ -281,8 +279,9 @@ def compete_cmd(ctx: Ctx):
             "timestamp": ds.block_timestamp(block) or 0,
             "extractors": [to_hex(e) for e in g["extractors"]],
             "findings": g["findings"],
-        })
-    _write(ctx, f"competition_{ctx.mev_type}.jsonl", rows)
+        }
+
+    _write(ctx, f"competition_{ctx.mev_type}.jsonl", map(row, detect_competition(entries)))
 
 
 def _infer(ctx: Ctx):
@@ -295,7 +294,7 @@ def _infer(ctx: Ctx):
 def crosslayer_infer_cmd(ctx: Ctx):
     """Victim swaps in L2 executions of L1 bridge messages."""
     candidates, links, diagnostics = _infer(ctx)
-    rows = [{
+    _write(ctx, "victims.jsonl", ({
         "type": "victim_candidate",
         "tx_hash": to_hex(c.link.l2_tx),
         "block": c.link.l2_block,
@@ -307,8 +306,7 @@ def crosslayer_infer_cmd(ctx: Ctx):
         "token_in": to_hex(c.swap.token_in),
         "token_out": to_hex(c.swap.token_out),
         "amount_in": str(c.swap.amount_in),
-    } for c in candidates]
-    _write(ctx, "victims.jsonl", rows)
+    } for c in candidates))
     print(f"links: {len(links)}, unlinked L1: {len(diagnostics['unlinked_l1'])}, "
           f"unlinked L2: {len(diagnostics['unlinked_l2'])}")
 

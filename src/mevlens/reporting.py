@@ -11,7 +11,9 @@ from __future__ import annotations
 # this module for its prices, and most commands write no CSV or month
 import json
 import math
+import os
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .chain_model import (_DECIMAL_FRACTION, _decimal, _raise_not_utf8, _sidecar_hex, _timestamp,
@@ -208,12 +210,29 @@ def sandwich_to_json(finding, chain: str, timestamp: int) -> dict:
     }
 
 
-def write_findings(findings_json: Sequence[dict], path) -> None:
-    ordered = sorted(findings_json,
-                     key=lambda f: (f["block"], f["tx_hash"], f.get("type", "")))
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
+def _keyed_line(row: dict) -> tuple:
+    return (row["block"], row["tx_hash"], row.get("type", "")), _encode(row) + "\n"
+
+
+def write_findings(rows: Iterable[dict], path) -> int:
+    """Write findings rows to ``path`` as JSONL in (block, tx_hash, type)
+    order, rows with equal keys in the order they came; returns how many.
+
+    Each row is encoded as it arrives and dropped before the next one is
+    asked for, so only its line outlives it. The file and its directory
+    are made once every row is in: a row that raises leaves nothing.
+    """
+    # map keeps no row between calls, as a loop variable would while the
+    # next row is built; the sort is on the key alone, so a tie keeps input
+    # order, not line order
+    lines = sorted(map(_keyed_line, rows), key=itemgetter(0))
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        for obj in ordered:
-            fh.write(json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n")
+        fh.writelines(line for _, line in lines)
+    return len(lines)
 
 
 def read_findings(path) -> list:
@@ -258,15 +277,14 @@ def emit_report(findings: Sequence[dict], out_dir, eth_usd=None) -> dict:
     ``eth_usd`` optionally maps unix day -> Fraction dollar price to add a
     USD column to profit statistics.
     """
-    import os
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
 
     # monthly counts per type (UTC month of block timestamp)
     monthly: dict = {}
     for f in findings:
-        monthly[(month_of(f["timestamp"]), f["type"], f["chain"])] = \
-            monthly.get((month_of(f["timestamp"]), f["type"], f["chain"]), 0) + 1
+        key = (month_of(f["timestamp"]), f["type"], f["chain"])
+        monthly[key] = monthly.get(key, 0) + 1
     paths["monthly_counts"] = f"{out_dir}/monthly_counts.csv"
     _write_csv(paths["monthly_counts"], ["month", "type", "chain", "count"],
                [[m, t, c, n] for (m, t, c), n in sorted(monthly.items())])

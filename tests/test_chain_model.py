@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mevlens.chain_model import (CHAINS, ETHEREUM, ChainDataset, _CANONICAL, _HexMemo,
-                                 _load_fixture, _MAX_TIMESTAMP, _parse_record, dump_fixture,
-                                 load_fixture, logs_in_range, read_jsonl, to_hex)
+                                 _in_key_order, _load_fixture, _MAX_TIMESTAMP, _parse_record,
+                                 dump_fixture, load_fixture, logs_in_range, read_jsonl, to_hex)
 from mevlens.cli import main
 from mevlens.errors import (DuplicateKey, InvalidRange, MalformedRecord,
                             OrderingViolation)
@@ -44,18 +44,66 @@ def test_block_ordering_violation(tmp_path):
         load_fixture(p)
 
 
-def test_duplicate_log_coordinates(tmp_path):
-    p = tmp_path / "f.jsonl"
-    _write_lines(p, [_block(1, 100), _log(1, 0, 0), _log(1, 0, 0)])
-    with pytest.raises(DuplicateKey):
-        load_fixture(p)
-
-
 def _tx(**fields):
     tx = {"kind": "tx", "hash": to_hex(b"\x01" * 32), "block_number": 1, "tx_index": 0,
           "from": to_hex(addr(2)), "fee_paid": "0"}
     tx.update(fields)
     return tx
+
+
+def _coordinates(ds):
+    return ([(t.block_number, t.tx_index) for t in ds.txs],
+            [(l.block_number, l.tx_index, l.log_index) for l in ds.logs])
+
+
+def _ordering_tx(block, index):
+    return _tx(hash=to_hex(bytes([block, index]) * 16), block_number=block, tx_index=index)
+
+
+def test_blocks_only_fixture_has_no_txs_or_logs(tmp_path):
+    p = tmp_path / "f.jsonl"
+    _write_lines(p, [_block(1, 100), _block(2, 112)])
+    ds = load_fixture(p)
+    assert [b.number for b in ds.blocks] == [1, 2] and ds.txs == [] and ds.logs == []
+
+
+def test_one_tx_and_one_log(tmp_path):
+    p = tmp_path / "f.jsonl"
+    _write_lines(p, [_block(1, 100), _ordering_tx(1, 0), _log(1, 0, 0)])
+    assert _coordinates(load_fixture(p)) == ([(1, 0)], [(1, 0, 0)])
+
+
+def test_ascending_records_come_back_as_loaded(tmp_path):
+    p = tmp_path / "f.jsonl"
+    _write_lines(p, [_block(1, 100), _block(2, 112), _ordering_tx(1, 0), _ordering_tx(1, 3),
+                     _ordering_tx(2, 0), _log(1, 0, 0), _log(1, 3, 1), _log(2, 0, 2)])
+    ds = load_fixture(p)
+    assert _coordinates(ds) == ([(1, 0), (1, 3), (2, 0)], [(1, 0, 0), (1, 3, 1), (2, 0, 2)])
+    logs = list(ds.logs)
+    assert _in_key_order(logs, ("block_number", "tx_index", "log_index"), "log", p) is logs
+
+
+def test_out_of_order_records_are_sorted(tmp_path):
+    p = tmp_path / "f.jsonl"
+    _write_lines(p, [_block(1, 100), _block(2, 112), _ordering_tx(2, 0), _ordering_tx(1, 3),
+                     _ordering_tx(1, 0), _log(1, 3, 1), _log(2, 0, 0), _log(1, 0, 5)])
+    assert _coordinates(load_fixture(p)) == ([(1, 0), (1, 3), (2, 0)],
+                                             [(1, 0, 5), (1, 3, 1), (2, 0, 0)])
+
+
+@pytest.mark.parametrize("what, records, first_repeat", [
+    # (1, 0) sorts first, but (2, 0) is the first key to repeat in the file
+    ("tx", [_ordering_tx(2, 0), _ordering_tx(1, 0), _ordering_tx(2, 0), _ordering_tx(1, 0)],
+     "(2, 0)"),
+    ("log", [_log(2, 0, 0), _log(1, 0, 0), _log(2, 0, 0), _log(1, 0, 0)], "(2, 0, 0)"),
+], ids=["tx", "log"])
+def test_duplicate_key_names_the_first_repeat_in_file_order(tmp_path, what, records,
+                                                            first_repeat):
+    p = tmp_path / "f.jsonl"
+    _write_lines(p, [_block(1, 100), _block(2, 112)] + records)
+    with pytest.raises(DuplicateKey) as exc:
+        load_fixture(p)
+    assert str(exc.value) == f"{p}: {what} coordinates {first_repeat}"
 
 
 def test_uppercase_hex_rejected(tmp_path, capsys):

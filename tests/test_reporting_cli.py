@@ -71,6 +71,60 @@ def test_write_findings_deterministic(tmp_path):
     assert [f["x"] for f in loaded] == [3, 2, 1]
 
 
+class _CountedRow(dict):
+    """A findings row that counts how many of its kind are alive at once."""
+
+    live = most = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _CountedRow.live += 1
+        _CountedRow.most = max(_CountedRow.most, _CountedRow.live)
+
+    def __del__(self):
+        _CountedRow.live -= 1
+
+
+def _row(block, tx_hash, **fields):
+    return {"type": "arbitrage", "chain": "ethereum", "block": block, "timestamp": 0,
+            "tx_hash": tx_hash, **fields}
+
+
+def test_write_findings_holds_one_row_at_a_time(tmp_path, monkeypatch):
+    monkeypatch.setattr(_CountedRow, "live", 0)
+    monkeypatch.setattr(_CountedRow, "most", 0)
+    rows = (_CountedRow(_row(100 - i, f"0x{i:02x}", x=i)) for i in range(50))
+    count = write_findings(rows, tmp_path / "f.jsonl")
+    assert _CountedRow.most == 1
+    assert count == 50
+    assert [f["x"] for f in read_findings(tmp_path / "f.jsonl")] == list(range(49, -1, -1))
+
+
+def test_write_findings_keeps_input_order_on_equal_keys(tmp_path):
+    # line order would put x=1 first; ties must keep the order they came in
+    rows = [_row(3, "0xaa", x=2), _row(1, "0xbb", x=0), _row(3, "0xaa", x=1),
+            _row(3, "0xaa", x=3, type="sandwich")]
+    write_findings(iter(rows), tmp_path / "f.jsonl")
+    assert [f["x"] for f in read_findings(tmp_path / "f.jsonl")] == [0, 2, 1, 3]
+
+
+def test_write_findings_returns_the_count(tmp_path):
+    assert write_findings(iter(()), tmp_path / "empty.jsonl") == 0
+    assert (tmp_path / "empty.jsonl").read_bytes() == b""
+    assert write_findings([_row(1, "0x01"), _row(1, "0x02")], tmp_path / "two.jsonl") == 2
+
+
+def test_write_findings_writes_nothing_when_a_row_raises(tmp_path):
+    def rows():
+        yield _row(1, "0x01")
+        raise ValueError("row bug")
+
+    path = tmp_path / "out" / "f.jsonl"
+    with pytest.raises(ValueError, match="row bug"):
+        write_findings(rows(), path)
+    assert not (tmp_path / "out").exists()
+
+
 # --- CLI ---
 
 def _demo_dir(tmp_path):
@@ -272,6 +326,22 @@ def test_cli_internal_error_exit_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "internal error: ValueError: decoder bug" in err
     assert "Traceback" not in err
+
+
+def test_cli_row_that_raises_leaves_no_out_dir(tmp_path, monkeypatch, capsys):
+    from mevlens import reporting
+    fixtures = tmp_path / "fixtures"
+    _layout_fixtures(fixtures, with_bad_logs=False)
+
+    def broken(finding, chain, timestamp):
+        raise ValueError("serializer bug")
+
+    monkeypatch.setattr(reporting, "sandwich_to_json", broken)
+    out = tmp_path / "out"
+    assert main(["detect", "sandwich", "--chain", "arbitrum", "--fixtures", str(fixtures),
+                 "--out", str(out)]) == 2
+    assert "internal error: ValueError: serializer bug" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # the pool of the bridged L2 victim swap in ``_layout_fixtures``
