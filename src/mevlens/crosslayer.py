@@ -371,7 +371,8 @@ def _window(gain, x_max: int, g):
     g >= 1, and the first maximum only with g >= g(p); since g <= G, every
     candidate lies where G >= t = max(g(p), 1), an interval around p.
     Its ends are found on G alone, probing outward from p (none to
-    search above p when p = x_max)."""
+    search above p when p = x_max). While the window is wide, g at its
+    thirds raises t and the ends move in toward p."""
     def falls(x):
         n0, d0 = gain(x)
         n1, d1 = gain(x + 1)
@@ -388,7 +389,18 @@ def _window(gain, x_max: int, g):
 
     if not holds(p):
         return 1, 0
-    return _reach(holds, p, 1), _reach(holds, p, x_max)
+    lo, hi = _reach(holds, p, 1), _reach(holds, p, x_max)
+    # Integer floors can put g far below G (by about the input-per-output
+    # price per unit floored), so g is no guide to which side of a wide
+    # window to drop. Raise t by g at the window's thirds instead: the
+    # window only narrows, and still holds every size reaching t.
+    while hi - lo > 1024:
+        best = max(g(lo + (hi - lo) // 3), g(hi - (hi - lo) // 3))
+        if best <= t:
+            break
+        t = best
+        lo, hi = _reach(holds, p, lo), _reach(holds, p, hi)
+    return lo, hi
 
 
 class _VictimSizing:
@@ -429,9 +441,9 @@ def optimal_frontrun(pool: PoolState, victim_swap: VictimSwap,
     (``_window``), and a victim whose G falls from 0 costs no search at
     all. Where x_max sits on G's rising side the window is tens of sizes
     wide. Near G's flat peak on a pool with large reserves it can span
-    about the square root of a reserve, so it takes the ternary search and
-    coarse grid that a StableSwap pool, which has no such bound, takes on
-    [0, x_max]. The coarse grid, run only on more than 65,536 sizes,
+    about the square root of a reserve, so it takes the coarse grid that a
+    StableSwap pool, which has no such bound, takes after a ternary search
+    on [0, x_max]. The coarse grid, run only on more than 65,536 sizes,
     accepts possible unit-level suboptimality; the final scan is exact.
 
     A size is feasible when the victim's realized output holds its floor
@@ -460,24 +472,24 @@ def optimal_frontrun(pool: PoolState, victim_swap: VictimSwap,
         out = sandwich(x)[1]
         return out is not None and out >= floor
 
-    if sizing.gain is None:
-        lo, hi = 0, x_max
-    else:
+    if sizing.gain is not None:
         lo, hi = _window(sizing.gain, x_max, g)
-    # Integer floors put small jags on an otherwise unimodal curve, so a
-    # plain ternary comparison can latch onto the wrong side of a tie. Cut
-    # only when the gap exceeds the jitter bound (then the discarded side
-    # provably holds no maximum), and scan the rest exactly.
-    margin = 8
-    while hi - lo > 1024:
-        m1 = lo + (hi - lo) // 3
-        m2 = hi - (hi - lo) // 3
-        if g(m1) + margin < g(m2):
-            lo = m1
-        elif g(m2) + margin < g(m1):
-            hi = m2
-        else:
-            break
+    else:
+        lo, hi = 0, x_max
+        # Integer floors put small jags on an otherwise unimodal curve, so
+        # a plain ternary comparison can latch onto the wrong side of a
+        # tie. Cut only when the gap exceeds the jitter margin, and scan
+        # the rest exactly.
+        margin = 8
+        while hi - lo > 1024:
+            m1 = lo + (hi - lo) // 3
+            m2 = hi - (hi - lo) // 3
+            if g(m1) + margin < g(m2):
+                lo = m1
+            elif g(m2) + margin < g(m1):
+                hi = m2
+            else:
+                break
     while hi - lo > 65536:
         # curve too flat for confident cuts on a huge domain: coarse-grid
         # refinement, accepting possible unit-level suboptimality

@@ -440,13 +440,18 @@ def _cp_victim_past_the_peak(draw):
                VictimSwap(XL_TA, XL_TB, 20, 4)), cap=None)
 @example(case=(cp_pool(244, 151, tokens=(XL_TA, XL_TB), fee_num=2, fee_den=100),
                VictimSwap(XL_TA, XL_TB, 303, 1)), cap=None)
+@example(case=(cp_pool(161, 79, tokens=(XL_TA, XL_TB), fee_num=8, fee_den=100),
+               VictimSwap(XL_TA, XL_TB, 159, 1)), cap=None)
 def test_cp_frontrun_matches_grid_past_the_peak(case, cap):
     """Where the bound lies past G's peak the search locates the peak
     before it takes the window; it returns what the grid, which walks to
     the first size that breaks the floor, returns. In the first example G
     is 0.76 at x_slip (384), and only sizes near the peak pay: 1 unit from
     x = 150. In the second the floor holds past 4 x the reserves sum, and
-    the best size, 2,885, lies there."""
+    the best size, 2,885, lies there. In the third the window is 1,030
+    sizes wide and g jumps by over 20 between neighbours (124 at 747, 102
+    at 800, 125 at 1,083), so a cut that trusts g to within a few units
+    drops the best size."""
     pool, victim = case
     assert optimal_frontrun(pool, victim, cap) == grid_frontrun(pool, victim, cap)
 
