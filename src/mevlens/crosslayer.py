@@ -371,8 +371,7 @@ def _window(gain, x_max: int, g):
     g >= 1, and the first maximum only with g >= g(p); since g <= G, every
     candidate lies where G >= t = max(g(p), 1), an interval around p.
     Its ends are found on G alone, probing outward from p (none to
-    search above p when p = x_max). While the window is wide, g at its
-    thirds raises t and the ends move in toward p."""
+    search above p when p = x_max)."""
     def falls(x):
         n0, d0 = gain(x)
         n1, d1 = gain(x + 1)
@@ -389,18 +388,7 @@ def _window(gain, x_max: int, g):
 
     if not holds(p):
         return 1, 0
-    lo, hi = _reach(holds, p, 1), _reach(holds, p, x_max)
-    # Integer floors can put g far below G (by about the input-per-output
-    # price per unit floored), so g is no guide to which side of a wide
-    # window to drop. Raise t by g at the window's thirds instead: the
-    # window only narrows, and still holds every size reaching t.
-    while hi - lo > 1024:
-        best = max(g(lo + (hi - lo) // 3), g(hi - (hi - lo) // 3))
-        if best <= t:
-            break
-        t = best
-        lo, hi = _reach(holds, p, lo), _reach(holds, p, hi)
-    return lo, hi
+    return _reach(holds, p, 1), _reach(holds, p, x_max)
 
 
 class _VictimSizing:

@@ -484,9 +484,10 @@ def test_flat_victim_is_sized_without_search():
 def test_wide_window_near_a_flat_peak_is_searched_within_a_bound():
     """A victim just above the fee's breakeven on 10^24 reserves: G peaks
     below x_slip, so flat that the sizes where G reaches the best integer
-    gain span about 5 * 10^13. The window goes through the ternary search
-    and coarse grid, so sizing costs a few thousand plan calls for the
-    grids and at most 65,537 for the final scan."""
+    gain span about 5 * 10^13. ``_window`` bounds the search to those
+    sizes, four coarse-grid rounds of at most 1,026 plan calls each
+    narrow them to at most 65,537, and the final scan takes those; the
+    window's g(p) and the x = 0 baseline add one call each."""
     pool = cp_pool(10 ** 24, 10 ** 24, tokens=(XL_TA, XL_TB))
     victim = VictimSwap(XL_TA, XL_TB, 302 * 10 ** 19)
     sizing = _VictimSizing(pool, victim)
@@ -496,7 +497,7 @@ def test_wide_window_near_a_flat_peak_is_searched_within_a_bound():
     sizing.plan = lambda x: calls.append(x) or plan(x)
     x, gross = optimal_frontrun(pool, victim, None, sizing)
     assert lo <= x <= hi and gross == plan(x)[0] > 10 ** 16
-    assert len(calls) <= 6 * 1026 + 65537
+    assert len(calls) <= 2 + 4 * 1026 + 65537
 
 
 def test_frontrun_capital_cap():
