@@ -308,24 +308,16 @@ def _timestamp(obj, key):
 
 
 class _HexMemo(dict):
-    """One load's 0x-hex strings, each checked once and then shared as one
-    bytes object by both parsing paths.
+    """One load's address and topic word strings, the hex values that recur
+    across a fixture, each checked once and then shared as one bytes object.
 
-    ``memo[value]`` is for a string a canonical pattern captured as '0x'
-    and a body of its field's length: the body's bytes, or ValueError (and
-    nothing kept), which sends the line to the json path. ``check`` is a
-    ``_hexstr`` for the json path. The memo keys on the string alone, so a
-    hit must also have the asked length; a string seen at one length and
-    asked at another falls through to ``_hexstr``, which raises."""
+    ``memo[body]`` is for a body a canonical pattern captured after '0x'
+    at its field's length, so an address and a topic word never meet under
+    one key: the body's bytes, or ValueError (and nothing kept), which
+    sends the line to the json path."""
 
-    def __missing__(self, value):
-        raw = self[value] = _fromhex(value[2:])
-        return raw
-
-    def check(self, value, length, what):
-        raw = self.get(value) if type(value) is str else None
-        if raw is None or len(raw) != length:
-            raw = self[value] = _hexstr(value, length, what)
+    def __missing__(self, body):
+        raw = self[body] = _fromhex(body)
         return raw
 
 
@@ -393,15 +385,15 @@ def _parse_record(obj, hexstr):
 
 
 # dump_fixture's exact layout with its line end, one pattern per kind,
-# picked by the character after '{"kind":"'. A hex field matches as its
-# length in characters but a quote; ``_fromhex`` checks ``data`` and, once
-# per distinct string (``_HexMemo``), every other hex field. A line that
-# matches and passes is one the json path accepts, built to the record it
-# builds; any other line takes the json path, which alone rejects.
-# Integers are bounded so int() never meets its digit limit.
+# picked by the character after '{"kind":"'. A hex field matches as '0x'
+# and its length in characters but a quote; ``_fromhex`` checks every
+# body, addresses and topic words once per distinct string (``_HexMemo``).
+# A line that matches and passes is one the json path accepts, built to
+# the record it builds; any other line takes the json path, which alone
+# rejects. Integers are bounded so int() never meets its digit limit.
 _TX_STATUS = {s.value: s for s in TxStatus}
-_H20 = r'"(0x[^"]{40})"'
-_H32 = r'"(0x[^"]{64})"'
+_H20 = r'"0x([^"]{40})"'
+_H32 = r'"0x([^"]{64})"'
 _WORDS = r'(?:"0x[^"]{64}",)'
 _INT = r"(0|[1-9][0-9]{0,17})"
 _DEC = r'"(0|[1-9][0-9]{0,77})"'
@@ -468,43 +460,74 @@ def load_fixture(path) -> ChainDataset:
 
 
 def _load_fixture(path):
-    """The dataset and the number of lines that took the json path."""
+    """The dataset and the number of lines that took the json path.
+
+    Equal values are kept once. Addresses and topic words recur across a
+    file, so a canonical line takes their bytes from the memo, which holds
+    one string per distinct value until the load ends. Tx hashes, senders
+    and block numbers recur a few times at most, so they are converted
+    where they appear and shared through tables keyed by value, which hold
+    no string. A log whose tx hash or block string is the previous log's
+    reuses its value."""
     blocks, txs, logs = [], [], []
     records = {"block": blocks, "tx": txs, "log": logs}
+    # share(value, value) is the first value equal to it. Senders recur
+    # only among txs, which the canonical layout writes before the logs,
+    # so their table is emptied at the first log.
+    shared, senders = {}, {}
+    share, share_sender = shared.setdefault, senders.setdefault
     memo, by_json = _HexMemo(), 0
     new, hexes = tuple.__new__, memo.__getitem__
+    last_hash = last_block = hash_raw = number = None
+
+    def json_hex(value, length, what):
+        raw = _hexstr(value, length, what)
+        return share(raw, raw)
+
     for line, raw in _text_lines(path):
         kind = raw[9:10]
         match = kind in _CANONICAL and _CANONICAL[kind](raw)
         try:
             if match and kind == "l":
+                if senders:
+                    senders.clear()
                 chain, address, topics, data, block, tx_index, log_index, tx_hash = match.groups()
+                if tx_hash != last_hash:
+                    hash_raw = _fromhex(tx_hash)
+                    last_hash, hash_raw = tx_hash, share(hash_raw, hash_raw)
+                if block != last_block:
+                    number = int(block)
+                    last_block, number = block, share(number, number)
                 logs.append(new(EventLog, (
-                    CHAINS[chain], memo[address], tuple(map(hexes, topics[1:-1].split('","'))),
-                    _fromhex(data), int(block), int(tx_index), int(log_index), memo[tx_hash])))
+                    CHAINS[chain], memo[address], tuple(map(hexes, topics[3:-1].split('","0x'))),
+                    _fromhex(data), number, int(tx_index), int(log_index), hash_raw)))
                 continue
             if match and kind == "t":
                 tx_hash, block, index, sender, to, fee, payment, status = match.groups()
+                tx_hash, block, sender = _fromhex(tx_hash), int(block), _fromhex(sender)
                 txs.append(new(TxRecord, (
-                    memo[tx_hash], int(block), int(index), memo[sender], to and memo[to],
-                    int(fee), int(payment), _TX_STATUS[status])))
+                    share(tx_hash, tx_hash), share(block, block), int(index),
+                    share_sender(sender, sender), to and memo[to], int(fee), int(payment),
+                    _TX_STATUS[status])))
                 continue
             if match and int(match[3]) <= _MAX_TIMESTAMP:
-                chain, number, timestamp, tx_hashes = match.groups()
+                chain, block, timestamp, tx_hashes = match.groups()
+                block = int(block)
                 blocks.append(new(BlockRecord, (
-                    CHAINS[chain], int(number), int(timestamp),
-                    tuple(map(hexes, tx_hashes[1:-1].split('","'))) if tx_hashes else ())))
+                    CHAINS[chain], share(block, block), int(timestamp),
+                    tuple([share(h, h) for h in map(_fromhex, tx_hashes[3:-1].split('","0x'))])
+                    if tx_hashes else ())))
                 continue
         except ValueError:
             pass
         raw = raw.strip()
         if raw:
             by_json += 1
-            kind, record = _json_line(path, line, raw, lambda obj: _parse_record(obj, memo.check))
+            kind, record = _json_line(path, line, raw, lambda obj: _parse_record(obj, json_hex))
             records[kind].append(record)
-    # the records keep the memo's bytes; its strings and table go before
-    # the ordering checks allocate
-    del memo, hexes
+    # the records keep the values; the memo's strings and the tables go
+    # before the ordering checks allocate
+    del memo, hexes, shared, senders, share, share_sender, json_hex, last_hash, last_block
 
     names = {b.chain.name for b in blocks}
     names.update([l.chain.name for l in logs])

@@ -373,14 +373,25 @@ def bytecode_cluster_cmd(ctx: Ctx):
 def report_cmd(ctx: Ctx):
     """Summarize all findings_*.jsonl files in the output directory."""
     import glob
+    from itertools import chain
 
     from . import reporting
-    findings = []
-    for path in sorted(glob.glob(os.path.join(ctx.out_dir, "findings_*.jsonl"))):
-        findings.extend(reporting.read_findings(path))
+    # escaped: the directory's name may hold a glob metacharacter
+    files = sorted(glob.glob(os.path.join(glob.escape(ctx.out_dir), "findings_*.jsonl")))
+    read = dict.fromkeys(files, 0)
+
+    def rows(path):
+        def count(row):
+            read[path] += 1
+            return row
+        # map, not a loop, so that no row outlives its turn in the fold
+        return map(count, reporting.read_findings(path))
+
     prices = ctx.prices()
-    paths = reporting.emit_report(findings, ctx.out_dir,
+    paths = reporting.emit_report(chain.from_iterable(map(rows, files)), ctx.out_dir,
                                   prices.eth_usd if prices is not None else None)
+    log.info("report: read %d rows from %d files in %s%s", sum(read.values()), len(files),
+             ctx.out_dir, "".join(f"; {os.path.basename(path)}: {n}" for path, n in read.items()))
     for name in sorted(paths):
         print(f"{name} -> {paths[name]}")
 

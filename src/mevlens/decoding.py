@@ -9,7 +9,8 @@ SchemaMismatch on a count its row rejects, reads the fields and calls the
 rule, which returns the action, or None for a well-formed log that is no
 usable action (a zero amount, an unknown pool). ``decode_logs`` and
 ``decode_swap`` look up each topic once and skip, logging at DEBUG, the
-logs the decoder rejects.
+logs the decoder rejects. The addresses one pass slices out of topics and
+data are shared: equal addresses are one object.
 """
 
 from __future__ import annotations
@@ -189,7 +190,8 @@ class _Layout(NamedTuple):
     rule: Callable
 
 
-_CONVERT = {"address": bytes, "bytes32": bytes,
+# an address field's convert is None: the decode pass's ``share``
+_CONVERT = {"address": None, "bytes32": bytes,
             "uint": partial(int.from_bytes, byteorder="big"),
             "int": partial(int.from_bytes, byteorder="big", signed=True)}
 
@@ -246,8 +248,18 @@ _LAYOUTS = {
 }
 
 
-def _decode(log: EventLog, entry, pools):
-    """Decode ``log`` by its registry entry's layout row."""
+class _Shared(dict):
+    """``shared[value]`` is the first value equal to ``value``: one object
+    per value."""
+
+    def __missing__(self, value):
+        self[value] = value
+        return value
+
+
+def _decode(log: EventLog, entry, pools, share=bytes):
+    """Decode ``log`` by its registry entry's layout row. ``share`` maps
+    each address to the object kept for its value; by default, itself."""
     layout = _LAYOUTS[entry.schema]
     topics, data = log.topics, log.data
     n = layout.topics
@@ -255,43 +267,54 @@ def _decode(log: EventLog, entry, pools):
         raise SchemaMismatch(f"{layout.name} expects {n} topic{'s' if n != 1 else ''}")
     if len(data) < layout.slots * WORD:
         raise SchemaMismatch(f"need {layout.slots} data slots, have {len(data) // WORD}")
-    return layout.rule(log, pools, *[convert((data if i < 0 else topics[i])[start:stop])
-                                     for i, start, stop, convert in layout.fields])
+    return layout.rule(log, pools, *[
+        (convert or share)((data if i < 0 else topics[i])[start:stop])
+        for i, start, stop, convert in layout.fields])
 
 
-def _decode_or_skip(log: EventLog, entry, pools):
+def _decode_or_skip(log: EventLog, entry, pools, share):
     """``_decode``, except that a log the decoder rejects with a
     MevlensError is skipped: None, and a DEBUG line naming it."""
     try:
-        return _decode(log, entry, pools)
+        return _decode(log, entry, pools, share)
     except MevlensError as exc:
         _log.debug("skipped %s log at %s: %s", entry.event, log.position, exc)
         return None
 
 
-def decode_swap(log: EventLog, pools=None) -> Optional[SwapAction]:
+def decode_swap(log: EventLog, pools=None, share=bytes) -> Optional[SwapAction]:
     """Decode a DEX swap event into a SwapAction; None for any other log,
     and for a swap log the decoder rejects (skipped as in ``decode_logs``).
     ``pools`` maps pool address -> object with a ``tokens`` sequence, which
-    Uniswap V2/V3, Curve and StableSwap events need to name their tokens."""
+    Uniswap V2/V3, Curve and StableSwap events need to name their tokens.
+    ``share`` maps each address the log holds to the object kept for its
+    value: one ``shared_addresses()`` for a pass over many logs."""
     entry = DEFAULT_REGISTRY.lookup(log.topics[0])
     if entry is None or entry.categories.isdisjoint(_SWAPS):
         return None
-    return _decode_or_skip(log, entry, pools)
+    return _decode_or_skip(log, entry, pools, share)
+
+
+def shared_addresses():
+    """A fresh ``share`` for one decode pass: it maps each address to the
+    first one equal to it that it was given."""
+    return _Shared().__getitem__
 
 
 def decode_logs(logs: Sequence[EventLog], categories, pools=None) -> list:
     """Decode every log registered under one of ``categories`` into
     ``(log, action)`` pairs in input order, dropping logs whose rule yields
     None. A log the decoder rejects with a MevlensError is skipped and
-    logged at DEBUG; any other exception propagates."""
+    logged at DEBUG; any other exception propagates. Equal addresses in the
+    actions are one object."""
     wanted = frozenset(categories)
+    share = shared_addresses()
     decoded = []
     for log in logs:
         entry = DEFAULT_REGISTRY.lookup(log.topics[0])
         if entry is None or wanted.isdisjoint(entry.categories):
             continue
-        action = _decode_or_skip(log, entry, pools)
+        action = _decode_or_skip(log, entry, pools, share)
         if action is not None:
             decoded.append((log, action))
     return decoded

@@ -12,7 +12,8 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .chain_model import ChainDataset, ChainId, EventLog, Layer, TxRecord
-from .decoding import LiquidationAction, SwapAction, TransferAction, decode_logs, decode_swap
+from .decoding import (LiquidationAction, SwapAction, TransferAction, decode_logs, decode_swap,
+                       shared_addresses)
 from .registry import Category
 # the price table and its units live there so that `report` loads no decoder
 from .reporting import WEI, PriceProvider, day_of
@@ -318,9 +319,10 @@ def extract_swaps(dataset: ChainDataset, pools=None):
     Victim-swap events (StableSwap TokenSwap) count too: they can close a
     cycle like any DEX swap.
     """
+    share = shared_addresses()
     swaps = []
     for log in dataset.logs:
-        swap = decode_swap(log, pools)
+        swap = decode_swap(log, pools, share)
         if swap is not None:
             swaps.append(swap)
     return swaps

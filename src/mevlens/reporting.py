@@ -14,7 +14,7 @@ import math
 import os
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .chain_model import (_DECIMAL_FRACTION, _decimal, _raise_not_utf8, _sidecar_hex, _timestamp,
                           read_jsonl, to_hex)
@@ -235,10 +235,11 @@ def write_findings(rows: Iterable[dict], path) -> int:
     return len(lines)
 
 
-def read_findings(path) -> list:
-    """Findings rows as dicts. A row whose fields emit_report cannot
-    summarize raises MalformedRecord with the file and line."""
-    return list(read_jsonl(path, _finding))
+def read_findings(path) -> Iterator[dict]:
+    """Yield the file's findings rows as dicts, one line at a time. A row
+    whose fields emit_report cannot summarize raises MalformedRecord with
+    the file and line when it is reached."""
+    return read_jsonl(path, _finding)
 
 
 def _finding(obj: dict) -> dict:
@@ -271,33 +272,41 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def emit_report(findings: Sequence[dict], out_dir, eth_usd=None) -> dict:
-    """Write the summary CSVs for a findings list; returns paths written.
+def emit_report(findings: Iterable[dict], out_dir, eth_usd=None) -> dict:
+    """Write the summary CSVs for findings rows; returns paths written.
 
+    ``findings`` is read once, a row at a time, and no row is kept: the
+    fold keeps the month counts, the flash-loan share counts and, per
+    (chain, type), the (profit, day) pairs that P90 and the median need.
     ``eth_usd`` optionally maps unix day -> Fraction dollar price to add a
     USD column to profit statistics.
     """
+    monthly: dict = {}   # (month, type, chain) -> findings
+    shares: dict = {}    # (chain, type, provider) -> flash loans
+    groups: dict = {}    # (chain, type) -> [(profit, day)]
+    for f in findings:
+        chain, typ, ts = f["chain"], f["type"], f["timestamp"]
+        key = (month_of(ts), typ, chain)
+        monthly[key] = monthly.get(key, 0) + 1
+        profit = f.get("profit_eth")
+        if profit is not None:
+            groups.setdefault((chain, typ), []).append((Fraction(profit), day_of(ts)))
+        for fl in f.get("flash_loans", []):
+            key = (chain, typ, fl["provider"])
+            shares[key] = shares.get(key, 0) + 1
+        # the row goes before the next one is read
+        del f
+
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
 
     # monthly counts per type (UTC month of block timestamp)
-    monthly: dict = {}
-    for f in findings:
-        key = (month_of(f["timestamp"]), f["type"], f["chain"])
-        monthly[key] = monthly.get(key, 0) + 1
     paths["monthly_counts"] = f"{out_dir}/monthly_counts.csv"
     _write_csv(paths["monthly_counts"], ["month", "type", "chain", "count"],
                [[m, t, c, n] for (m, t, c), n in sorted(monthly.items())])
 
     # profit statistics per chain and type
     rows = []
-    groups: dict = {}
-    for f in findings:
-        profit = f.get("profit_eth")
-        if profit is None:
-            continue
-        groups.setdefault((f["chain"], f["type"]), []).append(
-            (Fraction(profit), f["timestamp"]))
     for (chain, typ), entries in sorted(groups.items()):
         stats = summary_stats([e[0] for e in entries])
         row = [chain, typ, len(entries)]
@@ -305,8 +314,8 @@ def emit_report(findings: Sequence[dict], out_dir, eth_usd=None) -> dict:
             row.append(fmt_fixed(stats[key]))
         if eth_usd is not None:
             usd = []
-            for value, ts in entries:
-                price = eth_usd(day_of(ts))
+            for value, day in entries:
+                price = eth_usd(day)
                 if price is not None:
                     usd.append(value * price)
             row.append(fmt_fixed(summary_stats(usd)["total"], 2))
@@ -319,11 +328,6 @@ def emit_report(findings: Sequence[dict], out_dir, eth_usd=None) -> dict:
     _write_csv(paths["profit_stats"], header, rows)
 
     # flash loan provider shares per finding type
-    shares: dict = {}
-    for f in findings:
-        for fl in f.get("flash_loans", []):
-            key = (f["chain"], f["type"], fl["provider"])
-            shares[key] = shares.get(key, 0) + 1
     paths["flash_loan_shares"] = f"{out_dir}/flash_loan_shares.csv"
     _write_csv(paths["flash_loan_shares"], ["chain", "type", "provider", "count"],
                [[c, t, p, n] for (c, t, p), n in sorted(shares.items())])

@@ -292,5 +292,5 @@ def test_10_determinism_and_performance(tmp_path):
         assert gc.get_freeze_count() == 0
         blobs.append((out / "findings_arb.jsonl").read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
-    findings = read_findings(tmp_path / "out0" / "findings_arb.jsonl")
+    findings = list(read_findings(tmp_path / "out0" / "findings_arb.jsonl"))
     assert len(findings) == counter // 4

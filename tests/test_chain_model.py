@@ -1,11 +1,12 @@
 import gc
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mevlens.chain_model import (CHAINS, ETHEREUM, ChainDataset, _CANONICAL, _HexMemo,
+from mevlens.chain_model import (CHAINS, ETHEREUM, ChainDataset, _CANONICAL, _hexstr,
                                  _in_key_order, _load_fixture, _MAX_TIMESTAMP, _parse_record,
                                  dump_fixture, load_fixture, logs_in_range, read_jsonl, to_hex)
 from mevlens.cli import main
@@ -374,8 +375,9 @@ def memo_records(tmp_path_factory):
 def test_hex_memo_matches_per_field_check(memo_records, tmp_path_factory, data):
     """One hex field of a fixture set to another field's string (of any
     length, earlier or later in the file) or to a corrupted one: the
-    loader, which checks each distinct string once, agrees with a check of
-    every field on its own."""
+    loader, which checks each distinct address and topic string once and
+    every other hex field where it appears, agrees with a check of every
+    field on its own."""
     records = memo_records
     slots = _hex_slots(records)
     slot = data.draw(st.sampled_from(slots), label="slot")
@@ -421,6 +423,78 @@ def test_repeated_hex_strings_share_one_bytes_object(tmp_path):
     tx = ds.txs[0]
     assert tx.hash is ds.blocks[0].tx_hashes[0]
     assert all(l.tx_hash is tx.hash for l in ds.logs if l.tx_hash == tx.hash)
+
+
+def _recurring_fixture(blocks):
+    """Records as a chain holds them: a few tokens, pools and traders
+    recur in every block's swaps and transfers, one tx in two comes from
+    one bot and the other from a new sender, and block numbers run past
+    the small ints Python caches."""
+    fb = FixtureBuilder(ETHEREUM, start_block=1000)
+    tokens = [addr(0xA0 + i) for i in range(3)]
+    pools = [addr(0x50), addr(0x51)]
+    for b in range(blocks):
+        fb.block()
+        for t, pool in enumerate(pools):
+            fb.tx(sender=addr(0xB07) if t else None, to=pool,
+                  tx_hash=(2 * b + t + 1).to_bytes(32, "big"))
+            t_in, t_out, trader = tokens[(b + t) % 3], tokens[(b + t + 1) % 3], addr(0xE0 + t)
+            fb.log(pool, *enc_balancer_v1_swap(trader, t_in, t_out, 100 + b, 205))
+            fb.log(t_in, *enc_transfer(trader, pool, 100 + b))
+            fb.log(t_out, *enc_transfer(pool, trader, 205))
+    return fb.dataset()
+
+
+def _in_layout(tmp_path, dataset, layout):
+    """``dataset`` dumped in the canonical layout, or as its twin with
+    default separators and sorted keys, which takes the json path."""
+    path = tmp_path / f"{layout}.jsonl"
+    dump_fixture(dataset, path)
+    if layout == "json":
+        path.write_text("".join(json.dumps(json.loads(line), sort_keys=True) + "\n"
+                                for line in path.read_text().splitlines()))
+    return path
+
+
+@pytest.mark.parametrize("layout", ["canonical", "json"])
+def test_equal_values_load_as_one_object(tmp_path, layout):
+    """A log's tx hash is its tx's hash and its block's entry; equal
+    addresses, topic words and senders are each one object, and on the
+    canonical path so are equal block numbers."""
+    ds = load_fixture(_in_layout(tmp_path, _recurring_fixture(6), layout))
+    hashes = {h: h for b in ds.blocks for h in b.tx_hashes}
+    assert all(t.hash is hashes[t.hash] for t in ds.txs)
+    assert all(l.tx_hash is hashes[l.tx_hash] for l in ds.logs)
+    shared = [[l.address for l in ds.logs] + [t.to for t in ds.txs],
+              [w for l in ds.logs for w in l.topics], [t.sender for t in ds.txs]]
+    if layout == "canonical":
+        shared.append([b.number for b in ds.blocks] + [t.block_number for t in ds.txs]
+                      + [l.block_number for l in ds.logs])
+    for values in shared:
+        assert len({id(v) for v in values}) == len(set(values)) < len(values)
+
+
+@pytest.mark.parametrize("layout", ["canonical", "json"])
+def test_load_peak_is_within_a_tenth_of_the_dataset(tmp_path, layout):
+    """A load keeps little beside what it returns: its traced peak exceeds
+    the dataset it returns by at most 10% (4% here). A memo of every hex
+    string seen, tx hashes and senders included, took it to 14% on the
+    canonical layout and 17% on the json one."""
+    path = _in_layout(tmp_path, _recurring_fixture(300), layout)
+    load_fixture(path)   # once first, so that no one-time cache counts
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ds = load_fixture(path)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(ds.logs) == 1800
+    assert peak - base <= 1.10 * (size - base), (peak - base, size - base)
 
 
 def test_load_keeps_the_collector_setting(tmp_path):
@@ -535,9 +609,7 @@ def _load_records(path):
 
 
 def _json_path_records(path):
-    memo = _HexMemo()
-    return [record for _, record in
-            read_jsonl(path, lambda obj: _parse_record(obj, memo.check))]
+    return [record for _, record in read_jsonl(path, lambda obj: _parse_record(obj, _hexstr))]
 
 
 def test_recognizer_mutations_match_json_path(tmp_path):

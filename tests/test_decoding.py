@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import literal_decode, literal_decode_logs, literal_decode_swap
-from mevlens.chain_model import ARBITRUM, ETHEREUM, EventLog, OPTIMISM, ZKSYNC
+from mevlens.chain_model import ARBITRUM, ETHEREUM, ChainDataset, EventLog, OPTIMISM, ZKSYNC
+from mevlens.detectors import extract_swaps, extract_transfers
 from mevlens.decoding import WORD, _LAYOUTS, _decode, decode_logs, decode_swap
 from mevlens.errors import MevlensError
 from mevlens.fixtures import (addr, enc_aave_v1_liquidation,
@@ -400,3 +401,24 @@ def test_rules_match_literal_decoders_on_a_grid():
             for pools in pools_grid if reads_pools else [None]:
                 assert outcome(_decode, log, entry, pools) == \
                     outcome(literal_decode, log, entry, pools), (entry.schema, words, pools)
+
+
+def test_a_decode_pass_keeps_one_object_per_address():
+    """The addresses one pass slices out of topics and data are shared:
+    the swaps' tokens and the transfers' parties, one object per value."""
+    tokens, logs = [addr(0xA1), addr(0xB2), addr(0xC3)], []
+    for i in range(30):
+        t_in, t_out = tokens[i % 3], tokens[(i + 1) % 3]
+        logs.append(make_log(*enc_balancer_v1_swap(addr(0xEE), t_in, t_out, 100 + i, 205),
+                             log_index=2 * i))
+        logs.append(make_log(*enc_transfer(addr(0xEE), addr(0x51), 100 + i), address=t_in,
+                             log_index=2 * i + 1))
+    ds = ChainDataset(ETHEREUM, logs=logs)
+    swaps, transfers = extract_swaps(ds), extract_transfers(ds)
+    both = [action for _, action in decode_logs(logs, (Category.ARBITRAGE, Category.TRANSFER))]
+    assert len(swaps) == len(transfers) == 30 and len(both) == 60
+    fields = ("token_in", "token_out", "sender", "receiver")
+    for values in ([s.token_in for s in swaps] + [s.token_out for s in swaps],
+                   [t.sender for t in transfers] + [t.receiver for t in transfers],
+                   [getattr(a, f) for a in both for f in fields if hasattr(a, f)]):
+        assert len({id(v) for v in values}) == len(set(values)) < len(values)

@@ -5,8 +5,9 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mevlens import decoding
+from mevlens import decoding, reporting
 from mevlens.amm import PoolInfo, dump_pool_metadata
 from mevlens.chain_model import (ARBITRUM, ETHEREUM, ChainDataset, EventLog, dump_fixture,
                                  load_fixture)
@@ -159,7 +160,7 @@ def test_cli_detect_arb_planted(tmp_path, capsys):
     code = main(["detect", "arb", "--fixtures", str(fixtures),
                  "--prices", str(prices), "--out", str(out)])
     assert code == 0
-    findings = read_findings(out / "findings_arb.jsonl")
+    findings = list(read_findings(out / "findings_arb.jsonl"))
     assert len(findings) == len(expected) == 25
     got = sorted((f["tx_hash"], len(f["cycle"])) for f in findings)
     want = sorted(("0x" + tx.hex(), n) for tx, n in expected)
@@ -208,7 +209,7 @@ def test_cli_block_range_filter(tmp_path):
     assert main(["detect", "arb", "--fixtures", str(fixtures),
                  "--from-block", "1", "--to-block", "5",
                  "--out", str(out)]) == 0
-    findings = read_findings(out / "findings_arb.jsonl")
+    findings = list(read_findings(out / "findings_arb.jsonl"))
     assert len(findings) == 5
     assert all(1 <= f["block"] <= 5 for f in findings)
 
@@ -256,7 +257,7 @@ def test_cli_report_malformed_findings_exit_1(tmp_path, capsys, name):
     path = out / "findings_arb.jsonl"
     path.write_text(_finding_row() + "\n" + MALFORMED_FINDINGS[name] + "\n")
     with pytest.raises(MalformedRecord) as exc:
-        read_findings(path)
+        list(read_findings(path))
     assert exc.value.line == 2
     assert main(["report", "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -272,6 +273,132 @@ def test_cli_report_empty_out_dir(tmp_path):
                  "flash_loan_shares.csv"):
         lines = (out / name).read_text().splitlines()
         assert len(lines) == 1  # header only
+
+
+def _findings_file(path, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(row + "\n" for row in rows))
+
+
+def _report_tables(out):
+    return {name: (out / f"{name}.csv").read_text()
+            for name in ("monthly_counts", "profit_stats", "flash_loan_shares")}
+
+
+GLOB_ROWS = [_finding_row(), _finding_row(type="liquidation", profit_eth="1.25", flash_loans=[]),
+             _finding_row(timestamp=1_650_000_000, profit_eth=None)]
+
+
+@pytest.mark.parametrize("name", ["out[1]", "out*", "out?"])
+def test_cli_report_reads_a_directory_named_with_glob_metacharacters(tmp_path, name):
+    """The --out directory is matched as named: a glob metacharacter in
+    it neither hides its findings nor reads a sibling's, here ``out1``."""
+    for directory in ("plain", name):
+        _findings_file(tmp_path / directory / "findings_arb.jsonl", GLOB_ROWS)
+    _findings_file(tmp_path / "out1" / "findings_arb.jsonl", [_finding_row(chain="arbitrum")])
+    for directory in ("plain", name):
+        assert main(["report", "--out", str(tmp_path / directory)]) == 0
+    tables = _report_tables(tmp_path / name)
+    assert tables == _report_tables(tmp_path / "plain")
+    assert len(tables["monthly_counts"].splitlines()) == 1 + len(GLOB_ROWS)
+
+
+def test_cli_report_logs_the_files_and_rows_it_read(tmp_path, caplog):
+    out, empty = tmp_path / "out", tmp_path / "empty"
+    _findings_file(out / "findings_liq.jsonl", GLOB_ROWS[:2])
+    _findings_file(out / "findings_arb.jsonl", GLOB_ROWS)
+    _findings_file(out / "opportunities_arb.jsonl", ['{"type": "opportunity_arb"}'])
+    empty.mkdir()
+    with caplog.at_level(logging.INFO, logger="mevlens"):
+        assert main(["report", "--out", str(out)]) == 0
+        assert main(["report", "--out", str(empty)]) == 0
+    assert [r.getMessage() for r in caplog.records if r.levelname == "INFO"] == [
+        f"report: read 5 rows from 2 files in {out}; findings_arb.jsonl: 3; "
+        "findings_liq.jsonl: 2",
+        f"report: read 0 rows from 0 files in {empty}"]
+
+
+def test_cli_report_names_the_line_of_a_malformed_row_in_a_later_file(tmp_path, capsys):
+    """Rows are read as the report folds them; a bad row still exits 1
+    naming its file and line (blank lines counted), and no table is
+    written."""
+    out = tmp_path / "out"
+    _findings_file(out / "findings_arb.jsonl", GLOB_ROWS)
+    _findings_file(out / "findings_liq.jsonl",
+                   [GLOB_ROWS[1], "", _finding_row(), MALFORMED_FINDINGS["bool_timestamp"]])
+    assert main(["report", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{out / 'findings_liq.jsonl'}: line 4: timestamp must be an integer" in err
+    assert sorted(os.listdir(out)) == ["findings_arb.jsonl", "findings_liq.jsonl"]
+
+
+def test_emit_report_holds_one_row_at_a_time(tmp_path, monkeypatch):
+    monkeypatch.setattr(_CountedRow, "live", 0)
+    monkeypatch.setattr(_CountedRow, "most", 0)
+    rows = (_CountedRow(json.loads(_finding_row(profit_eth=f"{i}.5"))) for i in range(50))
+    reporting.emit_report(rows, tmp_path)
+    assert _CountedRow.most == 1
+    assert (tmp_path / "profit_stats.csv").read_text().splitlines()[1].startswith(
+        "ethereum,arbitrage,50,")
+
+
+def test_cli_report_holds_one_row_at_a_time(tmp_path, monkeypatch):
+    """Through ``report``: the files' rows pass one at a time from the
+    reader through the count to the fold."""
+    monkeypatch.setattr(_CountedRow, "live", 0)
+    monkeypatch.setattr(_CountedRow, "most", 0)
+    finding = reporting._finding
+    monkeypatch.setattr(reporting, "_finding", lambda obj: _CountedRow(finding(obj)))
+    out = tmp_path / "out"
+    for kind in ("arb", "liq"):
+        _findings_file(out / f"findings_{kind}.jsonl", GLOB_ROWS * 10)
+    assert main(["report", "--out", str(out)]) == 0
+    assert _CountedRow.most == 1
+    assert _report_tables(out)["monthly_counts"].splitlines()[1:] == [
+        "2020-09,arbitrage,ethereum,20", "2020-09,liquidation,ethereum,20",
+        "2022-04,arbitrage,ethereum,20"]
+
+
+def _csv_rows(text):
+    return [line.split(",") for line in text.splitlines()[1:]]
+
+
+REPORT_ROWS = st.lists(st.fixed_dictionaries({
+    "type": st.sampled_from(["arbitrage", "liquidation", "sandwich"]),
+    "chain": st.sampled_from(["ethereum", "arbitrum"]),
+    "timestamp": st.integers(1_600_000_000, 1_700_000_000),
+    "profit_eth": st.none() | st.integers(-10 ** 21, 10 ** 21).map(
+        lambda units: fmt_fixed(Fraction(units, 10 ** 18))),
+    "flash_loans": st.lists(st.fixed_dictionaries(
+        {"provider": st.sampled_from(["aave_v2", "balancer"])}), max_size=2),
+}), min_size=1, max_size=15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=REPORT_ROWS, k=st.integers(2, 4))
+def test_report_of_k_copies_scales_counts_and_keeps_statistics(tmp_path_factory, rows, k):
+    """Metamorphic relation: the findings repeated k times (here split over
+    two files) give k times every month, flash-loan and profit count and
+    the total, and the same max, P90, mean, median and min; nearest-rank
+    P90 and the median do not move under k-fold repetition."""
+    once, k_fold = tmp_path_factory.mktemp("once"), tmp_path_factory.mktemp("k_fold")
+    lines = [json.dumps(row) for row in rows]
+    _findings_file(once / "findings_arb.jsonl", lines)
+    _findings_file(k_fold / "findings_arb.jsonl", lines)
+    _findings_file(k_fold / "findings_sandwich.jsonl", lines * (k - 1))
+    for out in (once, k_fold):
+        assert main(["report", "--out", str(out)]) == 0
+    base, scaled = _report_tables(once), _report_tables(k_fold)
+    for name in ("monthly_counts", "flash_loan_shares"):
+        assert _csv_rows(scaled[name]) == [row[:-1] + [str(k * int(row[-1]))]
+                                           for row in _csv_rows(base[name])]
+    stats = _csv_rows(base["profit_stats"])
+    assert [row[:2] for row in _csv_rows(scaled["profit_stats"])] == [row[:2] for row in stats]
+    for row, scaled_row in zip(stats, _csv_rows(scaled["profit_stats"])):
+        chain, typ, count, total, *kept = row
+        assert int(scaled_row[2]) == k * int(count)
+        assert Fraction(scaled_row[3]) == k * Fraction(total)
+        assert scaled_row[4:] == kept
 
 
 def test_cli_decode_counts(tmp_path, capsys):
@@ -295,7 +422,7 @@ def test_make_demo_script(tmp_path):
     assert main(["detect", "arb", "--fixtures", str(tmp_path / "demo"),
                  "--prices", str(tmp_path / "demo" / "prices.csv"),
                  "--out", str(out)]) == 0
-    assert len(read_findings(out / "findings_arb.jsonl")) == 25
+    assert len(list(read_findings(out / "findings_arb.jsonl"))) == 25
 
 
 def test_cli_detect_arb_without_block_records(tmp_path):
