@@ -10,7 +10,6 @@ from __future__ import annotations
 # csv and datetime are imported where they are used: the detectors import
 # this module for its prices, and most commands write no CSV or month
 import json
-import math
 import os
 from fractions import Fraction
 from operator import itemgetter
@@ -104,11 +103,11 @@ def month_of(timestamp: int) -> str:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime("%Y-%m")
 
 
-def p90(values: Sequence[Fraction]) -> Fraction:
-    """Nearest-rank 90th percentile: value at rank ceil(0.9*n), ascending."""
-    xs = sorted(values)
-    rank = math.ceil(Fraction(9, 10) * len(xs))
-    return xs[max(rank, 1) - 1]
+def p90(values: Sequence[Fraction], ascending=False) -> Fraction:
+    """Nearest-rank 90th percentile: value at rank ceil(0.9*n), ascending.
+    ``ascending`` says that ``values`` is sorted already."""
+    xs = values if ascending else sorted(values)
+    return xs[max(-(-9 * len(xs) // 10), 1) - 1]
 
 
 def summary_stats(values: Sequence) -> dict:
@@ -122,12 +121,12 @@ def summary_stats(values: Sequence) -> dict:
     n = len(xs)
     if n == 0:
         return dict.fromkeys(("total", "max", "p90", "mean", "median", "min"))
-    mid = n // 2
+    mid, total = n // 2, Fraction(sum(xs))
     return {
-        "total": Fraction(sum(xs)),
+        "total": total,
         "max": xs[-1],
-        "p90": p90(xs),
-        "mean": Fraction(sum(xs), n),
+        "p90": p90(xs, ascending=True),
+        "mean": total / n,
         "median": Fraction(xs[mid]) if n % 2 else Fraction(xs[mid - 1] + xs[mid], 2),
         "min": xs[0],
     }

@@ -1,11 +1,13 @@
 import gc
 import json
+import os
 import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mevlens import fixture_cache
 from mevlens.chain_model import (CHAINS, ETHEREUM, ChainDataset, _CANONICAL, _hexstr,
                                  _in_key_order, _load_fixture, _MAX_TIMESTAMP, _parse_record,
                                  dump_fixture, load_fixture, logs_in_range, read_jsonl, to_hex)
@@ -456,12 +458,24 @@ def _in_layout(tmp_path, dataset, layout):
     return path
 
 
+def _cold_or_warm(path, load):
+    """Leave ``path`` with no cache entry ("cold") or with the one its
+    first load writes ("warm")."""
+    if load == "warm":
+        load_fixture(path)
+    assert os.path.exists(fixture_cache.entry_path(path)) == (load == "warm")
+
+
+@pytest.mark.parametrize("load", ["cold", "warm"])
 @pytest.mark.parametrize("layout", ["canonical", "json"])
-def test_equal_values_load_as_one_object(tmp_path, layout):
+def test_equal_values_load_as_one_object(tmp_path, layout, load):
     """A log's tx hash is its tx's hash and its block's entry; equal
     addresses, topic words and senders are each one object, and on the
-    canonical path so are equal block numbers."""
-    ds = load_fixture(_in_layout(tmp_path, _recurring_fixture(6), layout))
+    canonical path so are equal block numbers. A load from the cache
+    entry shares them as the parse does."""
+    path = _in_layout(tmp_path, _recurring_fixture(6), layout)
+    _cold_or_warm(path, load)
+    ds = load_fixture(path)
     hashes = {h: h for b in ds.blocks for h in b.tx_hashes}
     assert all(t.hash is hashes[t.hash] for t in ds.txs)
     assert all(l.tx_hash is hashes[l.tx_hash] for l in ds.logs)
@@ -474,14 +488,18 @@ def test_equal_values_load_as_one_object(tmp_path, layout):
         assert len({id(v) for v in values}) == len(set(values)) < len(values)
 
 
+@pytest.mark.parametrize("load", ["cold", "warm"])
 @pytest.mark.parametrize("layout", ["canonical", "json"])
-def test_load_peak_is_within_a_tenth_of_the_dataset(tmp_path, layout):
+def test_load_peak_is_within_a_tenth_of_the_dataset(tmp_path, layout, load):
     """A load keeps little beside what it returns: its traced peak exceeds
     the dataset it returns by at most 10% (4% here). A memo of every hex
     string seen, tx hashes and senders included, took it to 14% on the
-    canonical layout and 17% on the json one."""
+    canonical layout and 17% on the json one. A cold load also writes the
+    cache entry, one section at a time; a warm one rebuilds from it."""
     path = _in_layout(tmp_path, _recurring_fixture(300), layout)
     load_fixture(path)   # once first, so that no one-time cache counts
+    if load == "cold":
+        os.remove(fixture_cache.entry_path(path))
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -494,6 +512,7 @@ def test_load_peak_is_within_a_tenth_of_the_dataset(tmp_path, layout):
         if not tracing:
             tracemalloc.stop()
     assert len(ds.logs) == 1800
+    assert os.path.exists(fixture_cache.entry_path(path))
     assert peak - base <= 1.10 * (size - base), (peak - base, size - base)
 
 

@@ -440,13 +440,17 @@ def test_window_and_horizon_below_1_exit_1(option, commands, capsys):
 # library. No command loads the dataclass machinery or the introspection
 # it imports: the records are NamedTuples. Nor does one load logging unless
 # MEVLENS_LOG is set: until then no handler exists to print a record.
-NEVER_LOADED = ["dataclasses", "inspect", "logging"]
+# Nor does one load hashlib, which loads OpenSSL: the fixture cache hashes
+# with the built-in BLAKE2b. A command that reads no chain fixture does
+# not load the fixture cache.
+NEVER_LOADED = ["dataclasses", "inspect", "logging", "hashlib"]
 NOT_LOADED = [
     (ARGV["detect arb"], {"crosslayer", "bytecode", "keccak", "opportunity"}),
     (ARGV["decode"], {"amm", "opportunity", "crosslayer", "bytecode"}),
-    (ARGV["bytecode cluster"], {"decoding", "detectors", "amm", "opportunity", "crosslayer"}),
+    (ARGV["bytecode cluster"], {"decoding", "detectors", "amm", "opportunity", "crosslayer",
+                                "fixture_cache"}),
     (REPORT_FINDINGS, {"detectors", "decoding", "registry", "amm", "opportunity",
-                       "crosslayer", "bytecode"}),
+                       "crosslayer", "bytecode", "fixture_cache"}),
     (ARGV["crosslayer infer"], {"detectors", "opportunity", "bytecode"}),
     (ARGV["crosslayer delay"], {"detectors", "opportunity", "bytecode"}),
     (ARGV["crosslayer simulate"], {"detectors", "bytecode"}),

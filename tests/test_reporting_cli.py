@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mevlens import decoding, reporting
+from mevlens import decoding, fixture_cache, reporting
 from mevlens.amm import PoolInfo, dump_pool_metadata
 from mevlens.chain_model import (ARBITRUM, ETHEREUM, ChainDataset, EventLog, dump_fixture,
                                  load_fixture)
@@ -38,6 +38,25 @@ def test_profit_stats_basic():
     assert stats["p90"] == 9
     empty = summary_stats([])
     assert all(v is None for v in empty.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=50)
+       | st.lists(st.fractions(), min_size=1, max_size=50))
+def test_summary_stats_matches_naive_definitions(values):
+    """Each statistic, of integers or of Fractions, equals its definition
+    computed on its own: P90 is the value at rank ceil(0.9 n) of the
+    ascending sample, and Total, Mean and Median are Fractions."""
+    n, xs = len(values), sorted(values)
+    rank = next(r for r in range(1, n + 1) if 10 * r >= 9 * n)
+    median = Fraction(xs[(n - 1) // 2] + xs[n // 2], 2)
+    expected = {"total": Fraction(sum(values)), "max": max(values), "p90": xs[rank - 1],
+                "mean": Fraction(sum(values)) / n, "median": median, "min": min(values)}
+    stats = summary_stats(values)
+    assert stats == expected
+    assert {type(stats[k]) for k in ("total", "mean", "median")} == {Fraction}
+    assert {type(stats[k]) for k in ("max", "p90", "min")} == {type(values[0])}
+    assert p90(values) == stats["p90"]
 
 
 def test_fmt_fixed():
@@ -562,8 +581,10 @@ def test_cli_skips_logs_that_break_their_layout(tmp_path, caplog):
             caplog.clear()
             out = fixtures / "out"
             assert main(argv + ["--fixtures", str(fixtures), "--out", str(out)]) == 0, argv
+            # beside the skip lines, DEBUG holds the fixture cache's line
             skipped = [r for r in caplog.records
-                       if r.name == "mevlens" and r.levelno == logging.DEBUG]
+                       if r.name == "mevlens" and r.levelno == logging.DEBUG
+                       and r.module != "fixture_cache"]
             assert len(skipped) == (fixtures is dirty), argv
             if skipped:
                 assert "expects" in skipped[0].getMessage(), argv
@@ -633,21 +654,27 @@ def _one_broken_log(tmp_path):
 def test_debug_lines_of_a_fresh_process(tmp_path):
     """A command that imports logging only when MEVLENS_LOG is set prints,
     at DEBUG, the loader's INFO line and the skip line it printed when
-    every process imported logging, byte for byte; unset, nothing."""
+    every process imported logging, byte for byte; unset, nothing. The
+    fixture cache's line comes first: a miss that writes the entry, then
+    a hit, and the lines after it are the same."""
     argv, path = _one_broken_log(tmp_path)
-    debug = _fresh_process(argv, "DEBUG")
-    assert debug.returncode == 0, debug.stderr
-    assert debug.stderr == (
-        f"INFO mevlens: loaded {path}: 29 blocks, 29 txs, 67 logs; json-path lines: 0\n"
-        "DEBUG mevlens: skipped LOG_SWAP log at (1, 0, 0): LOG_SWAP expects 4 topics\n")
+    entry = fixture_cache.entry_path(path)
+    lines = (f"INFO mevlens: loaded {path}: 29 blocks, 29 txs, 67 logs; json-path lines: 0\n"
+             "DEBUG mevlens: skipped LOG_SWAP log at (1, 0, 0): LOG_SWAP expects 4 topics\n")
+    cold = _fresh_process(argv, "DEBUG")
+    assert cold.returncode == 0, cold.stderr
+    assert cold.stderr == f"DEBUG mevlens: fixture cache miss (no entry): wrote {entry}\n" + lines
+    warm = _fresh_process(argv, "DEBUG")
+    assert (warm.returncode, warm.stdout) == (0, cold.stdout)
+    assert warm.stderr == f"DEBUG mevlens: fixture cache hit: {entry}\n" + lines
     quiet = _fresh_process(argv, None)
-    assert (quiet.returncode, quiet.stderr, quiet.stdout) == (0, "", debug.stdout)
+    assert (quiet.returncode, quiet.stderr, quiet.stdout) == (0, "", cold.stdout)
 
 
 def test_bug_prints_its_traceback_only_at_debug(tmp_path):
     """A bug planted in a fresh process exits 2; MEVLENS_LOG=DEBUG adds its
     traceback before the one line printed at every level."""
-    argv, _ = _one_broken_log(tmp_path)
+    argv, path = _one_broken_log(tmp_path)
     code = ("import sys\nimport mevlens.detectors\n"
             "def planted(*args):\n    raise ValueError('planted bug')\n"
             "mevlens.detectors.detect_arbitrages = planted\n"
@@ -658,7 +685,9 @@ def test_bug_prints_its_traceback_only_at_debug(tmp_path):
     assert debug.returncode == 2
     head, _, trace = debug.stderr.partition(
         "DEBUG mevlens: internal error\nTraceback (most recent call last):\n")
-    assert head.startswith("INFO mevlens: loaded ") and "skipped LOG_SWAP" in head, head
+    # the quiet run wrote the fixture's cache entry
+    assert head.startswith(f"DEBUG mevlens: fixture cache hit: {fixture_cache.entry_path(path)}\n"
+                           "INFO mevlens: loaded ") and "skipped LOG_SWAP" in head, head
     assert 'line 4, in planted\n' in trace, trace
     assert trace.endswith("ValueError: planted bug\ninternal error: ValueError: planted bug\n")
 
@@ -693,7 +722,8 @@ def test_records_reach_a_handler_on_the_mevlens_logger(tmp_path):
     assert records[1].exc_info[0] is ValueError
     assert {(r.module, r.funcName) for r in records} == {
         ("test_reporting_cli", "test_records_reach_a_handler_on_the_mevlens_logger"),
-        ("chain_model", "load_fixture"), ("decoding", "_decode_or_skip")}
-    assert [r.levelname for r in records[2:]] == ["INFO", "DEBUG"]
+        ("fixture_cache", "load"), ("chain_model", "load_fixture"),
+        ("decoding", "_decode_or_skip")}
+    assert [r.levelname for r in records[2:]] == ["DEBUG", "INFO", "DEBUG"]
     with pytest.raises(AttributeError):
         _log.warning("no such level")
