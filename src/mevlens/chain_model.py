@@ -441,9 +441,7 @@ def load_fixture(path) -> ChainDataset:
     compiled match; any other line goes through ``json`` and the record
     parsers, and loads to the same record. Rejects the whole file on the
     first malformed record, ordering violation, or duplicate coordinate;
-    every error names the file. Logs at INFO what it read. A later load
-    of the same bytes rebuilds the records from the cache entry that the
-    first one wrote beside the file (``fixture_cache``).
+    every error names the file. Logs at INFO what it read.
     """
     # The records and their key tuples form no reference cycles, yet each
     # allocation counts toward the cyclic collector, which would rescan

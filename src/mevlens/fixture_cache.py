@@ -179,7 +179,13 @@ def _write(entry, digest, stamp, path, dataset, by_json) -> str:
     try:
         if _stamp(os.stat(path)) != stamp:
             return "not written: the fixture changed during the parse"
-        with open(tmp, "wb") as fh:
+        # created here or not at all: an existing path, a symlink too, is
+        # an OSError, so no write lands outside the directory
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+    except OSError as exc:
+        return f"not written: {exc}"
+    try:
+        with os.fdopen(fd, "wb") as fh:
             fh.write(_MAGIC + digest)
             _write_sections(fh, dataset, by_json)
         os.replace(tmp, entry)

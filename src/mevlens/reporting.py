@@ -103,10 +103,13 @@ def month_of(timestamp: int) -> str:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime("%Y-%m")
 
 
-def p90(values: Sequence[Fraction], ascending=False) -> Fraction:
-    """Nearest-rank 90th percentile: value at rank ceil(0.9*n), ascending.
-    ``ascending`` says that ``values`` is sorted already."""
-    xs = values if ascending else sorted(values)
+def p90(values: Sequence[Fraction]) -> Fraction:
+    """Nearest-rank 90th percentile: value at rank ceil(0.9*n), ascending."""
+    return _p90_at(sorted(values))
+
+
+def _p90_at(xs):
+    # the value at rank ceil(0.9*n) of the ascending xs
     return xs[max(-(-9 * len(xs) // 10), 1) - 1]
 
 
@@ -125,7 +128,7 @@ def summary_stats(values: Sequence) -> dict:
     return {
         "total": total,
         "max": xs[-1],
-        "p90": p90(xs, ascending=True),
+        "p90": _p90_at(xs),
         "mean": total / n,
         "median": Fraction(xs[mid]) if n % 2 else Fraction(xs[mid - 1] + xs[mid], 2),
         "min": xs[0],

@@ -205,6 +205,23 @@ def test_failed_write_leaves_no_entry(tmp_path, monkeypatch):
     assert log[0] == "fixture cache miss (no entry): not written: [Errno 28] No space left on device"
 
 
+def test_symlink_at_the_temporary_path_is_not_followed(tmp_path):
+    """A symlink planted at the temporary file's name: the write refuses
+    it, the file it points to keeps its bytes, and the load still returns
+    the parse."""
+    path = _in_layout(tmp_path, _recurring_fixture(20), "canonical")
+    entry = fixture_cache.entry_path(path)
+    target = tmp_path / "elsewhere"
+    target.write_bytes(b"not the cache's to write\n")
+    tmp = f"{entry}.{os.getpid()}.tmp"
+    os.symlink(target, tmp)
+    with _messages() as log:
+        assert load_fixture(path) == _load_fixture(path)[0]
+    assert target.read_bytes() == b"not the cache's to write\n"
+    assert os.path.islink(tmp) and not os.path.exists(entry)
+    assert log[0] == f"fixture cache miss (no entry): not written: [Errno 17] File exists: {tmp!r}"
+
+
 def test_fixture_changed_during_the_parse_gets_no_entry(tmp_path, monkeypatch):
     """The parse returns what it read, but the fixture's bytes changed
     under it, so its records are not written for either content."""
