@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -113,6 +114,17 @@ def _p90_at(xs):
     return xs[max(-(-9 * len(xs) // 10), 1) - 1]
 
 
+def _sorted_and_sum(values):
+    """``sorted(values)`` and ``Fraction(sum(values))`` of integers or
+    Fractions, computed on exact integers, each value's numerator over the
+    lcm of the denominators, which compare and add far faster than
+    Fractions. The stable sort keeps equal values in sorted()'s order."""
+    denominator = lcm(*{v.denominator for v in values})
+    keys = [v.numerator * (denominator // v.denominator) for v in values]
+    return ([values[i] for i in sorted(range(len(keys)), key=keys.__getitem__)],
+            Fraction(sum(keys), denominator))
+
+
 def summary_stats(values: Sequence) -> dict:
     """Exact Total, Max, P90, Mean, Median and Min of integers or
     Fractions; each is None for an empty sample.
@@ -120,11 +132,11 @@ def summary_stats(values: Sequence) -> dict:
     Total, Mean and Median are Fractions, so integer samples never turn
     into floats; Max, P90 and Min are sample values.
     """
-    xs = sorted(values)
-    n = len(xs)
+    n = len(values)
     if n == 0:
         return dict.fromkeys(("total", "max", "p90", "mean", "median", "min"))
-    mid, total = n // 2, Fraction(sum(xs))
+    xs, total = _sorted_and_sum(values)
+    mid = n // 2
     return {
         "total": total,
         "max": xs[-1],

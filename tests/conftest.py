@@ -270,6 +270,22 @@ def build_planted_arb_dataset(chain: ChainId = ETHEREUM):
     return fb.dataset(), expected
 
 
+def settle(monkeypatch):
+    """Have the fixture cache write each entry as if a second after its
+    clock reads, so that no stamp a test takes is racy and a load after
+    the one that wrote the entry is served by the stamp. Only for tests
+    that make no same-size edit to a fixture: within one tick of the file
+    system's clock the racy rule alone catches one."""
+    from mevlens import fixture_cache
+    clock = fixture_cache._clock
+    monkeypatch.setattr(fixture_cache, "_clock", lambda fh: clock(fh) + 10**9)
+
+
+@pytest.fixture
+def settled(monkeypatch):
+    settle(monkeypatch)
+
+
 @pytest.fixture
 def planted_arb_dataset():
     return build_planted_arb_dataset()

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mevlens import fixture_cache
-from mevlens.chain_model import (CHAINS, ETHEREUM, ChainDataset, _CANONICAL, _hexstr,
-                                 _in_key_order, _load_fixture, _MAX_TIMESTAMP, _parse_record,
-                                 dump_fixture, load_fixture, logs_in_range, read_jsonl, to_hex)
+from mevlens.chain_model import (CHAINS, ETHEREUM, ChainDataset, _MAX_TIMESTAMP, dump_fixture,
+                                 load_fixture, logs_in_range, read_jsonl, to_hex)
 from mevlens.cli import main
 from mevlens.errors import (DuplicateKey, InvalidRange, MalformedRecord,
                             OrderingViolation)
+from mevlens.fixture_parser import (_CANONICAL, _hexstr, _in_key_order, _load_fixture,
+                                    _parse_record)
 from mevlens.fixtures import FixtureBuilder, addr, enc_balancer_v1_swap, enc_transfer
 
 
@@ -460,7 +461,8 @@ def _in_layout(tmp_path, dataset, layout):
 
 def _cold_or_warm(path, load):
     """Leave ``path`` with no cache entry ("cold") or with the one its
-    first load writes ("warm")."""
+    first load writes ("warm"), which, its stamp settled, serves the next
+    load without reading the fixture."""
     if load == "warm":
         load_fixture(path)
     assert os.path.exists(fixture_cache.entry_path(path)) == (load == "warm")
@@ -468,7 +470,7 @@ def _cold_or_warm(path, load):
 
 @pytest.mark.parametrize("load", ["cold", "warm"])
 @pytest.mark.parametrize("layout", ["canonical", "json"])
-def test_equal_values_load_as_one_object(tmp_path, layout, load):
+def test_equal_values_load_as_one_object(tmp_path, layout, load, settled):
     """A log's tx hash is its tx's hash and its block's entry; equal
     addresses, topic words and senders are each one object, and on the
     canonical path so are equal block numbers. A load from the cache
@@ -490,7 +492,7 @@ def test_equal_values_load_as_one_object(tmp_path, layout, load):
 
 @pytest.mark.parametrize("load", ["cold", "warm"])
 @pytest.mark.parametrize("layout", ["canonical", "json"])
-def test_load_peak_is_within_a_tenth_of_the_dataset(tmp_path, layout, load):
+def test_load_peak_is_within_a_tenth_of_the_dataset(tmp_path, layout, load, settled):
     """A load keeps little beside what it returns: its traced peak exceeds
     the dataset it returns by at most 10% (4% here). A memo of every hex
     string seen, tx hashes and senders included, took it to 14% on the

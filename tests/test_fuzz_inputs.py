@@ -442,15 +442,16 @@ def test_window_and_horizon_below_1_exit_1(option, commands, capsys):
 # MEVLENS_LOG is set: until then no handler exists to print a record.
 # Nor does one load hashlib, which loads OpenSSL: the fixture cache hashes
 # with the built-in BLAKE2b. A command that reads no chain fixture does
-# not load the fixture cache.
+# not load the fixture cache, nor the fixture parser, which only a load
+# that its cache entry cannot serve loads.
 NEVER_LOADED = ["dataclasses", "inspect", "logging", "hashlib"]
 NOT_LOADED = [
     (ARGV["detect arb"], {"crosslayer", "bytecode", "keccak", "opportunity"}),
     (ARGV["decode"], {"amm", "opportunity", "crosslayer", "bytecode"}),
     (ARGV["bytecode cluster"], {"decoding", "detectors", "amm", "opportunity", "crosslayer",
-                                "fixture_cache"}),
+                                "fixture_cache", "fixture_parser"}),
     (REPORT_FINDINGS, {"detectors", "decoding", "registry", "amm", "opportunity",
-                       "crosslayer", "bytecode", "fixture_cache"}),
+                       "crosslayer", "bytecode", "fixture_cache", "fixture_parser"}),
     (ARGV["crosslayer infer"], {"detectors", "opportunity", "bytecode"}),
     (ARGV["crosslayer delay"], {"detectors", "opportunity", "bytecode"}),
     (ARGV["crosslayer simulate"], {"detectors", "bytecode"}),
@@ -493,20 +494,27 @@ def test_commands_load_only_the_modules_they_run():
         assert outside == "outside:", (argv, outside)
         return {m.removeprefix("mevlens.") for m in loaded}, never, set(stdlib.split())
 
-    # every command, in ARGV's order, so that report reads what detect wrote
+    # every command, in ARGV's order, so that report reads what detect wrote;
+    # then each again, warm: every fixture it reads has its cache entry
     runs = {tuple(argv): set() for argv in ARGV.values()}
     runs.update((tuple(argv), absent) for argv, absent in NOT_LOADED)
     with tempfile.TemporaryDirectory() as root:
         _write_inputs(root, valid_inputs())
-        for argv, absent in runs.items():
-            loaded, never, stdlib = run(argv, env)
-            command = _command(argv)
-            assert "chain_model" in loaded, argv
-            assert not absent & loaded, argv
-            assert never == "never:", (argv, never)
-            for module, commands in LOADED_ONLY_UNDER.items():
-                assert (module in stdlib) == (command in commands), (argv, module)
-            assert command not in NO_CSV or "csv" not in stdlib, argv
+        for warm in (False, True):
+            for argv, absent in runs.items():
+                loaded, never, stdlib = run(argv, env)
+                command = _command(argv)
+                assert "chain_model" in loaded, argv
+                assert not absent & loaded, argv
+                assert never == "never:", (argv, never)
+                for module, commands in LOADED_ONLY_UNDER.items():
+                    assert (module in stdlib) == (command in commands), (argv, module)
+                assert command not in NO_CSV or "csv" not in stdlib, argv
+                # the first command parses the fixture; no warm one parses
+                if argv == tuple(ARGV["decode"]):
+                    assert ("fixture_parser" in loaded) != warm, (argv, warm)
+                elif warm:
+                    assert "fixture_parser" not in loaded, argv
         # a set level loads logging, and with it only what the command runs
         loaded, never, _ = run(ARGV["decode"], dict(env, MEVLENS_LOG="INFO"))
         assert never == "never: logging", never

@@ -17,7 +17,7 @@ from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
                               enc_balancer_v1_swap, enc_flashloan, enc_inbox_message,
                               enc_redeem_scheduled, enc_transfer, enc_uniswap_v3_swap,
                               word)
-from mevlens.reporting import (fmt_fixed, month_of, p90, read_findings,
+from mevlens.reporting import (_sorted_and_sum, fmt_fixed, month_of, p90, read_findings,
                                summary_stats, write_findings)
 from conftest import build_planted_arb_dataset
 
@@ -57,6 +57,25 @@ def test_summary_stats_matches_naive_definitions(values):
     assert {type(stats[k]) for k in ("total", "mean", "median")} == {Fraction}
     assert {type(stats[k]) for k in ("max", "p90", "min")} == {type(values[0])}
     assert p90(values) == stats["p90"]
+
+
+# a few values with ties: equal ints and Fractions, and one Fraction in
+# two spellings, so that a sort by anything but the exact value, or an
+# unstable one, moves an object
+TIED = [0, 1, -1, 10 ** 20, Fraction(1), Fraction(2, 4), Fraction(1, 2), Fraction(-1, 3),
+        Fraction(10 ** 20 + 1, 10 ** 18), Fraction(1, 10 ** 18)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.integers(-10 ** 30, 10 ** 30) | st.fractions() | st.sampled_from(TIED),
+                       min_size=1, max_size=60))
+def test_sorted_and_sum_match_sorted_and_sum(values):
+    """The integer-key sort gives the very objects sorted() gives, in its
+    order, ties included, and the integer sum is the Fraction sum."""
+    xs, total = _sorted_and_sum(values)
+    expected = sorted(values)
+    assert len(xs) == len(expected) and all(a is b for a, b in zip(xs, expected))
+    assert total == Fraction(sum(values)) and type(total) is Fraction
 
 
 def test_fmt_fixed():
@@ -722,7 +741,7 @@ def test_records_reach_a_handler_on_the_mevlens_logger(tmp_path):
     assert records[1].exc_info[0] is ValueError
     assert {(r.module, r.funcName) for r in records} == {
         ("test_reporting_cli", "test_records_reach_a_handler_on_the_mevlens_logger"),
-        ("fixture_cache", "load"), ("chain_model", "load_fixture"),
+        ("fixture_cache", "_by_bytes"), ("chain_model", "load_fixture"),
         ("decoding", "_decode_or_skip")}
     assert [r.levelname for r in records[2:]] == ["DEBUG", "INFO", "DEBUG"]
     with pytest.raises(AttributeError):
