@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import os
 import sys
 
-# Each command imports the modules it runs, so a process compiles and
-# loads only those: the chain model is all that every chain command shares.
-from .chain_model import (CHAINS, ETHEREUM, Layer, _log as log, load_fixture, logs_in_range,
-                          to_hex)
+# Each command imports the modules it runs, its handlers' among them, so a
+# process compiles and loads only those: the chain model is all that every
+# chain command shares.
+from .chain_model import CHAINS, Layer, _log as log, load_fixture, logs_in_range
 from .errors import MevlensError
 
 LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
@@ -128,272 +129,12 @@ class Ctx(argparse.Namespace):
         os.makedirs(self.out_dir, exist_ok=True)
         return self.out_dir
 
-
-def _write(ctx: Ctx, name, rows):
-    """Write the rows an iterator yields; --out is made only once the last
-    one is in, so a row that raises leaves no output."""
-    from .reporting import write_findings
-    path = os.path.join(ctx.out_dir, name)
-    print(f"{write_findings(rows, path)} findings -> {path}")
-
-
-def _write_priced(ctx: Ctx, ds, findings, profit, to_json, name):
-    """Attach each finding's flash loans, price it at its block's day (when
-    --prices is given and its tx is known) and write its row."""
-    from .detectors import attribute_flash_loans
-    prices = ctx.prices()
-    chain = ctx.chain_of(ds)
-
-    def row(f):
-        ts = ds.block_timestamp(f.block) or 0
-        tx = ds.tx(f.tx_hash)
-        if prices is not None and tx is not None:
-            f = profit(f, prices, tx, ts)
-        return to_json(f, chain, ts, tx.sender if tx else None)
-
-    _write(ctx, name, map(row, attribute_flash_loans(findings, ds.logs)))
-
-
-def detect_arb_cmd(ctx: Ctx):
-    """Cyclic arbitrages, priced, with their flash loans."""
-    from . import detectors, reporting
-    ds = ctx.dataset()
-    findings = detectors.detect_arbitrages(detectors.extract_swaps(ds, ctx.pools()))
-    _write_priced(ctx, ds, findings, detectors.arbitrage_profit, reporting.arbitrage_to_json,
-                  "findings_arb.jsonl")
-
-
-def detect_liq_cmd(ctx: Ctx):
-    """Liquidations, priced, with their flash loans."""
-    from . import detectors, reporting
-    ds = ctx.dataset()
-    _write_priced(ctx, ds, detectors.detect_liquidations(ds.logs), detectors.liquidation_profit,
-                  reporting.liquidation_to_json, "findings_liq.jsonl")
-
-
-def detect_sandwich_cmd(ctx: Ctx):
-    """Sandwiches: in one block on L1, within --window blocks on L2."""
-    from . import detectors, reporting
-    ds = ctx.dataset()
-    transfers = detectors.extract_transfers(ds)
-    findings = detectors.detect_sandwiches(transfers, ds.chain or ETHEREUM,
-                                           window=ctx.window)
-    chain = ctx.chain_of(ds)
-    _write(ctx, "findings_sandwich.jsonl", (
-        reporting.sandwich_to_json(f, chain, ds.block_timestamp(f.window[0]) or 0)
-        for f in findings))
-
-
-def detect_flashloan_cmd(ctx: Ctx):
-    """Flash loans of the supported providers."""
-    from .decoding import decode_logs
-    from .registry import Category
-    ds = ctx.dataset()
-    chain = ctx.chain_of(ds)
-    _write(ctx, "findings_flashloan.jsonl", ({
-        "type": "flash_loan", "chain": chain,
-        "tx_hash": to_hex(loan.tx_hash), "block": lg.block_number,
-        "timestamp": ds.block_timestamp(lg.block_number) or 0, "provider": loan.provider,
-        "token": to_hex(loan.token),
-        "amount": str(loan.amount), "fee": str(loan.fee),
-    } for lg, loan in decode_logs(ds.logs, (Category.FLASH_LOAN,))))
-
-
-def decode_cmd(ctx: Ctx):
-    """Count the fixture's logs per event schema."""
-    from .registry import DEFAULT_REGISTRY
-    ds = ctx.dataset()
-    counts = {}
-    for lg in ds.logs:
-        entry = DEFAULT_REGISTRY.lookup(lg.topics[0])
-        if entry is None:
-            counts["unknown"] = counts.get("unknown", 0) + 1
-            continue
-        counts[entry.schema] = counts.get(entry.schema, 0) + 1
-    for schema in sorted(counts):
-        print(f"{schema}: {counts[schema]}")
-
-
-def _opportunities(ctx: Ctx):
-    """(finding, its opportunity) for each finding of ``--type``.
-    Each walk bisects the swaps or oracle updates decoded once for all."""
-    from . import detectors, opportunity
-    ds = ctx.dataset()
-    pools = ctx.pools()
-    provider = opportunity.StateProvider.from_jsonl(ctx.snapshots_file, pools)
-    results = []
-    if ctx.mev_type == "arb":
-        swaps = detectors.extract_swaps(ds, pools)
-        for f in detectors.detect_arbitrages(swaps):
-            results.append((f, opportunity.find_arbitrage_opportunity(
-                f, swaps, provider, ctx.horizon)))
-    else:
-        from .decoding import decode_logs
-        from .registry import Category
-        findings = detectors.detect_liquidations(ds.logs)
-        updates = [u for _, u in decode_logs(ds.logs, (Category.ORACLE_UPDATE,))]
-        for f in findings:
-            results.append((f, opportunity.find_liquidation_opportunity(
-                f, updates, provider, ctx.horizon)))
-    return ds, results
-
-
-def opportunity_cmd(ctx: Ctx):
-    """The transaction that opened each finding's opportunity."""
-    from . import opportunity, reporting
-    ds, results = _opportunities(ctx)
-    _write(ctx, f"opportunities_{ctx.mev_type}.jsonl", ({
-        "type": f"opportunity_{ctx.mev_type}",
-        "tx_hash": to_hex(f.tx_hash),
-        "block": f.block,
-        "timestamp": ds.block_timestamp(f.block) or 0,
-        "status": r.status,
-        "opportunity_tx": to_hex(r.opportunity_tx) if r.opportunity_tx else None,
-        "block_distance": r.block_distance,
-        "approximate": r.approximate,
-    } for f, r in results))
-    cdf = opportunity.block_distance_cdf([r for _, r in results], ctx.horizon)
-    reporting.write_distance_cdf(cdf, os.path.join(ctx.out_dir, "distance_cdf.csv"))
-
-
-def compete_cmd(ctx: Ctx):
-    """Opportunities that findings of two or more extractors share."""
-    from .opportunity import detect_competition
-    ds, results = _opportunities(ctx)
-    entries, opportunity_block = [], {}
-    for f, r in results:
-        tx = ds.tx(f.tx_hash)
-        extractor = tx.sender if tx else b""
-        entries.append((ctx.mev_type, r.opportunity_tx, extractor, to_hex(f.tx_hash)))
-        if r.opportunity_tx is not None:
-            # the walk found the opportunity tx this many blocks back
-            opportunity_block[r.opportunity_tx] = f.block - r.block_distance
-
-    def row(g):
-        block = opportunity_block[g["opportunity_tx"]]
-        return {
-            "type": "competition",
-            "mev_type": g["type"],
-            "tx_hash": to_hex(g["opportunity_tx"]),
-            "block": block,
-            "timestamp": ds.block_timestamp(block) or 0,
-            "extractors": [to_hex(e) for e in g["extractors"]],
-            "findings": g["findings"],
-        }
-
-    _write(ctx, f"competition_{ctx.mev_type}.jsonl", map(row, detect_competition(entries)))
-
-
-def _infer(ctx: Ctx):
-    from .crosslayer import infer_victims
-    l1 = ctx.dataset("ethereum")
-    l2 = ctx.dataset(ctx.chain_name)
-    return infer_victims(l1, l2, ctx.pools())
-
-
-def crosslayer_infer_cmd(ctx: Ctx):
-    """Victim swaps in L2 executions of L1 bridge messages."""
-    candidates, links, diagnostics = _infer(ctx)
-    _write(ctx, "victims.jsonl", ({
-        "type": "victim_candidate",
-        "tx_hash": to_hex(c.link.l2_tx),
-        "block": c.link.l2_block,
-        "timestamp": c.link.l1_timestamp,
-        "l1_tx": to_hex(c.link.l1_tx),
-        "link_key": "0x" + c.link.link_key.hex(),
-        "delay_s": c.link.delay_s,
-        "pool": to_hex(c.pool),
-        "token_in": to_hex(c.swap.token_in),
-        "token_out": to_hex(c.swap.token_out),
-        "amount_in": str(c.swap.amount_in),
-    } for c in candidates))
-    print(f"links: {len(links)}, unlinked L1: {len(diagnostics['unlinked_l1'])}, "
-          f"unlinked L2: {len(diagnostics['unlinked_l2'])}")
-
-
-def crosslayer_delay_cmd(ctx: Ctx):
-    """Inclusion delays from L1 bridge message to L2 execution."""
-    from . import crosslayer, reporting
-    _, links, _ = _infer(ctx)
-    overall, monthly, anomalies = crosslayer.delay_stats(links)
-    path = os.path.join(ctx.ensure_out(), "delay_stats.csv")
-    reporting.write_delay_stats(overall, monthly, path)
-    print(f"{overall.count} links, {len(anomalies)} anomalies -> {path}")
-
-
-def crosslayer_simulate_cmd(ctx: Ctx):
-    """Sandwich attack tables per strategy and capital tier."""
-    from fractions import Fraction
-
-    from . import crosslayer, opportunity, reporting
-    candidates, _, _ = _infer(ctx)
-    pools = ctx.pools()
-    prices = ctx.prices()
-    provider = opportunity.StateProvider.from_jsonl(ctx.snapshots_file, pools)
-    if ctx.config_file:
-        costs, reaction, tiers = crosslayer.load_attack_config(ctx.config_file)
-    else:
-        costs = crosslayer.DEFAULT_COSTS
-        reaction = crosslayer.DEFAULT_REACTION_TIME_S
-        tiers = crosslayer.DEFAULT_CAPITAL_TIERS_USD
-
-    scenarios = []
-    no_state = no_price = 0
-    for c in candidates:
-        state = provider.pool_state(c.pool, 1 << 62)
-        if state is None:
-            no_state += 1
-            continue
-        day = reporting.day_of(c.link.l1_timestamp)
-        token_price = prices.lookup(c.swap.token_in, day) if prices else Fraction(1)
-        eth_usd = prices.eth_usd(day) if prices else Fraction(2000)
-        if token_price is None or eth_usd is None:
-            no_price += 1
-            continue
-        scenarios.append({"victim": c, "pool_state": state,
-                          "token_in_price_eth": token_price, "eth_usd": eth_usd})
-    log.info("victims: %d read, %d skipped for no pool snapshot, %d skipped for no price",
-             len(candidates), no_state, no_price)
-    table = crosslayer.capital_sweep(scenarios, costs, tiers, reaction)
-    path = os.path.join(ctx.ensure_out(), "attack_tables.csv")
-    reporting.write_attack_table(table, tiers, path)
-    print(f"{len(scenarios)} scenarios -> {path}")
-
-
-def bytecode_cluster_cmd(ctx: Ctx):
-    """Cluster identical bytecode skeletons across chains."""
-    from . import bytecode
-    records = bytecode.load_bytecode_fixture(ctx.bytecode_file)
-    clusters = bytecode.cluster(records)
-    path = os.path.join(ctx.ensure_out(), "bytecode_clusters.csv")
-    bytecode.write_clusters(clusters, path)
-    print(f"{len(clusters)} clusters -> {path}")
-
-
-def report_cmd(ctx: Ctx):
-    """Summarize all findings_*.jsonl files in the output directory."""
-    import glob
-    from itertools import chain
-
-    from . import reporting
-    # escaped: the directory's name may hold a glob metacharacter
-    files = sorted(glob.glob(os.path.join(glob.escape(ctx.out_dir), "findings_*.jsonl")))
-    read = dict.fromkeys(files, 0)
-
-    def rows(path):
-        def count(row):
-            read[path] += 1
-            return row
-        # map, not a loop, so that no row outlives its turn in the fold
-        return map(count, reporting.read_findings(path))
-
-    prices = ctx.prices()
-    paths = reporting.emit_report(chain.from_iterable(map(rows, files)), ctx.out_dir,
-                                  prices.eth_usd if prices is not None else None)
-    log.info("report: read %d rows from %d files in %s%s", sum(read.values()), len(files),
-             ctx.out_dir, "".join(f"; {os.path.basename(path)}: {n}" for path, n in read.items()))
-    for name in sorted(paths):
-        print(f"{name} -> {paths[name]}")
+    def write(self, name, rows):
+        """Write the rows an iterator yields; --out is made only once the last
+        one is in, so a row that raises leaves no output."""
+        from .reporting import write_findings
+        path = os.path.join(self.out_dir, name)
+        print(f"{write_findings(rows, path)} findings -> {path}")
 
 
 GROUPS = {
@@ -402,21 +143,40 @@ GROUPS = {
     "bytecode": "Bytecode normalization and clustering.",
 }
 # every command, "group leaf" or "leaf": the options it takes, in the order
-# --help lists them, and the function that runs it
+# --help lists them, its help, and the module that runs it, imported only
+# once argv has named the command (that module's RUN maps the command to
+# its function). No such module imports this one: under ``python -m`` it
+# would compile and run a second time.
 COMMANDS = {
-    "decode": (_CHAIN_OPTIONS, decode_cmd),
-    "detect arb": (_CHAIN_OPTIONS + (POOLS, PRICES, OUT), detect_arb_cmd),
-    "detect liq": (_CHAIN_OPTIONS + (PRICES, OUT), detect_liq_cmd),
-    "detect sandwich": (_CHAIN_OPTIONS + (WINDOW, OUT), detect_sandwich_cmd),
-    "detect flashloan": (_CHAIN_OPTIONS + (OUT,), detect_flashloan_cmd),
-    "opportunity": (_CHAIN_OPTIONS + (TYPE, POOLS, SNAPSHOTS, HORIZON, OUT), opportunity_cmd),
-    "compete": (_CHAIN_OPTIONS + (TYPE, POOLS, SNAPSHOTS, HORIZON, OUT), compete_cmd),
-    "crosslayer infer": (_L2_CHAIN_OPTIONS + (POOLS, OUT), crosslayer_infer_cmd),
-    "crosslayer delay": (_L2_CHAIN_OPTIONS + (POOLS, OUT), crosslayer_delay_cmd),
+    "decode": (_CHAIN_OPTIONS, "Count the fixture's logs per event schema.", "cli_decode"),
+    "detect arb": (_CHAIN_OPTIONS + (POOLS, PRICES, OUT),
+                   "Cyclic arbitrages, priced, with their flash loans.", "cli_detect"),
+    "detect liq": (_CHAIN_OPTIONS + (PRICES, OUT),
+                   "Liquidations, priced, with their flash loans.", "cli_detect"),
+    "detect sandwich": (_CHAIN_OPTIONS + (WINDOW, OUT),
+                        "Sandwiches: in one block on L1, within --window blocks on L2.",
+                        "cli_detect"),
+    "detect flashloan": (_CHAIN_OPTIONS + (OUT,), "Flash loans of the supported providers.",
+                         "cli_detect"),
+    "opportunity": (_CHAIN_OPTIONS + (TYPE, POOLS, SNAPSHOTS, HORIZON, OUT),
+                    "The transaction that opened each finding's opportunity.",
+                    "cli_opportunity"),
+    "compete": (_CHAIN_OPTIONS + (TYPE, POOLS, SNAPSHOTS, HORIZON, OUT),
+                "Opportunities that findings of two or more extractors share.",
+                "cli_opportunity"),
+    "crosslayer infer": (_L2_CHAIN_OPTIONS + (POOLS, OUT),
+                         "Victim swaps in L2 executions of L1 bridge messages.",
+                         "cli_crosslayer"),
+    "crosslayer delay": (_L2_CHAIN_OPTIONS + (POOLS, OUT),
+                         "Inclusion delays from L1 bridge message to L2 execution.",
+                         "cli_crosslayer"),
     "crosslayer simulate": (_L2_CHAIN_OPTIONS + (POOLS, PRICES, SNAPSHOTS, CONFIG, OUT),
-                            crosslayer_simulate_cmd),
-    "bytecode cluster": ((BYTECODE, OUT), bytecode_cluster_cmd),
-    "report": ((OUT, PRICES), report_cmd),
+                            "Sandwich attack tables per strategy and capital tier.",
+                            "cli_crosslayer"),
+    "bytecode cluster": ((BYTECODE, OUT), "Cluster identical bytecode skeletons across chains.",
+                         "cli_bytecode"),
+    "report": ((OUT, PRICES), "Summarize all findings_*.jsonl files in the output directory.",
+               "cli_report"),
 }
 
 
@@ -440,15 +200,15 @@ def _parser():
         "MEV detection and cross-layer sandwich simulation over recorded "
         "event-log fixtures."))
     commands = {"": root.add_subparsers(metavar="COMMAND", required=True)}
-    for name, (options, run) in COMMANDS.items():
+    for name, (options, text, _) in COMMANDS.items():
         group, _, leaf = name.rpartition(" ")
         if group not in commands:
             parser = commands[""].add_parser(group, help=GROUPS[group],
                                              description=GROUPS[group])
             commands[group] = parser.add_subparsers(metavar="COMMAND", required=True)
-        parser = commands[group].add_parser(leaf, options=options, help=run.__doc__,
-                                            description=run.__doc__)
-        parser.set_defaults(run=run)
+        parser = commands[group].add_parser(leaf, options=options, help=text,
+                                            description=text)
+        parser.set_defaults(command=name)
     return root
 
 
@@ -456,7 +216,8 @@ def main(argv=None) -> int:
     try:
         ctx = _parser().parse_args(argv, Ctx())
         _setup_logging()
-        ctx.run(ctx)
+        from importlib import import_module
+        import_module(f"{__package__}.{COMMANDS[ctx.command][2]}").RUN[ctx.command](ctx)
         return 0
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 after printing a usage error
@@ -472,6 +233,14 @@ def main(argv=None) -> int:
         return 2
     finally:
         gc.unfreeze()
+
+
+# A process ends with the collector's last pass over every object it holds,
+# the interpreter's and the imported modules' too: frozen, they are skipped.
+# ``main`` thaws them, so in-process callers collect as before; a process
+# that exits after it ends without that walk. Cyclic garbage left then is
+# not finalized, which is why mevlens closes every file it opens.
+atexit.register(gc.freeze)
 
 
 if __name__ == "__main__":

@@ -1,0 +1,84 @@
+"""The ``crosslayer`` commands: each joins the ethereum fixture with one
+rollup's through the victims that L1 bridge messages announce."""
+
+from __future__ import annotations
+
+import os
+
+from .chain_model import _log as log, to_hex
+
+
+def _infer(ctx):
+    from .crosslayer import infer_victims
+    l1 = ctx.dataset("ethereum")
+    l2 = ctx.dataset(ctx.chain_name)
+    return infer_victims(l1, l2, ctx.pools())
+
+
+def infer(ctx):
+    candidates, links, diagnostics = _infer(ctx)
+    ctx.write("victims.jsonl", ({
+        "type": "victim_candidate",
+        "tx_hash": to_hex(c.link.l2_tx),
+        "block": c.link.l2_block,
+        "timestamp": c.link.l1_timestamp,
+        "l1_tx": to_hex(c.link.l1_tx),
+        "link_key": "0x" + c.link.link_key.hex(),
+        "delay_s": c.link.delay_s,
+        "pool": to_hex(c.pool),
+        "token_in": to_hex(c.swap.token_in),
+        "token_out": to_hex(c.swap.token_out),
+        "amount_in": str(c.swap.amount_in),
+    } for c in candidates))
+    print(f"links: {len(links)}, unlinked L1: {len(diagnostics['unlinked_l1'])}, "
+          f"unlinked L2: {len(diagnostics['unlinked_l2'])}")
+
+
+def delay(ctx):
+    from . import crosslayer, reporting
+    _, links, _ = _infer(ctx)
+    overall, monthly, anomalies = crosslayer.delay_stats(links)
+    path = os.path.join(ctx.ensure_out(), "delay_stats.csv")
+    reporting.write_delay_stats(overall, monthly, path)
+    print(f"{overall.count} links, {len(anomalies)} anomalies -> {path}")
+
+
+def simulate(ctx):
+    from fractions import Fraction
+
+    from . import crosslayer, opportunity, reporting
+    candidates, _, _ = _infer(ctx)
+    pools = ctx.pools()
+    prices = ctx.prices()
+    provider = opportunity.StateProvider.from_jsonl(ctx.snapshots_file, pools)
+    if ctx.config_file:
+        costs, reaction, tiers = crosslayer.load_attack_config(ctx.config_file)
+    else:
+        costs = crosslayer.DEFAULT_COSTS
+        reaction = crosslayer.DEFAULT_REACTION_TIME_S
+        tiers = crosslayer.DEFAULT_CAPITAL_TIERS_USD
+
+    scenarios = []
+    no_state = no_price = 0
+    for c in candidates:
+        state = provider.pool_state(c.pool, 1 << 62)
+        if state is None:
+            no_state += 1
+            continue
+        day = reporting.day_of(c.link.l1_timestamp)
+        token_price = prices.lookup(c.swap.token_in, day) if prices else Fraction(1)
+        eth_usd = prices.eth_usd(day) if prices else Fraction(2000)
+        if token_price is None or eth_usd is None:
+            no_price += 1
+            continue
+        scenarios.append({"victim": c, "pool_state": state,
+                          "token_in_price_eth": token_price, "eth_usd": eth_usd})
+    log.info("victims: %d read, %d skipped for no pool snapshot, %d skipped for no price",
+             len(candidates), no_state, no_price)
+    table = crosslayer.capital_sweep(scenarios, costs, tiers, reaction)
+    path = os.path.join(ctx.ensure_out(), "attack_tables.csv")
+    reporting.write_attack_table(table, tiers, path)
+    print(f"{len(scenarios)} scenarios -> {path}")
+
+
+RUN = {"crosslayer infer": infer, "crosslayer delay": delay, "crosslayer simulate": simulate}

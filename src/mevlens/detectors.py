@@ -8,8 +8,7 @@ reporting concern.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .chain_model import ChainDataset, ChainId, EventLog, Layer, TxRecord
 from .decoding import (LiquidationAction, SwapAction, TransferAction, decode_logs, decode_swap,
@@ -17,6 +16,9 @@ from .decoding import (LiquidationAction, SwapAction, TransferAction, decode_log
 from .registry import Category
 # the price table and its units live there so that `report` loads no decoder
 from .reporting import WEI, PriceProvider, day_of
+
+if TYPE_CHECKING:  # annotations only: detect sandwich prices nothing
+    from fractions import Fraction
 
 
 # --- findings ---
@@ -141,6 +143,7 @@ def detect_arbitrages(swaps: Sequence[SwapAction]):
 
 
 def _price_balances(balances: Mapping, prices: PriceProvider, day: int):
+    from fractions import Fraction
     gains = Fraction(0)
     costs = Fraction(0)
     unpriced = False
@@ -161,6 +164,7 @@ def _price_balances(balances: Mapping, prices: PriceProvider, day: int):
 
 def arbitrage_profit(finding: ArbitrageFinding, prices: PriceProvider,
                      tx: TxRecord, timestamp: int) -> ArbitrageFinding:
+    from fractions import Fraction
     gains, costs, unpriced = _price_balances(finding.token_balances, prices,
                                              day_of(timestamp))
     fees = Fraction(tx.fee_paid + tx.builder_payment, WEI)
@@ -203,6 +207,7 @@ def detect_liquidations(logs: Sequence[EventLog]):
 
 def liquidation_profit(finding: LiquidationFinding, prices: PriceProvider,
                        tx: TxRecord, timestamp: int) -> LiquidationFinding:
+    from fractions import Fraction
     day = day_of(timestamp)
     total = Fraction(0)
     unpriced = False

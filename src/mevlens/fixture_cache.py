@@ -1,9 +1,11 @@
 """A parse cache for chain fixtures: the first load of a fixture writes a
 binary entry beside it, and every later load of it, in any process,
 rebuilds the same dataset from the entry instead of parsing. The parser,
-``fixture_parser``, stays the one reference path and is imported only by
-a load that parses: one the entry cannot serve, which writes the entry
-only after that parse succeeded.
+``fixture_parser``, stays the one reference path. It holds the entry's
+writer too, and is imported only by a load that the entry's stamp does
+not serve: one that hashes the fixture, and parses it unless the entry
+was written for those bytes. A load that parses writes the entry only
+after that parse succeeded.
 
 The entry of ``DIR/NAME`` is ``DIR/.NAME.<cache tag>.cache``, named for
 the interpreter because it holds ``marshal`` bytes. After a magic line
@@ -30,7 +32,8 @@ was taken leaves the stamp as it was. A stamp whose change time is not
 older is racy: a write in the same tick of the file system's clock would
 keep it. Any other load hashes the fixture, is served by the entry if it
 was written for those bytes, and writes the entry again with the new
-stamp. Git's index trusts a file's stat the same way.
+stamp before the sections it has just read. Git's index trusts a file's
+stat the same way.
 
 Every table and record list is split into sections of at most SECTION
 items, so that a load or a write holds one section's bytes at a time
@@ -43,9 +46,7 @@ import marshal
 import os
 import sys
 from _blake2 import blake2b
-from bisect import bisect_left
-from itertools import chain, islice, repeat
-from operator import attrgetter
+from itertools import islice, repeat
 from stat import S_ISREG
 
 from . import chain_model
@@ -77,37 +78,14 @@ def _code_digest() -> bytes:
     return state.digest()
 
 
-def _fingerprint(path):
-    """BLAKE2b-256 of a file's bytes, read through one small buffer, and
-    the file's ``_stamp`` from before the read."""
-    state, buf = blake2b(digest_size=32), bytearray(1 << 14)
-    view = memoryview(buf)
-    with open(path, "rb", buffering=0) as fh:
-        stat = os.fstat(fh.fileno())
-        while n := fh.readinto(buf):
-            state.update(view[:n])
-    return state.digest(), _stamp(stat)
-
-
 def _stamp(stat):
     # a write changes the ctime even where the mtime is set back after it
     return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns
 
 
-def _clock(fh) -> int:
-    """The file system's time now, in ns: the modification time it gave
-    the file just created at ``fh``."""
-    return os.fstat(fh.fileno()).st_mtime_ns
-
-
 def entry_path(path) -> str:
     head, name = os.path.split(path)
     return os.path.join(head, f".{name}.{sys.implementation.cache_tag}.cache")
-
-
-def _parse(path):
-    from . import fixture_parser   # compiled only by a load that parses
-    return fixture_parser._load_fixture(path)
 
 
 def load(path):
@@ -120,9 +98,12 @@ def load(path):
     try:
         stat = os.stat(path)
     except OSError:
-        stat = None   # the parse raises what the path does
+        stat = None
     if stat is None or not S_ISREG(stat.st_mode):
-        return _parse(path)   # another kind of file might not read the same twice
+        # another kind of file might not read the same twice; the parse
+        # raises what the path does
+        from .fixture_parser import _load_fixture
+        return _load_fixture(path)
     entry, code, stamp = entry_path(path), _code_digest(), _stamp(stat)
     try:
         with open(entry, "rb") as fh:
@@ -139,53 +120,8 @@ def load(path):
         wanted, reason = None, f"{type(exc).__name__}: {exc}"
     else:
         reason = "stamp differs" if written != stamp else "racy stamp"
+    from .fixture_parser import _by_bytes   # compiled only by a load the stamp does not serve
     return _by_bytes(path, entry, code, wanted, reason)
-
-
-def _by_bytes(path, entry, code, wanted, reason):
-    """The load of a fixture that its entry's stamp does not serve, by its
-    bytes: the entry's records if their digest is ``wanted``, else the
-    parse's; then the entry is written again through a temporary file. A
-    load that cannot create that file parses, hashing nothing."""
-    tmp = f"{entry}.{os.getpid()}.tmp"
-    try:
-        # created here or not at all: an existing path, a symlink too, is
-        # an OSError, so no write lands outside the directory
-        out = open(tmp, "xb")
-    except OSError as exc:
-        loaded = _parse(path)
-        _log.debug("fixture cache miss (%s): not written: %s", reason, exc)
-        return loaded
-    try:
-        # before the stamp: a write to the fixture after it sets the
-        # fixture's change time past it
-        clock = _clock(out)
-        digest, stamp = _fingerprint(path)
-        loaded = None
-        if digest == wanted:
-            try:
-                with open(entry, "rb") as fh:
-                    header, section = _header(fh, code)
-                    if header[0] != digest:
-                        raise ValueError("entry of other bytes")
-                    loaded = _records(section)
-            except _UNREADABLE as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-        elif wanted is not None:
-            reason = "entry of other bytes"
-        hit = loaded is not None
-        if not hit:
-            loaded = _parse(path)
-        outcome = _write(out, tmp, entry, path, (code, digest, stamp, clock), *loaded)
-    finally:
-        out.close()
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-    _log.debug("fixture cache %s (%s): %s", "hit after hashing" if hit else "miss", reason,
-               outcome)
-    return loaded
 
 
 def _header(fh, code):
@@ -258,77 +194,3 @@ def _records(section):
 
 def _ints(data):
     return memoryview(data).cast("I")
-
-
-def _put(fh, value):
-    payload = marshal.dumps(value, 2)   # version 2: no table of objects seen
-    fh.write(len(payload).to_bytes(8, "little") + _digest(payload))
-    fh.write(payload)
-
-
-def _write(out, tmp, entry, path, header, dataset, by_json) -> str:
-    """Write the entry to ``out``, the temporary file at ``tmp``, and put
-    it in place, if the fixture's stamp is still the ``header``'s; what was
-    done, for the DEBUG line."""
-    try:
-        if _stamp(os.stat(path)) != header[2]:
-            return "not written: the fixture changed while it was read"
-        out.write(_MAGIC)
-        _put(out, header)
-        _write_sections(out, dataset, by_json)
-        out.close()
-        os.replace(tmp, entry)
-    except OSError as exc:
-        return f"not written: {exc}"
-    return f"wrote {entry}"
-
-
-def _write_sections(fh, dataset, by_json):
-    """Write each section of ``dataset``'s entry, holding one at a time."""
-    from array import array
-
-    def at(table, items):
-        return array("I", map(bisect_left, repeat(table), items)).tobytes()
-
-    def lengths(items):
-        return array("I", map(len, items)).tobytes()
-
-    blocks, txs, logs = dataset.blocks, dataset.txs, dataset.logs
-    # one sorted table per kind of shared value, each deduplicated on its
-    # own, so that one set at a time is held
-    tables = hashes, senders, addresses, words, numbers = [sorted(set(values)) for values in (
-        chain(chain.from_iterable(map(attrgetter("tx_hashes"), blocks)),
-              map(attrgetter("hash"), txs), map(attrgetter("tx_hash"), logs)),
-        map(attrgetter("sender"), txs),
-        chain(map(attrgetter("address"), logs), filter(None, map(attrgetter("to"), txs))),
-        chain.from_iterable(map(attrgetter("topics"), logs)),
-        chain(map(attrgetter("number"), blocks), map(attrgetter("block_number"), txs),
-              map(attrgetter("block_number"), logs)))]
-
-    def block_columns(part):
-        _, block_numbers, timestamps, block_hashes = zip(*part)
-        return (at(numbers, block_numbers), timestamps, lengths(block_hashes),
-                at(hashes, chain.from_iterable(block_hashes)))
-
-    def tx_columns(part):
-        tx_hashes, block_numbers, indices, tx_senders, to, fees, payments, statuses = zip(*part)
-        to_at = [len(addresses) if t is None else bisect_left(addresses, t) for t in to]
-        return (at(hashes, tx_hashes), at(numbers, block_numbers), indices,
-                at(senders, tx_senders), array("I", to_at).tobytes(), fees, payments,
-                tuple(s.value for s in statuses))
-
-    def log_columns(part):
-        _, log_addresses, topics, data, block_numbers, indices, log_indices, tx_hashes = zip(
-            *part)
-        return (at(addresses, log_addresses), lengths(topics),
-                at(words, chain.from_iterable(topics)), data, at(numbers, block_numbers),
-                indices, log_indices, at(hashes, tx_hashes))
-
-    _put(fh, (None if dataset.chain is None else dataset.chain.name, by_json,
-              tuple(map(len, tables)), len(blocks), len(txs), len(logs)))
-    for table in tables:
-        for i in range(0, len(table), SECTION):
-            _put(fh, tuple(table[i:i + SECTION]))
-    for records, columns in ((blocks, block_columns), (txs, tx_columns), (logs, log_columns)):
-        for i in range(0, len(records), SECTION):
-            _put(fh, columns(records[i:i + SECTION]))

@@ -7,18 +7,21 @@ clock anywhere.
 
 from __future__ import annotations
 
-# csv and datetime are imported where they are used: the detectors import
-# this module for its prices, and most commands write no CSV or month
+# csv, datetime and fractions are imported where they are used: the
+# detectors import this module for its prices, most commands write no CSV
+# or month, and some read no price
 import json
 import os
-from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .chain_model import (_DECIMAL_FRACTION, _decimal, _raise_not_utf8, _sidecar_hex, _timestamp,
                           read_jsonl, to_hex)
 from .errors import MalformedRecord
+
+if TYPE_CHECKING:  # annotations only
+    from fractions import Fraction
 
 FIXED_PLACES = 18
 
@@ -41,6 +44,7 @@ class PriceProvider:
     ETHUSD = "ETHUSD"
 
     def __init__(self, rows: Iterable[tuple] = ()):
+        from fractions import Fraction
         self._prices = {}
         for token, day, price in rows:
             self._prices[(token, int(day))] = Fraction(price)
@@ -52,6 +56,7 @@ class PriceProvider:
         ETHUSD, a day that is not a non-negative integer, or a price that
         is not a positive decimal."""
         import csv
+        from fractions import Fraction
         rows = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -119,6 +124,7 @@ def _sorted_and_sum(values):
     Fractions, computed on exact integers, each value's numerator over the
     lcm of the denominators, which compare and add far faster than
     Fractions. The stable sort keeps equal values in sorted()'s order."""
+    from fractions import Fraction
     denominator = lcm(*{v.denominator for v in values})
     keys = [v.numerator * (denominator // v.denominator) for v in values]
     return ([values[i] for i in sorted(range(len(keys)), key=keys.__getitem__)],
@@ -135,6 +141,7 @@ def summary_stats(values: Sequence) -> dict:
     n = len(values)
     if n == 0:
         return dict.fromkeys(("total", "max", "p90", "mean", "median", "min"))
+    from fractions import Fraction
     xs, total = _sorted_and_sum(values)
     mid = n // 2
     return {
@@ -295,6 +302,7 @@ def emit_report(findings: Iterable[dict], out_dir, eth_usd=None) -> dict:
     ``eth_usd`` optionally maps unix day -> Fraction dollar price to add a
     USD column to profit statistics.
     """
+    from fractions import Fraction
     monthly: dict = {}   # (month, type, chain) -> findings
     shares: dict = {}    # (chain, type, provider) -> flash loans
     groups: dict = {}    # (chain, type) -> [(profit, day)]

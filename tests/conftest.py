@@ -276,9 +276,9 @@ def settle(monkeypatch):
     the one that wrote the entry is served by the stamp. Only for tests
     that make no same-size edit to a fixture: within one tick of the file
     system's clock the racy rule alone catches one."""
-    from mevlens import fixture_cache
-    clock = fixture_cache._clock
-    monkeypatch.setattr(fixture_cache, "_clock", lambda fh: clock(fh) + 10**9)
+    from mevlens import fixture_parser
+    clock = fixture_parser._clock
+    monkeypatch.setattr(fixture_parser, "_clock", lambda fh: clock(fh) + 10**9)
 
 
 @pytest.fixture

@@ -539,15 +539,23 @@ def test_stable_frontrun_holds_the_floor_under_output_jitter():
 
 @st.composite
 def _stable_victim_near_floor(draw):
-    """A StableSwap pool scarce in the victim's input token, so that a
-    1-unit frontrun pays out, and a floor a few units under the quote."""
+    """A StableSwap pool scarce in the victim's input token, made scarcer
+    until a 1-unit frontrun pays out, and the victim's floor its output
+    after a drawn frontrun of at most 256 (or with none, if that is
+    lower): a frontrun of 1 and one of the drawn size keep the floor, so
+    x_slip is at least 1, and near the drawn size."""
     r_in = draw(st.integers(10 ** 4, 10 ** 6))
-    pool = stable_pool([r_in, r_in * draw(st.integers(2, 20))],
-                       amp=draw(st.sampled_from([1, 10, 200])), tokens=(XL_TA, XL_TB))
-    amount = draw(st.integers(r_in // 100, r_in // 5))
-    quote = realized_out(pool, VictimSwap(XL_TA, XL_TB, amount), 0)
-    assume(quote is not None)
-    return pool, VictimSwap(XL_TA, XL_TB, amount, quote - draw(st.integers(0, 200)))
+    ratio, amp = draw(st.integers(2, 20)), draw(st.sampled_from([1, 10, 200]))
+    victim = VictimSwap(XL_TA, XL_TB, draw(st.integers(r_in // 100, r_in // 5)))
+    pool = stable_pool([r_in, r_in * ratio], amp=amp, tokens=(XL_TA, XL_TB))
+    for _ in range(32):
+        if realized_out(pool, victim, 1) is not None:
+            break
+        ratio *= 2
+        pool = stable_pool([r_in, r_in * ratio], amp=amp, tokens=(XL_TA, XL_TB))
+    outputs = [realized_out(pool, victim, x) for x in (0, 1, draw(st.integers(1, 256)))]
+    assume(None not in outputs)
+    return pool, victim._replace(min_amount_out=min(outputs))
 
 
 @settings(max_examples=60, deadline=None)

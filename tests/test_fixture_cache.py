@@ -81,11 +81,12 @@ def test_cold_and_warm_loads_equal_the_parse(tmp_path_factory, dataset, layout):
 # --- when the stamp serves a load ---
 
 def _forbid(monkeypatch, *names):
-    """Make each named function of fixture_cache fail the test if called."""
+    """Make each named function of fixture_parser, which holds the parser
+    and the entry's writer, fail the test if called."""
     for name in names:
-        def called(*args, name=name):
+        def called(*args, name=name, **kwargs):
             raise AssertionError(f"{name} called")
-        monkeypatch.setattr(fixture_cache, name, called)
+        monkeypatch.setattr(fixture_parser, name, called)
 
 
 def test_trusted_hit_never_opens_or_hashes_the_fixture(tmp_path, monkeypatch, settled):
@@ -98,12 +99,20 @@ def test_trusted_hit_never_opens_or_hashes_the_fixture(tmp_path, monkeypatch, se
         opened.append(os.fspath(file)), real_open(file, *a, **k))[1])
     monkeypatch.setattr(os, "open", lambda file, *a, **k: (
         opened.append(os.fspath(file)), real_os_open(file, *a, **k))[1])
-    _forbid(monkeypatch, "_fingerprint", "_parse")
+    _forbid(monkeypatch, "_fingerprint", "_load_fixture")
     with _messages() as log:
         assert load_fixture(path) == parsed[0]
     assert log == [f"fixture cache hit: {fixture_cache.entry_path(path)}",
                    _loaded_line(path, *parsed)]
     assert opened and str(path) not in opened
+
+
+def _past_header(entry):
+    """The bytes of an entry after its magic and its header section."""
+    with open(entry, "rb") as fh:
+        data = fh.read()
+    at = len(fixture_cache._MAGIC)
+    return data[at + fixture_cache._HEAD + int.from_bytes(data[at:at + 8], "little"):]
 
 
 @pytest.mark.parametrize("change", ["touch", "copy2"])
@@ -112,7 +121,7 @@ def test_new_stamp_same_bytes_is_a_hit_after_hashing(tmp_path, monkeypatch, sett
     its entry to another directory (``shutil.copy2``, a new inode): the
     stamp differs, the bytes do not, so the entry serves the load after
     they are hashed, without a parse, and is written again with the new
-    stamp, which serves the next load."""
+    stamp before the sections it held, which serves the next load."""
     path = _in_layout(tmp_path, _recurring_fixture(20), "canonical")
     parsed = _load_fixture(path)
     load_fixture(path)
@@ -125,11 +134,14 @@ def test_new_stamp_same_bytes_is_a_hit_after_hashing(tmp_path, monkeypatch, sett
         shutil.copy2(fixture_cache.entry_path(path), fixture_cache.entry_path(copies / path.name))
         path = shutil.copy2(path, copies / path.name)
     entry = fixture_cache.entry_path(path)
+    before = _past_header(entry)
     with monkeypatch.context() as patched:
-        _forbid(patched, "_parse")
+        _forbid(patched, "_load_fixture", "_write_sections")
         with _messages() as log:
             assert load_fixture(path) == parsed[0]
         assert log[0] == f"fixture cache hit after hashing (stamp differs): wrote {entry}"
+        # only the header was written anew: the sections are copied as they were
+        assert _past_header(entry) == before
         with _messages() as log:
             assert load_fixture(path) == parsed[0]
         assert log[0] == f"fixture cache hit: {entry}"
@@ -175,7 +187,7 @@ def test_a_racy_stamp_is_checked_by_the_bytes(tmp_path, monkeypatch, after):
     path = _in_layout(tmp_path, _recurring_fixture(20), "canonical")
     old = _load_fixture(path)
     ctime = os.stat(path).st_ctime_ns
-    monkeypatch.setattr(fixture_cache, "_clock", lambda fh: ctime + after)
+    monkeypatch.setattr(fixture_parser, "_clock", lambda fh: ctime + after)
     load_fixture(path)
     stamp = _edit_keeping_size_and_mtime(path)
     monkeypatch.setattr(fixture_cache, "_stamp", lambda stat: stamp)
@@ -195,9 +207,9 @@ def test_the_time_is_read_before_the_stamp(tmp_path, monkeypatch):
     after it, it could fall in a later tick than a write made between the
     two, which the stamp would then hide."""
     path = _in_layout(tmp_path, _recurring_fixture(5), "canonical")
-    calls, clock, fingerprint = [], fixture_cache._clock, fixture_cache._fingerprint
-    monkeypatch.setattr(fixture_cache, "_clock", lambda fh: (calls.append("time"), clock(fh))[1])
-    monkeypatch.setattr(fixture_cache, "_fingerprint",
+    calls, clock, fingerprint = [], fixture_parser._clock, fixture_parser._fingerprint
+    monkeypatch.setattr(fixture_parser, "_clock", lambda fh: (calls.append("time"), clock(fh))[1])
+    monkeypatch.setattr(fixture_parser, "_fingerprint",
                         lambda p: (calls.append("stamp"), fingerprint(p))[1])
     load_fixture(path)
     assert calls == ["time", "stamp"]
@@ -219,7 +231,7 @@ def test_unwritable_directory_parses_without_hashing(tmp_path, monkeypatch, sett
         return builtins.open(file, mode, *args, **kwargs)
 
     with monkeypatch.context() as patched:
-        patched.setattr(fixture_cache, "open", refuse, raising=False)
+        patched.setattr(fixture_parser, "open", refuse, raising=False)
         _forbid(patched, "_fingerprint")
         with _messages() as log:
             assert load_fixture(path) == parsed[0]
@@ -229,7 +241,7 @@ def test_unwritable_directory_parses_without_hashing(tmp_path, monkeypatch, sett
     later = os.stat(path).st_mtime_ns + 10**9
     os.utime(path, ns=(later, later))
     with monkeypatch.context() as patched:
-        patched.setattr(fixture_cache, "open", refuse, raising=False)
+        patched.setattr(fixture_parser, "open", refuse, raising=False)
         _forbid(patched, "_fingerprint")
         with _messages() as log:
             assert load_fixture(path) == parsed[0]

@@ -458,13 +458,24 @@ NOT_LOADED = [
 ]
 # the standard-library modules only some commands use, and those commands:
 # report globs the findings, and report and crosslayer delay render months
-LOADED_ONLY_UNDER = {"glob": {"report"}, "datetime": {"report", "crosslayer delay"}}
+LOADED_ONLY_UNDER = {"glob": {"report"}, "datetime": {"report", "crosslayer delay"},
+                     # the commands that price or size in exact rationals
+                     "fractions": {"detect arb", "detect liq", "opportunity", "compete",
+                                   "crosslayer infer", "crosslayer delay",
+                                   "crosslayer simulate", "report"}}
 # the commands that neither read prices nor write a CSV
 NO_CSV = {"decode", "detect flashloan", "detect sandwich", "crosslayer infer", "compete"}
 
 
 def _command(argv):
     return " ".join(a for a in argv[:2] if not a.startswith("-"))
+
+
+# the module of each command's handlers: its group's (opportunity and
+# compete share their walk)
+HANDLERS = {"decode": "cli_decode", "opportunity": "cli_opportunity",
+            "compete": "cli_opportunity", "report": "cli_report", "detect": "cli_detect",
+            "crosslayer": "cli_crosslayer", "bytecode": "cli_bytecode"}
 
 
 def test_commands_load_only_the_modules_they_run():
@@ -494,6 +505,23 @@ def test_commands_load_only_the_modules_they_run():
         assert outside == "outside:", (argv, outside)
         return {m.removeprefix("mevlens.") for m in loaded}, never, set(stdlib.split())
 
+    def loaded_under_m(argv):
+        """The mevlens modules loaded by the command run as ``python -m
+        mevlens.cli`` runs it: the module's code in a module named
+        ``__main__``."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import runpy, sys\n"
+             "sys.argv[0] = 'mevlens'\n"
+             "try:\n"
+             "    runpy.run_module('mevlens.cli', run_name='__main__', alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    print(exc.code, *sorted(m for m in sys.modules if m.startswith('mevlens.')))\n",
+             *(a.format(root=root) for a in argv)],
+            capture_output=True, text=True, env=env, timeout=120)
+        rc, *loaded = proc.stdout.splitlines()[-1].split()
+        assert rc == "0", (argv, proc.stderr)
+        return {m.removeprefix("mevlens.") for m in loaded}
+
     # every command, in ARGV's order, so that report reads what detect wrote;
     # then each again, warm: every fixture it reads has its cache entry
     runs = {tuple(argv): set() for argv in ARGV.values()}
@@ -510,6 +538,14 @@ def test_commands_load_only_the_modules_they_run():
                 for module, commands in LOADED_ONLY_UNDER.items():
                     assert (module in stdlib) == (command in commands), (argv, module)
                 assert command not in NO_CSV or "csv" not in stdlib, argv
+                # a command's handlers are in its group's module, and no
+                # other command's are compiled
+                assert {m for m in loaded if m.startswith("cli_")} == {
+                    HANDLERS[command.partition(" ")[0]]}, argv
+                # under -m, cli runs as __main__ alone: no handler module
+                # imports it a second time as mevlens.cli
+                if warm:
+                    assert loaded_under_m(argv) == loaded - {"cli"}, argv
                 # the first command parses the fixture; no warm one parses
                 if argv == tuple(ARGV["decode"]):
                     assert ("fixture_parser" in loaded) != warm, (argv, warm)
@@ -543,7 +579,7 @@ OPTION_NAMES = {
 
 def test_each_command_takes_only_the_options_it_reads():
     from mevlens.cli import COMMANDS
-    got = {name: {flag for flag, _ in options} for name, (options, _) in COMMANDS.items()}
+    got = {name: {flag for flag, _ in options} for name, (options, _, _) in COMMANDS.items()}
     assert got == OPTION_NAMES
     # ARGV hands every command each file option it takes
     not_files = {"--chain", "--from-block", "--to-block", "--type", "--window", "--horizon"}

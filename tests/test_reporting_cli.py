@@ -241,6 +241,47 @@ def test_cli_freezes_the_dataset_and_thaws_it_on_exit(tmp_path, monkeypatch):
     assert len(frozen) == 2 and min(frozen) > 0
 
 
+def test_a_process_that_ran_a_command_ends_frozen(tmp_path):
+    """``mevlens.cli`` freezes the collector at exit, so the process ends
+    without the collector's last pass over its heap: an exit hook
+    registered before the import runs after cli's and sees the heap
+    frozen, while ``main`` itself returns with it thawed."""
+    fixtures, _, _ = _demo_dir(tmp_path)
+    code = ("import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+            "from mevlens.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print('rc:', rc, 'thawed:', gc.get_freeze_count() == 0)\n")
+    proc = _fresh_process(["decode", "--fixtures", str(fixtures)], None, code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["rc: 0 thawed: True", "frozen at exit: True"]
+
+
+# the root, every group and every command, each asked for its --help
+HELP_PAGES = ("", "decode", "detect", "detect arb", "detect liq", "detect sandwich",
+              "detect flashloan", "opportunity", "compete", "crosslayer", "crosslayer infer",
+              "crosslayer delay", "crosslayer simulate", "bytecode", "bytecode cluster", "report")
+HELP_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "help_pages.txt")
+
+
+def _help_pages(capsys):
+    pages = []
+    for command in HELP_PAGES:
+        assert main([*command.split(), "--help"]) == 0, command
+        pages.append(f"=== {' '.join(['mevlens', *command.split(), '--help'])}\n"
+                     + capsys.readouterr().out)
+    return "".join(pages)
+
+
+def test_help_pages_are_the_golden_ones(capsys, monkeypatch):
+    """Every --help page, at a fixed width, byte for byte as committed:
+    the help texts live in ``cli``'s option table, apart from the
+    handlers."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with open(HELP_GOLDEN, encoding="utf-8") as fh:
+        assert _help_pages(capsys) == fh.read()
+
+
 def test_cli_block_range_filter(tmp_path):
     fixtures, prices, _ = _demo_dir(tmp_path)
     out = tmp_path / "out"
@@ -603,7 +644,7 @@ def test_cli_skips_logs_that_break_their_layout(tmp_path, caplog):
             # beside the skip lines, DEBUG holds the fixture cache's line
             skipped = [r for r in caplog.records
                        if r.name == "mevlens" and r.levelno == logging.DEBUG
-                       and r.module != "fixture_cache"]
+                       and r.module not in ("fixture_cache", "fixture_parser")]
             assert len(skipped) == (fixtures is dirty), argv
             if skipped:
                 assert "expects" in skipped[0].getMessage(), argv
@@ -741,7 +782,7 @@ def test_records_reach_a_handler_on_the_mevlens_logger(tmp_path):
     assert records[1].exc_info[0] is ValueError
     assert {(r.module, r.funcName) for r in records} == {
         ("test_reporting_cli", "test_records_reach_a_handler_on_the_mevlens_logger"),
-        ("fixture_cache", "_by_bytes"), ("chain_model", "load_fixture"),
+        ("fixture_parser", "_by_bytes"), ("chain_model", "load_fixture"),
         ("decoding", "_decode_or_skip")}
     assert [r.levelname for r in records[2:]] == ["DEBUG", "INFO", "DEBUG"]
     with pytest.raises(AttributeError):
