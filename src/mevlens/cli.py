@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import os
@@ -30,24 +29,30 @@ def _setup_logging():
     logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
 
 
-# the checks on an option's value; each failure is a usage error
+# the checks on an option's value; each failure is a usage error, and only
+# a failure imports argparse, whose error it raises
+def _usage_error(message):
+    from argparse import ArgumentTypeError
+    return ArgumentTypeError(message)
+
+
 def _path(value):
     if not os.path.exists(value):
         # a link whose target is missing or leads back to itself: the name exists
         what = "is a broken or looping symlink" if os.path.lexists(value) else "does not exist"
-        raise argparse.ArgumentTypeError(f"path {value!r} {what}")
+        raise _usage_error(f"path {value!r} {what}")
     return value
 
 
 def _directory(value):
     if os.path.isfile(value):
-        raise argparse.ArgumentTypeError(f"{value!r} is a file, not a directory")
+        raise _usage_error(f"{value!r} is a file, not a directory")
     return value
 
 
 def _file(value):
     if os.path.isdir(_path(value)):
-        raise argparse.ArgumentTypeError(f"{value!r} is a directory, not a file")
+        raise _usage_error(f"{value!r} is a directory, not a file")
     return value
 
 
@@ -59,9 +64,9 @@ def _at_least_1(value):
     try:
         number = int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
+        raise _usage_error(f"{value!r} is not an integer") from None
     if number < 1:
-        raise argparse.ArgumentTypeError(f"{number} is not >= 1")
+        raise _usage_error(f"{number} is not >= 1")
     return number
 
 
@@ -91,7 +96,7 @@ OUT = ("--out", dict(dest="out_dir", default="out", type=_directory, metavar="DI
 BYTECODE = ("--bytecode", dict(dest="bytecode_file", required=True, type=_file, metavar="FILE"))
 
 
-class Ctx(argparse.Namespace):
+class Ctx:
     """The options of one command, with its inputs loaded on first use."""
 
     _pools = _prices = None
@@ -180,22 +185,68 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Adds its ``options`` only when it parses: argparse hands argv to the
-    one command it selects, so a process builds only that command's options."""
+def _from_table(argv):
+    """The options of a command line in its canonical shape, read straight
+    from ``COMMANDS`` as argparse would read them; None for any other line.
 
-    def __init__(self, options=(), **kwargs):
-        super().__init__(allow_abbrev=False, **kwargs)
-        self._options = options
-
-    def parse_known_args(self, args=None, namespace=None):
-        for flag, keywords in self._options:
-            self.add_argument(flag, **keywords)
-        self._options = ()
-        return super().parse_known_args(args, namespace)
+    The shape: the command, then ``--flag value`` pairs, each flag one of
+    the command's own, in full and at most once, no value starting with
+    ``-``, every required option given and every value passing its check.
+    A value that fails is left to argparse to check again: argparse alone
+    prints help, words a usage error and reads any other shape, so a
+    well-formed command never imports it."""
+    for words in (2, 1):
+        name = " ".join(argv[:words])
+        if name in COMMANDS and name.split(" ") == argv[:words]:
+            break
+    else:
+        return None
+    options = COMMANDS[name][0]
+    rest = argv[words:]
+    given = dict(zip(rest[::2], rest[1::2]))
+    if 2 * len(given) != len(rest):  # a flag without its value, or given twice
+        return None
+    ctx = Ctx()
+    ctx.command = name
+    for flag, keywords in options:
+        value = given.pop(flag, None)
+        if value is None:
+            if keywords.get("required"):
+                return None
+            value = keywords.get("default")
+        elif value.startswith("-"):
+            return None
+        # argparse passes a value, and a string default, through the type
+        check = keywords.get("type")
+        if check is not None and isinstance(value, str):
+            try:
+                value = check(value)
+            except Exception:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        setattr(ctx, keywords.get("dest", flag[2:].replace("-", "_")), value)
+    return None if given else ctx
 
 
 def _parser():
+    """argparse over ``COMMANDS``, for a line the table parse declines."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Adds its ``options`` only when it parses: argparse hands argv to the
+        one command it selects, so a process builds only that command's options."""
+
+        def __init__(self, options=(), **kwargs):
+            super().__init__(allow_abbrev=False, **kwargs)
+            self._options = options
+
+        def parse_known_args(self, args=None, namespace=None):
+            for flag, keywords in self._options:
+                self.add_argument(flag, **keywords)
+            self._options = ()
+            return super().parse_known_args(args, namespace)
+
     root = _Parser(prog="mevlens", description=(
         "MEV detection and cross-layer sandwich simulation over recorded "
         "event-log fixtures."))
@@ -214,7 +265,8 @@ def _parser():
 
 def main(argv=None) -> int:
     try:
-        ctx = _parser().parse_args(argv, Ctx())
+        argv = sys.argv[1:] if argv is None else list(argv)
+        ctx = _from_table(argv) or _parser().parse_args(argv, Ctx())
         _setup_logging()
         from importlib import import_module
         import_module(f"{__package__}.{COMMANDS[ctx.command][2]}").RUN[ctx.command](ctx)

@@ -7,6 +7,8 @@ every command that reads that file. Malformed input must exit 1 and valid
 input 0; exit 2 means an internal error. Every leaf command runs on the
 valid set with exactly the options it takes, in process and in a fresh
 interpreter that shows which modules it loads. Each usage error exits 1. A bug planted in a simulation exits 2.
+Whenever the table parse reads a command line, argparse reads the same
+options from it.
 """
 
 import contextlib
@@ -22,8 +24,9 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from mevlens import cli
 from mevlens.amm import PoolInfo, dump_pool_metadata
 from mevlens.chain_model import ARBITRUM, ETHEREUM, dump_fixture
 from mevlens.cli import main
@@ -443,8 +446,11 @@ def test_window_and_horizon_below_1_exit_1(option, commands, capsys):
 # Nor does one load hashlib, which loads OpenSSL: the fixture cache hashes
 # with the built-in BLAKE2b. A command that reads no chain fixture does
 # not load the fixture cache, nor the fixture parser, which only a load
-# that its cache entry cannot serve loads.
-NEVER_LOADED = ["dataclasses", "inspect", "logging", "hashlib"]
+# that its cache entry cannot serve loads. Nor does a well-formed command
+# line load argparse, or the gettext and locale that argparse imports: the
+# table parse reads it, and argparse is built only for --help and usage
+# errors.
+NEVER_LOADED = ["dataclasses", "inspect", "logging", "hashlib", "argparse", "gettext", "locale"]
 NOT_LOADED = [
     (ARGV["detect arb"], {"crosslayer", "bytecode", "keccak", "opportunity"}),
     (ARGV["decode"], {"amm", "opportunity", "crosslayer", "bytecode"}),
@@ -508,18 +514,21 @@ def test_commands_load_only_the_modules_they_run():
     def loaded_under_m(argv):
         """The mevlens modules loaded by the command run as ``python -m
         mevlens.cli`` runs it: the module's code in a module named
-        ``__main__``."""
+        ``__main__``. It loads none of NEVER_LOADED either."""
         proc = subprocess.run(
             [sys.executable, "-c", "import runpy, sys\n"
              "sys.argv[0] = 'mevlens'\n"
              "try:\n"
              "    runpy.run_module('mevlens.cli', run_name='__main__', alter_sys=True)\n"
              "except SystemExit as exc:\n"
-             "    print(exc.code, *sorted(m for m in sys.modules if m.startswith('mevlens.')))\n",
+             "    print(exc.code, *sorted(m for m in sys.modules if m.startswith('mevlens.')))\n"
+             f"    print('never:', *[m for m in {NEVER_LOADED!r} if m in sys.modules])\n",
              *(a.format(root=root) for a in argv)],
             capture_output=True, text=True, env=env, timeout=120)
-        rc, *loaded = proc.stdout.splitlines()[-1].split()
+        modules, never = proc.stdout.splitlines()[-2:]
+        rc, *loaded = modules.split()
         assert rc == "0", (argv, proc.stderr)
+        assert never == "never:", (argv, never)
         return {m.removeprefix("mevlens.") for m in loaded}
 
     # every command, in ARGV's order, so that report reads what detect wrote;
@@ -636,6 +645,116 @@ def test_usage_error_exits_1(argv, message, capsys):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err, (argv, err)
     assert err.startswith("usage: mevlens"), err
+
+
+# every command line the benchmark's workloads run, in its shape (the
+# paths are this file's inputs): the table parse serves each one
+WORKLOAD_ARGV = [
+    ["decode", *FIXTURES],
+    ["detect", "arb", *FIXTURES, *POOLS, *PRICES, *OUT],
+    ["detect", "liq", *FIXTURES, *PRICES, *OUT],
+    ["detect", "flashloan", *FIXTURES, *OUT],
+    ["opportunity", "--type", "arb", *FIXTURES, *POOLS, *SNAPSHOTS, *OUT],
+    ["opportunity", "--type", "liq", *FIXTURES, *POOLS, *SNAPSHOTS, *OUT],
+    ["report", *OUT, *PRICES],
+    ["detect", "sandwich", *L2, *FIXTURES, *OUT],
+    ["crosslayer", "infer", *L2, *FIXTURES, *OUT, *POOLS],
+    ["crosslayer", "delay", *L2, *FIXTURES, *OUT, *POOLS],
+    ["crosslayer", "simulate", *L2, *FIXTURES, *OUT, *POOLS, *PRICES, *SNAPSHOTS, *CONFIG],
+    ["bytecode", "cluster", "--bytecode", "{root}/code.jsonl", *OUT],
+]
+# lines argparse reads that the table parse leaves to it
+ONLY_ARGPARSE = [
+    ["report", "--out={root}/out"],
+    ["report", *OUT, *OUT],
+    [*ARGV["decode"], "--from-block", "-3"],
+]
+
+FLAGS = sorted({flag for options, _, _ in cli.COMMANDS.values() for flag, _ in options})
+# a value each flag takes, drawn often enough that every required option
+# of a line can pass
+ACCEPTED = {"--chain": "arbitrum", "--from-block": "7", "--to-block": "9",
+            "--fixtures": "{root}/fixtures", "--type": "liq", "--pools": "{root}/pools.json",
+            "--prices": "{root}/prices.csv", "--snapshots": "{root}/snap.jsonl",
+            "--config": "{root}/attack.json", "--window": "3", "--horizon": "5",
+            "--out": "{root}/out", "--bytecode": "{root}/code.jsonl"}
+# a file, a directory, a missing path and one below a file, choices in and
+# out of every list, and numbers
+ANY_VALUE = st.sampled_from(
+    ["{root}/pools.json", "{root}/fixtures", "{root}/missing", "{root}/pools.json/x",
+     "ethereum", "arbitrum", "solana", "arb", "liq", "sandwich", "0", "-3", "x", ""])
+
+
+# how often a line keeps an optional and a required option of its command
+KEEP = {False: [True, False], True: [True, True, True, True, True, True, True, False]}
+
+
+@st.composite
+def command_lines(draw):
+    """A command, then some of its own options, each with a value it takes
+    and now and then one with any other value, then now and then a pair of
+    any command's flag and a value, a repeated flag, a ``--flag=value``
+    form, ``-h``, ``--help`` or ``--``, all in any order; the command is
+    now and then one token."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    options = cli.COMMANDS[name][0]
+    items = [[flag, ACCEPTED[flag]] for flag, keywords in options
+             if draw(st.sampled_from(KEEP[bool(keywords.get("required"))]))]
+    at = draw(st.integers(0, 2 * len(items)))
+    if at < len(items):
+        items[at][1] = draw(ANY_VALUE)
+    pair = st.sampled_from(FLAGS).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.one_of(st.just(ACCEPTED[flag]), ANY_VALUE)))
+    items += draw(st.lists(st.one_of(
+        pair.map(list), pair.map(lambda p: ["=".join(p)]),
+        st.sampled_from(["-h", "--help", "--"]).map(lambda t: [t])), max_size=2))
+    words = [name] if draw(st.integers(0, 9)) == 0 else name.split()
+    return words + [token for item in draw(st.permutations(items)) for token in item]
+
+
+def _argparse(argv):
+    """The options argparse reads from argv, or None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._parser().parse_args(argv, cli.Ctx())
+        except SystemExit:
+            return None
+
+
+@pytest.fixture(scope="module")
+def inputs_root():
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(root, valid_inputs())
+        yield root
+
+
+@settings(max_examples=400, deadline=None)
+@given(line=command_lines())
+@example(line=ONLY_ARGPARSE[0])
+@example(line=ONLY_ARGPARSE[1])
+@example(line=ONLY_ARGPARSE[2])
+def test_table_parse_reads_what_argparse_reads(inputs_root, line):
+    """Whenever the table parse reads a line, argparse accepts it and reads
+    the same options."""
+    argv = [a.format(root=inputs_root) for a in line]
+    ctx = cli._from_table(argv)
+    if ctx is not None:
+        parsed = _argparse(argv)
+        assert parsed is not None and vars(ctx) == vars(parsed), argv
+
+
+@pytest.mark.parametrize("line", ONLY_ARGPARSE, ids=[" ".join(line) for line in ONLY_ARGPARSE])
+def test_table_parse_leaves_other_shapes_to_argparse(inputs_root, line):
+    argv = [a.format(root=inputs_root) for a in line]
+    assert cli._from_table(argv) is None
+    assert _argparse(argv) is not None
+
+
+def test_table_parse_serves_every_command_the_tests_and_benchmark_run(inputs_root):
+    for line in [*ARGV.values(), *OPPORTUNITY, *WORKLOAD_ARGV]:
+        argv = [a.format(root=inputs_root) for a in line]
+        ctx = cli._from_table(argv)
+        assert ctx is not None and vars(ctx) == vars(_argparse(argv)), argv
 
 
 # each file option of each command, each fixture a --fixtures directory
