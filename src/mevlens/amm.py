@@ -196,11 +196,15 @@ class PoolInfo(NamedTuple):
 
 def load_pool_metadata(path) -> dict:
     """JSON sidecar: {pool address: {kind, tokens, fee_num, fee_den, amp}}.
-    An entry that does not fit raises MalformedRecord naming the file and
-    the pool."""
-    pools = {}
+    An entry that does not fit, or whose address an earlier key gave in
+    another spelling, raises MalformedRecord naming the file and the pool."""
+    pools, keys = {}, {}
     for key, obj in _json_object(path).items():
         info = _pool_info(key, obj, path)
+        earlier = keys.setdefault(info.address, key)
+        if earlier != key:
+            raise MalformedRecord(None, f"pool {key!r}: address already given as pool {earlier!r}",
+                                  path)
         pools[info.address] = info
     return pools
 

@@ -193,11 +193,21 @@ def read_jsonl(path, parse):
 
 
 def _json_object(path) -> dict:
-    """A sidecar holding one JSON object; MalformedRecord with the file
-    (and the line, for invalid JSON) otherwise."""
+    """A sidecar holding one JSON object, in which no object gives a key
+    twice; MalformedRecord with the file (and the line, for invalid JSON)
+    otherwise."""
+
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise MalformedRecord(None, f"key {key!r} given twice in one object", path)
+            obj[key] = value
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=unique)
         except UnicodeDecodeError as exc:
             _raise_not_utf8(path, exc)
         except json.JSONDecodeError as exc:

@@ -2,10 +2,9 @@
 binary entry beside it, and every later load of it, in any process,
 rebuilds the same dataset from the entry instead of parsing. The parser,
 ``fixture_parser``, stays the one reference path. It holds the entry's
-writer too, and is imported only by a load that the entry's stamp does
-not serve: one that hashes the fixture, and parses it unless the entry
-was written for those bytes. A load that parses writes the entry only
-after that parse succeeded.
+writer too, and is imported only by a load that the entry does not
+serve: one that parses the fixture and then writes the entry again. A
+load writes the entry only after its parse succeeded.
 
 The entry of ``DIR/NAME`` is ``DIR/.NAME.<cache tag>.cache``, named for
 the interpreter because it holds ``marshal`` bytes. After a magic line
@@ -13,9 +12,9 @@ come sections, each its length, its own BLAKE2b-256 and ``marshal``
 bytes:
 
 - the header: the BLAKE2b-256 of the source of the code that builds a
-  dataset (``chain_model``, this module and ``fixture_parser``) and of
-  the fixture's bytes, the fixture's stamp when those bytes were read,
-  and the file system's time taken just before that stamp;
+  dataset (``chain_model``, this module and ``fixture_parser``), the
+  fixture's stamp before it was parsed, and the file system's time
+  taken just before that stamp;
 - the chain, the json-path line count and the sizes of what follows;
 - the distinct tx hashes, senders, addresses, topic words and block
   numbers, one sorted table each, every value once;
@@ -23,17 +22,15 @@ bytes:
   native unsigned int indices into those tables, so a rebuilt dataset
   shares equal values as the parsed one does.
 
-An entry serves only loads by the code that wrote it. It serves a load
-without the fixture being read when the fixture's stamp (device, inode,
-size, modification and change time) is the header's, and that change
-time is older than the header's time: every write to a file sets its
-change time to the time of the write, so no write made after that time
-was taken leaves the stamp as it was. A stamp whose change time is not
-older is racy: a write in the same tick of the file system's clock would
-keep it. Any other load hashes the fixture, is served by the entry if it
-was written for those bytes, and writes the entry again with the new
-stamp before the sections it has just read. Git's index trusts a file's
-stat the same way.
+An entry serves only loads by the code that wrote it, and only when the
+fixture's stamp (device, inode, size, modification and change time) is
+the header's and that change time is older than the header's time:
+every write to a file sets its change time to the time of the write, so
+no write made after that time was taken leaves the stamp as it was. A
+stamp whose change time is not older is racy: a write in the same tick
+of the file system's clock would keep it. Every other load parses the
+fixture and writes the entry again. Git's index trusts a file's stat
+the same way.
 
 Every table and record list is split into sections of at most SECTION
 items, so that a load or a write holds one section's bytes at a time
@@ -55,7 +52,7 @@ from .chain_model import _TX_STATUS, CHAINS, BlockRecord, ChainDataset, EventLog
 SECTION = 128
 # the indices are native unsigned ints: a machine of the other byte order
 # reads another magic and misses
-_MAGIC = f"mevlens fixture cache 2 {SECTION} {sys.byteorder}\n".encode()
+_MAGIC = f"mevlens fixture cache 3 {SECTION} {sys.byteorder}\n".encode()
 _HEAD = 8 + 32   # a section's length and digest
 # every way a damaged or foreign entry fails to read; each is a miss
 _UNREADABLE = (OSError, EOFError, ValueError, TypeError, IndexError, KeyError)
@@ -91,10 +88,9 @@ def entry_path(path) -> str:
 def load(path):
     """``fixture_parser._load_fixture(path)``, a (dataset, json-path line
     count) pair: rebuilt from the fixture's entry when the fixture's stamp
-    is the entry's and not racy, or else when its bytes are the ones the
-    entry was written for; otherwise parsed. Logs at DEBUG whether the
-    entry served the load, and if not by the stamp, why and whether the
-    entry was written again."""
+    is the entry's and not racy, otherwise parsed. Logs at DEBUG whether
+    the entry served the load, and if not, why and whether the entry was
+    written again."""
     try:
         stat = os.stat(path)
     except OSError:
@@ -107,7 +103,23 @@ def load(path):
     entry, code, stamp = entry_path(path), _code_digest(), _stamp(stat)
     try:
         with open(entry, "rb") as fh:
-            (wanted, written, clock), section = _header(fh, code)
+            if fh.read(len(_MAGIC)) != _MAGIC:
+                raise ValueError("entry of another format")
+            size = os.fstat(fh.fileno()).st_size
+
+            def section():
+                head = fh.read(_HEAD)
+                length = int.from_bytes(head[:8], "little")
+                if length > size:
+                    raise ValueError("section longer than the entry")
+                payload = fh.read(length)
+                if _digest(payload) != head[8:]:
+                    raise ValueError("section digest differs")
+                return marshal.loads(payload)
+
+            written_by, written, clock = section()
+            if written_by != code:
+                raise ValueError("entry of other code")
             # not racy: the change time is older than the time read before
             # the stamp, so no write since then has kept the stamp
             if written == stamp and stamp[4] < clock:
@@ -115,36 +127,13 @@ def load(path):
                 _log.debug("fixture cache hit: %s", entry)
                 return loaded
     except FileNotFoundError:
-        wanted, reason = None, "no entry"
+        reason = "no entry"
     except _UNREADABLE as exc:
-        wanted, reason = None, f"{type(exc).__name__}: {exc}"
+        reason = f"{type(exc).__name__}: {exc}"
     else:
         reason = "stamp differs" if written != stamp else "racy stamp"
-    from .fixture_parser import _by_bytes   # compiled only by a load the stamp does not serve
-    return _by_bytes(path, entry, code, wanted, reason)
-
-
-def _header(fh, code):
-    """The header of the entry ``fh``, (fixture digest, stamp, time), and
-    the function that reads its next section."""
-    if fh.read(len(_MAGIC)) != _MAGIC:
-        raise ValueError("entry of another format")
-    size = os.fstat(fh.fileno()).st_size
-
-    def section():
-        head = fh.read(_HEAD)
-        length = int.from_bytes(head[:8], "little")
-        if length > size:
-            raise ValueError("section longer than the entry")
-        payload = fh.read(length)
-        if _digest(payload) != head[8:]:
-            raise ValueError("section digest differs")
-        return marshal.loads(payload)
-
-    written_by, *header = section()
-    if written_by != code:
-        raise ValueError("entry of other code")
-    return header, section
+    from .fixture_parser import _parse_and_write   # compiled only by a load the entry does not serve
+    return _parse_and_write(path, entry, code, reason)
 
 
 def _records(section):

@@ -1,8 +1,8 @@
 """The chain fixture parser: ``_load_fixture`` and what only it runs; and
-the fixture cache's writer, ``_by_bytes`` and what only it runs.
+the fixture cache's writer, ``_parse_and_write`` and what only it runs.
 
-``fixture_cache`` imports this module only for a load that the entry's
-stamp does not serve, so a load that the stamp serves compiles none of it.
+``fixture_cache`` imports this module only for a load that the entry
+does not serve, so a load that the entry serves compiles none of it.
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ from __future__ import annotations
 import marshal
 import os
 import re
-from _blake2 import blake2b
 from bisect import bisect_left
-from functools import partial
 from itertools import chain, pairwise, repeat, starmap
 from operator import attrgetter, lt
 
@@ -20,7 +18,7 @@ from .chain_model import (_MAX_TIMESTAMP, _TX_STATUS, CHAINS, BlockRecord, Chain
                           TxRecord, TxStatus, _chain, _decimal, _fromhex, _json_line, _log,
                           _text_lines, _timestamp)
 from .errors import DuplicateKey, MalformedRecord, OrderingViolation
-from .fixture_cache import SECTION, _MAGIC, _UNREADABLE, _digest, _header, _records, _stamp
+from .fixture_cache import SECTION, _MAGIC, _digest, _stamp
 
 
 def _hexstr(value, length, what):
@@ -265,31 +263,16 @@ def _load_fixture(path):
 
 # --- the cache entry's writer ---
 
-def _fingerprint(path):
-    """BLAKE2b-256 of a file's bytes, read through one small buffer, and
-    the file's ``_stamp`` from before the read."""
-    state, buf = blake2b(digest_size=32), bytearray(1 << 14)
-    view = memoryview(buf)
-    with open(path, "rb", buffering=0) as fh:
-        stat = os.fstat(fh.fileno())
-        while n := fh.readinto(buf):
-            state.update(view[:n])
-    return state.digest(), _stamp(stat)
-
-
 def _clock(fh) -> int:
     """The file system's time now, in ns: the modification time it gave
     the file just created at ``fh``."""
     return os.fstat(fh.fileno()).st_mtime_ns
 
 
-def _by_bytes(path, entry, code, wanted, reason):
-    """The load of a fixture that its entry's stamp does not serve, by its
-    bytes: the entry's records if their digest is ``wanted``, else the
-    parse's; then the entry is written again through a temporary file,
-    a new header before either the old entry's sections, copied as they
-    are, or the parse's. A load that cannot create that file parses,
-    hashing nothing."""
+def _parse_and_write(path, entry, code, reason):
+    """The parse of a fixture that its entry does not serve; the entry is
+    then written again through a temporary file. A load that cannot
+    create that file only parses."""
     tmp = f"{entry}.{os.getpid()}.tmp"
     try:
         # created here or not at all: an existing path, a symlink too, is
@@ -299,84 +282,41 @@ def _by_bytes(path, entry, code, wanted, reason):
         loaded = _load_fixture(path)
         _log.debug("fixture cache miss (%s): not written: %s", reason, exc)
         return loaded
-    old = None
     try:
         # before the stamp: a write to the fixture after it sets the
         # fixture's change time past it
         clock = _clock(out)
-        digest, stamp = _fingerprint(path)
-        loaded = None
-        if digest == wanted:
-            try:
-                old = open(entry, "rb")
-                header, section = _header(old, code)
-                if header[0] != digest:
-                    raise ValueError("entry of other bytes")
-                start = old.tell()
-                loaded = _records(section)
-                # the sections that _records has just checked
-                sections = partial(_copy, old, start, old.tell())
-            except _UNREADABLE as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-        elif wanted is not None:
-            reason = "entry of other bytes"
-        hit = loaded is not None
-        if not hit:
-            loaded = _load_fixture(path)
-            sections = partial(_write_sections, dataset=loaded[0], by_json=loaded[1])
-        outcome = _write(out, tmp, entry, path, (code, digest, stamp, clock), sections)
+        stamp = _stamp(os.stat(path))
+        loaded = _load_fixture(path)
+        try:
+            if _stamp(os.stat(path)) != stamp:
+                outcome = "not written: the fixture changed while it was read"
+            else:
+                _write(out, (code, stamp, clock), *loaded)
+                out.close()
+                os.replace(tmp, entry)
+                outcome = f"wrote {entry}"
+        except OSError as exc:
+            outcome = f"not written: {exc}"
     finally:
-        if old is not None:
-            old.close()
         out.close()
         try:
             os.remove(tmp)
         except OSError:
             pass
-    _log.debug("fixture cache %s (%s): %s", "hit after hashing" if hit else "miss", reason,
-               outcome)
+    _log.debug("fixture cache miss (%s): %s", reason, outcome)
     return loaded
 
 
-def _copy(src, start, end, out):
-    """Copy bytes ``start`` to ``end`` of the open file ``src`` to ``out``,
-    a MiB at a time."""
-    src.seek(start)
-    while start < end:
-        chunk = src.read(min(end - start, 1 << 20))
-        if not chunk:
-            raise OSError(f"{src.name} ended before byte {end}")
-        out.write(chunk)
-        start += len(chunk)
-
-
-def _put(fh, value):
-    payload = marshal.dumps(value, 2)   # version 2: no table of objects seen
-    fh.write(len(payload).to_bytes(8, "little") + _digest(payload))
-    fh.write(payload)
-
-
-def _write(out, tmp, entry, path, header, sections) -> str:
-    """Write the entry to ``out``, the temporary file at ``tmp``: its magic,
-    the ``header`` and then what ``sections(out)`` writes; and put it in
-    place, if the fixture's stamp is still the ``header``'s. What was done,
-    for the DEBUG line."""
-    try:
-        if _stamp(os.stat(path)) != header[2]:
-            return "not written: the fixture changed while it was read"
-        out.write(_MAGIC)
-        _put(out, header)
-        sections(out)
-        out.close()
-        os.replace(tmp, entry)
-    except OSError as exc:
-        return f"not written: {exc}"
-    return f"wrote {entry}"
-
-
-def _write_sections(fh, dataset, by_json):
-    """Write each section of ``dataset``'s entry, holding one at a time."""
+def _write(out, header, dataset, by_json):
+    """Write ``dataset``'s entry to ``out``, holding one section at a time:
+    its magic, the ``header`` and the sections."""
     from array import array
+
+    def put(value):
+        payload = marshal.dumps(value, 2)   # version 2: no table of objects seen
+        out.write(len(payload).to_bytes(8, "little") + _digest(payload))
+        out.write(payload)
 
     def at(table, items):
         return array("I", map(bisect_left, repeat(table), items)).tobytes()
@@ -415,11 +355,13 @@ def _write_sections(fh, dataset, by_json):
                 at(words, chain.from_iterable(topics)), data, at(numbers, block_numbers),
                 indices, log_indices, at(hashes, tx_hashes))
 
-    _put(fh, (None if dataset.chain is None else dataset.chain.name, by_json,
-              tuple(map(len, tables)), len(blocks), len(txs), len(logs)))
+    out.write(_MAGIC)
+    put(header)
+    put((None if dataset.chain is None else dataset.chain.name, by_json,
+         tuple(map(len, tables)), len(blocks), len(txs), len(logs)))
     for table in tables:
         for i in range(0, len(table), SECTION):
-            _put(fh, tuple(table[i:i + SECTION]))
+            put(tuple(table[i:i + SECTION]))
     for records, columns in ((blocks, block_columns), (txs, tx_columns), (logs, log_columns)):
         for i in range(0, len(records), SECTION):
-            _put(fh, columns(records[i:i + SECTION]))
+            put(columns(records[i:i + SECTION]))

@@ -53,11 +53,12 @@ class PriceProvider:
     def from_csv(cls, path) -> "PriceProvider":
         """Rows of token_address,day,price_eth. Raises MalformedRecord with
         the file and line for a short row, a token that is neither hex nor
-        ETHUSD, a day that is not a non-negative integer, or a price that
-        is not a positive decimal."""
+        ETHUSD, a day that is not a non-negative integer, a price that is
+        not a positive decimal, or a token and day that an earlier row gave
+        (tokens compared as bytes)."""
         import csv
         from fractions import Fraction
-        rows = []
+        rows, seen = [], {}   # (token, day) -> line
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -80,7 +81,13 @@ class PriceProvider:
                     if not _decimal(price, _DECIMAL_FRACTION) or Fraction(price) <= 0:
                         raise MalformedRecord(
                             line, f"price must be a positive decimal, got {price!r}", path)
-                    rows.append((token, int(day), price))
+                    key = token, int(day)
+                    if key in seen:
+                        name = token if token == cls.ETHUSD else to_hex(token)
+                        raise MalformedRecord(
+                            line, f"{name} day {key[1]} already on line {seen[key]}", path)
+                    seen[key] = line
+                    rows.append((*key, price))
             except UnicodeDecodeError as exc:
                 _raise_not_utf8(path, exc)
         return cls(rows)

@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -1040,6 +1041,30 @@ def test_malformed_pool_metadata_exit_1(tmp_path, capsys, name):
         assert "pool '0x" in str(exc.value)
 
 
+def test_repeated_pool_or_json_key_exits_1(tmp_path, capsys):
+    """A pools.json key naming an address that an earlier key gave in
+    another spelling names both pools; a key given twice in one JSON
+    object, at the top level or in a pool's entry, names the key. Each
+    would otherwise keep the later entry or value and drop the other."""
+    key = "0x" + XL_POOL.hex()
+    entry = json.loads(_pools_text())[key]
+    body = json.dumps(entry)
+    cases = [
+        (json.dumps({key: entry, XL_POOL.hex().upper(): entry}),
+         f"pool {XL_POOL.hex().upper()!r}: address already given as pool {key!r}"),
+        (f'{{"{key}": {body}, "{key}": {body}}}', f"key {key!r} given twice in one object"),
+        (f'{{"{key}": {body[:-1]}, "amp": 100}}}}', "key 'amp' given twice in one object"),
+    ]
+    assert _simulate(tmp_path / "ok", pools=json.dumps({key: entry})) == 0
+    for i, (text, reason) in enumerate(cases):
+        assert _simulate(tmp_path / str(i), pools=text) == 1
+        path = tmp_path / str(i) / "pools.json"
+        err = capsys.readouterr().err
+        assert f"error: {path}: {reason}\n" in err and "Traceback" not in err
+        with pytest.raises(MalformedRecord, match="^" + re.escape(f"{path}: {reason}") + "$"):
+            load_pool_metadata(path)
+
+
 _CONFIG = {"l1_tx_cost_eth": "0.002", "l2_tx_cost_eth": "0.0001", "bribe_eth": "0.001",
            "reaction_time_s": 45, "capital_tiers_usd": [1000, 10000, "inf"]}
 
@@ -1055,6 +1080,9 @@ MALFORMED_CONFIGS = {
     "non_integer_tier": ("capital_tiers_usd",
                          json.dumps(dict(_CONFIG, capital_tiers_usd=[1000, "lots"]))),
     "tiers_not_list": ("capital_tiers_usd", json.dumps(dict(_CONFIG, capital_tiers_usd=1000))),
+    # json.load alone would keep the second value
+    "repeated_key": ("key 'bribe_eth' given twice in one object",
+                     json.dumps(_CONFIG)[:-1] + ', "bribe_eth": "0.5"}'),
 }
 
 

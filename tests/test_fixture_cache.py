@@ -2,9 +2,10 @@
 rebuilds from a cache entry gives what ``_load_fixture`` gives, and an
 entry that is damaged, foreign or stale, or that cannot be written,
 leaves every load as it would be with no cache at all. A load is served
-without reading the fixture only by an entry whose stamp is the
-fixture's and not racy; the tests forge the clock or the stamp rather
-than wait for the file system's clock to tick."""
+only by an entry whose stamp is the fixture's and not racy, without
+reading the fixture; every other load parses and writes the entry
+again. The tests forge the clock or the stamp rather than wait for the
+file system's clock to tick."""
 
 import builtins
 import logging
@@ -59,8 +60,10 @@ def _types(dataset):
 @given(dataset=fixture_datasets(), layout=st.sampled_from(["canonical", "json"]))
 def test_cold_and_warm_loads_equal_the_parse(tmp_path_factory, dataset, layout):
     """The first load parses and writes the entry, the second rebuilds
-    from it; both give the parse's records, of the parse's types, and the
-    same INFO line, after a DEBUG line that says which it was."""
+    from it, and a third, after the fixture's modification time moves,
+    parses and writes the entry again, with the first entry's sections;
+    each gives the parse's records, of the parse's types, and the same
+    INFO line, after a DEBUG line that says which it was."""
     path = _in_layout(tmp_path_factory.mktemp("cache"), dataset, layout)
     entry = fixture_cache.entry_path(path)
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -69,13 +72,28 @@ def test_cold_and_warm_loads_equal_the_parse(tmp_path_factory, dataset, layout):
             cold = load_fixture(path)
         with _messages() as warm_log:
             warm = load_fixture(path)
+        sections = _past_header(entry)
+        later = os.stat(path).st_mtime_ns + 10**9
+        os.utime(path, ns=(later, later))
+        with _messages() as touched_log:
+            touched = load_fixture(path)
     parsed, by_json = _load_fixture(path)
-    assert cold == warm == parsed == dataset
+    assert cold == warm == touched == parsed == dataset
     assert _types(warm) == _types(parsed)
     assert [warm.tx(t.hash) for t in parsed.txs] == [parsed.tx(t.hash) for t in parsed.txs]
     line = _loaded_line(path, parsed, by_json)
     assert cold_log == [f"fixture cache miss (no entry): wrote {entry}", line]
     assert warm_log == [f"fixture cache hit: {entry}", line]
+    assert touched_log == [f"fixture cache miss (stamp differs): wrote {entry}", line]
+    assert _past_header(entry) == sections
+
+
+def _past_header(entry):
+    """The bytes of an entry after its magic and its header section."""
+    with open(entry, "rb") as fh:
+        data = fh.read()
+    at = len(fixture_cache._MAGIC)
+    return data[at + fixture_cache._HEAD + int.from_bytes(data[at:at + 8], "little"):]
 
 
 # --- when the stamp serves a load ---
@@ -89,7 +107,7 @@ def _forbid(monkeypatch, *names):
         monkeypatch.setattr(fixture_parser, name, called)
 
 
-def test_trusted_hit_never_opens_or_hashes_the_fixture(tmp_path, monkeypatch, settled):
+def test_trusted_hit_never_opens_the_fixture(tmp_path, monkeypatch, settled):
     path = _in_layout(tmp_path, _recurring_fixture(20), "canonical")
     parsed = _load_fixture(path)
     load_fixture(path)
@@ -99,7 +117,7 @@ def test_trusted_hit_never_opens_or_hashes_the_fixture(tmp_path, monkeypatch, se
         opened.append(os.fspath(file)), real_open(file, *a, **k))[1])
     monkeypatch.setattr(os, "open", lambda file, *a, **k: (
         opened.append(os.fspath(file)), real_os_open(file, *a, **k))[1])
-    _forbid(monkeypatch, "_fingerprint", "_load_fixture")
+    _forbid(monkeypatch, "_load_fixture", "_parse_and_write")
     with _messages() as log:
         assert load_fixture(path) == parsed[0]
     assert log == [f"fixture cache hit: {fixture_cache.entry_path(path)}",
@@ -107,21 +125,13 @@ def test_trusted_hit_never_opens_or_hashes_the_fixture(tmp_path, monkeypatch, se
     assert opened and str(path) not in opened
 
 
-def _past_header(entry):
-    """The bytes of an entry after its magic and its header section."""
-    with open(entry, "rb") as fh:
-        data = fh.read()
-    at = len(fixture_cache._MAGIC)
-    return data[at + fixture_cache._HEAD + int.from_bytes(data[at:at + 8], "little"):]
-
-
 @pytest.mark.parametrize("change", ["touch", "copy2"])
-def test_new_stamp_same_bytes_is_a_hit_after_hashing(tmp_path, monkeypatch, settled, change):
+def test_new_stamp_same_bytes_is_a_miss(tmp_path, settled, change):
     """A later modification time (``touch``), or a copy of the fixture and
     its entry to another directory (``shutil.copy2``, a new inode): the
-    stamp differs, the bytes do not, so the entry serves the load after
-    they are hashed, without a parse, and is written again with the new
-    stamp before the sections it held, which serves the next load."""
+    stamp differs, so the load parses, although the bytes do not differ,
+    and writes the entry again with the new stamp before the same
+    sections, byte for byte; that entry serves the next load."""
     path = _in_layout(tmp_path, _recurring_fixture(20), "canonical")
     parsed = _load_fixture(path)
     load_fixture(path)
@@ -135,16 +145,13 @@ def test_new_stamp_same_bytes_is_a_hit_after_hashing(tmp_path, monkeypatch, sett
         path = shutil.copy2(path, copies / path.name)
     entry = fixture_cache.entry_path(path)
     before = _past_header(entry)
-    with monkeypatch.context() as patched:
-        _forbid(patched, "_load_fixture", "_write_sections")
-        with _messages() as log:
-            assert load_fixture(path) == parsed[0]
-        assert log[0] == f"fixture cache hit after hashing (stamp differs): wrote {entry}"
-        # only the header was written anew: the sections are copied as they were
-        assert _past_header(entry) == before
-        with _messages() as log:
-            assert load_fixture(path) == parsed[0]
-        assert log[0] == f"fixture cache hit: {entry}"
+    with _messages() as log:
+        assert load_fixture(path) == parsed[0]
+    assert log[0] == f"fixture cache miss (stamp differs): wrote {entry}"
+    assert _past_header(entry) == before
+    with _messages() as log:
+        assert load_fixture(path) == parsed[0]
+    assert log[0] == f"fixture cache hit: {entry}"
 
 
 def _edit_keeping_size_and_mtime(path):
@@ -163,27 +170,28 @@ def _edit_keeping_size_and_mtime(path):
 def test_edit_that_keeps_size_and_mtime_is_a_miss(tmp_path):
     """On the real clock: the edit either moves the change time, or falls
     in the tick the entry's stamp was taken in, which makes that stamp
-    racy; either way the load hashes the edited bytes and parses them."""
+    racy; either way the load parses the edited bytes."""
     path = _in_layout(tmp_path, _recurring_fixture(20), "canonical")
     old = _load_fixture(path)
     load_fixture(path)
     _edit_keeping_size_and_mtime(path)
     parsed = _load_fixture(path)
     assert parsed[0] != old[0]
+    entry = fixture_cache.entry_path(path)
     with _messages() as log:
         assert load_fixture(path) == parsed[0]
-    assert log[0] == ("fixture cache miss (entry of other bytes): "
-                      f"wrote {fixture_cache.entry_path(path)}")
+    assert log[0] in (f"fixture cache miss (stamp differs): wrote {entry}",
+                      f"fixture cache miss (racy stamp): wrote {entry}")
 
 
 @pytest.mark.parametrize("after", [0, 1], ids=["racy", "settled"])
-def test_a_racy_stamp_is_checked_by_the_bytes(tmp_path, monkeypatch, after):
+def test_a_racy_stamp_is_a_miss(tmp_path, monkeypatch, after):
     """The entry's time is forged to the fixture's change time (racy: a
     write in that tick keeps the stamp) or 1 ns after it; the fixture is
     then edited in place and its stamp forged back to the entry's. Only
     the settled entry is trusted by its stamp, and then serves the bytes
     it was written for: the stamp alone cannot see such an edit, which is
-    why a racy one is not trusted."""
+    why a racy one is not trusted, and the load parses."""
     path = _in_layout(tmp_path, _recurring_fixture(20), "canonical")
     old = _load_fixture(path)
     ctime = os.stat(path).st_ctime_ns
@@ -199,27 +207,33 @@ def test_a_racy_stamp_is_checked_by_the_bytes(tmp_path, monkeypatch, after):
         assert log[0] == f"fixture cache hit: {entry}"
     else:
         assert loaded == _load_fixture(path)[0] != old[0]
-        assert log[0] == f"fixture cache miss (entry of other bytes): wrote {entry}"
+        assert log[0] == f"fixture cache miss (racy stamp): wrote {entry}"
 
 
 def test_the_time_is_read_before_the_stamp(tmp_path, monkeypatch):
     """The entry's time is read before the fixture's stamp is taken: read
     after it, it could fall in a later tick than a write made between the
-    two, which the stamp would then hide."""
+    two, which the stamp would then hide. The stamp is taken before the
+    parse, so a write during the parse moves the change time past it, and
+    again after the parse, to see whether one did."""
     path = _in_layout(tmp_path, _recurring_fixture(5), "canonical")
-    calls, clock, fingerprint = [], fixture_parser._clock, fixture_parser._fingerprint
+    calls = []
+    clock, stamp, parse = fixture_parser._clock, fixture_parser._stamp, fixture_parser._load_fixture
     monkeypatch.setattr(fixture_parser, "_clock", lambda fh: (calls.append("time"), clock(fh))[1])
-    monkeypatch.setattr(fixture_parser, "_fingerprint",
-                        lambda p: (calls.append("stamp"), fingerprint(p))[1])
-    load_fixture(path)
-    assert calls == ["time", "stamp"]
+    monkeypatch.setattr(fixture_parser, "_stamp", lambda st: (calls.append("stamp"), stamp(st))[1])
+    monkeypatch.setattr(fixture_parser, "_load_fixture",
+                        lambda p: (calls.append("parse"), parse(p))[1])
+    with _messages() as log:
+        load_fixture(path)
+    assert calls == ["time", "stamp", "parse", "stamp"]
+    assert log[0] == f"fixture cache miss (no entry): wrote {fixture_cache.entry_path(path)}"
 
 
-def test_unwritable_directory_parses_without_hashing(tmp_path, monkeypatch, settled):
+def test_unwritable_directory_parses_and_writes_nothing(tmp_path, monkeypatch, settled):
     """No temporary file can be made beside the fixture (``chmod`` cannot
-    show it, as the tests may run as root): no entry could be written, so
-    a load the stamp does not serve parses and hashes nothing, whether
-    there is no entry or one of another stamp."""
+    show it, as the tests may run as root): a load the entry does not
+    serve parses and writes no entry, whether there is no entry or one of
+    another stamp, which is left as it was."""
     path = _in_layout(tmp_path, _recurring_fixture(20), "canonical")
     parsed = _load_fixture(path)
     entry = fixture_cache.entry_path(path)
@@ -232,21 +246,23 @@ def test_unwritable_directory_parses_without_hashing(tmp_path, monkeypatch, sett
 
     with monkeypatch.context() as patched:
         patched.setattr(fixture_parser, "open", refuse, raising=False)
-        _forbid(patched, "_fingerprint")
         with _messages() as log:
             assert load_fixture(path) == parsed[0]
         assert log[0] == f"fixture cache miss (no entry): not written: [Errno 13] Permission denied: {tmp!r}"
         assert not os.path.exists(entry)
     load_fixture(path)
+    with open(entry, "rb") as fh:
+        data = fh.read()
     later = os.stat(path).st_mtime_ns + 10**9
     os.utime(path, ns=(later, later))
     with monkeypatch.context() as patched:
         patched.setattr(fixture_parser, "open", refuse, raising=False)
-        _forbid(patched, "_fingerprint")
         with _messages() as log:
             assert load_fixture(path) == parsed[0]
         assert log[0] == ("fixture cache miss (stamp differs): not written: "
                           f"[Errno 13] Permission denied: {tmp!r}")
+    with open(entry, "rb") as fh:
+        assert fh.read() == data
 
 
 # --- an entry that cannot serve the load: each gives the parse ---
@@ -325,8 +341,7 @@ def _flip(entry, data, at):
 
 def test_one_flipped_header_byte_is_a_miss(cached):
     """Every byte of the magic line and of the header section: its length,
-    its digest, and the code digest, fixture digest, stamp and time it
-    holds."""
+    its digest, and the code digest, stamp and time it holds."""
     path, entry, data, parsed = cached
     _, header_end = _section_spans(data)[0]
     for at in range(header_end):
@@ -348,11 +363,12 @@ def test_one_flipped_byte_in_any_section_is_a_miss(cached):
 
 
 def test_entry_of_another_fixture_is_a_miss(cached, tmp_path):
+    """Its stamp is the other fixture's."""
     path, entry, _, parsed = cached
     other = _in_layout(tmp_path, _recurring_fixture(7), "json")
     load_fixture(other)
     os.replace(fixture_cache.entry_path(other), entry)
-    _assert_miss_then_hit(path, entry, parsed, "entry of other bytes")
+    _assert_miss_then_hit(path, entry, parsed, "stamp differs")
 
 
 def test_entry_written_by_other_code_is_a_miss(cached, monkeypatch):
@@ -424,8 +440,8 @@ def test_fixture_changed_during_the_parse_gets_no_entry(tmp_path, monkeypatch):
 
 def test_two_processes_loading_one_fixture_at_once(tmp_path):
     """Both load the records the parse gives, and the entry left behind
-    serves the next load, by its stamp or, had the processes written it
-    within the tick the fixture was written in, by the bytes."""
+    serves the next load by its stamp or, had the processes written it
+    within the tick the fixture was written in, is written again."""
     path = _in_layout(tmp_path, _recurring_fixture(300), "canonical")
     import mevlens
     src = os.path.dirname(os.path.dirname(os.path.abspath(mevlens.__file__)))
@@ -441,7 +457,7 @@ def test_two_processes_loading_one_fixture_at_once(tmp_path):
     with _messages() as log:
         assert load_fixture(path) == _load_fixture(path)[0]
     assert log[0] in (f"fixture cache hit: {entry}",
-                      f"fixture cache hit after hashing (racy stamp): wrote {entry}")
+                      f"fixture cache miss (racy stamp): wrote {entry}")
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
 

@@ -182,6 +182,28 @@ def _demo_dir(tmp_path):
     return fixtures, prices, expected
 
 
+@pytest.mark.parametrize("repeat", ["token", "ETHUSD"])
+def test_repeated_price_row_exits_1_naming_both_lines(tmp_path, capsys, repeat):
+    """A prices.csv row whose token, compared as bytes, and day an earlier
+    row gave would silently replace that row's price: it is an input
+    error naming both lines."""
+    fixtures, prices, _ = _demo_dir(tmp_path)
+    lines = prices.read_text().splitlines()
+    token, day, _ = lines[1].split(",")
+    if repeat == "token":
+        lines.append(f"{token[2:].upper()},{day},0.75")
+        name, earlier = token, 2
+    else:
+        lines.append(f"ETHUSD,{day},2100")
+        name, earlier = "ETHUSD", 5
+    prices.write_text("\n".join(lines) + "\n")
+    assert main(["detect", "arb", "--fixtures", str(fixtures),
+                 "--prices", str(prices), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {prices}: line 6: {name} day {day} already on line {earlier}\n" in err
+    assert "Traceback" not in err
+
+
 def test_cli_unknown_command_exit_1():
     assert main(["nope"]) == 1
 
@@ -782,7 +804,7 @@ def test_records_reach_a_handler_on_the_mevlens_logger(tmp_path):
     assert records[1].exc_info[0] is ValueError
     assert {(r.module, r.funcName) for r in records} == {
         ("test_reporting_cli", "test_records_reach_a_handler_on_the_mevlens_logger"),
-        ("fixture_parser", "_by_bytes"), ("chain_model", "load_fixture"),
+        ("fixture_parser", "_parse_and_write"), ("chain_model", "load_fixture"),
         ("decoding", "_decode_or_skip")}
     assert [r.levelname for r in records[2:]] == ["DEBUG", "INFO", "DEBUG"]
     with pytest.raises(AttributeError):
