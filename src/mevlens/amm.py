@@ -4,8 +4,6 @@ All arithmetic is exact (Python integers, floor division) so replays are
 reproducible and match EVM semantics. No floating point in this module.
 """
 
-from __future__ import annotations
-
 import json
 from typing import NamedTuple, Sequence
 

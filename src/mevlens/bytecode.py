@@ -5,8 +5,6 @@ the trailing Solidity CBOR metadata segment, so deployments differing only
 in embedded constants collapse to one digest.
 """
 
-from __future__ import annotations
-
 import csv
 import re
 from typing import NamedTuple

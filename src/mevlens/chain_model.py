@@ -8,8 +8,6 @@ Hashes and addresses are lowercase 0x-hex; token/wei amounts are decimal
 strings so values above 64 bits survive round-trips.
 """
 
-from __future__ import annotations
-
 import gc
 import json
 import re
@@ -274,9 +272,10 @@ class ChainDataset:
     def tx(self, tx_hash: bytes) -> Optional[TxRecord]:
         return self._tx_by_hash.get(tx_hash)
 
-    def block_timestamp(self, number: int) -> Optional[int]:
+    def block_timestamp(self, number: int) -> int:
+        """The block's timestamp; 0 for a block the fixture has no record of."""
         b = self._block_by_number.get(number)
-        return b.timestamp if b else None
+        return b.timestamp if b else 0
 
 
 def _chain(obj) -> ChainId:

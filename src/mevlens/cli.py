@@ -233,21 +233,7 @@ def _parser():
     """argparse over ``COMMANDS``, for a line the table parse declines."""
     import argparse
 
-    class _Parser(argparse.ArgumentParser):
-        """Adds its ``options`` only when it parses: argparse hands argv to the
-        one command it selects, so a process builds only that command's options."""
-
-        def __init__(self, options=(), **kwargs):
-            super().__init__(allow_abbrev=False, **kwargs)
-            self._options = options
-
-        def parse_known_args(self, args=None, namespace=None):
-            for flag, keywords in self._options:
-                self.add_argument(flag, **keywords)
-            self._options = ()
-            return super().parse_known_args(args, namespace)
-
-    root = _Parser(prog="mevlens", description=(
+    root = argparse.ArgumentParser(prog="mevlens", allow_abbrev=False, description=(
         "MEV detection and cross-layer sandwich simulation over recorded "
         "event-log fixtures."))
     commands = {"": root.add_subparsers(metavar="COMMAND", required=True)}
@@ -255,10 +241,12 @@ def _parser():
         group, _, leaf = name.rpartition(" ")
         if group not in commands:
             parser = commands[""].add_parser(group, help=GROUPS[group],
-                                             description=GROUPS[group])
+                                             description=GROUPS[group], allow_abbrev=False)
             commands[group] = parser.add_subparsers(metavar="COMMAND", required=True)
-        parser = commands[group].add_parser(leaf, options=options, help=text,
-                                            description=text)
+        parser = commands[group].add_parser(leaf, help=text, description=text,
+                                            allow_abbrev=False)
+        for flag, keywords in options:
+            parser.add_argument(flag, **keywords)
         parser.set_defaults(command=name)
     return root
 

@@ -40,7 +40,7 @@ def delay(ctx):
     overall, monthly, anomalies = crosslayer.delay_stats(links)
     path = os.path.join(ctx.ensure_out(), "delay_stats.csv")
     reporting.write_delay_stats(overall, monthly, path)
-    print(f"{overall.count} links, {len(anomalies)} anomalies -> {path}")
+    print(f"{overall['count']} links, {len(anomalies)} anomalies -> {path}")
 
 
 def simulate(ctx):
@@ -51,12 +51,7 @@ def simulate(ctx):
     pools = ctx.pools()
     prices = ctx.prices()
     provider = opportunity.StateProvider.from_jsonl(ctx.snapshots_file, pools)
-    if ctx.config_file:
-        costs, reaction, tiers = crosslayer.load_attack_config(ctx.config_file)
-    else:
-        costs = crosslayer.DEFAULT_COSTS
-        reaction = crosslayer.DEFAULT_REACTION_TIME_S
-        tiers = crosslayer.DEFAULT_CAPITAL_TIERS_USD
+    costs, reaction, tiers = crosslayer.load_attack_config(ctx.config_file)
 
     scenarios = []
     no_state = no_price = 0

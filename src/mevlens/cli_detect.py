@@ -13,7 +13,7 @@ def _write_priced(ctx, ds, findings, profit, to_json, name):
     chain = ctx.chain_of(ds)
 
     def row(f):
-        ts = ds.block_timestamp(f.block) or 0
+        ts = ds.block_timestamp(f.block)
         tx = ds.tx(f.tx_hash)
         if prices is not None and tx is not None:
             f = profit(f, prices, tx, ts)
@@ -45,7 +45,7 @@ def sandwich(ctx):
                                            window=ctx.window)
     chain = ctx.chain_of(ds)
     ctx.write("findings_sandwich.jsonl", (
-        reporting.sandwich_to_json(f, chain, ds.block_timestamp(f.window[0]) or 0)
+        reporting.sandwich_to_json(f, chain, ds.block_timestamp(f.window[0]))
         for f in findings))
 
 
@@ -57,7 +57,7 @@ def flashloan(ctx):
     ctx.write("findings_flashloan.jsonl", ({
         "type": "flash_loan", "chain": chain,
         "tx_hash": to_hex(loan.tx_hash), "block": lg.block_number,
-        "timestamp": ds.block_timestamp(lg.block_number) or 0, "provider": loan.provider,
+        "timestamp": ds.block_timestamp(lg.block_number), "provider": loan.provider,
         "token": to_hex(loan.token),
         "amount": str(loan.amount), "fee": str(loan.fee),
     } for lg, loan in decode_logs(ds.logs, (Category.FLASH_LOAN,))))

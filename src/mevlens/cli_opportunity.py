@@ -39,7 +39,7 @@ def opportunities(ctx):
         "type": f"opportunity_{ctx.mev_type}",
         "tx_hash": to_hex(f.tx_hash),
         "block": f.block,
-        "timestamp": ds.block_timestamp(f.block) or 0,
+        "timestamp": ds.block_timestamp(f.block),
         "status": r.status,
         "opportunity_tx": to_hex(r.opportunity_tx) if r.opportunity_tx else None,
         "block_distance": r.block_distance,
@@ -68,7 +68,7 @@ def compete(ctx):
             "mev_type": g["type"],
             "tx_hash": to_hex(g["opportunity_tx"]),
             "block": block,
-            "timestamp": ds.block_timestamp(block) or 0,
+            "timestamp": ds.block_timestamp(block),
             "extractors": [to_hex(e) for e in g["extractors"]],
             "findings": g["findings"],
         }

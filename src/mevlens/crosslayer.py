@@ -7,8 +7,6 @@ Strategies:
   S3 - speculative: both txs on L2, needs the sequencer inclusion delay
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -92,8 +90,10 @@ DEFAULT_CAPITAL_TIERS_USD = (1_000, 10_000, 100_000, 1_000_000, None)  # None = 
 def load_attack_config(path):
     """JSON config: {l1_tx_cost_eth, l2_tx_cost_eth, bribe_eth,
     reaction_time_s, capital_tiers_usd[]} -> (CostModel, reaction_time,
-    tiers). A value that does not fit raises MalformedRecord naming the
-    file and the key."""
+    tiers); the defaults for no ``path``. A value that does not fit raises
+    MalformedRecord naming the file and the key."""
+    if path is None:
+        return DEFAULT_COSTS, DEFAULT_REACTION_TIME_S, DEFAULT_CAPITAL_TIERS_USD
     obj = _json_object(path)
 
     def bad(key, reason):
@@ -134,7 +134,7 @@ def _bridge_actions(dataset: ChainDataset, category: Category):
     """The dataset's bridge messages of ``category`` (L1_MESSAGE: emissions,
     L2_MESSAGE: executions), stamped with their block's timestamp (0 when
     the block record is missing)."""
-    return [action._replace(timestamp=dataset.block_timestamp(log.block_number) or 0)
+    return [action._replace(timestamp=dataset.block_timestamp(log.block_number))
             for log, action in decode_logs(dataset.logs, (category,))]
 
 
@@ -153,15 +153,12 @@ def infer_victims(l1_dataset: ChainDataset, l2_dataset: ChainDataset, pools_meta
     # zkSync executes under the same tx hash; synthesize the L2 side
     if l2_dataset.chain == ZKSYNC:
         for a in l1_actions:
-            if a.rollup != ZKSYNC:
-                continue
             tx = l2_dataset.tx(a.link_key)
             if tx is not None:
-                ts = l2_dataset.block_timestamp(tx.block_number) or 0
                 l2_actions.append(a._replace(
                     direction="l2_execute",
                     position=(tx.block_number, tx.tx_index, -1),
-                    tx_hash=tx.hash, timestamp=ts))
+                    tx_hash=tx.hash, timestamp=l2_dataset.block_timestamp(tx.block_number)))
 
     l2_by_key = {}
     for a in l2_actions:
@@ -198,36 +195,25 @@ def infer_victims(l1_dataset: ChainDataset, l2_dataset: ChainDataset, pools_meta
 
 # --- inclusion-delay statistics ---
 
-class DelayStats(NamedTuple):
-    count: int
-    min: int
-    mean: Fraction
-    median: Fraction
-    max: int
-
-
-def _stats(delays) -> DelayStats:
-    s = summary_stats(delays)
-    return DelayStats(count=len(delays), min=s["min"], mean=s["mean"],
-                      median=s["median"], max=s["max"])
-
-
 def delay_stats(links: Sequence[CrossLayerLink]):
     """Overall and per-month (UTC, by L1 timestamp) delay statistics.
 
+    Each is a ``summary_stats`` cell with the ``count`` of its delays.
     Negative delays are anomalies: excluded from statistics, returned
     separately.
     """
+    def cell(delays):
+        return dict(summary_stats(delays), count=len(delays))
+
     valid = [l for l in links if l.delay_s >= 0]
     anomalies = [l for l in links if l.delay_s < 0]
     if not valid:
         raise EmptyInput("no valid links")
-    overall = _stats([l.delay_s for l in valid])
     monthly = {}
     for l in valid:
         monthly.setdefault(month_of(l.l1_timestamp), []).append(l.delay_s)
-    monthly_stats = {m: _stats(ds) for m, ds in sorted(monthly.items())}
-    return overall, monthly_stats, anomalies
+    return (cell([l.delay_s for l in valid]),
+            {m: cell(ds) for m, ds in sorted(monthly.items())}, anomalies)
 
 
 # --- optimal frontrun sizing ---

@@ -13,8 +13,6 @@ logs the decoder rejects. The addresses one pass slices out of topics and
 data are shared: equal addresses are one object.
 """
 
-from __future__ import annotations
-
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 

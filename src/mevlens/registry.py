@@ -3,8 +3,6 @@
 The compiled-in table mirrors the event set the detectors rely on.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple, Optional
 

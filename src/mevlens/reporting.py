@@ -116,13 +116,8 @@ def month_of(timestamp: int) -> str:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime("%Y-%m")
 
 
-def p90(values: Sequence[Fraction]) -> Fraction:
-    """Nearest-rank 90th percentile: value at rank ceil(0.9*n), ascending."""
-    return _p90_at(sorted(values))
-
-
 def _p90_at(xs):
-    # the value at rank ceil(0.9*n) of the ascending xs
+    # the nearest-rank 90th percentile: the value at rank ceil(0.9*n) of the ascending xs
     return xs[max(-(-9 * len(xs) // 10), 1) - 1]
 
 
@@ -370,11 +365,8 @@ def write_distance_cdf(cdf, path) -> None:
 
 
 def write_delay_stats(overall, monthly, path) -> None:
-    rows = [["all", overall.count, overall.min, fmt_fixed(overall.mean, 1),
-             fmt_fixed(overall.median, 1), overall.max]]
-    for month, stats in monthly.items():
-        rows.append([month, stats.count, stats.min, fmt_fixed(stats.mean, 1),
-                     fmt_fixed(stats.median, 1), stats.max])
+    rows = [[period, s["count"], s["min"], fmt_fixed(s["mean"], 1), fmt_fixed(s["median"], 1),
+             s["max"]] for period, s in [("all", overall), *monthly.items()]]
     _write_csv(path, ["period", "count", "min_s", "mean_s", "median_s", "max_s"], rows)
 
 

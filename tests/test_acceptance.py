@@ -246,9 +246,9 @@ def test_9_crosslayer_join():
     overall, _, anomalies = delay_stats(links)
     xs = sorted(XL_DELAYS)
     assert anomalies == []
-    assert (overall.min, overall.max) == (xs[0], xs[-1])
-    assert overall.median == xs[len(xs) // 2]
-    assert overall.mean == Fraction(sum(xs), len(xs))
+    assert (overall["min"], overall["max"]) == (xs[0], xs[-1])
+    assert overall["median"] == xs[len(xs) // 2]
+    assert overall["mean"] == Fraction(sum(xs), len(xs))
 
 
 # 10. 100k-log CLI run: < 30 s, byte-identical across runs

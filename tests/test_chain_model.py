@@ -459,6 +459,23 @@ def _in_layout(tmp_path, dataset, layout):
     return path
 
 
+@pytest.mark.parametrize("layout", ["canonical", "json"])
+def test_decreasing_block_timestamp_exits_1_and_writes_no_entry(tmp_path, layout, capsys):
+    """The message names the file, the later block and both timestamps."""
+    ds = _recurring_fixture(3)
+    earlier, later = ds.blocks[1], ds.blocks[2]
+    ds.blocks[2] = later._replace(timestamp=earlier.timestamp - 1)
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    path = fixtures / "ethereum.jsonl"
+    os.replace(_in_layout(tmp_path, ds, layout), path)
+    assert main(["decode", "--fixtures", str(fixtures)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: timestamp decreases at block {later.number}: "
+        f"{earlier.timestamp} -> {earlier.timestamp - 1}\n")
+    assert os.listdir(fixtures) == ["ethereum.jsonl"]
+
+
 def _cold_or_warm(path, load):
     """Leave ``path`` with no cache entry ("cold") or with the one its
     first load writes ("warm"), which, its stamp settled, serves the next

@@ -280,29 +280,29 @@ def test_delay_stats_matches_sort_oracle():
         links += infer_victims(l1, l2s[name], xl_pools_meta())[1]
     overall, monthly, anomalies = delay_stats(links)
     xs = sorted(XL_DELAYS)
-    assert overall.count == 25
-    assert overall.min == xs[0] and overall.max == xs[-1]
-    assert overall.median == xs[len(xs) // 2]  # odd count
-    assert overall.mean == Fraction(sum(xs), len(xs))
+    assert overall["count"] == 25
+    assert overall["min"] == xs[0] and overall["max"] == xs[-1]
+    assert overall["median"] == xs[len(xs) // 2]  # odd count
+    assert overall["mean"] == Fraction(sum(xs), len(xs))
     assert anomalies == []
-    assert sum(s.count for s in monthly.values()) == 25
+    assert sum(s["count"] for s in monthly.values()) == 25
 
 
 def test_delay_stats_worked_example():
     links = [_link(d) for d in (0, 60, 120, 600)]
     overall, _, _ = delay_stats(links)
-    assert (overall.min, overall.median, overall.mean, overall.max) == \
+    assert (overall["min"], overall["median"], overall["mean"], overall["max"]) == \
         (0, 90, 195, 600)
 
 
 def test_delay_single_link():
     overall, _, _ = delay_stats([_link(60)])
-    assert (overall.min, overall.median, overall.mean, overall.max) == (60, 60, 60, 60)
+    assert (overall["min"], overall["median"], overall["mean"], overall["max"]) == (60, 60, 60, 60)
 
 
 def test_negative_delay_is_anomaly():
     overall, _, anomalies = delay_stats([_link(60), _link(-5)])
-    assert overall.count == 1 and len(anomalies) == 1
+    assert overall["count"] == 1 and len(anomalies) == 1
     with pytest.raises(EmptyInput):
         delay_stats([_link(-1)])
 
@@ -904,6 +904,9 @@ def test_load_attack_config(tmp_path):
     costs, reaction, tiers = load_attack_config(path)
     assert costs == COSTS
     assert reaction == 45 and tiers == (1000, 10000, None)
+    # with no config, a run takes the defaults
+    assert load_attack_config(None) == (DEFAULT_COSTS, DEFAULT_REACTION_TIME_S,
+                                        DEFAULT_CAPITAL_TIERS_USD)
 
 
 # --- `crosslayer simulate` on malformed sidecars ---

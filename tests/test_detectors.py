@@ -221,6 +221,21 @@ def test_compound_without_redeem_is_unredeemed():
     assert findings[0].actions[0].collateral_amount is None
 
 
+def test_redeem_without_liquidation_is_no_finding_and_pairs_with_no_other_tx():
+    """The first tx holds only a Redeem: no finding, and the next tx's
+    LiquidateBorrow does not take it."""
+    fb = FixtureBuilder(ETHEREUM)
+    fb.block()
+    fb.tx()
+    fb.log(addr(0xE1), *enc_compound_redeem(addr(6), 90, 85))
+    fb.tx()
+    liquidated = fb.log(addr(0xC1), *enc_compound_liquidate(addr(6), addr(5), 100, addr(7), 90))
+    findings = detect_liquidations(fb.dataset().logs)
+    assert [f.tx_hash for f in findings] == [liquidated.tx_hash]
+    assert findings[0].unredeemed
+    assert findings[0].actions[0].collateral_amount is None
+
+
 def test_two_liquidations_one_finding():
     fb = FixtureBuilder(ETHEREUM)
     fb.block()

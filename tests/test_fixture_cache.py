@@ -9,6 +9,7 @@ file system's clock to tick."""
 
 import builtins
 import logging
+import marshal
 import os
 import shutil
 import subprocess
@@ -360,6 +361,26 @@ def test_one_flipped_byte_in_any_section_is_a_miss(cached):
     for at, reason in flips:
         _flip(entry, data, at)
         _assert_miss_then_hit(path, entry, parsed, f"ValueError: {reason}")
+
+
+# a meta section that counts one block number too few, or one block too
+# many: either count stays within the one section its part takes
+@pytest.mark.parametrize("forge, reason", [
+    (lambda meta: meta[:2] + (meta[2][:4] + (meta[2][4] - 1,),) + meta[3:],
+     "table of the wrong length"),
+    (lambda meta: meta[:3] + (meta[3] + 1,) + meta[4:], "fewer records than counted")],
+    ids=["table", "records"])
+def test_meta_counts_that_do_not_hold_are_a_miss(cached, forge, reason):
+    """The meta section re-marshalled with a wrong count and given its own
+    digest: every digest holds, and the load parses instead."""
+    path, entry, data, parsed = cached
+    start, end = _section_spans(data)[1]
+    meta = marshal.loads(data[start + 40:end])
+    payload = marshal.dumps(forge(meta))
+    with open(entry, "wb") as fh:
+        fh.write(data[:start] + len(payload).to_bytes(8, "little")
+                 + fixture_cache._digest(payload) + payload + data[end:])
+    _assert_miss_then_hit(path, entry, parsed, f"ValueError: {reason}")
 
 
 def test_entry_of_another_fixture_is_a_miss(cached, tmp_path):

@@ -6,7 +6,8 @@ to a wrong-typed or out-of-range value, or edits the file's bytes, and runs
 every command that reads that file. Malformed input must exit 1 and valid
 input 0; exit 2 means an internal error. Every leaf command runs on the
 valid set with exactly the options it takes, in process and in a fresh
-interpreter that shows which modules it loads. Each usage error exits 1. A bug planted in a simulation exits 2.
+interpreter that shows which modules it loads and what they compile.
+Each usage error exits 1. A bug planted in a simulation exits 2.
 Whenever the table parse reads a command line, argparse reads the same
 options from it.
 """
@@ -484,12 +485,19 @@ HANDLERS = {"decode": "cli_decode", "opportunity": "cli_opportunity",
             "crosslayer": "cli_crosslayer", "bytecode": "cli_bytecode"}
 
 
-def test_commands_load_only_the_modules_they_run():
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this mevlens,
+    with MEVLENS_LOG unset."""
     import mevlens
     src = os.path.dirname(os.path.dirname(os.path.abspath(mevlens.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     env.pop("MEVLENS_LOG", None)
+    return env
+
+
+def test_commands_load_only_the_modules_they_run():
+    env = _fresh_env()
     watched = sorted(LOADED_ONLY_UNDER) + ["csv"]
     code = ("import sys\n"
             "before = set(sys.modules)\n"
@@ -564,6 +572,58 @@ def test_commands_load_only_the_modules_they_run():
         loaded, never, _ = run(ARGV["decode"], dict(env, MEVLENS_LOG="INFO"))
         assert never == "never: logging", never
         assert loaded == run(ARGV["decode"], env)[0]
+
+
+# each command's start-up budget, cold (its first load of a fixture parses
+# it) and warm, in ARGV's order: the source bytes of the mevlens modules it
+# loads, which a process that writes no bytecode compiles, and its compile()
+# calls on '<string>'. typing.NamedTuple makes one for each string
+# annotation of a record's fields, and collections.namedtuple one for each
+# record's __new__. Each is an upper bound: a change that raises one says so.
+BUDGET = {
+    # command: (source bytes cold, source bytes warm, compile('<string>') calls);
+    # decode reads the ethereum fixture first and detect sandwich the
+    # rollup's, so each parses it cold
+    "decode": (57_484, 41_871, 5),
+    "detect arb": (94_350, 94_350, 39),
+    "detect liq": (84_717, 84_717, 36),
+    "detect flashloan": (72_225, 72_225, 12),
+    "detect sandwich": (100_330, 84_717, 35),
+    "opportunity": (107_221, 107_221, 44),
+    "compete": (107_221, 107_221, 44),
+    "crosslayer infer": (104_479, 104_479, 20),
+    "crosslayer delay": (104_479, 104_479, 20),
+    "crosslayer simulate": (116_774, 116_774, 25),
+    "report": (43_913, 43_913, 5),
+    "bytecode cluster": (40_326, 40_326, 6),
+}
+
+
+def test_each_command_compiles_within_its_budget():
+    code = ("import os, sys\n"
+            "compiles = []\n"
+            "sys.addaudithook(lambda event, args: event == 'compile' and args[1] == '<string>'\n"
+            "                 and compiles.append(args))\n"
+            "from mevlens.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "files = [m.__file__ for name, m in sys.modules.items()\n"
+            "         if name.partition('.')[0] == 'mevlens']\n"
+            "print(rc, sum(map(os.path.getsize, files)), len(compiles))\n")
+    assert set(BUDGET) == set(ARGV)
+    env, over = _fresh_env(), {}
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(root, valid_inputs())
+        for warm in (False, True):
+            for name, argv in ARGV.items():
+                proc = subprocess.run(
+                    [sys.executable, "-c", code, *(a.format(root=root) for a in argv)],
+                    capture_output=True, text=True, env=env, timeout=120)
+                rc, size, compiles = map(int, proc.stdout.split()[-3:])
+                assert rc == 0, (name, proc.stderr)
+                budget = BUDGET[name][warm], BUDGET[name][2]
+                if size > budget[0] or compiles > budget[1]:
+                    over[name, "warm" if warm else "cold"] = (size, compiles), budget
+    assert not over, over
 
 
 _CHAIN = {"--chain", "--from-block", "--to-block", "--fixtures"}

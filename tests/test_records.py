@@ -14,7 +14,7 @@ from mevlens.bytecode import BytecodeRecord, Cluster
 from mevlens.amm import CONSTANT_PRODUCT, STABLESWAP, PoolState
 from mevlens.chain_model import (ARBITRUM, CHAINS, ETHEREUM, BlockRecord, ChainId, EventLog,
                                  Layer, TxRecord)
-from mevlens.crosslayer import CostModel, CrossLayerLink, DelayStats, VictimCandidate, VictimSwap
+from mevlens.crosslayer import CostModel, CrossLayerLink, VictimCandidate, VictimSwap
 from mevlens.decoding import (BridgeMessageAction, FlashLoanAction, LiquidationAction,
                               OracleUpdateAction, SwapAction, TransferAction)
 from mevlens.detectors import ArbitrageFinding, LiquidationFinding, SandwichFinding
@@ -110,8 +110,6 @@ RECORDS = [
      "pool=b'\\xbb')"),
     (COSTS,
      "CostModel(l1_tx_cost=Fraction(1, 2), l2_tx_cost=Fraction(0, 1), bribe=Fraction(1, 4))"),
-    (DelayStats(3, 1, Fraction(5, 2), Fraction(2), 5),
-     "DelayStats(count=3, min=1, mean=Fraction(5, 2), median=Fraction(2, 1), max=5)"),
 ]
 
 

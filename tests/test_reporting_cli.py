@@ -17,16 +17,16 @@ from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
                               enc_balancer_v1_swap, enc_flashloan, enc_inbox_message,
                               enc_redeem_scheduled, enc_transfer, enc_uniswap_v3_swap,
                               word)
-from mevlens.reporting import (_sorted_and_sum, fmt_fixed, month_of, p90, read_findings,
+from mevlens.reporting import (_sorted_and_sum, fmt_fixed, month_of, read_findings,
                                summary_stats, write_findings)
 from conftest import build_planted_arb_dataset
 
 
 def test_p90_nearest_rank():
     values = [Fraction(i) for i in range(1, 11)]
-    assert p90(values) == 9
-    assert p90([Fraction(5)]) == 5
-    assert p90([Fraction(3), Fraction(1)]) == 3
+    assert summary_stats(values)["p90"] == 9
+    assert summary_stats([Fraction(5)])["p90"] == 5
+    assert summary_stats([Fraction(3), Fraction(1)])["p90"] == 3
 
 
 def test_profit_stats_basic():
@@ -56,7 +56,6 @@ def test_summary_stats_matches_naive_definitions(values):
     assert stats == expected
     assert {type(stats[k]) for k in ("total", "mean", "median")} == {Fraction}
     assert {type(stats[k]) for k in ("max", "p90", "min")} == {type(values[0])}
-    assert p90(values) == stats["p90"]
 
 
 # a few values with ties: equal ints and Fractions, and one Fraction in
