@@ -105,6 +105,8 @@ class Ctx:
     def dataset(self, chain_name=None):
         name = chain_name or self.chain_name
         ds = load_fixture(os.path.join(self.fixtures_dir, f"{name}.jsonl"))
+        if ds.chain is None:  # a fixture with no records is of the chain its file names
+            ds.chain = CHAINS[name]
         # the records live until the command ends: keep the collector's
         # full passes from walking them again (``main`` thaws them)
         gc.freeze()
@@ -113,10 +115,6 @@ class Ctx:
             hi = self.to_block if self.to_block is not None else (1 << 62)
             ds.logs = logs_in_range(ds, lo, hi)
         return ds
-
-    def chain_of(self, ds):
-        """The chain a row names: the fixture's, or --chain for an empty one."""
-        return ds.chain.name if ds.chain else self.chain_name
 
     def pools(self):
         if self._pools is None and self.pools_file:

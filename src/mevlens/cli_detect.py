@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .chain_model import ETHEREUM, to_hex
+from .chain_model import to_hex
 
 
 def _write_priced(ctx, ds, findings, profit, to_json, name):
@@ -10,7 +10,7 @@ def _write_priced(ctx, ds, findings, profit, to_json, name):
     --prices is given and its tx is known) and write its row."""
     from .detectors import attribute_flash_loans
     prices = ctx.prices()
-    chain = ctx.chain_of(ds)
+    chain = ds.chain.name
 
     def row(f):
         ts = ds.block_timestamp(f.block)
@@ -41,9 +41,8 @@ def sandwich(ctx):
     from . import detectors, reporting
     ds = ctx.dataset()
     transfers = detectors.extract_transfers(ds)
-    findings = detectors.detect_sandwiches(transfers, ds.chain or ETHEREUM,
-                                           window=ctx.window)
-    chain = ctx.chain_of(ds)
+    findings = detectors.detect_sandwiches(transfers, ds.chain, window=ctx.window)
+    chain = ds.chain.name
     ctx.write("findings_sandwich.jsonl", (
         reporting.sandwich_to_json(f, chain, ds.block_timestamp(f.window[0]))
         for f in findings))
@@ -53,7 +52,7 @@ def flashloan(ctx):
     from .decoding import decode_logs
     from .registry import Category
     ds = ctx.dataset()
-    chain = ctx.chain_of(ds)
+    chain = ds.chain.name
     ctx.write("findings_flashloan.jsonl", ({
         "type": "flash_loan", "chain": chain,
         "tx_hash": to_hex(loan.tx_hash), "block": lg.block_number,

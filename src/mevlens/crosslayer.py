@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional, Sequence
 from .amm import CONSTANT_PRODUCT, PoolState, _indices, _swap_rule, swap_out
 from .chain_model import (_DECIMAL_FRACTION, ChainDataset, ChainId, ZKSYNC, _decimal,
                           _json_object, _log, _whole, to_hex)
-from .decoding import decode_logs
+from .decoding import BridgeMessageAction, decode_logs
 from .errors import EmptyInput, Infeasible, InvalidScenario, MalformedRecord, MevlensError
 from .registry import Category
 from .reporting import WEI, month_of, summary_stats
@@ -130,57 +130,51 @@ def load_attack_config(path):
 
 # --- victim inference ---
 
-def _bridge_actions(dataset: ChainDataset, category: Category):
-    """The dataset's bridge messages of ``category`` (L1_MESSAGE: emissions,
-    L2_MESSAGE: executions), stamped with their block's timestamp (0 when
-    the block record is missing)."""
-    return [action._replace(timestamp=dataset.block_timestamp(log.block_number))
-            for log, action in decode_logs(dataset.logs, (category,))]
-
-
 def infer_victims(l1_dataset: ChainDataset, l2_dataset: ChainDataset, pools_meta=None):
     """Join L1 bridge emissions with L2 executions; a linked L2 tx holding a
     decoded victim swap (Uniswap V3 Swap, StableSwap TokenSwap) at a pool
     in ``pools_meta`` is a candidate, taken from the tx's first such swap.
+    A message executed twice links to its first execution; the second
+    stays unlinked. One decode pass per dataset looks up each topic once.
 
     Returns (candidates, links, diagnostics) where diagnostics lists
     unlinked message actions on both sides.
     """
-    l1_actions = [a for a in _bridge_actions(l1_dataset, Category.L1_MESSAGE)
+    l1_actions = [a for _, a in decode_logs(l1_dataset.logs, (Category.L1_MESSAGE,))
                   if l2_dataset.chain is None or a.rollup == l2_dataset.chain]
-    l2_actions = _bridge_actions(l2_dataset, Category.L2_MESSAGE)
+    l2_actions, swaps = [], {}
+    for _, action in decode_logs(l2_dataset.logs, (Category.L2_MESSAGE, Category.VICTIM_SWAP),
+                                 pools_meta):
+        if isinstance(action, BridgeMessageAction):
+            l2_actions.append(action)
+        else:
+            swaps.setdefault(action.tx_hash, action)
 
     # zkSync executes under the same tx hash; synthesize the L2 side
     if l2_dataset.chain == ZKSYNC:
         for a in l1_actions:
             tx = l2_dataset.tx(a.link_key)
             if tx is not None:
-                l2_actions.append(a._replace(
-                    direction="l2_execute",
-                    position=(tx.block_number, tx.tx_index, -1),
-                    tx_hash=tx.hash, timestamp=l2_dataset.block_timestamp(tx.block_number)))
+                l2_actions.append(a._replace(direction="l2_execute", tx_hash=tx.hash,
+                                             position=(tx.block_number, tx.tx_index, -1)))
 
     l2_by_key = {}
     for a in l2_actions:
-        l2_by_key.setdefault((a.rollup.name, a.link_key), []).append(a)
+        l2_by_key.setdefault((a.rollup.name, a.link_key), a)
 
-    links, candidates = [], []
+    links, candidates, unlinked_l1 = [], [], []
     matched_l2 = set()
-    unlinked_l1 = []
-    swaps = {}
-    for _, swap in decode_logs(l2_dataset.logs, (Category.VICTIM_SWAP,), pools_meta):
-        swaps.setdefault(swap.tx_hash, swap)
-
     for a in l1_actions:
-        partners = l2_by_key.get((a.rollup.name, a.link_key), [])
-        if not partners:
+        b = l2_by_key.get((a.rollup.name, a.link_key))
+        if b is None:
             unlinked_l1.append(a)
             continue
-        b = partners[0]
         matched_l2.add(id(b))
         link = CrossLayerLink(rollup=a.rollup, l1_tx=a.tx_hash, l2_tx=b.tx_hash,
-                              link_key=a.link_key, l1_timestamp=a.timestamp,
-                              l2_timestamp=b.timestamp, l2_block=b.position[0])
+                              link_key=a.link_key,
+                              l1_timestamp=l1_dataset.block_timestamp(a.position[0]),
+                              l2_timestamp=l2_dataset.block_timestamp(b.position[0]),
+                              l2_block=b.position[0])
         links.append(link)
         swap = swaps.get(b.tx_hash)
         if swap is not None:

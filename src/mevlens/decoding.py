@@ -56,9 +56,6 @@ class LiquidationAction(NamedTuple):
     position: tuple
     tx_hash: bytes
 
-    def with_collateral(self, token: bytes, amount: int) -> "LiquidationAction":
-        return self._replace(collateral_token=token, collateral_amount=amount)
-
 
 class FlashLoanAction(NamedTuple):
     provider: str  # aave_v1 | aave_v2 | aave_v3 | balancer
@@ -81,7 +78,6 @@ class BridgeMessageAction(NamedTuple):
     link_key: bytes
     position: tuple
     tx_hash: bytes
-    timestamp: int
 
 
 # --- build rules: rule(log, pools, *field values) -> action or None ---
@@ -164,8 +160,7 @@ def _oracle_update(log, pools, new_answer) -> OracleUpdateAction:
 def _message(direction, rollup, log, pools, link_key) -> Optional[BridgeMessageAction]:
     if not link_key:
         return None
-    # timestamp 0: the block timestamp belongs to the dataset, not the log
-    return BridgeMessageAction(direction, rollup, link_key, log.position, log.tx_hash, 0)
+    return BridgeMessageAction(direction, rollup, link_key, log.position, log.tx_hash)
 
 
 def _optimism_l1_message(log, pools):

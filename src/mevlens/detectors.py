@@ -5,10 +5,8 @@ Profits are exact rationals in ETH; rendering to 18-digit fixed point is a
 reporting concern.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .chain_model import ChainDataset, ChainId, EventLog, Layer, TxRecord
 from .decoding import (LiquidationAction, SwapAction, TransferAction, decode_logs, decode_swap,
@@ -17,19 +15,19 @@ from .registry import Category
 # the price table and its units live there so that `report` loads no decoder
 from .reporting import WEI, PriceProvider, day_of
 
-if TYPE_CHECKING:  # annotations only: detect sandwich prices nothing
-    from fractions import Fraction
-
 
 # --- findings ---
+# an amount in ETH is an exact Fraction once priced, else None; its field
+# says ``object``, so that detect sandwich, which prices nothing, loads no
+# fractions
 
 class ArbitrageFinding(NamedTuple):
     tx_hash: bytes
     cycle: tuple                 # ordered SwapActions forming the cycle
     token_balances: Mapping      # token -> signed big integer
-    gain_eth: Optional[Fraction] = None
-    cost_eth: Optional[Fraction] = None
-    profit_eth: Optional[Fraction] = None
+    gain_eth: object = None
+    cost_eth: object = None
+    profit_eth: object = None
     unpriced: bool = False
     flash_loans: tuple = ()
 
@@ -41,7 +39,7 @@ class ArbitrageFinding(NamedTuple):
 class LiquidationFinding(NamedTuple):
     tx_hash: bytes
     actions: tuple               # LiquidationActions
-    profit_eth: Optional[Fraction] = None
+    profit_eth: object = None
     unpriced: bool = False
     unredeemed: bool = False
     flash_loans: tuple = ()
@@ -84,43 +82,28 @@ def chain_cycles(swaps: Sequence[SwapAction]):
     Ties broken by the earliest candidate; a chain that cannot close
     retires only its head swap. Returns cycles as index tuples.
     """
-    n = len(swaps)
-    # successor candidates per index, precomputed
     by_token_in: dict = {}
     for idx, swap in enumerate(swaps):
         by_token_in.setdefault(swap.token_in, []).append(idx)
 
-    unused = set(range(n))
-    order = list(range(n))
+    used = set()
     cycles = []
-    for head in order:
-        while head in unused:
-            chain = [head]
-            in_chain = {head}
-            closed = False
-            while True:
-                tail = swaps[chain[-1]]
-                if len(chain) >= 2 and tail.token_out == swaps[chain[0]].token_in:
-                    closed = True
+    for head in range(len(swaps)):
+        if head in used:
+            continue
+        chain = [head]
+        while len(chain) < 2 or swaps[chain[-1]].token_out != swaps[head].token_in:
+            tail = swaps[chain[-1]]
+            # a chain ascends: a candidate after its tail is not in it
+            for cand in by_token_in.get(tail.token_out, ()):
+                if cand > chain[-1] and cand not in used and _links(tail, swaps[cand]):
+                    chain.append(cand)
                     break
-                nxt = None
-                for cand in by_token_in.get(tail.token_out, ()):
-                    if cand <= chain[-1] or cand not in unused or cand in in_chain:
-                        continue
-                    if _links(tail, swaps[cand]):
-                        nxt = cand
-                        break
-                if nxt is None:
-                    break
-                chain.append(nxt)
-                in_chain.add(nxt)
-            if closed:
-                cycles.append(tuple(chain))
-                unused -= in_chain
-                # same head slot may seed another cycle only via later heads
             else:
-                unused.discard(head)
-                break
+                break  # open: the head retires, its other swaps stay free
+        else:
+            cycles.append(tuple(chain))
+            used.update(chain)
     return cycles
 
 
@@ -196,7 +179,7 @@ def detect_liquidations(logs: Sequence[EventLog]):
             if action.protocol == "compound_v2" and action.collateral_amount is None:
                 if unmatched:
                     _, token, amount = unmatched.pop(0)
-                    action = action.with_collateral(token, amount)
+                    action = action._replace(collateral_token=token, collateral_amount=amount)
                 else:
                     unredeemed = True
             paired.append(action)

@@ -1,12 +1,10 @@
 """Backward search for the opportunity transaction behind each finding,
 block-distance distributions, and competition measurement."""
 
-from __future__ import annotations
-
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import attrgetter
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .amm import PoolState, _indices, _swap_rule
 from .chain_model import _DECIMAL_FRACTION, _decimal, _sidecar_hex, _whole, read_jsonl
@@ -14,9 +12,6 @@ from .chain_model import _DECIMAL_FRACTION, _decimal, _sidecar_hex, _whole, read
 # tracer wraps mevlens.opportunity.decode_swap together with mevlens.decoding's
 from .decoding import OracleUpdateAction, SwapAction, decode_swap  # noqa: F401
 from .errors import MalformedRecord, MevlensError
-
-if TYPE_CHECKING:  # annotations only: crosslayer simulate runs no detector
-    from .detectors import ArbitrageFinding, LiquidationFinding
 
 DEFAULT_HORIZON = 100
 
@@ -138,7 +133,9 @@ def _snapshot(obj: dict, pools_meta):
     raise MalformedRecord(None, f"unknown snapshot kind {kind!r}")
 
 
-def _simulated_profit(finding: ArbitrageFinding, states) -> Optional[int]:
+# the findings are detectors' records, named in quotes: crosslayer simulate
+# imports no detector
+def _simulated_profit(finding: "ArbitrageFinding", states) -> Optional[int]:
     """Replay the cycle through the swap rule of each hop's state in
     ``states``, on reserves copied at a venue's first hop and carried to its
     later hops; profit in the cycle's entry token, None when a hop fails."""
@@ -205,7 +202,7 @@ def _walk_backward(finding_block, horizon, candidates, is_open):
     return OpportunityResult(_not_found(horizon))
 
 
-def find_arbitrage_opportunity(finding: ArbitrageFinding, swaps: Sequence[SwapAction],
+def find_arbitrage_opportunity(finding: "ArbitrageFinding", swaps: Sequence[SwapAction],
                                provider: StateProvider,
                                horizon: int = DEFAULT_HORIZON) -> OpportunityResult:
     """Walk blocks closest-to-farthest, re-simulating the cycle on each
@@ -234,7 +231,7 @@ def find_arbitrage_opportunity(finding: ArbitrageFinding, swaps: Sequence[SwapAc
     return _walk_backward(finding_block, horizon, candidates, is_open)
 
 
-def find_liquidation_opportunity(finding: LiquidationFinding,
+def find_liquidation_opportunity(finding: "LiquidationFinding",
                                  updates: Sequence[OracleUpdateAction],
                                  provider: StateProvider,
                                  horizon: int = DEFAULT_HORIZON) -> OpportunityResult:

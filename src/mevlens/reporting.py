@@ -16,8 +16,8 @@ from math import lcm
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .chain_model import (_DECIMAL_FRACTION, _decimal, _raise_not_utf8, _sidecar_hex, _timestamp,
-                          read_jsonl, to_hex)
+from .chain_model import (_DECIMAL_FRACTION, _decimal, _log, _raise_not_utf8, _sidecar_hex,
+                          _timestamp, read_jsonl, to_hex)
 from .errors import MalformedRecord
 
 if TYPE_CHECKING:  # annotations only
@@ -116,11 +116,6 @@ def month_of(timestamp: int) -> str:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime("%Y-%m")
 
 
-def _p90_at(xs):
-    # the nearest-rank 90th percentile: the value at rank ceil(0.9*n) of the ascending xs
-    return xs[max(-(-9 * len(xs) // 10), 1) - 1]
-
-
 def _sorted_and_sum(values):
     """``sorted(values)`` and ``Fraction(sum(values))`` of integers or
     Fractions, computed on exact integers, each value's numerator over the
@@ -133,6 +128,9 @@ def _sorted_and_sum(values):
             Fraction(sum(keys), denominator))
 
 
+_STATS = ("total", "max", "p90", "mean", "median", "min")  # summary_stats' keys, in column order
+
+
 def summary_stats(values: Sequence) -> dict:
     """Exact Total, Max, P90, Mean, Median and Min of integers or
     Fractions; each is None for an empty sample.
@@ -142,14 +140,14 @@ def summary_stats(values: Sequence) -> dict:
     """
     n = len(values)
     if n == 0:
-        return dict.fromkeys(("total", "max", "p90", "mean", "median", "min"))
+        return dict.fromkeys(_STATS)
     from fractions import Fraction
     xs, total = _sorted_and_sum(values)
     mid = n // 2
     return {
         "total": total,
         "max": xs[-1],
-        "p90": _p90_at(xs),
+        "p90": xs[-(-9 * n // 10) - 1],  # nearest rank: the value at rank ceil(0.9 n)
         "mean": total / n,
         "median": Fraction(xs[mid]) if n % 2 else Fraction(xs[mid - 1] + xs[mid], 2),
         "min": xs[0],
@@ -169,52 +167,43 @@ def _swap_json(s):
     }
 
 
-def _flashloan_json(fl):
-    return {"provider": fl.provider, "token": to_hex(fl.token),
-            "amount": str(fl.amount), "fee": str(fl.fee)}
+def _priced_json(kind, finding, chain, timestamp, extractor, **fields) -> dict:
+    """The fields an arbitrage row and a liquidation row share, then ``fields``."""
+    return {
+        "type": kind,
+        "chain": chain,
+        "tx_hash": to_hex(finding.tx_hash),
+        "block": finding.block,
+        "timestamp": timestamp,
+        "extractor": to_hex(extractor) if extractor else None,
+        "profit_eth": fmt_fixed(finding.profit_eth),
+        "unpriced": finding.unpriced,
+        "flash_loans": [{"provider": fl.provider, "token": to_hex(fl.token),
+                         "amount": str(fl.amount), "fee": str(fl.fee)}
+                        for fl in finding.flash_loans],
+        **fields,
+    }
 
 
 def arbitrage_to_json(finding, chain: str, timestamp: int, extractor=None) -> dict:
-    return {
-        "type": "arbitrage",
-        "chain": chain,
-        "tx_hash": to_hex(finding.tx_hash),
-        "block": finding.block,
-        "timestamp": timestamp,
-        "extractor": to_hex(extractor) if extractor else None,
-        "cycle": [_swap_json(s) for s in finding.cycle],
-        "balances": {to_hex(t): str(b) for t, b in sorted(finding.token_balances.items())},
-        "gain_eth": fmt_fixed(finding.gain_eth),
-        "cost_eth": fmt_fixed(finding.cost_eth),
-        "profit_eth": fmt_fixed(finding.profit_eth),
-        "unpriced": finding.unpriced,
-        "flash_loans": [_flashloan_json(f) for f in finding.flash_loans],
-    }
+    return _priced_json(
+        "arbitrage", finding, chain, timestamp, extractor,
+        cycle=[_swap_json(s) for s in finding.cycle],
+        balances={to_hex(t): str(b) for t, b in sorted(finding.token_balances.items())},
+        gain_eth=fmt_fixed(finding.gain_eth), cost_eth=fmt_fixed(finding.cost_eth))
 
 
 def liquidation_to_json(finding, chain: str, timestamp: int, extractor=None) -> dict:
-    return {
-        "type": "liquidation",
-        "chain": chain,
-        "tx_hash": to_hex(finding.tx_hash),
-        "block": finding.block,
-        "timestamp": timestamp,
-        "extractor": to_hex(extractor) if extractor else None,
-        "actions": [{
-            "protocol": a.protocol,
-            "liquidator": to_hex(a.liquidator),
-            "borrower": to_hex(a.borrower),
-            "debt_token": to_hex(a.debt_token),
-            "debt_amount": str(a.debt_amount),
-            "collateral_token": to_hex(a.collateral_token) if a.collateral_token else None,
-            "collateral_amount": (str(a.collateral_amount)
-                                  if a.collateral_amount is not None else None),
-        } for a in finding.actions],
-        "profit_eth": fmt_fixed(finding.profit_eth),
-        "unpriced": finding.unpriced,
-        "unredeemed": finding.unredeemed,
-        "flash_loans": [_flashloan_json(f) for f in finding.flash_loans],
-    }
+    return _priced_json("liquidation", finding, chain, timestamp, extractor, actions=[{
+        "protocol": a.protocol,
+        "liquidator": to_hex(a.liquidator),
+        "borrower": to_hex(a.borrower),
+        "debt_token": to_hex(a.debt_token),
+        "debt_amount": str(a.debt_amount),
+        "collateral_token": to_hex(a.collateral_token) if a.collateral_token else None,
+        "collateral_amount": (str(a.collateral_amount)
+                              if a.collateral_amount is not None else None),
+    } for a in finding.actions], unredeemed=finding.unredeemed)
 
 
 def sandwich_to_json(finding, chain: str, timestamp: int) -> dict:
@@ -302,12 +291,14 @@ def emit_report(findings: Iterable[dict], out_dir, eth_usd=None) -> dict:
     fold keeps the month counts, the flash-loan share counts and, per
     (chain, type), the (profit, day) pairs that P90 and the median need.
     ``eth_usd`` optionally maps unix day -> Fraction dollar price to add a
-    USD column to profit statistics.
+    USD column to profit statistics. Logs at INFO, per (chain, type), the
+    rows the profit table leaves out.
     """
     from fractions import Fraction
     monthly: dict = {}   # (month, type, chain) -> findings
     shares: dict = {}    # (chain, type, provider) -> flash loans
     groups: dict = {}    # (chain, type) -> [(profit, day)]
+    left_out: dict = {}  # (chain, type) -> [rows without profit_eth, without ETHUSD]
     for f in findings:
         chain, typ, ts = f["chain"], f["type"], f["timestamp"]
         key = (month_of(ts), typ, chain)
@@ -315,6 +306,8 @@ def emit_report(findings: Iterable[dict], out_dir, eth_usd=None) -> dict:
         profit = f.get("profit_eth")
         if profit is not None:
             groups.setdefault((chain, typ), []).append((Fraction(profit), day_of(ts)))
+        else:
+            left_out.setdefault((chain, typ), [0, 0])[0] += 1
         for fl in f.get("flash_loans", []):
             key = (chain, typ, fl["provider"])
             shares[key] = shares.get(key, 0) + 1
@@ -333,19 +326,17 @@ def emit_report(findings: Iterable[dict], out_dir, eth_usd=None) -> dict:
     rows = []
     for (chain, typ), entries in sorted(groups.items()):
         stats = summary_stats([e[0] for e in entries])
-        row = [chain, typ, len(entries)]
-        for key in ("total", "max", "p90", "mean", "median", "min"):
-            row.append(fmt_fixed(stats[key]))
+        row = [chain, typ, len(entries), *(fmt_fixed(stats[key]) for key in _STATS)]
         if eth_usd is not None:
-            usd = []
-            for value, day in entries:
-                price = eth_usd(day)
-                if price is not None:
-                    usd.append(value * price)
+            usd = [value * price for value, day in entries if (price := eth_usd(day)) is not None]
             row.append(fmt_fixed(summary_stats(usd)["total"], 2))
+            if len(usd) < len(entries):
+                left_out.setdefault((chain, typ), [0, 0])[1] = len(entries) - len(usd)
         rows.append(row)
-    header = ["chain", "type", "count", "total_eth", "max_eth", "p90_eth",
-              "mean_eth", "median_eth", "min_eth"]
+    for key, counts in sorted(left_out.items()):
+        _log.info("report: %s %s rows left out: %d without profit_eth (profit_stats.csv), "
+                  "%d without an ETHUSD price (total_usd)", *key, *counts)
+    header = ["chain", "type", "count", *(f"{key}_eth" for key in _STATS)]
     if eth_usd is not None:
         header.append("total_usd")
     paths["profit_stats"] = f"{out_dir}/profit_stats.csv"
@@ -372,19 +363,12 @@ def write_delay_stats(overall, monthly, path) -> None:
 
 def write_attack_table(table, tiers, path) -> None:
     """CSV mirroring the strategy x capital-tier profitability layout."""
+    stats = ("total", "max", "mean", "median", "min")  # a sweep cell has no p90
     rows = []
     for strategy in sorted(table):
         for tier in tiers:
             cell = table[strategy][tier]
-            rows.append([
-                strategy,
-                "inf" if tier is None else str(tier),
-                cell["count"],
-                fmt_fixed(cell["total"], 2),
-                fmt_fixed(cell["max"], 2),
-                fmt_fixed(cell["mean"], 2),
-                fmt_fixed(cell["median"], 2),
-                fmt_fixed(cell["min"], 2),
-            ])
-    _write_csv(path, ["strategy", "capital_usd", "profitable_count", "total_usd",
-                      "max_usd", "mean_usd", "median_usd", "min_usd"], rows)
+            rows.append([strategy, "inf" if tier is None else str(tier), cell["count"],
+                         *(fmt_fixed(cell[key], 2) for key in stats)])
+    _write_csv(path, ["strategy", "capital_usd", "profitable_count",
+                      *(f"{key}_usd" for key in stats)], rows)

@@ -693,7 +693,7 @@ def _oracle_update(log: EventLog, entry) -> OracleUpdateAction:
     )
 
 
-def _bridge_message(log: EventLog, entry, timestamp: int = 0) -> Optional[BridgeMessageAction]:
+def _bridge_message(log: EventLog, entry) -> Optional[BridgeMessageAction]:
     schema = entry.schema
     if schema == "arbitrum_inbox_message":
         if len(log.topics) != 2:
@@ -717,8 +717,7 @@ def _bridge_message(log: EventLog, entry, timestamp: int = 0) -> Optional[Bridge
     if not link_key:
         return None
     return BridgeMessageAction(direction=direction, rollup=rollup, link_key=link_key,
-                               position=log.position, tx_hash=log.tx_hash,
-                               timestamp=timestamp)
+                               position=log.position, tx_hash=log.tx_hash)
 
 
 # registry schema key -> decoder(log, entry), plus pools for swaps
@@ -743,8 +742,7 @@ def literal_decode_logs(logs: Sequence[EventLog], categories, pools=None) -> lis
     Returns ``(log, action)`` pairs in input order, dropping logs whose
     decoder yields None. A log its decoder rejects with a MevlensError is
     skipped and logged at DEBUG; any other exception propagates. Swap
-    decoders read ``pools``; bridge messages carry timestamp 0, since the
-    block timestamp belongs to the dataset, not the log.
+    decoders read ``pools``.
     """
     wanted = frozenset(categories)
     decoded = []

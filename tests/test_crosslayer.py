@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mevlens.amm import (STABLESWAP, PoolInfo, cp_pool, dump_pool_metadata, stable_pool,
                          swap_out)
-from mevlens.chain_model import ARBITRUM, ETHEREUM, dump_fixture
+from mevlens.chain_model import ARBITRUM, ETHEREUM, OPTIMISM, dump_fixture
 from mevlens.cli import main
 from mevlens.crosslayer import (CostModel, CrossLayerLink, DEFAULT_CAPITAL_TIERS_USD,
                                 DEFAULT_COSTS, DEFAULT_REACTION_TIME_S, S1, S2, S3,
@@ -18,6 +18,7 @@ from mevlens.crosslayer import (CostModel, CrossLayerLink, DEFAULT_CAPITAL_TIERS
                                 load_attack_config, optimal_frontrun, _floor_free_gain,
                                 _sandwich_plan, _VictimSizing, _window)
 from mevlens.amm import load_pool_metadata
+from mevlens.registry import DEFAULT_REGISTRY
 from mevlens.reporting import summary_stats
 from mevlens.errors import (EmptyInput, Infeasible, InvalidScenario, MalformedRecord,
                             MevlensError)
@@ -182,6 +183,59 @@ def test_cli_infer_rows_carry_the_l2_block(tmp_path, rollup):
     for row in rows:
         tx = l2s[rollup].tx(bytes.fromhex(row["tx_hash"][2:]))
         assert row["block"] == tx.block_number > 0
+
+
+def test_infer_victims_looks_up_each_log_once(monkeypatch):
+    """The join looks up each L1 and each L2 log's topic once: one decode
+    pass per dataset serves the messages and the victim swaps."""
+    l1, l2s, _ = build_crosslayer_fixture()
+    lookup = DEFAULT_REGISTRY.lookup
+    for name, l2 in l2s.items():
+        topics = []
+        monkeypatch.setattr(DEFAULT_REGISTRY, "lookup",
+                            lambda topic: topics.append(topic) or lookup(topic))
+        infer_victims(l1, l2, xl_pools_meta())
+        monkeypatch.undo()
+        assert sorted(topics) == sorted(log.topics[0] for log in l1.logs + l2.logs), name
+
+
+def test_message_executed_twice_links_to_its_first_execution():
+    """A link key executed in two L2 txs links to the first, with that
+    block's timestamp; the second counts as unlinked on L2."""
+    l1 = FixtureBuilder(ETHEREUM, start_block=1000, start_timestamp=1_700_000_000)
+    l2 = FixtureBuilder(ARBITRUM, start_block=5000)
+    l1.block()
+    l1_tx = l1.tx()
+    l1.log(addr(0x1001), *enc_inbox_message(1))
+    executions = []
+    for delay in (60, 90):
+        l2.block(timestamp=l1.timestamp + delay)
+        executions.append(l2.tx())
+        l2.log(addr(0x1001), *enc_redeem_scheduled(1))
+    candidates, links, diagnostics = infer_victims(l1.dataset(), l2.dataset())
+    assert candidates == []
+    assert [(l.l1_tx, l.l2_tx, l.l2_block, l.delay_s) for l in links] == [
+        (l1_tx, executions[0], 5000, 60)]
+    assert diagnostics["unlinked_l1"] == []
+    assert [a.tx_hash for a in diagnostics["unlinked_l2"]] == [executions[1]]
+
+
+@pytest.mark.parametrize("blocks", [0, 1])
+def test_cli_infer_on_an_empty_rollup_fixture_joins_only_that_rollup(tmp_path, capsys, blocks):
+    """A rollup fixture with no records is of the chain its file names: of
+    the L1 messages, only that rollup's count as unlinked, as they do
+    beside a fixture of one block."""
+    l1, _, _ = build_crosslayer_fixture()
+    dump_fixture(l1, tmp_path / "ethereum.jsonl")
+    l2 = FixtureBuilder(OPTIMISM, start_block=6000)
+    for _ in range(blocks):
+        l2.block()
+        l2.tx()
+    dump_fixture(l2.dataset(), tmp_path / "optimism.jsonl")
+    assert main(["crosslayer", "infer", "--chain", "optimism", "--fixtures", str(tmp_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    # the fixture's nine Optimism messages, none executed
+    assert capsys.readouterr().out.splitlines()[-1] == "links: 0, unlinked L1: 9, unlinked L2: 0"
 
 
 # --- victim inference: the decoded swap of each linked L2 tx ---

@@ -584,18 +584,18 @@ BUDGET = {
     # command: (source bytes cold, source bytes warm, compile('<string>') calls);
     # decode reads the ethereum fixture first and detect sandwich the
     # rollup's, so each parses it cold
-    "decode": (57_484, 41_871, 5),
-    "detect arb": (94_350, 94_350, 39),
-    "detect liq": (84_717, 84_717, 36),
-    "detect flashloan": (72_225, 72_225, 12),
-    "detect sandwich": (100_330, 84_717, 35),
-    "opportunity": (107_221, 107_221, 44),
-    "compete": (107_221, 107_221, 44),
-    "crosslayer infer": (104_479, 104_479, 20),
-    "crosslayer delay": (104_479, 104_479, 20),
-    "crosslayer simulate": (116_774, 116_774, 25),
-    "report": (43_913, 43_913, 5),
-    "bytecode cluster": (40_326, 40_326, 6),
+    "decode": (57_437, 41_824, 5),
+    "detect arb": (93_488, 93_488, 19),
+    "detect liq": (83_855, 83_855, 16),
+    "detect flashloan": (71_858, 71_858, 12),
+    "detect sandwich": (99_468, 83_855, 15),
+    "opportunity": (106_345, 106_345, 20),
+    "compete": (106_345, 106_345, 20),
+    "crosslayer infer": (104_064, 104_064, 20),
+    "crosslayer delay": (104_064, 104_064, 20),
+    "crosslayer simulate": (116_271, 116_271, 21),
+    "report": (43_878, 43_878, 5),
+    "bytecode cluster": (40_279, 40_279, 6),
 }
 
 

@@ -57,10 +57,9 @@ RECORDS = [
      "tx_hash=b'\\x01')"),
     (OracleUpdateAction(A, -1, (1, 0, 3), H),
      "OracleUpdateAction(feed=b'\\xaa', new_answer=-1, position=(1, 0, 3), tx_hash=b'\\x01')"),
-    (BridgeMessageAction("l1_emit", ARBITRUM, b"\x03", (1, 0, 4), H, 10),
+    (BridgeMessageAction("l1_emit", ARBITRUM, b"\x03", (1, 0, 4), H),
      "BridgeMessageAction(direction='l1_emit', rollup=ChainId(name='arbitrum', "
-     "layer=<Layer.L2: 'L2'>), link_key=b'\\x03', position=(1, 0, 4), tx_hash=b'\\x01', "
-     "timestamp=10)"),
+     "layer=<Layer.L2: 'L2'>), link_key=b'\\x03', position=(1, 0, 4), tx_hash=b'\\x01')"),
     (ArbitrageFinding(H, (SWAP,), {A: 1}, profit_eth=Fraction(-1, 3)),
      "ArbitrageFinding(tx_hash=b'\\x01', cycle=(SwapAction(venue=b'\\xbb', "
      "token_in=b'\\xaa', token_out=b'\\xbb', amount_in=3, amount_out=2, position=(1, 0, 0), "

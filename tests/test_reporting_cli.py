@@ -413,9 +413,40 @@ def test_cli_report_logs_the_files_and_rows_it_read(tmp_path, caplog):
         assert main(["report", "--out", str(out)]) == 0
         assert main(["report", "--out", str(empty)]) == 0
     assert [r.getMessage() for r in caplog.records if r.levelname == "INFO"] == [
+        "report: ethereum arbitrage rows left out: 1 without profit_eth (profit_stats.csv), "
+        "0 without an ETHUSD price (total_usd)",
         f"report: read 5 rows from 2 files in {out}; findings_arb.jsonl: 3; "
         "findings_liq.jsonl: 2",
         f"report: read 0 rows from 0 files in {empty}"]
+
+
+def test_cli_report_logs_the_rows_its_profit_table_leaves_out(tmp_path, caplog, capsys):
+    """One INFO line per (chain, type) whose rows the profit table leaves
+    out: those without profit_eth, and those whose day has no ETHUSD
+    price, which total_usd leaves out. Tables and stdout are those of a
+    run at the default level."""
+    day = 1_600_000_000 // 86400
+    prices = tmp_path / "prices.csv"
+    prices.write_text(f"token_address,day,price_eth\nETHUSD,{day},2000\n")
+    rows = [_finding_row(), _finding_row(profit_eth=None),
+            _finding_row(timestamp=1_600_000_000 + 86400),
+            _finding_row(timestamp=1_600_000_000 + 2 * 86400),
+            _finding_row(type="liquidation"), _finding_row(chain="arbitrum", profit_eth=None)]
+    runs = {}
+    for level in (logging.WARNING, logging.INFO):
+        out = tmp_path / logging.getLevelName(level)
+        _findings_file(out / "findings_arb.jsonl", rows)
+        caplog.clear()
+        with caplog.at_level(level, logger="mevlens"):
+            assert main(["report", "--out", str(out), "--prices", str(prices)]) == 0
+        runs[level] = _report_tables(out), capsys.readouterr().out.replace(str(out), "OUT")
+    assert runs[logging.INFO] == runs[logging.WARNING]
+    assert "ethereum,arbitrage,3," in runs[logging.INFO][0]["profit_stats"]
+    assert [r.getMessage() for r in caplog.records if "left out" in r.getMessage()] == [
+        "report: arbitrum arbitrage rows left out: 1 without profit_eth (profit_stats.csv), "
+        "0 without an ETHUSD price (total_usd)",
+        "report: ethereum arbitrage rows left out: 1 without profit_eth (profit_stats.csv), "
+        "2 without an ETHUSD price (total_usd)"]
 
 
 def test_cli_report_names_the_line_of_a_malformed_row_in_a_later_file(tmp_path, capsys):
