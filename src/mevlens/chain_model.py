@@ -294,14 +294,15 @@ def _timestamp(obj, key):
         None, f"{key} must be an integer in [0, {_MAX_TIMESTAMP}], got {value!r}")
 
 
-def load_fixture(path) -> ChainDataset:
-    """Parse one chain's JSONL fixture, validating ordering invariants.
+def load_fixture(path, categories=None) -> ChainDataset:
+    """Parse one chain's JSONL fixture, validating ordering invariants;
+    keep only the logs of ``categories`` (None: all; see fixture_cache).
 
     A line in ``dump_fixture``'s layout is built straight from one
     compiled match; any other line goes through ``json`` and the record
     parsers, and loads to the same record. Rejects the whole file on the
     first malformed record, ordering violation, or duplicate coordinate;
-    every error names the file. Logs at INFO what it read.
+    every error names the file. Logs at INFO what it read and kept.
     """
     # The records and their key tuples form no reference cycles, yet each
     # allocation counts toward the cyclic collector, which would rescan
@@ -311,13 +312,10 @@ def load_fixture(path) -> ChainDataset:
     gc.disable()
     try:
         from . import fixture_cache
-        dataset, by_json = fixture_cache.load(path)
+        return fixture_cache.load(path, categories)
     finally:
         if collecting:
             gc.enable()
-    _log.info("loaded %s: %d blocks, %d txs, %d logs; json-path lines: %d", path,
-              len(dataset.blocks), len(dataset.txs), len(dataset.logs), by_json)
-    return dataset
 
 
 def dump_fixture(dataset: ChainDataset, path) -> None:

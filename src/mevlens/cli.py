@@ -102,9 +102,9 @@ class Ctx:
     _pools = _prices = None
     from_block = to_block = None  # a cross-layer command has none: L1 and L2 number blocks apart
 
-    def dataset(self, chain_name=None):
+    def dataset(self, chain_name=None, categories=None):
         name = chain_name or self.chain_name
-        ds = load_fixture(os.path.join(self.fixtures_dir, f"{name}.jsonl"))
+        ds = load_fixture(os.path.join(self.fixtures_dir, f"{name}.jsonl"), categories)
         if ds.chain is None:  # a fixture with no records is of the chain its file names
             ds.chain = CHAINS[name]
         # the records live until the command ends: keep the collector's

@@ -9,9 +9,9 @@ from .chain_model import _log as log, to_hex
 
 
 def _infer(ctx):
-    from .crosslayer import infer_victims
-    l1 = ctx.dataset("ethereum")
-    l2 = ctx.dataset(ctx.chain_name)
+    from .crosslayer import _L1_CATEGORIES, _L2_CATEGORIES, infer_victims
+    l1 = ctx.dataset("ethereum", _L1_CATEGORIES)
+    l2 = ctx.dataset(ctx.chain_name, _L2_CATEGORIES)
     return infer_victims(l1, l2, ctx.pools())
 
 

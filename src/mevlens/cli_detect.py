@@ -24,7 +24,8 @@ def _write_priced(ctx, ds, findings, profit, to_json, name):
 
 def arb(ctx):
     from . import detectors, reporting
-    ds = ctx.dataset()
+    from .decoding import _FLASH_LOANS, _SWAPS
+    ds = ctx.dataset(categories=_SWAPS | _FLASH_LOANS)
     findings = detectors.detect_arbitrages(detectors.extract_swaps(ds, ctx.pools()))
     _write_priced(ctx, ds, findings, detectors.arbitrage_profit, reporting.arbitrage_to_json,
                   "findings_arb.jsonl")
@@ -32,14 +33,15 @@ def arb(ctx):
 
 def liq(ctx):
     from . import detectors, reporting
-    ds = ctx.dataset()
+    from .decoding import _FLASH_LOANS
+    ds = ctx.dataset(categories=detectors._LIQUIDATIONS | _FLASH_LOANS)
     _write_priced(ctx, ds, detectors.detect_liquidations(ds.logs), detectors.liquidation_profit,
                   reporting.liquidation_to_json, "findings_liq.jsonl")
 
 
 def sandwich(ctx):
     from . import detectors, reporting
-    ds = ctx.dataset()
+    ds = ctx.dataset(categories=detectors._TRANSFERS)
     transfers = detectors.extract_transfers(ds)
     findings = detectors.detect_sandwiches(transfers, ds.chain, window=ctx.window)
     chain = ds.chain.name
@@ -49,9 +51,8 @@ def sandwich(ctx):
 
 
 def flashloan(ctx):
-    from .decoding import decode_logs
-    from .registry import Category
-    ds = ctx.dataset()
+    from .decoding import _FLASH_LOANS, decode_logs
+    ds = ctx.dataset(categories=_FLASH_LOANS)
     chain = ds.chain.name
     ctx.write("findings_flashloan.jsonl", ({
         "type": "flash_loan", "chain": chain,
@@ -59,7 +60,7 @@ def flashloan(ctx):
         "timestamp": ds.block_timestamp(lg.block_number), "provider": loan.provider,
         "token": to_hex(loan.token),
         "amount": str(loan.amount), "fee": str(loan.fee),
-    } for lg, loan in decode_logs(ds.logs, (Category.FLASH_LOAN,))))
+    } for lg, loan in decode_logs(ds.logs, _FLASH_LOANS)))
 
 
 RUN = {"detect arb": arb, "detect liq": liq, "detect sandwich": sandwich,

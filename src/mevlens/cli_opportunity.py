@@ -6,26 +6,29 @@ from __future__ import annotations
 import os
 
 from .chain_model import to_hex
+from .registry import Category
+
+_ORACLE_UPDATES = frozenset((Category.ORACLE_UPDATE,))  # the liquidation walk's
 
 
 def _opportunities(ctx):
     """(finding, its opportunity) for each finding of ``--type``.
     Each walk bisects the swaps or oracle updates decoded once for all."""
     from . import detectors, opportunity
-    ds = ctx.dataset()
+    from .decoding import _SWAPS, decode_logs
+    arb = ctx.mev_type == "arb"
+    ds = ctx.dataset(categories=_SWAPS if arb else detectors._LIQUIDATIONS | _ORACLE_UPDATES)
     pools = ctx.pools()
     provider = opportunity.StateProvider.from_jsonl(ctx.snapshots_file, pools)
     results = []
-    if ctx.mev_type == "arb":
+    if arb:
         swaps = detectors.extract_swaps(ds, pools)
         for f in detectors.detect_arbitrages(swaps):
             results.append((f, opportunity.find_arbitrage_opportunity(
                 f, swaps, provider, ctx.horizon)))
     else:
-        from .decoding import decode_logs
-        from .registry import Category
         findings = detectors.detect_liquidations(ds.logs)
-        updates = [u for _, u in decode_logs(ds.logs, (Category.ORACLE_UPDATE,))]
+        updates = [u for _, u in decode_logs(ds.logs, _ORACLE_UPDATES)]
         for f in findings:
             results.append((f, opportunity.find_liquidation_opportunity(
                 f, updates, provider, ctx.horizon)))

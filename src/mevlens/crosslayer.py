@@ -12,12 +12,16 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .amm import CONSTANT_PRODUCT, PoolState, _indices, _swap_rule, swap_out
-from .chain_model import (_DECIMAL_FRACTION, ChainDataset, ChainId, ZKSYNC, _decimal,
+from .chain_model import (_DECIMAL_FRACTION, ChainDataset, ChainId, Layer, ZKSYNC, _decimal,
                           _json_object, _log, _whole, to_hex)
 from .decoding import BridgeMessageAction, decode_logs
 from .errors import EmptyInput, Infeasible, InvalidScenario, MalformedRecord, MevlensError
 from .registry import Category
 from .reporting import WEI, month_of, summary_stats
+
+# the categories of each side's decode pass in infer_victims
+_L1_CATEGORIES = frozenset((Category.L1_MESSAGE,))
+_L2_CATEGORIES = frozenset((Category.L2_MESSAGE, Category.VICTIM_SWAP))
 
 S1 = "S1"
 S2 = "S2"
@@ -138,20 +142,24 @@ def infer_victims(l1_dataset: ChainDataset, l2_dataset: ChainDataset, pools_meta
     stays unlinked. One decode pass per dataset looks up each topic once.
 
     Returns (candidates, links, diagnostics) where diagnostics lists
-    unlinked message actions on both sides.
+    unlinked message actions on both sides. ValueError when ``l2_dataset``
+    is not of a rollup: every L1 message would stay unlinked.
     """
-    l1_actions = [a for _, a in decode_logs(l1_dataset.logs, (Category.L1_MESSAGE,))
-                  if l2_dataset.chain is None or a.rollup == l2_dataset.chain]
+    rollup = l2_dataset.chain
+    if rollup is None or rollup.layer is not Layer.L2:
+        what = "no chain" if rollup is None else f"chain {rollup.name}"
+        raise ValueError(f"the L2 dataset has {what}: no rollup to join the L1 messages to")
+    l1_actions = [a for _, a in decode_logs(l1_dataset.logs, _L1_CATEGORIES)
+                  if a.rollup == rollup]
     l2_actions, swaps = [], {}
-    for _, action in decode_logs(l2_dataset.logs, (Category.L2_MESSAGE, Category.VICTIM_SWAP),
-                                 pools_meta):
+    for _, action in decode_logs(l2_dataset.logs, _L2_CATEGORIES, pools_meta):
         if isinstance(action, BridgeMessageAction):
             l2_actions.append(action)
         else:
             swaps.setdefault(action.tx_hash, action)
 
     # zkSync executes under the same tx hash; synthesize the L2 side
-    if l2_dataset.chain == ZKSYNC:
+    if rollup == ZKSYNC:
         for a in l1_actions:
             tx = l2_dataset.tx(a.link_key)
             if tx is not None:

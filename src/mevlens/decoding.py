@@ -21,7 +21,10 @@ from .errors import MevlensError, SchemaMismatch
 from .registry import DEFAULT_REGISTRY, Category
 
 WORD = 32
+# the categories of a decode pass, which the fixture load of a command
+# that runs it keeps
 _SWAPS = frozenset((Category.ARBITRAGE, Category.VICTIM_SWAP))  # what decode_swap decodes
+_FLASH_LOANS = frozenset((Category.FLASH_LOAN,))
 
 
 # --- typed actions ---

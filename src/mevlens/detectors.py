@@ -9,11 +9,15 @@ from bisect import bisect_left, bisect_right
 from typing import Mapping, NamedTuple, Sequence
 
 from .chain_model import ChainDataset, ChainId, EventLog, Layer, TxRecord
-from .decoding import (LiquidationAction, SwapAction, TransferAction, decode_logs, decode_swap,
-                       shared_addresses)
+from .decoding import (_FLASH_LOANS, LiquidationAction, SwapAction, TransferAction, decode_logs,
+                       decode_swap, shared_addresses)
 from .registry import Category
 # the price table and its units live there so that `report` loads no decoder
 from .reporting import WEI, PriceProvider, day_of
+
+# the categories of each decode pass here (see decoding._SWAPS)
+_LIQUIDATIONS = frozenset((Category.LIQUIDATION,))
+_TRANSFERS = frozenset((Category.TRANSFER,))
 
 
 # --- findings ---
@@ -164,7 +168,7 @@ def detect_liquidations(logs: Sequence[EventLog]):
     same tx in log order, first-unmatched-first.
     """
     by_tx: dict = {}
-    for log, action in decode_logs(logs, (Category.LIQUIDATION,)):
+    for log, action in decode_logs(logs, _LIQUIDATIONS):
         by_tx.setdefault(log.tx_hash, []).append(action)
     findings = []
     for tx_hash, decoded in by_tx.items():
@@ -293,8 +297,7 @@ def attribute_flash_loans(findings: Sequence, logs: Sequence[EventLog]) -> list:
     of the findings' txs are decoded once for all findings."""
     txs = {f.tx_hash for f in findings}
     loans: dict = {}
-    for log, loan in decode_logs([log for log in logs if log.tx_hash in txs],
-                                 (Category.FLASH_LOAN,)):
+    for log, loan in decode_logs([log for log in logs if log.tx_hash in txs], _FLASH_LOANS):
         loans.setdefault(log.tx_hash, []).append(loan)
     return [f._replace(flash_loans=tuple(loans.get(f.tx_hash, ()))) for f in findings]
 
@@ -317,4 +320,4 @@ def extract_swaps(dataset: ChainDataset, pools=None):
 
 
 def extract_transfers(dataset: ChainDataset):
-    return [t for _, t in decode_logs(dataset.logs, (Category.TRANSFER,))]
+    return [t for _, t in decode_logs(dataset.logs, _TRANSFERS)]

@@ -35,6 +35,9 @@ the same way.
 Every table and record list is split into sections of at most SECTION
 items, so that a load or a write holds one section's bytes at a time
 beside the dataset.
+
+An entry holds every log, so that it serves every command; a load given
+categories builds only the logs whose topic0 is registered under one.
 """
 
 from __future__ import annotations
@@ -43,11 +46,12 @@ import marshal
 import os
 import sys
 from _blake2 import blake2b
-from itertools import islice, repeat
+from itertools import accumulate, compress, islice, repeat
 from stat import S_ISREG
 
 from . import chain_model
 from .chain_model import _TX_STATUS, CHAINS, BlockRecord, ChainDataset, EventLog, TxRecord, _log
+from .registry import DEFAULT_REGISTRY
 
 SECTION = 128
 # the indices are native unsigned ints: a machine of the other byte order
@@ -85,12 +89,24 @@ def entry_path(path) -> str:
     return os.path.join(head, f".{name}.{sys.implementation.cache_tag}.cache")
 
 
-def load(path):
-    """``fixture_parser._load_fixture(path)``, a (dataset, json-path line
-    count) pair: rebuilt from the fixture's entry when the fixture's stamp
-    is the entry's and not racy, otherwise parsed. Logs at DEBUG whether
-    the entry served the load, and if not, why and whether the entry was
-    written again."""
+def load(path, categories=None):
+    """``fixture_parser._load_fixture(path)``'s dataset, with only the logs
+    whose topic0 is registered under one of ``categories`` (None: all):
+    rebuilt from the fixture's entry when the fixture's stamp is the
+    entry's and not racy, otherwise parsed. Logs at DEBUG whether the
+    entry served the load, and if not, why and whether the entry was
+    written again; then at INFO what was read and kept."""
+    wanted = None if categories is None else DEFAULT_REGISTRY.topics(categories)
+    dataset, by_json, read = _load(path, wanted)
+    kept = "" if wanted is None else f" ({len(dataset.logs)} of the command's categories)"
+    _log.info("loaded %s: %d blocks, %d txs, %d logs%s; json-path lines: %d", path,
+              len(dataset.blocks), len(dataset.txs), read, kept, by_json)
+    return dataset
+
+
+def _load(path, wanted):
+    """The dataset with the logs whose topic0 is in ``wanted`` (None: all),
+    its json-path line count and the number of logs read."""
     try:
         stat = os.stat(path)
     except OSError:
@@ -99,7 +115,7 @@ def load(path):
         # another kind of file might not read the same twice; the parse
         # raises what the path does
         from .fixture_parser import _load_fixture
-        return _load_fixture(path)
+        return _selected(_load_fixture(path), wanted)
     entry, code, stamp = entry_path(path), _code_digest(), _stamp(stat)
     try:
         with open(entry, "rb") as fh:
@@ -123,7 +139,7 @@ def load(path):
             # not racy: the change time is older than the time read before
             # the stamp, so no write since then has kept the stamp
             if written == stamp and stamp[4] < clock:
-                loaded = _records(section)
+                loaded = _records(section, wanted)
                 _log.debug("fixture cache hit: %s", entry)
                 return loaded
     except FileNotFoundError:
@@ -133,12 +149,21 @@ def load(path):
     else:
         reason = "stamp differs" if written != stamp else "racy stamp"
     from .fixture_parser import _parse_and_write   # compiled only by a load the entry does not serve
-    return _parse_and_write(path, entry, code, reason)
+    return _selected(_parse_and_write(path, entry, code, reason), wanted)
 
 
-def _records(section):
-    """The (dataset, json-path line count) that the entry's sections after
-    its header hold."""
+def _selected(parsed, wanted):
+    """``_load``'s triple from a parse's pair."""
+    dataset, by_json = parsed
+    read = len(dataset.logs)
+    if wanted is not None:
+        dataset.logs = [log for log in dataset.logs if log.topics[0] in wanted]
+    return dataset, by_json, read
+
+
+def _records(section, wanted):
+    """``_load``'s triple from the entry's sections after its header; a
+    log not kept is counted, not built."""
 
     def table(n):
         values = []
@@ -154,7 +179,7 @@ def _records(section):
     addresses.append(None)   # the index past the addresses: a tx with no recipient
     tx_hash, sender, address, word, number = (
         t.__getitem__ for t in (hashes, senders, addresses, words, numbers))
-    blocks, txs, logs = [], [], []
+    blocks, txs, logs, read = [], [], [], 0
     for _ in range(0, n_blocks, SECTION):
         numbers_at, timestamps, counts, hashes_at = section()
         block_hashes = map(tx_hash, _ints(hashes_at))
@@ -170,15 +195,23 @@ def _records(section):
     for _ in range(0, n_logs, SECTION):
         addresses_at, counts, topics_at, data, numbers_at, indices, log_indices, hashes_at = (
             section())
-        topics = map(word, _ints(topics_at))
+        read += len(indices)
+        topics = list(map(word, _ints(topics_at)))
+        # a log's topics run from its start to the next log's
+        starts = list(accumulate(_ints(counts), initial=0))
+        columns = (_ints(addresses_at), map(slice, starts, starts[1:]), data,
+                   _ints(numbers_at), indices, log_indices, _ints(hashes_at))
+        if wanted is not None:
+            kept = list(map(wanted.__contains__, map(topics.__getitem__, starts[:-1])))
+            columns = map(compress, columns, repeat(kept))
+        addresses_at, spans, data, numbers_at, indices, log_indices, hashes_at = columns
         logs += map(_new, repeat(EventLog), zip(
-            repeat(chain_id), map(address, _ints(addresses_at)),
-            map(tuple, map(islice, repeat(topics), _ints(counts))), data,
-            map(number, _ints(numbers_at)), indices, log_indices,
-            map(tx_hash, _ints(hashes_at))))
-    if (len(blocks), len(txs), len(logs)) != (n_blocks, n_txs, n_logs):
+            repeat(chain_id), map(address, addresses_at),
+            map(tuple, map(topics.__getitem__, spans)), data,
+            map(number, numbers_at), indices, log_indices, map(tx_hash, hashes_at)))
+    if (len(blocks), len(txs), read) != (n_blocks, n_txs, n_logs):
         raise ValueError("fewer records than counted")
-    return ChainDataset(chain_id, blocks, txs, logs), by_json
+    return ChainDataset(chain_id, blocks, txs, logs), by_json, read
 
 
 def _ints(data):

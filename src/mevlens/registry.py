@@ -116,6 +116,12 @@ class TopicRegistry:
     def lookup(self, topic: bytes) -> Optional[RegistryEntry]:
         return self._by_topic.get(topic)
 
+    def topics(self, categories) -> frozenset:
+        """The topics registered under one of ``categories``."""
+        wanted = frozenset(categories)
+        return frozenset(topic for topic, entry in self._by_topic.items()
+                         if not wanted.isdisjoint(entry.categories))
+
     def entries(self):
         return list(self._by_topic.values())
 

@@ -16,6 +16,7 @@ from mevlens.errors import (DuplicateKey, InvalidRange, MalformedRecord,
 from mevlens.fixture_parser import (_CANONICAL, _hexstr, _in_key_order, _load_fixture,
                                     _parse_record)
 from mevlens.fixtures import FixtureBuilder, addr, enc_balancer_v1_swap, enc_transfer
+from mevlens.registry import DEFAULT_REGISTRY
 
 
 def _write_lines(path, lines):
@@ -581,11 +582,15 @@ def test_non_utf8_line_names_file_and_line(tmp_path, capsys):
 
 # --- the canonical-line recognizer against the json path ---
 
+_REGISTERED = [entry.topic for entry in DEFAULT_REGISTRY.entries()]
+
+
 @st.composite
 def fixture_datasets(draw):
     """Random datasets over every field the canonical layout varies: 1-4
-    topics, empty and multi-word data, uint256 amounts, a set or unset
-    ``to``, both statuses and all four chains."""
+    topics, the first a registered topic or not, empty and multi-word data,
+    uint256 amounts, a set or unset ``to``, both statuses and all four
+    chains."""
     fb = FixtureBuilder(draw(st.sampled_from(list(CHAINS.values()))),
                         start_block=draw(st.integers(0, 10 ** 12)),
                         start_timestamp=draw(st.integers(0, _MAX_TIMESTAMP - 100)))
@@ -599,8 +604,9 @@ def fixture_datasets(draw):
                   status=draw(st.sampled_from(["success", "reverted"])),
                   tx_hash=draw(st.binary(min_size=32, max_size=32)))
             for _ in range(draw(st.integers(0, 3))):
-                topics = draw(st.lists(st.binary(min_size=32, max_size=32),
-                                       min_size=1, max_size=4))
+                word = st.binary(min_size=32, max_size=32)
+                topics = [draw(st.sampled_from(_REGISTERED) | word),
+                          *draw(st.lists(word, max_size=3))]
                 words = draw(st.integers(0, 3))
                 fb.log(addr(draw(st.integers(0, 2 ** 160 - 1))), topics,
                        draw(st.binary(min_size=32 * words, max_size=32 * words)))

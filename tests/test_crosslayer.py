@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mevlens.amm import (STABLESWAP, PoolInfo, cp_pool, dump_pool_metadata, stable_pool,
                          swap_out)
-from mevlens.chain_model import ARBITRUM, ETHEREUM, OPTIMISM, dump_fixture
+from mevlens.chain_model import ARBITRUM, ETHEREUM, OPTIMISM, ChainDataset, dump_fixture
 from mevlens.cli import main
 from mevlens.crosslayer import (CostModel, CrossLayerLink, DEFAULT_CAPITAL_TIERS_USD,
                                 DEFAULT_COSTS, DEFAULT_REACTION_TIME_S, S1, S2, S3,
@@ -236,6 +236,15 @@ def test_cli_infer_on_an_empty_rollup_fixture_joins_only_that_rollup(tmp_path, c
                  "--out", str(tmp_path / "out")]) == 0
     # the fixture's nine Optimism messages, none executed
     assert capsys.readouterr().out.splitlines()[-1] == "links: 0, unlinked L1: 9, unlinked L2: 0"
+
+
+@pytest.mark.parametrize("chain, named", [(None, "no chain"), (ETHEREUM, "chain ethereum")])
+def test_join_with_a_dataset_of_no_rollup_is_refused(chain, named):
+    """A dataset without a chain, or of L1, names no rollup whose messages
+    the join could link: refused, not every L1 message counted unlinked."""
+    l1, _, _ = build_crosslayer_fixture()
+    with pytest.raises(ValueError, match=f"the L2 dataset has {named}: no rollup"):
+        infer_victims(l1, ChainDataset(chain))
 
 
 # --- victim inference: the decoded swap of each linked L2 tx ---

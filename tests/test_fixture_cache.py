@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mevlens import fixture_cache, fixture_parser
-from mevlens.chain_model import dump_fixture, load_fixture
+from mevlens.chain_model import ChainDataset, dump_fixture, load_fixture
 from mevlens.cli import main
 from mevlens.fixture_parser import _load_fixture
+from mevlens.registry import DEFAULT_REGISTRY, Category
 
 from conftest import settle
 from test_chain_model import _in_layout, _recurring_fixture, fixture_datasets
@@ -48,9 +49,22 @@ def _messages():
         messages += [r.getMessage() for r in records]
 
 
-def _loaded_line(path, dataset, by_json):
+def _loaded_line(path, dataset, by_json, kept=None):
+    """The INFO line of a load of ``dataset`` that kept ``kept`` logs of
+    the categories it was given (None: given none)."""
+    kept = "" if kept is None else f" ({kept} of the command's categories)"
     return (f"loaded {path}: {len(dataset.blocks)} blocks, {len(dataset.txs)} txs, "
-            f"{len(dataset.logs)} logs; json-path lines: {by_json}")
+            f"{len(dataset.logs)} logs{kept}; json-path lines: {by_json}")
+
+
+def _of(logs, categories):
+    """The logs whose topic0 the registry files under one of ``categories``
+    (None: every log)."""
+    if categories is None:
+        return logs
+    entries = [DEFAULT_REGISTRY.lookup(log.topics[0]) for log in logs]
+    return [log for log, entry in zip(logs, entries)
+            if entry is not None and not entry.categories.isdisjoint(categories)]
 
 
 def _types(dataset):
@@ -58,34 +72,44 @@ def _types(dataset):
 
 
 @settings(max_examples=60, deadline=None)
-@given(dataset=fixture_datasets(), layout=st.sampled_from(["canonical", "json"]))
-def test_cold_and_warm_loads_equal_the_parse(tmp_path_factory, dataset, layout):
+@given(dataset=fixture_datasets(), layout=st.sampled_from(["canonical", "json"]),
+       categories=st.none() | st.just(set(Category)) | st.sets(st.sampled_from(list(Category))))
+def test_cold_and_warm_loads_equal_the_parse(tmp_path_factory, dataset, layout, categories):
     """The first load parses and writes the entry, the second rebuilds
     from it, and a third, after the fixture's modification time moves,
     parses and writes the entry again, with the first entry's sections;
-    each gives the parse's records, of the parse's types, and the same
-    INFO line, after a DEBUG line that says which it was."""
+    each gives the parse's blocks and txs and those of its logs of
+    ``categories`` (None: every log), of the parse's types, and the same
+    INFO line, after a DEBUG line that says which it was. The entry holds
+    every log: it serves a later load of every log."""
     path = _in_layout(tmp_path_factory.mktemp("cache"), dataset, layout)
     entry = fixture_cache.entry_path(path)
     with pytest.MonkeyPatch.context() as monkeypatch:
         settle(monkeypatch)
         with _messages() as cold_log:
-            cold = load_fixture(path)
+            cold = load_fixture(path, categories)
         with _messages() as warm_log:
-            warm = load_fixture(path)
+            warm = load_fixture(path, categories)
         sections = _past_header(entry)
         later = os.stat(path).st_mtime_ns + 10**9
         os.utime(path, ns=(later, later))
         with _messages() as touched_log:
-            touched = load_fixture(path)
+            touched = load_fixture(path, categories)
+        with _messages() as full_log:
+            full = load_fixture(path)
     parsed, by_json = _load_fixture(path)
-    assert cold == warm == touched == parsed == dataset
-    assert _types(warm) == _types(parsed)
+    assert full == parsed == dataset
+    selected = ChainDataset(parsed.chain, parsed.blocks, parsed.txs,
+                            _of(parsed.logs, categories))
+    assert cold == warm == touched == selected
+    assert _types(warm) == _types(selected)
     assert [warm.tx(t.hash) for t in parsed.txs] == [parsed.tx(t.hash) for t in parsed.txs]
-    line = _loaded_line(path, parsed, by_json)
+    line = _loaded_line(path, parsed, by_json,
+                        None if categories is None else len(selected.logs))
     assert cold_log == [f"fixture cache miss (no entry): wrote {entry}", line]
     assert warm_log == [f"fixture cache hit: {entry}", line]
     assert touched_log == [f"fixture cache miss (stamp differs): wrote {entry}", line]
+    assert full_log == [f"fixture cache hit: {entry}", _loaded_line(path, parsed, by_json)]
     assert _past_header(entry) == sections
 
 

@@ -575,32 +575,44 @@ def test_commands_load_only_the_modules_they_run():
 
 
 # each command's start-up budget, cold (its first load of a fixture parses
-# it) and warm, in ARGV's order: the source bytes of the mevlens modules it
-# loads, which a process that writes no bytecode compiles, and its compile()
-# calls on '<string>'. typing.NamedTuple makes one for each string
-# annotation of a record's fields, and collections.namedtuple one for each
-# record's __new__. Each is an upper bound: a change that raises one says so.
+# it) and warm, in ARGV's order: the mevlens modules it loads, which a
+# process that writes no bytecode compiles, as their source bytes and as
+# their syntax tree nodes (ast.walk); and its compile() calls on
+# '<string>'. Compile time follows the nodes: a comment or a docstring
+# costs bytes but next to no compile time. typing.NamedTuple makes one
+# compile() call for each string annotation of a record's fields, and
+# collections.namedtuple one for each record's __new__. Each is an upper
+# bound: a change that raises one says so.
 BUDGET = {
-    # command: (source bytes cold, source bytes warm, compile('<string>') calls);
-    # decode reads the ethereum fixture first and detect sandwich the
-    # rollup's, so each parses it cold
-    "decode": (57_437, 41_824, 5),
-    "detect arb": (93_488, 93_488, 19),
-    "detect liq": (83_855, 83_855, 16),
-    "detect flashloan": (71_858, 71_858, 12),
-    "detect sandwich": (99_468, 83_855, 15),
-    "opportunity": (106_345, 106_345, 20),
-    "compete": (106_345, 106_345, 20),
-    "crosslayer infer": (104_064, 104_064, 20),
-    "crosslayer delay": (104_064, 104_064, 20),
-    "crosslayer simulate": (116_271, 116_271, 21),
-    "report": (43_878, 43_878, 5),
-    "bytecode cluster": (40_279, 40_279, 6),
+    # command: (source bytes cold, source bytes warm, nodes cold, nodes warm,
+    # compile('<string>') calls); decode reads the ethereum fixture first and
+    # detect sandwich the rollup's, so each parses it cold
+    "decode": (59_508, 43_895, 8_447, 5_663, 5),
+    "detect arb": (95_951, 95_951, 14_186, 14_186, 19),
+    "detect liq": (86_318, 86_318, 12_330, 12_330, 16),
+    "detect flashloan": (74_209, 74_209, 10_381, 10_381, 12),
+    "detect sandwich": (101_931, 86_318, 15_114, 12_330, 15),
+    "opportunity": (108_771, 108_771, 16_132, 16_132, 20),
+    "compete": (108_771, 108_771, 16_132, 16_132, 20),
+    "crosslayer infer": (106_706, 106_706, 15_641, 15_641, 20),
+    "crosslayer delay": (106_706, 106_706, 15_641, 15_641, 20),
+    "crosslayer simulate": (118_913, 118_913, 17_470, 17_470, 21),
+    "report": (43_824, 43_824, 6_352, 6_352, 5),
+    "bytecode cluster": (40_225, 40_225, 5_875, 5_875, 6),
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _source_size(path):
+    """(bytes, syntax tree nodes) of one source file."""
+    import ast
+    with open(path, "rb") as fh:
+        source = fh.read()
+    return len(source), sum(1 for _ in ast.walk(ast.parse(source)))
+
+
 def test_each_command_compiles_within_its_budget():
-    code = ("import os, sys\n"
+    code = ("import sys\n"
             "compiles = []\n"
             "sys.addaudithook(lambda event, args: event == 'compile' and args[1] == '<string>'\n"
             "                 and compiles.append(args))\n"
@@ -608,7 +620,7 @@ def test_each_command_compiles_within_its_budget():
             "rc = main(sys.argv[1:])\n"
             "files = [m.__file__ for name, m in sys.modules.items()\n"
             "         if name.partition('.')[0] == 'mevlens']\n"
-            "print(rc, sum(map(os.path.getsize, files)), len(compiles))\n")
+            "print(rc, len(compiles), *files, sep='\\0')\n")
     assert set(BUDGET) == set(ARGV)
     env, over = _fresh_env(), {}
     with tempfile.TemporaryDirectory() as root:
@@ -618,11 +630,13 @@ def test_each_command_compiles_within_its_budget():
                 proc = subprocess.run(
                     [sys.executable, "-c", code, *(a.format(root=root) for a in argv)],
                     capture_output=True, text=True, env=env, timeout=120)
-                rc, size, compiles = map(int, proc.stdout.split()[-3:])
-                assert rc == 0, (name, proc.stderr)
-                budget = BUDGET[name][warm], BUDGET[name][2]
-                if size > budget[0] or compiles > budget[1]:
-                    over[name, "warm" if warm else "cold"] = (size, compiles), budget
+                rc, compiles, *files = proc.stdout.splitlines()[-1].split("\0")
+                assert rc == "0", (name, proc.stderr)
+                size, nodes = map(sum, zip(*map(_source_size, files)))
+                got = size, nodes, int(compiles)
+                budget = BUDGET[name][warm], BUDGET[name][2 + warm], BUDGET[name][4]
+                if any(map(int.__gt__, got, budget)):
+                    over[name, "warm" if warm else "cold"] = got, budget
     assert not over, over
 
 

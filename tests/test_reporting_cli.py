@@ -725,9 +725,10 @@ def _fresh_process(argv, level, code=None):
 
 
 def test_info_log_says_what_the_loader_read(tmp_path):
-    """MEVLENS_LOG=INFO logs one line per loaded fixture, with its counts
-    and the lines that took the json path; the default level logs nothing,
-    and the findings are byte-identical either way."""
+    """MEVLENS_LOG=INFO logs one line per loaded fixture, with its counts,
+    the logs of the command's categories and the lines that took the json
+    path; the default level logs nothing, and the findings are
+    byte-identical either way."""
     fixtures, prices, _ = _demo_dir(tmp_path)
     path = fixtures / "ethereum.jsonl"
     lines = path.read_text().splitlines()
@@ -744,7 +745,8 @@ def test_info_log_says_what_the_loader_read(tmp_path):
     (quiet, findings), (info, info_findings) = runs
     assert quiet == ""
     assert info == (f"INFO mevlens: loaded {path}: {len(ds.blocks)} blocks, {len(ds.txs)} txs, "
-                    f"{len(ds.logs)} logs; json-path lines: 1\n")
+                    f"{len(ds.logs)} logs ({len(ds.logs)} of the command's categories); "
+                    "json-path lines: 1\n")
     assert findings == info_findings and findings
 
 
@@ -771,7 +773,8 @@ def test_debug_lines_of_a_fresh_process(tmp_path):
     a hit, and the lines after it are the same."""
     argv, path = _one_broken_log(tmp_path)
     entry = fixture_cache.entry_path(path)
-    lines = (f"INFO mevlens: loaded {path}: 29 blocks, 29 txs, 67 logs; json-path lines: 0\n"
+    lines = (f"INFO mevlens: loaded {path}: 29 blocks, 29 txs, 67 logs "
+             "(67 of the command's categories); json-path lines: 0\n"
              "DEBUG mevlens: skipped LOG_SWAP log at (1, 0, 0): LOG_SWAP expects 4 topics\n")
     cold = _fresh_process(argv, "DEBUG")
     assert cold.returncode == 0, cold.stderr
@@ -834,7 +837,7 @@ def test_records_reach_a_handler_on_the_mevlens_logger(tmp_path):
     assert records[1].exc_info[0] is ValueError
     assert {(r.module, r.funcName) for r in records} == {
         ("test_reporting_cli", "test_records_reach_a_handler_on_the_mevlens_logger"),
-        ("fixture_parser", "_parse_and_write"), ("chain_model", "load_fixture"),
+        ("fixture_parser", "_parse_and_write"), ("fixture_cache", "load"),
         ("decoding", "_decode_or_skip")}
     assert [r.levelname for r in records[2:]] == ["DEBUG", "INFO", "DEBUG"]
     with pytest.raises(AttributeError):
