@@ -13,8 +13,8 @@ import argparse
 import csv
 import os
 
-from mevlens.chain_model import ETHEREUM, dump_fixture
-from mevlens.fixtures import FixtureBuilder, addr, enc_balancer_v1_swap
+from mevlens.chain_model import ETHEREUM
+from mevlens.fixtures import FixtureBuilder, addr, dump_fixture, enc_balancer_v1_swap
 
 TOKEN_A = addr(0xA1)
 TOKEN_B = addr(0xB1)

@@ -1,4 +1,4 @@
-"""Core chain data types, the chain fixture's load and dump, and the
+"""Core chain data types, the chain fixture's load, and the
 JSONL reader and hex rules every input loader shares; the fixture parser
 itself is ``fixture_parser``.
 
@@ -298,7 +298,7 @@ def load_fixture(path, categories=None) -> ChainDataset:
     """Parse one chain's JSONL fixture, validating ordering invariants;
     keep only the logs of ``categories`` (None: all; see fixture_cache).
 
-    A line in ``dump_fixture``'s layout is built straight from one
+    A line in ``fixtures.dump_fixture``'s layout is built straight from one
     compiled match; any other line goes through ``json`` and the record
     parsers, and loads to the same record. Rejects the whole file on the
     first malformed record, ordering violation, or duplicate coordinate;
@@ -316,47 +316,6 @@ def load_fixture(path, categories=None) -> ChainDataset:
     finally:
         if collecting:
             gc.enable()
-
-
-def dump_fixture(dataset: ChainDataset, path) -> None:
-    """Serialize a dataset back to canonical JSONL (blocks, txs, logs, each
-    in total order, fixed key order). load_fixture(dump_fixture(d)) is the
-    identity and re-serializing is byte-identical."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for b in sorted(dataset.blocks, key=lambda b: b.number):
-            fh.write(json.dumps({
-                "kind": "block",
-                "chain": b.chain.name,
-                "number": b.number,
-                "timestamp": b.timestamp,
-                "tx_hashes": [to_hex(h) for h in b.tx_hashes],
-            }, separators=(",", ":")) + "\n")
-        for t in sorted(dataset.txs, key=lambda t: (t.block_number, t.tx_index)):
-            obj = {
-                "kind": "tx",
-                "hash": to_hex(t.hash),
-                "block_number": t.block_number,
-                "tx_index": t.tx_index,
-                "from": to_hex(t.sender),
-            }
-            if t.to is not None:
-                obj["to"] = to_hex(t.to)
-            obj["fee_paid"] = str(t.fee_paid)
-            obj["builder_payment"] = str(t.builder_payment)
-            obj["status"] = t.status.value
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-        for l in sorted(dataset.logs, key=lambda l: l.position):
-            fh.write(json.dumps({
-                "kind": "log",
-                "chain": l.chain.name,
-                "address": to_hex(l.address),
-                "topics": [to_hex(t) for t in l.topics],
-                "data": to_hex(l.data),
-                "block_number": l.block_number,
-                "tx_index": l.tx_index,
-                "log_index": l.log_index,
-                "tx_hash": to_hex(l.tx_hash),
-            }, separators=(",", ":")) + "\n")
 
 
 _block_number = attrgetter("block_number")

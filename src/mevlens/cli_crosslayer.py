@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import os
 
+from .bridge import _L1_CATEGORIES, _L2_CATEGORIES, delay_stats, infer_victims
 from .chain_model import _log as log, to_hex
+from .reporting import _write_csv, day_of, fmt_fixed
 
 
 def _infer(ctx):
-    from .crosslayer import _L1_CATEGORIES, _L2_CATEGORIES, infer_victims
     l1 = ctx.dataset("ethereum", _L1_CATEGORIES)
     l2 = ctx.dataset(ctx.chain_name, _L2_CATEGORIES)
     return infer_victims(l1, l2, ctx.pools())
@@ -35,18 +36,23 @@ def infer(ctx):
 
 
 def delay(ctx):
-    from . import crosslayer, reporting
     _, links, _ = _infer(ctx)
-    overall, monthly, anomalies = crosslayer.delay_stats(links)
+    overall, monthly, anomalies = delay_stats(links)
     path = os.path.join(ctx.ensure_out(), "delay_stats.csv")
-    reporting.write_delay_stats(overall, monthly, path)
+    write_delay_stats(overall, monthly, path)
     print(f"{overall['count']} links, {len(anomalies)} anomalies -> {path}")
+
+
+def write_delay_stats(overall, monthly, path) -> None:
+    rows = [[period, s["count"], s["min"], fmt_fixed(s["mean"], 1), fmt_fixed(s["median"], 1),
+             s["max"]] for period, s in [("all", overall), *monthly.items()]]
+    _write_csv(path, ["period", "count", "min_s", "mean_s", "median_s", "max_s"], rows)
 
 
 def simulate(ctx):
     from fractions import Fraction
 
-    from . import crosslayer, opportunity, reporting
+    from . import crosslayer, opportunity
     candidates, _, _ = _infer(ctx)
     pools = ctx.pools()
     prices = ctx.prices()
@@ -60,7 +66,7 @@ def simulate(ctx):
         if state is None:
             no_state += 1
             continue
-        day = reporting.day_of(c.link.l1_timestamp)
+        day = day_of(c.link.l1_timestamp)
         token_price = prices.lookup(c.swap.token_in, day) if prices else Fraction(1)
         eth_usd = prices.eth_usd(day) if prices else Fraction(2000)
         if token_price is None or eth_usd is None:
@@ -72,8 +78,21 @@ def simulate(ctx):
              len(candidates), no_state, no_price)
     table = crosslayer.capital_sweep(scenarios, costs, tiers, reaction)
     path = os.path.join(ctx.ensure_out(), "attack_tables.csv")
-    reporting.write_attack_table(table, tiers, path)
+    write_attack_table(table, tiers, path)
     print(f"{len(scenarios)} scenarios -> {path}")
+
+
+def write_attack_table(table, tiers, path) -> None:
+    """CSV mirroring the strategy x capital-tier profitability layout."""
+    stats = ("total", "max", "mean", "median", "min")  # a sweep cell has no p90
+    rows = []
+    for strategy in sorted(table):
+        for tier in tiers:
+            cell = table[strategy][tier]
+            rows.append([strategy, "inf" if tier is None else str(tier), cell["count"],
+                         *(fmt_fixed(cell[key], 2) for key in stats)])
+    _write_csv(path, ["strategy", "capital_usd", "profitable_count",
+                      *(f"{key}_usd" for key in stats)], rows)
 
 
 RUN = {"crosslayer infer": infer, "crosslayer delay": delay, "crosslayer simulate": simulate}

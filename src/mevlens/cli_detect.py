@@ -3,6 +3,73 @@
 from __future__ import annotations
 
 from .chain_model import to_hex
+from .reporting import fmt_fixed
+
+
+def _swap_json(s):
+    return {
+        "venue": to_hex(s.venue),
+        "token_in": to_hex(s.token_in),
+        "token_out": to_hex(s.token_out),
+        "amount_in": str(s.amount_in),
+        "amount_out": str(s.amount_out),
+        "position": list(s.position),
+    }
+
+
+def _priced_json(kind, finding, chain, timestamp, extractor, **fields) -> dict:
+    """The fields an arbitrage row and a liquidation row share, then ``fields``."""
+    return {
+        "type": kind,
+        "chain": chain,
+        "tx_hash": to_hex(finding.tx_hash),
+        "block": finding.block,
+        "timestamp": timestamp,
+        "extractor": to_hex(extractor) if extractor else None,
+        "profit_eth": fmt_fixed(finding.profit_eth),
+        "unpriced": finding.unpriced,
+        "flash_loans": [{"provider": fl.provider, "token": to_hex(fl.token),
+                         "amount": str(fl.amount), "fee": str(fl.fee)}
+                        for fl in finding.flash_loans],
+        **fields,
+    }
+
+
+def arbitrage_to_json(finding, chain: str, timestamp: int, extractor=None) -> dict:
+    return _priced_json(
+        "arbitrage", finding, chain, timestamp, extractor,
+        cycle=[_swap_json(s) for s in finding.cycle],
+        balances={to_hex(t): str(b) for t, b in sorted(finding.token_balances.items())},
+        gain_eth=fmt_fixed(finding.gain_eth), cost_eth=fmt_fixed(finding.cost_eth))
+
+
+def liquidation_to_json(finding, chain: str, timestamp: int, extractor=None) -> dict:
+    return _priced_json("liquidation", finding, chain, timestamp, extractor, actions=[{
+        "protocol": a.protocol,
+        "liquidator": to_hex(a.liquidator),
+        "borrower": to_hex(a.borrower),
+        "debt_token": to_hex(a.debt_token),
+        "debt_amount": str(a.debt_amount),
+        "collateral_token": to_hex(a.collateral_token) if a.collateral_token else None,
+        "collateral_amount": (str(a.collateral_amount)
+                              if a.collateral_amount is not None else None),
+    } for a in finding.actions], unredeemed=finding.unredeemed)
+
+
+def sandwich_to_json(finding, chain: str, timestamp: int) -> dict:
+    return {
+        "type": "sandwich",
+        "chain": chain,
+        "tx_hash": to_hex(finding.front_tx),
+        "block": finding.window[0],
+        "timestamp": timestamp,
+        "front_tx": to_hex(finding.front_tx),
+        "back_tx": to_hex(finding.back_tx),
+        "victim_txs": [to_hex(v) for v in finding.victim_txs],
+        "token": to_hex(finding.token),
+        "attacker": to_hex(finding.attacker),
+        "window": list(finding.window),
+    }
 
 
 def _write_priced(ctx, ds, findings, profit, to_json, name):
@@ -23,30 +90,31 @@ def _write_priced(ctx, ds, findings, profit, to_json, name):
 
 
 def arb(ctx):
-    from . import detectors, reporting
+    from . import detectors
     from .decoding import _FLASH_LOANS, _SWAPS
     ds = ctx.dataset(categories=_SWAPS | _FLASH_LOANS)
     findings = detectors.detect_arbitrages(detectors.extract_swaps(ds, ctx.pools()))
-    _write_priced(ctx, ds, findings, detectors.arbitrage_profit, reporting.arbitrage_to_json,
+    _write_priced(ctx, ds, findings, detectors.arbitrage_profit, arbitrage_to_json,
                   "findings_arb.jsonl")
 
 
 def liq(ctx):
-    from . import detectors, reporting
-    from .decoding import _FLASH_LOANS
+    from . import detectors
+    from .decoding import _FLASH_LOANS, decode_logs
     ds = ctx.dataset(categories=detectors._LIQUIDATIONS | _FLASH_LOANS)
-    _write_priced(ctx, ds, detectors.detect_liquidations(ds.logs), detectors.liquidation_profit,
-                  reporting.liquidation_to_json, "findings_liq.jsonl")
+    findings = detectors.detect_liquidations(decode_logs(ds.logs, detectors._LIQUIDATIONS))
+    _write_priced(ctx, ds, findings, detectors.liquidation_profit, liquidation_to_json,
+                  "findings_liq.jsonl")
 
 
 def sandwich(ctx):
-    from . import detectors, reporting
+    from . import detectors
     ds = ctx.dataset(categories=detectors._TRANSFERS)
     transfers = detectors.extract_transfers(ds)
     findings = detectors.detect_sandwiches(transfers, ds.chain, window=ctx.window)
     chain = ds.chain.name
     ctx.write("findings_sandwich.jsonl", (
-        reporting.sandwich_to_json(f, chain, ds.block_timestamp(f.window[0]))
+        sandwich_to_json(f, chain, ds.block_timestamp(f.window[0]))
         for f in findings))
 
 

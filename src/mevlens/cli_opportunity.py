@@ -7,6 +7,7 @@ import os
 
 from .chain_model import to_hex
 from .registry import Category
+from .reporting import _write_csv, fmt_fixed
 
 _ORACLE_UPDATES = frozenset((Category.ORACLE_UPDATE,))  # the liquidation walk's
 
@@ -15,7 +16,7 @@ def _opportunities(ctx):
     """(finding, its opportunity) for each finding of ``--type``.
     Each walk bisects the swaps or oracle updates decoded once for all."""
     from . import detectors, opportunity
-    from .decoding import _SWAPS, decode_logs
+    from .decoding import _SWAPS, OracleUpdateAction, decode_logs
     arb = ctx.mev_type == "arb"
     ds = ctx.dataset(categories=_SWAPS if arb else detectors._LIQUIDATIONS | _ORACLE_UPDATES)
     pools = ctx.pools()
@@ -27,16 +28,18 @@ def _opportunities(ctx):
             results.append((f, opportunity.find_arbitrage_opportunity(
                 f, swaps, provider, ctx.horizon)))
     else:
-        findings = detectors.detect_liquidations(ds.logs)
-        updates = [u for _, u in decode_logs(ds.logs, _ORACLE_UPDATES)]
-        for f in findings:
+        # one decode pass serves the liquidations and the oracle updates
+        decoded = decode_logs(ds.logs, detectors._LIQUIDATIONS | _ORACLE_UPDATES)
+        updates = [a for _, a in decoded if isinstance(a, OracleUpdateAction)]
+        for f in detectors.detect_liquidations(
+                [p for p in decoded if not isinstance(p[1], OracleUpdateAction)]):
             results.append((f, opportunity.find_liquidation_opportunity(
                 f, updates, provider, ctx.horizon)))
     return ds, results
 
 
 def opportunities(ctx):
-    from . import opportunity, reporting
+    from . import opportunity
     ds, results = _opportunities(ctx)
     ctx.write(f"opportunities_{ctx.mev_type}.jsonl", ({
         "type": f"opportunity_{ctx.mev_type}",
@@ -49,7 +52,12 @@ def opportunities(ctx):
         "approximate": r.approximate,
     } for f, r in results))
     cdf = opportunity.block_distance_cdf([r for _, r in results], ctx.horizon)
-    reporting.write_distance_cdf(cdf, os.path.join(ctx.out_dir, "distance_cdf.csv"))
+    write_distance_cdf(cdf, os.path.join(ctx.out_dir, "distance_cdf.csv"))
+
+
+def write_distance_cdf(cdf, path) -> None:
+    _write_csv(path, ["distance", "cumulative_fraction"],
+               [[d, fmt_fixed(frac, 6)] for d, frac in cdf])
 
 
 def compete(ctx):

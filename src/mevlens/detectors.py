@@ -161,14 +161,15 @@ def arbitrage_profit(finding: ArbitrageFinding, prices: PriceProvider,
 
 # --- liquidations ---
 
-def detect_liquidations(logs: Sequence[EventLog]):
-    """One structural finding per tx containing at least one liquidation.
+def detect_liquidations(decoded: Sequence[tuple]):
+    """One structural finding per tx containing at least one liquidation,
+    from the (log, action) pairs of ``decode_logs`` over _LIQUIDATIONS.
 
     Compound LiquidateBorrow actions are paired with Redeem events of the
     same tx in log order, first-unmatched-first.
     """
     by_tx: dict = {}
-    for log, action in decode_logs(logs, _LIQUIDATIONS):
+    for log, action in decoded:
         by_tx.setdefault(log.tx_hash, []).append(action)
     findings = []
     for tx_hash, decoded in by_tx.items():

@@ -1,4 +1,4 @@
-"""Synthetic fixture construction: event encoders and a dataset builder.
+"""Synthetic fixtures: event encoders, a dataset builder and its dump.
 
 Encoders are the mirror image of the decoding schemas; tests rely on
 decode(encode(x)) == x, and the demo generator uses the builder to plant
@@ -7,10 +7,10 @@ ground-truth scenarios.
 
 from __future__ import annotations
 
+import json
 from typing import Optional
 
-from .chain_model import (BlockRecord, ChainDataset, ChainId, EventLog, TxRecord,
-                          TxStatus)
+from .chain_model import BlockRecord, ChainDataset, ChainId, EventLog, TxRecord, TxStatus, to_hex
 from .keccak import keccak256
 from .registry import DEFAULT_REGISTRY
 
@@ -242,7 +242,47 @@ class FixtureBuilder:
                             logs=sorted(self._logs, key=lambda l: l.position))
 
     def write(self, path) -> ChainDataset:
-        from .chain_model import dump_fixture
         ds = self.dataset()
         dump_fixture(ds, path)
         return ds
+
+
+def dump_fixture(dataset: ChainDataset, path) -> None:
+    """Serialize a dataset back to canonical JSONL (blocks, txs, logs, each
+    in total order, fixed key order). load_fixture(dump_fixture(d)) is the
+    identity and re-serializing is byte-identical."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for b in sorted(dataset.blocks, key=lambda b: b.number):
+            fh.write(json.dumps({
+                "kind": "block",
+                "chain": b.chain.name,
+                "number": b.number,
+                "timestamp": b.timestamp,
+                "tx_hashes": [to_hex(h) for h in b.tx_hashes],
+            }, separators=(",", ":")) + "\n")
+        for t in sorted(dataset.txs, key=lambda t: (t.block_number, t.tx_index)):
+            obj = {
+                "kind": "tx",
+                "hash": to_hex(t.hash),
+                "block_number": t.block_number,
+                "tx_index": t.tx_index,
+                "from": to_hex(t.sender),
+            }
+            if t.to is not None:
+                obj["to"] = to_hex(t.to)
+            obj["fee_paid"] = str(t.fee_paid)
+            obj["builder_payment"] = str(t.builder_payment)
+            obj["status"] = t.status.value
+            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        for l in sorted(dataset.logs, key=lambda l: l.position):
+            fh.write(json.dumps({
+                "kind": "log",
+                "chain": l.chain.name,
+                "address": to_hex(l.address),
+                "topics": [to_hex(t) for t in l.topics],
+                "data": to_hex(l.data),
+                "block_number": l.block_number,
+                "tx_index": l.tx_index,
+                "log_index": l.log_index,
+                "tx_hash": to_hex(l.tx_hash),
+            }, separators=(",", ":")) + "\n")

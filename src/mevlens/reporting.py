@@ -1,5 +1,6 @@
-"""Report emission: findings JSONL and the summary CSV tables, and the
-daily price table that both profit accounting and the report read.
+"""What the command groups share to price and write their results: the
+daily price table, exact summary statistics, fixed-point rendering, and
+the findings JSONL and CSV writers. Each group builds its own rows.
 
 All outputs are deterministic: stable ordering, fixed key order, no wall
 clock anywhere.
@@ -14,10 +15,9 @@ import json
 import os
 from math import lcm
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .chain_model import (_DECIMAL_FRACTION, _decimal, _log, _raise_not_utf8, _sidecar_hex,
-                          _timestamp, read_jsonl, to_hex)
+from .chain_model import _DECIMAL_FRACTION, _decimal, _raise_not_utf8, _sidecar_hex, to_hex
 from .errors import MalformedRecord
 
 if TYPE_CHECKING:  # annotations only
@@ -154,73 +154,7 @@ def summary_stats(values: Sequence) -> dict:
     }
 
 
-# --- findings serialization ---
-
-def _swap_json(s):
-    return {
-        "venue": to_hex(s.venue),
-        "token_in": to_hex(s.token_in),
-        "token_out": to_hex(s.token_out),
-        "amount_in": str(s.amount_in),
-        "amount_out": str(s.amount_out),
-        "position": list(s.position),
-    }
-
-
-def _priced_json(kind, finding, chain, timestamp, extractor, **fields) -> dict:
-    """The fields an arbitrage row and a liquidation row share, then ``fields``."""
-    return {
-        "type": kind,
-        "chain": chain,
-        "tx_hash": to_hex(finding.tx_hash),
-        "block": finding.block,
-        "timestamp": timestamp,
-        "extractor": to_hex(extractor) if extractor else None,
-        "profit_eth": fmt_fixed(finding.profit_eth),
-        "unpriced": finding.unpriced,
-        "flash_loans": [{"provider": fl.provider, "token": to_hex(fl.token),
-                         "amount": str(fl.amount), "fee": str(fl.fee)}
-                        for fl in finding.flash_loans],
-        **fields,
-    }
-
-
-def arbitrage_to_json(finding, chain: str, timestamp: int, extractor=None) -> dict:
-    return _priced_json(
-        "arbitrage", finding, chain, timestamp, extractor,
-        cycle=[_swap_json(s) for s in finding.cycle],
-        balances={to_hex(t): str(b) for t, b in sorted(finding.token_balances.items())},
-        gain_eth=fmt_fixed(finding.gain_eth), cost_eth=fmt_fixed(finding.cost_eth))
-
-
-def liquidation_to_json(finding, chain: str, timestamp: int, extractor=None) -> dict:
-    return _priced_json("liquidation", finding, chain, timestamp, extractor, actions=[{
-        "protocol": a.protocol,
-        "liquidator": to_hex(a.liquidator),
-        "borrower": to_hex(a.borrower),
-        "debt_token": to_hex(a.debt_token),
-        "debt_amount": str(a.debt_amount),
-        "collateral_token": to_hex(a.collateral_token) if a.collateral_token else None,
-        "collateral_amount": (str(a.collateral_amount)
-                              if a.collateral_amount is not None else None),
-    } for a in finding.actions], unredeemed=finding.unredeemed)
-
-
-def sandwich_to_json(finding, chain: str, timestamp: int) -> dict:
-    return {
-        "type": "sandwich",
-        "chain": chain,
-        "tx_hash": to_hex(finding.front_tx),
-        "block": finding.window[0],
-        "timestamp": timestamp,
-        "front_tx": to_hex(finding.front_tx),
-        "back_tx": to_hex(finding.back_tx),
-        "victim_txs": [to_hex(v) for v in finding.victim_txs],
-        "token": to_hex(finding.token),
-        "attacker": to_hex(finding.attacker),
-        "window": list(finding.window),
-    }
-
+# --- findings JSONL ---
 
 _encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
@@ -247,33 +181,6 @@ def write_findings(rows: Iterable[dict], path) -> int:
     return len(lines)
 
 
-def read_findings(path) -> Iterator[dict]:
-    """Yield the file's findings rows as dicts, one line at a time. A row
-    whose fields emit_report cannot summarize raises MalformedRecord with
-    the file and line when it is reached."""
-    return read_jsonl(path, _finding)
-
-
-def _finding(obj: dict) -> dict:
-    """Check the fields emit_report reads: type, chain, timestamp,
-    profit_eth and flash_loans[].provider."""
-    for key in ("type", "chain"):
-        if not isinstance(obj.get(key), str):
-            raise MalformedRecord(None, f"{key} must be a string, got {obj.get(key)!r}")
-    _timestamp(obj, "timestamp")
-    profit = obj.get("profit_eth")
-    if not (profit is None or isinstance(profit, str)
-            and _decimal(profit.removeprefix("-"), _DECIMAL_FRACTION)):
-        raise MalformedRecord(None, f"profit_eth must be a decimal string, got {profit!r}")
-    loans = obj.get("flash_loans", [])
-    if not (isinstance(loans, list)
-            and all(isinstance(fl, dict) and isinstance(fl.get("provider"), str)
-                    for fl in loans)):
-        raise MalformedRecord(
-            None, f"flash_loans must be a list of objects with a provider, got {loans!r}")
-    return obj
-
-
 # --- summary CSV tables ---
 
 def _write_csv(path, header, rows):
@@ -282,93 +189,3 @@ def _write_csv(path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def emit_report(findings: Iterable[dict], out_dir, eth_usd=None) -> dict:
-    """Write the summary CSVs for findings rows; returns paths written.
-
-    ``findings`` is read once, a row at a time, and no row is kept: the
-    fold keeps the month counts, the flash-loan share counts and, per
-    (chain, type), the (profit, day) pairs that P90 and the median need.
-    ``eth_usd`` optionally maps unix day -> Fraction dollar price to add a
-    USD column to profit statistics. Logs at INFO, per (chain, type), the
-    rows the profit table leaves out.
-    """
-    from fractions import Fraction
-    monthly: dict = {}   # (month, type, chain) -> findings
-    shares: dict = {}    # (chain, type, provider) -> flash loans
-    groups: dict = {}    # (chain, type) -> [(profit, day)]
-    left_out: dict = {}  # (chain, type) -> [rows without profit_eth, without ETHUSD]
-    for f in findings:
-        chain, typ, ts = f["chain"], f["type"], f["timestamp"]
-        key = (month_of(ts), typ, chain)
-        monthly[key] = monthly.get(key, 0) + 1
-        profit = f.get("profit_eth")
-        if profit is not None:
-            groups.setdefault((chain, typ), []).append((Fraction(profit), day_of(ts)))
-        else:
-            left_out.setdefault((chain, typ), [0, 0])[0] += 1
-        for fl in f.get("flash_loans", []):
-            key = (chain, typ, fl["provider"])
-            shares[key] = shares.get(key, 0) + 1
-        # the row goes before the next one is read
-        del f
-
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-
-    # monthly counts per type (UTC month of block timestamp)
-    paths["monthly_counts"] = f"{out_dir}/monthly_counts.csv"
-    _write_csv(paths["monthly_counts"], ["month", "type", "chain", "count"],
-               [[m, t, c, n] for (m, t, c), n in sorted(monthly.items())])
-
-    # profit statistics per chain and type
-    rows = []
-    for (chain, typ), entries in sorted(groups.items()):
-        stats = summary_stats([e[0] for e in entries])
-        row = [chain, typ, len(entries), *(fmt_fixed(stats[key]) for key in _STATS)]
-        if eth_usd is not None:
-            usd = [value * price for value, day in entries if (price := eth_usd(day)) is not None]
-            row.append(fmt_fixed(summary_stats(usd)["total"], 2))
-            if len(usd) < len(entries):
-                left_out.setdefault((chain, typ), [0, 0])[1] = len(entries) - len(usd)
-        rows.append(row)
-    for key, counts in sorted(left_out.items()):
-        _log.info("report: %s %s rows left out: %d without profit_eth (profit_stats.csv), "
-                  "%d without an ETHUSD price (total_usd)", *key, *counts)
-    header = ["chain", "type", "count", *(f"{key}_eth" for key in _STATS)]
-    if eth_usd is not None:
-        header.append("total_usd")
-    paths["profit_stats"] = f"{out_dir}/profit_stats.csv"
-    _write_csv(paths["profit_stats"], header, rows)
-
-    # flash loan provider shares per finding type
-    paths["flash_loan_shares"] = f"{out_dir}/flash_loan_shares.csv"
-    _write_csv(paths["flash_loan_shares"], ["chain", "type", "provider", "count"],
-               [[c, t, p, n] for (c, t, p), n in sorted(shares.items())])
-
-    return paths
-
-
-def write_distance_cdf(cdf, path) -> None:
-    _write_csv(path, ["distance", "cumulative_fraction"],
-               [[d, fmt_fixed(frac, 6)] for d, frac in cdf])
-
-
-def write_delay_stats(overall, monthly, path) -> None:
-    rows = [[period, s["count"], s["min"], fmt_fixed(s["mean"], 1), fmt_fixed(s["median"], 1),
-             s["max"]] for period, s in [("all", overall), *monthly.items()]]
-    _write_csv(path, ["period", "count", "min_s", "mean_s", "median_s", "max_s"], rows)
-
-
-def write_attack_table(table, tiers, path) -> None:
-    """CSV mirroring the strategy x capital-tier profitability layout."""
-    stats = ("total", "max", "mean", "median", "min")  # a sweep cell has no p90
-    rows = []
-    for strategy in sorted(table):
-        for tier in tiers:
-            cell = table[strategy][tier]
-            rows.append([strategy, "inf" if tier is None else str(tier), cell["count"],
-                         *(fmt_fixed(cell[key], 2) for key in stats)])
-    _write_csv(path, ["strategy", "capital_usd", "profitable_count",
-                      *(f"{key}_usd" for key in stats)], rows)

@@ -430,7 +430,7 @@ def build_victim_scenarios(n=50):
     """Synthetic victims of staged sizes over constant-product pools."""
     from mevlens.amm import cp_pool
     from mevlens.chain_model import ARBITRUM
-    from mevlens.crosslayer import CrossLayerLink, VictimCandidate, VictimSwap
+    from mevlens.bridge import CrossLayerLink, VictimCandidate, VictimSwap
 
     scenarios = []
     for i in range(n):
@@ -767,7 +767,7 @@ def literal_victims(links, l2_logs: Sequence[EventLog], pools=None) -> list:
     """The victim candidate of each link whose L2 tx holds a victim swap:
     a linear rescan of ``l2_logs`` for that tx, whose first decoded
     VICTIM_SWAP action names the tokens, the amount and the pool."""
-    from mevlens.crosslayer import VictimCandidate, VictimSwap
+    from mevlens.bridge import VictimCandidate, VictimSwap
     victims = []
     for link in links:
         tx_logs = [log for log in l2_logs if log.tx_hash == link.l2_tx]

@@ -8,19 +8,19 @@ from fractions import Fraction
 
 from mevlens.amm import _stable_D, cp_pool, swap_out
 from mevlens.bytecode import BytecodeRecord, _skeleton, cluster
-from mevlens.chain_model import ARBITRUM, ETHEREUM, dump_fixture
+from mevlens.bridge import VictimSwap, delay_stats, infer_victims
+from mevlens.chain_model import ARBITRUM, ETHEREUM
 from mevlens.cli import main
+from mevlens.cli_report import read_findings
 from mevlens.crosslayer import (CostModel, DEFAULT_CAPITAL_TIERS_USD,
                                 DEFAULT_REACTION_TIME_S, S1, S2, S3, STRATEGIES,
-                                VictimSwap, capital_sweep, delay_stats, infer_victims,
-                                optimal_frontrun)
+                                capital_sweep, optimal_frontrun)
 from mevlens.detectors import (detect_arbitrages, detect_sandwiches,
                                extract_swaps)
-from mevlens.fixtures import FixtureBuilder, addr, enc_balancer_v1_swap
+from mevlens.fixtures import FixtureBuilder, addr, dump_fixture, enc_balancer_v1_swap
 from mevlens.opportunity import (FOUND, NOT_FOUND, StateProvider,
                                  find_arbitrage_opportunity,
                                  find_liquidation_opportunity)
-from mevlens.reporting import read_findings
 
 from conftest import (XL_DELAYS, build_crosslayer_fixture,
                       build_planted_arb_dataset, build_victim_scenarios,

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mevlens import fixture_cache
-from mevlens.chain_model import (CHAINS, ETHEREUM, ChainDataset, _MAX_TIMESTAMP, dump_fixture,
-                                 load_fixture, logs_in_range, read_jsonl, to_hex)
+from mevlens.chain_model import (CHAINS, ETHEREUM, ChainDataset, _MAX_TIMESTAMP, load_fixture,
+                                 logs_in_range, read_jsonl, to_hex)
 from mevlens.cli import main
 from mevlens.errors import (DuplicateKey, InvalidRange, MalformedRecord,
                             OrderingViolation)
 from mevlens.fixture_parser import (_CANONICAL, _hexstr, _in_key_order, _load_fixture,
                                     _parse_record)
-from mevlens.fixtures import FixtureBuilder, addr, enc_balancer_v1_swap, enc_transfer
+from mevlens.fixtures import FixtureBuilder, addr, dump_fixture, enc_balancer_v1_swap, enc_transfer
 from mevlens.registry import DEFAULT_REGISTRY
 
 

@@ -9,21 +9,21 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mevlens.amm import (STABLESWAP, PoolInfo, cp_pool, dump_pool_metadata, stable_pool,
                          swap_out)
-from mevlens.chain_model import ARBITRUM, ETHEREUM, OPTIMISM, ChainDataset, dump_fixture
+from mevlens.bridge import CrossLayerLink, VictimCandidate, VictimSwap, delay_stats, infer_victims
+from mevlens.chain_model import ARBITRUM, ETHEREUM, OPTIMISM, ChainDataset
 from mevlens.cli import main
-from mevlens.crosslayer import (CostModel, CrossLayerLink, DEFAULT_CAPITAL_TIERS_USD,
-                                DEFAULT_COSTS, DEFAULT_REACTION_TIME_S, S1, S2, S3,
-                                STRATEGIES, VictimCandidate, VictimSwap, WEI,
-                                capital_sweep, delay_stats, infer_victims,
-                                load_attack_config, optimal_frontrun, _floor_free_gain,
-                                _sandwich_plan, _VictimSizing, _window)
+from mevlens.crosslayer import (CostModel, DEFAULT_CAPITAL_TIERS_USD, DEFAULT_COSTS,
+                                DEFAULT_REACTION_TIME_S, S1, S2, S3, STRATEGIES, WEI,
+                                capital_sweep, load_attack_config, optimal_frontrun,
+                                _floor_free_gain, _sandwich_plan, _VictimSizing, _window)
 from mevlens.amm import load_pool_metadata
 from mevlens.registry import DEFAULT_REGISTRY
 from mevlens.reporting import summary_stats
 from mevlens.errors import (EmptyInput, Infeasible, InvalidScenario, MalformedRecord,
                             MevlensError)
-from mevlens.fixtures import (FixtureBuilder, addr, enc_inbox_message, enc_redeem_scheduled,
-                              enc_token_swap, enc_transfer, enc_uniswap_v3_swap)
+from mevlens.fixtures import (FixtureBuilder, addr, dump_fixture, enc_inbox_message,
+                              enc_redeem_scheduled, enc_token_swap, enc_transfer,
+                              enc_uniswap_v3_swap)
 from conftest import (XL_DELAYS, XL_POOL, XL_TA, XL_TB, build_crosslayer_fixture,
                       build_victim_scenarios, literal_victims, xl_pools_meta)
 from test_opportunity import malformed_snapshots, pool_row

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mevlens.chain_model import ARBITRUM, ETHEREUM, TxRecord, TxStatus
-from mevlens.detectors import (ArbitrageFinding, PriceProvider, SandwichFinding, WEI,
-                               arbitrage_profit, attribute_flash_loans,
+from mevlens.detectors import (_LIQUIDATIONS, ArbitrageFinding, PriceProvider, SandwichFinding,
+                               WEI, arbitrage_profit, attribute_flash_loans,
                                chain_cycles, detect_arbitrages,
                                detect_liquidations, detect_sandwiches,
                                extract_swaps, liquidation_profit)
-from mevlens.decoding import LiquidationAction
+from mevlens.decoding import LiquidationAction, decode_logs
 from mevlens.errors import MalformedRecord
 from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
                               enc_compound_liquidate, enc_compound_redeem,
@@ -182,7 +182,7 @@ def _liq_fixture():
 
 def test_aave_liquidation_profit():
     ds, tx_hash = _liq_fixture()
-    findings = detect_liquidations(ds.logs)
+    findings = detect_liquidations(decode_logs(ds.logs, _LIQUIDATIONS))
     assert len(findings) == 1
     prices = _prices([(A, 0, 1), (B, 0, 1)])
     tx = ds.tx(tx_hash)
@@ -202,7 +202,7 @@ def test_compound_redeem_pairing_in_log_order():
     fb.log(addr(0xC2), t2, d2)
     fb.log(addr(0xE1), *r1)
     fb.log(addr(0xE2), *r2)
-    findings = detect_liquidations(fb.dataset().logs)
+    findings = detect_liquidations(decode_logs(fb.dataset().logs, _LIQUIDATIONS))
     assert len(findings) == 1
     acts = findings[0].actions
     assert acts[0].collateral_token == addr(0xE1) and acts[0].collateral_amount == 90
@@ -216,7 +216,7 @@ def test_compound_without_redeem_is_unredeemed():
     fb.tx()
     topics, data = enc_compound_liquidate(addr(6), addr(5), 100, addr(7), 90)
     fb.log(addr(0xC1), topics, data)
-    findings = detect_liquidations(fb.dataset().logs)
+    findings = detect_liquidations(decode_logs(fb.dataset().logs, _LIQUIDATIONS))
     assert findings[0].unredeemed
     assert findings[0].actions[0].collateral_amount is None
 
@@ -230,7 +230,7 @@ def test_redeem_without_liquidation_is_no_finding_and_pairs_with_no_other_tx():
     fb.log(addr(0xE1), *enc_compound_redeem(addr(6), 90, 85))
     fb.tx()
     liquidated = fb.log(addr(0xC1), *enc_compound_liquidate(addr(6), addr(5), 100, addr(7), 90))
-    findings = detect_liquidations(fb.dataset().logs)
+    findings = detect_liquidations(decode_logs(fb.dataset().logs, _LIQUIDATIONS))
     assert [f.tx_hash for f in findings] == [liquidated.tx_hash]
     assert findings[0].unredeemed
     assert findings[0].actions[0].collateral_amount is None
@@ -244,7 +244,7 @@ def test_two_liquidations_one_finding():
         topics, data = enc_aave_v2v3_liquidation(A, B, addr(5), amount,
                                                  amount * 2, addr(6))
         fb.log(addr(0xAA), topics, data)
-    findings = detect_liquidations(fb.dataset().logs)
+    findings = detect_liquidations(decode_logs(fb.dataset().logs, _LIQUIDATIONS))
     assert len(findings) == 1 and len(findings[0].actions) == 2
 
 
@@ -255,7 +255,7 @@ def test_finding_block_is_its_first_actions_block():
     fb.tx()
     topics, data = enc_aave_v2v3_liquidation(A, B, addr(5), 2 * WEI, 3 * WEI, addr(6))
     fb.log(addr(0xAA), topics, data)
-    (liquidation,) = detect_liquidations(fb.dataset().logs)
+    (liquidation,) = detect_liquidations(decode_logs(fb.dataset().logs, _LIQUIDATIONS))
     assert liquidation.block == liquidation.actions[0].position[0] == 42
     (arbitrage,) = detect_arbitrages([make_swap(A, B, 100, 200, V1, position=(7, 0, 3)),
                                       make_swap(B, A, 200, 110, V2, position=(8, 0, 0))])

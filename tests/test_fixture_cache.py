@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mevlens import fixture_cache, fixture_parser
-from mevlens.chain_model import ChainDataset, dump_fixture, load_fixture
+from mevlens.chain_model import ChainDataset, load_fixture
 from mevlens.cli import main
 from mevlens.fixture_parser import _load_fixture
+from mevlens.fixtures import dump_fixture
 from mevlens.registry import DEFAULT_REGISTRY, Category
 
 from conftest import settle
@@ -490,7 +491,8 @@ def test_two_processes_loading_one_fixture_at_once(tmp_path):
     path = _in_layout(tmp_path, _recurring_fixture(300), "canonical")
     import mevlens
     src = os.path.dirname(os.path.dirname(os.path.abspath(mevlens.__file__)))
-    code = ("import sys\nfrom mevlens.chain_model import dump_fixture, load_fixture\n"
+    code = ("import sys\nfrom mevlens.chain_model import load_fixture\n"
+            "from mevlens.fixtures import dump_fixture\n"
             "dump_fixture(load_fixture(sys.argv[1]), sys.argv[2])\n")
     env = dict(os.environ, PYTHONPATH=src)
     procs = [subprocess.Popen([sys.executable, "-c", code, str(path), str(tmp_path / f"{i}.out")],

@@ -13,8 +13,8 @@ import pytest
 
 from mevlens import cli
 from mevlens.amm import PoolInfo, dump_pool_metadata
-from mevlens.chain_model import ARBITRUM, ETHEREUM, Layer, CHAINS, dump_fixture
-from mevlens.fixtures import (FixtureBuilder, _topic, addr, enc_aave_v1_liquidation,
+from mevlens.chain_model import ARBITRUM, ETHEREUM, Layer, CHAINS
+from mevlens.fixtures import (FixtureBuilder, _topic, addr, dump_fixture, enc_aave_v1_liquidation,
                               enc_aave_v2v3_liquidation, enc_answer_updated,
                               enc_balancer_v1_swap, enc_balancer_v2_swap,
                               enc_compound_liquidate, enc_compound_redeem, enc_curve_exchange,

@@ -29,9 +29,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from mevlens import cli
 from mevlens.amm import PoolInfo, dump_pool_metadata
-from mevlens.chain_model import ARBITRUM, ETHEREUM, dump_fixture
+from mevlens.chain_model import ARBITRUM, ETHEREUM
 from mevlens.cli import main
-from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
+from mevlens.fixtures import (FixtureBuilder, addr, dump_fixture, enc_aave_v2v3_liquidation,
                               enc_answer_updated, enc_balancer_v1_swap, enc_flashloan,
                               enc_inbox_message, enc_redeem_scheduled, enc_token_swap,
                               enc_transfer)
@@ -459,8 +459,8 @@ NOT_LOADED = [
                                 "fixture_cache", "fixture_parser"}),
     (REPORT_FINDINGS, {"detectors", "decoding", "registry", "amm", "opportunity",
                        "crosslayer", "bytecode", "fixture_cache", "fixture_parser"}),
-    (ARGV["crosslayer infer"], {"detectors", "opportunity", "bytecode"}),
-    (ARGV["crosslayer delay"], {"detectors", "opportunity", "bytecode"}),
+    (ARGV["crosslayer infer"], {"detectors", "opportunity", "crosslayer", "bytecode"}),
+    (ARGV["crosslayer delay"], {"detectors", "opportunity", "crosslayer", "bytecode"}),
     (ARGV["crosslayer simulate"], {"detectors", "bytecode"}),
 ]
 # the standard-library modules only some commands use, and those commands:
@@ -468,8 +468,7 @@ NOT_LOADED = [
 LOADED_ONLY_UNDER = {"glob": {"report"}, "datetime": {"report", "crosslayer delay"},
                      # the commands that price or size in exact rationals
                      "fractions": {"detect arb", "detect liq", "opportunity", "compete",
-                                   "crosslayer infer", "crosslayer delay",
-                                   "crosslayer simulate", "report"}}
+                                   "crosslayer delay", "crosslayer simulate", "report"}}
 # the commands that neither read prices nor write a CSV
 NO_CSV = {"decode", "detect flashloan", "detect sandwich", "crosslayer infer", "compete"}
 
@@ -550,6 +549,8 @@ def test_commands_load_only_the_modules_they_run():
                 loaded, never, stdlib = run(argv, env)
                 command = _command(argv)
                 assert "chain_model" in loaded, argv
+                # the fixture builder and dump are for tests and scripts
+                assert "fixtures" not in loaded, argv
                 assert not absent & loaded, argv
                 assert never == "never:", (argv, never)
                 for module, commands in LOADED_ONLY_UNDER.items():
@@ -587,18 +588,18 @@ BUDGET = {
     # command: (source bytes cold, source bytes warm, nodes cold, nodes warm,
     # compile('<string>') calls); decode reads the ethereum fixture first and
     # detect sandwich the rollup's, so each parses it cold
-    "decode": (59_508, 43_895, 8_447, 5_663, 5),
-    "detect arb": (95_951, 95_951, 14_186, 14_186, 19),
-    "detect liq": (86_318, 86_318, 12_330, 12_330, 16),
-    "detect flashloan": (74_209, 74_209, 10_381, 10_381, 12),
-    "detect sandwich": (101_931, 86_318, 15_114, 12_330, 15),
-    "opportunity": (108_771, 108_771, 16_132, 16_132, 20),
-    "compete": (108_771, 108_771, 16_132, 16_132, 20),
-    "crosslayer infer": (106_706, 106_706, 15_641, 15_641, 20),
-    "crosslayer delay": (106_706, 106_706, 15_641, 15_641, 20),
-    "crosslayer simulate": (118_913, 118_913, 17_470, 17_470, 21),
-    "report": (43_824, 43_824, 6_352, 6_352, 5),
-    "bytecode cluster": (40_225, 40_225, 5_875, 5_875, 6),
+    "decode": (57_697, 42_084, 8_119, 5_335, 5),
+    "detect arb": (88_749, 88_749, 12_812, 12_812, 19),
+    "detect liq": (79_116, 79_116, 10_956, 10_956, 16),
+    "detect flashloan": (66_960, 66_960, 9_012, 9_012, 12),
+    "detect sandwich": (94_729, 79_116, 13_740, 10_956, 15),
+    "opportunity": (99_359, 99_359, 14_379, 14_379, 20),
+    "compete": (99_359, 99_359, 14_379, 14_379, 20),
+    "crosslayer infer": (80_152, 80_152, 11_537, 11_537, 18),
+    "crosslayer delay": (80_152, 80_152, 11_537, 11_537, 19),
+    "crosslayer simulate": (110_137, 110_137, 15_866, 15_866, 21),
+    "report": (38_529, 38_529, 5_353, 5_353, 5),
+    "bytecode cluster": (38_414, 38_414, 5_547, 5_547, 6),
 }
 
 

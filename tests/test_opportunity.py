@@ -8,19 +8,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from mevlens import opportunity
 from mevlens.amm import PoolInfo, cp_pool, dump_pool_metadata, stable_pool, swap_out
-from mevlens.chain_model import ETHEREUM, ChainDataset, EventLog, dump_fixture
+from mevlens.chain_model import ETHEREUM, ChainDataset, EventLog
 from mevlens.cli import main
 from mevlens.detectors import (ArbitrageFinding, LiquidationFinding, detect_arbitrages,
                                extract_swaps)
 from mevlens.decoding import LiquidationAction
 from mevlens.errors import MalformedRecord
-from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
+from mevlens.fixtures import (FixtureBuilder, addr, dump_fixture, enc_aave_v2v3_liquidation,
                               enc_answer_updated, enc_balancer_v1_swap, enc_token_swap,
                               enc_transfer, enc_uniswap_v2_swap)
 from mevlens.opportunity import (FOUND, NOT_FOUND, UNSIMULATABLE, StateProvider,
                                  block_distance_cdf, detect_competition,
                                  find_arbitrage_opportunity,
                                  find_liquidation_opportunity)
+from mevlens.registry import DEFAULT_REGISTRY
 from conftest import (TOKEN_A, TOKEN_B, TOKEN_C, VENUE_1, VENUE_2, VENUE_3, VENUE_4,
                       build_planted_arb_dataset, literal_opportunity, make_swap,
                       oracle_updates, replay_cycle)
@@ -372,6 +373,29 @@ def test_cli_opportunity_skips_a_log_that_breaks_its_layout(tmp_path, caplog, me
     rows = (tmp_path / "out" / f"opportunities_{mev_type}.jsonl").read_text().splitlines()
     assert len(rows) == 2
     assert [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()] == [line]
+
+
+def test_cli_liquidation_walk_looks_up_each_log_once(tmp_path, monkeypatch):
+    """opportunity --type liq looks up each kept log's topic once: one
+    decode pass serves the liquidations and the oracle updates. The
+    transfers beside them are not kept, and no load looks a topic up."""
+    fb = FixtureBuilder(ETHEREUM, start_block=F - 2)
+    for block in range(F - 2, F + 2):
+        fb.block(number=block)
+        fb.tx()
+        fb.log(addr(0xFE), *enc_answer_updated(10 ** 8 + block))
+        fb.log(A, *enc_transfer(addr(5), addr(6), block))
+        fb.tx(sender=addr(6))
+        fb.log(addr(0xAB), *enc_aave_v2v3_liquidation(A, B, addr(5), 100, 150, addr(6)))
+    ds = fb.dataset()
+    args = _write_inputs(tmp_path, ds)
+    lookup, topics = DEFAULT_REGISTRY.lookup, []
+    monkeypatch.setattr(DEFAULT_REGISTRY, "lookup",
+                        lambda topic: topics.append(topic) or lookup(topic))
+    assert main(["opportunity", "--type", "liq"] + args) == 0
+    kept = [log.topics[0] for log in ds.logs if log.address != A]
+    assert len(kept) == 8
+    assert sorted(topics) == sorted(kept)
 
 
 def test_cli_stableswap_token_swap_opens_an_arbitrage(tmp_path):

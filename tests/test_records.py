@@ -14,7 +14,8 @@ from mevlens.bytecode import BytecodeRecord, Cluster
 from mevlens.amm import CONSTANT_PRODUCT, STABLESWAP, PoolState
 from mevlens.chain_model import (ARBITRUM, CHAINS, ETHEREUM, BlockRecord, ChainId, EventLog,
                                  Layer, TxRecord)
-from mevlens.crosslayer import CostModel, CrossLayerLink, VictimCandidate, VictimSwap
+from mevlens.bridge import CrossLayerLink, VictimCandidate, VictimSwap
+from mevlens.crosslayer import CostModel
 from mevlens.decoding import (BridgeMessageAction, FlashLoanAction, LiquidationAction,
                               OracleUpdateAction, SwapAction, TransferAction)
 from mevlens.detectors import ArbitrageFinding, LiquidationFinding, SandwichFinding
@@ -168,7 +169,8 @@ def test_checks_hold_under_python_O():
     src = os.path.dirname(os.path.dirname(os.path.abspath(mevlens.__file__)))
     code = ("from fractions import Fraction\n"
             "from mevlens.amm import PoolState, cp_pool\n"
-            "from mevlens.crosslayer import CostModel, VictimSwap, _max_input_within_slippage\n"
+            "from mevlens.bridge import VictimSwap\n"
+            "from mevlens.crosslayer import CostModel, _max_input_within_slippage\n"
             "cp = cp_pool(10 ** 6, 10 ** 6)\n"
             "print('debug', __debug__)\n"
             "for build in (lambda: PoolState('curve', (b'a',), (1, 2), 5, 1),\n"

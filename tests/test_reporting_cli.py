@@ -7,18 +7,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mevlens import decoding, fixture_cache, reporting
+from mevlens import cli_detect, cli_report, decoding, fixture_cache
 from mevlens.amm import PoolInfo, dump_pool_metadata
-from mevlens.chain_model import (ARBITRUM, ETHEREUM, ChainDataset, EventLog, dump_fixture,
-                                 load_fixture)
+from mevlens.chain_model import ARBITRUM, ETHEREUM, ChainDataset, EventLog, load_fixture
 from mevlens.cli import main
 from mevlens.errors import MalformedRecord
-from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
+from mevlens.cli_report import read_findings
+from mevlens.fixtures import (FixtureBuilder, addr, dump_fixture, enc_aave_v2v3_liquidation,
                               enc_balancer_v1_swap, enc_flashloan, enc_inbox_message,
                               enc_redeem_scheduled, enc_transfer, enc_uniswap_v3_swap,
                               word)
-from mevlens.reporting import (_sorted_and_sum, fmt_fixed, month_of, read_findings,
-                               summary_stats, write_findings)
+from mevlens.reporting import _sorted_and_sum, fmt_fixed, month_of, summary_stats, write_findings
 from conftest import build_planted_arb_dataset
 
 
@@ -467,7 +466,7 @@ def test_emit_report_holds_one_row_at_a_time(tmp_path, monkeypatch):
     monkeypatch.setattr(_CountedRow, "live", 0)
     monkeypatch.setattr(_CountedRow, "most", 0)
     rows = (_CountedRow(json.loads(_finding_row(profit_eth=f"{i}.5"))) for i in range(50))
-    reporting.emit_report(rows, tmp_path)
+    cli_report.emit_report(rows, tmp_path)
     assert _CountedRow.most == 1
     assert (tmp_path / "profit_stats.csv").read_text().splitlines()[1].startswith(
         "ethereum,arbitrage,50,")
@@ -478,8 +477,8 @@ def test_cli_report_holds_one_row_at_a_time(tmp_path, monkeypatch):
     reader through the count to the fold."""
     monkeypatch.setattr(_CountedRow, "live", 0)
     monkeypatch.setattr(_CountedRow, "most", 0)
-    finding = reporting._finding
-    monkeypatch.setattr(reporting, "_finding", lambda obj: _CountedRow(finding(obj)))
+    finding = cli_report._finding
+    monkeypatch.setattr(cli_report, "_finding", lambda obj: _CountedRow(finding(obj)))
     out = tmp_path / "out"
     for kind in ("arb", "liq"):
         _findings_file(out / f"findings_{kind}.jsonl", GLOB_ROWS * 10)
@@ -587,14 +586,13 @@ def test_cli_internal_error_exit_2(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_row_that_raises_leaves_no_out_dir(tmp_path, monkeypatch, capsys):
-    from mevlens import reporting
     fixtures = tmp_path / "fixtures"
     _layout_fixtures(fixtures, with_bad_logs=False)
 
     def broken(finding, chain, timestamp):
         raise ValueError("serializer bug")
 
-    monkeypatch.setattr(reporting, "sandwich_to_json", broken)
+    monkeypatch.setattr(cli_detect, "sandwich_to_json", broken)
     out = tmp_path / "out"
     assert main(["detect", "sandwich", "--chain", "arbitrum", "--fixtures", str(fixtures),
                  "--out", str(out)]) == 2
