@@ -255,7 +255,7 @@ class EventLog(NamedTuple):
 
 
 class ChainDataset:
-    """One chain's records; a command may narrow ``logs`` to a block range."""
+    """One chain's records; commands narrow ``logs`` by category and block."""
 
     def __init__(self, chain: Optional[ChainId] = None, blocks=None, txs=None, logs=None):
         self.chain = chain

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .chain_model import to_hex
+from .registry import Category
 from .reporting import fmt_fixed
 
 
@@ -72,10 +73,17 @@ def sandwich_to_json(finding, chain: str, timestamp: int) -> dict:
     }
 
 
-def _write_priced(ctx, ds, findings, profit, to_json, name):
-    """Attach each finding's flash loans, price it at its block's day (when
-    --prices is given and its tx is known) and write its row."""
-    from .detectors import attribute_flash_loans
+def _detect_priced(ctx, categories, detect, profit, to_json, name, pools=None, actions=False):
+    """One decode pass over ``categories`` and the flash loans: ``detect``
+    takes the pass's other pairs, or with ``actions`` their actions. Each
+    finding gets its tx's loans, a price at its block's day (when --prices
+    is given and its tx is known) and its row."""
+    from .decoding import load_decoded
+    from .detectors import attribute_flash_loans, split_flash_loans
+    ds, decoded = load_decoded(ctx, categories | {Category.FLASH_LOAN}, pools)
+    loans, decoded = split_flash_loans(decoded, actions)
+    findings = detect(decoded)
+    del decoded  # the rows need only the findings and the loans
     prices = ctx.prices()
     chain = ds.chain.name
 
@@ -86,31 +94,28 @@ def _write_priced(ctx, ds, findings, profit, to_json, name):
             f = profit(f, prices, tx, ts)
         return to_json(f, chain, ts, tx.sender if tx else None)
 
-    ctx.write(name, map(row, attribute_flash_loans(findings, ds.logs)))
+    ctx.write(name, map(row, attribute_flash_loans(findings, loans)))
 
 
 def arb(ctx):
     from . import detectors
-    from .decoding import _FLASH_LOANS, _SWAPS
-    ds = ctx.dataset(categories=_SWAPS | _FLASH_LOANS)
-    findings = detectors.detect_arbitrages(detectors.extract_swaps(ds, ctx.pools()))
-    _write_priced(ctx, ds, findings, detectors.arbitrage_profit, arbitrage_to_json,
-                  "findings_arb.jsonl")
+    from .decoding import _SWAPS
+    _detect_priced(ctx, _SWAPS, detectors.detect_arbitrages, detectors.arbitrage_profit,
+                   arbitrage_to_json, "findings_arb.jsonl", ctx.pools(), actions=True)
 
 
 def liq(ctx):
     from . import detectors
-    from .decoding import _FLASH_LOANS, decode_logs
-    ds = ctx.dataset(categories=detectors._LIQUIDATIONS | _FLASH_LOANS)
-    findings = detectors.detect_liquidations(decode_logs(ds.logs, detectors._LIQUIDATIONS))
-    _write_priced(ctx, ds, findings, detectors.liquidation_profit, liquidation_to_json,
-                  "findings_liq.jsonl")
+    _detect_priced(ctx, {Category.LIQUIDATION}, detectors.detect_liquidations,
+                   detectors.liquidation_profit, liquidation_to_json, "findings_liq.jsonl")
 
 
 def sandwich(ctx):
     from . import detectors
-    ds = ctx.dataset(categories=detectors._TRANSFERS)
-    transfers = detectors.extract_transfers(ds)
+    from .decoding import load_decoded
+    ds, decoded = load_decoded(ctx, {Category.TRANSFER})
+    transfers = [t for _, t in decoded]
+    del decoded  # the scan's indexes peak above the transfers: hold no pairs beside them
     findings = detectors.detect_sandwiches(transfers, ds.chain, window=ctx.window)
     chain = ds.chain.name
     ctx.write("findings_sandwich.jsonl", (
@@ -119,8 +124,8 @@ def sandwich(ctx):
 
 
 def flashloan(ctx):
-    from .decoding import _FLASH_LOANS, decode_logs
-    ds = ctx.dataset(categories=_FLASH_LOANS)
+    from .decoding import load_decoded
+    ds, decoded = load_decoded(ctx, {Category.FLASH_LOAN})
     chain = ds.chain.name
     ctx.write("findings_flashloan.jsonl", ({
         "type": "flash_loan", "chain": chain,
@@ -128,7 +133,7 @@ def flashloan(ctx):
         "timestamp": ds.block_timestamp(lg.block_number), "provider": loan.provider,
         "token": to_hex(loan.token),
         "amount": str(loan.amount), "fee": str(loan.fee),
-    } for lg, loan in decode_logs(ds.logs, _FLASH_LOANS)))
+    } for lg, loan in decoded))
 
 
 RUN = {"detect arb": arb, "detect liq": liq, "detect sandwich": sandwich,

@@ -5,34 +5,34 @@ from __future__ import annotations
 
 import os
 
-from .chain_model import to_hex
+from .chain_model import _log as log, to_hex
 from .registry import Category
 from .reporting import _write_csv, fmt_fixed
-
-_ORACLE_UPDATES = frozenset((Category.ORACLE_UPDATE,))  # the liquidation walk's
 
 
 def _opportunities(ctx):
     """(finding, its opportunity) for each finding of ``--type``.
     Each walk bisects the swaps or oracle updates decoded once for all."""
     from . import detectors, opportunity
-    from .decoding import _SWAPS, OracleUpdateAction, decode_logs
+    from .decoding import _SWAPS, OracleUpdateAction, load_decoded
     arb = ctx.mev_type == "arb"
-    ds = ctx.dataset(categories=_SWAPS if arb else detectors._LIQUIDATIONS | _ORACLE_UPDATES)
     pools = ctx.pools()
+    ds, decoded = load_decoded(
+        ctx, _SWAPS if arb else {Category.LIQUIDATION, Category.ORACLE_UPDATE}, pools)
     provider = opportunity.StateProvider.from_jsonl(ctx.snapshots_file, pools)
     results = []
     if arb:
-        swaps = detectors.extract_swaps(ds, pools)
+        swaps = [swap for _, swap in decoded]
+        del decoded  # the walks bisect the swaps alone
         for f in detectors.detect_arbitrages(swaps):
             results.append((f, opportunity.find_arbitrage_opportunity(
                 f, swaps, provider, ctx.horizon)))
     else:
-        # one decode pass serves the liquidations and the oracle updates
-        decoded = decode_logs(ds.logs, detectors._LIQUIDATIONS | _ORACLE_UPDATES)
         updates = [a for _, a in decoded if isinstance(a, OracleUpdateAction)]
-        for f in detectors.detect_liquidations(
-                [p for p in decoded if not isinstance(p[1], OracleUpdateAction)]):
+        findings = detectors.detect_liquidations(
+            [p for p in decoded if not isinstance(p[1], OracleUpdateAction)])
+        del decoded  # the walks bisect the updates alone
+        for f in findings:
             results.append((f, opportunity.find_liquidation_opportunity(
                 f, updates, provider, ctx.horizon)))
     return ds, results
@@ -63,11 +63,13 @@ def write_distance_cdf(cdf, path) -> None:
 def compete(ctx):
     from .opportunity import detect_competition
     ds, results = _opportunities(ctx)
-    entries, opportunity_block = [], {}
+    entries, opportunity_block, unknown = [], {}, 0
     for f, r in results:
         tx = ds.tx(f.tx_hash)
-        extractor = tx.sender if tx else b""
-        entries.append((ctx.mev_type, r.opportunity_tx, extractor, to_hex(f.tx_hash)))
+        if tx is None:  # no tx record, so no extractor to credit
+            unknown += 1
+            continue
+        entries.append((ctx.mev_type, r.opportunity_tx, tx.sender, to_hex(f.tx_hash)))
         if r.opportunity_tx is not None:
             # the walk found the opportunity tx this many blocks back
             opportunity_block[r.opportunity_tx] = f.block - r.block_distance
@@ -84,6 +86,8 @@ def compete(ctx):
             "findings": g["findings"],
         }
 
+    if unknown:
+        log.info("compete: %d findings left out: no tx record names their extractor", unknown)
     ctx.write(f"competition_{ctx.mev_type}.jsonl", map(row, detect_competition(entries)))
 
 

@@ -7,10 +7,10 @@ each field's source and type (``"t2:address"``: the address in topic 2,
 import) and a build rule. ``_decode``, the one decoder, raises
 SchemaMismatch on a count its row rejects, reads the fields and calls the
 rule, which returns the action, or None for a well-formed log that is no
-usable action (a zero amount, an unknown pool). ``decode_logs`` and
-``decode_swap`` look up each topic once and skip, logging at DEBUG, the
-logs the decoder rejects. The addresses one pass slices out of topics and
-data are shared: equal addresses are one object.
+usable action (a zero amount, an unknown pool). ``decode_logs``, the one
+decode loop, looks up each log's topic once and skips, logging at DEBUG,
+the logs the decoder rejects. The addresses one pass slices out of topics
+and data are shared: equal addresses are one object.
 """
 
 from functools import partial
@@ -21,10 +21,9 @@ from .errors import MevlensError, SchemaMismatch
 from .registry import DEFAULT_REGISTRY, Category
 
 WORD = 32
-# the categories of a decode pass, which the fixture load of a command
-# that runs it keeps
-_SWAPS = frozenset((Category.ARBITRAGE, Category.VICTIM_SWAP))  # what decode_swap decodes
-_FLASH_LOANS = frozenset((Category.FLASH_LOAN,))
+# the swap categories: StableSwap TokenSwap, a victim swap, can close a
+# cycle like any DEX swap
+_SWAPS = frozenset((Category.ARBITRAGE, Category.VICTIM_SWAP))
 
 
 # --- typed actions ---
@@ -268,33 +267,14 @@ def _decode(log: EventLog, entry, pools, share=bytes):
         for i, start, stop, convert in layout.fields])
 
 
-def _decode_or_skip(log: EventLog, entry, pools, share):
-    """``_decode``, except that a log the decoder rejects with a
-    MevlensError is skipped: None, and a DEBUG line naming it."""
-    try:
-        return _decode(log, entry, pools, share)
-    except MevlensError as exc:
-        _log.debug("skipped %s log at %s: %s", entry.event, log.position, exc)
-        return None
-
-
-def decode_swap(log: EventLog, pools=None, share=bytes) -> Optional[SwapAction]:
-    """Decode a DEX swap event into a SwapAction; None for any other log,
-    and for a swap log the decoder rejects (skipped as in ``decode_logs``).
-    ``pools`` maps pool address -> object with a ``tokens`` sequence, which
-    Uniswap V2/V3, Curve and StableSwap events need to name their tokens.
-    ``share`` maps each address the log holds to the object kept for its
-    value: one ``shared_addresses()`` for a pass over many logs."""
-    entry = DEFAULT_REGISTRY.lookup(log.topics[0])
-    if entry is None or entry.categories.isdisjoint(_SWAPS):
-        return None
-    return _decode_or_skip(log, entry, pools, share)
-
-
-def shared_addresses():
-    """A fresh ``share`` for one decode pass: it maps each address to the
-    first one equal to it that it was given."""
-    return _Shared().__getitem__
+def decode_swap(log: EventLog, pools=None) -> Optional[SwapAction]:
+    """Decode a DEX swap event into a SwapAction: ``decode_logs`` over one
+    log and ``_SWAPS``. None for any other log, and for a swap log the
+    decoder rejects. ``pools`` maps pool address -> object with a
+    ``tokens`` sequence, which Uniswap V2/V3, Curve and StableSwap events
+    need to name their tokens."""
+    decoded = decode_logs((log,), _SWAPS, pools)
+    return decoded[0][1] if decoded else None
 
 
 def decode_logs(logs: Sequence[EventLog], categories, pools=None) -> list:
@@ -304,13 +284,24 @@ def decode_logs(logs: Sequence[EventLog], categories, pools=None) -> list:
     logged at DEBUG; any other exception propagates. Equal addresses in the
     actions are one object."""
     wanted = frozenset(categories)
-    share = shared_addresses()
+    share = _Shared().__getitem__
     decoded = []
     for log in logs:
         entry = DEFAULT_REGISTRY.lookup(log.topics[0])
         if entry is None or wanted.isdisjoint(entry.categories):
             continue
-        action = _decode_or_skip(log, entry, pools, share)
+        try:
+            action = _decode(log, entry, pools, share)
+        except MevlensError as exc:
+            _log.debug("skipped %s log at %s: %s", entry.event, log.position, exc)
+            continue
         if action is not None:
             decoded.append((log, action))
     return decoded
+
+
+def load_decoded(ctx, categories, pools=None) -> tuple:
+    """A command's dataset, loaded through ``ctx`` with the logs of
+    ``categories`` only, and the one ``decode_logs`` pass over them."""
+    ds = ctx.dataset(categories=categories)
+    return ds, decode_logs(ds.logs, categories, pools)

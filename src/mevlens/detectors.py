@@ -8,16 +8,10 @@ reporting concern.
 from bisect import bisect_left, bisect_right
 from typing import Mapping, NamedTuple, Sequence
 
-from .chain_model import ChainDataset, ChainId, EventLog, Layer, TxRecord
-from .decoding import (_FLASH_LOANS, LiquidationAction, SwapAction, TransferAction, decode_logs,
-                       decode_swap, shared_addresses)
-from .registry import Category
+from .chain_model import ChainId, Layer, TxRecord
+from .decoding import FlashLoanAction, LiquidationAction, SwapAction, TransferAction
 # the price table and its units live there so that `report` loads no decoder
 from .reporting import WEI, PriceProvider, day_of
-
-# the categories of each decode pass here (see decoding._SWAPS)
-_LIQUIDATIONS = frozenset((Category.LIQUIDATION,))
-_TRANSFERS = frozenset((Category.TRANSFER,))
 
 
 # --- findings ---
@@ -163,7 +157,8 @@ def arbitrage_profit(finding: ArbitrageFinding, prices: PriceProvider,
 
 def detect_liquidations(decoded: Sequence[tuple]):
     """One structural finding per tx containing at least one liquidation,
-    from the (log, action) pairs of ``decode_logs`` over _LIQUIDATIONS.
+    from the (log, action) pairs of ``decode_logs`` over the liquidation
+    category: any action but a LiquidationAction is read as a Redeem.
 
     Compound LiquidateBorrow actions are paired with Redeem events of the
     same tx in log order, first-unmatched-first.
@@ -293,32 +288,18 @@ def detect_sandwiches(transfers: Sequence[TransferAction], chain: ChainId,
 
 # --- flash loans ---
 
-def attribute_flash_loans(findings: Sequence, logs: Sequence[EventLog]) -> list:
-    """Each finding with the flash loans of its tx, in log order. The logs
-    of the findings' txs are decoded once for all findings."""
-    txs = {f.tx_hash for f in findings}
-    loans: dict = {}
-    for log, loan in decode_logs([log for log in logs if log.tx_hash in txs], _FLASH_LOANS):
-        loans.setdefault(log.tx_hash, []).append(loan)
-    return [f._replace(flash_loans=tuple(loans.get(f.tx_hash, ()))) for f in findings]
+def split_flash_loans(decoded: Sequence[tuple], actions=False) -> tuple:
+    """A decode pass's FlashLoanActions, and its other (log, action) pairs,
+    or with ``actions`` their actions alone."""
+    loans = [a for _, a in decoded if isinstance(a, FlashLoanAction)]
+    return loans, [p[1] if actions else p for p in decoded
+                   if not isinstance(p[1], FlashLoanAction)]
 
 
-# --- dataset-level drivers ---
-
-def extract_swaps(dataset: ChainDataset, pools=None):
-    """Decode all swap events, in position order.
-
-    Victim-swap events (StableSwap TokenSwap) count too: they can close a
-    cycle like any DEX swap.
-    """
-    share = shared_addresses()
-    swaps = []
-    for log in dataset.logs:
-        swap = decode_swap(log, pools, share)
-        if swap is not None:
-            swaps.append(swap)
-    return swaps
-
-
-def extract_transfers(dataset: ChainDataset):
-    return [t for _, t in decode_logs(dataset.logs, _TRANSFERS)]
+def attribute_flash_loans(findings: Sequence, loans: Sequence[FlashLoanAction]) -> list:
+    """Each finding with the flash loans of its tx, in the order of
+    ``loans``: the FlashLoanActions of the command's decode pass."""
+    by_tx: dict = {}
+    for loan in loans:
+        by_tx.setdefault(loan.tx_hash, []).append(loan)
+    return [f._replace(flash_loans=tuple(by_tx.get(f.tx_hash, ()))) for f in findings]

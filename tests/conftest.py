@@ -17,7 +17,7 @@ from mevlens.amm import swap_out
 from mevlens.bytecode import strip_metadata
 from mevlens.chain_model import (ARBITRUM, ETHEREUM, OPTIMISM, ZKSYNC, ChainId, EventLog,
                                  Layer, _log)
-from mevlens.decoding import (BridgeMessageAction, FlashLoanAction, LiquidationAction,
+from mevlens.decoding import (_SWAPS, BridgeMessageAction, FlashLoanAction, LiquidationAction,
                               OracleUpdateAction, SwapAction, TransferAction, decode_logs)
 from mevlens.detectors import SandwichFinding
 from mevlens.errors import MevlensError, SchemaMismatch
@@ -794,6 +794,13 @@ def literal_decode_oracle_update(log: EventLog):
 
 
 # --- opportunity oracle: each finding's window rescanned log by log ---
+
+def decoded_swaps(dataset, pools=None) -> list:
+    """The dataset's swaps in position order, from one ``decode_logs`` pass
+    over ``_SWAPS``: what ``detect arb`` chains into cycles and
+    ``find_arbitrage_opportunity`` bisects."""
+    return [s for _, s in decode_logs(dataset.logs, _SWAPS, pools)]
+
 
 def oracle_updates(dataset) -> list:
     """The dataset's Chainlink updates in position order: what

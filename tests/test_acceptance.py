@@ -15,15 +15,14 @@ from mevlens.cli_report import read_findings
 from mevlens.crosslayer import (CostModel, DEFAULT_CAPITAL_TIERS_USD,
                                 DEFAULT_REACTION_TIME_S, S1, S2, S3, STRATEGIES,
                                 capital_sweep, optimal_frontrun)
-from mevlens.detectors import (detect_arbitrages, detect_sandwiches,
-                               extract_swaps)
+from mevlens.detectors import detect_arbitrages, detect_sandwiches
 from mevlens.fixtures import FixtureBuilder, addr, dump_fixture, enc_balancer_v1_swap
 from mevlens.opportunity import (FOUND, NOT_FOUND, StateProvider,
                                  find_arbitrage_opportunity,
                                  find_liquidation_opportunity)
 
 from conftest import (XL_DELAYS, build_crosslayer_fixture,
-                      build_planted_arb_dataset, build_victim_scenarios,
+                      build_planted_arb_dataset, build_victim_scenarios, decoded_swaps,
                       make_transfer, oracle_cycles, oracle_sandwiches, oracle_updates,
                       random_swap_tx, random_transfer_blocks,
                       xl_pools_meta)
@@ -53,7 +52,7 @@ def test_1_arbitrage_oracle_equivalence():
 # 2. planted demo fixture yields exactly 25 findings with correct cycles
 def test_2_planted_cycle_recall():
     ds, expected = build_planted_arb_dataset()
-    findings = detect_arbitrages(extract_swaps(ds))
+    findings = detect_arbitrages(decoded_swaps(ds))
     assert len(findings) == 25
     got = sorted((f.tx_hash, len(f.cycle)) for f in findings)
     assert got == sorted(expected)
@@ -175,7 +174,7 @@ def test_6_strategy_ordering_and_capital_monotonicity():
 def test_7_opportunity_search_exactness():
     for d in (1, 5, 37, 99, 100):
         ds, provider, tx = plant_arb_scenario(d)
-        r = find_arbitrage_opportunity(_finding(), extract_swaps(ds), provider)
+        r = find_arbitrage_opportunity(_finding(), decoded_swaps(ds), provider)
         assert r.status == FOUND and r.block_distance == d
         assert r.opportunity_tx == tx
     # d = 0: crossing between the finding and its immediate predecessor
@@ -187,11 +186,11 @@ def test_7_opportunity_search_exactness():
     fb.tx()
     topics, data = enc_balancer_v1_swap(addr(0xEE), B, A, 10, 9)
     fb.log(addr(0xD2), topics, data)
-    r = find_arbitrage_opportunity(_finding(), extract_swaps(fb.dataset()), provider)
+    r = find_arbitrage_opportunity(_finding(), decoded_swaps(fb.dataset()), provider)
     assert r.status == FOUND and r.block_distance == 0 and r.approximate
 
     ds, provider, _ = plant_arb_scenario(101)
-    assert find_arbitrage_opportunity(_finding(), extract_swaps(ds),
+    assert find_arbitrage_opportunity(_finding(), decoded_swaps(ds),
                                       provider).status == NOT_FOUND
 
     # liquidation stop rules: hf < 1 (Aave), sf > 0 (Compound)

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import literal_decode, literal_decode_logs, literal_decode_swap
-from mevlens.chain_model import ARBITRUM, ETHEREUM, ChainDataset, EventLog, OPTIMISM, ZKSYNC
-from mevlens.detectors import extract_swaps, extract_transfers
-from mevlens.decoding import WORD, _LAYOUTS, _decode, decode_logs, decode_swap
+from mevlens.chain_model import ARBITRUM, ETHEREUM, EventLog, OPTIMISM, ZKSYNC
+from mevlens.decoding import _SWAPS, WORD, _LAYOUTS, _decode, decode_logs, decode_swap
 from mevlens.errors import MevlensError
 from mevlens.fixtures import (addr, enc_aave_v1_liquidation,
                               enc_aave_v2v3_liquidation, enc_answer_updated,
@@ -413,8 +412,8 @@ def test_a_decode_pass_keeps_one_object_per_address():
                              log_index=2 * i))
         logs.append(make_log(*enc_transfer(addr(0xEE), addr(0x51), 100 + i), address=t_in,
                              log_index=2 * i + 1))
-    ds = ChainDataset(ETHEREUM, logs=logs)
-    swaps, transfers = extract_swaps(ds), extract_transfers(ds)
+    swaps = [a for _, a in decode_logs(logs, _SWAPS)]
+    transfers = [a for _, a in decode_logs(logs, (Category.TRANSFER,))]
     both = [action for _, action in decode_logs(logs, (Category.ARBITRAGE, Category.TRANSFER))]
     assert len(swaps) == len(transfers) == 30 and len(both) == 60
     fields = ("token_in", "token_out", "sender", "receiver")

@@ -6,21 +6,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mevlens.chain_model import ARBITRUM, ETHEREUM, TxRecord, TxStatus
-from mevlens.detectors import (_LIQUIDATIONS, ArbitrageFinding, PriceProvider, SandwichFinding,
+from mevlens.detectors import (ArbitrageFinding, PriceProvider, SandwichFinding,
                                WEI, arbitrage_profit, attribute_flash_loans,
                                chain_cycles, detect_arbitrages,
-                               detect_liquidations, detect_sandwiches,
-                               extract_swaps, liquidation_profit)
-from mevlens.decoding import LiquidationAction, decode_logs
+                               detect_liquidations, detect_sandwiches, liquidation_profit,
+                               split_flash_loans)
+from mevlens.decoding import _SWAPS, LiquidationAction, decode_logs
 from mevlens.errors import MalformedRecord
 from mevlens.fixtures import (FixtureBuilder, addr, enc_aave_v2v3_liquidation,
                               enc_compound_liquidate, enc_compound_redeem,
                               enc_flashloan, enc_transfer)
-from conftest import (build_planted_arb_dataset, literal_sandwiches, make_swap,
+from mevlens.registry import Category
+from conftest import (build_planted_arb_dataset, decoded_swaps, literal_sandwiches, make_swap,
                       make_transfer, oracle_cycles, oracle_sandwiches, random_swap_tx,
                       random_transfer_blocks, validate_arbitrage)
 
 A, B, C = addr(0xA1), addr(0xB1), addr(0xC1)
+LIQUIDATIONS, FLASH_LOANS = (Category.LIQUIDATION,), (Category.FLASH_LOAN,)
 V1, V2, V3 = addr(0xD1), addr(0xD2), addr(0xD3)
 
 
@@ -67,16 +69,16 @@ def test_greedy_matches_oracle_randomized(rng):
 
 def test_detect_and_validate(planted_arb_dataset):
     ds, expected = planted_arb_dataset
-    findings = detect_arbitrages(extract_swaps(ds))
+    findings = detect_arbitrages(decoded_swaps(ds))
     assert len(findings) == len(expected) == 25
     assert sorted((f.tx_hash, len(f.cycle)) for f in findings) == sorted(expected)
     for f in findings:
         assert validate_arbitrage(f)
 
 
-def test_extract_swaps_is_a_position_ordered_list(planted_arb_dataset):
+def test_a_swap_pass_is_a_position_ordered_list(planted_arb_dataset):
     ds, _ = planted_arb_dataset
-    swaps = extract_swaps(ds)
+    swaps = [swap for _, swap in decode_logs(ds.logs, _SWAPS)]
     assert isinstance(swaps, list) and swaps
     positions = [s.position for s in swaps]
     assert positions == sorted(positions)
@@ -182,7 +184,7 @@ def _liq_fixture():
 
 def test_aave_liquidation_profit():
     ds, tx_hash = _liq_fixture()
-    findings = detect_liquidations(decode_logs(ds.logs, _LIQUIDATIONS))
+    findings = detect_liquidations(decode_logs(ds.logs, LIQUIDATIONS))
     assert len(findings) == 1
     prices = _prices([(A, 0, 1), (B, 0, 1)])
     tx = ds.tx(tx_hash)
@@ -202,7 +204,7 @@ def test_compound_redeem_pairing_in_log_order():
     fb.log(addr(0xC2), t2, d2)
     fb.log(addr(0xE1), *r1)
     fb.log(addr(0xE2), *r2)
-    findings = detect_liquidations(decode_logs(fb.dataset().logs, _LIQUIDATIONS))
+    findings = detect_liquidations(decode_logs(fb.dataset().logs, LIQUIDATIONS))
     assert len(findings) == 1
     acts = findings[0].actions
     assert acts[0].collateral_token == addr(0xE1) and acts[0].collateral_amount == 90
@@ -216,7 +218,7 @@ def test_compound_without_redeem_is_unredeemed():
     fb.tx()
     topics, data = enc_compound_liquidate(addr(6), addr(5), 100, addr(7), 90)
     fb.log(addr(0xC1), topics, data)
-    findings = detect_liquidations(decode_logs(fb.dataset().logs, _LIQUIDATIONS))
+    findings = detect_liquidations(decode_logs(fb.dataset().logs, LIQUIDATIONS))
     assert findings[0].unredeemed
     assert findings[0].actions[0].collateral_amount is None
 
@@ -230,7 +232,7 @@ def test_redeem_without_liquidation_is_no_finding_and_pairs_with_no_other_tx():
     fb.log(addr(0xE1), *enc_compound_redeem(addr(6), 90, 85))
     fb.tx()
     liquidated = fb.log(addr(0xC1), *enc_compound_liquidate(addr(6), addr(5), 100, addr(7), 90))
-    findings = detect_liquidations(decode_logs(fb.dataset().logs, _LIQUIDATIONS))
+    findings = detect_liquidations(decode_logs(fb.dataset().logs, LIQUIDATIONS))
     assert [f.tx_hash for f in findings] == [liquidated.tx_hash]
     assert findings[0].unredeemed
     assert findings[0].actions[0].collateral_amount is None
@@ -244,7 +246,7 @@ def test_two_liquidations_one_finding():
         topics, data = enc_aave_v2v3_liquidation(A, B, addr(5), amount,
                                                  amount * 2, addr(6))
         fb.log(addr(0xAA), topics, data)
-    findings = detect_liquidations(decode_logs(fb.dataset().logs, _LIQUIDATIONS))
+    findings = detect_liquidations(decode_logs(fb.dataset().logs, LIQUIDATIONS))
     assert len(findings) == 1 and len(findings[0].actions) == 2
 
 
@@ -255,7 +257,7 @@ def test_finding_block_is_its_first_actions_block():
     fb.tx()
     topics, data = enc_aave_v2v3_liquidation(A, B, addr(5), 2 * WEI, 3 * WEI, addr(6))
     fb.log(addr(0xAA), topics, data)
-    (liquidation,) = detect_liquidations(decode_logs(fb.dataset().logs, _LIQUIDATIONS))
+    (liquidation,) = detect_liquidations(decode_logs(fb.dataset().logs, LIQUIDATIONS))
     assert liquidation.block == liquidation.actions[0].position[0] == 42
     (arbitrage,) = detect_arbitrages([make_swap(A, B, 100, 200, V1, position=(7, 0, 3)),
                                       make_swap(B, A, 200, 110, V2, position=(8, 0, 0))])
@@ -384,8 +386,28 @@ def test_flash_loan_attribution():
         fb.log(addr(0xFA), topics, data)
     ds = fb.dataset()
     f = ArbitrageFinding(tx, (), {})
-    [annotated] = attribute_flash_loans([f], ds.logs)
+    [annotated] = attribute_flash_loans([f], [a for _, a in decode_logs(ds.logs, FLASH_LOANS)])
     assert [fl.provider for fl in annotated.flash_loans] == ["aave_v2", "balancer"]
+
+
+def test_split_flash_loans_parts_one_pass():
+    """One pass's FlashLoanActions and its other pairs, or their actions,
+    each in log order: detect liq hands detect_liquidations only the other
+    pairs, and detect arb hands detect_arbitrages only the swaps."""
+    fb = FixtureBuilder(ETHEREUM)
+    fb.block()
+    fb.tx()
+    fb.log(addr(0xFA), *enc_flashloan("aave_v2", A, 10 ** 20, 10 ** 17))
+    fb.log(addr(0xAB), *enc_aave_v2v3_liquidation(A, B, addr(5), 100, 150, addr(6)))
+    fb.log(addr(0xFA), *enc_flashloan("balancer", B, 10 ** 18, 0))
+    decoded = decode_logs(fb.dataset().logs, LIQUIDATIONS + FLASH_LOANS)
+    loans, rest = split_flash_loans(decoded)
+    assert loans == [decoded[0][1], decoded[2][1]]
+    assert [loan.provider for loan in loans] == ["aave_v2", "balancer"]
+    assert rest == [decoded[1]]
+    assert split_flash_loans(decoded, actions=True) == (loans, [decoded[1][1]])
+    [finding] = detect_liquidations(rest)
+    assert finding.actions == (decoded[1][1],)
 
 
 def test_flash_loan_no_events_empty():
@@ -394,9 +416,10 @@ def test_flash_loan_no_events_empty():
 
 
 def test_flash_loans_are_decoded_once_for_all_findings(caplog):
-    """Two findings of one tx and one of another each carry their own tx's
-    loans in log order, a loan of a tx with no finding goes to none, and a
-    broken loan log in the shared tx is skipped with one DEBUG line."""
+    """One decode pass's loans: two findings of one tx and one of another
+    each carry their own tx's loans in log order, a loan of a tx with no
+    finding goes to none, and a broken loan log in the shared tx is skipped
+    with one DEBUG line."""
     fb = FixtureBuilder(ETHEREUM)
     fb.block()
     shared = fb.tx()
@@ -411,7 +434,8 @@ def test_flash_loans_are_decoded_once_for_all_findings(caplog):
     findings = [ArbitrageFinding(shared, (), {}), ArbitrageFinding(other, (), {}),
                 ArbitrageFinding(shared, (), {A: 1})]
     with caplog.at_level(logging.DEBUG, logger="mevlens"):
-        annotated = attribute_flash_loans(findings, fb.dataset().logs)
+        loans = [loan for _, loan in decode_logs(fb.dataset().logs, FLASH_LOANS)]
+        annotated = attribute_flash_loans(findings, loans)
     assert [[(fl.provider, fl.amount) for fl in f.flash_loans] for f in annotated] == [
         [("aave_v2", 10 ** 20), ("balancer", 10 ** 18)], [("aave_v3", 10 ** 18)],
         [("aave_v2", 10 ** 20), ("balancer", 10 ** 18)]]

@@ -589,15 +589,15 @@ BUDGET = {
     # compile('<string>') calls); decode reads the ethereum fixture first and
     # detect sandwich the rollup's, so each parses it cold
     "decode": (57_697, 42_084, 8_119, 5_335, 5),
-    "detect arb": (88_749, 88_749, 12_812, 12_812, 19),
-    "detect liq": (79_116, 79_116, 10_956, 10_956, 16),
-    "detect flashloan": (66_960, 66_960, 9_012, 9_012, 12),
-    "detect sandwich": (94_729, 79_116, 13_740, 10_956, 15),
-    "opportunity": (99_359, 99_359, 14_379, 14_379, 20),
-    "compete": (99_359, 99_359, 14_379, 14_379, 20),
-    "crosslayer infer": (80_152, 80_152, 11_537, 11_537, 18),
-    "crosslayer delay": (80_152, 80_152, 11_537, 11_537, 19),
-    "crosslayer simulate": (110_137, 110_137, 15_866, 15_866, 21),
+    "detect arb": (88_175, 88_175, 12_712, 12_712, 19),
+    "detect liq": (78_542, 78_542, 10_856, 10_856, 16),
+    "detect flashloan": (66_872, 66_872, 8_990, 8_990, 12),
+    "detect sandwich": (94_155, 78_542, 13_640, 10_856, 15),
+    "opportunity": (98_602, 98_602, 14_282, 14_282, 20),
+    "compete": (98_602, 98_602, 14_282, 14_282, 20),
+    "crosslayer infer": (79_756, 79_756, 11_509, 11_509, 18),
+    "crosslayer delay": (79_756, 79_756, 11_509, 11_509, 19),
+    "crosslayer simulate": (109_741, 109_741, 15_838, 15_838, 21),
     "report": (38_529, 38_529, 5_353, 5_353, 5),
     "bytecode cluster": (38_414, 38_414, 5_547, 5_547, 6),
 }

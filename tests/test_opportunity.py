@@ -10,8 +10,7 @@ from mevlens import opportunity
 from mevlens.amm import PoolInfo, cp_pool, dump_pool_metadata, stable_pool, swap_out
 from mevlens.chain_model import ETHEREUM, ChainDataset, EventLog
 from mevlens.cli import main
-from mevlens.detectors import (ArbitrageFinding, LiquidationFinding, detect_arbitrages,
-                               extract_swaps)
+from mevlens.detectors import ArbitrageFinding, LiquidationFinding, detect_arbitrages
 from mevlens.decoding import LiquidationAction
 from mevlens.errors import MalformedRecord
 from mevlens.fixtures import (FixtureBuilder, addr, dump_fixture, enc_aave_v2v3_liquidation,
@@ -23,7 +22,7 @@ from mevlens.opportunity import (FOUND, NOT_FOUND, UNSIMULATABLE, StateProvider,
                                  find_liquidation_opportunity)
 from mevlens.registry import DEFAULT_REGISTRY
 from conftest import (TOKEN_A, TOKEN_B, TOKEN_C, VENUE_1, VENUE_2, VENUE_3, VENUE_4,
-                      build_planted_arb_dataset, literal_opportunity, make_swap,
+                      build_planted_arb_dataset, decoded_swaps, literal_opportunity, make_swap,
                       oracle_updates, replay_cycle)
 
 A, B = addr(0xA1), addr(0xB1)
@@ -67,7 +66,7 @@ def plant_arb_scenario(distance):
 def test_planted_distances_exact():
     for d in (1, 5, 37, 99, 100):
         ds, provider, tx = plant_arb_scenario(d)
-        r = find_arbitrage_opportunity(_finding(), extract_swaps(ds), provider)
+        r = find_arbitrage_opportunity(_finding(), decoded_swaps(ds), provider)
         assert r.status == FOUND
         assert r.block_distance == d
         assert r.opportunity_tx == tx
@@ -86,14 +85,14 @@ def test_planted_distance_zero_is_approximate_boundary():
     topics, data = enc_balancer_v1_swap(addr(0xEE), B, A, 10, 9)
     fb.log(P2, topics, data)
     ds = fb.dataset()
-    r = find_arbitrage_opportunity(_finding(), extract_swaps(ds), provider)
+    r = find_arbitrage_opportunity(_finding(), decoded_swaps(ds), provider)
     assert r.status == FOUND and r.block_distance == 0
     assert r.opportunity_tx is None and r.approximate
 
 
 def test_planted_distance_101_not_found():
     ds, provider, _ = plant_arb_scenario(101)
-    r = find_arbitrage_opportunity(_finding(), extract_swaps(ds), provider)
+    r = find_arbitrage_opportunity(_finding(), decoded_swaps(ds), provider)
     assert r.status == NOT_FOUND
 
 
@@ -104,14 +103,14 @@ def test_no_candidate_swaps_not_found():
     fb = FixtureBuilder(ETHEREUM, start_block=F)
     fb.block(number=F)
     fb.tx()
-    r = find_arbitrage_opportunity(_finding(), extract_swaps(fb.dataset()), provider)
+    r = find_arbitrage_opportunity(_finding(), decoded_swaps(fb.dataset()), provider)
     assert r.status == NOT_FOUND
 
 
 def test_missing_pool_state_unsimulatable():
     ds, provider, _ = plant_arb_scenario(5)
     bare = StateProvider()  # no pool snapshots at all
-    r = find_arbitrage_opportunity(_finding(), extract_swaps(ds), bare)
+    r = find_arbitrage_opportunity(_finding(), decoded_swaps(ds), bare)
     assert r.status == UNSIMULATABLE
 
 
@@ -328,6 +327,36 @@ def test_cli_compete_row_carries_the_opportunity_block(tmp_path):
     assert ds.block_timestamp(F - 7) != ds.block_timestamp(F)
 
 
+def test_cli_compete_leaves_out_findings_with_no_tx_record(tmp_path, caplog):
+    """A finding whose tx has no record has no extractor: compete leaves it
+    out of the competition and says how many at INFO, so two unknown
+    senders do not count as one extractor beside the known ones."""
+    fb = FixtureBuilder(ETHEREUM, start_block=F - 7)
+    fb.block(number=F - 7)
+    opened = fb.tx()
+    fb.log(addr(0xFE), *enc_answer_updated(10 ** 8))
+    fb.block(number=F)
+    liquidators = [addr(6), addr(7), addr(8), addr(9)]
+    for liquidator in liquidators:
+        fb.tx(sender=liquidator)
+        fb.log(addr(0xAB), *enc_aave_v2v3_liquidation(A, B, addr(5), 100, 150, liquidator))
+    ds = fb.dataset()
+    known = [t for t in ds.txs if t.sender not in liquidators[2:]]
+    ds = ChainDataset(ds.chain, ds.blocks, known, ds.logs)
+    health = [{"kind": "health", "key": "0x" + addr(5).hex(), "block": block, "value": value}
+              for block, value in ((0, "1.02"), (F - 7, "0.98"))]
+    args = _write_inputs(tmp_path, ds, health)
+    caplog.set_level(logging.INFO, logger="mevlens")
+    assert main(["compete", "--type", "liq"] + args) == 0
+    rows = [json.loads(line)
+            for line in (tmp_path / "out" / "competition_liq.jsonl").read_text().splitlines()]
+    assert [(r["tx_hash"], r["extractors"], r["findings"]) for r in rows] == [
+        ("0x" + opened.hex(), ["0x" + a.hex() for a in liquidators[:2]],
+         ["0x" + t.hash.hex() for t in known[1:]])]
+    assert "compete: 2 findings left out: no tx record names their extractor" in [
+        r.getMessage() for r in caplog.records]
+
+
 def _write_inputs(tmp_path, ds, snapshots=(), pools=None):
     """The fixture directory, snapshot file and pool sidecar of one run."""
     fixtures = tmp_path / "fixtures"
@@ -425,7 +454,7 @@ def test_cli_stableswap_token_swap_opens_an_arbitrage(tmp_path):
 def test_not_found_status_names_the_horizon():
     # no candidate swap within 5 blocks
     ds, provider, _ = plant_arb_scenario(6)
-    r = find_arbitrage_opportunity(_finding(), extract_swaps(ds), provider, horizon=5)
+    r = find_arbitrage_opportunity(_finding(), decoded_swaps(ds), provider, horizon=5)
     assert r.status == "not_found_within_5"
     # a candidate, but the cycle stays profitable past the horizon
     provider = StateProvider()
@@ -435,7 +464,7 @@ def test_not_found_status_names_the_horizon():
     fb.block(number=F - 2)
     fb.tx()
     fb.log(P2, *enc_balancer_v1_swap(addr(0xEE), B, A, 10 ** 5, 1008 * 10 ** 2))
-    r = find_arbitrage_opportunity(_finding(), extract_swaps(fb.dataset()), provider,
+    r = find_arbitrage_opportunity(_finding(), decoded_swaps(fb.dataset()), provider,
                                    horizon=5)
     assert r.status == "not_found_within_5"
     assert NOT_FOUND == "not_found_within_100"
@@ -494,7 +523,7 @@ def test_walk_simulates_each_distinct_state_set_once(monkeypatch):
         return simulated_profit(finding, states)
 
     monkeypatch.setattr(opportunity, "_simulated_profit", counting)
-    swaps = extract_swaps(ds)
+    swaps = decoded_swaps(ds)
     results, repeats = [], 0
     for finding in detect_arbitrages(swaps):
         expected, simulated = literal_opportunity(finding, ds, provider)
@@ -608,7 +637,7 @@ def test_walks_match_literal_window_rescan(finding_block, horizon, events, pool_
     ds = _walk_dataset(events)
     provider = _walk_provider(pool_snapshots, health, shortfall)
     arb = _finding(block=finding_block)
-    assert (find_arbitrage_opportunity(arb, extract_swaps(ds, _WALK_POOLS), provider,
+    assert (find_arbitrage_opportunity(arb, decoded_swaps(ds, _WALK_POOLS), provider,
                                        horizon)
             == literal_opportunity(arb, ds, provider, _WALK_POOLS, horizon)[0])
     liq = _liq_finding(protocol, block=finding_block)
@@ -622,7 +651,7 @@ def test_planted_walk_case_opens_on_the_repeated_tx_and_the_stableswap_swap():
     2, whose tx hash recurs, then the StableSwap swap. The first Chainlink
     update of block 3, of that tx hash too, opens the liquidation."""
     ds = _walk_dataset(_PLANTED)
-    swaps = extract_swaps(ds, _WALK_POOLS)
+    swaps = decoded_swaps(ds, _WALK_POOLS)
     health = [(0, Fraction(102, 100)), (3, Fraction(97, 100))]
     provider = _walk_provider(_TILTED, health, [])
     assert find_arbitrage_opportunity(_finding(block=4), swaps, provider) == \

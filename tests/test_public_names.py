@@ -11,7 +11,8 @@ SRC = os.path.dirname(os.path.abspath(mevlens.__file__))
 # README's "Python API": the fixtures module and the names documented for
 # scripts and tests, which no command calls
 ALLOWED_MODULES = {"fixtures"}
-ALLOWED = {"cp_pool", "stable_pool", "dump_pool_metadata", "__version__", "NOT_FOUND"}
+ALLOWED = {"cp_pool", "stable_pool", "dump_pool_metadata", "__version__", "NOT_FOUND",
+           "decode_swap"}
 
 
 def _public(name):

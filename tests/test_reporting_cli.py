@@ -17,6 +17,7 @@ from mevlens.fixtures import (FixtureBuilder, addr, dump_fixture, enc_aave_v2v3_
                               enc_balancer_v1_swap, enc_flashloan, enc_inbox_message,
                               enc_redeem_scheduled, enc_transfer, enc_uniswap_v3_swap,
                               word)
+from mevlens.registry import DEFAULT_REGISTRY
 from mevlens.reporting import _sorted_and_sum, fmt_fixed, month_of, summary_stats, write_findings
 from conftest import build_planted_arb_dataset
 
@@ -570,6 +571,40 @@ def test_cli_detect_arb_without_block_records(tmp_path):
         assert sorted((f["tx_hash"], len(f["cycle"])) for f in findings) == want
 
 
+@pytest.mark.parametrize("kind, kept, loans", [("arb", [0, 1, 2, 5, 6], ["aave_v2"]),
+                                              ("liq", [2, 4, 5, 6], ["balancer"])])
+def test_cli_detect_looks_up_each_kept_log_once(tmp_path, monkeypatch, kind, kept, loans):
+    """detect arb and detect liq look up each kept log's topic once: one
+    decode pass serves the detector and the flash-loan attribution, and the
+    finding carries its own tx's loan. The transfer is not kept, and no
+    load looks a topic up."""
+    fb = FixtureBuilder(ETHEREUM)
+    fb.block()
+    fb.tx()
+    fb.log(addr(0xD1), *enc_balancer_v1_swap(addr(0xEE), addr(0xA1), addr(0xB1), 100, 205))
+    fb.log(addr(0xD2), *enc_balancer_v1_swap(addr(0xEE), addr(0xB1), addr(0xA1), 205, 120))
+    fb.log(addr(0xFA), *enc_flashloan("aave_v2", addr(0xA1), 100, 1))
+    fb.log(addr(0xA1), *enc_transfer(addr(5), addr(6), 100))
+    fb.tx(sender=addr(6))
+    fb.log(addr(0xAB), *enc_aave_v2v3_liquidation(addr(0xA1), addr(0xB1), addr(5), 100, 150,
+                                                  addr(6)))
+    fb.log(addr(0xFA), *enc_flashloan("balancer", addr(0xB1), 100, 0))
+    fb.tx()
+    fb.log(addr(0xFA), *enc_flashloan("aave_v3", addr(0xA1), 100, 1))  # no finding's tx
+    ds = fb.dataset()
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    dump_fixture(ds, fixtures / "ethereum.jsonl")
+    lookup, topics = DEFAULT_REGISTRY.lookup, []
+    monkeypatch.setattr(DEFAULT_REGISTRY, "lookup",
+                        lambda topic: topics.append(topic) or lookup(topic))
+    out = tmp_path / "out"
+    assert main(["detect", kind, "--fixtures", str(fixtures), "--out", str(out)]) == 0
+    assert sorted(topics) == sorted(ds.logs[i].topics[0] for i in kept)
+    [row] = [json.loads(line) for line in (out / f"findings_{kind}.jsonl").read_text().splitlines()]
+    assert [loan["provider"] for loan in row["flash_loans"]] == loans
+
+
 def test_cli_internal_error_exit_2(tmp_path, monkeypatch, capsys):
     fixtures, _, _ = _demo_dir(tmp_path)
 
@@ -670,7 +705,9 @@ def _layout_fixtures(root, with_bad_logs):
 def test_cli_skips_logs_that_break_their_layout(tmp_path, caplog):
     """A log that does not match its event layout is skipped the same way
     by every command: exit 0, the findings of the fixture without it, and
-    one DEBUG record naming its position and the reason."""
+    one DEBUG record naming its position and the reason. detect liq's one
+    pass reads two of them: the broken LiquidationCall and the broken
+    FlashLoan, whose tx holds no liquidation."""
     clean, dirty = tmp_path / "clean", tmp_path / "dirty"
     _layout_fixtures(clean, with_bad_logs=False)
     _layout_fixtures(dirty, with_bad_logs=True)
@@ -678,14 +715,14 @@ def test_cli_skips_logs_that_break_their_layout(tmp_path, caplog):
     dump_pool_metadata(LAYOUT_POOLS, pools)
     caplog.set_level(logging.DEBUG, logger="mevlens")
     commands = (
-        (["detect", "arb"], "findings_arb.jsonl", 2),
-        (["detect", "liq"], "findings_liq.jsonl", 1),
-        (["detect", "flashloan"], "findings_flashloan.jsonl", 1),
-        (["detect", "sandwich", "--chain", "arbitrum"], "findings_sandwich.jsonl", 1),
+        (["detect", "arb"], "findings_arb.jsonl", 2, 1),
+        (["detect", "liq"], "findings_liq.jsonl", 1, 2),
+        (["detect", "flashloan"], "findings_flashloan.jsonl", 1, 1),
+        (["detect", "sandwich", "--chain", "arbitrum"], "findings_sandwich.jsonl", 1, 1),
         (["crosslayer", "infer", "--chain", "arbitrum", "--pools", str(pools)],
-         "victims.jsonl", 1),
+         "victims.jsonl", 1, 1),
     )
-    for argv, output, n_findings in commands:
+    for argv, output, n_findings, n_skipped in commands:
         blobs = []
         for fixtures in (clean, dirty):
             caplog.clear()
@@ -695,9 +732,8 @@ def test_cli_skips_logs_that_break_their_layout(tmp_path, caplog):
             skipped = [r for r in caplog.records
                        if r.name == "mevlens" and r.levelno == logging.DEBUG
                        and r.module not in ("fixture_cache", "fixture_parser")]
-            assert len(skipped) == (fixtures is dirty), argv
-            if skipped:
-                assert "expects" in skipped[0].getMessage(), argv
+            assert len(skipped) == (n_skipped if fixtures is dirty else 0), argv
+            assert all("expects" in r.getMessage() for r in skipped), argv
             blobs.append((out / output).read_bytes())
         assert blobs[0] == blobs[1], argv
         assert len(blobs[0].splitlines()) == n_findings, argv
@@ -836,7 +872,7 @@ def test_records_reach_a_handler_on_the_mevlens_logger(tmp_path):
     assert {(r.module, r.funcName) for r in records} == {
         ("test_reporting_cli", "test_records_reach_a_handler_on_the_mevlens_logger"),
         ("fixture_parser", "_parse_and_write"), ("fixture_cache", "load"),
-        ("decoding", "_decode_or_skip")}
+        ("decoding", "decode_logs")}
     assert [r.levelname for r in records[2:]] == ["DEBUG", "INFO", "DEBUG"]
     with pytest.raises(AttributeError):
         _log.warning("no such level")
